@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test test-short test-race vet fuzz-smoke fuzz bench bench-serve bench-compare alloc-guard obs-race smoke serve-smoke worker-smoke trace-smoke bench-distributed circuit-equiv bench-whatif shard-smoke bench-shard stream-smoke bench-stream ci
+.PHONY: build test test-short test-race vet fuzz-smoke fuzz bench bench-serve bench-compare alloc-guard obs-race smoke serve-smoke worker-smoke trace-smoke bench-distributed circuit-equiv bench-whatif shard-smoke bench-shard stream-smoke bench-stream bench-spine bench-spine-quick ci
 
 build:
 	$(GO) build ./...
@@ -69,8 +69,9 @@ smoke: build
 		-strategy hybrid -eps 0.1 -workers 4 -metrics > /dev/null
 
 # serve-smoke boots a server on an ephemeral port, POSTs the builtin
-# kmedoids request twice, asserts the second response reports a cache hit,
-# and drains.
+# kmedoids request twice, asserts the second response reports "cache":"hit"
+# and "served_from":"circuit" with timings_ms.compile under 1 ms (answered
+# from the artifact's memoized circuit, no recompile), and drains.
 serve-smoke: build
 	$(GO) run ./cmd/loadgen -smoke
 
@@ -106,8 +107,9 @@ circuit-equiv:
 
 # bench-whatif benchmarks the /v1/whatif circuit serving mode and refreshes
 # BENCH_whatif.json: a warm 32-point sweep must replay the cached circuit
-# with zero recompilations, and one replay must beat one warm recompile by
-# at least 5× per point.
+# with zero recompilations, and one replay must beat one warm recompile (a
+# hybrid /v1/run at negligible ε — exact runs replay the circuit themselves)
+# by at least 5× per point.
 bench-whatif: build
 	$(GO) run ./cmd/loadgen -whatif -out BENCH_whatif.json
 
@@ -145,5 +147,14 @@ bench-stream: build
 # 4 shards.
 bench-shard: build
 	$(GO) run ./cmd/loadgen -shard-sweep -out BENCH_serve.json
+
+# bench-spine runs the repository's benchmark (BENCHMARK.json, benchmark/):
+# all five workloads with 20 s windows, tracing off. bench-spine-quick is the
+# same with 5 s windows. Neither is part of ci yet (ROADMAP item 1).
+bench-spine:
+	$(GO) run ./benchmark -seed 1
+
+bench-spine-quick:
+	$(GO) run ./benchmark -seed 1 -seconds 5
 
 ci: vet build test test-race obs-race alloc-guard smoke serve-smoke worker-smoke trace-smoke bench-distributed circuit-equiv bench-whatif shard-smoke stream-smoke

@@ -14,8 +14,9 @@
 // makes the entire measured run cold instead.
 //
 // `loadgen -smoke` instead runs the CI smoke check: POST one builtin
-// kmedoids request twice, assert the second response reports a cache hit,
-// then drain — exiting nonzero on any violation.
+// kmedoids request twice, assert the second response reports a cache hit
+// served from the memoized circuit with compile time under 1 ms, then drain
+// — exiting nonzero on any violation.
 //
 // `loadgen -whatif` benchmarks the circuit serving mode: one cold
 // /v1/whatif sweep pays the trace, warm sweeps must replay the cached
@@ -350,42 +351,43 @@ func postWhatif(client *http.Client, addr string) (time.Duration, int, server.Wh
 	return time.Since(start), resp.StatusCode, out, err
 }
 
-// postRunCompileMs sends one run request and returns its server-side
-// compile time in milliseconds.
-func postRunCompileMs(client *http.Client, addr string) (float64, string, error) {
-	data, params := benchWhatifData()
-	body, err := json.Marshal(server.RunRequest{
-		Program: "kmedoids", Data: data, Params: params,
-	})
+// runReply is what the smoke check and the what-if baseline read from a
+// /v1/run response.
+type runReply struct {
+	Cache      string `json:"cache"`
+	ServedFrom string `json:"served_from"`
+	TimingsMs  struct {
+		Compile float64 `json:"compile"`
+	} `json:"timings_ms"`
+}
+
+// postRunReply sends one run request; anything but a 200 is an error.
+func postRunReply(client *http.Client, addr string, req server.RunRequest) (runReply, error) {
+	var out runReply
+	body, err := json.Marshal(req)
 	if err != nil {
-		return 0, "", err
+		return out, err
 	}
 	resp, err := client.Post("http://"+addr+"/v1/run", "application/json", bytes.NewReader(body))
 	if err != nil {
-		return 0, "", err
+		return out, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return 0, "", fmt.Errorf("run: status %d", resp.StatusCode)
+		return out, fmt.Errorf("run: status %d", resp.StatusCode)
 	}
-	var out struct {
-		Cache     string `json:"cache"`
-		TimingsMs struct {
-			Compile float64 `json:"compile"`
-		} `json:"timings_ms"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, "", err
-	}
-	return out.TimingsMs.Compile, out.Cache, nil
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	return out, err
 }
 
 // benchWhatif measures the circuit serving mode: one cold sweep (pays the
 // trace), warmRuns warm sweeps (replay only — verified against the server's
-// circuit.cache.hits counter), and a recompilation baseline of warm
-// /v1/run requests on the same artifact (cache hit, so each pays exactly
-// one compile). It fails when a warm sweep recompiled or when a per-point
-// replay is not at least whatifSpeedupFloor× faster than a recompile.
+// circuit.cache.hits counter), and a recompilation baseline of hybrid
+// /v1/run requests at a negligible ε on the same artifact (cache hit, so
+// each pays exactly one compile; exact requests no longer compile on a hit —
+// they replay the very circuit under test). It fails when a warm sweep
+// recompiled or when a per-point replay is not at least whatifSpeedupFloor×
+// faster than a recompile.
 func benchWhatif(addr string) error {
 	const warmRuns = 8
 	client := &http.Client{}
@@ -418,19 +420,24 @@ func benchWhatif(addr string) error {
 			hits, warmRuns, warmRuns)
 	}
 
-	// Recompilation baseline: the artifact is cached, so each /v1/run pays
-	// one compile and nothing else — what each sweep point would cost
-	// without the circuit.
+	// Recompilation baseline: the artifact is cached, so each approximate
+	// /v1/run pays one compile and nothing else — what each sweep point
+	// would cost without the circuit.
+	data, params := benchWhatifData()
+	baseline := server.RunRequest{
+		Program: "kmedoids", Data: data, Params: params,
+		Strategy: "hybrid", Epsilon: 1e-12,
+	}
 	var compileMs []float64
 	for i := 0; i < warmRuns; i++ {
-		ms, cache, err := postRunCompileMs(client, addr)
+		rr, err := postRunReply(client, addr, baseline)
 		if err != nil {
 			return fmt.Errorf("recompile baseline %d: %v", i, err)
 		}
-		if i > 0 && cache != "hit" {
-			return fmt.Errorf("recompile baseline %d: artifact cache %q, want hit", i, cache)
+		if rr.Cache != "hit" || rr.ServedFrom != "compile" {
+			return fmt.Errorf("recompile baseline %d: cache %q served_from %q, want hit/compile", i, rr.Cache, rr.ServedFrom)
 		}
-		compileMs = append(compileMs, ms)
+		compileMs = append(compileMs, rr.TimingsMs.Compile)
 	}
 
 	recompile := benchutil.Median(compileMs)
@@ -438,7 +445,6 @@ func benchWhatif(addr string) error {
 	evalPoint := evalSweep / whatifSteps
 	speedup := recompile / evalPoint
 
-	data, params := benchWhatifData()
 	out := map[string]any{
 		"workload": map[string]any{
 			"program": "kmedoids", "n": data.N, "vars": data.Vars, "l": data.L,
@@ -470,27 +476,32 @@ func benchWhatif(addr string) error {
 	return nil
 }
 
-// smoke is the CI check: two identical requests, the second must be a
-// cache hit, and the server must drain cleanly afterwards.
+// smoke is the CI check: two identical requests — the first prepares and
+// traces, the second must hit the artifact cache and be answered from the
+// memoized circuit in under a millisecond of compile time — and the server
+// must drain cleanly afterwards.
 func smoke(addr string) error {
 	client := &http.Client{}
 	req := request(1)
-	lat1, status, cache := post(client, addr, req)
-	if status != http.StatusOK {
-		return fmt.Errorf("first request: status %d", status)
+	first, err := postRunReply(client, addr, req)
+	if err != nil {
+		return fmt.Errorf("first request: %v", err)
 	}
-	if cache != "miss" {
-		return fmt.Errorf("first request: cache %q, want miss", cache)
+	if first.Cache != "miss" || first.ServedFrom != "trace" {
+		return fmt.Errorf("first request: cache %q served_from %q, want miss/trace", first.Cache, first.ServedFrom)
 	}
-	lat2, status, cache := post(client, addr, req)
-	if status != http.StatusOK {
-		return fmt.Errorf("second request: status %d", status)
+	second, err := postRunReply(client, addr, req)
+	if err != nil {
+		return fmt.Errorf("second request: %v", err)
 	}
-	if cache != "hit" {
-		return fmt.Errorf("second request: cache %q, want hit", cache)
+	if second.Cache != "hit" || second.ServedFrom != "circuit" {
+		return fmt.Errorf("second request: cache %q served_from %q, want hit/circuit", second.Cache, second.ServedFrom)
 	}
-	fmt.Printf("smoke ok: miss %.1fms then hit %.1fms\n",
-		float64(lat1)/float64(time.Millisecond), float64(lat2)/float64(time.Millisecond))
+	if second.TimingsMs.Compile >= 1 {
+		return fmt.Errorf("second request: timings_ms.compile = %.3f on a circuit hit, want < 1", second.TimingsMs.Compile)
+	}
+	fmt.Printf("smoke ok: miss/trace (compile %.2fms) then hit/circuit (compile %.4fms)\n",
+		first.TimingsMs.Compile, second.TimingsMs.Compile)
 	return nil
 }
 

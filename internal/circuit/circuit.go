@@ -85,6 +85,12 @@ func (c *Circuit) Nodes() int { return len(c.vars) }
 // Events returns the number of stored target decisions.
 func (c *Circuit) Events() int { return len(c.evs) }
 
+// Bytes estimates the memory the circuit's node and event arrays hold.
+func (c *Circuit) Bytes() int64 {
+	// Per node: vars, hi, lo, evOff (4 bytes each) and visits (8).
+	return int64(len(c.vars))*24 + int64(len(c.evs))*4
+}
+
 // Merged counts hash-cons hits during construction: tree nodes that were
 // shared with an existing isomorphic subcircuit instead of stored again.
 func (c *Circuit) Merged() int64 { return c.merged }

@@ -11,10 +11,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"enframe/internal/circuit"
 	"enframe/internal/event"
@@ -129,6 +131,9 @@ type Artifact struct {
 	// replay-at-other-probabilities queries forever after).
 	circuitsMu sync.Mutex
 	circuits   map[prob.OrderHeuristic]*circuitCall
+
+	// netBytes is Net's byte estimate, taken once at preparation.
+	netBytes int64
 }
 
 // circuitCall is one in-flight or completed circuit trace.
@@ -138,6 +143,29 @@ type circuitCall struct {
 	res  *prob.Result
 	err  error
 }
+
+// PanicError is what a single-flight leader records when the work it led
+// panicked: the leader recovers, unregisters its call and releases its
+// waiters with this error instead of leaving them blocked forever on a key
+// nobody is computing. The serving layer answers it with 500.
+type PanicError struct {
+	// Op names the work that panicked ("prepare", "circuit trace").
+	Op    string
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("core: panic during %s: %v", e.Op, e.Value) }
+
+// NewPanicError wraps a recovered panic value with the current stack; call
+// it from the deferred function that recovered.
+func NewPanicError(op string, recovered any) *PanicError {
+	return &PanicError{Op: op, Value: recovered, Stack: debug.Stack()}
+}
+
+// testHookTrace, when set by tests, runs on the tracing (leader) path of
+// Circuit just before prob.CompileCircuit.
+var testHookTrace func()
 
 // Run executes the full ENFrame pipeline. When spec.Compile.Obs is set,
 // every stage is traced as a span under the trace root and the hot layers
@@ -245,7 +273,7 @@ func PrepareContext(ctx context.Context, spec Spec) (*Artifact, error) {
 
 		return &Artifact{
 			Events: res.Program, Net: net, Translation: res,
-			Ground: ground, PrepTimings: tm,
+			Ground: ground, PrepTimings: tm, netBytes: net.Bytes(),
 		}, nil
 	}
 
@@ -287,7 +315,7 @@ func PrepareContext(ctx context.Context, spec Spec) (*Artifact, error) {
 	tm.Ground = time.Since(tGround)
 	tm.Total = tm.Lex + tm.Parse + tm.Translate + tm.Ground
 
-	return &Artifact{Net: net, Ground: ground, PrepTimings: tm}, nil
+	return &Artifact{Net: net, Ground: ground, PrepTimings: tm, netBytes: net.Bytes()}, nil
 }
 
 // Order returns the artifact's memoized variable order for the heuristic,
@@ -307,10 +335,21 @@ func (a *Artifact) Order(h prob.OrderHeuristic) []event.VarID {
 }
 
 // Circuit returns the artifact's traced arithmetic circuit for the
-// heuristic, compiling it on first use; cached reports whether the circuit
-// came from the memo (a warm call costs zero compilations). Concurrent
-// first callers coalesce onto one trace; a leader whose context dies hands
-// leadership to the next waiter instead of caching its failure. When
+// heuristic together with the Result of replaying it at the space's
+// probabilities — bit-identical, work counters included, to an exact
+// compilation. The first caller traces (honouring opts.Obs, opts.Timeout and
+// ctx); cached reports that this call ran zero compilations: it hit the memo
+// or coalesced onto another caller's trace.
+//
+// The returned Circuit and Result are SHARED with every other caller and
+// must be treated as read-only; copy Result.Targets before changing it.
+//
+// Only complete circuits are memoized. An incomplete trace (boundary
+// probabilities, soft timeout) is handed to the callers already waiting on
+// it — unless it timed out, which is the leader's own budget and nobody
+// else's answer — and the next call traces again. A leader whose context
+// dies hands leadership to the next waiter instead of caching its failure; a
+// leader that panics releases its waiters with a *PanicError. When
 // opts.Order overrides the variable order the memo is bypassed entirely.
 func (a *Artifact) Circuit(ctx context.Context, opts prob.Options) (*circuit.Circuit, *prob.Result, bool, error) {
 	opts.Strategy = prob.Circuit
@@ -324,42 +363,79 @@ func (a *Artifact) Circuit(ctx context.Context, opts prob.Options) (*circuit.Cir
 	opts.Order = a.Order(opts.Heuristic)
 	for {
 		a.circuitsMu.Lock()
-		if call, ok := a.circuits[opts.Heuristic]; ok {
+		call, ok := a.circuits[opts.Heuristic]
+		if !ok {
+			call = &circuitCall{done: make(chan struct{})}
+			if a.circuits == nil {
+				a.circuits = map[prob.OrderHeuristic]*circuitCall{}
+			}
+			a.circuits[opts.Heuristic] = call
 			a.circuitsMu.Unlock()
-			select {
-			case <-call.done:
-			case <-ctx.Done():
-				return nil, nil, false, fmt.Errorf("core: %w", ctx.Err())
-			}
-			if call.err == nil {
-				return call.c, call.res, true, nil
-			}
-			if errors.Is(call.err, context.Canceled) || errors.Is(call.err, context.DeadlineExceeded) {
-				continue // the leader's context died; retry as the new leader
-			}
-			return nil, nil, false, call.err
+			a.trace(ctx, opts, call)
+			return call.c, call.res, false, call.err
 		}
-		call := &circuitCall{done: make(chan struct{})}
-		if a.circuits == nil {
-			a.circuits = map[prob.OrderHeuristic]*circuitCall{}
-		}
-		a.circuits[opts.Heuristic] = call
 		a.circuitsMu.Unlock()
-
-		c, res, err := prob.CompileCircuit(ctx, a.Net, opts)
-		if err != nil {
-			err = fmt.Errorf("core: compile: %w", err)
+		select {
+		case <-call.done:
+		case <-ctx.Done():
+			return nil, nil, false, fmt.Errorf("core: %w", ctx.Err())
 		}
-		call.c, call.res, call.err = c, res, err
-		if err != nil || !c.Complete() {
+		if call.err == nil && !call.res.TimedOut {
+			return call.c, call.res, true, nil
+		}
+		if call.err == nil || errors.Is(call.err, context.Canceled) || errors.Is(call.err, context.DeadlineExceeded) {
+			continue // the leader's deadline, not ours: retry, possibly as the new leader
+		}
+		return nil, nil, false, call.err
+	}
+}
+
+// trace is the leader's half of Circuit: it fills call, keeps it registered
+// only when the circuit is complete, and releases the waiters — also when
+// the trace panics.
+func (a *Artifact) trace(ctx context.Context, opts prob.Options, call *circuitCall) {
+	defer func() {
+		if r := recover(); r != nil {
+			call.c, call.res, call.err = nil, nil, NewPanicError("circuit trace", r)
+		}
+		if call.err != nil || !call.c.Complete() {
 			a.circuitsMu.Lock()
-			delete(a.circuits, opts.Heuristic)
+			// InvalidateCircuits may have let a newer leader register.
+			if a.circuits[opts.Heuristic] == call {
+				delete(a.circuits, opts.Heuristic)
+			}
 			a.circuitsMu.Unlock()
 		}
 		close(call.done)
-		return c, res, false, err
+	}()
+	if testHookTrace != nil {
+		testHookTrace()
+	}
+	call.c, call.res, call.err = prob.CompileCircuit(ctx, a.Net, opts)
+	if call.err != nil {
+		call.err = fmt.Errorf("core: compile: %w", call.err)
 	}
 }
+
+// Bytes estimates the memory the artifact holds: its network (twice over —
+// the pointer DAG and the flat view compilation builds) plus every memoized
+// circuit with its replayed Result. It is an accounting figure for cache
+// gauges, not an exact heap measurement.
+func (a *Artifact) Bytes() int64 {
+	n := a.netBytes
+	a.circuitsMu.Lock()
+	defer a.circuitsMu.Unlock()
+	for _, call := range a.circuits {
+		select {
+		case <-call.done:
+			n += call.c.Bytes() + int64(len(call.res.Targets))*targetBoundBytes
+		default: // still tracing
+		}
+	}
+	return n
+}
+
+const targetBoundBytes = int64(unsafe.Sizeof(prob.TargetBound{}))
 
 // InvalidateCircuits drops every memoized circuit and variable order from
 // the artifact. An Artifact itself is immutable, so ordinary callers never
@@ -386,18 +462,25 @@ func (a *Artifact) CompileContext(ctx context.Context, opts prob.Options) (*Repo
 	if opts.Order == nil {
 		opts.Order = a.Order(opts.Heuristic)
 	}
-	tm := a.PrepTimings
 	tCompile := time.Now()
 	pr, err := prob.CompileCtx(ctx, a.Net, opts)
-	tm.Compile = time.Since(tCompile)
-	tm.Total = tm.Lex + tm.Parse + tm.Translate + tm.Ground + tm.Compile
 	if err != nil {
 		return nil, fmt.Errorf("core: compile: %w", err)
 	}
+	return a.ReportFor(pr, time.Since(tCompile)), nil
+}
+
+// ReportFor wraps a Result computed on this artifact — by whichever
+// evaluator — as a Report: the original preparation's stage timings plus
+// compile, the time the caller spent obtaining pr.
+func (a *Artifact) ReportFor(pr *prob.Result, compile time.Duration) *Report {
+	tm := a.PrepTimings
+	tm.Compile = compile
+	tm.Total = tm.Lex + tm.Parse + tm.Translate + tm.Ground + tm.Compile
 	return &Report{
 		Result: pr, Events: a.Events, Net: a.Net, Translation: a.Translation,
 		Ground: a.Ground, Timings: tm,
-	}, nil
+	}
 }
 
 // symbolTable is the part of a translation result target expansion needs;

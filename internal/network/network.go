@@ -11,6 +11,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"enframe/internal/event"
 	"enframe/internal/obs"
@@ -145,6 +146,27 @@ type Net struct {
 
 // NumNodes reports the network size.
 func (n *Net) NumNodes() int { return len(n.Nodes) }
+
+// Bytes estimates the memory the network holds once compiled against: the
+// node structs with their child and parent edge lists, doubled for the flat
+// structure-of-arrays view the first compilation builds beside them. The
+// variable space and metric are shared with the caller and not counted.
+func (n *Net) Bytes() int64 {
+	const (
+		nodeBytes   = int64(unsafe.Sizeof(Node{}))
+		sliceHeader = int64(unsafe.Sizeof([]NodeID(nil)))
+		idBytes     = int64(unsafe.Sizeof(NodeID(0)))
+	)
+	edges := len(n.VarNode)
+	for i := range n.Nodes {
+		edges += len(n.Nodes[i].Kids) + len(n.Parents[i])
+	}
+	b := int64(len(n.Nodes))*(nodeBytes+sliceHeader) + int64(edges)*idBytes
+	for _, t := range n.Targets {
+		b += sliceHeader + int64(len(t.Name))
+	}
+	return 2 * b
+}
 
 // KindCounts returns the number of live network nodes per node kind.
 func (n *Net) KindCounts() map[string]int64 {

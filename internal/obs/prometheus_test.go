@@ -21,7 +21,10 @@ func TestWritePrometheusGolden(t *testing.T) {
 	for _, v := range []float64{0.5, 3, 3, 17, 400} {
 		h.Observe(v)
 	}
-	// The circuit-backend serving metrics (SERVING.md, /v1/whatif).
+	// The circuit-backend serving metrics (SERVING.md, /v1/run and
+	// /v1/whatif), the cache's byte estimate and the leader-panic counter.
+	r.Gauge("server.cache.bytes").Set(1.5e6)
+	r.Counter("server.panics").Add(1)
 	r.Counter("circuit.cache.hits").Add(3)
 	r.Counter("circuit.cache.misses").Add(1)
 	r.Gauge("circuit.nodes").Set(512)

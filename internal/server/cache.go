@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"context"
 	"sync"
 
 	"enframe/internal/core"
@@ -22,7 +23,10 @@ type artifactCache struct {
 	inflight map[string]*prepareCall
 
 	hits, misses, coalesced, evictions *obs.Counter
-	size                               *obs.Gauge
+	// size counts entries; bytes is the sum of their core.Artifact.Bytes
+	// estimates (networks plus memoized circuits). Eviction is by entry
+	// count; bytes is reported, not enforced.
+	size, bytes *obs.Gauge
 	// batchJoined counts coalesced waits under their fleet-facing name: in a
 	// sharded deployment, distinct concurrent requests routed to this shard
 	// for the same artifact joined one compilation (cross-request batching).
@@ -56,6 +60,7 @@ func newArtifactCache(max int, reg *obs.Registry) *artifactCache {
 		coalesced: reg.Counter("server.cache.coalesced"),
 		evictions: reg.Counter("server.cache.evictions"),
 		size:      reg.Gauge("server.cache.size"),
+		bytes:     reg.Gauge("server.cache.bytes"),
 
 		batchJoined: reg.Counter("server.batch.joined"),
 	}
@@ -89,8 +94,9 @@ func (o cacheOutcome) reused() bool { return o != cacheMiss }
 
 // getOrPrepare returns the artifact for key, preparing it with prepare() on
 // a miss. Failed preparations are not cached; every waiter receives the same
-// error.
-func (c *artifactCache) getOrPrepare(key string, prepare func() (*core.Artifact, error)) (art *core.Artifact, outcome cacheOutcome, err error) {
+// error — a *core.PanicError when the leader panicked. A waiter whose own ctx
+// ends first returns ctx's error; the leader is unaffected.
+func (c *artifactCache) getOrPrepare(ctx context.Context, key string, prepare func() (*core.Artifact, error)) (art *core.Artifact, outcome cacheOutcome, err error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
@@ -100,7 +106,11 @@ func (c *artifactCache) getOrPrepare(key string, prepare func() (*core.Artifact,
 	}
 	if call, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
-		<-call.done
+		select {
+		case <-call.done:
+		case <-ctx.Done():
+			return nil, cacheMiss, ctx.Err()
+		}
 		if call.err != nil {
 			return nil, cacheMiss, call.err
 		}
@@ -114,15 +124,20 @@ func (c *artifactCache) getOrPrepare(key string, prepare func() (*core.Artifact,
 	c.mu.Unlock()
 	c.misses.Inc()
 
+	defer func() {
+		if r := recover(); r != nil {
+			call.art, call.err = nil, core.NewPanicError("prepare", r)
+			art, err = nil, call.err
+		}
+		c.mu.Lock()
+		delete(c.inflight, key)
+		if call.err == nil {
+			c.add(key, call.art)
+		}
+		c.mu.Unlock()
+		close(call.done)
+	}()
 	call.art, call.err = prepare()
-	close(call.done)
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if call.err == nil {
-		c.add(key, call.art)
-	}
-	c.mu.Unlock()
 	return call.art, cacheMiss, call.err
 }
 
@@ -141,6 +156,26 @@ func (c *artifactCache) add(key string, art *core.Artifact) {
 		c.evictions.Inc()
 	}
 	c.size.Set(float64(c.ll.Len()))
+	c.setBytes()
+}
+
+// setBytes recomputes the bytes gauge under c.mu. It runs where an entry's
+// estimate can change — an insert, an eviction, a freshly memoized circuit —
+// which are all cold-path events.
+func (c *artifactCache) setBytes() {
+	var total int64
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		total += el.Value.(*cacheEntry).art.Bytes()
+	}
+	c.bytes.Set(float64(total))
+}
+
+// refreshBytes is setBytes for callers outside the cache: the serving layer
+// calls it after tracing a circuit onto a cached artifact.
+func (c *artifactCache) refreshBytes() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.setBytes()
 }
 
 // len returns the number of cached artifacts.

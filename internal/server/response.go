@@ -11,7 +11,15 @@ import (
 type RunResponse struct {
 	// Cache is "hit" when the compiled artifact was reused, "miss" when
 	// this request paid for lex/parse/translate/ground.
-	Cache    string  `json:"cache"`
+	Cache string `json:"cache"`
+	// ServedFrom says what computed the probabilities: "circuit" — the
+	// artifact's memoized circuit, zero compilations by this request;
+	// "trace" — this request traced the circuit (the first exact request on
+	// an artifact, or one whose trace is incomplete and therefore never
+	// memoized); "compile" — an approximate strategy or remote workers.
+	ServedFrom string `json:"served_from"`
+	// Strategy echoes the request; on the server exact and circuit are the
+	// same execution.
 	Strategy string  `json:"strategy"`
 	Epsilon  float64 `json:"epsilon,omitempty"`
 	Workers  int     `json:"workers"`
@@ -20,8 +28,11 @@ type RunResponse struct {
 	Variables    int         `json:"variables"`
 	NetworkNodes int         `json:"network_nodes"`
 	Targets      []RunTarget `json:"targets"`
-	Stats        RunStats    `json:"stats"`
-	TimingsMs    RunTimings  `json:"timings_ms"`
+	// Stats are the work counters of the computation that produced Targets.
+	// On a "circuit" reply that is the original trace — bit-identical to an
+	// exact compile's counters — not work this request did.
+	Stats     RunStats   `json:"stats"`
+	TimingsMs RunTimings `json:"timings_ms"`
 	// Remote reports how the distributed plane served the request; absent
 	// for purely local runs.
 	Remote *RemoteResponse `json:"remote,omitempty"`
@@ -60,7 +71,9 @@ type RunStats struct {
 
 // RunTimings is the per-stage wall-clock breakdown in milliseconds. On a
 // cache hit the preparation stages report the original preparation's cost
-// (the request itself skipped them).
+// (the request itself skipped them). Compile is always what this request
+// spent — the trace or compilation it ran, or ≈0 for a circuit-memo lookup —
+// and Total is the stages' sum.
 type RunTimings struct {
 	Lex       float64 `json:"lex"`
 	Parse     float64 `json:"parse"`
@@ -72,9 +85,12 @@ type RunTimings struct {
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-func buildResponse(req RunRequest, rep *core.Report, hit bool, remote remoteStatus) RunResponse {
+// buildResponse fills every member but Targets, which handleRun encodes
+// straight from rep.Result.Targets (encode.go).
+func buildResponse(req RunRequest, rep *core.Report, hit bool, served string, remote remoteStatus) RunResponse {
 	out := RunResponse{
 		Cache:        "miss",
+		ServedFrom:   served,
 		Strategy:     req.Strategy,
 		Epsilon:      req.Epsilon,
 		Workers:      req.Workers,
@@ -106,11 +122,6 @@ func buildResponse(req RunRequest, rep *core.Report, hit bool, remote remoteStat
 	}
 	if req.Strategy == "exact" {
 		out.Epsilon = 0
-	}
-	for _, tb := range rep.Result.Targets {
-		out.Targets = append(out.Targets, RunTarget{
-			Name: tb.Name, Lower: tb.Lower, Upper: tb.Upper, Estimate: tb.Estimate(),
-		})
 	}
 	return out
 }

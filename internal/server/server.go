@@ -2,8 +2,10 @@
 // that runs the core pipeline (lex → parse → translate → ground → compile)
 // concurrently, with a bounded LRU cache of compiled artifacts so repeated
 // (program, data, targets) requests skip straight to probability
-// compilation with fresh strategy/ε/deadline, admission control (bounded
-// worker pool plus bounded accept queue with fast 429/503 rejection),
+// computation — exact requests replay the artifact's memoized circuit,
+// approximate ones compile with fresh strategy/ε/deadline — admission
+// control (bounded worker pool plus bounded accept queue with fast 429/503
+// rejection),
 // per-request deadlines that cancel in-flight compilation, and graceful
 // drain. Endpoints: POST /v1/run, GET /healthz, GET /metrics, and optional
 // /debug/pprof. Everything is standard library; see SERVING.md.
@@ -25,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"enframe/internal/circuit"
 	"enframe/internal/core"
 	"enframe/internal/dist"
 	"enframe/internal/obs"
@@ -158,14 +161,16 @@ type Server struct {
 	mDeadline       *obs.Counter // 504: per-request deadline exceeded
 	mCanceled       *obs.Counter // 499: client disconnected
 	mBadGateway     *obs.Counter // 502: remote worker plane failed
+	mPanics         *obs.Counter // 500: a single-flight leader panicked
 	mRemoteRuns     *obs.Counter
 	mRemoteFallback *obs.Counter
 	gInflight       *obs.Gauge
 	gInflightPeak   *obs.Gauge
 	hLatency        *obs.Histogram
 
-	// Circuit-backend telemetry: cache disposition of /v1/whatif circuit
-	// lookups, size of the most recent circuit, and per-point replay cost.
+	// Circuit-backend telemetry: disposition of the artifact circuit memo on
+	// /v1/run (exact) and /v1/whatif, size of the most recent circuit, and
+	// /v1/whatif's per-point replay cost.
 	mCircuitHits   *obs.Counter
 	mCircuitMisses *obs.Counter
 	gCircuitNodes  *obs.Gauge
@@ -233,6 +238,7 @@ func New(cfg Config) *Server {
 		mDeadline:       cfg.Registry.Counter("server.deadline_exceeded"),
 		mCanceled:       cfg.Registry.Counter("server.client_canceled"),
 		mBadGateway:     cfg.Registry.Counter("server.responses.bad_gateway"),
+		mPanics:         cfg.Registry.Counter("server.panics"),
 		mRemoteRuns:     cfg.Registry.Counter("server.remote.runs"),
 		mRemoteFallback: cfg.Registry.Counter("server.remote.fallbacks"),
 		gInflight:       cfg.Registry.Gauge("server.inflight"),
@@ -482,11 +488,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	t0 := time.Now()
-	rep, cache, remote, err := s.execute(ctx, spec, key, req, tr)
+	rep, cache, served, remote, err := s.execute(ctx, spec, key, req, tr)
 	info.cache = cache.String()
+	info.served = served
 	info.remote = remote.used
 	info.fallback = remote.fellBack
 	if err != nil {
+		if s.answerPanic(w, info, err) {
+			return
+		}
 		if ctx.Err() != nil {
 			s.finishCtxErr(w, r, ctx)
 			return
@@ -505,13 +515,30 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	s.hLatency.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
 	s.mOK.Inc()
-	resp := buildResponse(req, rep, cache.reused(), remote)
+	resp := buildResponse(req, rep, cache.reused(), served, remote)
 	if tr != nil {
 		tr.Finish()
 		ex := tr.Root().Export()
 		resp.Trace = &ex
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeSpliced(w, resp, "targets", func(b []byte) []byte { return appendTargets(b, rep.Result.Targets) })
+}
+
+// answerPanic answers 500, naming the request, when err carries a panic a
+// single-flight leader recovered (this request's own or the one it waited
+// on), and reports whether it did.
+func (s *Server) answerPanic(w http.ResponseWriter, info *reqInfo, err error) bool {
+	var pe *core.PanicError
+	if !errors.As(err, &pe) {
+		return false
+	}
+	s.mPanics.Inc()
+	if s.accessLog != nil {
+		s.accessLog.Error("panic", "request_id", info.id, "op", pe.Op,
+			"value", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
+	}
+	writeError(w, http.StatusInternalServerError, "internal error (request %s)", info.id)
+	return true
 }
 
 // isRemoteError classifies distributed-plane failures for the 502 contract:
@@ -529,19 +556,61 @@ type remoteStatus struct {
 	fellBack bool // remote requested but served locally
 }
 
-// execute resolves the artifact through the cache and compiles it with the
-// request's options — in-process, or over the remote worker plane when the
-// request names remote_workers. A coalesced preparation that failed only
-// because the leading request's context expired is retried once under our
-// own context.
-func (s *Server) execute(ctx context.Context, spec core.Spec, key string, req RunRequest, tr *obs.Trace) (*core.Report, cacheOutcome, remoteStatus, error) {
-	prepare := func() (*core.Artifact, error) { return core.PrepareContext(ctx, spec) }
-	art, cache, err := s.cache.getOrPrepare(key, prepare)
-	if err != nil && isCtxError(err) && ctx.Err() == nil {
-		art, cache, err = s.cache.getOrPrepare(key, prepare)
+// The values of the reply's "served_from" member.
+const (
+	servedCircuit = "circuit" // memo hit: this request ran zero compilations
+	servedTrace   = "trace"   // this request traced the circuit
+	servedCompile = "compile" // approximate strategy, or remote workers
+)
+
+// testHookPrepare, when set by tests, runs on the preparing (leader) path of
+// artifactFor just before core.PrepareContext.
+var testHookPrepare func()
+
+// artifactFor resolves key through the artifact cache, preparing spec on a
+// miss. A coalesced preparation that failed only because the leading
+// request's context expired is retried once under our own context.
+func (s *Server) artifactFor(ctx context.Context, spec core.Spec, key string) (*core.Artifact, cacheOutcome, error) {
+	prepare := func() (*core.Artifact, error) {
+		if testHookPrepare != nil {
+			testHookPrepare()
+		}
+		return core.PrepareContext(ctx, spec)
 	}
+	art, cache, err := s.cache.getOrPrepare(ctx, key, prepare)
+	if err != nil && isCtxError(err) && ctx.Err() == nil {
+		art, cache, err = s.cache.getOrPrepare(ctx, key, prepare)
+	}
+	return art, cache, err
+}
+
+// circuitFor resolves the artifact's circuit through its memo and accounts
+// for the lookup: cached means this request ran zero compilations.
+func (s *Server) circuitFor(ctx context.Context, art *core.Artifact, opts prob.Options) (*circuit.Circuit, *prob.Result, bool, error) {
+	c, res, cached, err := art.Circuit(ctx, opts)
 	if err != nil {
-		return nil, cache, remoteStatus{}, err
+		return nil, nil, false, err
+	}
+	if cached {
+		s.mCircuitHits.Inc()
+	} else {
+		s.mCircuitMisses.Inc()
+		s.cache.refreshBytes()
+	}
+	s.gCircuitNodes.Set(float64(c.Nodes()))
+	return c, res, cached, nil
+}
+
+// execute resolves the artifact through the cache and computes the request's
+// probabilities on it. Exact requests (strategy exact or circuit — one
+// execution on the server) are answered from the artifact's memoized
+// circuit: the first request on an artifact traces it, every later one is a
+// memo lookup. Approximate strategies compile in-process; requests naming
+// remote_workers ship the compilation to the worker plane.
+func (s *Server) execute(ctx context.Context, spec core.Spec, key string, req RunRequest, tr *obs.Trace) (*core.Report, cacheOutcome, string, remoteStatus, error) {
+	art, cache, err := s.artifactFor(ctx, spec, key)
+	if err != nil {
+		return nil, cache, "", remoteStatus{}, err
 	}
 
 	strategy, _ := parseStrategy(req.Strategy) // validated by BuildSpec
@@ -559,22 +628,43 @@ func (s *Server) execute(ctx context.Context, spec core.Spec, key string, req Ru
 	if len(req.RemoteWorkers) > 0 {
 		rep, remote, rerr := s.executeRemote(ctx, art, key, req, opts)
 		if rerr == nil {
-			return rep, cache, remote, nil
+			return rep, cache, servedCompile, remote, nil
 		}
 		if !req.RemoteFallback || ctx.Err() != nil || !isRemoteError(rerr) {
-			return nil, cache, remote, rerr
+			return nil, cache, "", remote, rerr
 		}
 		// The plane is down and the request opted into degraded mode: run
 		// locally and say so in the response.
 		s.mRemoteFallback.Inc()
 	}
+	remote := remoteStatus{fellBack: len(req.RemoteWorkers) > 0}
+
+	if strategy == prob.Exact || strategy == prob.Circuit {
+		t0 := time.Now()
+		c, res, cached, err := s.circuitFor(ctx, art, opts)
+		if err != nil {
+			return nil, cache, "", remote, err
+		}
+		wait := time.Since(t0)
+		served := servedTrace
+		if cached {
+			// The tracing request's span tree shows compile → trace; a
+			// replayed one carries this marker instead.
+			served = servedCircuit
+			sp := tr.Root().Start("circuit.replay")
+			sp.SetInt("nodes", int64(c.Nodes()))
+			sp.SetInt("tree_branches", c.TreeBranches())
+			sp.SetDuration("wait", wait)
+			sp.End()
+		}
+		return art.ReportFor(res, wait), cache, served, remote, nil
+	}
 
 	rep, err := art.CompileContext(ctx, opts)
 	if err != nil {
-		return nil, cache, remoteStatus{}, err
+		return nil, cache, "", remote, err
 	}
-	remote := remoteStatus{fellBack: len(req.RemoteWorkers) > 0}
-	return rep, cache, remote, nil
+	return rep, cache, servedCompile, remote, nil
 }
 
 // executeRemote ships the compilation to the request's worker set via a
@@ -593,19 +683,13 @@ func (s *Server) executeRemote(ctx context.Context, art *core.Artifact, key stri
 	exec := pool.Session(key, specJSON, dist.FromOptions(opts))
 	s.mRemoteRuns.Inc()
 
-	tm := art.PrepTimings
 	tCompile := time.Now()
 	pr, err := prob.CompileExec(ctx, art.Net, opts, exec)
-	tm.Compile = time.Since(tCompile)
-	tm.Total = tm.Lex + tm.Parse + tm.Translate + tm.Ground + tm.Compile
 	remote := remoteStatus{used: true, workers: pool.AliveWorkers()}
 	if err != nil {
 		return nil, remote, err
 	}
-	return &core.Report{
-		Result: pr, Events: art.Events, Net: art.Net, Translation: art.Translation,
-		Ground: art.Ground, Timings: tm,
-	}, remote, nil
+	return art.ReportFor(pr, time.Since(tCompile)), remote, nil
 }
 
 // poolCall is one in-flight pool dial; concurrent poolFor calls for the

@@ -34,6 +34,7 @@ type reqInfo struct {
 	id       string
 	artifact string // artifact cache key (content hash); run requests only
 	cache    string // miss | hit | coalesced
+	served   string // circuit | trace | compile; /v1/run only
 	remote   bool   // jobs shipped to remote workers
 	fallback bool   // remote requested but served locally
 	tenant   string // sanitized tenant identity; empty for anonymous
@@ -105,6 +106,8 @@ func outcomeForStatus(status int) string {
 		return "draining"
 	case http.StatusGatewayTimeout:
 		return "deadline_exceeded"
+	case http.StatusInternalServerError:
+		return "internal_error"
 	}
 	return "other"
 }
@@ -150,6 +153,9 @@ func (s *Server) withTelemetry(next http.Handler) http.Handler {
 			attrs = append(attrs,
 				slog.String("artifact", shortHash(info.artifact)),
 				slog.String("cache", info.cache))
+		}
+		if info.served != "" {
+			attrs = append(attrs, slog.String("served_from", info.served))
 		}
 		if info.remote || info.fallback {
 			attrs = append(attrs,

@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-
-	"enframe/internal/core"
 )
 
 // WarmResponse is the body of a successful POST /v1/warm.
@@ -78,13 +76,12 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	prepare := func() (*core.Artifact, error) { return core.PrepareContext(ctx, spec) }
-	art, cache, err := s.cache.getOrPrepare(key, prepare)
-	if err != nil && isCtxError(err) && ctx.Err() == nil {
-		art, cache, err = s.cache.getOrPrepare(key, prepare)
-	}
+	art, cache, err := s.artifactFor(ctx, spec, key)
 	info.cache = cache.String()
 	if err != nil {
+		if s.answerPanic(w, info, err) {
+			return
+		}
 		if ctx.Err() != nil {
 			s.finishCtxErr(w, r, ctx)
 			return

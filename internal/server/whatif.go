@@ -224,9 +224,12 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	}
 
 	t0 := time.Now()
-	resp, cache, err := s.executeWhatif(ctx, spec, key, rreq, req, grid)
+	resp, rows, cache, err := s.executeWhatif(ctx, spec, key, rreq, req, grid)
 	info.cache = cache.String()
 	if err != nil {
+		if s.answerPanic(w, info, err) {
+			return
+		}
 		if ctx.Err() != nil {
 			s.finishCtxErr(w, r, ctx)
 			return
@@ -242,36 +245,27 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	}
 	s.hLatency.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
 	s.mOK.Inc()
-	writeJSON(w, http.StatusOK, resp)
+	writeSpliced(w, resp, "points", func(b []byte) []byte { return appendPoints(b, grid, rows) })
 }
 
 // executeWhatif resolves the artifact and its circuit through their caches
-// and replays the grid.
-func (s *Server) executeWhatif(ctx context.Context, spec core.Spec, key string, rreq RunRequest, req WhatifRequest, grid []float64) (*WhatifResponse, cacheOutcome, error) {
-	prepare := func() (*core.Artifact, error) { return core.PrepareContext(ctx, spec) }
-	art, cache, err := s.cache.getOrPrepare(key, prepare)
-	if err != nil && isCtxError(err) && ctx.Err() == nil {
-		art, cache, err = s.cache.getOrPrepare(key, prepare)
-	}
+// and replays the grid. The response's Points stay nil: rows holds each grid
+// point's bounds, which handleWhatif encodes in their place (encode.go).
+func (s *Server) executeWhatif(ctx context.Context, spec core.Spec, key string, rreq RunRequest, req WhatifRequest, grid []float64) (*WhatifResponse, [][]prob.TargetBound, cacheOutcome, error) {
+	art, cache, err := s.artifactFor(ctx, spec, key)
 	if err != nil {
-		return nil, cache, err
+		return nil, nil, cache, err
 	}
 	heuristic, _ := parseOrder(rreq.Order) // validated by BuildSpec
 
 	tTrace := time.Now()
-	c, _, circuitCached, err := art.Circuit(ctx, prob.Options{Heuristic: heuristic})
+	c, _, circuitCached, err := s.circuitFor(ctx, art, prob.Options{Heuristic: heuristic})
 	traceDur := time.Since(tTrace)
 	if err != nil {
-		return nil, cache, err
+		return nil, nil, cache, err
 	}
-	if circuitCached {
-		s.mCircuitHits.Inc()
-	} else {
-		s.mCircuitMisses.Inc()
-	}
-	s.gCircuitNodes.Set(float64(c.Nodes()))
 	if !c.Complete() {
-		return nil, cache, fmt.Errorf("circuit trace was pruned (timed out or converged early); what-if replay needs a complete circuit")
+		return nil, nil, cache, fmt.Errorf("circuit trace was pruned (timed out or converged early); what-if replay needs a complete circuit")
 	}
 
 	// Resolve the swept variable: by name, or default to the head of the
@@ -281,7 +275,7 @@ func (s *Server) executeWhatif(ctx context.Context, spec core.Spec, key string, 
 	if req.Var == "" {
 		order := art.Order(heuristic)
 		if len(order) == 0 {
-			return nil, cache, badRequest("network has no variables to sweep")
+			return nil, nil, cache, badRequest("network has no variables to sweep")
 		}
 		xv = order[0]
 	} else {
@@ -292,7 +286,7 @@ func (s *Server) executeWhatif(ctx context.Context, spec core.Spec, key string, 
 			}
 		}
 		if xv < 0 {
-			return nil, cache, badRequest("no input variable named %q", req.Var)
+			return nil, nil, cache, badRequest("no input variable named %q", req.Var)
 		}
 	}
 
@@ -308,8 +302,8 @@ func (s *Server) executeWhatif(ctx context.Context, spec core.Spec, key string, 
 			Cached:   circuitCached,
 			Complete: c.Complete(),
 		},
-		Points: make([]WhatifPoint, 0, len(grid)),
 	}
+	rows := make([][]prob.TargetBound, 0, len(grid))
 	if !circuitCached {
 		resp.Circuit.TraceMs = ms(traceDur)
 	}
@@ -326,24 +320,18 @@ func (s *Server) executeWhatif(ctx context.Context, spec core.Spec, key string, 
 	for _, p := range grid {
 		res, err := evalAt(p)
 		if err != nil {
-			return nil, cache, err
+			return nil, nil, cache, err
 		}
-		pt := WhatifPoint{P: p, Targets: make([]RunTarget, 0, len(res.Targets))}
-		for _, tb := range res.Targets {
-			pt.Targets = append(pt.Targets, RunTarget{
-				Name: tb.Name, Lower: tb.Lower, Upper: tb.Upper, Estimate: tb.Estimate(),
-			})
-		}
-		resp.Points = append(resp.Points, pt)
+		rows = append(rows, res.Targets)
 	}
 	if req.Influence {
 		condTrue, err := evalAt(1)
 		if err != nil {
-			return nil, cache, err
+			return nil, nil, cache, err
 		}
 		condFalse, err := evalAt(0)
 		if err != nil {
-			return nil, cache, err
+			return nil, nil, cache, err
 		}
 		for i, tt := range condTrue.Targets {
 			tf := condFalse.Targets[i]
@@ -356,5 +344,5 @@ func (s *Server) executeWhatif(ctx context.Context, spec core.Spec, key string, 
 		}
 	}
 	probs[xv] = base
-	return resp, cache, nil
+	return resp, rows, cache, nil
 }
