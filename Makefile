@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test test-short test-race vet fuzz-smoke fuzz bench bench-serve bench-compare alloc-guard obs-race smoke serve-smoke worker-smoke trace-smoke bench-distributed circuit-equiv bench-whatif shard-smoke bench-shard stream-smoke bench-stream bench-spine bench-spine-quick ci
+.PHONY: build test test-short test-race vet fuzz-smoke fuzz bench-serve alloc-guard smoke serve-smoke worker-smoke trace-smoke bench-distributed bench-whatif shard-smoke bench-shard stream-smoke bench-stream bench-spine bench-spine-quick ci
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,9 @@ test:
 test-short:
 	$(GO) test -short ./...
 
+# test-race is also the concurrency gate for the metrics registry and tracer
+# (internal/obs) and for the golden-bits and circuit oracles
+# (internal/difftest), whose per-seed subtests run in parallel.
 test-race:
 	$(GO) test -race ./...
 
@@ -31,20 +34,8 @@ fuzz-smoke:
 fuzz:
 	$(GO) test ./internal/difftest -run '^$$' -fuzz '^FuzzPipeline$$' -fuzztime $(FUZZTIME)
 
-# bench snapshots the pipeline's stage-by-stage cost plus the key
-# observability counters (hash-cons hit rate, tree branches/depth) into
-# BENCH_pipeline.json, the perf trajectory later PRs report against.
-bench:
-	$(GO) run ./cmd/bench -out BENCH_pipeline.json
-
-# bench-compare re-measures the fused front end (translate+ground) and fails
-# if ns/op regressed more than 20% against the committed snapshot.
-bench-compare:
-	$(GO) run ./cmd/bench -compare BENCH_pipeline.json
-
-# alloc-guard pins the obs-disabled fused front end and the bit-parallel
-# flat compilation core to their post-optimisation allocation budgets (see
-# allocguard_test.go).
+# alloc-guard pins the obs-disabled front end and the compilation core to
+# their allocation budgets (see allocguard_test.go).
 alloc-guard:
 	$(GO) test -run '^Test(FrontEnd|Compile)AllocGuard$$' -count=1 -v .
 
@@ -53,11 +44,6 @@ alloc-guard:
 # compiled-artifact cache hit rate.
 bench-serve:
 	$(GO) run ./cmd/loadgen -out BENCH_serve.json
-
-# obs-race runs the metrics-registry and tracer tests under the race
-# detector with concurrent workers hammering shared counters and spans.
-obs-race:
-	$(GO) test -race ./internal/obs/...
 
 # smoke exercises the observability CLI surface on a quickstart-sized run:
 # -trace must print a span tree, -json must emit valid JSON on stdout, and
@@ -96,14 +82,6 @@ trace-smoke: build
 # virtual speedup at 4 workers.
 bench-distributed: build
 	$(GO) run ./cmd/distbench -out BENCH_distributed.json
-
-# circuit-equiv runs the circuit-backend oracle under the race detector:
-# 300 generated programs compiled via the traced circuit must be
-# bit-identical to plain exact compilation (marginals and work counters),
-# with deterministic re-traces and tolerance-checked replay at perturbed
-# probabilities (DESIGN.md, "Circuit backend").
-circuit-equiv:
-	$(GO) test -race ./internal/difftest -run '^TestCircuit' -count=1
 
 # bench-whatif benchmarks the /v1/whatif circuit serving mode and refreshes
 # BENCH_whatif.json: a warm 32-point sweep must replay the cached circuit
@@ -157,4 +135,4 @@ bench-spine:
 bench-spine-quick:
 	$(GO) run ./benchmark -seed 1 -seconds 5
 
-ci: vet build test test-race obs-race alloc-guard smoke serve-smoke worker-smoke trace-smoke bench-distributed circuit-equiv bench-whatif shard-smoke stream-smoke
+ci: vet build test test-race alloc-guard smoke serve-smoke worker-smoke trace-smoke bench-distributed bench-whatif shard-smoke stream-smoke

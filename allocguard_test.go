@@ -10,8 +10,8 @@ import (
 
 // frontEndAllocBudget is the ceiling on allocations per obs-disabled fused
 // front-end run (lex → parse → fused translate+ground) at the kmedoids n=24
-// benchmark scale. Measured ~32.5k after the streaming-builder fusion (the
-// legacy two-phase path sat at ~1.51M); the headroom absorbs map growth
+// benchmark scale. Measured ~32.5k (materialising the event-program AST first
+// costs ~1.51M); the headroom absorbs map growth
 // nondeterminism, not regressions — a return to AST materialisation or
 // per-node key allocation blows through it immediately.
 const frontEndAllocBudget = 45000

@@ -353,24 +353,9 @@ func BenchmarkPipelineEndToEndTraced(b *testing.B) {
 // --- Front-end paths --------------------------------------------------------
 
 // BenchmarkFrontEndFused measures preparation (lex → parse → fused
-// translate+ground) on the default streaming builder path.
+// translate+ground).
 func BenchmarkFrontEndFused(b *testing.B) {
 	spec := coreSpec(b, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.PrepareContext(context.Background(), spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFrontEndLegacy measures the same preparation through the legacy
-// two-phase path (event-program AST, then grounding); the ratio against
-// BenchmarkFrontEndFused is the fusion win.
-func BenchmarkFrontEndLegacy(b *testing.B) {
-	spec := coreSpec(b, false)
-	spec.LegacyFrontEnd = true
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -196,19 +196,14 @@ func compileRemote(ctx context.Context, art *core.Artifact, key string, req serv
 	opts.Order = art.Order(opts.Heuristic)
 	exec := pool.Session(key, specJSON, dist.FromOptions(opts))
 
-	tm := art.PrepTimings
 	tCompile := time.Now()
 	pr, err := prob.CompileExec(ctx, art.Net, opts, exec)
-	tm.Compile = time.Since(tCompile)
-	tm.Total = tm.Lex + tm.Parse + tm.Translate + tm.Ground + tm.Compile
 	if err != nil {
 		return nil, err
 	}
+	compile := time.Since(tCompile)
 	fmt.Fprintf(os.Stderr, "enframe: remote: compiled over %d live worker(s)\n", pool.AliveWorkers())
-	return &core.Report{
-		Result: pr, Events: art.Events, Net: art.Net, Translation: art.Translation,
-		Ground: art.Ground, Timings: tm,
-	}, nil
+	return art.ReportFor(pr, compile), nil
 }
 
 // isRemoteErr classifies transport-plane failures (protocol violations, lost

@@ -323,7 +323,7 @@ const whatifSpeedupFloor = 5.0
 // whatifSteps is the sweep grid size of the benchmark.
 const whatifSteps = 32
 
-// benchWhatifData is the benchmark workload: the BENCH_pipeline kmedoids
+// benchWhatifData is the benchmark workload: the kmedoids benchmark
 // configuration (n=24, vars=10, k=2, iter=3), whose exact compile costs
 // tens of milliseconds — enough to make the replay-vs-recompile contrast
 // meaningful.

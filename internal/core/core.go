@@ -57,27 +57,14 @@ type Spec struct {
 	Targets []string
 	// Compile configures the probability computation.
 	Compile prob.Options
-	// LegacyFrontEnd routes preparation through the two-phase
-	// translate-then-ground path (§3.5 materialises the event-program AST,
-	// §4.1 walks it into the network) instead of the default fused
-	// streaming builder. Kept as the differential oracle for the fused
-	// front end; the two paths produce semantically identical networks.
-	LegacyFrontEnd bool
 }
 
 // Report is the outcome of a run.
 type Report struct {
 	// Result holds per-target probability bounds and compilation stats.
 	Result *prob.Result
-	// Events is the translated event program (§3.4). The default fused
-	// front end never materialises it, so it is nil unless the run used
-	// Spec.LegacyFrontEnd.
-	Events *event.Program
 	// Net is the grounded event network the compiler ran on.
 	Net *network.Net
-	// Translation exposes the final symbolic bindings (legacy front end
-	// only; nil on the fused path).
-	Translation *translate.Result
 	// Ground is the hash-cons accounting of the network construction.
 	Ground network.BuilderStats
 	// Timings is the wall-clock breakdown of the run across stages.
@@ -96,23 +83,17 @@ type Timings struct {
 	Total     time.Duration
 }
 
-// Artifact is the reusable compiled prefix of a run: the translated event
-// program and the grounded, hash-consed event network (§4.1), i.e.
-// everything up to — but not including — probability compilation. An
+// Artifact is the reusable compiled prefix of a run: the grounded,
+// hash-consed event network (§4.1), i.e. everything up to — but not
+// including — probability compilation. An
 // Artifact is immutable after construction (compilation keeps all mutable
 // masks in per-run state), so one Artifact may serve any number of
 // concurrent CompileContext calls with different strategies, ε, workers,
 // and deadlines. The serving layer's compiled-network cache stores
 // Artifacts keyed by a content hash of (program, data spec, targets).
 type Artifact struct {
-	// Events is the translated event program (§3.4); nil on the default
-	// fused front end, which grounds during translation instead.
-	Events *event.Program
 	// Net is the grounded event network compilation runs on.
 	Net *network.Net
-	// Translation exposes the final symbolic bindings (legacy front end
-	// only; nil on the fused path).
-	Translation *translate.Result
 	// Ground is the hash-cons accounting of the network construction.
 	Ground network.BuilderStats
 	// PrepTimings holds the Lex/Parse/Translate/Ground stage durations of
@@ -231,55 +212,9 @@ func PrepareContext(ctx context.Context, spec Spec) (*Artifact, error) {
 		Obs:         tr,
 	}
 
-	if spec.LegacyFrontEnd {
-		tTranslate := time.Now()
-		res, err := translate.Translate(prog, ext)
-		tm.Translate = time.Since(tTranslate)
-		if err != nil {
-			return nil, fmt.Errorf("core: translate: %w", err)
-		}
-		targets, err := expandTargets(res, spec.Targets)
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-
-		tGround := time.Now()
-		groundSpan := root.Start("ground")
-		b := network.NewBuilder(spec.Space, spec.Metric)
-		b.SetObs(tr.Metrics())
-		for _, sym := range targets {
-			e, ok := res.BoolEvent(sym)
-			if !ok {
-				groundSpan.End()
-				return nil, fmt.Errorf("core: target %q is not a Boolean program variable", sym)
-			}
-			b.Target(sym, b.AddExpr(e))
-			if err := ctx.Err(); err != nil {
-				groundSpan.End()
-				return nil, fmt.Errorf("core: %w", err)
-			}
-		}
-		net := b.Build()
-		ground := b.Stats()
-		groundSpan.SetInt("nodes", int64(net.NumNodes()))
-		groundSpan.SetInt("targets", int64(len(net.Targets)))
-		groundSpan.SetFloat("hashcons_hit_rate", ground.HitRate())
-		groundSpan.End()
-		tm.Ground = time.Since(tGround)
-		tm.Total = tm.Lex + tm.Parse + tm.Translate + tm.Ground
-
-		return &Artifact{
-			Events: res.Program, Net: net, Translation: res,
-			Ground: ground, PrepTimings: tm, netBytes: net.Bytes(),
-		}, nil
-	}
-
-	// Fused front end: translation emits events straight into the
-	// hash-consed builder, so Translate covers the interleaved grounding
-	// work and Ground only the target sweep + finalisation.
+	// Translation emits events straight into the hash-consed builder, so
+	// Translate covers the interleaved grounding work and Ground only the
+	// target sweep + finalisation.
 	tTranslate := time.Now()
 	b := network.NewBuilder(spec.Space, spec.Metric)
 	b.SetObs(tr.Metrics())
@@ -477,22 +412,11 @@ func (a *Artifact) ReportFor(pr *prob.Result, compile time.Duration) *Report {
 	tm := a.PrepTimings
 	tm.Compile = compile
 	tm.Total = tm.Lex + tm.Parse + tm.Translate + tm.Ground + tm.Compile
-	return &Report{
-		Result: pr, Events: a.Events, Net: a.Net, Translation: a.Translation,
-		Ground: a.Ground, Timings: tm,
-	}
-}
-
-// symbolTable is the part of a translation result target expansion needs;
-// both the legacy translate.Result and the fused translate.NetResult
-// satisfy it.
-type symbolTable interface {
-	HasBool(sym string) bool
-	SymbolsWithPrefix(prefix string) []string
+	return &Report{Result: pr, Net: a.Net, Ground: a.Ground, Timings: tm}
 }
 
 // expandTargets resolves target patterns against the translated bindings.
-func expandTargets(res symbolTable, patterns []string) ([]string, error) {
+func expandTargets(res *translate.NetResult, patterns []string) ([]string, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("core: no targets requested")
 	}

@@ -12,7 +12,6 @@ import (
 	"enframe/internal/lang"
 	"enframe/internal/network"
 	"enframe/internal/prob"
-	"enframe/internal/translate"
 )
 
 // TestCircuitExactEquivalence is the oracle check for the circuit backend:
@@ -46,41 +45,29 @@ func TestCircuitExactEquivalence(t *testing.T) {
 	})
 }
 
-// buildEquivNet grounds one generated program into an event network; it
-// reports ok=false (after t.Skip bookkeeping) for seeds that do not yield a
-// comparable network.
-func buildEquivNet(t *testing.T, p *gen.Program) *network.Net {
-	t.Helper()
-	in := p.Input
+// genNet grounds one generated program as checkProgram does; nil when the
+// seed yields no comparable network.
+func genNet(p *gen.Program) *network.Net {
 	prog, err := lang.Parse(p.Source())
 	if err != nil {
-		t.Skipf("parse: %v", err)
+		return nil
 	}
-	ext := translate.External{
-		Objects:     in.Objects,
-		Space:       in.Space,
-		Params:      in.Params,
-		InitIndices: in.InitIndices,
-	}
-	fb := network.NewBuilder(in.Space, in.Metric)
-	fres, err := translate.TranslateInto(prog, ext, fb)
+	net, err := groundProgram(p, prog)
 	if err != nil {
-		t.Skipf("translate: %v", err)
+		return nil
 	}
-	n := 0
-	for _, s := range p.Syms() {
-		if !s.IsBool {
-			continue
-		}
-		if id, ok := fres.BoolNode(s.Name); ok {
-			fb.Target(s.Name, id)
-			n++
-		}
+	return net
+}
+
+// buildEquivNet is genNet for per-seed subtests: it skips the seeds genNet
+// rejects.
+func buildEquivNet(t *testing.T, p *gen.Program) *network.Net {
+	t.Helper()
+	net := genNet(p)
+	if net == nil {
+		t.Skip("no comparable network")
 	}
-	if n == 0 {
-		t.Skip("no Boolean targets")
-	}
-	return fb.Build()
+	return net
 }
 
 func checkCircuitExact(t *testing.T, seed int64) bool {
@@ -95,8 +82,9 @@ func checkCircuitExact(t *testing.T, seed int64) bool {
 	if err != nil {
 		t.Fatalf("circuit compile: %v", err)
 	}
-	compareBits(t, seed, p, "circuit", exact, circRes)
-	compareCoreStats(t, seed, p, "circuit", &exact.Stats, &circRes.Stats)
+	if f := checkBitIdentical(circRes, exact, "circuit"); f != nil {
+		t.Fatalf("seed %d: %s\nprogram:\n%s", seed, f.Detail, p.Source())
+	}
 
 	// Trace determinism: a second compilation must record the identical
 	// circuit — node for node, decision for decision.

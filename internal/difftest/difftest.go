@@ -1,21 +1,21 @@
 // Package difftest is the end-to-end differential verification harness. For
 // one generated program (internal/gen) it computes every checked symbol
-// through five independent paths and asserts they agree:
+// through four paths and asserts they agree:
 //
 //  1. the naïve per-world oracle — enumerate all possible worlds
-//     (internal/worlds) and run the interpreter (internal/interp) in each;
-//  2. the full pipeline — translate to an event program
-//     (internal/translate), ground it into an event network
-//     (internal/network), and compile marginal probabilities exactly
-//     (internal/prob) with the primary compilation core;
+//     (internal/worlds) and run the interpreter (internal/interp) in each,
+//     checking the translated event program (§3) against it world by world;
+//  2. the pipeline as shipped — translate and ground in one fused pass
+//     (translate.TranslateInto into a network.Builder, as core does) and
+//     compile marginal probabilities exactly (internal/prob);
 //  3. the reference recompute evaluator (prob.CompileRef);
-//  4. the opposite compilation core (prob.Options.LegacyCore flipped) —
-//     required to be bit-identical to path 2, not merely within tolerance:
-//     the bit-parallel flat core and the legacy nmask walker must perform
-//     the same floating-point operations in the same order;
-//  5. the knowledge-compilation circuit backend (prob.Circuit) — an exact
-//     trace recorded into an arithmetic circuit and replayed, likewise
-//     required to be bit-identical to path 2 including work counters.
+//  4. the knowledge-compilation circuit backend (prob.Circuit) — an exact
+//     trace recorded into an arithmetic circuit and replayed, required to be
+//     bit-identical to path 2 including work counters, not merely within
+//     tolerance.
+//
+// The bits themselves are pinned separately, by the golden corpus
+// (golden_test.go).
 //
 // On top of the exact agreement it checks the ε-approximation contract of
 // the eager, lazy, and hybrid strategies (truth within bounds, gap ≤ 2ε,
@@ -58,11 +58,6 @@ type Options struct {
 	JobDepths []int
 	// NoShrink reports the original failing program without shrinking.
 	NoShrink bool
-	// LegacyCore makes the legacy nmask walker the primary core for the
-	// whole matrix (exact, approximation, distributed); the cross-core
-	// stage then checks the flat core against it. Default is the reverse:
-	// flat primary, legacy cross-checked.
-	LegacyCore bool
 }
 
 // Quick is the per-seed configuration used for bulk runs and fuzzing.
@@ -90,6 +85,45 @@ type Failure struct {
 func (f *Failure) Error() string {
 	return fmt.Sprintf("difftest: seed %d: %s: %s\nreproduce: enframe fuzz -seed %d -n 1\nprogram:\n%s",
 		f.Seed, f.Stage, f.Detail, f.Seed, f.Source)
+}
+
+// externalOf is the translation input of a generated program.
+func externalOf(p *gen.Program) translate.External {
+	in := p.Input
+	return translate.External{
+		Objects:     in.Objects,
+		Space:       in.Space,
+		Params:      in.Params,
+		InitIndices: in.InitIndices,
+	}
+}
+
+// groundProgram grounds a generated program the way core does — translation
+// emitting straight into the hash-consed builder — with every Boolean
+// checked symbol as a compilation target named after the symbol. It returns
+// a nil network when the program has no Boolean symbols.
+func groundProgram(p *gen.Program, prog *lang.Program) (*network.Net, error) {
+	b := network.NewBuilder(p.Input.Space, p.Input.Metric)
+	res, err := translate.TranslateInto(prog, externalOf(p), b)
+	if err != nil {
+		return nil, err
+	}
+	n := 0
+	for _, s := range p.Syms() {
+		if !s.IsBool {
+			continue
+		}
+		id, ok := res.BoolNode(s.Name)
+		if !ok {
+			return nil, fmt.Errorf("no Boolean binding for %s", s.Name)
+		}
+		b.Target(s.Name, id)
+		n++
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	return b.Build(), nil
 }
 
 // setupStages are failure stages that do not indicate a differential bug in
@@ -152,12 +186,9 @@ func checkProgram(p *gen.Program, opt Options) (f *Failure) {
 		return &Failure{Stage: "parse", Detail: "validate: " + err.Error()}
 	}
 	in := p.Input
-	res, err := translate.Translate(prog, translate.External{
-		Objects:     in.Objects,
-		Space:       in.Space,
-		Params:      in.Params,
-		InitIndices: in.InitIndices,
-	})
+	// The AST translation feeds only the per-world check below; the network
+	// the compilers run on is grounded by the fused pass (groundProgram).
+	res, err := translate.Translate(prog, externalOf(p))
 	if err != nil {
 		return &Failure{Stage: "translate", Detail: err.Error()}
 	}
@@ -167,6 +198,11 @@ func checkProgram(p *gen.Program, opt Options) (f *Failure) {
 	// match the translated events, and the Boolean marginals accumulated
 	// here are the ground truth for the network paths below.
 	truth := map[string]float64{}
+	for _, s := range syms {
+		if s.IsBool {
+			truth[s.Name] = 0
+		}
+	}
 	mass := 0.0
 	evs := lineage.Events(in.Objects)
 	worlds.Enumerate(in.Space, func(nu event.SliceValuation, pw float64) bool {
@@ -219,49 +255,27 @@ func checkProgram(p *gen.Program, opt Options) (f *Failure) {
 		return &Failure{Stage: "oracle", Detail: fmt.Sprintf("world probabilities sum to %g", mass)}
 	}
 
-	// Paths 2 and 3: ground the event program into a network and compile
-	// the Boolean symbols' marginals.
-	var targets []string
-	labelToSym := map[string]string{}
-	for _, s := range syms {
-		if !s.IsBool {
-			continue
-		}
-		label, ok := res.Label(s.Name)
-		if !ok {
-			return &Failure{Stage: "setup", Detail: fmt.Sprintf("no declaration label for %s", s.Name)}
-		}
-		targets = append(targets, label)
-		labelToSym[label] = s.Name
-	}
-	if len(targets) == 0 {
-		return &Failure{Stage: "setup", Detail: "no Boolean targets"}
-	}
-	net, err := network.FromProgram(res.Program, in.Metric, targets)
+	// Paths 2 and 3: ground the program into a network and compile the
+	// Boolean symbols' marginals.
+	net, err := groundProgram(p, prog)
 	if err != nil {
 		return &Failure{Stage: "network", Detail: err.Error()}
 	}
+	if net == nil {
+		return &Failure{Stage: "setup", Detail: "no Boolean targets"}
+	}
 
-	exact, err := prob.Compile(net, prob.Options{Strategy: prob.Exact, LegacyCore: opt.LegacyCore})
+	exact, err := prob.Compile(net, prob.Options{Strategy: prob.Exact})
 	if err != nil {
 		return &Failure{Stage: "exact", Detail: err.Error()}
 	}
-	if f := checkExact(exact, "exact", truth, labelToSym); f != nil {
+	if f := checkExact(exact, "exact", truth); f != nil {
 		return f
 	}
-	// Path 4: the opposite compilation core. Bit-identical, not tolerant:
-	// both cores are contracted to the same float-op sequence.
-	cross, err := prob.Compile(net, prob.Options{Strategy: prob.Exact, LegacyCore: !opt.LegacyCore})
-	if err != nil {
-		return &Failure{Stage: "cross-core", Detail: err.Error()}
-	}
-	if f := checkBitIdentical(cross, exact, "cross-core"); f != nil {
-		return f
-	}
-	// Path 5: the knowledge-compilation circuit backend. Tracing the exact
+	// Path 4: the knowledge-compilation circuit backend. Tracing the exact
 	// walk into a circuit and replaying it must reproduce the exact
 	// compiler's float-op sequence — bounds and work counters bit-identical.
-	circ, err := prob.Compile(net, prob.Options{Strategy: prob.Circuit, LegacyCore: opt.LegacyCore})
+	circ, err := prob.Compile(net, prob.Options{Strategy: prob.Circuit})
 	if err != nil {
 		return &Failure{Stage: "circuit", Detail: err.Error()}
 	}
@@ -272,14 +286,14 @@ func checkProgram(p *gen.Program, opt Options) (f *Failure) {
 	if err != nil {
 		return &Failure{Stage: "reference", Detail: err.Error()}
 	}
-	if f := checkExact(ref, "reference", truth, labelToSym); f != nil {
+	if f := checkExact(ref, "reference", truth); f != nil {
 		return f
 	}
-	order, err := prob.Compile(net, prob.Options{Strategy: prob.Exact, Heuristic: prob.InputOrder, LegacyCore: opt.LegacyCore})
+	order, err := prob.Compile(net, prob.Options{Strategy: prob.Exact, Heuristic: prob.InputOrder})
 	if err != nil {
 		return &Failure{Stage: "order", Detail: err.Error()}
 	}
-	if f := checkExact(order, "order", truth, labelToSym); f != nil {
+	if f := checkExact(order, "order", truth); f != nil {
 		return f
 	}
 
@@ -287,12 +301,12 @@ func checkProgram(p *gen.Program, opt Options) (f *Failure) {
 	// within ε — for every strategy × ε.
 	for _, eps := range opt.Epsilons {
 		for _, strat := range []prob.Strategy{prob.Eager, prob.Lazy, prob.Hybrid} {
-			r, err := prob.Compile(net, prob.Options{Strategy: strat, Epsilon: eps, LegacyCore: opt.LegacyCore})
+			r, err := prob.Compile(net, prob.Options{Strategy: strat, Epsilon: eps})
 			stage := fmt.Sprintf("%v ε=%g", strat, eps)
 			if err != nil {
 				return &Failure{Stage: stage, Detail: err.Error()}
 			}
-			if f := checkApprox(r, stage, eps, truth, labelToSym); f != nil {
+			if f := checkApprox(r, stage, eps, truth); f != nil {
 				return f
 			}
 		}
@@ -303,7 +317,7 @@ func checkProgram(p *gen.Program, opt Options) (f *Failure) {
 	// must keep its ε contract when distributed.
 	for _, w := range opt.Workers {
 		for _, d := range opt.JobDepths {
-			r, err := prob.Compile(net, prob.Options{Strategy: prob.Exact, Workers: w, JobDepth: d, LegacyCore: opt.LegacyCore})
+			r, err := prob.Compile(net, prob.Options{Strategy: prob.Exact, Workers: w, JobDepth: d})
 			stage := fmt.Sprintf("distributed W=%d depth=%d", w, d)
 			if err != nil {
 				return &Failure{Stage: stage, Detail: err.Error()}
@@ -315,12 +329,12 @@ func checkProgram(p *gen.Program, opt Options) (f *Failure) {
 	}
 	if len(opt.Epsilons) > 0 && len(opt.Workers) > 0 {
 		eps, w := opt.Epsilons[0], opt.Workers[len(opt.Workers)-1]
-		r, err := prob.Compile(net, prob.Options{Strategy: prob.Hybrid, Epsilon: eps, Workers: w, LegacyCore: opt.LegacyCore})
+		r, err := prob.Compile(net, prob.Options{Strategy: prob.Hybrid, Epsilon: eps, Workers: w})
 		stage := fmt.Sprintf("distributed-hybrid W=%d ε=%g", w, eps)
 		if err != nil {
 			return &Failure{Stage: stage, Detail: err.Error()}
 		}
-		if f := checkApprox(r, stage, eps, truth, labelToSym); f != nil {
+		if f := checkApprox(r, stage, eps, truth); f != nil {
 			return f
 		}
 	}
@@ -329,13 +343,13 @@ func checkProgram(p *gen.Program, opt Options) (f *Failure) {
 
 // checkExact asserts an exact-mode result: every target pinned to the
 // oracle marginal with a vanishing gap.
-func checkExact(r *prob.Result, stage string, truth map[string]float64, labelToSym map[string]string) *Failure {
+func checkExact(r *prob.Result, stage string, truth map[string]float64) *Failure {
 	for _, tb := range r.Targets {
-		sym, ok := labelToSym[tb.Name]
+		sym := tb.Name
+		want, ok := truth[sym]
 		if !ok {
-			return &Failure{Stage: stage, Detail: fmt.Sprintf("unexpected target %q", tb.Name)}
+			return &Failure{Stage: stage, Detail: fmt.Sprintf("unexpected target %q", sym)}
 		}
-		want := truth[sym]
 		if tb.Gap() > tol {
 			return &Failure{Stage: stage, Detail: fmt.Sprintf("%s: gap %g not exact", sym, tb.Gap())}
 		}
@@ -348,13 +362,13 @@ func checkExact(r *prob.Result, stage string, truth map[string]float64, labelToS
 }
 
 // checkApprox asserts the ε contract of an approximate result.
-func checkApprox(r *prob.Result, stage string, eps float64, truth map[string]float64, labelToSym map[string]string) *Failure {
+func checkApprox(r *prob.Result, stage string, eps float64, truth map[string]float64) *Failure {
 	for _, tb := range r.Targets {
-		sym, ok := labelToSym[tb.Name]
+		sym := tb.Name
+		want, ok := truth[sym]
 		if !ok {
-			return &Failure{Stage: stage, Detail: fmt.Sprintf("unexpected target %q", tb.Name)}
+			return &Failure{Stage: stage, Detail: fmt.Sprintf("unexpected target %q", sym)}
 		}
-		want := truth[sym]
 		if want < tb.Lower-tol || want > tb.Upper+tol {
 			return &Failure{Stage: stage,
 				Detail: fmt.Sprintf("%s: oracle %.12g outside [%.12g, %.12g]", sym, want, tb.Lower, tb.Upper)}
@@ -371,11 +385,12 @@ func checkApprox(r *prob.Result, stage string, eps float64, truth map[string]flo
 }
 
 // checkBitIdentical asserts two results carry the same bounds down to the
-// last float bit — the cross-core contract of the flat compilation core.
+// last float bit and the same work counters — the contract between the
+// traced circuit and exact compilation.
 func checkBitIdentical(got, want *prob.Result, stage string) *Failure {
 	if len(got.Targets) != len(want.Targets) {
 		return &Failure{Stage: stage,
-			Detail: fmt.Sprintf("%d targets, primary core has %d", len(got.Targets), len(want.Targets))}
+			Detail: fmt.Sprintf("%d targets, exact has %d", len(got.Targets), len(want.Targets))}
 	}
 	for i, wt := range want.Targets {
 		gt := got.Targets[i]
@@ -383,7 +398,7 @@ func checkBitIdentical(got, want *prob.Result, stage string) *Failure {
 			math.Float64bits(gt.Lower) != math.Float64bits(wt.Lower) ||
 			math.Float64bits(gt.Upper) != math.Float64bits(wt.Upper) {
 			return &Failure{Stage: stage,
-				Detail: fmt.Sprintf("%s: [%x, %x] vs primary [%x, %x] — cores diverged",
+				Detail: fmt.Sprintf("%s: [%x, %x] vs exact [%x, %x]",
 					wt.Name, math.Float64bits(gt.Lower), math.Float64bits(gt.Upper),
 					math.Float64bits(wt.Lower), math.Float64bits(wt.Upper))}
 		}

@@ -60,6 +60,7 @@ func TestDistributedOracleOverTCP(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = pool.Close() })
 
+	golden := readGolden(t)
 	checked := 0
 	for seed := int64(1); seed <= 25; seed++ {
 		req := server.RunRequest{Data: server.DataSpec{Kind: "gen", Seed: seed}}
@@ -105,23 +106,20 @@ func TestDistributedOracleOverTCP(t *testing.T) {
 				}
 			}
 
-			// Cross-core over the wire: the remote workers splice jobs with
-			// the flat core; a sequential legacy-walker compile must land on
-			// the same bits, closing the loop remote-flat ↔ local-legacy.
-			legacyOpts := opts
-			legacyOpts.LegacyCore = true
-			legacy, err := prob.CompileCtx(ctx, art.Net, legacyOpts)
-			if err != nil {
-				t.Fatalf("seed %d depth %d: legacy local: %v", seed, depth, err)
-			}
-			for i, gt := range got.Targets {
-				lt := legacy.Targets[i]
-				if math.Float64bits(gt.Lower) != math.Float64bits(lt.Lower) ||
-					math.Float64bits(gt.Upper) != math.Float64bits(lt.Upper) {
-					t.Fatalf("seed %d depth %d: %s: remote flat [%x,%x] vs local legacy [%x,%x]",
+			// Close the loop against the frozen verdict: the corpus holds
+			// the same seeds' exact bounds as the legacy core computed them
+			// on the same network, so the bits that crossed the wire must
+			// be those bits.
+			frozen := goldenBounds(t, golden, fmt.Sprintf("gen:%d", seed), "exact")
+			for _, gt := range got.Targets {
+				ft, ok := frozen[gt.Name]
+				if !ok {
+					t.Fatalf("seed %d: golden corpus has no target %s", seed, gt.Name)
+				}
+				if math.Float64bits(gt.Lower) != ft[0] || math.Float64bits(gt.Upper) != ft[1] {
+					t.Fatalf("seed %d depth %d: %s: remote [%x,%x] vs golden [%x,%x]",
 						seed, depth, gt.Name,
-						math.Float64bits(gt.Lower), math.Float64bits(gt.Upper),
-						math.Float64bits(lt.Lower), math.Float64bits(lt.Upper))
+						math.Float64bits(gt.Lower), math.Float64bits(gt.Upper), ft[0], ft[1])
 				}
 			}
 		}

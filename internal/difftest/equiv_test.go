@@ -12,14 +12,15 @@ import (
 	"enframe/internal/translate"
 )
 
-// TestFusedLegacyEquivalence is the oracle check for the fused front end:
-// for a batch of generated programs, the network built by the streaming
-// TranslateInto path must be structurally isomorphic to the one built by
-// the legacy two-phase translate-then-ground path, and both must compile to
-// bit-identical marginals under the exact compiler and the reference
-// evaluator. Runs parallel per seed, so `go test -race` also exercises the
-// builders under concurrent construction.
-func TestFusedLegacyEquivalence(t *testing.T) {
+// TestFusedMatchesASTGrounding ties the front end to the §3 semantics
+// oracle: for a batch of generated programs, the network the fused
+// TranslateInto pass builds must be structurally isomorphic to the one
+// grounded from the event-program AST that translate.Translate emits (the
+// AST the per-world check validates against the interpreter), and both must
+// compile to bit-identical marginals under the exact compiler and the
+// reference evaluator. Runs parallel per seed, so `go test -race` also
+// exercises the builders under concurrent construction.
+func TestFusedMatchesASTGrounding(t *testing.T) {
 	const seeds = 260
 	minChecked := int64(200)
 	if testing.Short() {
@@ -29,7 +30,7 @@ func TestFusedLegacyEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			if checkFusedLegacy(t, seed) {
+			if checkFusedAST(t, seed) {
 				checked.Add(1)
 			}
 		})
@@ -41,77 +42,49 @@ func TestFusedLegacyEquivalence(t *testing.T) {
 	})
 }
 
-// checkFusedLegacy builds one generated program through both front ends and
-// cross-checks them; it reports whether the seed yielded a comparable pair.
-func checkFusedLegacy(t *testing.T, seed int64) bool {
+// checkFusedAST grounds one generated program from the emitted AST and by
+// the fused pass and cross-checks the two networks; it reports whether the
+// seed yielded a comparable pair.
+func checkFusedAST(t *testing.T, seed int64) bool {
 	p := gen.New(seed)
 	in := p.Input
 	prog, err := lang.Parse(p.Source())
 	if err != nil {
 		t.Skipf("parse: %v", err)
 	}
-	ext := translate.External{
-		Objects:     in.Objects,
-		Space:       in.Space,
-		Params:      in.Params,
-		InitIndices: in.InitIndices,
-	}
-
-	res, err := translate.Translate(prog, ext)
+	res, err := translate.Translate(prog, externalOf(p))
 	if err != nil {
 		t.Skipf("translate: %v", err)
 	}
-	fb := network.NewBuilder(in.Space, in.Metric)
-	fres, err := translate.TranslateInto(prog, ext, fb)
+	fusedNet, err := groundProgram(p, prog)
 	if err != nil {
-		t.Fatalf("fused translate failed where legacy succeeded: %v", err)
+		t.Fatalf("fused grounding failed where the AST translation succeeded: %v", err)
 	}
-
-	var targets []string
-	for _, s := range p.Syms() {
-		if !s.IsBool {
-			continue
-		}
-		e, legacyOK := res.BoolEvent(s.Name)
-		id, fusedOK := fres.BoolNode(s.Name)
-		if legacyOK != fusedOK {
-			t.Fatalf("%s: legacy binding %v vs fused binding %v", s.Name, legacyOK, fusedOK)
-		}
-		if !legacyOK {
-			continue
-		}
-		_ = e
-		_ = id
-		targets = append(targets, s.Name)
-	}
-	if len(targets) == 0 {
+	if fusedNet == nil {
 		t.Skip("no Boolean targets")
 	}
 
-	lb := network.NewBuilder(in.Space, in.Metric)
-	for _, sym := range targets {
-		e, _ := res.BoolEvent(sym)
-		lb.Target(sym, lb.AddExpr(e))
+	ab := network.NewBuilder(in.Space, in.Metric)
+	for _, tg := range fusedNet.Targets {
+		e, ok := res.BoolEvent(tg.Name)
+		if !ok {
+			t.Fatalf("%s: bound by the fused pass but not in the emitted AST", tg.Name)
+		}
+		ab.Target(tg.Name, ab.AddExpr(e))
 	}
-	legacyNet := lb.Build()
+	astNet := ab.Build()
 
-	for _, sym := range targets {
-		id, _ := fres.BoolNode(sym)
-		fb.Target(sym, id)
-	}
-	fusedNet := fb.Build()
-
-	if err := network.Isomorphic(legacyNet, fusedNet); err != nil {
+	if err := network.Isomorphic(astNet, fusedNet); err != nil {
 		t.Fatalf("seed %d: %v\nprogram:\n%s", seed, err, p.Source())
 	}
 
 	// Isomorphic nets must compile to bit-identical marginals: same exact
 	// compiler output, same reference-evaluator output.
 	compareBits(t, seed, p, "exact",
-		mustCompile(t, legacyNet, prob.Compile),
+		mustCompile(t, astNet, prob.Compile),
 		mustCompile(t, fusedNet, prob.Compile))
 	compareBits(t, seed, p, "reference",
-		mustCompile(t, legacyNet, prob.CompileRef),
+		mustCompile(t, astNet, prob.CompileRef),
 		mustCompile(t, fusedNet, prob.CompileRef))
 	return true
 }
@@ -126,19 +99,20 @@ func mustCompile(t *testing.T, net *network.Net,
 	return r
 }
 
-func compareBits(t *testing.T, seed int64, p *gen.Program, stage string, legacy, fused *prob.Result) {
+// compareBits asserts got carries exactly want's bounds, target by target.
+func compareBits(t *testing.T, seed int64, p *gen.Program, stage string, want, got *prob.Result) {
 	t.Helper()
-	if len(legacy.Targets) != len(fused.Targets) {
-		t.Fatalf("seed %d: %s: %d vs %d targets", seed, stage, len(legacy.Targets), len(fused.Targets))
+	if len(want.Targets) != len(got.Targets) {
+		t.Fatalf("seed %d: %s: %d vs %d targets", seed, stage, len(want.Targets), len(got.Targets))
 	}
-	for _, lt := range legacy.Targets {
-		ft, ok := fused.Target(lt.Name)
+	for _, wt := range want.Targets {
+		gt, ok := got.Target(wt.Name)
 		if !ok {
-			t.Fatalf("seed %d: %s: fused result missing target %q", seed, stage, lt.Name)
+			t.Fatalf("seed %d: %s: result missing target %q", seed, stage, wt.Name)
 		}
-		if lt.Lower != ft.Lower || lt.Upper != ft.Upper {
-			t.Fatalf("seed %d: %s: %s: legacy [%.17g, %.17g] vs fused [%.17g, %.17g]\nprogram:\n%s",
-				seed, stage, lt.Name, lt.Lower, lt.Upper, ft.Lower, ft.Upper, p.Source())
+		if wt.Lower != gt.Lower || wt.Upper != gt.Upper {
+			t.Fatalf("seed %d: %s: %s: want [%.17g, %.17g], got [%.17g, %.17g]\nprogram:\n%s",
+				seed, stage, wt.Name, wt.Lower, wt.Upper, gt.Lower, gt.Upper, p.Source())
 		}
 	}
 }

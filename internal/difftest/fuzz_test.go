@@ -2,23 +2,21 @@ package difftest
 
 import "testing"
 
+// fuzzSeeds are FuzzPipeline's in-code seeds; the golden corpus covers them
+// and the committed corpus files too (golden_test.go).
+var fuzzSeeds = []int64{1, 42, -1, 1 << 40, -9007199254740993}
+
 // FuzzPipeline feeds arbitrary seeds to the full differential harness: the
 // generator must be total over int64, and every generated program must agree
 // across the per-world oracle, the exact pipeline, the reference evaluator,
-// the cross-checked compilation core, the approximation strategies, and the
-// distributed runner. legacyPrimary flips which core drives the matrix —
-// false runs the bit-parallel flat core (the default) with the legacy nmask
-// walker as the cross-core oracle, true the reverse — so the fuzzer explores
-// both cores' code paths against each other.
+// the traced circuit, the approximation strategies, and the distributed
+// runner.
 func FuzzPipeline(f *testing.F) {
-	for _, seed := range []int64{1, 42, -1, 1 << 40, -9007199254740993} {
-		f.Add(seed, false)
-		f.Add(seed, true)
+	for _, seed := range fuzzSeeds {
+		f.Add(seed)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, legacyPrimary bool) {
-		opt := Quick()
-		opt.LegacyCore = legacyPrimary
-		if err := Check(seed, opt); err != nil {
+	f.Fuzz(func(t *testing.T, seed int64) {
+		if err := Check(seed, Quick()); err != nil {
 			t.Fatal(err)
 		}
 	})

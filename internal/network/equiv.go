@@ -14,8 +14,8 @@ import (
 // though they are mathematically equal. A nil error means any evaluator
 // that respects child order computes bit-identical results on both nets.
 //
-// It is the oracle check between the fused front end and the legacy
-// two-phase translate-then-ground path.
+// It is the oracle check between the network the front end builds and one
+// grounded from the emitted event-program AST (internal/difftest).
 func Isomorphic(a, b *Net) error {
 	an := targetsByName(a)
 	bn := targetsByName(b)

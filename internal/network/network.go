@@ -522,7 +522,7 @@ func (b *Builder) Prod(ks ...NodeID) NodeID { return b.naryNum(KProd, ks) }
 func (b *Builder) naryNum(kind Kind, ks []NodeID) NodeID {
 	// Σ/Π children keep their construction order: floating-point addition
 	// is not associative-commutative bit-for-bit, and evaluation must stay
-	// identical between the fused and two-phase front ends.
+	// identical to the emitted event program's.
 	flat := b.scratch[:0]
 	for _, k := range ks {
 		if n := &b.nodes[k]; n.Kind == kind {
@@ -790,31 +790,4 @@ func (b *Builder) sweep() ([]Node, []Target) {
 		targets[i] = Target{Name: t.Name, Node: remap[t.Node]}
 	}
 	return nodes, targets
-}
-
-// FromProgram compiles all declarations of an event program into a network
-// and registers the declarations named by targetNames as compilation
-// targets.
-func FromProgram(prog *event.Program, metric vec.Distance, targetNames []string) (*Net, error) {
-	b := NewBuilder(prog.Space, metric)
-	ids := make(map[string]NodeID, len(prog.Decls))
-	for _, d := range prog.Decls {
-		switch d.Kind {
-		case event.BoolDecl:
-			ids[d.Name] = b.AddExpr(d.E)
-		case event.NumDecl:
-			ids[d.Name] = b.AddNum(d.N)
-		}
-	}
-	for _, name := range targetNames {
-		id, ok := ids[name]
-		if !ok {
-			return nil, fmt.Errorf("network: target %q is not declared by the program", name)
-		}
-		if !b.nodes[id].Kind.IsBool() {
-			return nil, fmt.Errorf("network: target %q is not a Boolean event", name)
-		}
-		b.Target(name, id)
-	}
-	return b.Build(), nil
 }

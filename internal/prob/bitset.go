@@ -2,12 +2,11 @@ package prob
 
 import "math/bits"
 
-// bitset is a packed array of single-bit flags in uint64 words. The flat
+// bitset is a packed array of single-bit flags in uint64 words. The
 // compilation core keeps the three-valued Boolean masks of the event network
 // in two of these planes (decided-true and decided-false), so a node's truth
-// value costs 2 bits instead of a 56-byte nmask, snapshot and restore at
-// distributed fork markers are word-wide memmoves, and population counts run
-// 64 nodes per instruction.
+// value costs 2 bits, snapshot and restore at distributed fork markers are
+// word-wide memmoves, and population counts run 64 nodes per instruction.
 type bitset []uint64
 
 // bitsetWords returns the word count covering n bits.
@@ -55,10 +54,35 @@ func (b bitset) zero() {
 	}
 }
 
+// Three-valued Boolean masks, the encoding shared by the compilation core and
+// the reference evaluator.
+const (
+	bUnknown int8 = iota
+	bTrue
+	bFalse
+)
+
+func boolMask(b bool) int8 {
+	if b {
+		return bTrue
+	}
+	return bFalse
+}
+
+func negMask(v int8) int8 {
+	switch v {
+	case bTrue:
+		return bFalse
+	case bFalse:
+		return bTrue
+	}
+	return bUnknown
+}
+
 // Three-valued truth values over two planes: a node is true iff its bit is
 // set in the decided-true plane, false iff set in the decided-false plane,
 // unknown otherwise. At most one plane holds the bit; bval3 folds the pair
-// back into the legacy int8 encoding so both cores share derivation helpers.
+// into the int8 encoding above.
 func bval3(decT, decF bitset, id int32) int8 {
 	w, m := id>>6, uint64(1)<<(uint(id)&63)
 	if decT[w]&m != 0 {
@@ -70,7 +94,7 @@ func bval3(decT, decF bitset, id int32) int8 {
 	return bUnknown
 }
 
-// setBval3 writes the legacy-encoded truth value v into the planes.
+// setBval3 writes the three-valued truth value v into the planes.
 func setBval3(decT, decF bitset, id int32, v int8) {
 	w, m := id>>6, uint64(1)<<(uint(id)&63)
 	decT[w] &^= m

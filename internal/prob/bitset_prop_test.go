@@ -163,17 +163,17 @@ type flatSig struct {
 	cnt              []int32
 	sums             []sumAgg
 	tMasked          []bool
-	nUnmasked        int
+	openTargets      int
 }
 
 func captureSig(s *fstate) flatSig {
 	sig := flatSig{
-		decT:      s.decT.clone(),
-		decF:      s.decF.clone(),
-		open:      s.open.clone(),
-		sums:      append([]sumAgg(nil), s.sums...),
-		tMasked:   append([]bool(nil), s.tMasked...),
-		nUnmasked: s.nUnmasked,
+		decT:        s.decT.clone(),
+		decF:        s.decF.clone(),
+		open:        s.open.clone(),
+		sums:        append([]sumAgg(nil), s.sums...),
+		tMasked:     append([]bool(nil), s.tMasked...),
+		openTargets: s.openTargets,
 	}
 	for i := range s.ab {
 		a := &s.ab[i]
@@ -209,8 +209,8 @@ func (sig *flatSig) equal(o flatSig) string {
 			return fmt.Sprintf("target mask %d differs", i)
 		}
 	}
-	if sig.nUnmasked != o.nUnmasked {
-		return fmt.Sprintf("nUnmasked %d vs %d", sig.nUnmasked, o.nUnmasked)
+	if sig.openTargets != o.openTargets {
+		return fmt.Sprintf("openTargets %d vs %d", sig.openTargets, o.openTargets)
 	}
 	return ""
 }

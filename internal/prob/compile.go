@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"enframe/internal/circuit"
 	"enframe/internal/event"
 	"enframe/internal/network"
 	"enframe/internal/obs"
@@ -37,20 +38,30 @@ func Order(net *network.Net, h OrderHeuristic) []event.VarID {
 // distinct from Options.Timeout, which returns the partial bounds reached so
 // far with Result.TimedOut set.
 func CompileCtx(ctx context.Context, net *network.Net, opts Options) (*Result, error) {
-	if opts.Strategy == Circuit {
-		// The circuit backend traces one exact sequential compilation and
-		// answers from a replay of the recorded circuit (see circuit.go);
-		// callers needing the reusable circuit itself use CompileCircuit.
-		_, res, err := CompileCircuit(ctx, net, opts)
-		return res, err
-	}
+	// The circuit backend answers from a replay of the circuit it traces
+	// (see circuit.go); callers needing the circuit itself use
+	// CompileCircuit.
+	_, res, err := compile(ctx, net, opts, opts.Strategy == Circuit)
+	return res, err
+}
+
+// compile is the one compilation driver behind CompileCtx and
+// CompileCircuit. With trace set it runs the exact sequential walk with a
+// circuit sink attached and answers from a replay of the recorded circuit;
+// otherwise the circuit is nil and the answer is the bounds book.
+func compile(ctx context.Context, net *network.Net, opts Options, trace bool) (*circuit.Circuit, *Result, error) {
 	opts = opts.withDefaults()
 	if len(net.Targets) == 0 {
-		return nil, ErrNoTargets
+		return nil, nil, ErrNoTargets
 	}
 	types, err := net.Types()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if trace {
+		// Epsilon and worker fan-out do not apply to a trace, and the core
+		// never consults the Circuit strategy value.
+		opts.Strategy, opts.Epsilon, opts.Workers = Exact, 0, 1
 	}
 	eps2 := 0.0
 	if opts.Strategy != Exact {
@@ -58,11 +69,15 @@ func CompileCtx(ctx context.Context, net *network.Net, opts Options) (*Result, e
 	}
 	span := opts.Obs.Root().Start("compile")
 	defer span.End()
-	span.SetStr("strategy", opts.Strategy.String())
+	if trace {
+		span.SetStr("strategy", Circuit.String())
+	} else {
+		span.SetStr("strategy", opts.Strategy.String())
+		span.SetInt("workers", int64(opts.Workers))
+	}
 	if opts.Strategy != Exact {
 		span.SetFloat("eps", opts.Epsilon)
 	}
-	span.SetInt("workers", int64(opts.Workers))
 	span.SetInt("targets", int64(len(net.Targets)))
 	span.SetInt("nodes", int64(net.NumNodes()))
 
@@ -104,6 +119,10 @@ func CompileCtx(ctx context.Context, net *network.Net, opts Options) (*Result, e
 			}
 		}()
 	}
+	var sink *circuitSink
+	if trace {
+		sink = newCircuitSink(net)
+	}
 	start := time.Now()
 	var stats Stats
 	switch {
@@ -112,14 +131,12 @@ func CompileCtx(ctx context.Context, net *network.Net, opts Options) (*Result, e
 	case opts.Workers > 1:
 		stats = run.runDistributed()
 	default:
-		stats = run.runSequential()
+		stats = run.runSequential(sink)
 	}
 	stats.Duration = time.Since(start)
 	stats.NetworkNodes = net.NumNodes()
 	stats.Timings.Order = orderDur
-	if !opts.LegacyCore {
-		stats.MaskWords = int64(bitsetWords(net.NumNodes()))
-	}
+	stats.MaskWords = int64(bitsetWords(net.NumNodes()))
 	stats.BatchTargets = int64(len(net.Targets))
 
 	span.SetInt("branches", stats.Branches)
@@ -142,26 +159,48 @@ func CompileCtx(ctx context.Context, net *network.Net, opts Options) (*Result, e
 	}
 	if run.canceled.Load() {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("prob: compile: %w", err)
+			return nil, nil, fmt.Errorf("prob: compile: %w", err)
 		}
 	}
-	lo, hi := run.bounds.snapshot()
 	res := &Result{Stats: stats, TimedOut: run.timedOut.Load()}
-	for i, t := range net.Targets {
-		// Clamp float round-off at the [0, 1] borders.
-		l, h := lo[i], hi[i]
-		if l < 0 {
-			l = 0
+	if !trace {
+		lo, hi := run.bounds.snapshot()
+		res.Targets = make([]TargetBound, len(net.Targets))
+		for i, t := range net.Targets {
+			res.Targets[i] = clampBound(t.Name, lo[i], hi[i])
 		}
-		if h > 1 {
-			h = 1
-		}
-		if h < l {
-			h = l
-		}
-		res.Targets = append(res.Targets, TargetBound{Name: t.Name, Lower: l, Upper: h})
+		return nil, res, nil
 	}
-	return res, nil
+	c, err := sink.finish()
+	if err != nil {
+		return nil, nil, err
+	}
+	span.SetInt("circuit_nodes", int64(c.Nodes()))
+	if reg := opts.Obs.Metrics(); reg != nil {
+		reg.Gauge("circuit.nodes").Set(float64(c.Nodes()))
+	}
+	replay, err := EvalCircuit(c, SpaceProbs(net.Space))
+	if err != nil {
+		return nil, nil, err
+	}
+	res.Targets = replay.Targets
+	return c, res, nil
+}
+
+// clampBound is one target's reported bound, float round-off clamped at the
+// [0, 1] borders. The bounds book and a circuit replay both report through
+// it — the last step of their bit-identity contract.
+func clampBound(name string, lo, hi float64) TargetBound {
+	if lo < 0 {
+		lo = 0
+	}
+	if hi > 1 {
+		hi = 1
+	}
+	if hi < lo {
+		hi = lo
+	}
+	return TargetBound{Name: name, Lower: lo, Upper: hi}
 }
 
 // budgetTimelineCap bounds the per-target budget-spend timeline recorded
@@ -202,25 +241,37 @@ func (r *runner) leaseBudgetBuf(n int) []float64 {
 	return make([]float64, (len(r.order)+2)*n)
 }
 
-func (r *runner) runSequential() Stats {
+// runSequential explores the whole decision tree on the calling goroutine.
+// A non-nil sink records the walk into a circuit: targets the initial mask
+// pass decides fire with the full unit mass and become the root node's
+// decisions.
+func (r *runner) runSequential(sink *circuitSink) Stats {
 	tInit := time.Now()
 	initSpan := r.span.Start("init")
-	s := r.attach(newCompCore(r.net, r.types, r.opts, r.bounds))
+	s := r.attach(newFstate(r.net, r.types, r.opts, r.bounds))
+	exploreName := "explore"
+	if sink != nil {
+		s.onAdd = sink.observe
+		exploreName = "trace"
+	}
 	s.initAll()
 	initSpan.End()
-	st := s.st()
+	st := &s.stats
 	st.Timings.Init = time.Since(tInit)
 
 	tExplore := time.Now()
-	exploreSpan := r.span.Start("explore")
-	w := &walker{state: s, run: r}
+	exploreSpan := r.span.Start(exploreName)
+	w := &walker{state: s, run: r, sink: sink}
 	E := make([]float64, len(r.net.Targets))
 	if r.opts.Strategy.budgeted() {
 		for i := range E {
 			E[i] = 2 * r.opts.Epsilon
 		}
 	}
-	w.dfs(0, 0, -1, false, 1, E)
+	root := w.dfs(0, 0, -1, false, 1, E)
+	if sink != nil {
+		sink.root = root
+	}
 	exploreSpan.SetInt("branches", st.Branches)
 	exploreSpan.End()
 	st.Timings.Explore = time.Since(tExplore)
@@ -229,17 +280,17 @@ func (r *runner) runSequential() Stats {
 }
 
 // attach wires the runner's order and abort machinery into a worker state.
-func (r *runner) attach(s compCore) compCore {
+func (r *runner) attach(s *fstate) *fstate {
 	s.attachRun(r.order, r.deadline, &r.stop, &r.timedOut)
 	return s
 }
 
-// walker runs the depth-first Shannon expansion over one state (either
-// core implementation; see compCore). In distributed mode forkDepth > 0
-// makes it enqueue a continuation job instead of descending past that many
-// local assignments.
+// walker runs the depth-first Shannon expansion over one state — the only
+// traversal of the decision tree in this package. In distributed mode
+// forkDepth > 0 makes it enqueue a continuation job instead of descending
+// past that many local assignments.
 type walker struct {
-	state     compCore
+	state     *fstate
 	run       *runner
 	forkDepth int
 	// fork ships the current masks as a new job; it reports false when
@@ -256,16 +307,24 @@ type walker struct {
 	// snapshots.
 	trackPath bool
 	path      []Assign
+	// sink, when non-nil, records the traversal into an arithmetic circuit
+	// (exact sequential walks only; see circuit.go). It observes the walk
+	// and never steers it, so a traced walk visits the same branches with
+	// the same counters as an untraced one.
+	sink *circuitSink
 }
 
 // dfs explores the branch extending the current assignment by x ↦ xval
 // (x < 0 at the root) with branch mass p and per-target error budgets E.
 // It mutates E in place to the residual budgets (Algorithm 1, blue lines);
-// for non-budgeted strategies E stays untouched.
-func (w *walker) dfs(depth, oi int, x event.VarID, xval bool, p float64, E []float64) {
+// for non-budgeted strategies E stays untouched. It returns the circuit node
+// recorded for the branch: circuit.None without a sink or for a gated
+// branch.
+func (w *walker) dfs(depth, oi int, x event.VarID, xval bool, p float64, E []float64) circuit.NodeID {
 	s := w.state
 	r := w.run
-	st := s.st()
+	sink := w.sink
+	st := &s.stats
 	st.Branches++
 	if int64(depth) > st.MaxDepth {
 		st.MaxDepth = int64(depth)
@@ -274,7 +333,10 @@ func (w *walker) dfs(depth, oi int, x event.VarID, xval bool, p float64, E []flo
 		r.checkDeadline()
 	}
 	if r.stop.Load() || p == 0 {
-		return
+		// The subtree stays unexplored: its targets (the parent was not
+		// settled) never fire.
+		sink.cut()
+		return circuit.None
 	}
 	budgeted := r.opts.Strategy.budgeted()
 	// Budget pruning: when every target's budget covers the whole subtree
@@ -289,9 +351,10 @@ func (w *walker) dfs(depth, oi int, x event.VarID, xval bool, p float64, E []flo
 		for i := range E {
 			E[i] -= p
 		}
-		return
+		return circuit.None
 	}
 	mark := s.trailMark()
+	evMark := sink.mark(x < 0)
 	if x >= 0 {
 		s.assign(x, xval, p)
 		w.localVars++
@@ -300,9 +363,16 @@ func (w *walker) dfs(depth, oi int, x event.VarID, xval bool, p float64, E []flo
 		}
 	}
 
+	v := event.VarID(-1)
+	hiID, loID := circuit.None, circuit.None
 	switch {
 	case s.allSettled():
 		// Every target masked on this branch or globally tight.
+		if s.openTargets > 0 {
+			// Settled via global bounds convergence with targets still
+			// undecided on this branch: their mass never fired here.
+			sink.cut()
+		}
 
 	case w.forkDepth > 0 && w.localVars > 0 && w.localVars%w.forkDepth == 0 &&
 		w.fork(oi, p, E):
@@ -318,6 +388,7 @@ func (w *walker) dfs(depth, oi int, x event.VarID, xval bool, p float64, E []flo
 	default:
 		oi2, y, ok := s.nextVar(oi)
 		if ok {
+			v = y
 			py := r.net.Space.Prob(y)
 			switch r.opts.Strategy {
 			case Hybrid:
@@ -325,26 +396,29 @@ func (w *walker) dfs(depth, oi int, x event.VarID, xval bool, p float64, E []flo
 				for i := range E {
 					L[i] = E[i] / 2
 				}
-				w.dfs(depth+1, oi2+1, y, true, p*py, L)
+				hiID = w.dfs(depth+1, oi2+1, y, true, p*py, L)
 				for i := range E {
 					E[i] = E[i]/2 + L[i]
 				}
 			default:
 				// Exact and lazy carry no budget; eager hands the full
 				// remaining budget to the left branch in place.
-				w.dfs(depth+1, oi2+1, y, true, p*py, E)
+				hiID = w.dfs(depth+1, oi2+1, y, true, p*py, E)
 			}
 			// Algorithm 1: explore the right branch only while some
 			// target's bounds exceed 2ε.
 			if !r.stop.Load() && !r.bounds.allTight() {
-				w.dfs(depth+1, oi2+1, y, false, p*(1-py), E)
+				loID = w.dfs(depth+1, oi2+1, y, false, p*(1-py), E)
+			} else if s.openTargets > 0 {
+				sink.cut()
 			}
 		}
-		// !ok is unreachable while targets are unmasked: an undecided
+		// !ok is unreachable while targets are open: an undecided
 		// node always has an undecided child, so some influential
 		// variable exists (see nextVar).
 	}
 
+	id := sink.node(v, hiID, loID, evMark)
 	if x >= 0 {
 		w.localVars--
 		if w.trackPath {
@@ -352,6 +426,7 @@ func (w *walker) dfs(depth, oi int, x event.VarID, xval bool, p float64, E []flo
 		}
 		s.undoTo(mark)
 	}
+	return id
 }
 
 // buf returns the depth-th budget buffer, a row of a single contiguous
@@ -364,55 +439,6 @@ func (w *walker) buf(depth, n int) []float64 {
 	}
 	off := depth * n
 	return w.back[off : off+n]
-}
-
-// nextVar returns the next influential unassigned variable at or after
-// order position oi. Variables whose direct uses are all masked cannot
-// change any event and are skipped (their mass marginalises out).
-func (s *state) nextVar(oi int) (int, event.VarID, bool) {
-	for ; oi < len(s.order); oi++ {
-		x := s.order[oi]
-		id := s.net.VarNode[x]
-		if s.masks[id].bval != bUnknown {
-			continue // assigned on this branch
-		}
-		if s.opts.SkipDisabled {
-			return oi, x, true
-		}
-		if s.targetsAt[id] >= 0 {
-			return oi, x, true // the leaf itself is a compilation target
-		}
-		for _, pid := range s.net.Parents[id] {
-			pm := &s.masks[pid]
-			if s.net.Nodes[pid].Kind.IsBool() {
-				if pm.bval == bUnknown {
-					return oi, x, true
-				}
-			} else if !pm.decided() {
-				return oi, x, true
-			}
-		}
-	}
-	return oi, -1, false
-}
-
-// allSettled reports the termination condition of Algorithm 1: every target
-// masked on this branch or already within 2ε globally.
-func (s *state) allSettled() bool {
-	if s.nUnmasked == 0 {
-		return true
-	}
-	if s.bounds.allTight() {
-		return true
-	}
-	if s.bounds.eps2 == 0 {
-		return false // exact: tight only at full convergence
-	}
-	nTight := int64(len(s.tMasked)) - s.bounds.nLoose.Load()
-	if int64(s.nUnmasked) > nTight {
-		return false // pigeonhole: some target is neither masked nor tight
-	}
-	return s.bounds.settledWith(s.tMasked)
 }
 
 func (r *runner) checkDeadline() {

@@ -66,7 +66,7 @@ func CompileExecObserve(ctx context.Context, net *network.Net, opts Options, exe
 	book := newBoundsBook(len(net.Targets), eps2)
 	tInit := time.Now()
 	initSpan := span.Start("init")
-	init := newCompCore(net, types, opts, book)
+	init := newFstate(net, types, opts, book)
 	init.attachRun(order, time.Time{}, nil, nil)
 	init.initAll()
 	initSpan.End()
@@ -297,10 +297,8 @@ func CompileExecObserve(ctx context.Context, net *network.Net, opts Options, exe
 	}
 	merge()
 
-	total.MaskUpdates += init.st().MaskUpdates
-	if !opts.LegacyCore {
-		total.MaskWords = int64(bitsetWords(net.NumNodes()))
-	}
+	total.MaskUpdates += init.stats.MaskUpdates
+	total.MaskWords = int64(bitsetWords(net.NumNodes()))
 	total.BatchTargets = int64(len(net.Targets))
 	total.NetworkNodes = net.NumNodes()
 	total.Timings.Order = orderDur
@@ -324,17 +322,7 @@ func CompileExecObserve(ctx context.Context, net *network.Net, opts Options, exe
 	lo, hi := book.snapshot()
 	res := &Result{Stats: total, TimedOut: timedOut}
 	for i, t := range net.Targets {
-		l, h := lo[i], hi[i]
-		if l < 0 {
-			l = 0
-		}
-		if h > 1 {
-			h = 1
-		}
-		if h < l {
-			h = l
-		}
-		res.Targets = append(res.Targets, TargetBound{Name: t.Name, Lower: l, Upper: h})
+		res.Targets = append(res.Targets, clampBound(t.Name, lo[i], hi[i]))
 	}
 	return res, nil
 }

@@ -20,7 +20,7 @@ import (
 // the boundary locally instead of forking, bounding queue memory.
 
 type job struct {
-	snap coreSnap
+	snap *fsnap
 	oi   int
 	p    float64
 	E    []float64
@@ -150,7 +150,7 @@ func (r *runner) runDistributed() Stats {
 	// records targets decided without any assignment.
 	tInit := time.Now()
 	initSpan := r.span.Start("init")
-	pristine := r.attach(newCompCore(r.net, r.types, r.opts, r.bounds))
+	pristine := r.attach(newFstate(r.net, r.types, r.opts, r.bounds))
 	pristine.initAll()
 	initSpan.End()
 	initDur := time.Since(tInit)
@@ -197,8 +197,8 @@ func (r *runner) runDistributed() Stats {
 			wspan.SetInt("id", int64(wi))
 			defer wspan.End()
 			var busy time.Duration
-			s := r.attach(newCompCore(r.net, r.types, r.opts, r.bounds))
-			st := s.st()
+			s := r.attach(newFstate(r.net, r.types, r.opts, r.bounds))
+			st := &s.stats
 			w := &walker{state: s, run: r, forkDepth: r.opts.JobDepth}
 			w.fork = func(oi int, p float64, E []float64) bool {
 				if !queue.hasRoom() {
@@ -243,7 +243,7 @@ func (r *runner) runDistributed() Stats {
 		}
 		total.PerWorker[rep.id] = WorkerStats{Jobs: st.Jobs, Branches: st.Branches, Busy: rep.busy}
 	}
-	total.MaskUpdates += pristine.st().MaskUpdates
+	total.MaskUpdates += pristine.stats.MaskUpdates
 	total.Timings.Init = initDur
 	total.Timings.Explore = time.Since(tExplore)
 	if reg := r.opts.Obs.Metrics(); reg != nil {
@@ -266,7 +266,7 @@ func (r *runner) runJob(w *walker, pool *budgetPool, j job) {
 		return
 	}
 	if debugHook != nil {
-		debugHook("job p=%g oi=%d unmasked=%d\n", j.p, j.oi, j.snap.snapUnmasked())
+		debugHook("job p=%g oi=%d open_targets=%d\n", j.p, j.oi, j.snap.openTargets)
 	}
 	s.adoptSnap(j.snap)
 	w.localVars = 0
@@ -286,7 +286,7 @@ func (r *runner) runJob(w *walker, pool *budgetPool, j job) {
 func (r *runner) runSimulated() Stats {
 	tInit := time.Now()
 	initSpan := r.span.Start("init")
-	pristine := r.attach(newCompCore(r.net, r.types, r.opts, r.bounds))
+	pristine := r.attach(newFstate(r.net, r.types, r.opts, r.bounds))
 	pristine.initAll()
 	initSpan.End()
 	initDur := time.Since(tInit)
@@ -312,8 +312,8 @@ func (r *runner) runSimulated() Stats {
 		job: job{snap: pristine.shareSnap(), oi: 0, p: 1, E: E0},
 	})
 
-	s := r.attach(newCompCore(r.net, r.types, r.opts, r.bounds))
-	st := s.st()
+	s := r.attach(newFstate(r.net, r.types, r.opts, r.bounds))
+	st := &s.stats
 	w := &walker{state: s, run: r, forkDepth: r.opts.JobDepth}
 	workers := make([]time.Duration, r.opts.Workers)
 	busyPer := make([]time.Duration, r.opts.Workers)
@@ -369,7 +369,7 @@ func (r *runner) runSimulated() Stats {
 		}
 	}
 	st.SimulatedMakespan = makespan
-	st.MaskUpdates += pristine.st().MaskUpdates
+	st.MaskUpdates += pristine.stats.MaskUpdates
 	st.Timings.Init = initDur
 	st.Timings.Explore = time.Since(tExplore)
 	st.PerWorker = make([]WorkerStats, r.opts.Workers)

@@ -10,13 +10,26 @@ import (
 	"enframe/internal/vec"
 )
 
-// fstate is the bit-parallel flat compilation core: the default compCore
-// implementation (Options.LegacyCore opts back into the nmask walker).
-//
-// Where the legacy core keeps one 56-byte nmask per node and copies whole
-// structs onto the trail and propagation queue, fstate stores each mask
-// component in a contiguous slice indexed by node id over the network's
-// structure-of-arrays layout (network.Flat):
+// Decided-value kinds. vkNone marks an undecided numeric node; the other
+// kinds double as the decided flag.
+const (
+	vkNone uint8 = iota
+	vkUndef
+	vkScalar
+	vkVec
+)
+
+// Mask flags.
+const (
+	fMayU    uint8 = 1 << 0 // undefined outcome still possible
+	fMayDef  uint8 = 1 << 1 // defined outcome still possible
+	fBounded uint8 = 1 << 2 // lo/hi valid
+)
+
+// fstate is the compilation core: one worker's mask state under the current
+// partial assignment (Algorithm 2), over a shared immutable network. Each
+// mask component lives in a contiguous slice indexed by node id over the
+// network's structure-of-arrays layout (network.Flat):
 //
 //   - the three-valued truth value lives in two uint64 bit planes, decT and
 //     decF (set bit = decided true / decided false, both clear = unknown),
@@ -30,16 +43,14 @@ import (
 //
 // The trail packs one uint64 per touched node — id, a kind-class tag, and
 // the old truth bits — with small side stacks for counters, numeric
-// abstracts, and Σ aggregates, replacing the legacy 64-byte trail entries.
+// abstracts, and Σ aggregates.
 //
-// fstate performs the identical sequence of floating-point operations in the
-// identical order as the legacy core — including its incremental Σ
-// accounting, interval-based comparison decisions, and the fresh
-// recomputation of exact values at decision-tree leaves — so marginals and
-// Stats counters are bit-identical between the cores. The derivation
-// functions below are line-for-line mirrors of mask.go/propagate.go; change
-// them in lockstep (the equivalence suite in internal/difftest will catch
-// divergence).
+// The sequence of floating-point operations — the incremental Σ accounting,
+// the interval-based comparison decisions, the fresh recomputation of exact
+// values at decision-tree leaves — and every work counter are pinned bit for
+// bit by the golden corpus in internal/difftest; a change to a derivation
+// below that moves either is a reviewed regeneration of that corpus, not a
+// refactoring.
 type fstate struct {
 	net    *network.Net
 	flat   *network.Flat
@@ -107,19 +118,28 @@ type fstate struct {
 	cvUnk    []fnum
 	cvVec    []bool
 
-	// nUnmasked counts targets not yet masked under the current branch;
+	// openTargets counts targets not yet masked under the current branch;
 	// tMasked holds the same per target.
-	nUnmasked int
-	tMasked   []bool
+	openTargets int
+	tMasked     []bool
 	// curMass is Pr(ν) of the assignment being propagated.
 	curMass float64
 
+	// deadline/stopFlag/timedFlag are the runner's abort machinery, so even
+	// slow single branches notice timeouts promptly.
 	deadline   time.Time
 	stopFlag   *atomic.Bool
 	timedFlag  *atomic.Bool
 	assignTick uint32
-	recording  bool
-	onAdd      func(ti int, isTrue bool, p float64)
+	// recording gates target-bound accumulation; it is off while a
+	// distributed worker replays a job's assignment prefix (the forking
+	// worker already credited targets masked within the prefix).
+	recording bool
+	// onAdd, when set, observes every recorded bound contribution in
+	// execution order: session executors capture the add stream through it
+	// so the coordinator can replay contributions in sequential DFS order,
+	// and the circuit sink records target decisions. Nil otherwise.
+	onAdd func(ti int, isTrue bool, p float64)
 }
 
 // sumAgg is the Σ-node aggregate block: counters for children that may be
@@ -287,11 +307,13 @@ func newFstate(net *network.Net, types []network.ValueType, opts Options, bounds
 			break
 		}
 	}
-	s.nUnmasked = len(net.Targets)
+	s.openTargets = len(net.Targets)
 	s.tMasked = make([]bool, len(net.Targets))
 	return s
 }
 
+// attachRun wires the variable order and the runner's abort machinery into
+// the state. deadline/stop/timed may be zero/nil outside runners.
 func (s *fstate) attachRun(order []event.VarID, deadline time.Time, stop, timed *atomic.Bool) {
 	s.order = order
 	s.deadline = deadline
@@ -299,18 +321,16 @@ func (s *fstate) attachRun(order []event.VarID, deadline time.Time, stop, timed 
 	s.timedFlag = timed
 }
 
+// trailMark/undoTo bracket one branch: undoTo restores masks bit-exactly to
+// the state at the matching trailMark.
 func (s *fstate) trailMark() int { return len(s.trailIDs) }
 
+// clearTrail drops the trail without undoing (job adoption/replay).
 func (s *fstate) clearTrail() {
 	s.trailIDs = s.trailIDs[:0]
 	s.trailNums = s.trailNums[:0]
 	s.trailSums = s.trailSums[:0]
 }
-
-func (s *fstate) st() *Stats                                       { return &s.stats }
-func (s *fstate) unmaskedTargets() int                             { return s.nUnmasked }
-func (s *fstate) setRecording(on bool)                             { s.recording = on }
-func (s *fstate) setOnAdd(fn func(ti int, isTrue bool, p float64)) { s.onAdd = fn }
 
 func (s *fstate) bval(id network.NodeID) int8       { return bval3(s.decT, s.decF, int32(id)) }
 func (s *fstate) setBval(id network.NodeID, v int8) { setBval3(s.decT, s.decF, int32(id), v) }
@@ -327,9 +347,10 @@ func (s *fstate) setUndefF(id network.NodeID) {
 	s.ab[id].lo, s.ab[id].hi = math.Inf(1), math.Inf(-1)
 }
 
-// setDecidedValueF finalises a numeric node from an extended value. Like the
-// legacy setVec, the vector case leaves lo/hi untouched — the stale bounds
-// participate in state-equality checks, so both cores must keep them.
+// setDecidedValueF finalises a numeric node from an extended value. The
+// vector case leaves lo/hi untouched: the stale bounds take part in the
+// changed-or-not comparisons of propagate, and with them in the mask-update
+// counter the golden corpus pins.
 func (s *fstate) setDecidedValueF(id network.NodeID, v event.Value) {
 	switch v.Kind {
 	case event.Undef:
@@ -357,7 +378,8 @@ func (s *fstate) valueF(id network.NodeID) event.Value {
 	panic("prob: value of undecided node")
 }
 
-// hasBoundsF mirrors hasBounds over the packed vkf byte.
+// hasBoundsF reports whether a child's defined outcomes have known scalar
+// bounds (decided scalars and undefs always do; decided vectors never).
 func hasBoundsF(v uint8) bool {
 	if vk := v & 3; vk != vkNone {
 		return vk != vkVec
@@ -365,7 +387,8 @@ func hasBoundsF(v uint8) bool {
 	return v>>2&fBounded != 0
 }
 
-// sumContribF mirrors sumContrib.
+// sumContribF is a child's contribution interval to a Σ node: its value when
+// defined, or 0 when it is u (u is the identity of +).
 func sumContribF(v uint8, lo, hi float64) (float64, float64) {
 	if vk := v & 3; vk != vkNone {
 		if vk == vkUndef {
@@ -380,7 +403,8 @@ func sumContribF(v uint8, lo, hi float64) (float64, float64) {
 	return lo, hi
 }
 
-// effBoundsF mirrors effBounds.
+// effBoundsF returns the interval of a child's defined outcomes plus whether
+// u is still possible; ok is false when no useful bounds are known.
 func effBoundsF(v uint8, lo, hi float64) (float64, float64, bool, bool) {
 	if vk := v & 3; vk != vkNone {
 		if vk != vkScalar {
@@ -394,16 +418,10 @@ func effBoundsF(v uint8, lo, hi float64) (float64, float64, bool, bool) {
 	return 0, 0, true, false
 }
 
-// sumSwapF replaces one child abstract with another in a Σ node's
-// aggregates: remove-all-old then add-all-new, the exact float-op sequence
-// of two legacy sumAccount calls fused into one.
-func (s *fstate) sumSwapF(id network.NodeID, agg *sumAgg, ov uint8, olo, ohi float64, nv uint8, nlo, nhi float64) {
-	s.sumAccF(id, agg, ov, olo, ohi, -1)
-	s.sumAccF(id, agg, nv, nlo, nhi, +1)
-}
-
 // sumAccF adds (sign=+1) or removes (sign=-1) a child abstract (cv/clo/chi)
-// from a Σ node's aggregates; mirrors sumAccount.
+// from a Σ node's aggregates. Contribution sums cover exactly the children
+// with usable bounds; when the last unbounded child gains bounds the sums are
+// automatically complete.
 func (s *fstate) sumAccF(id network.NodeID, agg *sumAgg, cv uint8, clo, chi float64, sign int32) {
 	if cv&3 == vkNone {
 		s.ab[id].cnt += sign
@@ -424,7 +442,8 @@ func (s *fstate) sumAccF(id network.NodeID, agg *sumAgg, cv uint8, clo, chi floa
 	}
 }
 
-// deriveSumF mirrors deriveSum, writing the node's visible abstract in place.
+// deriveSumF refreshes a Σ node's visible abstract from its aggregates, in
+// place.
 func (s *fstate) deriveSumF(id network.NodeID, agg *sumAgg) {
 	kids := s.flat.KidsOf(id)
 	n := int32(len(kids))
@@ -471,7 +490,10 @@ func (s *fstate) deriveSumF(id network.NodeID, agg *sumAgg) {
 	s.ab[id].vkf = fl << 2
 }
 
-// deriveOpaqueF mirrors deriveOpaque (KProd/KInv/KPow/KDist).
+// deriveOpaqueF handles KProd, KInv, KPow, KDist: these decide when all
+// children are decided (the value is then recomputed exactly), decide to u
+// early when any child is certainly undefined (u annihilates · and dist), and
+// otherwise stay conservatively unknown.
 func (s *fstate) deriveOpaqueF(id network.NodeID) {
 	kids := s.flat.KidsOf(id)
 	for _, k := range kids {
@@ -488,7 +510,8 @@ func (s *fstate) deriveOpaqueF(id network.NodeID) {
 	s.ab[id].lo, s.ab[id].hi = 0, 0
 }
 
-// evalOpaqueF mirrors evalOpaque.
+// evalOpaqueF computes the exact value of a fully decided KProd, KInv, KPow,
+// or KDist node from its children's decided values.
 func (s *fstate) evalOpaqueF(id network.NodeID) event.Value {
 	kids := s.flat.KidsOf(id)
 	switch s.flat.Kind[id] {
@@ -508,11 +531,10 @@ func (s *fstate) evalOpaqueF(id network.NodeID) event.Value {
 	panic("prob: evalOpaque on non-opaque node")
 }
 
-// deriveCondValF mirrors deriveCondVal. The node's c-value is fixed, so the
-// derived abstract for each guard state was precomputed in newFstate; each
-// branch fully writes vkf/lo/hi (the zero lo/hi of non-scalar precomputes
-// reproduce the legacy core's reset-then-derive semantics, including setVec
-// leaving the reset bounds in place).
+// deriveCondValF refreshes guard ⊗ val from the guard's truth value. The
+// node's c-value is fixed, so the derived abstract for each guard state was
+// precomputed in newFstate; each branch fully writes vkf/lo/hi (non-scalar
+// precomputes carry zero lo/hi, so a vector value leaves zeroed bounds).
 func (s *fstate) deriveCondValF(id network.NodeID) {
 	c := s.condAux[s.ab[id].aux]
 	vi := c.vi
@@ -531,8 +553,9 @@ func (s *fstate) deriveCondValF(id network.NodeID) {
 	}
 }
 
-// deriveGuardF mirrors deriveGuard; same reset precondition as
-// deriveCondValF.
+// deriveGuardF refreshes guard ∧ v from the guard's truth value and the value
+// child's abstract. The caller zeroes vkf/lo/hi first: the unknown-guard
+// branch writes bounds only when the child has them.
 func (s *fstate) deriveGuardF(id network.NodeID) {
 	ga := s.guardAux[s.ab[id].aux]
 	g := s.bval(ga[0])
@@ -565,7 +588,10 @@ func (s *fstate) deriveGuardF(id network.NodeID) {
 	}
 }
 
-// deriveCmpF mirrors deriveCmp.
+// deriveCmpF decides a comparison atom from its children's abstracts: exact
+// when both sides are decided, true when either side is certainly undefined
+// (§3.2: comparisons involving u hold), and early from interval separation
+// with the safety slack otherwise.
 func (s *fstate) deriveCmpF(id network.NodeID) int8 {
 	c := &s.cmpAux[s.ab[id].aux]
 	la, ra := &s.ab[c.l], &s.ab[c.r]
@@ -617,7 +643,8 @@ func (s *fstate) deriveCmpF(id network.NodeID) int8 {
 }
 
 // initAll computes the initial mask of every node bottom-up (node ids are
-// topologically ordered); mirrors state.initAll.
+// topologically ordered). It must run before the first assignment; targets
+// decided by the initial pass alone are recorded with the full unit mass.
 func (s *fstate) initAll() {
 	for id := network.NodeID(0); int(id) < len(s.flat.Kind); id++ {
 		s.initNodeF(id)
@@ -631,7 +658,7 @@ func (s *fstate) initAll() {
 		if at := s.targetsAt[id]; at >= 0 {
 			if v := s.bval(id); v != bUnknown {
 				tis := s.targetLists[at]
-				s.nUnmasked -= len(tis)
+				s.openTargets -= len(tis)
 				for _, ti := range tis {
 					s.tMasked[ti] = true
 					if s.recording {
@@ -646,7 +673,8 @@ func (s *fstate) initAll() {
 	}
 }
 
-// initNodeF mirrors initNode over the flat layout.
+// initNodeF derives a node's mask from its children's current masks. Used by
+// the initial pass; propagate keeps masks incrementally in sync afterwards.
 func (s *fstate) initNodeF(id network.NodeID) {
 	kids := s.flat.KidsOf(id)
 	switch s.flat.Kind[id] {
@@ -722,7 +750,7 @@ func (s *fstate) initNodeF(id network.NodeID) {
 // their open bit — and always from the unknown state, so there is no trail
 // dedup to check and no old truth bits to record. The trail word carries the
 // node's target flag (bit 36) so undo consults the target tables only for
-// actual targets. Mirrors commit for the tagBool class.
+// actual targets.
 func (s *fstate) commitDecide(id network.NodeID, a *nabs, newV int8) {
 	tg := a.tag
 	a.trailedAt = s.level
@@ -744,7 +772,7 @@ func (s *fstate) commitDecide(id network.NodeID, a *nabs, newV int8) {
 
 // commitBoolCnt finishes a KAnd/KOr update — a counter move and possibly a
 // decision; the caller already wrote the new truth bits and counter and
-// passes the prior counter. Mirrors commit for the tagBoolCnt class.
+// passes the prior counter.
 func (s *fstate) commitBoolCnt(id network.NodeID, a *nabs, oldCnt int32, newV int8) {
 	tg := a.tag
 	if a.trailedAt != s.level {
@@ -774,7 +802,7 @@ func (s *fstate) commitBoolCnt(id network.NodeID, a *nabs, oldCnt int32, newV in
 // decided, accumulating the branch mass into their bounds.
 func (s *fstate) maskTargets(id network.NodeID, newV int8) {
 	tis := s.targetLists[s.targetsAt[id]]
-	s.nUnmasked -= len(tis)
+	s.openTargets -= len(tis)
 	for _, ti := range tis {
 		s.tMasked[ti] = true
 		if s.recording {
@@ -813,7 +841,7 @@ func (s *fstate) commitNum(id network.NodeID, a *nabs, oldVkf uint8, oldLo, oldH
 }
 
 // assign pushes the valuation x ↦ v with branch mass p into the network and
-// propagates masks upward (Algorithm 2); mirrors state.assign.
+// propagates masks upward (Algorithm 2).
 func (s *fstate) assign(x event.VarID, v bool, p float64) {
 	s.stats.Assignments++
 	s.assignTick++
@@ -838,11 +866,11 @@ func (s *fstate) assign(x event.VarID, v bool, p float64) {
 // entry stays in registers. The child's current abstract is loaded once per
 // dequeue, not once per parent: parent updates only ever mutate higher node
 // ids (the network is topologically ordered), so it cannot change inside
-// the loop. Parents are filtered through the open plane, which mirrors
-// "not yet decided" exactly (see commitBool/commitNum/undoTo), replacing
-// the legacy walker's per-call early return. Each case mirrors
-// state.updateParent with the per-class equality checks spelled out (the
-// legacy core compares whole nmask structs).
+// the loop. Parents are filtered through the open plane, which holds "not
+// yet decided" exactly (see commitDecide/commitBoolCnt/commitNum/undoTo): a
+// decided parent never updates again on this branch. Each case commits —
+// and counts a mask update — only when some component of the parent's mask
+// changed, counters and Σ aggregates included.
 func (s *fstate) propagate() {
 	for i := 0; i < len(s.queue); i++ {
 		e := s.queue[i] // by value: commits may grow (reallocate) the queue
@@ -953,8 +981,8 @@ func (s *fstate) propagate() {
 }
 
 // undoTo backtracks the trail to a saved mark, restoring masks bit-exactly
-// and reopening targets that were masked past the mark; mirrors
-// state.undoTo. Side stacks pop in step with the backward id walk.
+// and reopening targets that were masked past the mark. Side stacks pop in
+// step with the backward id walk.
 func (s *fstate) undoTo(mark int) {
 	nn, ns := len(s.trailNums), len(s.trailSums)
 	for i := len(s.trailIDs) - 1; i >= mark; i-- {
@@ -968,7 +996,7 @@ func (s *fstate) undoTo(mark int) {
 			if w&(1<<36) != 0 && !oldT && !oldF &&
 				s.bval(id) != bUnknown {
 				tis := s.targetLists[s.targetsAt[id]]
-				s.nUnmasked += len(tis)
+				s.openTargets += len(tis)
 				for _, ti := range tis {
 					s.tMasked[ti] = false
 				}
@@ -999,7 +1027,9 @@ func (s *fstate) undoTo(mark int) {
 	s.trailSums = s.trailSums[:ns]
 }
 
-// nextVar mirrors state.nextVar over the flat layout.
+// nextVar returns the next influential unassigned variable at or after
+// order position oi. Variables whose direct uses are all masked cannot
+// change any event and are skipped (their mass marginalises out).
 func (s *fstate) nextVar(oi int) (int, event.VarID, bool) {
 	for ; oi < len(s.order); oi++ {
 		x := s.order[oi]
@@ -1026,9 +1056,10 @@ func (s *fstate) nextVar(oi int) (int, event.VarID, bool) {
 	return oi, -1, false
 }
 
-// allSettled mirrors state.allSettled.
+// allSettled reports the termination condition of Algorithm 1: every target
+// masked on this branch or already within 2ε globally.
 func (s *fstate) allSettled() bool {
-	if s.nUnmasked == 0 {
+	if s.openTargets == 0 {
 		return true
 	}
 	if s.bounds.allTight() {
@@ -1038,15 +1069,16 @@ func (s *fstate) allSettled() bool {
 		return false // exact: tight only at full convergence
 	}
 	nTight := int64(len(s.tMasked)) - s.bounds.nLoose.Load()
-	if int64(s.nUnmasked) > nTight {
+	if int64(s.openTargets) > nTight {
 		return false // pigeonhole: some target is neither masked nor tight
 	}
 	return s.bounds.settledWith(s.tMasked)
 }
 
-// snapshotFrom copies the post-init masks and counters of a pristine state.
-func (s *fstate) snapshotFrom(pristine compCore) {
-	p := pristine.(*fstate)
+// snapshotFrom copies the post-init masks and counters of a pristine state;
+// distributed workers reset between jobs with it instead of recomputing the
+// initial pass.
+func (s *fstate) snapshotFrom(p *fstate) {
 	s.decT.copyFrom(p.decT)
 	s.decF.copyFrom(p.decF)
 	s.open.copyFrom(p.open)
@@ -1059,42 +1091,38 @@ func (s *fstate) snapshotFrom(pristine compCore) {
 	if s.vecVals != nil {
 		copy(s.vecVals, p.vecVals)
 	}
-	s.nUnmasked = p.nUnmasked
+	s.openTargets = p.openTargets
 	s.clearTrail()
 }
 
-// fsnap is the flat core's job snapshot: the packed planes plus the dense
-// abstract records and target bookkeeping. level is the forking state's
+// fsnap is the mask snapshot shipped inside an in-process job: the packed
+// planes plus the dense abstract records and target bookkeeping. level is
+// the forking state's
 // assignment level: the snapshotted trailedAt values are at most level, so
 // an adopting state raises its own level to at least it, keeping the
 // trail-dedup comparison sound across workers.
 type fsnap struct {
-	decT, decF bitset
-	// open has a bit set for every node not yet decided — the propagation
-	// loop tests it to skip parents whose update would early-return, saving
-	// the call. Maintained by the commit/undo paths in lockstep with the
-	// truth planes and vkf kinds.
-	open      bitset
-	ab        []nabs
-	sums      []sumAgg
-	vecVals   []vec.Vec
-	tMasked   []bool
-	nUnmasked int
-	level     int32
+	decT, decF  bitset
+	open        bitset
+	ab          []nabs
+	sums        []sumAgg
+	vecVals     []vec.Vec
+	tMasked     []bool
+	openTargets int
+	level       int32
 }
 
-func (sn *fsnap) snapUnmasked() int { return sn.nUnmasked }
-
-func (s *fstate) forkSnap() coreSnap {
+// forkSnap deep-copies the current masks as a shippable job snapshot.
+func (s *fstate) forkSnap() *fsnap {
 	sn := &fsnap{
-		decT:      s.decT.clone(),
-		decF:      s.decF.clone(),
-		open:      s.open.clone(),
-		ab:        append([]nabs(nil), s.ab...),
-		sums:      append([]sumAgg(nil), s.sums...),
-		tMasked:   append([]bool(nil), s.tMasked...),
-		nUnmasked: s.nUnmasked,
-		level:     s.level,
+		decT:        s.decT.clone(),
+		decF:        s.decF.clone(),
+		open:        s.open.clone(),
+		ab:          append([]nabs(nil), s.ab...),
+		sums:        append([]sumAgg(nil), s.sums...),
+		tMasked:     append([]bool(nil), s.tMasked...),
+		openTargets: s.openTargets,
+		level:       s.level,
 	}
 	if s.vecVals != nil {
 		sn.vecVals = append([]vec.Vec(nil), s.vecVals...)
@@ -1102,16 +1130,18 @@ func (s *fstate) forkSnap() coreSnap {
 	return sn
 }
 
-func (s *fstate) shareSnap() coreSnap {
+// shareSnap hands out the live arrays; only safe for a pristine state that
+// is never touched again, i.e. the root job.
+func (s *fstate) shareSnap() *fsnap {
 	return &fsnap{
 		decT: s.decT, decF: s.decF, open: s.open, ab: s.ab, sums: s.sums,
-		vecVals: s.vecVals, tMasked: s.tMasked, nUnmasked: s.nUnmasked,
+		vecVals: s.vecVals, tMasked: s.tMasked, openTargets: s.openTargets,
 		level: s.level,
 	}
 }
 
-func (s *fstate) adoptSnap(c coreSnap) {
-	sn := c.(*fsnap)
+// adoptSnap installs a snapshot, replacing the current masks.
+func (s *fstate) adoptSnap(sn *fsnap) {
 	s.decT, s.decF = sn.decT, sn.decF
 	s.open = sn.open
 	s.ab, s.sums = sn.ab, sn.sums
@@ -1122,6 +1152,6 @@ func (s *fstate) adoptSnap(c coreSnap) {
 	if sn.vecVals != nil {
 		s.vecVals = sn.vecVals
 	}
-	s.nUnmasked = sn.nUnmasked
+	s.openTargets = sn.openTargets
 	s.clearTrail()
 }

@@ -111,12 +111,6 @@ type Options struct {
 	// Timeout aborts compilation, returning the bounds reached so far
 	// with Result.TimedOut set. Zero means no timeout.
 	Timeout time.Duration
-	// LegacyCore selects the original pointer-DAG mask walker (one 56-byte
-	// nmask per node) instead of the default bit-parallel flat core. Both
-	// cores produce bit-identical marginals and Stats counters; the legacy
-	// core is retained as the differential oracle for the equivalence suite
-	// in internal/difftest, mirroring the LegacyFrontEnd pattern.
-	LegacyCore bool
 	// Obs, when non-nil, receives spans for every compilation stage
 	// (order → init → explore/distribute, plus one span per distributed
 	// worker), work counters in its metrics registry, and — for budgeted
@@ -177,8 +171,8 @@ type Stats struct {
 	// BudgetPrunes counts subtrees cut by the error budget.
 	BudgetPrunes int64
 	// MaskWords is the number of uint64 words per truth-value bit plane of
-	// the flat core (zero under Options.LegacyCore): ⌈nodes/64⌉, the unit of
-	// word-wide snapshot/restore work at distributed fork markers.
+	// the core: ⌈nodes/64⌉, the unit of word-wide snapshot/restore work at
+	// distributed fork markers.
 	MaskWords int64
 	// BatchTargets is the number of compilation targets batched through the
 	// single shared expansion pass.

@@ -33,7 +33,7 @@ type Session struct {
 	order []event.VarID
 	eps2  float64
 
-	pristine     compCore
+	pristine     *fstate
 	pristineBook *boundsBook
 
 	pool sync.Pool // *sessWorker
@@ -41,7 +41,7 @@ type Session struct {
 
 // sessWorker is one reusable per-job execution state with its private book.
 type sessWorker struct {
-	s    compCore
+	s    *fstate
 	book *boundsBook
 }
 
@@ -64,7 +64,7 @@ func NewSession(net *network.Net, opts Options) (*Session, error) {
 	}
 	order := computeOrder(net, opts)
 	book := newBoundsBook(len(net.Targets), eps2)
-	pr := newCompCore(net, types, opts, book)
+	pr := newFstate(net, types, opts, book)
 	pr.attachRun(order, time.Time{}, nil, nil)
 	pr.initAll()
 	return &Session{
@@ -86,7 +86,7 @@ func (ss *Session) ExecJob(ctx context.Context, j *WireJob) (*WireResult, error)
 	wkr, _ := ss.pool.Get().(*sessWorker)
 	if wkr == nil {
 		book := newBoundsBook(len(ss.net.Targets), ss.eps2)
-		wkr = &sessWorker{book: book, s: newCompCore(ss.net, ss.types, ss.opts, book)}
+		wkr = &sessWorker{book: book, s: newFstate(ss.net, ss.types, ss.opts, book)}
 	}
 	defer ss.pool.Put(wkr)
 
@@ -119,7 +119,7 @@ func (ss *Session) ExecJob(ctx context.Context, j *WireJob) (*WireResult, error)
 	// Replay the assignment prefix with recording off: propagation is
 	// deterministic, so the masks end up bit-identical to the forking
 	// worker's state at the fork point.
-	s.setRecording(false)
+	s.recording = false
 	for _, a := range j.Path {
 		s.assign(a.Var, a.Val, j.P)
 		if r.stop.Load() {
@@ -127,13 +127,13 @@ func (ss *Session) ExecJob(ctx context.Context, j *WireJob) (*WireResult, error)
 		}
 	}
 	s.clearTrail()
-	s.setRecording(true)
+	s.recording = true
 
 	res := &WireResult{ID: j.ID}
-	s.setOnAdd(func(ti int, isTrue bool, mass float64) {
+	s.onAdd = func(ti int, isTrue bool, mass float64) {
 		res.Items = append(res.Items, WireItem{Kind: ItemAdd, Target: int32(ti), IsTrue: isTrue, Mass: mass})
-	})
-	defer s.setOnAdd(nil)
+	}
+	defer func() { s.onAdd = nil }()
 	w := &walker{state: s, run: r, forkDepth: ss.opts.JobDepth, trackPath: true}
 	w.fork = func(oi int, p float64, E []float64) bool {
 		fp := make([]Assign, 0, len(j.Path)+len(w.path))
@@ -147,7 +147,7 @@ func (ss *Session) ExecJob(ctx context.Context, j *WireJob) (*WireResult, error)
 
 	E := make([]float64, len(ss.net.Targets))
 	copy(E, j.E)
-	st := s.st()
+	st := &s.stats
 	base := *st
 	st.MaxDepth = 0
 	if !r.stop.Load() {

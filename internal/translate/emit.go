@@ -7,7 +7,7 @@ import (
 
 // eref and nref are opaque handles to Boolean events and c-values held by an
 // emitter. The translator core is written entirely against handles, so the
-// same evaluation code drives both back ends: the legacy AST emitter (handles
+// same evaluation code drives both emitters: the AST emitter (handles
 // index side tables of event.Expr/event.NumExpr) and the fused network
 // emitter (handles ARE hash-consed network node ids).
 type eref int32
@@ -43,8 +43,8 @@ type emitter interface {
 	declareNum(label string, n nref)
 }
 
-// astEmitter is the two-phase back end: it materialises the event-program
-// AST (§3.5), which a later grounding pass walks into the network (§4.1).
+// astEmitter materialises the event-program AST (§3.5) for -dump-events and
+// the §3 semantics oracle.
 // Handles index the bools/nums side tables; slots 0/1 of bools are
 // pre-seeded with ⊥/⊤ so constants resolve without allocation.
 type astEmitter struct {

@@ -6,13 +6,15 @@
 // to one identifier per element, and reduce_* calls become the aggregate
 // event expressions of the event language.
 //
-// The package has two back ends sharing one evaluator. Translate is the
-// two-phase path: it materialises the event-program AST, which callers
-// ground into a network afterwards. TranslateInto is the fused path
+// One evaluator drives two emitters. TranslateInto is the front end
 // (§3.5 + §4.1 in a single streaming pass): every event is interned into a
 // hash-consed network.Builder the moment it is constructed, no AST is
 // built, and the getLabel bookkeeping is skipped entirely because labelled
 // declarations exist only to name intermediates in the AST artifact.
+// Translate is not a second front end: it materialises the event-program
+// AST for `enframe -dump-events` and for the §3 semantics oracle — the
+// per-world check that every translated event evaluates to what the
+// interpreter computes (internal/difftest, translate_test.go).
 package translate
 
 import (
@@ -48,7 +50,6 @@ type Result struct {
 	Program *event.Program
 	finalB  map[string]event.Expr
 	finalN  map[string]event.NumExpr
-	labels  map[string]string
 }
 
 // BoolEvent returns the final Boolean event of a (flattened) variable
@@ -58,39 +59,10 @@ func (r *Result) BoolEvent(sym string) (event.Expr, bool) {
 	return e, ok
 }
 
-// HasBool reports whether sym is bound to a final Boolean event.
-func (r *Result) HasBool(sym string) bool {
-	_, ok := r.finalB[sym]
-	return ok
-}
-
 // NumEvent returns the final c-value of a variable symbol.
 func (r *Result) NumEvent(sym string) (event.NumExpr, bool) {
 	n, ok := r.finalN[sym]
 	return n, ok
-}
-
-// Label returns the last declared label of a variable symbol.
-func (r *Result) Label(sym string) (string, bool) {
-	l, ok := r.labels[sym]
-	return l, ok
-}
-
-// SymbolsWithPrefix returns the flattened Boolean variable symbols starting
-// with the given prefix, sorted lexicographically.
-func (r *Result) SymbolsWithPrefix(prefix string) []string {
-	return symbolsWithPrefix(r.finalB, prefix)
-}
-
-func symbolsWithPrefix[V any](m map[string]V, prefix string) []string {
-	var out []string
-	for sym := range m {
-		if strings.HasPrefix(sym, prefix) {
-			out = append(out, sym)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // NetResult is the outcome of the fused TranslateInto path: the final
@@ -121,11 +93,19 @@ func (r *NetResult) NumNode(sym string) (network.NodeID, bool) {
 // SymbolsWithPrefix returns the flattened Boolean variable symbols starting
 // with the given prefix, sorted lexicographically.
 func (r *NetResult) SymbolsWithPrefix(prefix string) []string {
-	return symbolsWithPrefix(r.finalB, prefix)
+	var out []string
+	for sym := range r.finalB {
+		if strings.HasPrefix(sym, prefix) {
+			out = append(out, sym)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // Translate validates and translates a user program over the given external
-// bindings, producing the two-phase event-program artifact.
+// bindings into the event-program AST (see the package comment for who
+// reads it).
 func Translate(prog *lang.Program, ext External) (*Result, error) {
 	checkSpan := ext.Obs.Root().Start("check")
 	err := lang.Validate(prog)
@@ -155,13 +135,9 @@ func Translate(prog *lang.Program, ext External) (*Result, error) {
 		Program: ae.prog,
 		finalB:  map[string]event.Expr{},
 		finalN:  map[string]event.NumExpr{},
-		labels:  map[string]string{},
 	}
 	for name, v := range tr.vars {
 		exportAST(ae, res, name, v)
-	}
-	for sym, ls := range tr.labels {
-		res.labels[sym] = ls.last
 	}
 	span.SetInt("decls", int64(len(ae.prog.Decls)))
 	span.SetInt("symbols", int64(len(res.finalB)+len(res.finalN)))
@@ -169,7 +145,7 @@ func Translate(prog *lang.Program, ext External) (*Result, error) {
 }
 
 // TranslateInto validates and translates a user program, emitting every
-// event directly into b as it is constructed (the fused front end). The
+// event directly into b as it is constructed. The
 // caller owns the builder: register targets against the returned bindings
 // and Build() to finalise the network.
 func TranslateInto(prog *lang.Program, ext External, b *network.Builder) (*NetResult, error) {
