@@ -1,7 +1,11 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test test-short test-race vet fuzz-smoke fuzz bench-serve alloc-guard smoke serve-smoke worker-smoke trace-smoke bench-distributed bench-whatif shard-smoke bench-shard stream-smoke bench-stream bench-spine bench-spine-quick ci
+.PHONY: fmt build test test-short test-race vet fuzz-smoke fuzz bench-serve alloc-guard smoke serve-smoke worker-smoke trace-smoke bench-distributed bench-whatif shard-smoke bench-shard stream-smoke bench-stream bench-spine bench-spine-quick ci
+
+# fmt fails when any Go file is not gofmt-formatted.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...
@@ -35,9 +39,10 @@ fuzz:
 	$(GO) test ./internal/difftest -run '^$$' -fuzz '^FuzzPipeline$$' -fuzztime $(FUZZTIME)
 
 # alloc-guard pins the obs-disabled front end and the compilation core to
-# their allocation budgets (see allocguard_test.go).
+# their allocation budgets, and a cached artifact to its retained-heap budget
+# (see allocguard_test.go).
 alloc-guard:
-	$(GO) test -run '^Test(FrontEnd|Compile)AllocGuard$$' -count=1 -v .
+	$(GO) test -run '^Test(FrontEnd|Compile|RetainedArtifact)AllocGuard$$' -count=1 -v .
 
 # bench-serve loads the serving layer (in-process, ephemeral port) and
 # refreshes BENCH_serve.json: throughput, p50/p95/p99 latency, and the
@@ -135,4 +140,4 @@ bench-spine:
 bench-spine-quick:
 	$(GO) run ./benchmark -seed 1 -seconds 5
 
-ci: vet build test test-race alloc-guard smoke serve-smoke worker-smoke trace-smoke bench-distributed bench-whatif shard-smoke stream-smoke
+ci: fmt vet build test test-race alloc-guard smoke serve-smoke worker-smoke trace-smoke bench-distributed bench-whatif shard-smoke stream-smoke

@@ -18,21 +18,21 @@ import (
 // registry.
 
 type jsonRun struct {
-	Program      string           `json:"program"`
-	N            int              `json:"n"`
-	Scheme       string           `json:"scheme"`
-	Strategy     string           `json:"strategy"`
-	Epsilon      float64          `json:"epsilon,omitempty"`
-	Workers      int              `json:"workers"`
-	Seed         int64            `json:"seed"`
-	Objects      int              `json:"objects"`
-	Variables    int              `json:"variables"`
-	NetworkNodes int              `json:"network_nodes"`
-	NodeKinds    map[string]int64 `json:"node_kinds"`
-	TimedOut     bool             `json:"timed_out"`
-	Targets      []jsonTarget     `json:"targets"`
-	Stats        jsonStats        `json:"stats"`
-	TimingsMs    jsonTimings      `json:"timings_ms"`
+	Program      string             `json:"program"`
+	N            int                `json:"n"`
+	Scheme       string             `json:"scheme"`
+	Strategy     string             `json:"strategy"`
+	Epsilon      float64            `json:"epsilon,omitempty"`
+	Workers      int                `json:"workers"`
+	Seed         int64              `json:"seed"`
+	Objects      int                `json:"objects"`
+	Variables    int                `json:"variables"`
+	NetworkNodes int                `json:"network_nodes"`
+	NodeKinds    map[string]int64   `json:"node_kinds"`
+	TimedOut     bool               `json:"timed_out"`
+	Targets      []jsonTarget       `json:"targets"`
+	Stats        jsonStats          `json:"stats"`
+	TimingsMs    jsonTimings        `json:"timings_ms"`
 	Metrics      map[string]float64 `json:"metrics,omitempty"`
 }
 

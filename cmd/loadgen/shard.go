@@ -264,12 +264,12 @@ func runShardSweep() error {
 	*keysFlag, *durFlag = savedKeys, savedDur
 
 	section := map[string]any{
-		"keys":          shardSweepKeys,
-		"replicas":      shard.DefaultReplicas,
-		"vnodes":        shard.DefaultVirtualNodes,
-		"model":         "virtual partitioning: real warm per-key service times, keys placed by the real ring over real artifact hashes, fleet throughput = total work / busiest shard",
-		"virtual":       virtual,
-		"speedup_floor": shardSpeedupFloor,
+		"keys":           shardSweepKeys,
+		"replicas":       shard.DefaultReplicas,
+		"vnodes":         shard.DefaultVirtualNodes,
+		"model":          "virtual partitioning: real warm per-key service times, keys placed by the real ring over real artifact hashes, fleet throughput = total work / busiest shard",
+		"virtual":        virtual,
+		"speedup_floor":  shardSpeedupFloor,
 		"speedup_4_vs_1": speedup4,
 		"real_fleet_single_cpu_context": map[string]any{
 			"note":   "k co-located processes time-slice one core; wall-clock rps cannot scale here — recorded for latency/correctness context only",

@@ -166,7 +166,7 @@ func TestCircuitWaiterDoesNotInheritSoftTimeout(t *testing.T) {
 	}
 }
 
-// TestArtifactBytesCountsCircuits: the byte estimate covers the network from
+// TestArtifactBytesCountsCircuits: the byte count covers the network from
 // preparation on and grows by the circuit once one is memoized.
 func TestArtifactBytesCountsCircuits(t *testing.T) {
 	ctx := context.Background()

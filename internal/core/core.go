@@ -113,7 +113,7 @@ type Artifact struct {
 	circuitsMu sync.Mutex
 	circuits   map[prob.OrderHeuristic]*circuitCall
 
-	// netBytes is Net's byte estimate, taken once at preparation.
+	// netBytes is Net's byte count, taken once at preparation.
 	netBytes int64
 }
 
@@ -352,10 +352,10 @@ func (a *Artifact) trace(ctx context.Context, opts prob.Options, call *circuitCa
 	}
 }
 
-// Bytes estimates the memory the artifact holds: its network (twice over —
-// the pointer DAG and the flat view compilation builds) plus every memoized
-// circuit with its replayed Result. It is an accounting figure for cache
-// gauges, not an exact heap measurement.
+// Bytes reports the memory the artifact holds: its network's columns (see
+// network.Net.Bytes) plus every memoized circuit with its replayed Result.
+// The shared variable space, the memoized orders and small bookkeeping are
+// not counted, so it reads slightly under the heap the artifact retains.
 func (a *Artifact) Bytes() int64 {
 	n := a.netBytes
 	a.circuitsMu.Lock()

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"enframe/internal/event"
@@ -98,5 +99,10 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, err := Run(Spec{Source: "x = 1\n", Targets: []string{"nope["}}); err == nil {
 		t.Error("expected unknown-target error")
+	}
+	// Exponents live in the network's 32-bit payload column.
+	if _, err := Run(Spec{Source: "x = pow(2, 3000000000)\n", Targets: []string{"x"}}); err == nil ||
+		!strings.Contains(err.Error(), "exponent 3000000000 out of range") {
+		t.Errorf("expected an out-of-range exponent error, got %v", err)
 	}
 }

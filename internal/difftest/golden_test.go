@@ -263,8 +263,8 @@ func goldenBounds(t *testing.T, golden map[string]string, key, strategy string) 
 
 // TestGoldenBits holds the compilation core to the frozen corpus: every
 // bound bit and every work counter of every case × strategy. Runs parallel
-// per case, so `go test -race` also exercises the cached network.Flat layout
-// under concurrent first use.
+// per case, so `go test -race` also checks that concurrent compilations share
+// no mutable state.
 func TestGoldenBits(t *testing.T) {
 	cases := goldenCases(t)
 	var golden map[string]string

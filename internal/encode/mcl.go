@@ -2,6 +2,7 @@ package encode
 
 import (
 	"fmt"
+	"math"
 
 	"enframe/internal/event"
 	"enframe/internal/network"
@@ -44,8 +45,8 @@ func (sp *MCLSpec) Network() (*network.Net, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("encode: empty weight matrix")
 	}
-	if sp.R <= 0 || sp.Iter <= 0 {
-		return nil, fmt.Errorf("encode: r = %d and iter = %d must be positive", sp.R, sp.Iter)
+	if sp.R <= 0 || sp.R > math.MaxInt32 || sp.Iter <= 0 {
+		return nil, fmt.Errorf("encode: r = %d must be in [1, %d] and iter = %d positive", sp.R, math.MaxInt32, sp.Iter)
 	}
 	if len(sp.Pairs) == 0 {
 		return nil, fmt.Errorf("encode: no co-clustering pairs requested")

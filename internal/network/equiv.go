@@ -2,9 +2,36 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
+
+	"enframe/internal/event"
 )
+
+// Equal reports whether two networks are identical column for column — node
+// kinds, child and parent spans, payloads (⊗ constants bit for bit), and
+// targets — and were built over variable spaces of the same size. Marginal
+// probabilities are not compared: they are replay inputs, not structure, so
+// a decision circuit traced over one network replays over the other at any
+// probabilities. The streaming plane keeps a window segment's circuit
+// across a re-ground exactly when the old and new networks are Equal.
+func Equal(a, b *Net) bool {
+	return len(a.VarNode) == len(b.VarNode) &&
+		slices.Equal(a.Kind, b.Kind) &&
+		slices.Equal(a.KidOff, b.KidOff) && slices.Equal(a.Kids, b.Kids) &&
+		slices.Equal(a.ParOff, b.ParOff) && slices.Equal(a.Pars, b.Pars) &&
+		slices.Equal(a.Arg, b.Arg) &&
+		slices.EqualFunc(a.Vals, b.Vals, sameBits) &&
+		slices.Equal(a.Targets, b.Targets)
+}
+
+// sameBits reports whether two c-values are identical bit for bit, the
+// identity hash-consing gives ⊗ payloads.
+func sameBits(x, y event.Value) bool {
+	same := func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) }
+	return x.Kind == y.Kind && x.B == y.B && same(x.S, y.S) && slices.EqualFunc(x.V, y.V, same)
+}
 
 // Isomorphic reports whether two networks are structurally identical up to
 // node numbering and commutative ∧/∨ child order: every target name must
@@ -34,7 +61,7 @@ func Isomorphic(a, b *Net) error {
 	// Re-intern both nets into one shared canonical id space: nodes are in
 	// topological order (kids precede parents), so a single ascending scan
 	// resolves each node's canonical form from its kids' canonical ids.
-	table := make(map[string]NodeID, len(a.Nodes)+len(b.Nodes))
+	table := make(map[string]NodeID, a.NumNodes()+b.NumNodes())
 	ca := canonicalIDs(a, table)
 	cb := canonicalIDs(b, table)
 	for _, name := range names {
@@ -57,22 +84,24 @@ func targetsByName(n *Net) map[string]NodeID {
 // nodes — same net or not — get the same canonical id iff their DAGs are
 // isomorphic under the Isomorphic contract.
 func canonicalIDs(net *Net, table map[string]NodeID) []NodeID {
-	canon := make([]NodeID, len(net.Nodes))
+	canon := make([]NodeID, net.NumNodes())
 	var buf []byte
 	var kids []NodeID
-	for id, n := range net.Nodes {
+	for id, kind := range net.Kind {
 		kids = kids[:0]
-		for _, k := range n.Kids {
+		for _, k := range net.KidsOf(NodeID(id)) {
 			kids = append(kids, canon[k])
 		}
-		if n.Kind == KAnd || n.Kind == KOr {
+		if kind == KAnd || kind == KOr {
 			// Commutative connectives compare order-insensitively; their
 			// canonical kid ids define the canonical order.
 			slices.Sort(kids)
 		}
-		nn := n
-		nn.Kids = kids
-		buf = appendInternKey(buf[:0], nn)
+		n := node{kind: kind, arg: net.Arg[id], kids: kids}
+		if kind == KCondVal {
+			n.val = net.Vals[n.arg]
+		}
+		buf = appendInternKey(buf[:0], &n)
 		c, ok := table[string(buf)]
 		if !ok {
 			c = NodeID(len(table))

@@ -17,21 +17,22 @@ type Assignment struct {
 // compiler in internal/prob must agree with it on every valuation.
 func (n *Net) Eval(nu event.Valuation) Assignment {
 	a := Assignment{
-		Bools: make([]bool, len(n.Nodes)),
-		Nums:  make([]event.Value, len(n.Nodes)),
+		Bools: make([]bool, n.NumNodes()),
+		Nums:  make([]event.Value, n.NumNodes()),
 	}
-	for id := range n.Nodes {
-		nd := &n.Nodes[id]
-		switch nd.Kind {
+	for id, kind := range n.Kind {
+		kids := n.KidsOf(NodeID(id))
+		arg := n.Arg[id]
+		switch kind {
 		case KVar:
-			a.Bools[id] = nu.Value(nd.Var)
+			a.Bools[id] = nu.Value(event.VarID(arg))
 		case KConst:
-			a.Bools[id] = nd.B
+			a.Bools[id] = arg != 0
 		case KNot:
-			a.Bools[id] = !a.Bools[nd.Kids[0]]
+			a.Bools[id] = !a.Bools[kids[0]]
 		case KAnd:
 			v := true
-			for _, k := range nd.Kids {
+			for _, k := range kids {
 				if !a.Bools[k] {
 					v = false
 					break
@@ -40,7 +41,7 @@ func (n *Net) Eval(nu event.Valuation) Assignment {
 			a.Bools[id] = v
 		case KOr:
 			v := false
-			for _, k := range nd.Kids {
+			for _, k := range kids {
 				if a.Bools[k] {
 					v = true
 					break
@@ -48,37 +49,37 @@ func (n *Net) Eval(nu event.Valuation) Assignment {
 			}
 			a.Bools[id] = v
 		case KCmp:
-			a.Bools[id] = event.Compare(nd.Op, a.Nums[nd.Kids[0]], a.Nums[nd.Kids[1]])
+			a.Bools[id] = event.Compare(event.CmpOp(arg), a.Nums[kids[0]], a.Nums[kids[1]])
 		case KCondVal:
-			if a.Bools[nd.Kids[0]] {
-				a.Nums[id] = nd.Val
+			if a.Bools[kids[0]] {
+				a.Nums[id] = n.Vals[arg]
 			} else {
 				a.Nums[id] = event.U
 			}
 		case KGuard:
-			if a.Bools[nd.Kids[0]] {
-				a.Nums[id] = a.Nums[nd.Kids[1]]
+			if a.Bools[kids[0]] {
+				a.Nums[id] = a.Nums[kids[1]]
 			} else {
 				a.Nums[id] = event.U
 			}
 		case KSum:
 			v := event.U
-			for _, k := range nd.Kids {
+			for _, k := range kids {
 				v = event.Add(v, a.Nums[k])
 			}
 			a.Nums[id] = v
 		case KProd:
 			v := event.Num(1)
-			for _, k := range nd.Kids {
+			for _, k := range kids {
 				v = event.Mul(v, a.Nums[k])
 			}
 			a.Nums[id] = v
 		case KInv:
-			a.Nums[id] = event.Inv(a.Nums[nd.Kids[0]])
+			a.Nums[id] = event.Inv(a.Nums[kids[0]])
 		case KPow:
-			a.Nums[id] = event.PowVal(a.Nums[nd.Kids[0]], nd.Exp)
+			a.Nums[id] = event.PowVal(a.Nums[kids[0]], int(arg))
 		case KDist:
-			a.Nums[id] = event.DistVal(n.Metric, a.Nums[nd.Kids[0]], a.Nums[nd.Kids[1]])
+			a.Nums[id] = event.DistVal(n.Metric, a.Nums[kids[0]], a.Nums[kids[1]])
 		}
 	}
 	return a

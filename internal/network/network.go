@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"unsafe"
 
 	"enframe/internal/event"
@@ -105,22 +104,6 @@ func (k Kind) IsBool() bool {
 	return false
 }
 
-// Node is one vertex of an event network.
-type Node struct {
-	Kind Kind
-	Kids []NodeID
-	// Var is the random variable of a KVar node.
-	Var event.VarID
-	// B is the constant of a KConst node.
-	B bool
-	// Val is the constant payload of a KCondVal node.
-	Val event.Value
-	// Op is the operator of a KCmp node.
-	Op event.CmpOp
-	// Exp is the exponent of a KPow node.
-	Exp int
-}
-
 // Target is a compilation target: a named Boolean node whose probability the
 // compiler computes.
 type Target struct {
@@ -128,51 +111,76 @@ type Target struct {
 	Node NodeID
 }
 
-// Net is a finalised, immutable event network.
+// Net is a finalised, immutable event network in structure-of-arrays form:
+// node kinds, CSR child and parent spans into single shared slices, and one
+// dense payload column, all indexed by NodeID. The probability compiler's
+// packed core walks these contiguous slices directly — one cache line of Kind
+// covers 64 nodes, and a node's children are KidOff[id]..KidOff[id+1] in one
+// shared slice — and they are the only copy of the network there is.
 type Net struct {
-	Space   *event.Space
-	Metric  vec.Distance
-	Nodes   []Node
-	Parents [][]NodeID
+	Space  *event.Space
+	Metric vec.Distance
+	// Kind is the per-node kind tag.
+	Kind []Kind
+	// KidOff has NumNodes()+1 entries; node id's children are
+	// Kids[KidOff[id]:KidOff[id+1]] in construction order.
+	KidOff []int32
+	Kids   []NodeID
+	// ParOff/Pars are the transposed spans: node id's parents are
+	// Pars[ParOff[id]:ParOff[id+1]] in increasing id order, a parent listed
+	// once per edge (the compiler's propagation order).
+	ParOff []int32
+	Pars   []NodeID
+	// Arg is the per-node payload: the variable of a KVar node, 1 or 0 for
+	// the ⊤ or ⊥ of a KConst node, the operator of a KCmp node, the exponent
+	// of a KPow node, and the index into Vals of a KCondVal node's c-value;
+	// 0 elsewhere.
+	Arg  []int32
+	Vals []event.Value
+	// Targets are the compilation targets, in registration order.
 	Targets []Target
 	// VarNode maps each random variable to its leaf node (NoNode when the
-	// variable does not occur in the network).
+	// variable does not occur in the network); its length is the size of
+	// the variable space when the network was built.
 	VarNode []NodeID
-
-	// flat is the lazily built structure-of-arrays view (see Flat).
-	flatOnce sync.Once
-	flat     *Flat
 }
 
 // NumNodes reports the network size.
-func (n *Net) NumNodes() int { return len(n.Nodes) }
+func (n *Net) NumNodes() int { return len(n.Kind) }
 
-// Bytes estimates the memory the network holds once compiled against: the
-// node structs with their child and parent edge lists, doubled for the flat
-// structure-of-arrays view the first compilation builds beside them. The
-// variable space and metric are shared with the caller and not counted.
+// KidsOf returns the child span of a node.
+func (n *Net) KidsOf(id NodeID) []NodeID { return n.Kids[n.KidOff[id]:n.KidOff[id+1]] }
+
+// ParsOf returns the parent span of a node.
+func (n *Net) ParsOf(id NodeID) []NodeID { return n.Pars[n.ParOff[id]:n.ParOff[id+1]] }
+
+// Bytes reports the memory the network holds: the capacity of every column,
+// the vector payloads of ⊗ constants, and the target names. The variable
+// space and metric are shared with the caller and not counted.
 func (n *Net) Bytes() int64 {
 	const (
-		nodeBytes   = int64(unsafe.Sizeof(Node{}))
-		sliceHeader = int64(unsafe.Sizeof([]NodeID(nil)))
-		idBytes     = int64(unsafe.Sizeof(NodeID(0)))
+		i32    = int64(unsafe.Sizeof(int32(0)))
+		valSz  = int64(unsafe.Sizeof(event.Value{}))
+		targSz = int64(unsafe.Sizeof(Target{}))
+		f64    = int64(unsafe.Sizeof(float64(0)))
 	)
-	edges := len(n.VarNode)
-	for i := range n.Nodes {
-		edges += len(n.Nodes[i].Kids) + len(n.Parents[i])
+	b := int64(cap(n.Kind))*int64(unsafe.Sizeof(Kind(0))) +
+		i32*int64(cap(n.KidOff)+cap(n.Kids)+cap(n.ParOff)+cap(n.Pars)+cap(n.Arg)+cap(n.VarNode)) +
+		valSz*int64(cap(n.Vals)) + targSz*int64(cap(n.Targets))
+	for _, v := range n.Vals {
+		b += f64 * int64(cap(v.V))
 	}
-	b := int64(len(n.Nodes))*(nodeBytes+sliceHeader) + int64(edges)*idBytes
 	for _, t := range n.Targets {
-		b += sliceHeader + int64(len(t.Name))
+		b += int64(len(t.Name))
 	}
-	return 2 * b
+	return b
 }
 
 // KindCounts returns the number of live network nodes per node kind.
 func (n *Net) KindCounts() map[string]int64 {
 	var by [numKinds]int64
-	for _, nd := range n.Nodes {
-		by[nd.Kind]++
+	for _, k := range n.Kind {
+		by[k]++
 	}
 	out := make(map[string]int64, numKinds)
 	for k, c := range by {
@@ -190,11 +198,13 @@ func (n *Net) KindCounts() map[string]int64 {
 // intern keys are built into a reusable scratch buffer (a lookup allocates
 // nothing), commutative ∧/∨ children are canonically sorted before lookup
 // so argument order cannot defeat sharing, and child-id slices are carved
-// out of chunked arenas instead of one allocation per node.
+// out of chunked arenas instead of one allocation per node. Build then
+// sweeps the live nodes straight into the Net's columns; the construction
+// records and their arenas die with the builder.
 type Builder struct {
 	space    *event.Space
 	metric   vec.Distance
-	nodes    []Node
+	nodes    []node
 	interned map[string]NodeID
 	exprMemo map[event.Expr]NodeID
 	numMemo  map[event.NumExpr]NodeID
@@ -254,21 +264,39 @@ func (b *Builder) arenaCopy(kids []NodeID) []NodeID {
 	return b.kidArena[start:len(b.kidArena):len(b.kidArena)]
 }
 
+// node is the builder's construction record of one vertex: its kind, the
+// payload the built Net carries in Arg (a ⊗ node keeps its c-value in val
+// instead; Build moves it into Vals), and its arena-backed child list.
+type node struct {
+	kind Kind
+	arg  int32
+	val  event.Value
+	kids []NodeID
+}
+
+// boolArg is the Arg payload of the constant ⊤ (1) or ⊥ (0).
+func boolArg(v bool) int32 {
+	if v {
+		return 1
+	}
+	return 0
+}
+
 // intern looks up the node identified by (n's payload, kids), creating it on
 // a miss. kids may alias a scratch buffer: it is only read during the
 // lookup, and copied into the arena when the node is new. The lookup itself
 // allocates nothing — the key is built into a reusable buffer and the map
 // probe uses the compiler's zero-copy string conversion.
-func (b *Builder) intern(n Node, kids []NodeID) NodeID {
-	n.Kids = kids
-	b.keyBuf = appendInternKey(b.keyBuf[:0], n)
+func (b *Builder) intern(n node, kids []NodeID) NodeID {
+	n.kids = kids
+	b.keyBuf = appendInternKey(b.keyBuf[:0], &n)
 	b.lookups++
 	if id, ok := b.interned[string(b.keyBuf)]; ok {
 		b.hits++
 		return id
 	}
-	b.kindCreated[n.Kind]++
-	n.Kids = b.arenaCopy(kids)
+	b.kindCreated[n.kind]++
+	n.kids = b.arenaCopy(kids)
 	id := NodeID(len(b.nodes))
 	b.nodes = append(b.nodes, n)
 	b.interned[string(b.keyBuf)] = id
@@ -323,39 +351,27 @@ func (b *Builder) Stats() BuilderStats {
 	return st
 }
 
-func appendInternKey(buf []byte, n Node) []byte {
-	buf = append(buf, byte(n.Kind))
-	switch n.Kind {
-	case KVar:
-		buf = binary.AppendVarint(buf, int64(n.Var))
-	case KConst:
-		if n.B {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	case KCmp:
-		buf = append(buf, byte(n.Op))
-	case KPow:
-		buf = binary.AppendVarint(buf, int64(n.Exp))
+// appendInternKey appends a node's hash-cons identity — kind, payload, and
+// child ids — to buf.
+func appendInternKey(buf []byte, n *node) []byte {
+	buf = append(buf, byte(n.kind))
+	switch n.kind {
+	case KVar, KConst, KCmp, KPow:
+		buf = binary.AppendVarint(buf, int64(n.arg))
 	case KCondVal:
-		buf = append(buf, byte(n.Val.Kind))
-		switch n.Val.Kind {
+		buf = append(buf, byte(n.val.Kind))
+		switch n.val.Kind {
 		case event.Scalar:
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(n.Val.S))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(n.val.S))
 		case event.Vector:
-			for _, x := range n.Val.V {
+			for _, x := range n.val.V {
 				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
 			}
 		case event.Boolean:
-			if n.Val.B {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
+			buf = append(buf, byte(boolArg(n.val.B)))
 		}
 	}
-	for _, k := range n.Kids {
+	for _, k := range n.kids {
 		buf = binary.AppendVarint(buf, int64(k))
 	}
 	return buf
@@ -363,33 +379,33 @@ func appendInternKey(buf []byte, n Node) []byte {
 
 // Var returns the leaf node for variable x.
 func (b *Builder) Var(x event.VarID) NodeID {
-	return b.intern(Node{Kind: KVar, Var: x}, nil)
+	return b.intern(node{kind: KVar, arg: int32(x)}, nil)
 }
 
 // Bool returns the constant node for ⊤ or ⊥.
-func (b *Builder) Bool(v bool) NodeID { return b.intern(Node{Kind: KConst, B: v}, nil) }
+func (b *Builder) Bool(v bool) NodeID { return b.intern(node{kind: KConst, arg: boolArg(v)}, nil) }
 
 // intern1 and intern2 intern fixed-arity nodes through the builder-held pair
 // buffer, keeping the child list off the heap during lookup.
-func (b *Builder) intern1(n Node, k NodeID) NodeID {
+func (b *Builder) intern1(n node, k NodeID) NodeID {
 	b.pair[0] = k
 	return b.intern(n, b.pair[:1])
 }
 
-func (b *Builder) intern2(n Node, l, r NodeID) NodeID {
+func (b *Builder) intern2(n node, l, r NodeID) NodeID {
 	b.pair[0], b.pair[1] = l, r
 	return b.intern(n, b.pair[:2])
 }
 
 // Not returns ¬k, simplifying constants and double negation.
 func (b *Builder) Not(k NodeID) NodeID {
-	switch n := b.nodes[k]; n.Kind {
+	switch n := &b.nodes[k]; n.kind {
 	case KConst:
-		return b.Bool(!n.B)
+		return b.Bool(n.arg == 0)
 	case KNot:
-		return n.Kids[0]
+		return n.kids[0]
 	}
-	return b.intern1(Node{Kind: KNot}, k)
+	return b.intern1(node{kind: KNot}, k)
 }
 
 // And returns the conjunction of ks, flattening, deduplicating, and
@@ -410,17 +426,17 @@ func (b *Builder) nary(kind Kind, ks []NodeID) NodeID {
 	flat := b.scratch[:0]
 	for _, k := range ks {
 		n := &b.nodes[k]
-		if n.Kind == KConst {
-			if n.B == absorbing {
+		if n.kind == KConst {
+			if (n.arg != 0) == absorbing {
 				b.scratch = flat
 				return b.Bool(absorbing)
 			}
 			continue // neutral element dropped
 		}
-		if n.Kind == kind {
+		if n.kind == kind {
 			// Nested chains flatten; their children are already canonical
 			// but must be re-sorted against the siblings below.
-			flat = append(flat, n.Kids...)
+			flat = append(flat, n.kids...)
 			continue
 		}
 		flat = append(flat, k)
@@ -441,7 +457,7 @@ func (b *Builder) nary(kind Kind, ks []NodeID) NodeID {
 	case 1:
 		return flat[0]
 	}
-	return b.intern(Node{Kind: kind}, flat)
+	return b.intern(node{kind: kind}, flat)
 }
 
 // dedupSorted removes adjacent duplicates in place.
@@ -458,13 +474,13 @@ func dedupSorted(xs []NodeID) []NodeID {
 // constOf reports whether a numeric node is a build-time constant of the
 // extended domain (a ⊗ node with a constant guard).
 func (b *Builder) constOf(id NodeID) (event.Value, bool) {
-	n := b.nodes[id]
-	if n.Kind != KCondVal {
+	n := &b.nodes[id]
+	if n.kind != KCondVal {
 		return event.Value{}, false
 	}
-	if g := b.nodes[n.Kids[0]]; g.Kind == KConst {
-		if g.B {
-			return n.Val, true
+	if g := &b.nodes[n.kids[0]]; g.kind == KConst {
+		if g.arg != 0 {
+			return n.val, true
 		}
 		return event.U, true
 	}
@@ -483,12 +499,12 @@ func (b *Builder) Cmp(op event.CmpOp, l, r NodeID) NodeID {
 			}
 		}
 	}
-	return b.intern2(Node{Kind: KCmp, Op: op}, l, r)
+	return b.intern2(node{kind: KCmp, arg: int32(op)}, l, r)
 }
 
 // CondVal returns guard ⊗ val for a constant value.
 func (b *Builder) CondVal(guard NodeID, val event.Value) NodeID {
-	return b.intern1(Node{Kind: KCondVal, Val: val}, guard)
+	return b.intern1(node{kind: KCondVal, val: val}, guard)
 }
 
 // ConstNum returns the always-defined constant ⊤ ⊗ val.
@@ -497,16 +513,16 @@ func (b *Builder) ConstNum(val event.Value) NodeID { return b.CondVal(b.Bool(tru
 // Guard returns guard ∧ v. When v is itself a conditional constant the
 // guards are merged into a single ⊗ node.
 func (b *Builder) Guard(guard, v NodeID) NodeID {
-	if g := b.nodes[guard]; g.Kind == KConst {
-		if g.B {
+	if g := &b.nodes[guard]; g.kind == KConst {
+		if g.arg != 0 {
 			return v
 		}
 		return b.CondVal(b.Bool(false), event.U)
 	}
-	if n := b.nodes[v]; n.Kind == KCondVal {
-		return b.CondVal(b.And(guard, n.Kids[0]), n.Val)
+	if n := b.nodes[v]; n.kind == KCondVal {
+		return b.CondVal(b.And(guard, n.kids[0]), n.val)
 	}
-	return b.intern2(Node{Kind: KGuard}, guard, v)
+	return b.intern2(node{kind: KGuard}, guard, v)
 }
 
 // Sum returns Σ ks, flattening nested sums. With constant folding enabled
@@ -525,8 +541,8 @@ func (b *Builder) naryNum(kind Kind, ks []NodeID) NodeID {
 	// identical to the emitted event program's.
 	flat := b.scratch[:0]
 	for _, k := range ks {
-		if n := &b.nodes[k]; n.Kind == kind {
-			flat = append(flat, n.Kids...)
+		if n := &b.nodes[k]; n.kind == kind {
+			flat = append(flat, n.kids...)
 			continue
 		}
 		flat = append(flat, k)
@@ -579,12 +595,7 @@ func (b *Builder) naryNum(kind Kind, ks []NodeID) NodeID {
 	case 1:
 		return flat[0]
 	}
-	return b.intern(Node{Kind: kind}, flat)
-}
-
-func (b *Builder) isTrueConst(id NodeID) bool {
-	n := b.nodes[id]
-	return n.Kind == KConst && n.B
+	return b.intern(node{kind: kind}, flat)
 }
 
 // DisableConstFold turns off Σ constant folding; used by the ablation
@@ -596,15 +607,19 @@ func (b *Builder) Inv(k NodeID) NodeID {
 	if v, ok := b.constOf(k); ok && !b.noFold {
 		return b.ConstNum(event.Inv(v))
 	}
-	return b.intern1(Node{Kind: KInv}, k)
+	return b.intern1(node{kind: KInv}, k)
 }
 
-// Pow returns k^exp, folding constants.
+// Pow returns k^exp, folding constants. The exponent must fit the 32-bit
+// payload column; the translator rejects programs whose exponents do not.
 func (b *Builder) Pow(k NodeID, exp int) NodeID {
 	if v, ok := b.constOf(k); ok && !b.noFold {
 		return b.ConstNum(event.PowVal(v, exp))
 	}
-	return b.intern1(Node{Kind: KPow, Exp: exp}, k)
+	if exp != int(int32(exp)) {
+		panic(fmt.Sprintf("network: exponent %d out of range", exp))
+	}
+	return b.intern1(node{kind: KPow, arg: int32(exp)}, k)
 }
 
 // Dist returns dist(l, r), folded when both endpoints are constant.
@@ -616,7 +631,7 @@ func (b *Builder) Dist(l, r NodeID) NodeID {
 			}
 		}
 	}
-	return b.intern2(Node{Kind: KDist}, l, r)
+	return b.intern2(node{kind: KDist}, l, r)
 }
 
 // AddExpr compiles a Boolean event expression into the network, sharing
@@ -692,7 +707,7 @@ func (b *Builder) AddNum(x event.NumExpr) NodeID {
 
 // Target registers a compilation target for the given Boolean node.
 func (b *Builder) Target(name string, id NodeID) {
-	if !b.nodes[id].Kind.IsBool() {
+	if !b.nodes[id].kind.IsBool() {
 		panic(fmt.Sprintf("network: target %q is not a Boolean node", name))
 	}
 	b.targets = append(b.targets, Target{Name: name, Node: id})
@@ -700,43 +715,73 @@ func (b *Builder) Target(name string, id NodeID) {
 
 // Build finalises the network: when targets are registered, nodes
 // unreachable from any target (construction garbage left behind by constant
-// folding) are swept away; parent lists are materialised. The builder must
+// folding) are swept away, and the live nodes are written straight into the
+// Net's columns, keeping their relative id order, child order, and — filled
+// by a counting pass in increasing id order — parent order. The builder must
 // not be reused afterwards.
 func (b *Builder) Build() *Net {
-	nodes := b.nodes
-	targets := b.targets
-	if len(targets) > 0 {
-		nodes, targets = b.sweep()
-	}
-	parents := make([][]NodeID, len(nodes))
-	for id, n := range nodes {
-		for _, k := range n.Kids {
-			parents[k] = append(parents[k], NodeID(id))
-		}
-	}
-	varNode := make([]NodeID, b.space.Len())
-	for i := range varNode {
-		varNode[i] = NoNode
-	}
-	for id, n := range nodes {
-		if n.Kind == KVar {
-			varNode[n.Var] = NodeID(id)
-		}
-	}
+	remap, live, edges, vals := b.liveIDs()
 	net := &Net{
 		Space:   b.space,
 		Metric:  b.metric,
-		Nodes:   nodes,
-		Parents: parents,
-		Targets: targets,
-		VarNode: varNode,
+		Kind:    make([]Kind, live),
+		KidOff:  make([]int32, live+1),
+		Kids:    make([]NodeID, 0, edges),
+		ParOff:  make([]int32, live+1),
+		Pars:    make([]NodeID, edges),
+		Arg:     make([]int32, live),
+		Vals:    make([]event.Value, 0, vals),
+		Targets: make([]Target, len(b.targets)),
+		VarNode: make([]NodeID, b.space.Len()),
+	}
+	for i := range net.VarNode {
+		net.VarNode[i] = NoNode
+	}
+	for old := range b.nodes {
+		id := remap[old]
+		if id == NoNode {
+			continue
+		}
+		n := &b.nodes[old]
+		net.Kind[id] = n.kind
+		net.KidOff[id] = int32(len(net.Kids))
+		for _, k := range n.kids {
+			net.Kids = append(net.Kids, remap[k])
+			net.ParOff[remap[k]+1]++ // counted at k+1: prefix sums give starts
+		}
+		net.Arg[id] = n.arg
+		switch n.kind {
+		case KVar:
+			net.VarNode[n.arg] = id
+		case KCondVal:
+			net.Arg[id] = int32(len(net.Vals))
+			net.Vals = append(net.Vals, n.val)
+		}
+	}
+	net.KidOff[live] = int32(len(net.Kids))
+	for id := 1; id <= live; id++ {
+		net.ParOff[id] += net.ParOff[id-1]
+	}
+	// Scatter every edge with ParOff[k] as k's cursor, parents in increasing
+	// id order; that leaves ParOff[k] at k's end, so shifting the column
+	// right by one restores the starts.
+	for id := range live {
+		for _, k := range net.KidsOf(NodeID(id)) {
+			net.Pars[net.ParOff[k]] = NodeID(id)
+			net.ParOff[k]++
+		}
+	}
+	copy(net.ParOff[1:], net.ParOff[:live])
+	net.ParOff[0] = 0
+	for i, t := range b.targets {
+		net.Targets[i] = Target{Name: t.Name, Node: remap[t.Node]}
 	}
 	if b.reg != nil {
 		st := b.Stats()
 		b.reg.Counter("network.hashcons.lookups").Add(st.Lookups)
 		b.reg.Counter("network.hashcons.hits").Add(st.Hits)
 		b.reg.Counter("network.nodes.created").Add(st.Created)
-		b.reg.Counter("network.nodes.live").Add(int64(len(nodes)))
+		b.reg.Counter("network.nodes.live").Add(int64(live))
 		b.reg.Gauge("network.hashcons.hit_rate").Set(st.HitRate())
 		b.reg.Counter("network.builder.canon_rewrites").Add(st.CanonRewrites)
 		b.reg.Counter("network.builder.arena_chunks").Add(st.ArenaChunks)
@@ -747,47 +792,45 @@ func (b *Builder) Build() *Net {
 	return net
 }
 
-// sweep keeps only the nodes reachable downward from a target, preserving
-// the topological id order.
-func (b *Builder) sweep() ([]Node, []Target) {
-	keep := make([]bool, len(b.nodes))
-	var mark func(id NodeID)
-	stack := make([]NodeID, 0, len(b.targets))
-	mark = func(id NodeID) {
-		if keep[id] {
-			return
+// liveIDs maps every constructed node to its id in the built network —
+// dense and in construction order — or to NoNode when it is unreachable
+// downward from every target (with no targets registered, every node is
+// live). It also counts the live nodes, their child edges, and their ⊗
+// payloads, so Build can size each column exactly.
+func (b *Builder) liveIDs() (remap []NodeID, live, edges, vals int) {
+	remap = make([]NodeID, len(b.nodes)) // 0 marks live until ids are assigned
+	if len(b.targets) > 0 {
+		for i := range remap {
+			remap[i] = NoNode
 		}
-		keep[id] = true
-		stack = append(stack, id)
-	}
-	for _, t := range b.targets {
-		mark(t.Node)
-	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, k := range b.nodes[id].Kids {
-			mark(k)
+		stack := make([]NodeID, 0, len(b.targets))
+		mark := func(id NodeID) {
+			if remap[id] == NoNode {
+				remap[id] = 0
+				stack = append(stack, id)
+			}
+		}
+		for _, t := range b.targets {
+			mark(t.Node)
+		}
+		for len(stack) > 0 {
+			id := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, k := range b.nodes[id].kids {
+				mark(k)
+			}
 		}
 	}
-	remap := make([]NodeID, len(b.nodes))
-	nodes := make([]Node, 0, len(b.nodes))
-	for id, n := range b.nodes {
-		if !keep[id] {
-			remap[id] = NoNode
+	for id := range b.nodes {
+		if remap[id] == NoNode {
 			continue
 		}
-		kids := make([]NodeID, len(n.Kids))
-		for i, k := range n.Kids {
-			kids[i] = remap[k]
+		remap[id] = NodeID(live)
+		live++
+		edges += len(b.nodes[id].kids)
+		if b.nodes[id].kind == KCondVal {
+			vals++
 		}
-		n.Kids = kids
-		remap[id] = NodeID(len(nodes))
-		nodes = append(nodes, n)
 	}
-	targets := make([]Target, len(b.targets))
-	for i, t := range b.targets {
-		targets[i] = Target{Name: t.Name, Node: remap[t.Node]}
-	}
-	return nodes, targets
+	return remap, live, edges, vals
 }

@@ -38,7 +38,7 @@ func TestBooleanSimplification(t *testing.T) {
 	if b.And(vx, b.Bool(true)) != vx {
 		t.Error("x ∧ ⊤ must simplify to x")
 	}
-	if got := b.And(vx, b.Bool(false)); b.Build2Node(got).Kind != KConst {
+	if got := b.And(vx, b.Bool(false)); b.Build2Node(got).kind != KConst {
 		t.Error("x ∧ ⊥ must fold to ⊥")
 	}
 	if b.Or(vx, b.Bool(false)) != vx {
@@ -53,7 +53,7 @@ func TestBooleanSimplification(t *testing.T) {
 }
 
 // Build2Node exposes a node for white-box tests.
-func (b *Builder) Build2Node(id NodeID) Node { return b.nodes[id] }
+func (b *Builder) Build2Node(id NodeID) node { return b.nodes[id] }
 
 func TestConstantFolding(t *testing.T) {
 	sp := event.NewSpace()
@@ -62,14 +62,14 @@ func TestConstantFolding(t *testing.T) {
 	c3 := b.ConstNum(event.Num(3))
 	c4 := b.ConstNum(event.Num(4))
 	// Constant comparison folds to a Boolean constant.
-	if n := b.Build2Node(b.Cmp(event.LE, c3, c4)); n.Kind != KConst || !n.B {
+	if n := b.Build2Node(b.Cmp(event.LE, c3, c4)); n.kind != KConst || n.arg == 0 {
 		t.Errorf("3 ≤ 4 folded to %v", n)
 	}
 	// Constant sum terms merge.
 	g := b.CondVal(b.Var(x), event.Num(10))
 	sum := b.Sum(c3, g, c4)
-	if n := b.Build2Node(sum); len(n.Kids) != 2 {
-		t.Errorf("Σ(3, x⊗10, 4) has %d children, want 2 (guarded + folded const)", len(n.Kids))
+	if n := b.Build2Node(sum); len(n.kids) != 2 {
+		t.Errorf("Σ(3, x⊗10, 4) has %d children, want 2 (guarded + folded const)", len(n.kids))
 	}
 	// Products annihilate on certainly-undefined factors.
 	u := b.CondVal(b.Bool(false), event.U)

@@ -36,7 +36,7 @@ func (t ValueType) String() string {
 // an error for ill-typed networks (e.g. a comparison between vectors), which
 // the probability compiler refuses to process.
 func (n *Net) Types() ([]ValueType, error) {
-	ts := make([]ValueType, len(n.Nodes))
+	ts := make([]ValueType, n.NumNodes())
 	numKid := func(id NodeID, k NodeID) (ValueType, error) {
 		t := ts[k]
 		if t == TBool {
@@ -44,13 +44,13 @@ func (n *Net) Types() ([]ValueType, error) {
 		}
 		return t, nil
 	}
-	for id := range n.Nodes {
-		nd := &n.Nodes[id]
-		switch nd.Kind {
+	for id, kind := range n.Kind {
+		kids := n.KidsOf(NodeID(id))
+		switch kind {
 		case KVar, KConst, KNot, KAnd, KOr:
 			ts[id] = TBool
 		case KCmp:
-			for _, k := range nd.Kids {
+			for _, k := range kids {
 				t, err := numKid(NodeID(id), k)
 				if err != nil {
 					return nil, err
@@ -61,21 +61,21 @@ func (n *Net) Types() ([]ValueType, error) {
 			}
 			ts[id] = TBool
 		case KCondVal:
-			switch nd.Val.Kind {
+			switch n.Vals[n.Arg[id]].Kind {
 			case event.Vector:
 				ts[id] = TVector
 			default:
 				ts[id] = TScalar
 			}
 		case KGuard:
-			t, err := numKid(NodeID(id), nd.Kids[1])
+			t, err := numKid(NodeID(id), kids[1])
 			if err != nil {
 				return nil, err
 			}
 			ts[id] = t
 		case KSum:
 			t0 := TScalar
-			for i, k := range nd.Kids {
+			for i, k := range kids {
 				t, err := numKid(NodeID(id), k)
 				if err != nil {
 					return nil, err
@@ -91,7 +91,7 @@ func (n *Net) Types() ([]ValueType, error) {
 			// Scalars multiply; one vector operand makes the product a
 			// vector (scalar_mult); two vector operands are ill-typed.
 			vecs := 0
-			for _, k := range nd.Kids {
+			for _, k := range kids {
 				t, err := numKid(NodeID(id), k)
 				if err != nil {
 					return nil, err
@@ -109,16 +109,16 @@ func (n *Net) Types() ([]ValueType, error) {
 				ts[id] = TScalar
 			}
 		case KInv, KPow:
-			t, err := numKid(NodeID(id), nd.Kids[0])
+			t, err := numKid(NodeID(id), kids[0])
 			if err != nil {
 				return nil, err
 			}
 			if t != TScalar {
-				return nil, fmt.Errorf("network: node %d: %s of a vector", id, nd.Kind)
+				return nil, fmt.Errorf("network: node %d: %s of a vector", id, kind)
 			}
 			ts[id] = TScalar
 		case KDist:
-			for _, k := range nd.Kids {
+			for _, k := range kids {
 				t, err := numKid(NodeID(id), k)
 				if err != nil {
 					return nil, err

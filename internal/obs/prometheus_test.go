@@ -22,7 +22,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 		h.Observe(v)
 	}
 	// The circuit-backend serving metrics (SERVING.md, /v1/run and
-	// /v1/whatif), the cache's byte estimate and the leader-panic counter.
+	// /v1/whatif), the cache's byte count and the leader-panic counter.
 	r.Gauge("server.cache.bytes").Set(1.5e6)
 	r.Counter("server.panics").Add(1)
 	r.Counter("circuit.cache.hits").Add(3)

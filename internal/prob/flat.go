@@ -29,7 +29,7 @@ const (
 // fstate is the compilation core: one worker's mask state under the current
 // partial assignment (Algorithm 2), over a shared immutable network. Each
 // mask component lives in a contiguous slice indexed by node id over the
-// network's structure-of-arrays layout (network.Flat):
+// network's structure-of-arrays columns:
 //
 //   - the three-valued truth value lives in two uint64 bit planes, decT and
 //     decF (set bit = decided true / decided false, both clear = unknown),
@@ -53,7 +53,6 @@ const (
 // refactoring.
 type fstate struct {
 	net    *network.Net
-	flat   *network.Flat
 	types  []network.ValueType
 	opts   Options
 	bounds *boundsBook
@@ -107,7 +106,7 @@ type fstate struct {
 	//   - condAux (KCondVal) holds the guard kid id and the Vals index.
 	//
 	// cvTrue/cvUnk are per-KCondVal precomputed abstracts (indexed like
-	// Flat.Vals): the node's fixed c-value makes the derived mask a
+	// Net.Vals): the node's fixed c-value makes the derived mask a
 	// constant for each guard state, so the hot ⊗-derivation reduces to a
 	// three-way copy. cvVec marks vector-valued entries that must also
 	// install the side-pool value when the guard turns true.
@@ -188,7 +187,7 @@ type cmpRec struct {
 }
 
 // condRec is one KCondVal node's derivation record: the guard kid and the
-// index of the node's fixed c-value in Flat.Vals (and the cv* tables).
+// index of the node's fixed c-value in Net.Vals (and the cv* tables).
 type condRec struct {
 	g  network.NodeID
 	vi int32
@@ -219,10 +218,9 @@ const (
 )
 
 func newFstate(net *network.Net, types []network.ValueType, opts Options, bounds *boundsBook) *fstate {
-	nn := len(net.Nodes)
-	f := net.Flat()
+	nn := net.NumNodes()
 	s := &fstate{
-		net: net, flat: f, types: types, opts: opts, bounds: bounds,
+		net: net, types: types, opts: opts, bounds: bounds,
 		targetsAt: make([]int32, nn),
 		decT:      newBitset(nn),
 		decF:      newBitset(nn),
@@ -236,15 +234,15 @@ func newFstate(net *network.Net, types []network.ValueType, opts Options, bounds
 		a := &s.ab[id]
 		a.trailedAt = -1
 		a.aux = -1
-		a.kind = f.Kind[id]
-		switch f.Kind[id] {
+		a.kind = net.Kind[id]
+		switch net.Kind[id] {
 		case network.KVar, network.KConst, network.KNot:
 			a.tag = tagBool
 		case network.KCmp:
 			a.tag = tagBool
-			kids := f.KidsOf(network.NodeID(id))
+			kids := net.KidsOf(network.NodeID(id))
 			a.aux = int32(len(s.cmpAux))
-			s.cmpAux = append(s.cmpAux, cmpRec{l: kids[0], r: kids[1], op: f.Op[id]})
+			s.cmpAux = append(s.cmpAux, cmpRec{l: kids[0], r: kids[1], op: event.CmpOp(net.Arg[id])})
 		case network.KAnd, network.KOr:
 			a.tag = tagBoolCnt
 		case network.KSum:
@@ -253,24 +251,24 @@ func newFstate(net *network.Net, types []network.ValueType, opts Options, bounds
 			nSums++
 		case network.KGuard:
 			a.tag = tagNum
-			kids := f.KidsOf(network.NodeID(id))
+			kids := net.KidsOf(network.NodeID(id))
 			a.aux = int32(len(s.guardAux))
 			s.guardAux = append(s.guardAux, [2]network.NodeID{kids[0], kids[1]})
 		case network.KCondVal:
 			a.tag = tagNum
-			kids := f.KidsOf(network.NodeID(id))
+			kids := net.KidsOf(network.NodeID(id))
 			a.aux = int32(len(s.condAux))
-			s.condAux = append(s.condAux, condRec{g: kids[0], vi: f.ValIdx[id]})
+			s.condAux = append(s.condAux, condRec{g: kids[0], vi: net.Arg[id]})
 		default:
 			a.tag = tagNum
 		}
 	}
 	s.sums = make([]sumAgg, nSums)
-	s.cvTrue = make([]fnum, len(f.Vals))
-	s.cvUnk = make([]fnum, len(f.Vals))
-	s.cvVec = make([]bool, len(f.Vals))
-	for vi := range f.Vals {
-		val := &f.Vals[vi]
+	s.cvTrue = make([]fnum, len(net.Vals))
+	s.cvUnk = make([]fnum, len(net.Vals))
+	s.cvVec = make([]bool, len(net.Vals))
+	for vi := range net.Vals {
+		val := &net.Vals[vi]
 		switch val.Kind {
 		case event.Undef:
 			s.cvTrue[vi] = fnum{vkf: vkUndef | (fMayU|fBounded)<<2, lo: math.Inf(1), hi: math.Inf(-1)}
@@ -445,7 +443,7 @@ func (s *fstate) sumAccF(id network.NodeID, agg *sumAgg, cv uint8, clo, chi floa
 // deriveSumF refreshes a Σ node's visible abstract from its aggregates, in
 // place.
 func (s *fstate) deriveSumF(id network.NodeID, agg *sumAgg) {
-	kids := s.flat.KidsOf(id)
+	kids := s.net.KidsOf(id)
 	n := int32(len(kids))
 	if s.ab[id].cnt == 0 {
 		// All children decided: recompute the exact value freshly in child
@@ -495,7 +493,7 @@ func (s *fstate) deriveSumF(id network.NodeID, agg *sumAgg) {
 // early when any child is certainly undefined (u annihilates · and dist), and
 // otherwise stay conservatively unknown.
 func (s *fstate) deriveOpaqueF(id network.NodeID) {
-	kids := s.flat.KidsOf(id)
+	kids := s.net.KidsOf(id)
 	for _, k := range kids {
 		if s.ab[k].vkf&3 == vkUndef {
 			s.setUndefF(id)
@@ -513,8 +511,8 @@ func (s *fstate) deriveOpaqueF(id network.NodeID) {
 // evalOpaqueF computes the exact value of a fully decided KProd, KInv, KPow,
 // or KDist node from its children's decided values.
 func (s *fstate) evalOpaqueF(id network.NodeID) event.Value {
-	kids := s.flat.KidsOf(id)
-	switch s.flat.Kind[id] {
+	kids := s.net.KidsOf(id)
+	switch s.net.Kind[id] {
 	case network.KProd:
 		v := event.Num(1)
 		for _, k := range kids {
@@ -524,7 +522,7 @@ func (s *fstate) evalOpaqueF(id network.NodeID) event.Value {
 	case network.KInv:
 		return event.Inv(s.valueF(kids[0]))
 	case network.KPow:
-		return event.PowVal(s.valueF(kids[0]), s.net.Nodes[id].Exp)
+		return event.PowVal(s.valueF(kids[0]), int(s.net.Arg[id]))
 	case network.KDist:
 		return event.DistVal(s.net.Metric, s.valueF(kids[0]), s.valueF(kids[1]))
 	}
@@ -543,7 +541,7 @@ func (s *fstate) deriveCondValF(id network.NodeID) {
 		f := &s.cvTrue[vi]
 		s.ab[id].vkf, s.ab[id].lo, s.ab[id].hi = f.vkf, f.lo, f.hi
 		if s.cvVec[vi] {
-			s.vecVals[id] = s.flat.Vals[vi].V
+			s.vecVals[id] = s.net.Vals[vi].V
 		}
 	case bFalse:
 		s.setUndefF(id)
@@ -646,7 +644,7 @@ func (s *fstate) deriveCmpF(id network.NodeID) int8 {
 // topologically ordered). It must run before the first assignment; targets
 // decided by the initial pass alone are recorded with the full unit mass.
 func (s *fstate) initAll() {
-	for id := network.NodeID(0); int(id) < len(s.flat.Kind); id++ {
+	for id := network.NodeID(0); int(id) < len(s.net.Kind); id++ {
 		s.initNodeF(id)
 		a := &s.ab[id]
 		if a.tag&tagClass <= tagBoolCnt {
@@ -676,11 +674,11 @@ func (s *fstate) initAll() {
 // initNodeF derives a node's mask from its children's current masks. Used by
 // the initial pass; propagate keeps masks incrementally in sync afterwards.
 func (s *fstate) initNodeF(id network.NodeID) {
-	kids := s.flat.KidsOf(id)
-	switch s.flat.Kind[id] {
+	kids := s.net.KidsOf(id)
+	switch s.net.Kind[id] {
 	case network.KVar:
 	case network.KConst:
-		s.setBval(id, boolMask(s.net.Nodes[id].B))
+		s.setBval(id, boolMask(s.net.Arg[id] != 0))
 	case network.KNot:
 		if c := s.bval(kids[0]); c != bUnknown {
 			s.setBval(id, negMask(c))
@@ -883,7 +881,7 @@ func (s *fstate) propagate() {
 		} else {
 			cvkf, clo, chi = s.ab[e.id].vkf, s.ab[e.id].lo, s.ab[e.id].hi
 		}
-		for _, pid := range s.flat.ParsOf(e.id) {
+		for _, pid := range s.net.ParsOf(e.id) {
 			if !s.open.get(int32(pid)) {
 				continue // already decided; the trail restores consistently
 			}
@@ -1043,8 +1041,8 @@ func (s *fstate) nextVar(oi int) (int, event.VarID, bool) {
 		if s.targetsAt[id] >= 0 {
 			return oi, x, true // the leaf itself is a compilation target
 		}
-		for _, pid := range s.flat.ParsOf(id) {
-			if s.flat.Kind[pid].IsBool() {
+		for _, pid := range s.net.ParsOf(id) {
+			if s.net.Kind[pid].IsBool() {
 				if s.bval(pid) == bUnknown {
 					return oi, x, true
 				}

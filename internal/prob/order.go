@@ -33,7 +33,7 @@ func computeOrder(net *network.Net, opts Options) []event.VarID {
 	// events as possible"; we order statically by the number of network
 	// nodes transitively reachable upward from the variable's leaf.
 	influence := make(map[event.VarID]int, len(vars))
-	visited := make([]int32, len(net.Nodes))
+	visited := make([]int32, net.NumNodes())
 	epoch := int32(0)
 	stack := make([]network.NodeID, 0, 128)
 	for _, x := range vars {
@@ -45,7 +45,7 @@ func computeOrder(net *network.Net, opts Options) []event.VarID {
 			id := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			count++
-			for _, p := range net.Parents[id] {
+			for _, p := range net.ParsOf(id) {
 				if visited[p] != epoch {
 					visited[p] = epoch
 					stack = append(stack, p)

@@ -27,7 +27,7 @@ func CompileRef(net *network.Net, opts Options) (*Result, error) {
 		types: types,
 		slack: opts.Slack,
 		order: computeOrder(net, opts),
-		abs:   make([]refAbs, len(net.Nodes)),
+		abs:   make([]refAbs, net.NumNodes()),
 		nu:    make([]int8, net.Space.Len()),
 		lo:    make([]float64, len(net.Targets)),
 		hi:    make([]float64, len(net.Targets)),
@@ -125,19 +125,20 @@ func (r *refRun) dfs(oi int, p float64) {
 
 // pass recomputes the abstract value of every node bottom-up.
 func (r *refRun) pass() {
-	for id := range r.net.Nodes {
-		nd := &r.net.Nodes[id]
+	for id, kind := range r.net.Kind {
+		kids := r.net.KidsOf(network.NodeID(id))
+		arg := r.net.Arg[id]
 		a := refAbs{}
-		switch nd.Kind {
+		switch kind {
 		case network.KVar:
-			a.bval = r.nu[nd.Var]
+			a.bval = r.nu[arg]
 		case network.KConst:
-			a.bval = boolMask(nd.B)
+			a.bval = boolMask(arg != 0)
 		case network.KNot:
-			a.bval = negMask(r.abs[nd.Kids[0]].bval)
+			a.bval = negMask(r.abs[kids[0]].bval)
 		case network.KAnd:
 			a.bval = bTrue
-			for _, k := range nd.Kids {
+			for _, k := range kids {
 				switch r.abs[k].bval {
 				case bFalse:
 					a.bval = bFalse
@@ -152,7 +153,7 @@ func (r *refRun) pass() {
 			}
 		case network.KOr:
 			a.bval = bFalse
-			for _, k := range nd.Kids {
+			for _, k := range kids {
 				switch r.abs[k].bval {
 				case bTrue:
 					a.bval = bTrue
@@ -166,22 +167,23 @@ func (r *refRun) pass() {
 				}
 			}
 		case network.KCmp:
-			a.bval = r.cmp(nd)
+			a.bval = r.cmp(event.CmpOp(arg), kids)
 		case network.KCondVal:
-			switch r.abs[nd.Kids[0]].bval {
+			val := r.net.Vals[arg]
+			switch r.abs[kids[0]].bval {
 			case bTrue:
-				a.set(nd.Val)
+				a.set(val)
 			case bFalse:
 				a.set(event.U)
 			default:
 				a.mayU = true
-				if nd.Val.Kind == event.Scalar {
-					a.lo, a.hi, a.bounded = nd.Val.S, nd.Val.S, true
+				if val.Kind == event.Scalar {
+					a.lo, a.hi, a.bounded = val.S, val.S, true
 				}
 			}
 		case network.KGuard:
-			g := r.abs[nd.Kids[0]].bval
-			v := &r.abs[nd.Kids[1]]
+			g := r.abs[kids[0]].bval
+			v := &r.abs[kids[1]]
 			switch g {
 			case bFalse:
 				a.set(event.U)
@@ -203,7 +205,7 @@ func (r *refRun) pass() {
 			allDec, allMayU := true, true
 			lo, hi := 0.0, 0.0
 			bounded := r.types[id] == network.TScalar
-			for _, k := range nd.Kids {
+			for _, k := range kids {
 				c := &r.abs[k]
 				if !c.decided {
 					allDec = false
@@ -221,7 +223,7 @@ func (r *refRun) pass() {
 			}
 			if allDec {
 				v := event.U
-				for _, k := range nd.Kids {
+				for _, k := range kids {
 					v = event.Add(v, r.abs[k].val)
 				}
 				a.set(v)
@@ -232,7 +234,7 @@ func (r *refRun) pass() {
 		case network.KProd, network.KInv, network.KPow, network.KDist:
 			allDec := true
 			anyMustU := false
-			for _, k := range nd.Kids {
+			for _, k := range kids {
 				c := &r.abs[k]
 				if !c.decided {
 					allDec = false
@@ -244,7 +246,7 @@ func (r *refRun) pass() {
 			case anyMustU:
 				a.set(event.U)
 			case allDec:
-				a.set(r.evalOp(nd))
+				a.set(r.evalOp(kind, arg, kids))
 			default:
 				a.mayU = true
 			}
@@ -287,31 +289,31 @@ func refContrib(c *refAbs) (lo, hi float64, ok bool) {
 	return lo, hi, true
 }
 
-func (r *refRun) evalOp(nd *network.Node) event.Value {
-	switch nd.Kind {
+func (r *refRun) evalOp(kind network.Kind, arg int32, kids []network.NodeID) event.Value {
+	switch kind {
 	case network.KProd:
 		v := event.Num(1)
-		for _, k := range nd.Kids {
+		for _, k := range kids {
 			v = event.Mul(v, r.abs[k].val)
 		}
 		return v
 	case network.KInv:
-		return event.Inv(r.abs[nd.Kids[0]].val)
+		return event.Inv(r.abs[kids[0]].val)
 	case network.KPow:
-		return event.PowVal(r.abs[nd.Kids[0]].val, nd.Exp)
+		return event.PowVal(r.abs[kids[0]].val, int(arg))
 	case network.KDist:
-		return event.DistVal(r.net.Metric, r.abs[nd.Kids[0]].val, r.abs[nd.Kids[1]].val)
+		return event.DistVal(r.net.Metric, r.abs[kids[0]].val, r.abs[kids[1]].val)
 	}
 	panic("prob: evalOp on unexpected node")
 }
 
-func (r *refRun) cmp(nd *network.Node) int8 {
-	l, rt := &r.abs[nd.Kids[0]], &r.abs[nd.Kids[1]]
+func (r *refRun) cmp(op event.CmpOp, kids []network.NodeID) int8 {
+	l, rt := &r.abs[kids[0]], &r.abs[kids[1]]
 	if (l.decided && l.val.IsUndef()) || (rt.decided && rt.val.IsUndef()) {
 		return bTrue
 	}
 	if l.decided && rt.decided {
-		return boolMask(nd.Op.Holds(l.val.S, rt.val.S))
+		return boolMask(op.Holds(l.val.S, rt.val.S))
 	}
 	lb, ok1 := refBounds(l)
 	rb, ok2 := refBounds(rt)
@@ -319,7 +321,7 @@ func (r *refRun) cmp(nd *network.Node) int8 {
 		return bUnknown
 	}
 	sl := r.slack
-	switch nd.Op {
+	switch op {
 	case event.LE, event.LT:
 		if lb.hi <= rb.lo-sl {
 			return bTrue
@@ -330,7 +332,7 @@ func (r *refRun) cmp(nd *network.Node) int8 {
 		}
 	}
 	if !l.mayU && !rt.mayU {
-		switch nd.Op {
+		switch op {
 		case event.LE, event.LT:
 			if lb.lo >= rb.hi+sl {
 				return bFalse

@@ -24,8 +24,8 @@ type artifactCache struct {
 
 	hits, misses, coalesced, evictions *obs.Counter
 	// size counts entries; bytes is the sum of their core.Artifact.Bytes
-	// estimates (networks plus memoized circuits). Eviction is by entry
-	// count; bytes is reported, not enforced.
+	// (network columns plus memoized circuits). Eviction is by entry count;
+	// bytes is reported, not enforced.
 	size, bytes *obs.Gauge
 	// batchJoined counts coalesced waits under their fleet-facing name: in a
 	// sharded deployment, distinct concurrent requests routed to this shard
@@ -160,7 +160,7 @@ func (c *artifactCache) add(key string, art *core.Artifact) {
 }
 
 // setBytes recomputes the bytes gauge under c.mu. It runs where an entry's
-// estimate can change — an insert, an eviction, a freshly memoized circuit —
+// byte count can change — an insert, an eviction, a freshly memoized circuit —
 // which are all cold-path events.
 func (c *artifactCache) setBytes() {
 	var total int64

@@ -6,10 +6,11 @@
 // the exact compiler's tree shape is probability-independent for complete
 // circuits and replay skips zero-mass subtrees exactly like a fresh trace
 // does. Structural deltas (tuple insert/delete, window advance) re-ground
-// only the dirty segments through the fused emitter, and a structural
-// fingerprint of the re-grounded network decides whether the old circuit
-// is still valid or a re-trace is due. When the dirty fraction crosses a
-// threshold the session falls back to rebuilding every live segment.
+// only the dirty segments through the fused emitter, and an exact
+// structural comparison of the re-grounded network with the previous one
+// decides whether the old circuit is still valid or a re-trace is due. When
+// the dirty fraction crosses a threshold the session falls back to
+// rebuilding every live segment.
 package stream
 
 import (
@@ -155,11 +156,9 @@ type segment struct {
 	varIdx map[string]event.VarID
 	nextID int // next tuple id / insert-variable suffix
 
-	art   *core.Artifact
-	circ  *circuit.Circuit // nil until built, or while incomplete
-	fp    uint64
-	hasFP bool
-	marg  []prob.TargetBound
+	art  *core.Artifact
+	circ *circuit.Circuit // nil until built, or while incomplete
+	marg []prob.TargetBound
 
 	dirty      bool // structure changed: re-ground and maybe re-trace
 	probsDirty bool // only marginals changed: replay the circuit
@@ -196,7 +195,7 @@ type Stats struct {
 	Replayed       int     `json:"replayed"`        // segments whose circuit replayed
 	Reground       int     `json:"reground"`        // segments re-grounded through the emitter
 	Retraced       int     `json:"retraced"`        // segments whose circuit was re-traced
-	ReusedCircuits int     `json:"reused_circuits"` // re-grounds that kept the old circuit (fingerprint hit)
+	ReusedCircuits int     `json:"reused_circuits"` // re-grounds that kept the old circuit (equal network)
 	Full           bool    `json:"full"`            // threshold fallback rebuilt everything
 	DirtyFraction  float64 `json:"dirty_fraction"`
 	GroundMs       float64 `json:"ground_ms"`
@@ -428,9 +427,8 @@ func (s *Session) Heuristic() prob.OrderHeuristic { return s.heur }
 // recompute brings every segment back to evaluated state:
 //
 //   - dirty segments re-ground through the fused emitter; if the new
-//     network fingerprint matches the old one the consed circuit is kept,
-//     otherwise the stale circuit memo is dropped and the segment
-//     re-traces;
+//     network equals the old one the consed circuit is kept, otherwise
+//     the stale circuit memo is dropped and the segment re-traces;
 //   - segments with only probability changes replay their circuit;
 //   - when the dirty fraction reaches the threshold, all segments are
 //     rebuilt (the incremental bookkeeping is no longer worth it).
@@ -467,8 +465,8 @@ func (s *Session) recompute(ctx context.Context, st *Stats) error {
 	return nil
 }
 
-// rebuild re-grounds a segment and re-traces its circuit unless the
-// fingerprint proves the old circuit still replays this network.
+// rebuild re-grounds a segment and re-traces its circuit unless the new
+// network equals the old one, which proves the old circuit still replays it.
 func (s *Session) rebuild(ctx context.Context, seg *segment, st *Stats) error {
 	t0 := time.Now()
 	art, err := core.PrepareContext(ctx, s.specFor(seg))
@@ -477,16 +475,14 @@ func (s *Session) rebuild(ctx context.Context, seg *segment, st *Stats) error {
 	}
 	st.GroundMs += float64(time.Since(t0)) / float64(time.Millisecond)
 	st.Reground++
-	fp := network.Fingerprint(art.Net)
-	if seg.hasFP && fp == seg.fp && seg.circ != nil {
+	if seg.circ != nil && network.Equal(seg.art.Net, art.Net) {
 		// Structurally identical re-ground (e.g. insert+delete cancelling
 		// out): the circuit replays; only the marginals may have moved.
 		seg.art = art
 		st.ReusedCircuits++
 		return s.replay(ctx, seg, st)
 	}
-	seg.art, seg.fp, seg.hasFP = art, fp, true
-	seg.circ = nil
+	seg.art, seg.circ = art, nil
 	return s.retrace(ctx, seg, st)
 }
 

@@ -155,12 +155,12 @@ func (ne *netEmitter) toNumIDs(xs []nref) []network.NodeID {
 	return ids
 }
 
-func (ne *netEmitter) boolConst(v bool) eref        { return eref(ne.b.Bool(v)) }
-func (ne *netEmitter) constNum(v event.Value) nref  { return nref(ne.b.ConstNum(v)) }
-func (ne *netEmitter) lineage(e event.Expr) eref    { return eref(ne.b.AddExpr(e)) }
-func (ne *netEmitter) not(e eref) eref              { return eref(ne.b.Not(network.NodeID(e))) }
-func (ne *netEmitter) and(es []eref) eref           { return eref(ne.b.And(ne.toIDs(es)...)) }
-func (ne *netEmitter) or(es []eref) eref            { return eref(ne.b.Or(ne.toIDs(es)...)) }
+func (ne *netEmitter) boolConst(v bool) eref       { return eref(ne.b.Bool(v)) }
+func (ne *netEmitter) constNum(v event.Value) nref { return nref(ne.b.ConstNum(v)) }
+func (ne *netEmitter) lineage(e event.Expr) eref   { return eref(ne.b.AddExpr(e)) }
+func (ne *netEmitter) not(e eref) eref             { return eref(ne.b.Not(network.NodeID(e))) }
+func (ne *netEmitter) and(es []eref) eref          { return eref(ne.b.And(ne.toIDs(es)...)) }
+func (ne *netEmitter) or(es []eref) eref           { return eref(ne.b.Or(ne.toIDs(es)...)) }
 
 func (ne *netEmitter) and2(l, r eref) eref {
 	ne.pair[0], ne.pair[1] = network.NodeID(l), network.NodeID(r)

@@ -347,6 +347,9 @@ func (tr *translator) call(t *lang.Call) (tval, error) {
 		if err != nil {
 			return tval{}, err
 		}
+		if exp != int(int32(exp)) {
+			return tval{}, errAt(t.Args[1].Position(), "pow() exponent %d out of range", exp)
+		}
 		return numTV(tr.em.pow(b, exp)), nil
 	case "invert":
 		b, err := tr.numArg(t.Args[0])
