@@ -1,22 +1,13 @@
-// Package benchutil holds the helpers the benchmark and smoke drivers
-// (cmd/loadgen, cmd/distbench) share: latency percentiles, /metrics
-// scraping, JSON snapshot writing, and the spawn protocol for enframe child
-// processes (build the binary on demand, scrape the LISTEN line, stop with
-// SIGTERM). Extracted so the serve, what-if, distributed, and shard
-// benchmarks cannot drift apart in how they measure or how they spawn.
+// Package benchutil holds the measurement helpers of the repository's
+// benchmark (benchmark/): latency percentiles, medians and JSON result
+// writing.
 package benchutil
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"math"
-	"net/http"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"sort"
-	"syscall"
 	"time"
 )
 
@@ -48,73 +39,6 @@ func Median(xs []float64) float64 {
 	return s[len(s)/2]
 }
 
-// HistBucket is one cumulative histogram bucket as /metrics?format=json
-// encodes it: Le is a float64 upper bound or the string "+Inf".
-type HistBucket struct {
-	Le    any   `json:"le"`
-	Count int64 `json:"count"`
-}
-
-// Histogram is a scraped histogram snapshot.
-type Histogram struct {
-	Count   float64      `json:"count"`
-	Sum     float64      `json:"sum"`
-	Buckets []HistBucket `json:"buckets"`
-}
-
-// metricJSON is the /metrics?format=json row shape.
-type metricJSON struct {
-	Name    string       `json:"name"`
-	Kind    string       `json:"kind"`
-	Value   float64      `json:"value"`
-	Sum     float64      `json:"sum"`
-	Buckets []HistBucket `json:"buckets"`
-}
-
-func fetchMetrics(addr string) ([]metricJSON, error) {
-	resp, err := http.Get("http://" + addr + "/metrics?format=json")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var vals []metricJSON
-	if err := json.NewDecoder(resp.Body).Decode(&vals); err != nil {
-		return nil, err
-	}
-	return vals, nil
-}
-
-// FetchCounter reads one counter or gauge value off an enframe /metrics
-// endpoint; -1 on any failure (scrape failures degrade, they don't abort a
-// bench run).
-func FetchCounter(addr, name string) float64 {
-	vals, err := fetchMetrics(addr)
-	if err != nil {
-		return -1
-	}
-	for _, v := range vals {
-		if v.Name == name {
-			return v.Value
-		}
-	}
-	return -1
-}
-
-// FetchHistogram reads one histogram off an enframe /metrics endpoint; nil
-// on any failure.
-func FetchHistogram(addr, name string) *Histogram {
-	vals, err := fetchMetrics(addr)
-	if err != nil {
-		return nil
-	}
-	for _, v := range vals {
-		if v.Name == name && v.Kind == "histogram" {
-			return &Histogram{Count: v.Value, Sum: v.Sum, Buckets: v.Buckets}
-		}
-	}
-	return nil
-}
-
 // WriteJSON writes v to path as indented JSON.
 func WriteJSON(path string, v any) error {
 	f, err := os.Create(path)
@@ -128,77 +52,4 @@ func WriteJSON(path string, v any) error {
 		return err
 	}
 	return f.Close()
-}
-
-// BuildEnframe builds the enframe binary into a temp dir and returns its
-// path plus a cleanup func. Pass a non-empty existing path to skip the
-// build (the -enframe flag convention).
-func BuildEnframe(existing string) (string, func(), error) {
-	if existing != "" {
-		return existing, func() {}, nil
-	}
-	dir, err := os.MkdirTemp("", "enframe-bench")
-	if err != nil {
-		return "", nil, err
-	}
-	bin := filepath.Join(dir, "enframe")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/enframe")
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		os.RemoveAll(dir)
-		return "", nil, fmt.Errorf("build enframe: %w", err)
-	}
-	return bin, func() { os.RemoveAll(dir) }, nil
-}
-
-// Proc is a spawned enframe child process.
-type Proc struct {
-	Addr string
-	cmd  *exec.Cmd
-}
-
-// Stop terminates the child gracefully (SIGTERM) and waits.
-func (p *Proc) Stop() {
-	_ = p.cmd.Process.Signal(syscall.SIGTERM)
-	_, _ = p.cmd.Process.Wait()
-}
-
-// Kill terminates the child immediately (SIGKILL) and reaps it — the
-// fault-injection path for failover drills.
-func (p *Proc) Kill() {
-	_ = p.cmd.Process.Kill()
-	_, _ = p.cmd.Process.Wait()
-}
-
-// SpawnListen starts an enframe subcommand child (worker, serve, route —
-// anything that prints "LISTEN <addr>" on stdout once bound) and scrapes
-// its bound address. The child's stderr passes through; stdout keeps
-// draining in the background so the child never blocks on a full pipe.
-func SpawnListen(bin string, args ...string) (*Proc, error) {
-	cmd := exec.Command(bin, args...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	sc := bufio.NewScanner(out)
-	deadline := time.AfterFunc(30*time.Second, func() { _ = cmd.Process.Kill() })
-	for sc.Scan() {
-		var a string
-		if _, err := fmt.Sscanf(sc.Text(), "LISTEN %s", &a); err == nil {
-			deadline.Stop()
-			go func() {
-				for sc.Scan() {
-				}
-			}()
-			return &Proc{Addr: a, cmd: cmd}, nil
-		}
-	}
-	deadline.Stop()
-	_ = cmd.Process.Kill()
-	_ = cmd.Wait()
-	return nil, fmt.Errorf("%s %v: no LISTEN line on stdout", filepath.Base(bin), args)
 }

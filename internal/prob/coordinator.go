@@ -24,17 +24,6 @@ import (
 // therefore reproduce the identical result and the ε-contract
 // Upper−Lower ≤ 2ε survives worker loss.
 func CompileExec(ctx context.Context, net *network.Net, opts Options, exec JobExecutor) (*Result, error) {
-	return CompileExecObserve(ctx, net, opts, exec, nil)
-}
-
-// CompileExecObserve is CompileExec with a per-completion observer (used by
-// the distributed benchmark to collect job durations and the fork
-// precedence graph). observe runs on the coordinator goroutine after the
-// result is accepted; children IDs are jobs[res.Forks[k]] in fork order
-// starting at the value observe can compute from prior calls — the observer
-// receives the dispatched job, its result, and the IDs assigned to its
-// forked children.
-func CompileExecObserve(ctx context.Context, net *network.Net, opts Options, exec JobExecutor, observe func(j *WireJob, res *WireResult, children []uint64)) (*Result, error) {
 	opts = opts.withDefaults()
 	if len(net.Targets) == 0 {
 		return nil, ErrNoTargets
@@ -273,9 +262,6 @@ func CompileExecObserve(ctx context.Context, net *network.Net, opts Options, exe
 				total.MaxDepth = st.MaxDepth
 			}
 			total.Jobs++
-			if observe != nil {
-				observe(cj.wj, d.res, cj.children)
-			}
 			merge()
 		case <-deadlineCh:
 			timedOut = true
