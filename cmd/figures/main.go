@@ -296,19 +296,12 @@ func fig9() {
 				Workers: w, JobDepth: d, SimulateWorkers: true,
 				Timeout: *timeoutFlag * 4,
 			}
-			if w == 1 {
-				opts.Workers = 2 // the scheduler needs ≥2 virtual workers; makespan ≈ serial
-			}
 			res, err := prob.Compile(net, opts)
 			if err != nil {
 				point("9", fmt.Sprintf("d=%d", d), w, 0, "error", err.Error())
 				continue
 			}
 			secs := res.Stats.SimulatedMakespan.Seconds()
-			if w == 1 {
-				// Serial makespan: total work on one worker.
-				secs = res.Stats.Duration.Seconds()
-			}
 			status := "ok"
 			if res.TimedOut {
 				status = "timeout"

@@ -1,6 +1,7 @@
 package dist_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -336,34 +337,47 @@ func TestVersionMismatchPoolSide(t *testing.T) {
 }
 
 // TestVersionMismatchWorkerSide sends a wrong-version hello to a real
-// worker; the worker must answer with a typed error frame, not hang.
+// worker — once stamped with another revision in the frame header, once as a
+// current frame whose hello names protocol v1 — and the worker must answer
+// with a typed error frame, not hang.
 func TestVersionMismatchWorkerSide(t *testing.T) {
 	w := startWorker(t, nil)
-	c, err := net.DialTimeout("tcp", w.Addr(), 2*time.Second)
-	if err != nil {
+	var v1Hello bytes.Buffer
+	if err := dist.WriteFrame(&v1Hello, dist.MsgHello, []byte(`{"version":1,"name":"coordinator"}`)); err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	_ = c.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := c.Write([]byte{0xE5, 0x46, 99, byte(dist.MsgHello), 0, 0, 0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	mt, payload, err := dist.ReadFrame(c)
-	if err != nil {
-		t.Fatalf("worker sent no error frame: %v", err)
-	}
-	if mt != dist.MsgError {
-		t.Fatalf("want MsgError, got %v", mt)
-	}
-	var em struct {
-		Code    string `json:"code"`
-		Version int    `json:"version"`
-	}
-	if err := json.Unmarshal(payload, &em); err != nil {
-		t.Fatal(err)
-	}
-	if em.Code != "version" || em.Version != dist.ProtocolVersion {
-		t.Fatalf("error frame %+v, want code=version version=%d", em, dist.ProtocolVersion)
+	for name, first := range map[string][]byte{
+		"header": {0xE5, 0x46, 99, byte(dist.MsgHello), 0, 0, 0, 0},
+		"hello":  v1Hello.Bytes(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, err := net.DialTimeout("tcp", w.Addr(), 2*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+			if _, err := c.Write(first); err != nil {
+				t.Fatal(err)
+			}
+			mt, payload, err := dist.ReadFrame(c)
+			if err != nil {
+				t.Fatalf("worker sent no error frame: %v", err)
+			}
+			if mt != dist.MsgError {
+				t.Fatalf("want MsgError, got %v", mt)
+			}
+			var em struct {
+				Code    string `json:"code"`
+				Version int    `json:"version"`
+			}
+			if err := json.Unmarshal(payload, &em); err != nil {
+				t.Fatal(err)
+			}
+			if em.Code != "version" || em.Version != dist.ProtocolVersion {
+				t.Fatalf("error frame %+v, want code=version version=%d", em, dist.ProtocolVersion)
+			}
+		})
 	}
 }
 

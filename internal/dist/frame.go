@@ -2,7 +2,7 @@
 // processes (enframe worker) hold caches of compiled event networks and
 // execute depth-d decision-tree jobs shipped over TCP by a coordinator pool
 // that implements prob.JobExecutor. The plane is stdlib-only: length-
-// prefixed binary framing with protocol versioning, JSON message payloads,
+// prefixed binary framing stamped with one protocol version, JSON payloads,
 // per-worker heartbeats, retry-with-backoff and job reassignment on worker
 // death, and deterministic fault injection for race-enabled tests. See
 // DESIGN.md "Distributed plane".
@@ -15,23 +15,15 @@ import (
 	"io"
 )
 
-// ProtocolVersion is the highest wire protocol revision this build speaks;
-// MinProtocolVersion is the lowest it still accepts. The hello/ack handshake
-// negotiates the connection down to min(coordinator, worker), so a v2
-// coordinator interoperates with v1 workers (and vice versa) by simply not
-// using v2 features — trace-context propagation and piggybacked telemetry —
-// on that connection. Frames outside [MinProtocolVersion, ProtocolVersion]
-// fail with a VersionError.
-//
-//	v1: base plane (PR 5).
-//	v2: hello carries min_version + clock_ns; hello_ack carries pid +
-//	    clock_ns (per-connection clock-offset handshake); job frames may
-//	    carry a trace context; result frames may piggyback the worker-side
-//	    span subtree and metric deltas.
-const (
-	ProtocolVersion    = 2
-	MinProtocolVersion = 1
-)
+// ProtocolVersion is the wire protocol revision, stamped in every frame
+// header. Peers must speak exactly this revision: a frame stamped with any
+// other fails with a VersionError, and a hello naming another revision is
+// answered with a version MsgError, so a mismatched peer fails typed in both
+// directions instead of hanging. The handshake carries both sides' clock
+// readings (for the per-connection clock-offset estimate), job frames may
+// carry a trace context, and result frames may piggyback the worker-side
+// span subtree and metric deltas.
+const ProtocolVersion = 2
 
 // MaxFrameSize bounds one frame's payload; larger lengths are rejected with
 // ErrTooLarge before any allocation of that size.
@@ -122,22 +114,15 @@ type FrameError struct {
 func (e *FrameError) Error() string { return fmt.Sprintf("dist: %s: %v", e.Op, e.Err) }
 func (e *FrameError) Unwrap() error { return e.Err }
 
-// WriteFrame emits one frame at the current ProtocolVersion: magic, version,
-// type, big-endian payload length, payload.
+// WriteFrame emits one frame: magic, ProtocolVersion, type, big-endian
+// payload length, payload.
 func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
-	return WriteFrameV(w, ProtocolVersion, t, payload)
-}
-
-// WriteFrameV emits one frame stamped with an explicit protocol version —
-// how a connection that negotiated down to an older revision keeps every
-// frame it sends inside that revision.
-func WriteFrameV(w io.Writer, version uint8, t MsgType, payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return &FrameError{Op: "write", Err: ErrTooLarge}
 	}
 	var hdr [headerSize]byte
 	hdr[0], hdr[1] = frameMagic[0], frameMagic[1]
-	hdr[2] = version
+	hdr[2] = ProtocolVersion
 	hdr[3] = byte(t)
 	binary.BigEndian.PutUint32(hdr[4:], uint32(len(payload)))
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -151,50 +136,42 @@ func WriteFrameV(w io.Writer, version uint8, t MsgType, payload []byte) error {
 	return nil
 }
 
-// ReadFrame decodes one frame, discarding which in-range protocol version
-// stamped it. See ReadFrameV.
-func ReadFrame(r io.Reader) (MsgType, []byte, error) {
-	t, payload, _, err := ReadFrameV(r)
-	return t, payload, err
-}
-
-// ReadFrameV decodes one frame and returns the protocol version that stamped
-// it. A clean EOF at a frame boundary returns io.EOF; EOF mid-frame returns
-// ErrTruncated (wrapped in a FrameError); a version byte outside
-// [MinProtocolVersion, ProtocolVersion] returns a VersionError. The decoder
+// ReadFrame decodes one frame. A clean EOF at a frame boundary returns
+// io.EOF; EOF mid-frame returns ErrTruncated (wrapped in a FrameError); a
+// version byte other than ProtocolVersion returns a VersionError. The decoder
 // never panics and never allocates more than the bytes actually present: a
 // lying length field fails with ErrTruncated after reading at most the
 // available input, in bounded chunks.
-func ReadFrameV(r io.Reader) (MsgType, []byte, uint8, error) {
+func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		if errors.Is(err, io.EOF) {
-			return 0, nil, 0, io.EOF // clean close between frames
+			return 0, nil, io.EOF // clean close between frames
 		}
-		return 0, nil, 0, &FrameError{Op: "read header", Err: err}
+		return 0, nil, &FrameError{Op: "read header", Err: err}
 	}
 	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return 0, nil, 0, &FrameError{Op: "read header", Err: truncated(err)}
+		return 0, nil, &FrameError{Op: "read header", Err: truncated(err)}
 	}
 	if hdr[0] != frameMagic[0] || hdr[1] != frameMagic[1] {
-		return 0, nil, 0, &FrameError{Op: "read header", Err: ErrBadMagic}
+		return 0, nil, &FrameError{Op: "read header", Err: ErrBadMagic}
 	}
-	if hdr[2] < MinProtocolVersion || hdr[2] > ProtocolVersion {
-		return 0, nil, 0, &VersionError{Got: hdr[2], Want: ProtocolVersion}
+	if hdr[2] != ProtocolVersion {
+		return 0, nil, &VersionError{Got: hdr[2], Want: ProtocolVersion}
 	}
 	t := MsgType(hdr[3])
 	if t < MsgHello || t > MsgError {
-		return 0, nil, 0, &FrameError{Op: "read header", Err: ErrBadType}
+		return 0, nil, &FrameError{Op: "read header", Err: ErrBadType}
 	}
 	n := binary.BigEndian.Uint32(hdr[4:])
 	if n > MaxFrameSize {
-		return 0, nil, 0, &FrameError{Op: "read payload", Err: ErrTooLarge}
+		return 0, nil, &FrameError{Op: "read payload", Err: ErrTooLarge}
 	}
 	payload, err := readPayload(r, int(n))
 	if err != nil {
-		return 0, nil, 0, &FrameError{Op: "read payload", Err: truncated(err)}
+		return 0, nil, &FrameError{Op: "read payload", Err: truncated(err)}
 	}
-	return t, payload, hdr[2], nil
+	return t, payload, nil
 }
 
 // readPayload reads exactly n bytes, growing in bounded chunks so a lying

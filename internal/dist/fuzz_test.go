@@ -12,9 +12,11 @@ import (
 // oversized allocation. Valid frames must re-encode byte-identically.
 func FuzzFrame(f *testing.F) {
 	// Seed corpus: every message type with representative payloads, plus
-	// adversarial headers (checked into testdata/fuzz/FuzzFrame as well).
+	// adversarial headers (checked into testdata/fuzz/FuzzFrame as well,
+	// among them v1-hello: a protocol-v1 coordinator's first frame, which
+	// must fail as a *VersionError).
 	var seed bytes.Buffer
-	_ = WriteFrame(&seed, MsgHello, []byte(`{"version":1,"name":"coordinator"}`))
+	_ = WriteFrame(&seed, MsgHello, []byte(`{"version":2,"name":"coordinator"}`))
 	f.Add(seed.Bytes())
 	seed.Reset()
 	_ = WriteFrame(&seed, MsgJob, []byte(`{"session_key":"s","id":7,"path":[{"v":3,"b":true}],"p":0.5}`))
@@ -30,7 +32,7 @@ func FuzzFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		mt, payload, ver, err := ReadFrameV(r)
+		mt, payload, err := ReadFrame(r)
 		if err != nil {
 			if errors.Is(err, io.EOF) && len(data) > 0 {
 				// io.EOF is reserved for a clean close before any byte.
@@ -39,13 +41,20 @@ func FuzzFrame(f *testing.F) {
 			if err != io.EOF && !IsProtocolError(err) {
 				t.Fatalf("untyped decode error: %v", err)
 			}
+			// A whole header with our magic but another revision — e.g. a
+			// v1 peer's hello — must fail as a version mismatch.
+			var ve *VersionError
+			if len(data) >= headerSize && data[0] == frameMagic[0] && data[1] == frameMagic[1] &&
+				data[2] != ProtocolVersion && !errors.As(err, &ve) {
+				t.Fatalf("revision-%d frame: want *VersionError, got %v", data[2], err)
+			}
 			return
 		}
 		if len(payload) > MaxFrameSize {
 			t.Fatalf("decoded payload of %d bytes exceeds cap", len(payload))
 		}
 		var buf bytes.Buffer
-		if werr := WriteFrameV(&buf, ver, mt, payload); werr != nil {
+		if werr := WriteFrame(&buf, mt, payload); werr != nil {
 			t.Fatalf("re-encode of valid frame failed: %v", werr)
 		}
 		consumed := len(data) - r.Len()

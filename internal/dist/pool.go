@@ -15,8 +15,8 @@ import (
 )
 
 // ErrNoWorkers is returned when every worker in a pool is dead. It wraps
-// prob.ErrExecutorUnavailable so prob.MultiExecutor (and the serving layer's
-// fallback policy) can classify it as a transport-level failure.
+// prob.ErrExecutorUnavailable so the serving layer's and the CLI's fallback
+// policies classify it as a transport-level failure.
 var ErrNoWorkers = fmt.Errorf("dist: no live workers: %w", prob.ErrExecutorUnavailable)
 
 // PoolConfig configures a coordinator-side worker pool.
@@ -72,10 +72,7 @@ type poolWorker struct {
 	conn  net.Conn
 	slots int
 
-	// proto is the negotiated protocol revision for this connection; trace
-	// contexts and piggybacked telemetry flow only at v2+.
-	proto uint8
-	// remotePID is the worker's OS process ID (0 on v1 connections).
+	// remotePID is the worker's OS process ID (0 when the ack omits it).
 	remotePID int
 	// clockOffNs estimates (worker clock − coordinator clock) from the
 	// handshake: the worker's ack reading minus the midpoint of our
@@ -122,8 +119,9 @@ func (ls *loadState) finish(err error) {
 
 // NewPool dials every address and performs the protocol handshake. It fails
 // only if no worker connects; partial pools degrade gracefully. A version
-// mismatch anywhere fails the whole pool with a typed *VersionError — mixed
-// protocol revisions are a deployment error worth surfacing loudly.
+// mismatch anywhere fails the whole pool with a typed *VersionError — a
+// worker on another protocol revision is a deployment error worth surfacing
+// loudly.
 func NewPool(ctx context.Context, cfg PoolConfig) (*Pool, error) {
 	if len(cfg.Addrs) == 0 {
 		return nil, errors.New("dist: pool needs at least one worker address")
@@ -197,12 +195,7 @@ func (p *Pool) dial(ctx context.Context, index int, addr string) (*poolWorker, e
 	deadline := time.Now().Add(p.cfg.DialTimeout)
 	conn.SetDeadline(deadline)
 	t0 := time.Now()
-	hello := helloMsg{
-		Version:    ProtocolVersion,
-		MinVersion: MinProtocolVersion,
-		Name:       "coordinator",
-		ClockNs:    t0.UnixNano(),
-	}
+	hello := helloMsg{Version: ProtocolVersion, Name: "coordinator", ClockNs: t0.UnixNano()}
 	if err := WriteFrame(conn, MsgHello, encode(hello)); err != nil {
 		conn.Close()
 		return nil, err
@@ -231,14 +224,13 @@ func (p *Pool) dial(ctx context.Context, index int, addr string) (*poolWorker, e
 		conn.Close()
 		return nil, err
 	}
-	if ack.Version < MinProtocolVersion || ack.Version > ProtocolVersion {
+	if ack.Version != ProtocolVersion {
 		conn.Close()
 		return nil, &VersionError{Got: uint8(ack.Version), Want: ProtocolVersion}
 	}
 	conn.SetDeadline(time.Time{})
 	w := &poolWorker{
 		pool: p, index: index, addr: addr, conn: conn, slots: ack.Slots,
-		proto:     uint8(ack.Version),
 		remotePID: ack.PID,
 		waiters:   map[uint64]chan poolReply{},
 		sessions:  map[string]*loadState{},
@@ -261,8 +253,8 @@ func (p *Pool) dial(ctx context.Context, index int, addr string) (*poolWorker, e
 	}
 	w.gAlive.Set(1)
 	w.gInflight.Set(0)
-	p.logf("worker %d (%s) connected, %d slots, protocol v%d, clock offset %dns",
-		index, addr, w.slots, w.proto, w.clockOffNs)
+	p.logf("worker %d (%s) connected, %d slots, clock offset %dns",
+		index, addr, w.slots, w.clockOffNs)
 	return w, nil
 }
 
@@ -302,13 +294,12 @@ func (p *Pool) Close() error {
 	return nil
 }
 
-// send writes one frame on the worker connection (serialised), stamped with
-// the connection's negotiated protocol version.
+// send writes one frame on the worker connection (serialised).
 func (w *poolWorker) send(t MsgType, payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.pool.mBytesSent.Add(int64(headerSize + len(payload)))
-	if err := WriteFrameV(w.conn, w.proto, t, payload); err != nil {
+	if err := WriteFrame(w.conn, t, payload); err != nil {
 		return fmt.Errorf("dist: worker %s: %w: %w", w.addr, prob.ErrExecutorUnavailable, err)
 	}
 	return nil
@@ -573,12 +564,12 @@ func (e *PoolExecutor) runOn(ctx context.Context, w *poolWorker, j *prob.WireJob
 	jm := toJobMsg(e.sessionKey, j)
 	jm.ID = wireID
 
-	// When the caller is tracing and the connection speaks v2+, open a local
-	// "ship" span covering the attempt's wire round trip and propagate its
-	// trace context on the job frame; the worker ships its span subtree back
-	// on the result, which splices under this span on the worker's lane.
+	// When the caller is tracing, open a local "ship" span covering the
+	// attempt's wire round trip and propagate its trace context on the job
+	// frame; the worker ships its span subtree back on the result, which
+	// splices under this span on the worker's lane.
 	var ship *obs.Span
-	if parent := obs.SpanFromContext(ctx); parent != nil && w.proto >= 2 {
+	if parent := obs.SpanFromContext(ctx); parent != nil {
 		ship = parent.Start("ship")
 		ship.SetInt("job", int64(j.ID))
 		ship.SetInt("wire_id", int64(wireID))

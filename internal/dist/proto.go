@@ -18,25 +18,24 @@ import (
 // coordinator's ordered merge depends on.
 
 type helloMsg struct {
-	Version int `json:"version"`
-	// MinVersion is the lowest protocol revision the coordinator accepts
-	// (absent, meaning "Version exactly", from v1 coordinators).
-	MinVersion int    `json:"min_version,omitempty"`
-	Name       string `json:"name,omitempty"`
-	// ClockNs is the coordinator's clock reading at send time (v2+), the
-	// first half of the per-connection clock-offset handshake.
+	// Version is the coordinator's ProtocolVersion; the worker answers any
+	// other with a version MsgError.
+	Version int    `json:"version"`
+	Name    string `json:"name,omitempty"`
+	// ClockNs is the coordinator's clock reading at send time, the first
+	// half of the per-connection clock-offset handshake.
 	ClockNs int64 `json:"clock_ns,omitempty"`
 }
 
 type helloAckMsg struct {
-	// Version is the negotiated protocol revision for this connection:
-	// min(coordinator's Version, worker's Version).
+	// Version is the worker's ProtocolVersion; the coordinator fails the
+	// dial with a VersionError on any other.
 	Version int `json:"version"`
 	// Slots is the worker's parallel job capacity.
 	Slots int `json:"slots"`
-	// PID is the worker's OS process ID (v2+), shown in trace lane labels.
+	// PID is the worker's OS process ID, shown in trace lane labels.
 	PID int `json:"pid,omitempty"`
-	// ClockNs is the worker's clock reading at ack time (v2+). The
+	// ClockNs is the worker's clock reading at ack time. The
 	// coordinator estimates the per-connection offset as
 	// ClockNs − midpoint(send hello, receive ack) and uses it to map
 	// worker span timestamps onto its own clock.
@@ -140,7 +139,7 @@ type wireAssign struct {
 	B bool   `json:"b,omitempty"`
 }
 
-// wireTrace is the trace context a v2 job frame carries: enough for the
+// wireTrace is the trace context a job frame carries: enough for the
 // worker to label its local tracer and for the coordinator to know which
 // span the returned subtree belongs under.
 type wireTrace struct {
@@ -159,7 +158,7 @@ type jobMsg struct {
 	P          float64      `json:"p"`
 	E          []float64    `json:"e,omitempty"`
 	TimeoutNs  int64        `json:"timeout_ns,omitempty"`
-	// Trace, when present (v2+ and the coordinator is tracing), asks the
+	// Trace, when present (the coordinator is tracing), asks the
 	// worker to run the job under a local tracer and ship the span subtree
 	// back on the result frame.
 	Trace *wireTrace `json:"trace,omitempty"`
@@ -186,7 +185,6 @@ type wireStats struct {
 	MaskUpdates  int64 `json:"mask_updates,omitempty"`
 	BudgetPrunes int64 `json:"budget_prunes,omitempty"`
 	MaxDepth     int64 `json:"max_depth,omitempty"`
-	DurNanos     int64 `json:"dur_ns,omitempty"`
 }
 
 // wireMetric is one piggybacked worker-process metric on a result frame:
@@ -208,12 +206,12 @@ type resultMsg struct {
 	Forks    []wireFork `json:"forks,omitempty"`
 	Residual []float64  `json:"residual,omitempty"`
 	Stats    wireStats  `json:"stats"`
-	// Span is the worker-side span subtree for this job (v2+, only when
-	// the job frame carried a trace context), in the worker's clock.
+	// Span is the worker-side span subtree for this job (only when the job
+	// frame carried a trace context), in the worker's clock.
 	Span *obs.SpanExport `json:"span,omitempty"`
-	// Metrics are worker-process metric readings piggybacked on the result
-	// (v2+): no extra frames, and worker telemetry survives worker death up
-	// to its last shipped result.
+	// Metrics are worker-process metric readings piggybacked on the result:
+	// no extra frames, and worker telemetry survives worker death up to its
+	// last shipped result.
 	Metrics []wireMetric `json:"metrics,omitempty"`
 }
 
@@ -281,7 +279,6 @@ func toResultMsg(res *prob.WireResult) resultMsg {
 			MaskUpdates:  res.Stats.MaskUpdates,
 			BudgetPrunes: res.Stats.BudgetPrunes,
 			MaxDepth:     res.Stats.MaxDepth,
-			DurNanos:     res.Stats.DurNanos,
 		},
 	}
 	if len(res.Items) > 0 {
@@ -308,7 +305,6 @@ func (m *resultMsg) result() (*prob.WireResult, error) {
 			MaskUpdates:  m.Stats.MaskUpdates,
 			BudgetPrunes: m.Stats.BudgetPrunes,
 			MaxDepth:     m.Stats.MaxDepth,
-			DurNanos:     m.Stats.DurNanos,
 		},
 	}
 	if len(m.Items) > 0 {

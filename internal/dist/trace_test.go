@@ -1,7 +1,6 @@
 package dist_test
 
 import (
-	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -10,36 +9,8 @@ import (
 	"enframe/internal/obs"
 )
 
-// TestFrameVersionRoundTrip writes frames at every supported protocol
-// revision and requires the decoder to return the stamping version and the
-// re-encode to be byte-identical — the invariant the fuzz corpus relies on.
-func TestFrameVersionRoundTrip(t *testing.T) {
-	payload := []byte(`{"id":7}`)
-	for v := uint8(dist.MinProtocolVersion); v <= dist.ProtocolVersion; v++ {
-		var buf bytes.Buffer
-		if err := dist.WriteFrameV(&buf, v, dist.MsgJob, payload); err != nil {
-			t.Fatalf("v%d write: %v", v, err)
-		}
-		wire := append([]byte(nil), buf.Bytes()...)
-		mt, got, ver, err := dist.ReadFrameV(bytes.NewReader(wire))
-		if err != nil {
-			t.Fatalf("v%d read: %v", v, err)
-		}
-		if mt != dist.MsgJob || ver != v || !bytes.Equal(got, payload) {
-			t.Fatalf("v%d round trip: type %v ver %d payload %q", v, mt, ver, got)
-		}
-		buf.Reset()
-		if err := dist.WriteFrameV(&buf, ver, mt, got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), wire) {
-			t.Fatalf("v%d re-encode not byte-identical", v)
-		}
-	}
-}
-
-// startWorkerCfg is startWorker with full config control (protocol ceiling,
-// injected clock).
+// startWorkerCfg is startWorker with full config control (e.g. an injected
+// clock).
 func startWorkerCfg(t *testing.T, cfg dist.WorkerConfig) *dist.Worker {
 	t.Helper()
 	if cfg.Resolver == nil {
@@ -169,29 +140,6 @@ func TestMergedTraceWorkerLanes(t *testing.T) {
 	if remoteStart < rootStart-slack || remoteEnd > rootEnd+slack {
 		t.Fatalf("remote span window [%d,%d] not mapped into coordinator window [%d,%d] (worker clock is +1h)",
 			remoteStart, remoteEnd, rootStart, rootEnd)
-	}
-}
-
-// TestNegotiationDownToV1 pairs a v2 coordinator with a worker capped at
-// protocol v1: the connection must negotiate down and work, and no trace
-// subtrees or piggybacked metrics may flow.
-func TestNegotiationDownToV1(t *testing.T) {
-	w := startWorkerCfg(t, dist.WorkerConfig{MaxProtocol: 1})
-	reg := obs.NewRegistry()
-	pool := newPool(t, dist.PoolConfig{Addrs: []string{w.Addr()}, Reg: reg})
-
-	tr := tracedRun(t, pool, 42) // tracing on, but the wire is v1
-
-	ex := tr.Root().Export()
-	pids := map[int]int{}
-	collectPIDs(ex, pids)
-	if len(pids) != 1 {
-		t.Fatalf("v1 connection leaked remote lanes: %v", pids)
-	}
-	for _, mv := range reg.Values() {
-		if len(mv.Name) > 7 && mv.Name[:7] == "worker." {
-			t.Fatalf("v1 connection piggybacked worker metric %q", mv.Name)
-		}
 	}
 }
 

@@ -34,13 +34,9 @@ type WorkerConfig struct {
 	// beyond it. Default 8.
 	MaxSessions int
 	// Reg, when non-nil, receives dist.worker.* metrics. Its counters are
-	// also piggybacked as deltas on result frames (v2+ connections), so
-	// the coordinator's registry accumulates fleet-wide totals.
+	// also piggybacked as deltas on result frames, so the coordinator's
+	// registry accumulates fleet-wide totals.
 	Reg *obs.Registry
-	// MaxProtocol caps the protocol version this worker negotiates (0 means
-	// ProtocolVersion). Staged rollouts pin old revisions with it; tests use
-	// it to exercise cross-version negotiation.
-	MaxProtocol uint8
 	// Now is the worker's clock (default time.Now). The handshake reports
 	// its reading so the coordinator can map this worker's span timestamps
 	// onto its own clock; injecting a skewed clock tests that mapping.
@@ -87,9 +83,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = 8
-	}
-	if cfg.MaxProtocol == 0 || cfg.MaxProtocol > ProtocolVersion {
-		cfg.MaxProtocol = ProtocolVersion
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -180,12 +173,11 @@ func (w *Worker) logf(format string, args ...any) {
 }
 
 // connWriter serialises frame writes from the per-job goroutines and owns
-// the per-connection protocol version and metric-delta state.
+// the per-connection metric-delta state.
 type connWriter struct {
-	mu      sync.Mutex
-	conn    net.Conn
-	out     *obs.Counter
-	version uint8 // negotiated protocol revision (ProtocolVersion pre-handshake)
+	mu   sync.Mutex
+	conn net.Conn
+	out  *obs.Counter
 	// reg/lastVals drive counter-delta piggybacking on result frames: under
 	// mu, each result ships (current − last shipped) per counter, so sends
 	// interleaved across job goroutines never double-count.
@@ -197,21 +189,21 @@ func (cw *connWriter) send(t MsgType, payload []byte) error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
 	cw.out.Add(int64(headerSize + len(payload)))
-	return WriteFrameV(cw.conn, cw.version, t, payload)
+	return WriteFrame(cw.conn, t, payload)
 }
 
-// sendResult sends one result frame, attaching worker metric deltas on v2+
-// connections. The delta snapshot happens under the write mutex so each
-// counter increment is shipped exactly once.
+// sendResult sends one result frame with the worker's metric deltas
+// attached. The delta snapshot happens under the write mutex so each counter
+// increment is shipped exactly once.
 func (cw *connWriter) sendResult(rm resultMsg) error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
-	if cw.version >= 2 && cw.reg != nil {
+	if cw.reg != nil {
 		rm.Metrics = cw.metricDeltasLocked()
 	}
 	payload := encode(rm)
 	cw.out.Add(int64(headerSize + len(payload)))
-	return WriteFrameV(cw.conn, cw.version, MsgResult, payload)
+	return WriteFrame(cw.conn, MsgResult, payload)
 }
 
 // metricDeltasLocked snapshots the worker registry: counter deltas since the
@@ -245,18 +237,21 @@ func (w *Worker) serveConn(conn net.Conn) {
 		delete(w.conns, conn)
 		w.mu.Unlock()
 	}()
-	cw := &connWriter{conn: conn, out: w.mBytesOut, version: w.cfg.MaxProtocol, reg: w.cfg.Reg}
+	cw := &connWriter{conn: conn, out: w.mBytesOut, reg: w.cfg.Reg}
 
-	// Handshake: the coordinator speaks first. The connection negotiates
-	// down to min(both sides' Version) as long as that clears both sides'
-	// floors; otherwise MsgError is sent (best effort) before closing, so
-	// the peer fails with a typed VersionError instead of a hang.
+	// Handshake: the coordinator speaks first and must speak
+	// ProtocolVersion. On a mismatch — in the frame header or the hello —
+	// MsgError is sent (best effort) before closing, so the peer fails with
+	// a typed VersionError instead of a hang.
+	versionErr := func() {
+		_ = cw.send(MsgError, encode(errorMsg{Code: "version", Version: ProtocolVersion,
+			Msg: fmt.Sprintf("worker speaks v%d", ProtocolVersion)}))
+	}
 	t, payload, err := ReadFrame(conn)
 	if err != nil {
 		var ve *VersionError
 		if errors.As(err, &ve) {
-			_ = cw.send(MsgError, encode(errorMsg{Code: "version", Version: int(w.cfg.MaxProtocol),
-				Msg: fmt.Sprintf("worker speaks v%d", w.cfg.MaxProtocol)}))
+			versionErr()
 		}
 		w.logf("handshake: %v", err)
 		return
@@ -271,25 +266,12 @@ func (w *Worker) serveConn(conn net.Conn) {
 		w.logf("handshake: %v", err)
 		return
 	}
-	negotiated := int(w.cfg.MaxProtocol)
-	if hello.Version < negotiated {
-		negotiated = hello.Version
-	}
-	coordMin := hello.MinVersion
-	if coordMin == 0 {
-		coordMin = hello.Version // v1 coordinators require their version exactly
-	}
-	if negotiated < MinProtocolVersion || negotiated < coordMin {
-		_ = cw.send(MsgError, encode(errorMsg{Code: "version", Version: int(w.cfg.MaxProtocol),
-			Msg: fmt.Sprintf("worker speaks v%d", w.cfg.MaxProtocol)}))
+	if hello.Version != ProtocolVersion {
+		versionErr()
 		return
 	}
-	cw.version = uint8(negotiated)
-	ack := helloAckMsg{Version: negotiated, Slots: w.cfg.Slots}
-	if negotiated >= 2 {
-		ack.PID = os.Getpid()
-		ack.ClockNs = w.cfg.Now().UnixNano()
-	}
+	ack := helloAckMsg{Version: ProtocolVersion, Slots: w.cfg.Slots,
+		PID: os.Getpid(), ClockNs: w.cfg.Now().UnixNano()}
 	if err := cw.send(MsgHelloAck, encode(ack)); err != nil {
 		return
 	}
@@ -341,30 +323,23 @@ func (w *Worker) serveConn(conn net.Conn) {
 				// When the coordinator is tracing, this job runs under a
 				// local tracer whose subtree ships back on the result
 				// frame. The root opens before the slot wait so queueing
-				// shows up as its own child span.
+				// shows up as its own child span (nil without a trace).
 				var tr *obs.Trace
-				if jm.Trace != nil && cw.version >= 2 {
+				if jm.Trace != nil {
 					tr = obs.NewWithClock("job", w.cfg.Now)
+					defer tr.Finish()
 					root := tr.Root()
 					root.SetStr("trace_id", jm.Trace.ID)
 					root.SetInt("parent_span", int64(jm.Trace.Span))
 					root.SetInt("wire_id", int64(jm.ID))
-					q := root.Start("queued")
-					defer tr.Finish()
-					select {
-					case jobSlots <- struct{}{}:
-						q.End()
-						defer func() { <-jobSlots }()
-					case <-ctx.Done():
-						return
-					}
-				} else {
-					select {
-					case jobSlots <- struct{}{}:
-						defer func() { <-jobSlots }()
-					case <-ctx.Done():
-						return
-					}
+				}
+				q := tr.Root().Start("queued")
+				select {
+				case jobSlots <- struct{}{}:
+					q.End()
+					defer func() { <-jobSlots }()
+				case <-ctx.Done():
+					return
 				}
 				w.runJob(ctx, cw, jm, tr)
 			}()

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"net/http"
 	"strings"
@@ -23,18 +22,16 @@ type bucketJSON struct {
 	Count int64 `json:"count"`
 }
 
-// WriteMetricsHTTP renders a registry onto an HTTP response, negotiating
-// among three formats: ?format=json (or Accept: application/json) gets the
-// structured JSON snapshot, ?format=prometheus (or an Accept naming
-// text/plain, as Prometheus scrapers send) gets exposition-format text, and
-// everything else — including curl's bare Accept: */* — the legacy
-// human-readable dump. Every /metrics endpoint in the fleet (serve shards,
-// the shard router) shares this negotiation, so scrapers see one contract.
+// WriteMetricsHTTP renders a registry onto an HTTP response in one of two
+// formats: ?format=json (or, without a format parameter, an Accept naming
+// application/json) gets the structured JSON snapshot; everything else —
+// ?format=prometheus, a scraper's Accept: text/plain, curl's bare
+// Accept: */* — gets Prometheus exposition text. Every /metrics endpoint in
+// the fleet (serve shards, the shard router) shares this negotiation, so
+// scrapers see one contract.
 func WriteMetricsHTTP(reg *Registry, w http.ResponseWriter, r *http.Request) {
 	format := r.URL.Query().Get("format")
-	accept := r.Header.Get("Accept")
-	switch {
-	case format == "json" || (format == "" && strings.Contains(accept, "application/json")):
+	if format == "json" || (format == "" && strings.Contains(r.Header.Get("Accept"), "application/json")) {
 		vals := reg.Values()
 		out := make([]metricJSON, 0, len(vals))
 		for _, v := range vals {
@@ -51,11 +48,8 @@ func WriteMetricsHTTP(reg *Registry, w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		_ = json.NewEncoder(w).Encode(out)
-	case format == "prometheus" || (format == "" && strings.Contains(accept, "text/plain")):
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = reg.WritePrometheus(w)
-	default:
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, reg.String())
+		return
 	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_ = reg.WritePrometheus(w)
 }

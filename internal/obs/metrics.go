@@ -238,7 +238,8 @@ func (r *Registry) Values() []MetricValue {
 	return out
 }
 
-// String renders the registry as one "name kind value" line per metric.
+// String renders the registry as one "name kind value" line per metric —
+// the CLI's -metrics dump; /metrics serves Prometheus text or JSON instead.
 func (r *Registry) String() string {
 	if r == nil {
 		return ""

@@ -25,7 +25,7 @@ var ErrIncompleteCircuit = errors.New("prob: circuit is incomplete (pruned subtr
 // circuit re-creates exact marginals for any probability assignment, which
 // subsumes what the approximation strategies would cache.
 func CompileCircuit(ctx context.Context, net *network.Net, opts Options) (*circuit.Circuit, *Result, error) {
-	return compile(ctx, net, opts, true)
+	return compile(ctx, net, opts, true, nil)
 }
 
 // circuitSink is the walker's optional recorder: it builds the circuit

@@ -41,15 +41,18 @@ func CompileCtx(ctx context.Context, net *network.Net, opts Options) (*Result, e
 	// The circuit backend answers from a replay of the circuit it traces
 	// (see circuit.go); callers needing the circuit itself use
 	// CompileCircuit.
-	_, res, err := compile(ctx, net, opts, opts.Strategy == Circuit)
+	_, res, err := compile(ctx, net, opts, opts.Strategy == Circuit, nil)
 	return res, err
 }
 
-// compile is the one compilation driver behind CompileCtx and
-// CompileCircuit. With trace set it runs the exact sequential walk with a
-// circuit sink attached and answers from a replay of the recorded circuit;
-// otherwise the circuit is nil and the answer is the bounds book.
-func compile(ctx context.Context, net *network.Net, opts Options, trace bool) (*circuit.Circuit, *Result, error) {
+// compile is the one compilation driver behind CompileCtx, CompileCircuit
+// and CompileExec. It runs one of four modes: a traced sequential walk (trace
+// set: a circuit sink is attached and the answer is a replay of the recorded
+// circuit), an executor-driven run (exec non-nil, see CompileExec), the
+// in-process distributed runner (Workers > 1 or SimulateWorkers), or the
+// plain sequential walk. Every mode but the traced one answers from the
+// bounds book.
+func compile(ctx context.Context, net *network.Net, opts Options, trace bool, exec JobExecutor) (*circuit.Circuit, *Result, error) {
 	opts = opts.withDefaults()
 	if len(net.Targets) == 0 {
 		return nil, nil, ErrNoTargets
@@ -61,7 +64,7 @@ func compile(ctx context.Context, net *network.Net, opts Options, trace bool) (*
 	if trace {
 		// Epsilon and worker fan-out do not apply to a trace, and the core
 		// never consults the Circuit strategy value.
-		opts.Strategy, opts.Epsilon, opts.Workers = Exact, 0, 1
+		opts.Strategy, opts.Epsilon, opts.Workers, opts.SimulateWorkers = Exact, 0, 1, false
 	}
 	eps2 := 0.0
 	if opts.Strategy != Exact {
@@ -69,9 +72,13 @@ func compile(ctx context.Context, net *network.Net, opts Options, trace bool) (*
 	}
 	span := opts.Obs.Root().Start("compile")
 	defer span.End()
-	if trace {
+	switch {
+	case trace:
 		span.SetStr("strategy", Circuit.String())
-	} else {
+	case exec != nil:
+		span.SetStr("strategy", opts.Strategy.String())
+		span.SetStr("mode", "executor")
+	default:
 		span.SetStr("strategy", opts.Strategy.String())
 		span.SetInt("workers", int64(opts.Workers))
 	}
@@ -103,9 +110,10 @@ func compile(ctx context.Context, net *network.Net, opts Options, trace bool) (*
 	if opts.Timeout > 0 {
 		run.deadline = time.Now().Add(opts.Timeout)
 	}
-	// Cancellation watcher: dfs consults run.stop on every branch, so
-	// flipping it aborts all workers promptly. The watcher itself exits
-	// when compilation finishes, whichever comes first.
+	// Cancellation watcher: dfs consults run.stop on every branch and
+	// runExec before every dispatch, so flipping it aborts all workers
+	// promptly. The watcher itself exits when compilation finishes,
+	// whichever comes first.
 	if ctx.Done() != nil {
 		finished := make(chan struct{})
 		defer close(finished)
@@ -126,9 +134,11 @@ func compile(ctx context.Context, net *network.Net, opts Options, trace bool) (*
 	start := time.Now()
 	var stats Stats
 	switch {
-	case opts.Workers > 1 && opts.SimulateWorkers:
-		stats = run.runSimulated()
-	case opts.Workers > 1:
+	case exec != nil:
+		if stats, err = run.runExec(ctx, exec); err != nil {
+			return nil, nil, err
+		}
+	case opts.Workers > 1 || opts.SimulateWorkers:
 		stats = run.runDistributed()
 	default:
 		stats = run.runSequential(sink)
@@ -136,6 +146,7 @@ func compile(ctx context.Context, net *network.Net, opts Options, trace bool) (*
 	stats.Duration = time.Since(start)
 	stats.NetworkNodes = net.NumNodes()
 	stats.Timings.Order = orderDur
+	stats.Timings.Init = run.initDur
 	stats.MaskWords = int64(bitsetWords(net.NumNodes()))
 	stats.BatchTargets = int64(len(net.Targets))
 
@@ -217,7 +228,8 @@ type runner struct {
 	span     *obs.Span     // compile span (nil when tracing is off)
 	timeline *obs.Timeline // budget-spend timeline (nil unless traced+budgeted)
 	deadline time.Time
-	stop     atomic.Bool // set on timeout or external abort
+	initDur  time.Duration // the init stage, set by initPass
+	stop     atomic.Bool   // set on timeout or external abort
 	timedOut atomic.Bool
 	canceled atomic.Bool // set when the compile context was cancelled
 	// queue is the distributed work queue, published so the cancellation
@@ -241,34 +253,53 @@ func (r *runner) leaseBudgetBuf(n int) []float64 {
 	return make([]float64, (len(r.order)+2)*n)
 }
 
-// runSequential explores the whole decision tree on the calling goroutine.
-// A non-nil sink records the walk into a circuit: targets the initial mask
-// pass decides fire with the full unit mass and become the root node's
-// decisions.
-func (r *runner) runSequential(sink *circuitSink) Stats {
-	tInit := time.Now()
-	initSpan := r.span.Start("init")
+// initPass builds a state over the runner's bounds book and runs the initial
+// bottom-up mask pass on it, crediting targets decided without any
+// assignment. A non-nil sink records those decisions as the circuit root's.
+// Every mode runs it exactly once: its state is the sequential walk's, the
+// distributed root job's snapshot, or the coordinator's credit of the
+// decisions no job reports.
+func (r *runner) initPass(sink *circuitSink) *fstate {
+	t0 := time.Now()
+	span := r.span.Start("init")
 	s := r.attach(newFstate(r.net, r.types, r.opts, r.bounds))
-	exploreName := "explore"
 	if sink != nil {
 		s.onAdd = sink.observe
-		exploreName = "trace"
 	}
 	s.initAll()
-	initSpan.End()
-	st := &s.stats
-	st.Timings.Init = time.Since(tInit)
+	span.End()
+	r.initDur = time.Since(t0)
+	return s
+}
 
-	tExplore := time.Now()
-	exploreSpan := r.span.Start(exploreName)
-	w := &walker{state: s, run: r, sink: sink}
+// rootBudget is the error budget the decision-tree root starts with: 2ε per
+// target for the budgeted strategies, zero otherwise.
+func (r *runner) rootBudget() []float64 {
 	E := make([]float64, len(r.net.Targets))
 	if r.opts.Strategy.budgeted() {
 		for i := range E {
 			E[i] = 2 * r.opts.Epsilon
 		}
 	}
-	root := w.dfs(0, 0, -1, false, 1, E)
+	return E
+}
+
+// runSequential explores the whole decision tree on the calling goroutine.
+// A non-nil sink records the walk into a circuit: targets the initial mask
+// pass decides fire with the full unit mass and become the root node's
+// decisions.
+func (r *runner) runSequential(sink *circuitSink) Stats {
+	s := r.initPass(sink)
+	exploreName := "explore"
+	if sink != nil {
+		exploreName = "trace"
+	}
+	st := &s.stats
+
+	tExplore := time.Now()
+	exploreSpan := r.span.Start(exploreName)
+	w := &walker{state: s, run: r, sink: sink}
+	root := w.dfs(0, 0, -1, false, 1, r.rootBudget())
 	if sink != nil {
 		sink.root = root
 	}

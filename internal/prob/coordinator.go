@@ -10,9 +10,10 @@ import (
 )
 
 // CompileExec compiles the network by shipping depth-d decision-tree jobs to
-// a JobExecutor — the multi-process twin of CompileCtx's in-process
-// distributed runner. The executor may be local (NewLocalExecutor), a remote
-// worker pool (internal/dist), or a MultiExecutor mix.
+// a JobExecutor — a local Session (NewLocalExecutor) or a remote worker pool
+// (internal/dist). It is compile's executor mode: order, init pass, deadline,
+// cancellation and the epilogue are the in-process runs'; runExec below is
+// only the dispatch and ordered-merge loop.
 //
 // Determinism and idempotence: each job returns an ordered stream of bound
 // contributions with fork markers; the coordinator splices child streams at
@@ -24,45 +25,22 @@ import (
 // therefore reproduce the identical result and the ε-contract
 // Upper−Lower ≤ 2ε survives worker loss.
 func CompileExec(ctx context.Context, net *network.Net, opts Options, exec JobExecutor) (*Result, error) {
-	opts = opts.withDefaults()
-	if len(net.Targets) == 0 {
-		return nil, ErrNoTargets
-	}
-	types, err := net.Types()
-	if err != nil {
-		return nil, err
-	}
-	eps2 := 0.0
-	if opts.Strategy != Exact {
-		eps2 = 2 * opts.Epsilon
-	}
-	budgeted := opts.Strategy.budgeted()
+	_, res, err := compile(ctx, net, opts, false, exec)
+	return res, err
+}
 
-	span := opts.Obs.Root().Start("compile")
-	defer span.End()
-	span.SetStr("strategy", opts.Strategy.String())
-	span.SetStr("mode", "executor")
-	span.SetInt("targets", int64(len(net.Targets)))
-	span.SetInt("nodes", int64(net.NumNodes()))
-
-	tOrder := time.Now()
-	order := computeOrder(net, opts)
-	orderDur := time.Since(tOrder)
-
-	// The coordinator owns the authoritative book. The initial bottom-up
-	// pass credits targets decided without any assignment, exactly as the
-	// sequential run does first; job streams follow in merge order.
-	book := newBoundsBook(len(net.Targets), eps2)
-	tInit := time.Now()
-	initSpan := span.Start("init")
-	init := newFstate(net, types, opts, book)
-	init.attachRun(order, time.Time{}, nil, nil)
-	init.initAll()
-	initSpan.End()
-	initDur := time.Since(tInit)
+// runExec dispatches jobs to exec and merges their item streams into the
+// runner's bounds book. The book is authoritative: the init pass credits the
+// targets decided without any assignment, exactly as the sequential run does
+// first, and job streams follow in merge order. A job failure returns an
+// error; cancellation and timeout end the run with the runner's flags set,
+// for compile's epilogue to report.
+func (r *runner) runExec(ctx context.Context, exec JobExecutor) (Stats, error) {
+	init := r.initPass(nil)
+	budgeted := r.opts.Strategy.budgeted()
 
 	tExplore := time.Now()
-	dspan := span.Start("distribute")
+	dspan := r.span.Start("distribute")
 	defer dspan.End()
 
 	const (
@@ -79,13 +57,7 @@ func CompileExec(ctx context.Context, net *network.Net, opts Options, exec JobEx
 		withdrawn bool
 	}
 
-	E0 := make([]float64, len(net.Targets))
-	if budgeted {
-		for i := range E0 {
-			E0[i] = 2 * opts.Epsilon
-		}
-	}
-	jobs := map[uint64]*cjob{0: {wj: &WireJob{ID: 0, P: 1, E: E0}}}
+	jobs := map[uint64]*cjob{0: {wj: &WireJob{ID: 0, P: 1, E: r.rootBudget()}}}
 	pending := []uint64{0}
 	nextID := uint64(1)
 	pool := &budgetPool{}
@@ -114,7 +86,7 @@ func CompileExec(ctx context.Context, net *network.Net, opts Options, exec JobEx
 				it := cj.res.Items[f.item]
 				f.item++
 				if it.Kind == ItemAdd {
-					book.add(int(it.Target), it.IsTrue, it.Mass)
+					r.bounds.add(int(it.Target), it.IsTrue, it.Mass)
 					continue
 				}
 				mstack = append(mstack, mergeFrame{id: cj.children[it.Fork]})
@@ -136,23 +108,27 @@ func CompileExec(ctx context.Context, net *network.Net, opts Options, exec JobEx
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
 
-	var deadline time.Time
 	var deadlineCh <-chan time.Time
-	if opts.Timeout > 0 {
-		deadline = time.Now().Add(opts.Timeout)
-		t := time.NewTimer(opts.Timeout)
+	if !r.deadline.IsZero() {
+		t := time.NewTimer(time.Until(r.deadline))
 		defer t.Stop()
 		deadlineCh = t.C
+	}
+	// timeout ends dispatch with the bounds merged so far.
+	timeout := func() {
+		r.timedOut.Store(true)
+		r.stop.Store(true)
 	}
 
 	var total Stats
 	var firstErr error
-	timedOut := false
 	inflight := 0
 	ctxDone := ctx.Done()
 
 	for {
-		if firstErr == nil && !timedOut {
+		// r.stop is set by a timeout, or by cancellation (here or in
+		// compile's watcher).
+		if firstErr == nil && !r.stop.Load() {
 			for len(pending) > 0 {
 				slots := exec.Slots()
 				if slots < 1 {
@@ -170,14 +146,14 @@ func CompileExec(ctx context.Context, net *network.Net, opts Options, exec JobEx
 				// Once every target is within 2ε the remaining subtrees
 				// cannot improve the contract; skip them. Exact runs
 				// (eps2 = 0) never skip, preserving bit-identity.
-				if eps2 > 0 && book.allTight() {
+				if r.bounds.eps2 > 0 && r.bounds.allTight() {
 					cj.state = jSkipped
 					continue
 				}
-				if !deadline.IsZero() {
-					rem := time.Until(deadline)
+				if !r.deadline.IsZero() {
+					rem := time.Until(r.deadline)
 					if rem <= 0 {
-						timedOut = true
+						timeout()
 						pending = append(pending, id)
 						break
 					}
@@ -207,7 +183,7 @@ func CompileExec(ctx context.Context, net *network.Net, opts Options, exec JobEx
 				}(id, cj.wj)
 			}
 		}
-		if firstErr != nil || timedOut {
+		if firstErr != nil || r.stop.Load() {
 			for _, id := range pending {
 				jobs[id].state = jSkipped
 			}
@@ -224,7 +200,7 @@ func CompileExec(ctx context.Context, net *network.Net, opts Options, exec JobEx
 			inflight--
 			cj := jobs[d.id]
 			if d.err != nil {
-				if firstErr == nil && !timedOut && ctx.Err() == nil {
+				if firstErr == nil && !r.stop.Load() && ctx.Err() == nil {
 					firstErr = fmt.Errorf("prob: compile: %w", d.err)
 					cancelRun()
 				}
@@ -237,7 +213,7 @@ func CompileExec(ctx context.Context, net *network.Net, opts Options, exec JobEx
 				pool.deposit(d.res.Residual)
 			}
 			if d.res.TimedOut {
-				timedOut = true
+				timeout()
 			}
 			cj.children = make([]uint64, len(d.res.Forks))
 			for k := range d.res.Forks {
@@ -258,57 +234,31 @@ func CompileExec(ctx context.Context, net *network.Net, opts Options, exec JobEx
 			total.Assignments += st.Assignments
 			total.MaskUpdates += st.MaskUpdates
 			total.BudgetPrunes += st.BudgetPrunes
-			if st.MaxDepth > total.MaxDepth {
-				total.MaxDepth = st.MaxDepth
-			}
+			total.MaxDepth = max(total.MaxDepth, st.MaxDepth)
 			total.Jobs++
 			merge()
 		case <-deadlineCh:
-			timedOut = true
+			timeout()
 			deadlineCh = nil
 		case <-ctxDone:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("prob: compile: %w", ctx.Err())
-			}
+			r.canceled.Store(true)
+			r.stop.Store(true)
 			cancelRun()
 			ctxDone = nil
 		}
 	}
 
 	if firstErr != nil {
-		return nil, firstErr
+		return Stats{}, firstErr
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("prob: compile: %w", err)
+	if ctx.Err() != nil {
+		// Cancelled after the last result: compile reports ctx's error.
+		r.canceled.Store(true)
 	}
 	merge()
 
 	total.MaskUpdates += init.stats.MaskUpdates
-	total.MaskWords = int64(bitsetWords(net.NumNodes()))
-	total.BatchTargets = int64(len(net.Targets))
-	total.NetworkNodes = net.NumNodes()
-	total.Timings.Order = orderDur
-	total.Timings.Init = initDur
 	total.Timings.Explore = time.Since(tExplore)
-	total.Duration = orderDur + initDur + total.Timings.Explore
 	dspan.SetInt("jobs", total.Jobs)
-	span.SetInt("branches", total.Branches)
-	span.SetInt("max_depth", total.MaxDepth)
-	if reg := opts.Obs.Metrics(); reg != nil {
-		reg.Counter("prob.branches").Add(total.Branches)
-		reg.Counter("prob.assignments").Add(total.Assignments)
-		reg.Counter("prob.mask_updates").Add(total.MaskUpdates)
-		reg.Counter("prob.budget_prunes").Add(total.BudgetPrunes)
-		reg.Counter("prob.jobs").Add(total.Jobs)
-		reg.Counter("prob.mask_words").Add(total.MaskWords)
-		reg.Counter("prob.batch_targets").Add(total.BatchTargets)
-		reg.Gauge("prob.tree.max_depth").SetMax(float64(total.MaxDepth))
-	}
-
-	lo, hi := book.snapshot()
-	res := &Result{Stats: total, TimedOut: timedOut}
-	for i, t := range net.Targets {
-		res.Targets = append(res.Targets, clampBound(t.Name, lo[i], hi[i]))
-	}
-	return res, nil
+	return total, nil
 }

@@ -18,12 +18,28 @@ import (
 // budgets synchronise through a shared pool at job start and end. The queue
 // applies backpressure: when enough jobs are pending, workers descend past
 // the boundary locally instead of forking, bounding queue memory.
+//
+// The queue also keeps a job log — who forked each job, how long it ran,
+// how many branches it visited — from which listSchedule derives the
+// virtual makespan of a simulated run (Options.SimulateWorkers: the same
+// runner on one goroutine). CompileExec's coordinator (coordinator.go) is the
+// multi-process counterpart.
 
 type job struct {
 	snap *fsnap
 	oi   int
 	p    float64
 	E    []float64
+	// parent is the log index of the job that forked this one (-1 for the
+	// root); id is the job's own log index, assigned when it is popped.
+	parent, id int
+}
+
+// jobRecord is one entry of the queue's job log, in the order jobs start.
+type jobRecord struct {
+	parent   int // log index of the forking job; -1 for the root
+	dur      time.Duration
+	branches int64
 }
 
 type workQueue struct {
@@ -39,6 +55,8 @@ type workQueue struct {
 	stop *atomic.Bool
 	// depth publishes the pending-job count as prob.queue.depth; nil-safe.
 	depth *obs.Gauge
+	// log records every popped job; read it only after the workers exit.
+	log []jobRecord
 }
 
 func newWorkQueue(maxPending int, stop *atomic.Bool) *workQueue {
@@ -81,8 +99,8 @@ func (q *workQueue) push(j job) {
 	q.cond.Signal()
 }
 
-// pop blocks for the next job; ok is false once all work is finished or the
-// stop flag aborted the compilation.
+// pop blocks for the next job and opens its log record; ok is false once
+// all work is finished or the stop flag aborted the compilation.
 func (q *workQueue) pop() (job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -96,13 +114,16 @@ func (q *workQueue) pop() (job, bool) {
 	q.jobs[len(q.jobs)-1] = job{}
 	q.jobs = q.jobs[:len(q.jobs)-1]
 	q.depth.Set(float64(len(q.jobs)))
+	j.id = len(q.log)
+	q.log = append(q.log, jobRecord{parent: j.parent})
 	return j, true
 }
 
-// done marks one job finished; when no work remains the queue closes and
-// all waiting workers drain out.
-func (q *workQueue) done() {
+// done marks job id finished after dur and branches of work; when no work
+// remains the queue closes and all waiting workers drain out.
+func (q *workQueue) done(id int, dur time.Duration, branches int64) {
 	q.mu.Lock()
+	q.log[id].dur, q.log[id].branches = dur, branches
 	q.outstanding--
 	if q.outstanding == 0 {
 		q.closed = true
@@ -145,19 +166,25 @@ func (b *budgetPool) withdraw(E []float64) {
 	b.mu.Unlock()
 }
 
+// runDistributed explores the decision tree as depth-d jobs on the work
+// queue: Workers goroutines share it, or — with SimulateWorkers — one
+// goroutine runs every job and listSchedule places the logged jobs on Workers
+// virtual workers. The queue pops LIFO and a fork pushes at once, so a
+// single goroutine runs jobs in depth-first order under the same 4·Workers
+// backpressure as a real cluster.
 func (r *runner) runDistributed() Stats {
 	// The pristine state provides the root job's masks; its initial pass
 	// records targets decided without any assignment.
-	tInit := time.Now()
-	initSpan := r.span.Start("init")
-	pristine := r.attach(newFstate(r.net, r.types, r.opts, r.bounds))
-	pristine.initAll()
-	initSpan.End()
-	initDur := time.Since(tInit)
+	pristine := r.initPass(nil)
 
 	tExplore := time.Now()
 	dspan := r.span.Start("distribute")
 	defer dspan.End()
+	goroutines := r.opts.Workers
+	if r.opts.SimulateWorkers {
+		goroutines = 1
+		dspan.SetStr("mode", "simulated")
+	}
 
 	queue := newWorkQueue(4*r.opts.Workers, &r.stop)
 	var forkedC, inlinedC *obs.Counter
@@ -173,13 +200,7 @@ func (r *runner) runDistributed() Stats {
 		queue.interrupt()
 	}
 	pool := &budgetPool{}
-	E0 := make([]float64, len(r.net.Targets))
-	if r.opts.Strategy.budgeted() {
-		for i := range E0 {
-			E0[i] = 2 * r.opts.Epsilon
-		}
-	}
-	queue.push(job{snap: pristine.shareSnap(), oi: 0, p: 1, E: E0})
+	queue.push(job{snap: pristine.shareSnap(), p: 1, E: r.rootBudget(), parent: -1})
 
 	type workerReport struct {
 		id    int
@@ -187,8 +208,8 @@ func (r *runner) runDistributed() Stats {
 		busy  time.Duration
 	}
 	var wg sync.WaitGroup
-	statsCh := make(chan workerReport, r.opts.Workers)
-	for wi := 0; wi < r.opts.Workers; wi++ {
+	statsCh := make(chan workerReport, goroutines)
+	for wi := 0; wi < goroutines; wi++ {
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
@@ -200,6 +221,7 @@ func (r *runner) runDistributed() Stats {
 			s := r.attach(newFstate(r.net, r.types, r.opts, r.bounds))
 			st := &s.stats
 			w := &walker{state: s, run: r, forkDepth: r.opts.JobDepth}
+			cur := -1 // log index of the running job
 			w.fork = func(oi int, p float64, E []float64) bool {
 				if !queue.hasRoom() {
 					inlinedC.Add(1)
@@ -207,7 +229,7 @@ func (r *runner) runDistributed() Stats {
 				}
 				forkedC.Add(1)
 				queue.push(job{snap: s.forkSnap(), oi: oi, p: p,
-					E: append([]float64(nil), E...)})
+					E: append([]float64(nil), E...), parent: cur})
 				return true
 			}
 			for {
@@ -216,10 +238,12 @@ func (r *runner) runDistributed() Stats {
 					break
 				}
 				st.Jobs++
-				t0 := time.Now()
+				cur = j.id
+				b0, t0 := st.Branches, time.Now()
 				r.runJob(w, pool, j)
-				busy += time.Since(t0)
-				queue.done()
+				dur := time.Since(t0)
+				busy += dur
+				queue.done(j.id, dur, st.Branches-b0)
 			}
 			wspan.SetInt("jobs", st.Jobs)
 			wspan.SetInt("branches", st.Branches)
@@ -230,7 +254,7 @@ func (r *runner) runDistributed() Stats {
 	wg.Wait()
 	close(statsCh)
 	var total Stats
-	total.PerWorker = make([]WorkerStats, r.opts.Workers)
+	total.PerWorker = make([]WorkerStats, goroutines)
 	for rep := range statsCh {
 		st := rep.stats
 		total.Branches += st.Branches
@@ -244,15 +268,54 @@ func (r *runner) runDistributed() Stats {
 		total.PerWorker[rep.id] = WorkerStats{Jobs: st.Jobs, Branches: st.Branches, Busy: rep.busy}
 	}
 	total.MaskUpdates += pristine.stats.MaskUpdates
-	total.Timings.Init = initDur
 	total.Timings.Explore = time.Since(tExplore)
+	horizon := total.Timings.Explore
+	if r.opts.SimulateWorkers {
+		total.SimulatedMakespan, total.PerWorker = listSchedule(queue.log, r.opts.Workers)
+		horizon = total.SimulatedMakespan
+		dspan.SetDuration("virtual_makespan_ms", horizon)
+	}
+	dspan.SetInt("jobs", total.Jobs)
 	if reg := r.opts.Obs.Metrics(); reg != nil {
 		for wi, ws := range total.PerWorker {
 			reg.Gauge(fmt.Sprintf("prob.worker.%d.utilization", wi)).
-				Set(ws.Utilization(total.Timings.Explore))
+				Set(ws.Utilization(horizon))
 		}
 	}
 	return total
+}
+
+// listSchedule places a job log on W virtual workers with an event-driven
+// list scheduler — each job, in log order, runs on the earliest-available
+// worker (ties to the lowest index) but not before the job that forked it
+// ended — and returns the makespan and each worker's jobs, branches and
+// virtual busy time. This mirrors the paper's own methodology: "timings
+// reported for hybrid-d were obtained by simulating distributed computation
+// on a single machine" (§5).
+func listSchedule(log []jobRecord, workers int) (time.Duration, []WorkerStats) {
+	free := make([]time.Duration, workers) // when each worker next idles
+	end := make([]time.Duration, len(log))
+	per := make([]WorkerStats, workers)
+	var makespan time.Duration
+	for i, rec := range log {
+		wi := 0
+		for k := 1; k < workers; k++ {
+			if free[k] < free[wi] {
+				wi = k
+			}
+		}
+		start := free[wi]
+		if rec.parent >= 0 && end[rec.parent] > start {
+			start = end[rec.parent]
+		}
+		end[i] = start + rec.dur
+		free[wi] = end[i]
+		per[wi].Jobs++
+		per[wi].Branches += rec.branches
+		per[wi].Busy += rec.dur
+		makespan = max(makespan, end[i])
+	}
+	return makespan, per
 }
 
 // runJob adopts the job's shipped masks, tops the budget up from the shared
@@ -274,115 +337,4 @@ func (r *runner) runJob(w *walker, pool *budgetPool, j job) {
 		pool.withdraw(j.E)
 	}
 	w.dfs(0, j.oi, -1, false, j.p, j.E)
-}
-
-// runSimulated executes the distributed algorithm on the calling goroutine
-// and schedules the measured job durations onto W virtual workers with an
-// event-driven list scheduler: a job becomes ready when its forking job
-// completes, and runs on the earliest-available worker. The resulting
-// makespan lands in Stats.SimulatedMakespan. This mirrors the paper's own
-// methodology ("timings reported for hybrid-d were obtained by simulating
-// distributed computation on a single machine", §5).
-func (r *runner) runSimulated() Stats {
-	tInit := time.Now()
-	initSpan := r.span.Start("init")
-	pristine := r.attach(newFstate(r.net, r.types, r.opts, r.bounds))
-	pristine.initAll()
-	initSpan.End()
-	initDur := time.Since(tInit)
-
-	tExplore := time.Now()
-	dspan := r.span.Start("distribute")
-	dspan.SetStr("mode", "simulated")
-	defer dspan.End()
-
-	type simJob struct {
-		job
-		ready time.Duration
-	}
-	var stack []simJob
-	pool := &budgetPool{}
-	E0 := make([]float64, len(r.net.Targets))
-	if r.opts.Strategy.budgeted() {
-		for i := range E0 {
-			E0[i] = 2 * r.opts.Epsilon
-		}
-	}
-	stack = append(stack, simJob{
-		job: job{snap: pristine.shareSnap(), oi: 0, p: 1, E: E0},
-	})
-
-	s := r.attach(newFstate(r.net, r.types, r.opts, r.bounds))
-	st := &s.stats
-	w := &walker{state: s, run: r, forkDepth: r.opts.JobDepth}
-	workers := make([]time.Duration, r.opts.Workers)
-	busyPer := make([]time.Duration, r.opts.Workers)
-	jobsPer := make([]int64, r.opts.Workers)
-	var forked []job
-	maxPending := 4 * r.opts.Workers
-	var forkedC, inlinedC *obs.Counter
-	if reg := r.opts.Obs.Metrics(); reg != nil {
-		forkedC = reg.Counter("prob.jobs.forked")
-		inlinedC = reg.Counter("prob.jobs.inlined")
-	}
-	w.fork = func(oi int, p float64, E []float64) bool {
-		if len(stack)+len(forked) >= maxPending {
-			inlinedC.Add(1)
-			return false
-		}
-		forkedC.Add(1)
-		forked = append(forked, job{snap: s.forkSnap(), oi: oi, p: p,
-			E: append([]float64(nil), E...)})
-		return true
-	}
-
-	var makespan time.Duration
-	for len(stack) > 0 {
-		sj := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		st.Jobs++
-		forked = forked[:0]
-		t0 := time.Now()
-		r.runJob(w, pool, sj.job)
-		dur := time.Since(t0)
-		// Schedule onto the earliest-available worker, not before the
-		// forking job finished.
-		wi := 0
-		for i := 1; i < len(workers); i++ {
-			if workers[i] < workers[wi] {
-				wi = i
-			}
-		}
-		start := workers[wi]
-		if sj.ready > start {
-			start = sj.ready
-		}
-		end := start + dur
-		workers[wi] = end
-		busyPer[wi] += dur
-		jobsPer[wi]++
-		if end > makespan {
-			makespan = end
-		}
-		for _, j := range forked {
-			stack = append(stack, simJob{job: j, ready: end})
-		}
-	}
-	st.SimulatedMakespan = makespan
-	st.MaskUpdates += pristine.stats.MaskUpdates
-	st.Timings.Init = initDur
-	st.Timings.Explore = time.Since(tExplore)
-	st.PerWorker = make([]WorkerStats, r.opts.Workers)
-	for wi := range st.PerWorker {
-		st.PerWorker[wi] = WorkerStats{Jobs: jobsPer[wi], Busy: busyPer[wi]}
-	}
-	dspan.SetInt("jobs", st.Jobs)
-	dspan.SetDuration("virtual_makespan_ms", makespan)
-	if reg := r.opts.Obs.Metrics(); reg != nil {
-		for wi, ws := range st.PerWorker {
-			reg.Gauge(fmt.Sprintf("prob.worker.%d.utilization", wi)).
-				Set(ws.Utilization(makespan))
-		}
-	}
-	return *st
 }

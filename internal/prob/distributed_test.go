@@ -31,7 +31,6 @@ func TestWorkQueueDrains(t *testing.T) {
 				if !ok {
 					return
 				}
-				_ = j
 				// Fork up to two children per job while the budget lasts,
 				// like a worker crossing depth boundaries.
 				for c := 0; c < 2; c++ {
@@ -40,7 +39,7 @@ func TestWorkQueueDrains(t *testing.T) {
 					}
 				}
 				processed.Add(1)
-				q.done()
+				q.done(j.id, 0, 0)
 			}
 		}()
 	}

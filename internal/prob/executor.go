@@ -3,8 +3,6 @@ package prob
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sync"
 	"time"
 
 	"enframe/internal/event"
@@ -12,9 +10,9 @@ import (
 
 // ErrExecutorUnavailable marks transport-level executor failures: the worker
 // process died, the connection broke, or no executor has free capacity left.
-// The coordinator and MultiExecutor treat it as retryable on a different
-// executor; execution errors (a job that genuinely failed) are not wrapped in
-// it and fail the compilation.
+// Executors retry it on another worker (the serving layer and the CLI fall
+// back to a local compile when it escapes); execution errors (a job that
+// genuinely failed) are not wrapped in it and fail the compilation.
 var ErrExecutorUnavailable = errors.New("prob: job executor unavailable")
 
 // Assign is one Shannon-expansion decision: variable x set to Val. A job's
@@ -83,9 +81,6 @@ type JobStats struct {
 	MaskUpdates  int64
 	BudgetPrunes int64
 	MaxDepth     int64
-	// DurNanos is the job's busy time on the worker; the distributed
-	// benchmark schedules these durations onto virtual clusters.
-	DurNanos int64
 }
 
 // WireResult is a completed job: the ordered item stream, the fork specs the
@@ -104,8 +99,7 @@ type WireResult struct {
 
 // JobExecutor executes decision-tree jobs. The in-process Session-backed
 // LocalExecutor is one implementation; internal/dist's remote worker pool is
-// another; MultiExecutor composes them. Implementations must be safe for
-// concurrent ExecuteJob calls.
+// the other. Implementations must be safe for concurrent ExecuteJob calls.
 type JobExecutor interface {
 	// ExecuteJob runs one job to completion. Transport-level failures
 	// (worker death, broken pipe, no capacity) are reported as errors
@@ -137,88 +131,3 @@ func (l *LocalExecutor) ExecuteJob(ctx context.Context, j *WireJob) (*WireResult
 }
 
 func (l *LocalExecutor) Slots() int { return l.slots }
-
-// MultiExecutor fans jobs out over several executors, routing each job to
-// the least-loaded live one. An executor that fails with
-// ErrExecutorUnavailable is marked dead and the job retries on the others,
-// which is how mixed local+remote execution degrades gracefully when remote
-// workers die.
-type MultiExecutor struct {
-	mu       sync.Mutex
-	execs    []JobExecutor
-	inflight []int
-	dead     []bool
-}
-
-// NewMultiExecutor composes executors; at least one is required.
-func NewMultiExecutor(execs ...JobExecutor) *MultiExecutor {
-	return &MultiExecutor{
-		execs:    execs,
-		inflight: make([]int, len(execs)),
-		dead:     make([]bool, len(execs)),
-	}
-}
-
-// pick returns the live executor with the most free capacity, skipping
-// excluded indices; -1 when none qualifies.
-func (m *MultiExecutor) pick(exclude []bool) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	best, bestFree := -1, 0
-	for i, e := range m.execs {
-		if m.dead[i] || (exclude != nil && exclude[i]) {
-			continue
-		}
-		free := e.Slots() - m.inflight[i]
-		if best == -1 || free > bestFree {
-			best, bestFree = i, free
-		}
-	}
-	if best >= 0 {
-		m.inflight[best]++
-	}
-	return best
-}
-
-func (m *MultiExecutor) release(i int) {
-	m.mu.Lock()
-	m.inflight[i]--
-	m.mu.Unlock()
-}
-
-func (m *MultiExecutor) markDead(i int) {
-	m.mu.Lock()
-	m.dead[i] = true
-	m.mu.Unlock()
-}
-
-func (m *MultiExecutor) ExecuteJob(ctx context.Context, j *WireJob) (*WireResult, error) {
-	tried := make([]bool, len(m.execs))
-	for {
-		i := m.pick(tried)
-		if i < 0 {
-			return nil, fmt.Errorf("prob: all executors failed: %w", ErrExecutorUnavailable)
-		}
-		res, err := m.execs[i].ExecuteJob(ctx, j)
-		m.release(i)
-		if err != nil && errors.Is(err, ErrExecutorUnavailable) && ctx.Err() == nil {
-			m.markDead(i)
-			tried[i] = true
-			continue
-		}
-		return res, err
-	}
-}
-
-// Slots sums the live executors' capacity.
-func (m *MultiExecutor) Slots() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for i, e := range m.execs {
-		if !m.dead[i] {
-			n += e.Slots()
-		}
-	}
-	return n
-}

@@ -78,59 +78,6 @@ func TestCompileExecApproxContract(t *testing.T) {
 	}
 }
 
-// flakyExecutor fails every job with a transport error until failLeft hits
-// zero, then delegates — exercising MultiExecutor dead-marking and the
-// duplicate-free budget discipline across retries.
-type flakyExecutor struct {
-	inner    JobExecutor
-	failLeft atomic.Int64
-}
-
-func (f *flakyExecutor) ExecuteJob(ctx context.Context, j *WireJob) (*WireResult, error) {
-	if f.failLeft.Add(-1) >= 0 {
-		return nil, ErrExecutorUnavailable
-	}
-	return f.inner.ExecuteJob(ctx, j)
-}
-
-func (f *flakyExecutor) Slots() int { return 1 }
-
-func TestMultiExecutorFailover(t *testing.T) {
-	rng := rand.New(rand.NewSource(173))
-	net := randomNet(rng, 8, 3)
-	opts := Options{Strategy: Exact, JobDepth: 2}
-	seq, err := Compile(net, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := NewSession(net, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := &flakyExecutor{inner: NewLocalExecutor(sess, 1)}
-	bad.failLeft.Store(1 << 30) // never recovers: always unavailable
-	multi := NewMultiExecutor(bad, NewLocalExecutor(sess, 2))
-	res, err := CompileExec(context.Background(), net, opts, multi)
-	if err != nil {
-		t.Fatalf("CompileExec with failover: %v", err)
-	}
-	for i, tb := range res.Targets {
-		if math.Float64bits(tb.Lower) != math.Float64bits(seq.Targets[i].Lower) {
-			t.Fatalf("target %s: failover broke bit-identity", tb.Name)
-		}
-	}
-}
-
-func TestMultiExecutorAllDead(t *testing.T) {
-	bad := &flakyExecutor{}
-	bad.failLeft.Store(1 << 30)
-	multi := NewMultiExecutor(bad)
-	_, err := multi.ExecuteJob(context.Background(), &WireJob{})
-	if !errors.Is(err, ErrExecutorUnavailable) {
-		t.Fatalf("want ErrExecutorUnavailable, got %v", err)
-	}
-}
-
 func TestCompileExecCancel(t *testing.T) {
 	rng := rand.New(rand.NewSource(174))
 	net := randomNet(rng, 10, 3)

@@ -118,16 +118,20 @@ func TestCompileTracedSimulated(t *testing.T) {
 	if len(st.PerWorker) != 3 {
 		t.Fatalf("PerWorker has %d entries, want 3", len(st.PerWorker))
 	}
-	var jobs int64
+	var jobs, branches int64
 	var maxBusy int64
 	for _, ws := range st.PerWorker {
 		jobs += ws.Jobs
+		branches += ws.Branches
 		if int64(ws.Busy) > maxBusy {
 			maxBusy = int64(ws.Busy)
 		}
 	}
 	if jobs != st.Jobs {
 		t.Errorf("per-worker jobs sum %d != total %d", jobs, st.Jobs)
+	}
+	if branches != st.Branches {
+		t.Errorf("per-worker branches sum %d != total %d", branches, st.Branches)
 	}
 	// The virtual makespan is at least the busiest worker's busy time.
 	if int64(st.SimulatedMakespan) < maxBusy {

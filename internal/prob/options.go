@@ -82,14 +82,15 @@ type Options struct {
 	// decision-tree fragment a worker explores before forking
 	// continuations. Zero defaults to 3 (the paper's best setting).
 	JobDepth int
-	// SimulateWorkers runs the distributed algorithm on one OS thread and
-	// reports the virtual makespan of a W-worker cluster in
-	// Stats.SimulatedMakespan: jobs execute one at a time with measured
-	// durations and are placed on virtual workers by an event-driven list
-	// scheduler that respects fork precedence. The paper's hybrid-d
-	// timings were likewise "obtained by simulating distributed
-	// computation on a single machine" (§5); this container has a single
-	// CPU, so simulation is also how Fig. 9 is regenerated here.
+	// SimulateWorkers runs the distributed runner on one goroutine, with
+	// the job split and backpressure of Workers workers, and reports the
+	// virtual makespan of a Workers-worker cluster in
+	// Stats.SimulatedMakespan: the queue's job log (parent, measured
+	// duration, branches) is placed on virtual workers by a list scheduler
+	// that respects fork precedence. Workers = 1 is allowed and yields the
+	// sum of the job durations. The paper's hybrid-d timings were likewise
+	// "obtained by simulating distributed computation on a single machine"
+	// (§5); Fig. 9 is regenerated the same way.
 	SimulateWorkers bool
 	// Order overrides the variable order. Variables absent from the
 	// order are never branched on (only safe when they do not occur in
@@ -192,9 +193,9 @@ type Stats struct {
 	// Timings breaks Duration into compilation stages.
 	Timings StageTimings
 	// PerWorker holds per-worker utilisation of a distributed run, indexed
-	// by worker id (nil for sequential runs). For simulated runs, Busy is
-	// virtual busy time on the simulated cluster and Branches is zero (a
-	// single real state explores every virtual job).
+	// by worker id (nil for sequential runs). For simulated runs it is the
+	// list schedule's placement: each virtual worker's jobs, their branches
+	// and its virtual busy time.
 	PerWorker []WorkerStats
 }
 

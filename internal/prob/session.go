@@ -166,7 +166,6 @@ func (ss *Session) ExecJob(ctx context.Context, j *WireJob) (*WireResult, error)
 		MaskUpdates:  st.MaskUpdates - base.MaskUpdates,
 		BudgetPrunes: st.BudgetPrunes - base.BudgetPrunes,
 		MaxDepth:     st.MaxDepth,
-		DurNanos:     time.Since(t0).Nanoseconds(),
 	}
 	return res, nil
 }

@@ -477,9 +477,9 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	var text bytes.Buffer
 	text.ReadFrom(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"server.requests", "server.cache.misses", "server.latency_ms"} {
+	for _, want := range []string{"server_requests ", "server_cache_misses ", "server_latency_ms_ok_bucket"} {
 		if !bytes.Contains(text.Bytes(), []byte(want)) {
-			t.Errorf("/metrics text output lacks %q:\n%s", want, text.String())
+			t.Errorf("/metrics prometheus output lacks %q:\n%s", want, text.String())
 		}
 	}
 

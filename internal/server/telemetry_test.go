@@ -162,9 +162,9 @@ func TestRunTraceOptIn(t *testing.T) {
 	}
 }
 
-// TestMetricsContentNegotiation checks the three /metrics forms: Prometheus
-// text on Accept: text/plain, JSON on Accept: application/json, and the
-// legacy human-readable dump by default.
+// TestMetricsContentNegotiation checks the two /metrics forms: JSON on
+// Accept: application/json or ?format=json, Prometheus text on everything
+// else, curl's Accept: */* included.
 func TestMetricsContentNegotiation(t *testing.T) {
 	s := startTestServer(t, Config{})
 	client := &http.Client{Timeout: 10 * time.Second}
@@ -216,19 +216,24 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		t.Errorf("json metrics missing server.latency_ms.ok histogram")
 	}
 
-	// curl-style Accept: */* must keep the legacy dump.
-	resp, body = get("*/*", "")
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; charset=utf-8") {
-		t.Errorf("legacy Content-Type = %q", ct)
-	}
-	if strings.Contains(body, "# TYPE ") {
-		t.Errorf("default /metrics switched to prometheus format:\n%s", body)
+	// curl-style Accept: */* and no Accept at all get Prometheus text too.
+	for _, accept := range []string{"*/*", ""} {
+		resp, body = get(accept, "")
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+			t.Errorf("Accept %q: Content-Type = %q, want prometheus", accept, ct)
+		}
+		if !strings.Contains(body, "# TYPE ") {
+			t.Errorf("Accept %q: default /metrics is not prometheus text:\n%s", accept, body)
+		}
 	}
 
-	// Explicit query parameters override Accept.
-	resp, body = get("application/json", "?format=prometheus")
+	// Explicit query parameters override Accept, both ways.
+	_, body = get("application/json", "?format=prometheus")
 	if !strings.Contains(body, "# TYPE ") {
 		t.Errorf("?format=prometheus ignored:\n%s", body)
 	}
-	_ = resp
+	resp, _ = get("text/plain", "?format=json")
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+		t.Errorf("?format=json ignored: Content-Type = %q", ct)
+	}
 }
