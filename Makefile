@@ -28,9 +28,10 @@ vet:
 # fuzz-smoke replays the committed corpora (runs as ordinary tests) and then
 # fuzzes each target briefly; quick enough for CI.
 fuzz-smoke:
-	$(GO) test ./internal/lang ./internal/difftest ./internal/dist -run '^Fuzz'
+	$(GO) test ./internal/lang ./internal/network ./internal/difftest ./internal/dist -run '^Fuzz'
 	$(GO) test ./internal/lang -run '^$$' -fuzz '^FuzzLexer$$' -fuzztime 10s
 	$(GO) test ./internal/lang -run '^$$' -fuzz '^FuzzParser$$' -fuzztime 10s
+	$(GO) test ./internal/network -run '^$$' -fuzz '^FuzzIntern$$' -fuzztime 10s
 	$(GO) test ./internal/difftest -run '^$$' -fuzz '^FuzzPipeline$$' -fuzztime 10s
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime 10s
 

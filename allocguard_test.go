@@ -12,12 +12,13 @@ import (
 
 // frontEndAllocBudget is the ceiling on allocations per obs-disabled fused
 // front-end run (lex → parse → fused translate+ground) at the kmedoids n=24
-// benchmark scale. Measured ~11.8k since Build sweeps straight into the CSR
-// columns (~32.5k while it allocated a child and a parent slice per node;
-// materialising the event-program AST first costs ~1.51M); the headroom
-// absorbs map growth nondeterminism, not regressions — a return to AST
-// materialisation or per-node key allocation blows through it immediately.
-const frontEndAllocBudget = 45000
+// benchmark scale. Measured 2,262 since the builder interns pointer-free
+// records through an open-addressed index instead of a string-keyed map and
+// the translator reads variables by slot (11,847 before; ~32.5k while Build
+// allocated a child and a parent slice per node; materialising the
+// event-program AST first costs ~1.51M). The budget is under 1.5× the
+// measured count, so a 1.5× regression fails it.
+const frontEndAllocBudget = 3300
 
 // TestFrontEndAllocGuard holds the fused front end to its post-fusion
 // allocation profile. Run as part of `make ci` (via `make alloc-guard`).

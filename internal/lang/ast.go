@@ -5,9 +5,17 @@ import (
 	"strings"
 )
 
-// Program is a parsed user program.
+// Program is a parsed user program. The parser resolves every variable
+// name to a slot, the index of its identifier in Names: each Name, LValue,
+// loop and comprehension variable, and tuple-bound name carries its slot, so
+// an evaluator can keep its environment in a slice indexed by slot instead
+// of a map keyed by string. There is one slot per distinct identifier, not
+// per scope; a loop or comprehension variable shadows an outer binding by
+// saving and restoring the slot's value. The AST is never modified after
+// parsing, so one Program is safe to evaluate from many goroutines.
 type Program struct {
 	Stmts []Stmt
+	Names []string
 }
 
 // Stmt is a statement: an assignment, an external tuple binding, or a
@@ -30,6 +38,7 @@ type Assign struct {
 type TupleAssign struct {
 	Pos   Pos
 	Names []string
+	Slots []int
 	Fn    string
 }
 
@@ -37,6 +46,7 @@ type TupleAssign struct {
 type For struct {
 	Pos      Pos
 	Var      string
+	Slot     int
 	From, To Expr
 	Body     []Stmt
 }
@@ -54,6 +64,7 @@ func (s *For) Position() Pos         { return s.Pos }
 type LValue struct {
 	Pos     Pos
 	Name    string
+	Slot    int
 	Indices []Expr
 }
 
@@ -88,6 +99,7 @@ type NoneLit struct{ Pos Pos }
 type Name struct {
 	Pos   Pos
 	Ident string
+	Slot  int
 }
 
 // IndexExpr is `x[i]`.
@@ -124,6 +136,7 @@ type ListCompr struct {
 	Pos      Pos
 	Elem     Expr
 	Var      string
+	Slot     int
 	From, To Expr
 	Cond     Expr
 }

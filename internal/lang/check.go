@@ -7,12 +7,13 @@ import "fmt"
 // reduce_* arguments, externals only as statement right-hand sides, builtins
 // called with correct arity, and no use of undefined names.
 func Validate(prog *Program) error {
-	v := &validator{defined: map[string]bool{}}
+	v := &validator{defined: make([]bool, len(prog.Names))}
 	return v.stmts(prog.Stmts)
 }
 
+// validator tracks which slots are bound at the current point.
 type validator struct {
-	defined map[string]bool
+	defined []bool
 }
 
 func (v *validator) stmts(sts []Stmt) error {
@@ -30,8 +31,8 @@ func (v *validator) stmt(st Stmt) error {
 		if t.Fn != "loadData" && t.Fn != "loadParams" {
 			return errf(t.Pos, "tuple assignment requires loadData() or loadParams(), found %q", t.Fn)
 		}
-		for _, n := range t.Names {
-			v.defined[n] = true
+		for _, s := range t.Slots {
+			v.defined[s] = true
 		}
 		return nil
 	case *Assign:
@@ -40,7 +41,7 @@ func (v *validator) stmt(st Stmt) error {
 			if len(t.Target.Indices) != 0 {
 				return errf(t.Pos, "init() must be assigned to a plain name")
 			}
-			v.defined[t.Target.Name] = true
+			v.defined[t.Target.Slot] = true
 			return nil
 		}
 		if err := v.expr(t.Value, false); err != nil {
@@ -51,10 +52,10 @@ func (v *validator) stmt(st Stmt) error {
 				return err
 			}
 		}
-		if len(t.Target.Indices) > 0 && !v.defined[t.Target.Name] {
+		if len(t.Target.Indices) > 0 && !v.defined[t.Target.Slot] {
 			return errf(t.Pos, "array %q must be initialised before element assignment", t.Target.Name)
 		}
-		v.defined[t.Target.Name] = true
+		v.defined[t.Target.Slot] = true
 		return nil
 	case *For:
 		if err := v.rangeBound(t.From); err != nil {
@@ -63,12 +64,12 @@ func (v *validator) stmt(st Stmt) error {
 		if err := v.rangeBound(t.To); err != nil {
 			return err
 		}
-		outer := v.defined[t.Var]
-		v.defined[t.Var] = true
+		outer := v.defined[t.Slot]
+		v.defined[t.Slot] = true
 		if err := v.stmts(t.Body); err != nil {
 			return err
 		}
-		v.defined[t.Var] = outer
+		v.defined[t.Slot] = outer
 		return nil
 	}
 	return fmt.Errorf("lang: unknown statement type %T", st)
@@ -82,7 +83,7 @@ func (v *validator) rangeBound(e Expr) error {
 	case *IntLit:
 		return nil
 	case *Name:
-		if !v.defined[t.Ident] {
+		if !v.defined[t.Slot] {
 			return errf(t.Pos, "undefined name %q in range bound", t.Ident)
 		}
 		return nil
@@ -103,7 +104,7 @@ func (v *validator) expr(e Expr, insideReduce bool) error {
 	case *IntLit, *FloatLit, *BoolLit, *NoneLit:
 		return nil
 	case *Name:
-		if !v.defined[t.Ident] {
+		if !v.defined[t.Slot] {
 			return errf(t.Pos, "undefined name %q", t.Ident)
 		}
 		return nil
@@ -129,9 +130,9 @@ func (v *validator) expr(e Expr, insideReduce bool) error {
 		if err := v.rangeBound(t.To); err != nil {
 			return err
 		}
-		outer := v.defined[t.Var]
-		v.defined[t.Var] = true
-		defer func() { v.defined[t.Var] = outer }()
+		outer := v.defined[t.Slot]
+		v.defined[t.Slot] = true
+		defer func() { v.defined[t.Slot] = outer }()
 		if err := v.expr(t.Elem, false); err != nil {
 			return err
 		}

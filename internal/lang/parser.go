@@ -43,7 +43,7 @@ func Tokens(src string) ([]Token, error) {
 
 // ParseTokens parses a token stream produced by Tokens.
 func ParseTokens(toks []Token) (*Program, error) {
-	p := &parser{toks: toks}
+	p := &parser{toks: toks, slots: map[string]int{}}
 	prog := &Program{}
 	for !p.at(TokEOF) {
 		st, err := p.stmt()
@@ -52,6 +52,7 @@ func ParseTokens(toks []Token) (*Program, error) {
 		}
 		prog.Stmts = append(prog.Stmts, st)
 	}
+	prog.Names = p.names
 	return prog, nil
 }
 
@@ -72,6 +73,22 @@ type parser struct {
 	// bounds the whole parse and turns pathologically nested input into a
 	// positioned error instead of a stack overflow.
 	depth int
+	// slots numbers the variable identifiers in order of first appearance;
+	// names is its inverse, the Program's Names.
+	slots map[string]int
+	names []string
+}
+
+// slot returns the slot of a variable identifier, allocating the next one
+// on first sight.
+func (p *parser) slot(name string) int {
+	s, ok := p.slots[name]
+	if !ok {
+		s = len(p.names)
+		p.slots[name] = s
+		p.names = append(p.names, name)
+	}
+	return s
 }
 
 // maxDepth is far beyond any real program (the canonical clustering
@@ -176,18 +193,20 @@ func (p *parser) forStmt() (Stmt, error) {
 	if _, err := p.expect(TokDedent); err != nil {
 		return nil, err
 	}
-	return &For{Pos: pos, Var: name.Text, From: from, To: to, Body: body}, nil
+	return &For{Pos: pos, Var: name.Text, Slot: p.slot(name.Text), From: from, To: to, Body: body}, nil
 }
 
 func (p *parser) tupleAssign() (Stmt, error) {
 	pos := p.advance().Pos // '('
 	var names []string
+	var slots []int
 	for {
 		name, err := p.expect(TokIdent)
 		if err != nil {
 			return nil, err
 		}
 		names = append(names, name.Text)
+		slots = append(slots, p.slot(name.Text))
 		if p.at(TokComma) {
 			p.advance()
 			continue
@@ -213,7 +232,7 @@ func (p *parser) tupleAssign() (Stmt, error) {
 	if _, err := p.expect(TokNewline); err != nil {
 		return nil, err
 	}
-	return &TupleAssign{Pos: pos, Names: names, Fn: fn.Text}, nil
+	return &TupleAssign{Pos: pos, Names: names, Slots: slots, Fn: fn.Text}, nil
 }
 
 func (p *parser) assign() (Stmt, error) {
@@ -239,7 +258,7 @@ func (p *parser) lvalue() (LValue, error) {
 	if err != nil {
 		return LValue{}, err
 	}
-	lv := LValue{Pos: name.Pos, Name: name.Text}
+	lv := LValue{Pos: name.Pos, Name: name.Text, Slot: p.slot(name.Text)}
 	for p.at(TokLBracket) {
 		p.advance()
 		ix, err := p.expr()
@@ -375,7 +394,7 @@ func (p *parser) factor() (Expr, error) {
 			p.advance() // ')'
 			return p.postfix(&Call{Pos: t.Pos, Fn: t.Text, Args: args})
 		}
-		return p.postfix(&Name{Pos: t.Pos, Ident: t.Text})
+		return p.postfix(&Name{Pos: t.Pos, Ident: t.Text, Slot: p.slot(t.Text)})
 	}
 	return nil, errf(t.Pos, "expected an expression, found %v", t.Kind)
 }
@@ -462,5 +481,5 @@ func (p *parser) bracket() (Expr, error) {
 	if _, err := p.expect(TokRBracket); err != nil {
 		return nil, err
 	}
-	return &ListCompr{Pos: pos, Elem: elem, Var: v.Text, From: from, To: to, Cond: cond}, nil
+	return &ListCompr{Pos: pos, Elem: elem, Var: v.Text, Slot: p.slot(v.Text), From: from, To: to, Cond: cond}, nil
 }

@@ -2,7 +2,6 @@ package network
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -22,15 +21,8 @@ func Equal(a, b *Net) bool {
 		slices.Equal(a.KidOff, b.KidOff) && slices.Equal(a.Kids, b.Kids) &&
 		slices.Equal(a.ParOff, b.ParOff) && slices.Equal(a.Pars, b.Pars) &&
 		slices.Equal(a.Arg, b.Arg) &&
-		slices.EqualFunc(a.Vals, b.Vals, sameBits) &&
+		slices.EqualFunc(a.Vals, b.Vals, func(x, y event.Value) bool { return sameBits(&x, &y) }) &&
 		slices.Equal(a.Targets, b.Targets)
-}
-
-// sameBits reports whether two c-values are identical bit for bit, the
-// identity hash-consing gives ⊗ payloads.
-func sameBits(x, y event.Value) bool {
-	same := func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) }
-	return x.Kind == y.Kind && x.B == y.B && same(x.S, y.S) && slices.EqualFunc(x.V, y.V, same)
 }
 
 // Isomorphic reports whether two networks are structurally identical up to
@@ -61,9 +53,9 @@ func Isomorphic(a, b *Net) error {
 	// Re-intern both nets into one shared canonical id space: nodes are in
 	// topological order (kids precede parents), so a single ascending scan
 	// resolves each node's canonical form from its kids' canonical ids.
-	table := make(map[string]NodeID, a.NumNodes()+b.NumNodes())
-	ca := canonicalIDs(a, table)
-	cb := canonicalIDs(b, table)
+	var t table
+	ca := canonicalIDs(a, &t)
+	cb := canonicalIDs(b, &t)
 	for _, name := range names {
 		if ca[an[name]] != cb[bn[name]] {
 			return fmt.Errorf("network: target %q differs structurally", name)
@@ -83,9 +75,8 @@ func targetsByName(n *Net) map[string]NodeID {
 // canonicalIDs assigns every node a canonical id from the shared table. Two
 // nodes — same net or not — get the same canonical id iff their DAGs are
 // isomorphic under the Isomorphic contract.
-func canonicalIDs(net *Net, table map[string]NodeID) []NodeID {
+func canonicalIDs(net *Net, t *table) []NodeID {
 	canon := make([]NodeID, net.NumNodes())
-	var buf []byte
 	var kids []NodeID
 	for id, kind := range net.Kind {
 		kids = kids[:0]
@@ -97,17 +88,11 @@ func canonicalIDs(net *Net, table map[string]NodeID) []NodeID {
 			// canonical kid ids define the canonical order.
 			slices.Sort(kids)
 		}
-		n := node{kind: kind, arg: net.Arg[id], kids: kids}
+		var val *event.Value
 		if kind == KCondVal {
-			n.val = net.Vals[n.arg]
+			val = &net.Vals[net.Arg[id]]
 		}
-		buf = appendInternKey(buf[:0], &n)
-		c, ok := table[string(buf)]
-		if !ok {
-			c = NodeID(len(table))
-			table[string(buf)] = c
-		}
-		canon[id] = c
+		canon[id], _ = t.intern(kind, net.Arg[id], val, kids)
 	}
 	return canon
 }

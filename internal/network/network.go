@@ -6,9 +6,7 @@
 package network
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 	"unsafe"
 
@@ -194,36 +192,31 @@ func (n *Net) KindCounts() map[string]int64 {
 // Builder constructs a network with structural hash-consing: structurally
 // identical subexpressions become the same node, so the repetitive event
 // programs of data mining tasks stay compact. Construction is the serving
-// layer's cold-request hot path, so the builder is engineered for it:
-// intern keys are built into a reusable scratch buffer (a lookup allocates
-// nothing), commutative ∧/∨ children are canonically sorted before lookup
-// so argument order cannot defeat sharing, and child-id slices are carved
-// out of chunked arenas instead of one allocation per node. Build then
-// sweeps the live nodes straight into the Net's columns; the construction
-// records and their arenas die with the builder.
+// layer's cold-request hot path, so the builder is engineered for it. Each
+// vertex is a 16-byte pointer-free record whose kids sit in one shared arena
+// and whose ⊗ constant sits in a side column of c-values; an open-addressed
+// index hashes (kind, payload, ⊗ bits, kids) in place and confirms each hit
+// against the stored record, so a lookup allocates nothing. Commutative ∧/∨
+// children are canonically sorted before lookup so argument order cannot
+// defeat sharing. Build then sweeps the live records straight into the Net's
+// columns; the records, arena and index die with the builder.
 type Builder struct {
+	table
 	space    *event.Space
 	metric   vec.Distance
-	nodes    []node
-	interned map[string]NodeID
 	exprMemo map[event.Expr]NodeID
 	numMemo  map[event.NumExpr]NodeID
 	targets  []Target
 	noFold   bool
-	// keyBuf is the reusable intern-key scratch; scratch the reusable n-ary
-	// flattening buffer; pair backs fixed-arity child lists during lookup.
-	keyBuf  []byte
+	// scratch is the reusable n-ary flattening buffer; pair backs
+	// fixed-arity child lists during lookup.
 	scratch []NodeID
 	pair    [2]NodeID
-	// kidArena is the current chunk child slices are carved from.
-	kidArena []NodeID
 	// Hash-cons accounting: lookups and hits of intern, created nodes per
-	// kind, canonical reorderings, arena chunks. Published to reg (when set)
-	// by Build.
+	// kind, canonical reorderings. Published to reg (when set) by Build.
 	lookups     int64
 	hits        int64
 	canon       int64
-	arenaChunks int64
 	kindCreated [numKinds]int64
 	reg         *obs.Registry
 }
@@ -237,41 +230,9 @@ func NewBuilder(space *event.Space, metric vec.Distance) *Builder {
 	return &Builder{
 		space:    space,
 		metric:   metric,
-		interned: make(map[string]NodeID),
 		exprMemo: make(map[event.Expr]NodeID),
 		numMemo:  make(map[event.NumExpr]NodeID),
 	}
-}
-
-// kidChunkSize is the arena chunk granularity; fan-ins above a quarter chunk
-// get a dedicated allocation so one giant conjunction cannot strand a chunk.
-const kidChunkSize = 4096
-
-// arenaCopy persists a (possibly scratch-backed) child list into the arena.
-func (b *Builder) arenaCopy(kids []NodeID) []NodeID {
-	if len(kids) == 0 {
-		return nil
-	}
-	if len(kids) > kidChunkSize/4 {
-		return slices.Clone(kids)
-	}
-	if len(b.kidArena)+len(kids) > cap(b.kidArena) {
-		b.kidArena = make([]NodeID, 0, kidChunkSize)
-		b.arenaChunks++
-	}
-	start := len(b.kidArena)
-	b.kidArena = append(b.kidArena, kids...)
-	return b.kidArena[start:len(b.kidArena):len(b.kidArena)]
-}
-
-// node is the builder's construction record of one vertex: its kind, the
-// payload the built Net carries in Arg (a ⊗ node keeps its c-value in val
-// instead; Build moves it into Vals), and its arena-backed child list.
-type node struct {
-	kind Kind
-	arg  int32
-	val  event.Value
-	kids []NodeID
 }
 
 // boolArg is the Arg payload of the constant ⊤ (1) or ⊥ (0).
@@ -282,24 +243,16 @@ func boolArg(v bool) int32 {
 	return 0
 }
 
-// intern looks up the node identified by (n's payload, kids), creating it on
-// a miss. kids may alias a scratch buffer: it is only read during the
-// lookup, and copied into the arena when the node is new. The lookup itself
-// allocates nothing — the key is built into a reusable buffer and the map
-// probe uses the compiler's zero-copy string conversion.
-func (b *Builder) intern(n node, kids []NodeID) NodeID {
-	n.kids = kids
-	b.keyBuf = appendInternKey(b.keyBuf[:0], &n)
+// intern looks up the node (kind, arg, kids) — a ⊗ node by its c-value val
+// instead of arg — creating it on a miss, and counts the lookup.
+func (b *Builder) intern(kind Kind, arg int32, val *event.Value, kids []NodeID) NodeID {
 	b.lookups++
-	if id, ok := b.interned[string(b.keyBuf)]; ok {
+	id, created := b.table.intern(kind, arg, val, kids)
+	if created {
+		b.kindCreated[kind]++
+	} else {
 		b.hits++
-		return id
 	}
-	b.kindCreated[n.kind]++
-	n.kids = b.arenaCopy(kids)
-	id := NodeID(len(b.nodes))
-	b.nodes = append(b.nodes, n)
-	b.interned[string(b.keyBuf)] = id
 	return id
 }
 
@@ -318,8 +271,6 @@ type BuilderStats struct {
 	// CanonRewrites counts ∧/∨ constructions whose children arrived in
 	// non-canonical order and were sorted before the intern lookup.
 	CanonRewrites int64
-	// ArenaChunks counts the child-slice arena chunks allocated.
-	ArenaChunks int64
 	// ByKind breaks Created down per node kind.
 	ByKind map[string]int64
 }
@@ -340,7 +291,6 @@ func (b *Builder) Stats() BuilderStats {
 		Hits:          b.hits,
 		Created:       b.lookups - b.hits,
 		CanonRewrites: b.canon,
-		ArenaChunks:   b.arenaChunks,
 		ByKind:        make(map[string]int64, numKinds),
 	}
 	for k, c := range b.kindCreated {
@@ -351,61 +301,35 @@ func (b *Builder) Stats() BuilderStats {
 	return st
 }
 
-// appendInternKey appends a node's hash-cons identity — kind, payload, and
-// child ids — to buf.
-func appendInternKey(buf []byte, n *node) []byte {
-	buf = append(buf, byte(n.kind))
-	switch n.kind {
-	case KVar, KConst, KCmp, KPow:
-		buf = binary.AppendVarint(buf, int64(n.arg))
-	case KCondVal:
-		buf = append(buf, byte(n.val.Kind))
-		switch n.val.Kind {
-		case event.Scalar:
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(n.val.S))
-		case event.Vector:
-			for _, x := range n.val.V {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-			}
-		case event.Boolean:
-			buf = append(buf, byte(boolArg(n.val.B)))
-		}
-	}
-	for _, k := range n.kids {
-		buf = binary.AppendVarint(buf, int64(k))
-	}
-	return buf
-}
-
 // Var returns the leaf node for variable x.
 func (b *Builder) Var(x event.VarID) NodeID {
-	return b.intern(node{kind: KVar, arg: int32(x)}, nil)
+	return b.intern(KVar, int32(x), nil, nil)
 }
 
 // Bool returns the constant node for ⊤ or ⊥.
-func (b *Builder) Bool(v bool) NodeID { return b.intern(node{kind: KConst, arg: boolArg(v)}, nil) }
+func (b *Builder) Bool(v bool) NodeID { return b.intern(KConst, boolArg(v), nil, nil) }
 
 // intern1 and intern2 intern fixed-arity nodes through the builder-held pair
 // buffer, keeping the child list off the heap during lookup.
-func (b *Builder) intern1(n node, k NodeID) NodeID {
+func (b *Builder) intern1(kind Kind, arg int32, val *event.Value, k NodeID) NodeID {
 	b.pair[0] = k
-	return b.intern(n, b.pair[:1])
+	return b.intern(kind, arg, val, b.pair[:1])
 }
 
-func (b *Builder) intern2(n node, l, r NodeID) NodeID {
+func (b *Builder) intern2(kind Kind, arg int32, l, r NodeID) NodeID {
 	b.pair[0], b.pair[1] = l, r
-	return b.intern(n, b.pair[:2])
+	return b.intern(kind, arg, nil, b.pair[:2])
 }
 
 // Not returns ¬k, simplifying constants and double negation.
 func (b *Builder) Not(k NodeID) NodeID {
-	switch n := &b.nodes[k]; n.kind {
+	switch r := &b.recs[k]; r.kind {
 	case KConst:
-		return b.Bool(n.arg == 0)
+		return b.Bool(r.arg == 0)
 	case KNot:
-		return n.kids[0]
+		return b.kids[r.off]
 	}
-	return b.intern1(node{kind: KNot}, k)
+	return b.intern1(KNot, 0, nil, k)
 }
 
 // And returns the conjunction of ks, flattening, deduplicating, and
@@ -425,18 +349,18 @@ func (b *Builder) nary(kind Kind, ks []NodeID) NodeID {
 	}
 	flat := b.scratch[:0]
 	for _, k := range ks {
-		n := &b.nodes[k]
-		if n.kind == KConst {
-			if (n.arg != 0) == absorbing {
+		r := &b.recs[k]
+		if r.kind == KConst {
+			if (r.arg != 0) == absorbing {
 				b.scratch = flat
 				return b.Bool(absorbing)
 			}
 			continue // neutral element dropped
 		}
-		if n.kind == kind {
+		if r.kind == kind {
 			// Nested chains flatten; their children are already canonical
 			// but must be re-sorted against the siblings below.
-			flat = append(flat, n.kids...)
+			flat = append(flat, b.kidsOf(k)...)
 			continue
 		}
 		flat = append(flat, k)
@@ -457,7 +381,7 @@ func (b *Builder) nary(kind Kind, ks []NodeID) NodeID {
 	case 1:
 		return flat[0]
 	}
-	return b.intern(node{kind: kind}, flat)
+	return b.intern(kind, 0, nil, flat)
 }
 
 // dedupSorted removes adjacent duplicates in place.
@@ -471,20 +395,24 @@ func dedupSorted(xs []NodeID) []NodeID {
 	return out
 }
 
-// constOf reports whether a numeric node is a build-time constant of the
-// extended domain (a ⊗ node with a constant guard).
-func (b *Builder) constOf(id NodeID) (event.Value, bool) {
-	n := &b.nodes[id]
-	if n.kind != KCondVal {
-		return event.Value{}, false
+// undef is the value constOf reports for a ⊗ node with the guard ⊥.
+var undef = event.U
+
+// constOf returns the value of a numeric node that is a build-time constant
+// of the extended domain (a ⊗ node with a constant guard), or nil. The value
+// is shared and must not be modified.
+func (b *Builder) constOf(id NodeID) *event.Value {
+	r := &b.recs[id]
+	if r.kind != KCondVal {
+		return nil
 	}
-	if g := &b.nodes[n.kids[0]]; g.kind == KConst {
+	if g := &b.recs[b.kids[r.off]]; g.kind == KConst {
 		if g.arg != 0 {
-			return n.val, true
+			return &b.vals[r.arg]
 		}
-		return event.U, true
+		return &undef
 	}
-	return event.Value{}, false
+	return nil
 }
 
 // Cmp returns the comparison node [l op r], folded to a Boolean constant
@@ -493,18 +421,18 @@ func (b *Builder) constOf(id NodeID) (event.Value, bool) {
 // Fig. 8).
 func (b *Builder) Cmp(op event.CmpOp, l, r NodeID) NodeID {
 	if !b.noFold {
-		if lv, ok := b.constOf(l); ok {
-			if rv, ok2 := b.constOf(r); ok2 {
-				return b.Bool(event.Compare(op, lv, rv))
+		if lv := b.constOf(l); lv != nil {
+			if rv := b.constOf(r); rv != nil {
+				return b.Bool(event.Compare(op, *lv, *rv))
 			}
 		}
 	}
-	return b.intern2(node{kind: KCmp, arg: int32(op)}, l, r)
+	return b.intern2(KCmp, int32(op), l, r)
 }
 
 // CondVal returns guard ⊗ val for a constant value.
 func (b *Builder) CondVal(guard NodeID, val event.Value) NodeID {
-	return b.intern1(node{kind: KCondVal, val: val}, guard)
+	return b.intern1(KCondVal, 0, &val, guard)
 }
 
 // ConstNum returns the always-defined constant ⊤ ⊗ val.
@@ -513,16 +441,17 @@ func (b *Builder) ConstNum(val event.Value) NodeID { return b.CondVal(b.Bool(tru
 // Guard returns guard ∧ v. When v is itself a conditional constant the
 // guards are merged into a single ⊗ node.
 func (b *Builder) Guard(guard, v NodeID) NodeID {
-	if g := &b.nodes[guard]; g.kind == KConst {
+	if g := &b.recs[guard]; g.kind == KConst {
 		if g.arg != 0 {
 			return v
 		}
 		return b.CondVal(b.Bool(false), event.U)
 	}
-	if n := b.nodes[v]; n.kind == KCondVal {
-		return b.CondVal(b.And(guard, n.kids[0]), n.val)
+	if r := b.recs[v]; r.kind == KCondVal {
+		g := b.And(guard, b.kids[r.off])
+		return b.intern1(KCondVal, 0, &b.vals[r.arg], g)
 	}
-	return b.intern2(node{kind: KGuard}, guard, v)
+	return b.intern2(KGuard, 0, guard, v)
 }
 
 // Sum returns Σ ks, flattening nested sums. With constant folding enabled
@@ -541,8 +470,8 @@ func (b *Builder) naryNum(kind Kind, ks []NodeID) NodeID {
 	// identical to the emitted event program's.
 	flat := b.scratch[:0]
 	for _, k := range ks {
-		if n := &b.nodes[k]; n.kind == kind {
-			flat = append(flat, n.kids...)
+		if b.recs[k].kind == kind {
+			flat = append(flat, b.kidsOf(k)...)
 			continue
 		}
 		flat = append(flat, k)
@@ -552,10 +481,10 @@ func (b *Builder) naryNum(kind Kind, ks []NodeID) NodeID {
 		acc := event.U
 		nConst := 0
 		for _, k := range flat {
-			if v, ok := b.constOf(k); ok {
+			if v := b.constOf(k); v != nil {
 				// Defined constants pre-sum; certainly-undefined terms are
 				// the identity of + and drop out entirely.
-				acc = event.Add(acc, v)
+				acc = event.Add(acc, *v)
 				nConst++
 				continue
 			}
@@ -571,12 +500,12 @@ func (b *Builder) naryNum(kind Kind, ks []NodeID) NodeID {
 		acc := event.Num(1)
 		nConst := 0
 		for _, k := range flat {
-			if v, ok := b.constOf(k); ok {
+			if v := b.constOf(k); v != nil {
 				if v.IsUndef() {
 					// u annihilates the whole product.
 					return b.ConstNum(event.U)
 				}
-				acc = event.Mul(acc, v)
+				acc = event.Mul(acc, *v)
 				nConst++
 				continue
 			}
@@ -595,7 +524,7 @@ func (b *Builder) naryNum(kind Kind, ks []NodeID) NodeID {
 	case 1:
 		return flat[0]
 	}
-	return b.intern(node{kind: kind}, flat)
+	return b.intern(kind, 0, nil, flat)
 }
 
 // DisableConstFold turns off Σ constant folding; used by the ablation
@@ -604,34 +533,34 @@ func (b *Builder) DisableConstFold() { b.noFold = true }
 
 // Inv returns k⁻¹, folding constants.
 func (b *Builder) Inv(k NodeID) NodeID {
-	if v, ok := b.constOf(k); ok && !b.noFold {
-		return b.ConstNum(event.Inv(v))
+	if v := b.constOf(k); v != nil && !b.noFold {
+		return b.ConstNum(event.Inv(*v))
 	}
-	return b.intern1(node{kind: KInv}, k)
+	return b.intern1(KInv, 0, nil, k)
 }
 
 // Pow returns k^exp, folding constants. The exponent must fit the 32-bit
 // payload column; the translator rejects programs whose exponents do not.
 func (b *Builder) Pow(k NodeID, exp int) NodeID {
-	if v, ok := b.constOf(k); ok && !b.noFold {
-		return b.ConstNum(event.PowVal(v, exp))
+	if v := b.constOf(k); v != nil && !b.noFold {
+		return b.ConstNum(event.PowVal(*v, exp))
 	}
 	if exp != int(int32(exp)) {
 		panic(fmt.Sprintf("network: exponent %d out of range", exp))
 	}
-	return b.intern1(node{kind: KPow, arg: int32(exp)}, k)
+	return b.intern1(KPow, int32(exp), nil, k)
 }
 
 // Dist returns dist(l, r), folded when both endpoints are constant.
 func (b *Builder) Dist(l, r NodeID) NodeID {
 	if !b.noFold {
-		if lv, ok := b.constOf(l); ok {
-			if rv, ok2 := b.constOf(r); ok2 {
-				return b.ConstNum(event.DistVal(b.metric, lv, rv))
+		if lv := b.constOf(l); lv != nil {
+			if rv := b.constOf(r); rv != nil {
+				return b.ConstNum(event.DistVal(b.metric, *lv, *rv))
 			}
 		}
 	}
-	return b.intern2(node{kind: KDist}, l, r)
+	return b.intern2(KDist, 0, l, r)
 }
 
 // AddExpr compiles a Boolean event expression into the network, sharing
@@ -707,7 +636,7 @@ func (b *Builder) AddNum(x event.NumExpr) NodeID {
 
 // Target registers a compilation target for the given Boolean node.
 func (b *Builder) Target(name string, id NodeID) {
-	if !b.nodes[id].kind.IsBool() {
+	if !b.recs[id].kind.IsBool() {
 		panic(fmt.Sprintf("network: target %q is not a Boolean node", name))
 	}
 	b.targets = append(b.targets, Target{Name: name, Node: id})
@@ -737,25 +666,25 @@ func (b *Builder) Build() *Net {
 	for i := range net.VarNode {
 		net.VarNode[i] = NoNode
 	}
-	for old := range b.nodes {
+	for old := range b.recs {
 		id := remap[old]
 		if id == NoNode {
 			continue
 		}
-		n := &b.nodes[old]
-		net.Kind[id] = n.kind
+		r := &b.recs[old]
+		net.Kind[id] = r.kind
 		net.KidOff[id] = int32(len(net.Kids))
-		for _, k := range n.kids {
+		for _, k := range b.kidsOf(NodeID(old)) {
 			net.Kids = append(net.Kids, remap[k])
 			net.ParOff[remap[k]+1]++ // counted at k+1: prefix sums give starts
 		}
-		net.Arg[id] = n.arg
-		switch n.kind {
+		net.Arg[id] = r.arg
+		switch r.kind {
 		case KVar:
-			net.VarNode[n.arg] = id
+			net.VarNode[r.arg] = id
 		case KCondVal:
 			net.Arg[id] = int32(len(net.Vals))
-			net.Vals = append(net.Vals, n.val)
+			net.Vals = append(net.Vals, b.vals[r.arg])
 		}
 	}
 	net.KidOff[live] = int32(len(net.Kids))
@@ -784,7 +713,6 @@ func (b *Builder) Build() *Net {
 		b.reg.Counter("network.nodes.live").Add(int64(live))
 		b.reg.Gauge("network.hashcons.hit_rate").Set(st.HitRate())
 		b.reg.Counter("network.builder.canon_rewrites").Add(st.CanonRewrites)
-		b.reg.Counter("network.builder.arena_chunks").Add(st.ArenaChunks)
 		for kind, c := range net.KindCounts() {
 			b.reg.Counter("network.nodes.kind." + kind).Add(c)
 		}
@@ -798,7 +726,7 @@ func (b *Builder) Build() *Net {
 // live). It also counts the live nodes, their child edges, and their ⊗
 // payloads, so Build can size each column exactly.
 func (b *Builder) liveIDs() (remap []NodeID, live, edges, vals int) {
-	remap = make([]NodeID, len(b.nodes)) // 0 marks live until ids are assigned
+	remap = make([]NodeID, len(b.recs)) // 0 marks live until ids are assigned
 	if len(b.targets) > 0 {
 		for i := range remap {
 			remap[i] = NoNode
@@ -816,19 +744,19 @@ func (b *Builder) liveIDs() (remap []NodeID, live, edges, vals int) {
 		for len(stack) > 0 {
 			id := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, k := range b.nodes[id].kids {
+			for _, k := range b.kidsOf(id) {
 				mark(k)
 			}
 		}
 	}
-	for id := range b.nodes {
+	for id, r := range b.recs {
 		if remap[id] == NoNode {
 			continue
 		}
 		remap[id] = NodeID(live)
 		live++
-		edges += len(b.nodes[id].kids)
-		if b.nodes[id].kind == KCondVal {
+		edges += int(r.n)
+		if r.kind == KCondVal {
 			vals++
 		}
 	}

@@ -34,18 +34,14 @@ func (tr *translator) stmt(st lang.Stmt) error {
 		// One frame covers every iteration of the loop block; nested
 		// loops open a fresh frame per enclosing iteration (§3.5).
 		tr.pushFrame()
-		outer, had := tr.vars[t.Var]
+		outer := tr.vars[t.Slot]
 		for i := from; i < to; i++ {
-			tr.vars[t.Var] = constTV(event.Num(float64(i)))
+			tr.vars[t.Slot] = scalarTV(float64(i))
 			if err := tr.stmts(t.Body); err != nil {
 				return err
 			}
 		}
-		if had {
-			tr.vars[t.Var] = outer
-		} else {
-			delete(tr.vars, t.Var)
-		}
+		tr.vars[t.Slot] = outer
 		return tr.popFrame()
 	}
 	return fmt.Errorf("translate: unknown statement %T", st)
@@ -62,12 +58,12 @@ func (tr *translator) tupleAssign(t *lang.TupleAssign) error {
 			// O_l ≡ Φ(o_l) ⊗ o_l (Figures 1–3).
 			objs[l] = numTV(tr.em.condVal(tr.em.lineage(o.Lineage), event.Vect(o.Pos)))
 		}
-		arr := tval{arr: objs}
-		tr.vars[t.Names[0]] = arr
+		arr := arrTV(objs)
+		tr.vars[t.Slots[0]] = arr
 		if err := tr.assignArray(t.Names[0], arr); err != nil {
 			return err
 		}
-		tr.vars[t.Names[1]] = constTV(event.Num(float64(len(objs))))
+		tr.vars[t.Slots[1]] = scalarTV(float64(len(objs)))
 		if len(t.Names) == 3 {
 			if tr.ext.Matrix == nil {
 				return errAt(t.Pos, "loadData() has no matrix binding configured")
@@ -76,11 +72,11 @@ func (tr *translator) tupleAssign(t *lang.TupleAssign) error {
 			for i, r := range tr.ext.Matrix {
 				cells := make([]tval, len(r))
 				for j, x := range r {
-					cells[j] = constTV(event.Num(x))
+					cells[j] = scalarTV(x)
 				}
-				rows[i] = tval{arr: cells}
+				rows[i] = arrTV(cells)
 			}
-			tr.vars[t.Names[2]] = tval{arr: rows}
+			tr.vars[t.Slots[2]] = arrTV(rows)
 		}
 		return nil
 	case "loadParams":
@@ -88,8 +84,8 @@ func (tr *translator) tupleAssign(t *lang.TupleAssign) error {
 			return errAt(t.Pos, "loadParams() binds %d names but %d params were supplied",
 				len(t.Names), len(tr.ext.Params))
 		}
-		for i, n := range t.Names {
-			tr.vars[n] = constTV(event.Num(float64(tr.ext.Params[i])))
+		for i, slot := range t.Slots {
+			tr.vars[slot] = scalarTV(float64(tr.ext.Params[i]))
 		}
 		return nil
 	}
@@ -102,11 +98,11 @@ func (tr *translator) assignArray(sym string, v tval) error {
 	if !tr.decls {
 		return nil
 	}
-	if v.arr == nil {
+	if v.kind != tArray {
 		return tr.assignSym(sym, v)
 	}
 	for i, el := range v.arr {
-		if err := tr.assignArray(fmt.Sprintf("%s[%d]", sym, i), el); err != nil {
+		if err := tr.assignArray(elemSym(sym, i), el); err != nil {
 			return err
 		}
 	}
@@ -121,8 +117,8 @@ func (tr *translator) assign(t *lang.Assign) error {
 			o := tr.ext.Objects[ix]
 			ms[i] = numTV(tr.em.condVal(tr.em.lineage(o.Lineage), event.Vect(o.Pos)))
 		}
-		arr := tval{arr: ms}
-		tr.vars[t.Target.Name] = arr
+		arr := arrTV(ms)
+		tr.vars[t.Target.Slot] = arr
 		return tr.assignArray(t.Target.Name, arr)
 	}
 	val, err := tr.expr(t.Value)
@@ -130,14 +126,14 @@ func (tr *translator) assign(t *lang.Assign) error {
 		return err
 	}
 	if len(t.Target.Indices) == 0 {
-		tr.vars[t.Target.Name] = val
-		if val.arr != nil {
+		tr.vars[t.Target.Slot] = val
+		if val.kind == tArray {
 			return tr.assignArray(t.Target.Name, val)
 		}
 		return tr.assignSym(t.Target.Name, val)
 	}
-	cur, ok := tr.vars[t.Target.Name]
-	if !ok || cur.arr == nil {
+	cur := tr.vars[t.Target.Slot]
+	if cur.kind != tArray {
 		return errAt(t.Pos, "%q is not an initialised array", t.Target.Name)
 	}
 	sym := t.Target.Name
@@ -147,7 +143,7 @@ func (tr *translator) assign(t *lang.Assign) error {
 		if err != nil {
 			return err
 		}
-		if cell.arr == nil {
+		if cell.kind != tArray {
 			return errAt(t.Pos, "%q has fewer than %d dimensions", t.Target.Name, d+1)
 		}
 		if ix < 0 || ix >= len(cell.arr) {
@@ -155,12 +151,12 @@ func (tr *translator) assign(t *lang.Assign) error {
 		}
 		cell = &cell.arr[ix]
 		if tr.decls {
-			sym = fmt.Sprintf("%s[%d]", sym, ix)
+			sym = elemSym(sym, ix)
 		}
 	}
 	*cell = val
-	tr.vars[t.Target.Name] = cur
-	if val.arr != nil {
+	tr.vars[t.Target.Slot] = cur
+	if val.kind == tArray {
 		return tr.assignArray(sym, val)
 	}
 	return tr.assignSym(sym, val)
@@ -181,20 +177,22 @@ func (tr *translator) intExpr(e lang.Expr) (int, error) {
 func (tr *translator) expr(e lang.Expr) (tval, error) {
 	switch t := e.(type) {
 	case *lang.IntLit:
-		return constTV(event.Num(float64(t.V))), nil
+		return scalarTV(float64(t.V)), nil
 	case *lang.FloatLit:
-		return constTV(event.Num(t.V)), nil
+		return scalarTV(t.V), nil
 	case *lang.BoolLit:
-		return constTV(event.Bool(t.V)), nil
+		return tval{kind: tTruth, b: t.V}, nil
 	case *lang.NoneLit:
 		return noneTV(), nil
 	case *lang.Name:
-		v, ok := tr.vars[t.Ident]
-		if !ok {
+		v := tr.vars[t.Slot]
+		if v.kind == tUnbound {
 			return tval{}, errAt(t.Pos, "undefined name %q", t.Ident)
 		}
-		if err := tr.readAlignTree(t.Ident, v); err != nil {
-			return tval{}, err
+		if tr.decls {
+			if err := tr.readAlignTree(t.Ident, v); err != nil {
+				return tval{}, err
+			}
 		}
 		return v, nil
 	case *lang.IndexExpr:
@@ -206,7 +204,7 @@ func (tr *translator) expr(e lang.Expr) (tval, error) {
 		if err != nil {
 			return tval{}, err
 		}
-		if base.arr == nil {
+		if base.kind != tArray {
 			return tval{}, errAt(t.Pos, "indexing a non-array")
 		}
 		if ix < 0 || ix >= len(base.arr) {
@@ -222,7 +220,7 @@ func (tr *translator) expr(e lang.Expr) (tval, error) {
 		for i := range arr {
 			arr[i] = noneTV()
 		}
-		return tval{arr: arr}, nil
+		return arrTV(arr), nil
 	case *lang.BinOp:
 		return tr.binop(t)
 	case *lang.Call:
@@ -234,14 +232,11 @@ func (tr *translator) expr(e lang.Expr) (tval, error) {
 }
 
 // readAlignTree emits block-entry copies for every element of a read
-// variable; a no-op on the fused path.
+// variable; the fused path, which emits no declarations, never calls it.
 func (tr *translator) readAlignTree(sym string, v tval) error {
-	if !tr.decls {
-		return nil
-	}
-	if v.arr != nil {
+	if v.kind == tArray {
 		for i, el := range v.arr {
-			if err := tr.readAlignTree(fmt.Sprintf("%s[%d]", sym, i), el); err != nil {
+			if err := tr.readAlignTree(elemSym(sym, i), el); err != nil {
 				return err
 			}
 		}
@@ -260,18 +255,18 @@ func (tr *translator) binop(t *lang.BinOp) (tval, error) {
 		return tval{}, err
 	}
 	// Constant folding keeps loop bounds and indices compile-time.
-	if l.isConst && r.isConst {
+	if l.isConst() && r.isConst() {
 		switch t.Op {
 		case "+":
-			return constTV(event.Add(l.constV, r.constV)), nil
+			return constTV(event.Add(l.constV(), r.constV())), nil
 		case "*":
-			return constTV(event.Mul(l.constV, r.constV)), nil
+			return constTV(event.Mul(l.constV(), r.constV())), nil
 		default:
 			op, err := cmpOp(t.Op)
 			if err != nil {
 				return tval{}, errAt(t.Pos, "%v", err)
 			}
-			return constTV(event.Bool(event.Compare(op, l.constV, r.constV))), nil
+			return constTV(event.Bool(event.Compare(op, l.constV(), r.constV()))), nil
 		}
 	}
 	ln, ok := l.numRef(tr.em)
@@ -412,44 +407,44 @@ func (tr *translator) breakTies(t *lang.Call, arg tval) (tval, error) {
 	}
 	switch t.Fn {
 	case "breakTies":
-		if arg.arr == nil {
+		if arg.kind != tArray {
 			return tval{}, errAt(t.Pos, "breakTies() expects an array")
 		}
 		cells, err := firstTrue(arg.arr)
 		if err != nil {
 			return tval{}, err
 		}
-		return tval{arr: cells}, nil
+		return arrTV(cells), nil
 	case "breakTies1":
-		if arg.arr == nil {
+		if arg.kind != tArray {
 			return tval{}, errAt(t.Pos, "breakTies1() expects a 2-dimensional array")
 		}
 		out := make([]tval, len(arg.arr))
 		for i, row := range arg.arr {
-			if row.arr == nil {
+			if row.kind != tArray {
 				return tval{}, errAt(t.Pos, "breakTies1() expects a 2-dimensional array")
 			}
 			cells, err := firstTrue(row.arr)
 			if err != nil {
 				return tval{}, err
 			}
-			out[i] = tval{arr: cells}
+			out[i] = arrTV(cells)
 		}
-		return tval{arr: out}, nil
+		return arrTV(out), nil
 	case "breakTies2":
-		if arg.arr == nil || len(arg.arr) == 0 || arg.arr[0].arr == nil {
+		if arg.kind != tArray || len(arg.arr) == 0 || arg.arr[0].kind != tArray {
 			return tval{}, errAt(t.Pos, "breakTies2() expects a 2-dimensional array")
 		}
 		k := len(arg.arr)
 		n := len(arg.arr[0].arr)
 		out := make([]tval, k)
 		for i := range out {
-			out[i] = tval{arr: make([]tval, n)}
+			out[i] = arrTV(make([]tval, n))
 		}
 		col := make([]tval, k)
 		for l := 0; l < n; l++ {
 			for i := 0; i < k; i++ {
-				if arg.arr[i].arr == nil || len(arg.arr[i].arr) != n {
+				if arg.arr[i].kind != tArray || len(arg.arr[i].arr) != n {
 					return tval{}, errAt(t.Pos, "breakTies2() expects a rectangular array")
 				}
 				col[i] = arg.arr[i].arr[l]
@@ -462,7 +457,7 @@ func (tr *translator) breakTies(t *lang.Call, arg tval) (tval, error) {
 				out[i].arr[l] = cells[i]
 			}
 		}
-		return tval{arr: out}, nil
+		return arrTV(out), nil
 	}
 	return tval{}, errAt(t.Pos, "unknown tie breaker %q", t.Fn)
 }
@@ -481,19 +476,13 @@ func (tr *translator) reduce(t *lang.Call) (tval, error) {
 	if err != nil {
 		return tval{}, err
 	}
-	outer, had := tr.vars[lc.Var]
-	defer func() {
-		if had {
-			tr.vars[lc.Var] = outer
-		} else {
-			delete(tr.vars, lc.Var)
-		}
-	}()
+	outer := tr.vars[lc.Slot]
+	defer func() { tr.vars[lc.Slot] = outer }()
 
 	var bools []eref
 	var nums []nref
 	for i := from; i < to; i++ {
-		tr.vars[lc.Var] = constTV(event.Num(float64(i)))
+		tr.vars[lc.Slot] = scalarTV(float64(i))
 		cond := tr.em.boolConst(true)
 		if lc.Cond != nil {
 			cv, err := tr.expr(lc.Cond)
@@ -563,7 +552,7 @@ func (tr *translator) reduce(t *lang.Call) (tval, error) {
 		return numTV(tr.em.sum(nums)), nil
 	case "reduce_mult":
 		if len(nums) == 0 {
-			return constTV(event.Num(1)), nil
+			return scalarTV(1), nil
 		}
 		return numTV(tr.em.prod(nums)), nil
 	}

@@ -120,13 +120,13 @@ func Translate(prog *lang.Program, ext External) (*Result, error) {
 		space = event.NewSpace()
 	}
 	ae := newASTEmitter(event.NewProgram(space))
-	tr := &translator{
-		ext:    ext,
-		em:     ae,
-		decls:  true,
-		vars:   map[string]tval{},
-		labels: map[string]*labelStack{},
-		frames: []*frame{{}},
+	tr := newTranslator(prog, ext, ae)
+	tr.decls = true
+	tr.labels = map[string]*labelStack{}
+	tr.frames = []*frame{{}}
+	tr.slotOf = make(map[string]int, len(prog.Names))
+	for slot, name := range prog.Names {
+		tr.slotOf[name] = slot
 	}
 	if err := tr.stmts(prog.Stmts); err != nil {
 		return nil, err
@@ -136,8 +136,8 @@ func Translate(prog *lang.Program, ext External) (*Result, error) {
 		finalB:  map[string]event.Expr{},
 		finalN:  map[string]event.NumExpr{},
 	}
-	for name, v := range tr.vars {
-		exportAST(ae, res, name, v)
+	for slot, v := range tr.vars {
+		exportAST(ae, res, prog.Names[slot], v)
 	}
 	span.SetInt("decls", int64(len(ae.prog.Decls)))
 	span.SetInt("symbols", int64(len(res.finalB)+len(res.finalN)))
@@ -158,11 +158,7 @@ func TranslateInto(prog *lang.Program, ext External, b *network.Builder) (*NetRe
 	span := ext.Obs.Root().Start("translate+ground")
 	defer span.End()
 	ne := &netEmitter{b: b}
-	tr := &translator{
-		ext:  ext,
-		em:   ne,
-		vars: map[string]tval{},
-	}
+	tr := newTranslator(prog, ext, ne)
 	if err := tr.stmts(prog.Stmts); err != nil {
 		return nil, err
 	}
@@ -170,21 +166,21 @@ func TranslateInto(prog *lang.Program, ext External, b *network.Builder) (*NetRe
 		finalB: map[string]network.NodeID{},
 		finalN: map[string]network.NodeID{},
 	}
-	for name, v := range tr.vars {
-		exportNet(ne, res, name, v)
+	for slot, v := range tr.vars {
+		exportNet(ne, res, prog.Names[slot], v)
 	}
 	span.SetInt("symbols", int64(len(res.finalB)+len(res.finalN)))
 	return res, nil
 }
 
+// elemSym is the flattened symbol of element i of array symbol sym.
+func elemSym(sym string, i int) string { return sym + "[" + strconv.Itoa(i) + "]" }
+
 func exportAST(ae *astEmitter, res *Result, sym string, v tval) {
-	if v.arr != nil {
+	if v.kind == tArray {
 		for i, el := range v.arr {
-			exportAST(ae, res, fmt.Sprintf("%s[%d]", sym, i), el)
+			exportAST(ae, res, elemSym(sym, i), el)
 		}
-		return
-	}
-	if v.none {
 		return
 	}
 	if b, ok := v.boolRef(ae); ok {
@@ -197,13 +193,10 @@ func exportAST(ae *astEmitter, res *Result, sym string, v tval) {
 }
 
 func exportNet(ne *netEmitter, res *NetResult, sym string, v tval) {
-	if v.arr != nil {
+	if v.kind == tArray {
 		for i, el := range v.arr {
-			exportNet(ne, res, fmt.Sprintf("%s[%d]", sym, i), el)
+			exportNet(ne, res, elemSym(sym, i), el)
 		}
-		return
-	}
-	if v.none {
 		return
 	}
 	if b, ok := v.boolRef(ne); ok {
@@ -216,55 +209,96 @@ func exportNet(ne *netEmitter, res *NetResult, sym string, v tval) {
 }
 
 // tval is a symbolic value: a compile-time constant, a Boolean event, a
-// c-value, an array, or the uninitialised placeholder. Event values are
-// emitter handles, not AST pointers, so the evaluator is back-end agnostic.
+// c-value, an array, or the uninitialised placeholder; the zero tval is an
+// unbound variable slot. Event values are emitter handles, not AST pointers,
+// so the evaluator is back-end agnostic. Compile-time constants are only
+// ever scalars or Booleans — literals, parameters, matrix cells, loop
+// indices, and folds of those — so a tval stays small enough to return by
+// value.
 type tval struct {
-	none    bool
-	isConst bool
-	hasEv   bool
-	hasNum  bool
-	ev      eref
-	num     nref
-	constV  event.Value
-	arr     []tval
+	kind tkind
+	// b is a Boolean constant; ref the handle of a Boolean event (an eref)
+	// or of a c-value (an nref); s a scalar constant; arr an array's cells.
+	b   bool
+	ref int32
+	s   float64
+	arr []tval
 }
 
-func constTV(v event.Value) tval { return tval{isConst: true, constV: v} }
+// tkind discriminates tval.
+type tkind uint8
 
-func boolTV(e eref) tval { return tval{hasEv: true, ev: e} }
+const (
+	tUnbound tkind = iota
+	tNone
+	tScalar
+	tTruth
+	tEvent
+	tNum
+	tArray
+)
 
-func numTV(n nref) tval { return tval{hasNum: true, num: n} }
+// constTV wraps a folded compile-time constant, which is a scalar or a
+// Boolean by construction.
+func constTV(v event.Value) tval {
+	switch v.Kind {
+	case event.Scalar:
+		return scalarTV(v.S)
+	case event.Boolean:
+		return tval{kind: tTruth, b: v.B}
+	}
+	panic(fmt.Sprintf("translate: %s compile-time constant", v.Kind))
+}
 
-func noneTV() tval { return tval{none: true} }
+func scalarTV(s float64) tval { return tval{kind: tScalar, s: s} }
+
+func boolTV(e eref) tval { return tval{kind: tEvent, ref: int32(e)} }
+
+func numTV(n nref) tval { return tval{kind: tNum, ref: int32(n)} }
+
+func noneTV() tval { return tval{kind: tNone} }
+
+func arrTV(cells []tval) tval { return tval{kind: tArray, arr: cells} }
+
+// isConst reports whether the value is a compile-time constant; constV
+// returns it.
+func (v *tval) isConst() bool { return v.kind == tScalar || v.kind == tTruth }
+
+func (v *tval) constV() event.Value {
+	if v.kind == tTruth {
+		return event.Bool(v.b)
+	}
+	return event.Num(v.s)
+}
 
 // boolRef lifts the value to a Boolean event handle.
-func (v tval) boolRef(em emitter) (eref, bool) {
-	if v.hasEv {
-		return v.ev, true
-	}
-	if v.isConst && v.constV.Kind == event.Boolean {
-		return em.boolConst(v.constV.B), true
+func (v *tval) boolRef(em emitter) (eref, bool) {
+	switch v.kind {
+	case tEvent:
+		return eref(v.ref), true
+	case tTruth:
+		return em.boolConst(v.b), true
 	}
 	return 0, false
 }
 
 // numRef lifts the value to a c-value handle.
-func (v tval) numRef(em emitter) (nref, bool) {
-	if v.hasNum {
-		return v.num, true
-	}
-	if v.isConst && v.constV.Kind != event.Boolean {
-		return em.constNum(v.constV), true
+func (v *tval) numRef(em emitter) (nref, bool) {
+	switch v.kind {
+	case tNum:
+		return nref(v.ref), true
+	case tScalar:
+		return em.constNum(event.Num(v.s)), true
 	}
 	return 0, false
 }
 
-func (v tval) constInt() (int, bool) {
-	if !v.isConst || v.constV.Kind != event.Scalar {
+func (v *tval) constInt() (int, bool) {
+	if v.kind != tScalar {
 		return 0, false
 	}
-	i := int(v.constV.S)
-	if float64(i) != v.constV.S {
+	i := int(v.s)
+	if float64(i) != v.s {
 		return 0, false
 	}
 	return i, true
@@ -306,13 +340,20 @@ func (f *frame) touch(sym string) {
 type translator struct {
 	ext External
 	em  emitter
+	// vars is the environment, indexed by the program's variable slots.
+	vars []tval
 	// decls enables the getLabel declaration machinery; the fused back end
 	// runs with it off — declarations never influence final bindings, only
-	// the event-program artifact.
+	// the event-program artifact. slotOf resolves the flattened symbols it
+	// tracks back to slots.
 	decls  bool
-	vars   map[string]tval
+	slotOf map[string]int
 	labels map[string]*labelStack
 	frames []*frame
+}
+
+func newTranslator(prog *lang.Program, ext External, em emitter) *translator {
+	return &translator{ext: ext, em: em, vars: make([]tval, len(prog.Names))}
 }
 
 func (tr *translator) depth() int { return len(tr.frames) - 1 }
@@ -354,7 +395,7 @@ func (tr *translator) assignSym(sym string, v tval) error {
 	label := ls.render(sym)
 	ls.last = label
 	tr.frames[d].touch(sym)
-	if v.none || (!v.hasEv && !v.hasNum && !v.isConst) {
+	if v.kind == tNone || v.kind == tArray {
 		return nil
 	}
 	return tr.declare(label, v)
@@ -374,7 +415,7 @@ func (tr *translator) readAlign(sym string, v tval) error {
 		label := ls.render(sym)
 		ls.last = label
 		tr.frames[len(ls.counts)-1].touch(sym)
-		if !v.none {
+		if v.kind != tNone {
 			if err := tr.declare(label, v); err != nil {
 				return err
 			}
@@ -432,12 +473,13 @@ func (tr *translator) lookupSym(sym string) (tval, bool) {
 			idx = append(idx, n)
 		}
 	}
-	v, ok := tr.vars[name]
-	if !ok {
+	slot, ok := tr.slotOf[name]
+	if !ok || tr.vars[slot].kind == tUnbound {
 		return tval{}, false
 	}
+	v := tr.vars[slot]
 	for _, ix := range idx {
-		if v.arr == nil || ix < 0 || ix >= len(v.arr) {
+		if v.kind != tArray || ix < 0 || ix >= len(v.arr) {
 			return tval{}, false
 		}
 		v = v.arr[ix]

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"enframe/internal/event"
 	"enframe/internal/interp"
 	"enframe/internal/lang"
 	"enframe/internal/lineage"
+	"enframe/internal/network"
 	"enframe/internal/vec"
 	"enframe/internal/worlds"
 )
@@ -254,5 +256,127 @@ func TestTranslateUniqueLabels(t *testing.T) {
 	}
 	if len(names) < 50 {
 		t.Fatalf("suspiciously few declarations: %d", len(names))
+	}
+}
+
+// TestTranslateIntoSharedProgram translates one parsed program from eight
+// goroutines at once: slots are resolved at parse time and the AST is never
+// written, so every goroutine must ground a network equal to a sequential
+// run's (and `go test -race` must stay quiet).
+func TestTranslateIntoSharedProgram(t *testing.T) {
+	objs, space := uncertainObjects(t, rand.New(rand.NewSource(15)), 6, lineage.Positive)
+	ext := External{Objects: objs, Space: space, Params: []int{2, 3}, InitIndices: []int{0, 1}}
+	prog := lang.MustParse(lang.KMedoidsSource)
+	build := func() (*network.Net, error) {
+		b := network.NewBuilder(space, nil)
+		res, err := TranslateInto(prog, ext, b)
+		if err != nil {
+			return nil, err
+		}
+		for _, sym := range res.SymbolsWithPrefix("Centre[") {
+			id, _ := res.BoolNode(sym)
+			b.Target(sym, id)
+		}
+		return b.Build(), nil
+	}
+	want, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Targets) == 0 {
+		t.Fatal("no Centre targets")
+	}
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := build()
+			if err != nil {
+				t.Errorf("goroutine %d: %v", g, err)
+			} else if !network.Equal(got, want) {
+				t.Errorf("goroutine %d grounded a different network", g)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestLoopVariablesShadow: a for or reduce_* variable shadows an outer
+// binding of the same name — also a comprehension inside a loop over the
+// same name — and the outer value is back once the loop or reduction ends.
+func TestLoopVariablesShadow(t *testing.T) {
+	const src = `
+i = 7
+s = 0
+for i in range(0, 3):
+    s = s + i
+a = i
+r = reduce_sum([i * 2 for i in range(0, 4)])
+b = i
+for i in range(0, 2):
+    u = reduce_sum([i for i in range(0, 5)])
+    c = i
+d = i
+`
+	want := map[string]float64{"s": 3, "a": 7, "r": 12, "b": 7, "u": 10, "c": 1, "d": 7}
+	prog := lang.MustParse(src)
+	res, err := Translate(prog, External{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := network.NewBuilder(event.NewSpace(), nil)
+	net, err := TranslateInto(prog, External{}, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sym, x := range want {
+		n, ok := res.NumEvent(sym)
+		if !ok {
+			t.Fatalf("no final binding for %s", sym)
+		}
+		if v := event.EvalNum(n, event.MapValuation{}, nil); !v.Equal(event.Num(x)) {
+			t.Errorf("%s = %v, want %v", sym, v, x)
+		}
+		if id, ok := net.NumNode(sym); !ok || id != b.ConstNum(event.Num(x)) {
+			t.Errorf("%s grounds to node %d, not the constant %v", sym, id, x)
+		}
+	}
+}
+
+// TestComprehensionVariableUnbound: a reduce_* variable with no outer
+// binding is unbound again after its reduction, so it has no final binding.
+func TestComprehensionVariableUnbound(t *testing.T) {
+	prog := lang.MustParse("r = reduce_or([True for j in range(0, 3)])\n")
+	res, err := Translate(prog, External{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := TranslateInto(prog, External{}, network.NewBuilder(event.NewSpace(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !net.HasBool("r") {
+		t.Fatal("no final binding for r")
+	}
+	if _, ok := res.NumEvent("j"); ok {
+		t.Error("the comprehension variable j is still bound after reduce_or")
+	}
+	if _, ok := net.NumNode("j"); ok {
+		t.Error("the comprehension variable j is still bound after reduce_or (fused path)")
+	}
+}
+
+// TestUndefinedNamePosition: a name the validator accepts but that is
+// unbound when read — assigned only inside a loop that never runs — fails
+// with the position of the read.
+func TestUndefinedNamePosition(t *testing.T) {
+	prog := lang.MustParse("for i in range(0, 0):\n    x = 1\ny = x\n")
+	const want = `translate: 3:5: undefined name "x"`
+	if _, err := TranslateInto(prog, External{}, network.NewBuilder(event.NewSpace(), nil)); err == nil || err.Error() != want {
+		t.Errorf("fused path: error %v, want %s", err, want)
+	}
+	if _, err := Translate(prog, External{}); err == nil || err.Error() != want {
+		t.Errorf("AST path: error %v, want %s", err, want)
 	}
 }
