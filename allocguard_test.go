@@ -12,12 +12,11 @@ import (
 
 // frontEndAllocBudget is the ceiling on allocations per obs-disabled fused
 // front-end run (lex → parse → fused translate+ground) at the kmedoids n=24
-// benchmark scale. Measured 2,262 since the builder interns pointer-free
-// records through an open-addressed index instead of a string-keyed map and
-// the translator reads variables by slot (11,847 before; ~32.5k while Build
-// allocated a child and a parent slice per node; materialising the
-// event-program AST first costs ~1.51M). The budget is under 1.5× the
-// measured count, so a 1.5× regression fails it.
+// benchmark scale. Measured 2,255 since the translator calls the builder
+// directly instead of through an emitter interface (2,262 before; 11,847
+// while the builder interned through a string-keyed map; ~32.5k while Build
+// allocated a child and a parent slice per node). The budget is under 1.5×
+// the measured count, so a 1.5× regression fails it.
 const frontEndAllocBudget = 3300
 
 // TestFrontEndAllocGuard holds the fused front end to its post-fusion

@@ -268,14 +268,11 @@ func BenchmarkTranslateKMedoids(b *testing.B) {
 		b.Fatal(err)
 	}
 	prog := lang.MustParse(lang.KMedoidsSource)
-	ext := translate.External{
-		Objects: objs, Space: space,
-		Params: []int{2, 3}, InitIndices: []int{0, 1},
-	}
+	ext := translate.External{Objects: objs, Params: []int{2, 3}, InitIndices: []int{0, 1}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := translate.Translate(prog, ext); err != nil {
+		if _, err := translate.TranslateInto(prog, ext, network.NewBuilder(space, nil)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,8 +9,8 @@
 // The built-in programs are the paper's Figures 1–3; -program may also name
 // a file containing a custom program. Input data is the synthetic
 // energy-network sensor feed (internal/data) with the selected correlation
-// scheme attached; -dump-events prints the translated event program instead
-// of compiling it.
+// scheme attached; -dump-events prints the event network the program grounds
+// to, one line per node, instead of compiling it.
 //
 // Observability (see OBSERVABILITY.md): -trace prints the pipeline span
 // tree (lex → parse → check → translate → ground → order → compile →
@@ -57,7 +57,6 @@ import (
 	"enframe/internal/lineage"
 	"enframe/internal/obs"
 	"enframe/internal/prob"
-	"enframe/internal/translate"
 )
 
 // runFlags is the flag set of the (default) run subcommand.
@@ -82,7 +81,7 @@ var (
 	jobFlag     = runFlags.Int("job", 3, "distributed job size d")
 	timeoutFlag = runFlags.Duration("timeout", time.Minute, "compilation timeout")
 	seedFlag    = runFlags.Int64("seed", 1, "random seed")
-	dumpFlag    = runFlags.Bool("dump-events", false, "print the translated event program and exit")
+	dumpFlag    = runFlags.Bool("dump-events", false, "print the event network the program grounds to and exit")
 	topFlag     = runFlags.Int("top", 20, "print at most this many targets (0 = all)")
 
 	traceFlag    = runFlags.Bool("trace", false, "print the pipeline span tree after the run")
@@ -216,79 +215,22 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "enframe: pprof listening on http://%s/debug/pprof/\n", *pprofFlag)
 	}
 
-	source, isMCL, err := loadProgram(*programFlag)
-	if err != nil {
-		return err
-	}
-
-	scheme, err := parseScheme(*schemeFlag)
-	if err != nil {
-		return err
-	}
-	pts := data.Points(*nFlag, *seedFlag)
-	objs, space, err := lineage.Attach(pts, lineage.Config{
-		Scheme:          scheme,
-		GroupSize:       *groupFlag,
-		NumVars:         *varsFlag,
-		L:               *lFlag,
-		M:               *mFlag,
-		CertainFraction: *certainFlag,
-		Seed:            *seedFlag,
-	})
-	if err != nil {
-		return err
-	}
-
 	var tr *obs.Trace
 	if *traceFlag || *traceOutFlag != "" || *metricsFlag {
 		tr = obs.New("enframe")
 	}
 
-	spec := core.Spec{
-		Source:  source,
-		Objects: objs,
-		Space:   space,
-		Targets: splitTargets(*targetsFlag),
-		Compile: prob.Options{
-			Strategy: strategy,
-			Epsilon:  *epsFlag,
-			Workers:  *workersFlag,
-			JobDepth: *jobFlag,
-			Timeout:  *timeoutFlag,
-			Obs:      tr,
-		},
+	spec, err := specFromFlags(strategy, tr)
+	if err != nil {
+		return err
 	}
-	if isMCL {
-		spec.Params = []int{*rFlag, *iterFlag}
-		spec.Matrix = similarityMatrix(objs)
-	} else {
-		spec.Params = []int{*kFlag, *iterFlag}
-		init := make([]int, *kFlag)
-		for i := range init {
-			init[i] = i
-		}
-		spec.InitIndices = init
-	}
-
 	if *dumpFlag {
-		prog, err := lang.Parse(source)
-		if err != nil {
-			return err
-		}
-		res, err := translate.Translate(prog, translate.External{
-			Objects: spec.Objects, Space: spec.Space, Matrix: spec.Matrix,
-			Params: spec.Params, InitIndices: spec.InitIndices,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Program.String())
-		return nil
+		return dumpEvents(os.Stdout, spec)
 	}
 
 	var rep *core.Report
 	if *remoteFlag != "" {
-		rep, err = runRemote(source, strategy, tr)
+		rep, err = runRemote(spec.Source, strategy, tr)
 	} else {
 		rep, err = core.Run(spec)
 	}
@@ -335,7 +277,7 @@ func run() error {
 	}
 
 	fmt.Printf("# %d objects, %d variables, %d network nodes, %d targets\n",
-		len(objs), space.Len(), rep.Net.NumNodes(), len(rep.Result.Targets))
+		len(spec.Objects), spec.Space.Len(), rep.Net.NumNodes(), len(rep.Result.Targets))
 	fmt.Printf("# strategy=%s eps=%g workers=%d: %v (%d branches)",
 		*stratFlag, *epsFlag, *workersFlag, rep.Timings.Total.Round(time.Millisecond),
 		rep.Result.Stats.Branches)
@@ -356,6 +298,61 @@ func run() error {
 		fmt.Printf("… %d more targets (use -top 0 for all)\n", len(targets)-limit)
 	}
 	return nil
+}
+
+// specFromFlags loads the program and synthesises the input data the run
+// flags describe.
+func specFromFlags(strategy prob.Strategy, tr *obs.Trace) (core.Spec, error) {
+	source, isMCL, err := loadProgram(*programFlag)
+	if err != nil {
+		return core.Spec{}, err
+	}
+
+	scheme, err := parseScheme(*schemeFlag)
+	if err != nil {
+		return core.Spec{}, err
+	}
+	pts := data.Points(*nFlag, *seedFlag)
+	objs, space, err := lineage.Attach(pts, lineage.Config{
+		Scheme:          scheme,
+		GroupSize:       *groupFlag,
+		NumVars:         *varsFlag,
+		L:               *lFlag,
+		M:               *mFlag,
+		CertainFraction: *certainFlag,
+		Seed:            *seedFlag,
+	})
+	if err != nil {
+		return core.Spec{}, err
+	}
+
+	spec := core.Spec{
+		Source:  source,
+		Objects: objs,
+		Space:   space,
+		Targets: splitTargets(*targetsFlag),
+		Compile: prob.Options{
+			Strategy: strategy,
+			Epsilon:  *epsFlag,
+			Workers:  *workersFlag,
+			JobDepth: *jobFlag,
+			Timeout:  *timeoutFlag,
+			Obs:      tr,
+		},
+	}
+	if isMCL {
+		spec.Params = []int{*rFlag, *iterFlag}
+		spec.Matrix = similarityMatrix(objs)
+	} else {
+		spec.Params = []int{*kFlag, *iterFlag}
+		init := make([]int, *kFlag)
+		for i := range init {
+			init[i] = i
+		}
+		spec.InitIndices = init
+	}
+
+	return spec, nil
 }
 
 func loadProgram(name string) (source string, isMCL bool, err error) {

@@ -1,10 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"enframe/internal/lang"
+	"enframe/internal/network"
 	"enframe/internal/prob"
+	"enframe/internal/translate"
 )
 
 // setFlags applies overrides on top of defaults and restores them afterwards.
@@ -78,5 +83,55 @@ func TestParseStrategy(t *testing.T) {
 		t.Error("parseStrategy accepted an unknown strategy")
 	} else if !strings.Contains(err.Error(), "-strategy") {
 		t.Errorf("unknown-strategy error %q does not name the flag", err)
+	}
+}
+
+// TestDumpEventsPrintsBuiltNetwork runs -dump-events on the built-in
+// k-medoids program at n=12 in-process: one line per node of the built
+// network, in id order, and a binding line for every Centre element.
+// Printing the event program as an expression tree instead expands the
+// shared DAG and runs out of memory at n=3.
+func TestDumpEventsPrintsBuiltNetwork(t *testing.T) {
+	setFlags(t, func() { *nFlag = 12 })
+	spec, err := specFromFlags(prob.Exact, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := dumpEvents(&out, spec); err != nil {
+		t.Fatal(err)
+	}
+	b := network.NewBuilder(spec.Space, spec.Metric)
+	res, err := translate.TranslateInto(lang.MustParse(spec.Source), translate.External{
+		Objects: spec.Objects, Params: spec.Params, InitIndices: spec.InitIndices,
+	}, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := b.Build()
+
+	nodeLines := 0
+	bound := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n") {
+		if sym, _, ok := strings.Cut(line, " = "); ok {
+			bound[sym] = true
+			continue
+		}
+		if want := fmt.Sprintf("n%d ", nodeLines); !strings.HasPrefix(line, want) {
+			t.Fatalf("node line %d is %q, want prefix %q", nodeLines, line, want)
+		}
+		nodeLines++
+	}
+	if nodeLines != net.NumNodes() {
+		t.Errorf("%d node lines, the built network has %d nodes", nodeLines, net.NumNodes())
+	}
+	centres := res.SymbolsWithPrefix("Centre[")
+	if len(centres) != 2*12 {
+		t.Fatalf("%d Centre symbols, want 24", len(centres))
+	}
+	for _, sym := range centres {
+		if !bound[sym] {
+			t.Errorf("no binding line for %s", sym)
+		}
 	}
 }

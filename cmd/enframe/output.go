@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -8,9 +9,63 @@ import (
 	"time"
 
 	"enframe/internal/core"
+	"enframe/internal/event"
+	"enframe/internal/lang"
+	"enframe/internal/network"
 	"enframe/internal/obs"
 	"enframe/internal/prob"
+	"enframe/internal/translate"
 )
+
+// dumpEvents prints the event network spec's program grounds to (-dump-events).
+// The program is translated into a fresh builder with no targets, so Build
+// keeps every node and the bindings' node ids index the net. One line per
+// node in id order — id, kind, payload, kid ids — then `sym = n<id>` for
+// every final binding, Boolean and numeric, sorted. The output is linear in
+// the number of nodes.
+func dumpEvents(w io.Writer, spec core.Spec) error {
+	prog, err := lang.Parse(spec.Source)
+	if err != nil {
+		return err
+	}
+	b := network.NewBuilder(spec.Space, spec.Metric)
+	res, err := translate.TranslateInto(prog, translate.External{
+		Objects: spec.Objects, Matrix: spec.Matrix,
+		Params: spec.Params, InitIndices: spec.InitIndices,
+	}, b)
+	if err != nil {
+		return err
+	}
+	net := b.Build()
+	bw := bufio.NewWriter(w)
+	for id, kind := range net.Kind {
+		fmt.Fprintf(bw, "n%d %s", id, kind)
+		switch arg := net.Arg[id]; kind {
+		case network.KVar:
+			fmt.Fprintf(bw, " %s", net.Space.Name(event.VarID(arg)))
+		case network.KConst:
+			fmt.Fprintf(bw, " %t", arg != 0)
+		case network.KCmp:
+			fmt.Fprintf(bw, " %s", event.CmpOp(arg))
+		case network.KCondVal:
+			fmt.Fprintf(bw, " %s", net.Vals[arg])
+		case network.KPow:
+			fmt.Fprintf(bw, " %d", arg)
+		}
+		for _, k := range net.KidsOf(network.NodeID(id)) {
+			fmt.Fprintf(bw, " n%d", k)
+		}
+		bw.WriteByte('\n')
+	}
+	for _, sym := range res.Symbols() {
+		id, ok := res.BoolNode(sym)
+		if !ok {
+			id, _ = res.NumNode(sym)
+		}
+		fmt.Fprintf(bw, "%s = n%d\n", sym, id)
+	}
+	return bw.Flush()
+}
 
 // JSON output mode (-json): one machine-readable object on stdout carrying
 // everything the human-readable table shows, plus the stage-timing

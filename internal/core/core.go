@@ -1,7 +1,7 @@
 // Package core is the ENFrame platform facade: it takes a user program (the
 // Python fragment of §2), probabilistic input data, and a set of target
-// events, and runs the full pipeline — parse → validate → translate to an
-// event program (§3) → ground into an event network (§4.1) → compute exact
+// events, and runs the full pipeline — parse → validate → translate and
+// ground into an event network in one pass (§3, §4.1) → compute exact
 // or ε-approximate probabilities (§4). Users stay oblivious to the
 // probabilistic nature of the input: the same program runs deterministically
 // through internal/interp and probabilistically through this package.
@@ -205,7 +205,6 @@ func PrepareContext(ctx context.Context, spec Spec) (*Artifact, error) {
 
 	ext := translate.External{
 		Objects:     spec.Objects,
-		Space:       spec.Space,
 		Matrix:      spec.Matrix,
 		Params:      spec.Params,
 		InitIndices: spec.InitIndices,

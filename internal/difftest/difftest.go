@@ -4,7 +4,11 @@
 //
 //  1. the naïve per-world oracle — enumerate all possible worlds
 //     (internal/worlds) and run the interpreter (internal/interp) in each,
-//     checking the translated event program (§3) against it world by world;
+//     checking the built network against it world by world: the program is
+//     grounded once more with no targets, so every node is kept, and the
+//     node of every checked symbol, Boolean or numeric, must evaluate
+//     (network.Eval) to the interpreter's value — the §3 semantics of the
+//     translation and the builder's simplifications in one check;
 //  2. the pipeline as shipped — translate and ground in one fused pass
 //     (translate.TranslateInto into a network.Builder, as core does) and
 //     compile marginal probabilities exactly (internal/prob);
@@ -92,10 +96,21 @@ func externalOf(p *gen.Program) translate.External {
 	in := p.Input
 	return translate.External{
 		Objects:     in.Objects,
-		Space:       in.Space,
 		Params:      in.Params,
 		InitIndices: in.InitIndices,
 	}
+}
+
+// groundChecked grounds a generated program with no targets: Build then
+// keeps every node in construction order, so the result's node ids index
+// the returned network. It is the network the per-world stage evaluates.
+func groundChecked(p *gen.Program, prog *lang.Program) (*network.Net, *translate.NetResult, error) {
+	b := network.NewBuilder(p.Input.Space, p.Input.Metric)
+	res, err := translate.TranslateInto(prog, externalOf(p), b)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b.Build(), res, nil
 }
 
 // groundProgram grounds a generated program the way core does — translation
@@ -186,17 +201,28 @@ func checkProgram(p *gen.Program, opt Options) (f *Failure) {
 		return &Failure{Stage: "parse", Detail: "validate: " + err.Error()}
 	}
 	in := p.Input
-	// The AST translation feeds only the per-world check below; the network
-	// the compilers run on is grounded by the fused pass (groundProgram).
-	res, err := translate.Translate(prog, externalOf(p))
+	// The per-world check reads an untargeted grounding; the compilers below
+	// run on the targeted one (groundProgram), as core's would.
+	checked, res, err := groundChecked(p, prog)
 	if err != nil {
 		return &Failure{Stage: "translate", Detail: err.Error()}
 	}
 	syms := p.Syms()
+	nodes := make([]network.NodeID, len(syms))
+	isBool := make([]bool, len(syms))
+	for i, s := range syms {
+		if id, ok := res.BoolNode(s.Name); ok && s.IsBool {
+			nodes[i], isBool[i] = id, true
+		} else if id, ok := res.NumNode(s.Name); ok {
+			nodes[i] = id
+		} else {
+			return &Failure{Stage: "oracle", Detail: fmt.Sprintf("no translated binding for %s", s.Name)}
+		}
+	}
 
 	// Path 1: the per-world oracle. Every world's interpreter run must
-	// match the translated events, and the Boolean marginals accumulated
-	// here are the ground truth for the network paths below.
+	// match the built network, and the Boolean marginals accumulated here
+	// are the ground truth for the compiled paths below.
 	truth := map[string]float64{}
 	for _, s := range syms {
 		if s.IsBool {
@@ -219,26 +245,21 @@ func checkProgram(p *gen.Program, opt Options) (f *Failure) {
 			f = &Failure{Stage: "interp", Detail: fmt.Sprintf("world %v: %v", nu, err)}
 			return false
 		}
-		ev := event.NewEvaluator(nu, in.Metric)
-		for _, s := range syms {
+		a := checked.Eval(nu)
+		for i, s := range syms {
 			want, err := worldValue(w, s.Name)
 			if err != nil {
 				f = &Failure{Stage: "oracle", Detail: fmt.Sprintf("world %v: %v", nu, err)}
 				return false
 			}
-			var got event.Value
-			if b, ok := res.BoolEvent(s.Name); ok && s.IsBool {
-				got = event.Bool(ev.EvalExpr(b))
-			} else if n, ok := res.NumEvent(s.Name); ok {
-				got = ev.EvalNum(n)
-			} else {
-				f = &Failure{Stage: "oracle", Detail: fmt.Sprintf("no translated binding for %s", s.Name)}
-				return false
+			got := a.Nums[nodes[i]]
+			if isBool[i] {
+				got = event.Bool(a.Bools[nodes[i]])
 			}
 			if !got.Equal(want) && !got.AlmostEqual(want, tol) {
 				f = &Failure{
 					Stage:  "oracle",
-					Detail: fmt.Sprintf("world %v: %s: translated %v vs interpreted %v", nu, s.Name, got, want),
+					Detail: fmt.Sprintf("world %v: %s: network %v vs interpreted %v", nu, s.Name, got, want),
 				}
 				return false
 			}
@@ -255,8 +276,8 @@ func checkProgram(p *gen.Program, opt Options) (f *Failure) {
 		return &Failure{Stage: "oracle", Detail: fmt.Sprintf("world probabilities sum to %g", mass)}
 	}
 
-	// Paths 2 and 3: ground the program into a network and compile the
-	// Boolean symbols' marginals.
+	// Paths 2 and 3: ground the program as core does, with the Boolean
+	// symbols as targets, and compile their marginals.
 	net, err := groundProgram(p, prog)
 	if err != nil {
 		return &Failure{Stage: "network", Detail: err.Error()}

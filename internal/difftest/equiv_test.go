@@ -5,22 +5,21 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"enframe/internal/event"
 	"enframe/internal/gen"
 	"enframe/internal/lang"
-	"enframe/internal/network"
-	"enframe/internal/prob"
-	"enframe/internal/translate"
+	"enframe/internal/worlds"
 )
 
-// TestFusedMatchesASTGrounding ties the front end to the §3 semantics
-// oracle: for a batch of generated programs, the network the fused
-// TranslateInto pass builds must be structurally isomorphic to the one
-// grounded from the event-program AST that translate.Translate emits (the
-// AST the per-world check validates against the interpreter), and both must
-// compile to bit-identical marginals under the exact compiler and the
-// reference evaluator. Runs parallel per seed, so `go test -race` also
-// exercises the builders under concurrent construction.
-func TestFusedMatchesASTGrounding(t *testing.T) {
+// TestCompiledNetMatchesCheckedNet ties the network the compilers run on to
+// the one the per-world stage checks. checkProgram evaluates an untargeted
+// grounding, in which every node is kept; core and the compilers run on a
+// targeted one, which Build sweeps down to the targets' cones and
+// renumbers. For a batch of generated programs, every target of the
+// targeted net must evaluate, in every world, to the value of its symbol's
+// node in the untargeted net. Runs parallel per seed, so `go test -race`
+// also exercises the builders under concurrent construction.
+func TestCompiledNetMatchesCheckedNet(t *testing.T) {
 	const seeds = 260
 	minChecked := int64(200)
 	if testing.Short() {
@@ -30,7 +29,7 @@ func TestFusedMatchesASTGrounding(t *testing.T) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			if checkFusedAST(t, seed) {
+			if checkTargetedNet(t, seed) {
 				checked.Add(1)
 			}
 		})
@@ -42,77 +41,40 @@ func TestFusedMatchesASTGrounding(t *testing.T) {
 	})
 }
 
-// checkFusedAST grounds one generated program from the emitted AST and by
-// the fused pass and cross-checks the two networks; it reports whether the
-// seed yielded a comparable pair.
-func checkFusedAST(t *testing.T, seed int64) bool {
+// checkTargetedNet grounds one generated program with and without targets
+// and compares the two world by world; it reports whether the seed yielded
+// a comparable pair.
+func checkTargetedNet(t *testing.T, seed int64) bool {
 	p := gen.New(seed)
-	in := p.Input
 	prog, err := lang.Parse(p.Source())
 	if err != nil {
 		t.Skipf("parse: %v", err)
 	}
-	res, err := translate.Translate(prog, externalOf(p))
+	checked, res, err := groundChecked(p, prog)
 	if err != nil {
 		t.Skipf("translate: %v", err)
 	}
-	fusedNet, err := groundProgram(p, prog)
+	net, err := groundProgram(p, prog)
 	if err != nil {
-		t.Fatalf("fused grounding failed where the AST translation succeeded: %v", err)
+		t.Fatalf("targeted grounding failed where the untargeted one succeeded: %v", err)
 	}
-	if fusedNet == nil {
+	if net == nil {
 		t.Skip("no Boolean targets")
 	}
-
-	ab := network.NewBuilder(in.Space, in.Metric)
-	for _, tg := range fusedNet.Targets {
-		e, ok := res.BoolEvent(tg.Name)
-		if !ok {
-			t.Fatalf("%s: bound by the fused pass but not in the emitted AST", tg.Name)
+	if net.NumNodes() > checked.NumNodes() {
+		t.Fatalf("seed %d: targeted net has %d nodes, the untargeted one %d",
+			seed, net.NumNodes(), checked.NumNodes())
+	}
+	worlds.Enumerate(p.Input.Space, func(nu event.SliceValuation, _ float64) bool {
+		ca, ta := checked.Eval(nu), net.Eval(nu)
+		for _, tg := range net.Targets {
+			id, _ := res.BoolNode(tg.Name)
+			if ca.Bools[id] != ta.Bools[tg.Node] {
+				t.Fatalf("seed %d: world %v: %s: targeted net %v, untargeted net %v\nprogram:\n%s",
+					seed, nu, tg.Name, ta.Bools[tg.Node], ca.Bools[id], p.Source())
+			}
 		}
-		ab.Target(tg.Name, ab.AddExpr(e))
-	}
-	astNet := ab.Build()
-
-	if err := network.Isomorphic(astNet, fusedNet); err != nil {
-		t.Fatalf("seed %d: %v\nprogram:\n%s", seed, err, p.Source())
-	}
-
-	// Isomorphic nets must compile to bit-identical marginals: same exact
-	// compiler output, same reference-evaluator output.
-	compareBits(t, seed, p, "exact",
-		mustCompile(t, astNet, prob.Compile),
-		mustCompile(t, fusedNet, prob.Compile))
-	compareBits(t, seed, p, "reference",
-		mustCompile(t, astNet, prob.CompileRef),
-		mustCompile(t, fusedNet, prob.CompileRef))
+		return true
+	})
 	return true
-}
-
-func mustCompile(t *testing.T, net *network.Net,
-	compile func(*network.Net, prob.Options) (*prob.Result, error)) *prob.Result {
-	t.Helper()
-	r, err := compile(net, prob.Options{Strategy: prob.Exact})
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	return r
-}
-
-// compareBits asserts got carries exactly want's bounds, target by target.
-func compareBits(t *testing.T, seed int64, p *gen.Program, stage string, want, got *prob.Result) {
-	t.Helper()
-	if len(want.Targets) != len(got.Targets) {
-		t.Fatalf("seed %d: %s: %d vs %d targets", seed, stage, len(want.Targets), len(got.Targets))
-	}
-	for _, wt := range want.Targets {
-		gt, ok := got.Target(wt.Name)
-		if !ok {
-			t.Fatalf("seed %d: %s: result missing target %q", seed, stage, wt.Name)
-		}
-		if wt.Lower != gt.Lower || wt.Upper != gt.Upper {
-			t.Fatalf("seed %d: %s: %s: want [%.17g, %.17g], got [%.17g, %.17g]\nprogram:\n%s",
-				seed, stage, wt.Name, wt.Lower, wt.Upper, gt.Lower, gt.Upper, p.Source())
-		}
-	}
 }

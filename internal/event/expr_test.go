@@ -244,3 +244,21 @@ func almost(a, b float64) bool {
 	}
 	return d < 1e-9
 }
+
+func TestSpaceValidation(t *testing.T) {
+	sp := NewSpace()
+	x := sp.Add("x", 0.25)
+	if sp.Name(x) != "x" || sp.Prob(x) != 0.25 || sp.Len() != 1 {
+		t.Error("space accessors broken")
+	}
+	sp.SetProb(x, 0.75)
+	if sp.Prob(x) != 0.75 {
+		t.Error("SetProb ineffective")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("out-of-range probability must panic")
+		}
+	}()
+	sp.Add("y", 1.5)
+}

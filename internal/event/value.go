@@ -1,7 +1,12 @@
 // Package event implements ENFrame's event language (paper §3): conditional
 // values (c-values) over a feature space extended with an undefined element
 // u, Boolean event expressions over random variables, their semantics under
-// valuations, their probabilistic semantics, and grounded event programs.
+// valuations, and their probabilistic semantics.
+//
+// The translator does not build these expressions: it interns events
+// straight into a network.Builder. Expressions remain the form in which
+// lineage (internal/lineage, internal/pctable) states input events, and the
+// reference semantics the network evaluator is tested against.
 package event
 
 import (

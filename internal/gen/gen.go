@@ -6,10 +6,10 @@
 // at a time to shrink a failure.
 //
 // The generated fragment is chosen so that all three evaluation paths
-// (per-world interpreter, translated event program, compiled network) are
-// bit-for-bit comparable: data points sit on a small integer grid, the
-// metric is the squared Euclidean distance, the language fragment has no
-// invert() and no float literals, and every numeric expression carries a
+// (per-world interpreter, the built network evaluated per world, compiled
+// network) are bit-for-bit comparable: data points sit on a small integer
+// grid, the metric is the squared Euclidean distance, the language fragment
+// has no invert() and no float literals, and every numeric expression carries a
 // static magnitude bound kept below 2^53. All intermediate values are then
 // exact integers (or the undefined value u), so sums and products agree
 // exactly regardless of association order, and comparison ties resolve
@@ -698,9 +698,9 @@ func (g *gens) arr2Block() {
 	g.define(&vinfo{name: name, kind: kind, dims: []int{d1, d2}, bound: bound})
 }
 
-// accumBlock grows a scalar accumulator inside a loop, exercising the
-// block-entry and block-exit copy declarations of the label machinery
-// (Example 3 of the paper). It sometimes reuses an existing scalar.
+// accumBlock grows a scalar accumulator inside a loop, exercising values
+// carried across block boundaries (Example 3 of the paper). It sometimes
+// reuses an existing scalar.
 func (g *gens) accumBlock() {
 	var name string
 	reused := false

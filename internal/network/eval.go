@@ -13,8 +13,11 @@ type Assignment struct {
 
 // Eval evaluates the whole network bottom-up under a complete valuation.
 // Node ids are topologically ordered by construction, so a single pass
-// suffices. This is the reference semantics used by differential tests; the
-// compiler in internal/prob must agree with it on every valuation.
+// suffices. It is what the §3 semantics check reads: internal/difftest
+// grounds each generated program with no targets, so every node is kept,
+// and compares every bound symbol's node with the interpreter in every
+// world. TestEvalMatchesEventSemantics ties Eval to the event semantics of
+// internal/event.
 func (n *Net) Eval(nu event.Valuation) Assignment {
 	a := Assignment{
 		Bools: make([]bool, n.NumNodes()),

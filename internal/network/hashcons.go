@@ -23,8 +23,8 @@ type rec struct {
 // payloads, and an open-addressed index over them. An index slot holds a
 // record's id plus one (0 is empty); lookups probe linearly from the slot the
 // record's hash picks and confirm every candidate against the stored record,
-// so a hash collision can never merge two distinct nodes. The Builder and
-// Isomorphic's canonical numbering both intern through it.
+// so a hash collision can never merge two distinct nodes. The Builder interns
+// through it.
 type table struct {
 	recs  []rec
 	kids  []NodeID

@@ -466,8 +466,8 @@ func (b *Builder) Prod(ks ...NodeID) NodeID { return b.naryNum(KProd, ks) }
 
 func (b *Builder) naryNum(kind Kind, ks []NodeID) NodeID {
 	// Σ/Π children keep their construction order: floating-point addition
-	// is not associative-commutative bit-for-bit, and evaluation must stay
-	// identical to the emitted event program's.
+	// is not associative-commutative bit-for-bit, and evaluation must follow
+	// the order the program wrote the terms in.
 	flat := b.scratch[:0]
 	for _, k := range ks {
 		if b.recs[k].kind == kind {

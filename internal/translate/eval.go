@@ -5,6 +5,7 @@ import (
 
 	"enframe/internal/event"
 	"enframe/internal/lang"
+	"enframe/internal/network"
 )
 
 func (tr *translator) stmts(sts []lang.Stmt) error {
@@ -31,9 +32,6 @@ func (tr *translator) stmt(st lang.Stmt) error {
 		if err != nil {
 			return err
 		}
-		// One frame covers every iteration of the loop block; nested
-		// loops open a fresh frame per enclosing iteration (§3.5).
-		tr.pushFrame()
 		outer := tr.vars[t.Slot]
 		for i := from; i < to; i++ {
 			tr.vars[t.Slot] = scalarTV(float64(i))
@@ -42,7 +40,7 @@ func (tr *translator) stmt(st lang.Stmt) error {
 			}
 		}
 		tr.vars[t.Slot] = outer
-		return tr.popFrame()
+		return nil
 	}
 	return fmt.Errorf("translate: unknown statement %T", st)
 }
@@ -56,13 +54,9 @@ func (tr *translator) tupleAssign(t *lang.TupleAssign) error {
 		objs := make([]tval, len(tr.ext.Objects))
 		for l, o := range tr.ext.Objects {
 			// O_l ≡ Φ(o_l) ⊗ o_l (Figures 1–3).
-			objs[l] = numTV(tr.em.condVal(tr.em.lineage(o.Lineage), event.Vect(o.Pos)))
+			objs[l] = numTV(tr.b.CondVal(tr.b.AddExpr(o.Lineage), event.Vect(o.Pos)))
 		}
-		arr := arrTV(objs)
-		tr.vars[t.Slots[0]] = arr
-		if err := tr.assignArray(t.Names[0], arr); err != nil {
-			return err
-		}
+		tr.vars[t.Slots[0]] = arrTV(objs)
 		tr.vars[t.Slots[1]] = scalarTV(float64(len(objs)))
 		if len(t.Names) == 3 {
 			if tr.ext.Matrix == nil {
@@ -92,34 +86,16 @@ func (tr *translator) tupleAssign(t *lang.TupleAssign) error {
 	return errAt(t.Pos, "unknown external %q", t.Fn)
 }
 
-// assignArray flattens a whole-array binding into per-element labelled
-// declarations; a no-op on the fused path, which emits no declarations.
-func (tr *translator) assignArray(sym string, v tval) error {
-	if !tr.decls {
-		return nil
-	}
-	if v.kind != tArray {
-		return tr.assignSym(sym, v)
-	}
-	for i, el := range v.arr {
-		if err := tr.assignArray(elemSym(sym, i), el); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (tr *translator) assign(t *lang.Assign) error {
 	// `M = init()`: M^i_{-1} ≡ Φ(o_π(i)) ⊗ o_π(i).
 	if c, ok := t.Value.(*lang.Call); ok && c.Fn == "init" {
 		ms := make([]tval, len(tr.ext.InitIndices))
 		for i, ix := range tr.ext.InitIndices {
 			o := tr.ext.Objects[ix]
-			ms[i] = numTV(tr.em.condVal(tr.em.lineage(o.Lineage), event.Vect(o.Pos)))
+			ms[i] = numTV(tr.b.CondVal(tr.b.AddExpr(o.Lineage), event.Vect(o.Pos)))
 		}
-		arr := arrTV(ms)
-		tr.vars[t.Target.Slot] = arr
-		return tr.assignArray(t.Target.Name, arr)
+		tr.vars[t.Target.Slot] = arrTV(ms)
+		return nil
 	}
 	val, err := tr.expr(t.Value)
 	if err != nil {
@@ -127,16 +103,12 @@ func (tr *translator) assign(t *lang.Assign) error {
 	}
 	if len(t.Target.Indices) == 0 {
 		tr.vars[t.Target.Slot] = val
-		if val.kind == tArray {
-			return tr.assignArray(t.Target.Name, val)
-		}
-		return tr.assignSym(t.Target.Name, val)
+		return nil
 	}
 	cur := tr.vars[t.Target.Slot]
 	if cur.kind != tArray {
 		return errAt(t.Pos, "%q is not an initialised array", t.Target.Name)
 	}
-	sym := t.Target.Name
 	cell := &cur
 	for d, ixe := range t.Target.Indices {
 		ix, err := tr.intExpr(ixe)
@@ -150,16 +122,10 @@ func (tr *translator) assign(t *lang.Assign) error {
 			return errAt(t.Pos, "index %d out of range for %q (size %d)", ix, t.Target.Name, len(cell.arr))
 		}
 		cell = &cell.arr[ix]
-		if tr.decls {
-			sym = elemSym(sym, ix)
-		}
 	}
 	*cell = val
 	tr.vars[t.Target.Slot] = cur
-	if val.kind == tArray {
-		return tr.assignArray(sym, val)
-	}
-	return tr.assignSym(sym, val)
+	return nil
 }
 
 func (tr *translator) intExpr(e lang.Expr) (int, error) {
@@ -188,11 +154,6 @@ func (tr *translator) expr(e lang.Expr) (tval, error) {
 		v := tr.vars[t.Slot]
 		if v.kind == tUnbound {
 			return tval{}, errAt(t.Pos, "undefined name %q", t.Ident)
-		}
-		if tr.decls {
-			if err := tr.readAlignTree(t.Ident, v); err != nil {
-				return tval{}, err
-			}
 		}
 		return v, nil
 	case *lang.IndexExpr:
@@ -231,20 +192,6 @@ func (tr *translator) expr(e lang.Expr) (tval, error) {
 	return tval{}, fmt.Errorf("translate: unknown expression %T", e)
 }
 
-// readAlignTree emits block-entry copies for every element of a read
-// variable; the fused path, which emits no declarations, never calls it.
-func (tr *translator) readAlignTree(sym string, v tval) error {
-	if v.kind == tArray {
-		for i, el := range v.arr {
-			if err := tr.readAlignTree(elemSym(sym, i), el); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return tr.readAlign(sym, v)
-}
-
 func (tr *translator) binop(t *lang.BinOp) (tval, error) {
 	l, err := tr.expr(t.L)
 	if err != nil {
@@ -269,25 +216,25 @@ func (tr *translator) binop(t *lang.BinOp) (tval, error) {
 			return constTV(event.Bool(event.Compare(op, l.constV(), r.constV()))), nil
 		}
 	}
-	ln, ok := l.numRef(tr.em)
+	ln, ok := l.numRef(tr.b)
 	if !ok {
 		return tval{}, errAt(t.L.Position(), "expected a numeric operand")
 	}
-	rn, ok := r.numRef(tr.em)
+	rn, ok := r.numRef(tr.b)
 	if !ok {
 		return tval{}, errAt(t.R.Position(), "expected a numeric operand")
 	}
 	switch t.Op {
 	case "+":
-		return numTV(tr.em.sum2(ln, rn)), nil
+		return numTV(tr.b.Sum(ln, rn)), nil
 	case "*":
-		return numTV(tr.em.prod2(ln, rn)), nil
+		return numTV(tr.b.Prod(ln, rn)), nil
 	}
 	op, err := cmpOp(t.Op)
 	if err != nil {
 		return tval{}, errAt(t.Pos, "%v", err)
 	}
-	return boolTV(tr.em.atom(op, ln, rn)), nil
+	return boolTV(tr.b.Cmp(op, ln, rn)), nil
 }
 
 func cmpOp(op string) (event.CmpOp, error) {
@@ -306,12 +253,12 @@ func cmpOp(op string) (event.CmpOp, error) {
 	return 0, fmt.Errorf("unknown operator %q", op)
 }
 
-func (tr *translator) numArg(e lang.Expr) (nref, error) {
+func (tr *translator) numArg(e lang.Expr) (network.NodeID, error) {
 	v, err := tr.expr(e)
 	if err != nil {
 		return 0, err
 	}
-	n, ok := v.numRef(tr.em)
+	n, ok := v.numRef(tr.b)
 	if !ok {
 		return 0, errAt(e.Position(), "expected a numeric argument")
 	}
@@ -332,7 +279,7 @@ func (tr *translator) call(t *lang.Call) (tval, error) {
 		if err != nil {
 			return tval{}, err
 		}
-		return numTV(tr.em.dist(l, r)), nil
+		return numTV(tr.b.Dist(l, r)), nil
 	case "pow":
 		b, err := tr.numArg(t.Args[0])
 		if err != nil {
@@ -345,13 +292,13 @@ func (tr *translator) call(t *lang.Call) (tval, error) {
 		if exp != int(int32(exp)) {
 			return tval{}, errAt(t.Args[1].Position(), "pow() exponent %d out of range", exp)
 		}
-		return numTV(tr.em.pow(b, exp)), nil
+		return numTV(tr.b.Pow(b, exp)), nil
 	case "invert":
 		b, err := tr.numArg(t.Args[0])
 		if err != nil {
 			return tval{}, err
 		}
-		return numTV(tr.em.inv(b)), nil
+		return numTV(tr.b.Inv(b)), nil
 	case "scalar_mult":
 		s, err := tr.numArg(t.Args[0])
 		if err != nil {
@@ -361,7 +308,7 @@ func (tr *translator) call(t *lang.Call) (tval, error) {
 		if err != nil {
 			return tval{}, err
 		}
-		return numTV(tr.em.prod2(s, v)), nil
+		return numTV(tr.b.Prod(s, v)), nil
 	case "breakTies", "breakTies1", "breakTies2":
 		arg, err := tr.expr(t.Args[0])
 		if err != nil {
@@ -377,8 +324,8 @@ func (tr *translator) call(t *lang.Call) (tval, error) {
 // breakTies translates the tie breakers of §2.2: the kept entry is the
 // first true one, encoded as raw[i] ∧ ⋀_{i'<i} ¬raw[i'].
 func (tr *translator) breakTies(t *lang.Call, arg tval) (tval, error) {
-	boolOf := func(v tval) (eref, error) {
-		b, ok := v.boolRef(tr.em)
+	boolOf := func(v tval) (network.NodeID, error) {
+		b, ok := v.boolRef(tr.b)
 		if !ok {
 			return 0, errAt(t.Pos, "%s() expects a Boolean array", t.Fn)
 		}
@@ -386,10 +333,10 @@ func (tr *translator) breakTies(t *lang.Call, arg tval) (tval, error) {
 	}
 	// firstTrue shares the prefix ⋀_{i'<i} ¬raw[i'] across entries: ∧
 	// flattening makes out[i] identical to the textbook n-ary conjunction,
-	// while the fused back end interns each prefix exactly once.
+	// and the builder interns each prefix exactly once.
 	firstTrue := func(cells []tval) ([]tval, error) {
 		out := make([]tval, len(cells))
-		var notPrior eref
+		var notPrior network.NodeID
 		for i, c := range cells {
 			b, err := boolOf(c)
 			if err != nil {
@@ -397,11 +344,11 @@ func (tr *translator) breakTies(t *lang.Call, arg tval) (tval, error) {
 			}
 			if i == 0 {
 				out[i] = boolTV(b)
-				notPrior = tr.em.not(b)
+				notPrior = tr.b.Not(b)
 				continue
 			}
-			out[i] = boolTV(tr.em.and2(b, notPrior))
-			notPrior = tr.em.and2(notPrior, tr.em.not(b))
+			out[i] = boolTV(tr.b.And(b, notPrior))
+			notPrior = tr.b.And(notPrior, tr.b.Not(b))
 		}
 		return out, nil
 	}
@@ -479,24 +426,24 @@ func (tr *translator) reduce(t *lang.Call) (tval, error) {
 	outer := tr.vars[lc.Slot]
 	defer func() { tr.vars[lc.Slot] = outer }()
 
-	var bools []eref
-	var nums []nref
+	var bools []network.NodeID
+	var nums []network.NodeID
 	for i := from; i < to; i++ {
 		tr.vars[lc.Slot] = scalarTV(float64(i))
-		cond := tr.em.boolConst(true)
+		cond := tr.b.Bool(true)
 		if lc.Cond != nil {
 			cv, err := tr.expr(lc.Cond)
 			if err != nil {
 				return tval{}, err
 			}
-			c, ok := cv.boolRef(tr.em)
+			c, ok := cv.boolRef(tr.b)
 			if !ok {
 				return tval{}, errAt(lc.Pos, "filter condition must be Boolean")
 			}
 			cond = c
 		}
 		if t.Fn == "reduce_count" {
-			nums = append(nums, tr.em.condVal(cond, event.Num(1)))
+			nums = append(nums, tr.b.CondVal(cond, event.Num(1)))
 			continue
 		}
 		ev, err := tr.expr(lc.Elem)
@@ -505,34 +452,34 @@ func (tr *translator) reduce(t *lang.Call) (tval, error) {
 		}
 		switch t.Fn {
 		case "reduce_and":
-			b, ok := ev.boolRef(tr.em)
+			b, ok := ev.boolRef(tr.b)
 			if !ok {
 				return tval{}, errAt(lc.Pos, "reduce_and over non-Boolean elements")
 			}
-			bools = append(bools, tr.em.or2(tr.em.not(cond), b))
+			bools = append(bools, tr.b.Or(tr.b.Not(cond), b))
 		case "reduce_or":
-			b, ok := ev.boolRef(tr.em)
+			b, ok := ev.boolRef(tr.b)
 			if !ok {
 				return tval{}, errAt(lc.Pos, "reduce_or over non-Boolean elements")
 			}
-			bools = append(bools, tr.em.and2(cond, b))
+			bools = append(bools, tr.b.And(cond, b))
 		case "reduce_sum":
-			n, ok := ev.numRef(tr.em)
+			n, ok := ev.numRef(tr.b)
 			if !ok {
 				return tval{}, errAt(lc.Pos, "reduce_sum over non-numeric elements")
 			}
-			nums = append(nums, tr.em.guardNum(cond, n))
+			nums = append(nums, tr.b.Guard(cond, n))
 		case "reduce_mult":
-			n, ok := ev.numRef(tr.em)
+			n, ok := ev.numRef(tr.b)
 			if !ok {
 				return tval{}, errAt(lc.Pos, "reduce_mult over non-numeric elements")
 			}
 			if lc.Cond == nil {
 				nums = append(nums, n)
 			} else {
-				nums = append(nums, tr.em.sum2(
-					tr.em.guardNum(cond, n),
-					tr.em.condVal(tr.em.not(cond), event.Num(1)),
+				nums = append(nums, tr.b.Sum(
+					tr.b.Guard(cond, n),
+					tr.b.CondVal(tr.b.Not(cond), event.Num(1)),
 				))
 			}
 		default:
@@ -541,20 +488,20 @@ func (tr *translator) reduce(t *lang.Call) (tval, error) {
 	}
 	switch t.Fn {
 	case "reduce_and":
-		return boolTV(tr.em.and(bools)), nil
+		return boolTV(tr.b.And(bools...)), nil
 	case "reduce_or":
-		return boolTV(tr.em.or(bools)), nil
+		return boolTV(tr.b.Or(bools...)), nil
 	case "reduce_sum", "reduce_count":
 		if len(nums) == 0 {
 			// Σ of an empty range is the undefined value.
-			return numTV(tr.em.condVal(tr.em.boolConst(false), event.U)), nil
+			return numTV(tr.b.CondVal(tr.b.Bool(false), event.U)), nil
 		}
-		return numTV(tr.em.sum(nums)), nil
+		return numTV(tr.b.Sum(nums...)), nil
 	case "reduce_mult":
 		if len(nums) == 0 {
 			return scalarTV(1), nil
 		}
-		return numTV(tr.em.prod(nums)), nil
+		return numTV(tr.b.Prod(nums...)), nil
 	}
 	return tval{}, errAt(t.Pos, "unknown reduction %q", t.Fn)
 }

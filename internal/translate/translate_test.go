@@ -3,7 +3,6 @@ package translate
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -16,55 +15,39 @@ import (
 	"enframe/internal/worlds"
 )
 
-// TestExampleThreeLabels reproduces the label sequence of the paper's
-// Example 3 exactly, including the block-entry and block-exit copy
-// declarations.
-func TestExampleThreeLabels(t *testing.T) {
+// TestExampleThreeFinalValue translates the paper's Example 3 and checks
+// the final value the interpreter computes: 7+2, +0, +3·1, +1, +3·1, +1.
+// Every step is a compile-time constant, so M grounds to the constant node.
+func TestExampleThreeFinalValue(t *testing.T) {
 	prog := lang.MustParse(lang.Example3Source)
-	res, err := Translate(prog, External{})
+	b := network.NewBuilder(event.NewSpace(), nil)
+	res, err := TranslateInto(prog, External{}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{
-		"M0",                         // M ≡ 7
-		"M1",                         // M ≡ M0 + 2
-		"M1.-1",                      // block entry copy (line C)
-		"M1.0",                       // i = 0 assignment (line E)
-		"M1.0.-1",                    // inner block entry copy (line F)
-		"M1.0.0", "M1.0.1", "M1.0.2", // inner assignments (line H)
-		"M1.1", // inner block exit copy (line I)
-		"M1.2", // i = 1 assignment
-		"M1.2.-1",
-		"M1.2.0", "M1.2.1", "M1.2.2",
-		"M1.3",
-		"M2", // outer block exit copy (line J)
-		"M3", // final assignment (line K)
-	}
-	got := res.Program.Names()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("labels:\n got %v\nwant %v", got, want)
-	}
-	// The final value must match the interpreter: 7+2, +0, +3·1, +1, +3·1, +1.
-	n, ok := res.NumEvent("M")
+	id, ok := res.NumNode("M")
 	if !ok {
 		t.Fatal("no final numeric binding for M")
 	}
-	v := event.EvalNum(n, event.MapValuation{}, nil)
-	if !v.Equal(event.Num(17)) {
-		t.Fatalf("final M = %v, want 17", v)
+	if want := b.ConstNum(event.Num(17)); id != want {
+		t.Fatalf("final M grounds to node %d, not the constant 17 (node %d)", id, want)
 	}
 }
 
-// diffProgram runs the translate-vs-interpret differential test: for every
-// world, evaluating the translated events must equal running the program in
-// that world with absent objects bound to u.
+// diffProgram runs the translate-vs-interpret differential test on the
+// built network: it is grounded with no targets, so every node is kept and
+// the result's node ids index it, and in every world each symbol's node
+// must evaluate to what the program computes in that world with absent
+// objects bound to u.
 func diffProgram(t *testing.T, src string, ext External, metric vec.Distance, syms []string) {
 	t.Helper()
 	prog := lang.MustParse(src)
-	res, err := Translate(prog, ext)
+	b := network.NewBuilder(ext.Space, metric)
+	res, err := TranslateInto(prog, ext, b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	net := b.Build()
 	evs := lineage.Events(ext.Objects)
 	worlds.Enumerate(ext.Space, func(nu event.SliceValuation, p float64) bool {
 		present := worlds.Presence(evs, nu)
@@ -79,13 +62,13 @@ func diffProgram(t *testing.T, src string, ext External, metric vec.Distance, sy
 		if err != nil {
 			t.Fatalf("interp: %v", err)
 		}
-		ev := event.NewEvaluator(nu, metric)
+		a := net.Eval(nu)
 		for _, sym := range syms {
 			var got event.Value
-			if b, ok := res.BoolEvent(sym); ok {
-				got = event.Bool(ev.EvalExpr(b))
-			} else if n, ok := res.NumEvent(sym); ok {
-				got = ev.EvalNum(n)
+			if id, ok := res.BoolNode(sym); ok {
+				got = event.Bool(a.Bools[id])
+			} else if id, ok := res.NumNode(sym); ok {
+				got = a.Nums[id]
 			} else {
 				t.Fatalf("no translated binding for %s", sym)
 			}
@@ -235,30 +218,6 @@ func TestMCLTranslationMatchesInterpreter(t *testing.T) {
 	diffProgram(t, lang.MCLSource, ext, nil, syms)
 }
 
-// TestTranslateDeclarationsAreImmutable ensures every emitted label is
-// unique (the event-program immutability requirement of §3.4 — DeclareBool
-// panics on duplicates, so reaching the end is the assertion).
-func TestTranslateUniqueLabels(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	objs, space := uncertainObjects(t, rng, 4, lineage.Positive)
-	ext := External{Objects: objs, Space: space, Params: []int{2, 3}, InitIndices: []int{0, 1}}
-	res, err := Translate(lang.MustParse(lang.KMedoidsSource), ext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := res.Program.Names()
-	seen := map[string]bool{}
-	for _, n := range names {
-		if seen[n] {
-			t.Fatalf("duplicate label %q", n)
-		}
-		seen[n] = true
-	}
-	if len(names) < 50 {
-		t.Fatalf("suspiciously few declarations: %d", len(names))
-	}
-}
-
 // TestTranslateIntoSharedProgram translates one parsed program from eight
 // goroutines at once: slots are resolved at parse time and the AST is never
 // written, so every goroutine must ground a network equal to a sequential
@@ -320,24 +279,12 @@ for i in range(0, 2):
 d = i
 `
 	want := map[string]float64{"s": 3, "a": 7, "r": 12, "b": 7, "u": 10, "c": 1, "d": 7}
-	prog := lang.MustParse(src)
-	res, err := Translate(prog, External{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	b := network.NewBuilder(event.NewSpace(), nil)
-	net, err := TranslateInto(prog, External{}, b)
+	net, err := TranslateInto(lang.MustParse(src), External{}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for sym, x := range want {
-		n, ok := res.NumEvent(sym)
-		if !ok {
-			t.Fatalf("no final binding for %s", sym)
-		}
-		if v := event.EvalNum(n, event.MapValuation{}, nil); !v.Equal(event.Num(x)) {
-			t.Errorf("%s = %v, want %v", sym, v, x)
-		}
 		if id, ok := net.NumNode(sym); !ok || id != b.ConstNum(event.Num(x)) {
 			t.Errorf("%s grounds to node %d, not the constant %v", sym, id, x)
 		}
@@ -348,10 +295,6 @@ d = i
 // binding is unbound again after its reduction, so it has no final binding.
 func TestComprehensionVariableUnbound(t *testing.T) {
 	prog := lang.MustParse("r = reduce_or([True for j in range(0, 3)])\n")
-	res, err := Translate(prog, External{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	net, err := TranslateInto(prog, External{}, network.NewBuilder(event.NewSpace(), nil))
 	if err != nil {
 		t.Fatal(err)
@@ -359,11 +302,8 @@ func TestComprehensionVariableUnbound(t *testing.T) {
 	if !net.HasBool("r") {
 		t.Fatal("no final binding for r")
 	}
-	if _, ok := res.NumEvent("j"); ok {
-		t.Error("the comprehension variable j is still bound after reduce_or")
-	}
 	if _, ok := net.NumNode("j"); ok {
-		t.Error("the comprehension variable j is still bound after reduce_or (fused path)")
+		t.Error("the comprehension variable j is still bound after reduce_or")
 	}
 }
 
@@ -374,9 +314,6 @@ func TestUndefinedNamePosition(t *testing.T) {
 	prog := lang.MustParse("for i in range(0, 0):\n    x = 1\ny = x\n")
 	const want = `translate: 3:5: undefined name "x"`
 	if _, err := TranslateInto(prog, External{}, network.NewBuilder(event.NewSpace(), nil)); err == nil || err.Error() != want {
-		t.Errorf("fused path: error %v, want %s", err, want)
-	}
-	if _, err := Translate(prog, External{}); err == nil || err.Error() != want {
-		t.Errorf("AST path: error %v, want %s", err, want)
+		t.Errorf("error %v, want %s", err, want)
 	}
 }
