@@ -11,15 +11,18 @@ import (
 	"enframe/internal/worlds"
 )
 
-// TestCompiledNetMatchesCheckedNet ties the network the compilers run on to
-// the one the per-world stage checks. checkProgram evaluates an untargeted
-// grounding, in which every node is kept; core and the compilers run on a
-// targeted one, which Build sweeps down to the targets' cones and
-// renumbers. For a batch of generated programs, every target of the
-// targeted net must evaluate, in every world, to the value of its symbol's
-// node in the untargeted net. Runs parallel per seed, so `go test -race`
-// also exercises the builders under concurrent construction.
-func TestCompiledNetMatchesCheckedNet(t *testing.T) {
+// TestFusedMatchesASTGrounding ties the network the compilers run on (the
+// fused, targeted grounding) to the one the per-world stage checks. The
+// name predates the removal of the AST emitter, whose grounding was the
+// reference here; the reference is now the untargeted net. checkProgram
+// evaluates that untargeted grounding, in which every node is kept; core
+// and the compilers run on a targeted one, which Build sweeps down to the
+// targets' cones and renumbers. For a batch of generated programs, every
+// target of the targeted net must evaluate, in every world, to the value of
+// its symbol's node in the untargeted net. Runs parallel per seed, so
+// `go test -race` also exercises the builders under concurrent
+// construction.
+func TestFusedMatchesASTGrounding(t *testing.T) {
 	const seeds = 260
 	minChecked := int64(200)
 	if testing.Short() {

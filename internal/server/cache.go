@@ -11,8 +11,8 @@ import (
 
 // artifactCache is a bounded LRU of compiled pipeline prefixes
 // (core.Artifact: the grounded, hash-consed event network) keyed by the
-// content hash of (program, data spec, targets). Artifacts are immutable, so one entry serves any number of concurrent
-// compilations. Concurrent misses on the same key are coalesced: one caller
+// content hash of (program, data spec, targets). Artifacts are immutable,
+// so one entry serves any number of concurrent compilations. Concurrent misses on the same key are coalesced: one caller
 // prepares, the rest wait and share the result (and count as hits).
 type artifactCache struct {
 	mu       sync.Mutex

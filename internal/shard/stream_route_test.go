@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"testing"
 
@@ -89,23 +90,44 @@ func TestRouterPinsStreamSession(t *testing.T) {
 }
 
 // TestRouterStreamSpreadsSessions opens many sessions and checks the fleet
-// shares them (the hash is per-session, not per-fleet-constant).
+// shares them (the hash is per-session, not per-fleet-constant). Every
+// session must land on its own ring owner. The router mints random ids for
+// anonymous creates, and twelve random ids all hash to one of two shards
+// about once in 1,600 runs, so one named session per shard, picked on the
+// ring, makes the spread certain whenever routing follows the session.
 func TestRouterStreamSpreadsSessions(t *testing.T) {
 	s1, s2 := startShard(t), startShard(t)
-	_, rsrv := startRouter(t, []string{s1.Addr(), s2.Addr()}, RouterConfig{})
+	shards := []string{s1.Addr(), s2.Addr()}
+	_, rsrv := startRouter(t, shards, RouterConfig{})
+	ring := NewRing(shards, 0)
 
 	hits := map[string]int{}
-	for i := 0; i < 12; i++ {
-		status, _, shard := postStreamRoute(t, rsrv.URL, server.StreamRequest{
-			Op: "create", Config: streamCfg(int64(i)),
+	create := func(i int, id string) {
+		status, created, shard := postStreamRoute(t, rsrv.URL, server.StreamRequest{
+			Op: "create", SessionID: id, Config: streamCfg(int64(i)),
 		})
 		if status != http.StatusOK {
 			t.Fatalf("create %d: status %d", i, status)
 		}
+		if owner := ring.Owner("stream:" + created.SessionID); shard != owner {
+			t.Fatalf("create %d: session %q landed on %s, its ring owner is %s",
+				i, created.SessionID, shard, owner)
+		}
 		hits[shard]++
 	}
+	for i := 0; i < 12; i++ {
+		create(i, "")
+	}
+	for _, s := range shards {
+		for j := 0; ; j++ {
+			if id := fmt.Sprintf("spread-%d", j); ring.Owner("stream:"+id) == s {
+				create(12+j, id)
+				break
+			}
+		}
+	}
 	if len(hits) < 2 {
-		t.Fatalf("12 sessions all landed on one shard: %v", hits)
+		t.Fatalf("sessions all landed on one shard: %v", hits)
 	}
 }
 
