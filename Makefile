@@ -28,12 +28,13 @@ vet:
 # fuzz-smoke replays the committed corpora (runs as ordinary tests) and then
 # fuzzes each target briefly; quick enough for CI.
 fuzz-smoke:
-	$(GO) test ./internal/lang ./internal/network ./internal/difftest ./internal/dist -run '^Fuzz'
+	$(GO) test ./internal/lang ./internal/network ./internal/difftest ./internal/dist ./internal/server -run '^Fuzz'
 	$(GO) test ./internal/lang -run '^$$' -fuzz '^FuzzLexer$$' -fuzztime 10s
 	$(GO) test ./internal/lang -run '^$$' -fuzz '^FuzzParser$$' -fuzztime 10s
 	$(GO) test ./internal/network -run '^$$' -fuzz '^FuzzIntern$$' -fuzztime 10s
 	$(GO) test ./internal/difftest -run '^$$' -fuzz '^FuzzPipeline$$' -fuzztime 10s
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime 10s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzRequestBody$$' -fuzztime 10s
 
 # fuzz runs the differential pipeline fuzzer for FUZZTIME (default 30s).
 fuzz:

@@ -158,6 +158,16 @@ func (r RunRequest) withDefaults() RunRequest {
 // control. The same cap bounds remote_workers addresses.
 const maxWorkersPerRequest = 16
 
+// The request-shape caps bound what a sensor request may make the front end
+// allocate: lineage and grounding run before any deadline does, and the
+// network grows with the variable pool, the cluster count and the unrolled
+// iterations. A cluster count is further capped by data.n.
+const (
+	maxParamK    = 16
+	maxDataVars  = 64
+	maxParamIter = 10
+)
+
 // ArtifactRequest strips a request down to the fields that determine its
 // compiled artifact (program, data, params, targets) — the exact inputs of
 // the cache key. This is the spec form shipped to remote workers: the worker
@@ -251,9 +261,18 @@ func buildSensorSpec(req RunRequest) (core.Spec, string, error) {
 	if req.Params.K < 1 || req.Params.Iter < 1 || req.Params.R < 1 {
 		return core.Spec{}, "", badRequest("params must be ≥ 1")
 	}
+	if req.Params.Iter > maxParamIter {
+		return core.Spec{}, "", badRequest("params.iter must be ≤ %d (got %d)", maxParamIter, req.Params.Iter)
+	}
+	if req.Data.Vars > maxDataVars {
+		return core.Spec{}, "", badRequest("data.vars must be ≤ %d (got %d)", maxDataVars, req.Data.Vars)
+	}
 	source, isMCL, err := resolveProgram(req)
 	if err != nil {
 		return core.Spec{}, "", err
+	}
+	if maxK := min(req.Data.N, maxParamK); !isMCL && req.Params.K > maxK {
+		return core.Spec{}, "", badRequest("params.k must be ≤ min(data.n, %d) = %d (got %d)", maxParamK, maxK, req.Params.K)
 	}
 	scheme, err := parseScheme(req.Data.Scheme)
 	if err != nil {

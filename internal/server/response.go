@@ -85,7 +85,7 @@ type RunTimings struct {
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// buildResponse fills every member but Targets, which handleRun encodes
+// buildResponse fills every member but Targets, which run encodes
 // straight from rep.Result.Targets (encode.go).
 func buildResponse(req RunRequest, rep *core.Report, hit bool, served string, remote remoteStatus) RunResponse {
 	out := RunResponse{

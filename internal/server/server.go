@@ -5,10 +5,11 @@
 // computation — exact requests replay the artifact's memoized circuit,
 // approximate ones compile with fresh strategy/ε/deadline — admission
 // control (bounded worker pool plus bounded accept queue with fast 429/503
-// rejection),
-// per-request deadlines that cancel in-flight compilation, and graceful
-// drain. Endpoints: POST /v1/run, GET /healthz, GET /metrics, and optional
-// /debug/pprof. Everything is standard library; see SERVING.md.
+// rejection, per-tenant quotas), per-request deadlines that cancel
+// in-flight compilation, and graceful drain. Endpoints: POST /v1/run,
+// /v1/whatif, /v1/stream and /v1/warm, which share one request path
+// (serve); GET /healthz, GET /metrics, and optional /debug/pprof.
+// Everything is standard library; see SERVING.md.
 package server
 
 import (
@@ -277,10 +278,9 @@ func New(cfg Config) *Server {
 // e.g. under httptest).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/run", s.handleRun)
-	mux.HandleFunc("/v1/whatif", s.handleWhatif)
-	mux.HandleFunc("/v1/stream", s.handleStream)
-	mux.HandleFunc("/v1/warm", s.handleWarm)
+	for path, rt := range s.routes() {
+		mux.HandleFunc(path, s.serve(rt))
+	}
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	if s.cfg.Pprof {
@@ -351,8 +351,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// Registry exposes the metrics registry (for embedding servers, e.g. the
-// load generator's in-process mode).
+// Registry exposes the metrics registry to code that embeds the server
+// in-process.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // errorBody is the JSON error envelope.
@@ -389,156 +389,49 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.WriteMetricsHTTP(s.reg, w, r)
 }
 
-// handleRun is POST /v1/run: admission → decode → cache-aware pipeline →
-// JSON result. See SERVING.md for the exact status-code contract.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	s.mRequests.Inc()
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	if s.draining.Load() {
-		s.mRejDraining.Inc()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-
-	// Fast rejection: no free queue slot means the backlog is already
-	// MaxInflight+QueueDepth deep — shed immediately instead of stacking
-	// goroutines.
-	select {
-	case s.queueSlots <- struct{}{}:
-		defer func() { <-s.queueSlots }()
-	default:
-		s.mRejQueue.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "queue full (%d executing + %d waiting)",
-			s.cfg.MaxInflight, s.cfg.QueueDepth)
-		return
-	}
-
-	var req RunRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.mBadRequest.Inc()
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
+// runRoute is POST /v1/run's validation: the defaulted request must denote
+// a core.Spec. The tenant never reaches BuildSpec — it must not perturb the
+// artifact key.
+func (s *Server) runRoute(req RunRequest) (*ticket, error) {
 	req = req.withDefaults()
 	spec, key, err := BuildSpec(req)
 	if err != nil {
-		s.mBadRequest.Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	info := infoFrom(r.Context())
-	info.artifact = key
+	return &ticket{key: key, tenant: req.Tenant, timeoutMs: req.TimeoutMs,
+		execute: func(ctx context.Context, info *reqInfo) (func(http.ResponseWriter), error) {
+			return s.run(ctx, info, spec, key, req)
+		},
+	}, nil
+}
 
-	// Fairness: a named tenant at its quota is shed even though global
-	// capacity remains, so it cannot monopolise the accept queue. The tenant
-	// identity never reaches BuildSpec — it must not perturb the artifact key.
-	tenant := resolveTenant(req.Tenant, r.Header.Get(tenantHeader))
-	info.tenant = tenant
-	if !s.tenants.acquire(tenant) {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "tenant %q over quota (%d slots)",
-			tenant, s.cfg.TenantQuota)
-		return
-	}
-	defer s.tenants.release(tenant)
-
-	// Per-request hard deadline, clamped to the server maximum. It covers
-	// queueing and the whole pipeline, and is joined with the client's
-	// disconnect signal via the request context.
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	// Admission: wait for a worker slot under the deadline.
-	select {
-	case s.workSlots <- struct{}{}:
-		defer func() { <-s.workSlots }()
-	case <-ctx.Done():
-		s.finishCtxErr(w, r, ctx)
-		return
-	}
-	cur := s.inflight.Add(1)
-	s.gInflight.Set(float64(cur))
-	s.gInflightPeak.SetMax(float64(cur))
-	defer func() { s.gInflight.Set(float64(s.inflight.Add(-1))) }()
-	if testHookInflight != nil {
-		testHookInflight()
-	}
-
-	// Per-request tracing is opt-in: the whole pipeline runs under one trace
-	// whose span tree (including spliced remote worker subtrees) returns
-	// inline in the response.
+// run is POST /v1/run's execute step: the cache-aware pipeline, then the
+// JSON result. Per-request tracing is opt-in: the whole pipeline runs under
+// one trace whose span tree (including spliced remote worker subtrees)
+// returns inline in the response.
+func (s *Server) run(ctx context.Context, info *reqInfo, spec core.Spec, key string, req RunRequest) (func(http.ResponseWriter), error) {
 	var tr *obs.Trace
 	if req.Trace {
 		tr = obs.New("run")
 		tr.Root().SetStr("request_id", info.id)
 	}
-
-	t0 := time.Now()
 	rep, cache, served, remote, err := s.execute(ctx, spec, key, req, tr)
 	info.cache = cache.String()
 	info.served = served
 	info.remote = remote.used
 	info.fallback = remote.fellBack
 	if err != nil {
-		if s.answerPanic(w, info, err) {
-			return
-		}
-		if ctx.Err() != nil {
-			s.finishCtxErr(w, r, ctx)
-			return
-		}
-		// A broken worker plane — unreachable workers, mid-run total loss,
-		// protocol version skew, truncated frames — is an upstream failure:
-		// 502, never a hang or a panic.
-		if isRemoteError(err) {
-			s.mBadGateway.Inc()
-			writeError(w, http.StatusBadGateway, "remote worker plane: %v", err)
-			return
-		}
-		s.mErrors.Inc()
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
+		return nil, err
 	}
-	s.hLatency.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
-	s.mOK.Inc()
 	resp := buildResponse(req, rep, cache.reused(), served, remote)
 	if tr != nil {
 		tr.Finish()
 		ex := tr.Root().Export()
 		resp.Trace = &ex
 	}
-	writeSpliced(w, resp, "targets", func(b []byte) []byte { return appendTargets(b, rep.Result.Targets) })
-}
-
-// answerPanic answers 500, naming the request, when err carries a panic a
-// single-flight leader recovered (this request's own or the one it waited
-// on), and reports whether it did.
-func (s *Server) answerPanic(w http.ResponseWriter, info *reqInfo, err error) bool {
-	var pe *core.PanicError
-	if !errors.As(err, &pe) {
-		return false
-	}
-	s.mPanics.Inc()
-	if s.accessLog != nil {
-		s.accessLog.Error("panic", "request_id", info.id, "op", pe.Op,
-			"value", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
-	}
-	writeError(w, http.StatusInternalServerError, "internal error (request %s)", info.id)
-	return true
+	return func(w http.ResponseWriter) {
+		writeSpliced(w, resp, "targets", func(b []byte) []byte { return appendTargets(b, rep.Result.Targets) })
+	}, nil
 }
 
 // isRemoteError classifies distributed-plane failures for the 502 contract:
@@ -761,19 +654,6 @@ func (s *Server) poolFor(ctx context.Context, addrs []string) (*dist.Pool, error
 		close(call.done)
 		return p, err
 	}
-}
-
-// finishCtxErr maps a context failure to the response contract: 504 for a
-// deadline, 499 for a client that went away.
-func (s *Server) finishCtxErr(w http.ResponseWriter, r *http.Request, ctx context.Context) {
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		s.mDeadline.Inc()
-		writeError(w, http.StatusGatewayTimeout, "deadline exceeded")
-		return
-	}
-	// The client disconnected; the write is best-effort.
-	s.mCanceled.Inc()
-	w.WriteHeader(statusClientClosedRequest)
 }
 
 func isCtxError(err error) bool {

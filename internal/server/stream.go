@@ -4,8 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
-	"errors"
+	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -61,7 +60,6 @@ type streamSeqConflict struct {
 // streamEntry is one registered session.
 type streamEntry struct {
 	s        *stream.Session
-	tenant   string
 	lastUsed time.Time
 }
 
@@ -138,8 +136,10 @@ func (r *streamRegistry) clear() {
 	r.sessions = map[string]*streamEntry{}
 }
 
-// newSessionID mints a random 16-hex-digit session id.
-func newSessionID() string {
+// NewStreamSessionID mints a random 16-hex-digit session id. The shard
+// router calls it too: it assigns ids to anonymous "create" requests so it
+// has a routing key for the whole session life.
+func NewStreamSessionID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		panic("server: session id entropy unavailable: " + err.Error())
@@ -147,176 +147,91 @@ func newSessionID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// NewStreamSessionID mints a session id for callers that must know it
-// before the shard does — the shard router assigns ids to anonymous
-// "create" requests so it has a routing key for the whole session life.
-func NewStreamSessionID() string { return newSessionID() }
-
-// handleStream is POST /v1/stream: admission → decode → verb dispatch
-// against the session registry. Sessions are shard-local state; the shard
-// router pins every request carrying one session id to the same shard.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	s.mRequests.Inc()
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	if s.draining.Load() {
-		s.mRejDraining.Inc()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	select {
-	case s.queueSlots <- struct{}{}:
-		defer func() { <-s.queueSlots }()
-	default:
-		s.mRejQueue.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "queue full (%d executing + %d waiting)",
-			s.cfg.MaxInflight, s.cfg.QueueDepth)
-		return
-	}
-
-	var req StreamRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.mBadRequest.Inc()
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if req.TimeoutMs < 0 {
-		s.mBadRequest.Inc()
-		writeError(w, http.StatusBadRequest, "timeout_ms must be ≥ 0")
-		return
-	}
-	info := infoFrom(r.Context())
-	info.artifact = "stream:" + req.SessionID
-
-	tenant := resolveTenant(req.Tenant, r.Header.Get(tenantHeader))
-	info.tenant = tenant
-	if !s.tenants.acquire(tenant) {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "tenant %q over quota (%d slots)",
-			tenant, s.cfg.TenantQuota)
-		return
-	}
-	defer s.tenants.release(tenant)
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	select {
-	case s.workSlots <- struct{}{}:
-		defer func() { <-s.workSlots }()
-	case <-ctx.Done():
-		s.finishCtxErr(w, r, ctx)
-		return
-	}
-	cur := s.inflight.Add(1)
-	s.gInflight.Set(float64(cur))
-	s.gInflightPeak.SetMax(float64(cur))
-	defer func() { s.gInflight.Set(float64(s.inflight.Add(-1))) }()
-	if testHookInflight != nil {
-		testHookInflight()
-	}
-
-	t0 := time.Now()
+// streamRoute is POST /v1/stream's validation: the op must name a protocol
+// verb. Its execute step runs the verb against the session registry.
+// Sessions are shard-local state; the shard router pins every request
+// carrying one session id to the same shard.
+func (s *Server) streamRoute(req StreamRequest) (*ticket, error) {
+	var verb func(context.Context, StreamRequest) (*StreamResponse, error)
 	switch req.Op {
 	case "create":
-		s.streamCreate(ctx, w, req, tenant)
+		verb = s.streamCreate
 	case "push":
-		s.streamPush(ctx, w, req)
+		verb = s.streamPush
 	case "query":
-		s.streamQuery(ctx, w, req)
+		verb = s.streamQuery
 	case "close":
-		s.streamClose(w, req)
+		verb = s.streamClose
 	default:
-		s.mBadRequest.Inc()
-		writeError(w, http.StatusBadRequest, "unknown op %q (want create, push, query, or close)", req.Op)
-		return
+		return nil, badRequest("unknown op %q (want create, push, query, or close)", req.Op)
 	}
-	s.hLatency.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
-	if req.Op == "push" {
-		s.hStreamPush.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
-	}
+	return &ticket{key: "stream:" + req.SessionID, tenant: req.Tenant, timeoutMs: req.TimeoutMs,
+		execute: func(ctx context.Context, _ *reqInfo) (func(http.ResponseWriter), error) {
+			resp, err := verb(ctx, req)
+			if err != nil {
+				return nil, err
+			}
+			return jsonReply(resp), nil
+		},
+	}, nil
 }
 
-func (s *Server) streamCreate(ctx context.Context, w http.ResponseWriter, req StreamRequest, tenant string) {
+// noSession is the 404 refusal of a verb naming an unknown session.
+func noSession(id string) error {
+	return &statusError{http.StatusNotFound, nil, fmt.Sprintf("no session %q", id)}
+}
+
+func (s *Server) streamCreate(ctx context.Context, req StreamRequest) (*StreamResponse, error) {
 	cfg := stream.Config{}
 	if req.Config != nil {
 		cfg = *req.Config
 	}
 	sess, err := stream.NewSession(ctx, cfg)
 	if err != nil {
-		if ctx.Err() != nil {
-			s.mDeadline.Inc()
-			writeError(w, http.StatusGatewayTimeout, "deadline exceeded")
-			return
-		}
-		s.mBadRequest.Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		// A session that cannot be built is a bad config; fail answers an
+		// expired context before it looks at the error.
+		return nil, badRequest("%v", err)
 	}
 	id := req.SessionID
 	if id == "" {
-		id = newSessionID()
+		id = NewStreamSessionID()
 	}
-	evicted, ok := s.streams.add(id, &streamEntry{s: sess, tenant: tenant, lastUsed: time.Now()})
+	evicted, ok := s.streams.add(id, &streamEntry{s: sess, lastUsed: time.Now()})
 	if evicted > 0 {
 		s.mStreamEvicted.Add(int64(evicted))
 	}
 	if !ok {
 		if _, exists := s.streams.get(id); exists {
-			s.mBadRequest.Inc()
-			writeError(w, http.StatusConflict, "session %q already exists", id)
-			return
+			return nil, &statusError{http.StatusConflict, s.mBadRequest, fmt.Sprintf("session %q already exists", id)}
 		}
-		s.mRejQueue.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "session registry full (%d sessions)", s.cfg.MaxStreamSessions)
-		return
+		return nil, &statusError{http.StatusTooManyRequests, s.mRejQueue,
+			fmt.Sprintf("session registry full (%d sessions)", s.cfg.MaxStreamSessions)}
 	}
 	s.mStreamCreated.Inc()
 	s.gStreamActive.Set(float64(s.streams.len()))
 	u, err := sess.Query(ctx)
 	if err != nil {
-		s.streamError(w, ctx, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, &StreamResponse{
+	return &StreamResponse{
 		SessionID: id,
 		Seq:       u.Seq,
 		Marginals: u.Marginals,
 		Stats:     &u.Stats,
 		Windows:   streamWindows(sess),
-	})
+	}, nil
 }
 
-func (s *Server) streamPush(ctx context.Context, w http.ResponseWriter, req StreamRequest) {
+// streamPush applies one batch; stream.push_ms records accepted pushes only.
+func (s *Server) streamPush(ctx context.Context, req StreamRequest) (*StreamResponse, error) {
+	t0 := time.Now()
 	e, ok := s.streams.get(req.SessionID)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no session %q", req.SessionID)
-		return
+		return nil, noSession(req.SessionID)
 	}
 	u, err := e.s.Apply(ctx, req.BaseSeq, req.Deltas)
 	if err != nil {
-		var se *stream.SeqError
-		if errors.As(err, &se) {
-			s.mStreamSeqConflict.Inc()
-			writeJSON(w, http.StatusConflict, streamSeqConflict{Error: se.Error(), Seq: se.Want})
-			return
-		}
-		s.streamError(w, ctx, err)
-		return
+		return nil, err
 	}
 	s.mStreamPushes.Inc()
 	s.mStreamDeltas.Add(int64(u.Stats.Applied))
@@ -326,65 +241,40 @@ func (s *Server) streamPush(ctx context.Context, w http.ResponseWriter, req Stre
 	if u.Stats.Full {
 		s.mStreamFull.Inc()
 	}
-	writeJSON(w, http.StatusOK, &StreamResponse{
+	s.hStreamPush.Observe(ms(time.Since(t0)))
+	return &StreamResponse{
 		SessionID: req.SessionID,
 		Seq:       u.Seq,
 		Marginals: u.Marginals,
 		Stats:     &u.Stats,
-	})
+	}, nil
 }
 
-func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, req StreamRequest) {
+func (s *Server) streamQuery(ctx context.Context, req StreamRequest) (*StreamResponse, error) {
 	e, ok := s.streams.get(req.SessionID)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no session %q", req.SessionID)
-		return
+		return nil, noSession(req.SessionID)
 	}
 	u, err := e.s.Query(ctx)
 	if err != nil {
-		s.streamError(w, ctx, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, &StreamResponse{
+	return &StreamResponse{
 		SessionID: req.SessionID,
 		Seq:       u.Seq,
 		Marginals: u.Marginals,
 		Stats:     &u.Stats,
 		Windows:   streamWindows(e.s),
-	})
+	}, nil
 }
 
-func (s *Server) streamClose(w http.ResponseWriter, req StreamRequest) {
+func (s *Server) streamClose(_ context.Context, req StreamRequest) (*StreamResponse, error) {
 	if !s.streams.remove(req.SessionID) {
-		writeError(w, http.StatusNotFound, "no session %q", req.SessionID)
-		return
+		return nil, noSession(req.SessionID)
 	}
 	s.mStreamClosed.Inc()
 	s.gStreamActive.Set(float64(s.streams.len()))
-	writeJSON(w, http.StatusOK, &StreamResponse{SessionID: req.SessionID, Closed: true})
-}
-
-// streamError maps a session failure onto the response contract: 400 for
-// rejected batches, 504/499 for context expiry, 422 otherwise.
-func (s *Server) streamError(w http.ResponseWriter, ctx context.Context, err error) {
-	var ve *stream.ValidationError
-	if errors.As(err, &ve) {
-		s.mBadRequest.Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if ctx.Err() != nil {
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			s.mDeadline.Inc()
-			writeError(w, http.StatusGatewayTimeout, "deadline exceeded")
-		} else {
-			s.mCanceled.Inc()
-			w.WriteHeader(statusClientClosedRequest)
-		}
-		return
-	}
-	s.mErrors.Inc()
-	writeError(w, http.StatusUnprocessableEntity, "%v", err)
+	return &StreamResponse{SessionID: req.SessionID, Closed: true}, nil
 }
 
 func streamWindows(sess *stream.Session) []StreamWindow {

@@ -238,7 +238,7 @@ func TestStreamValidationAndRouting(t *testing.T) {
 }
 
 func TestStreamRegistryCapAndEviction(t *testing.T) {
-	s := startTestServer(t, Config{MaxStreamSessions: 2, StreamIdleTimeout: 50 * time.Millisecond})
+	s := startTestServer(t, Config{MaxStreamSessions: 2, StreamIdleTimeout: time.Hour})
 	client := &http.Client{}
 	mk := func() (int, StreamResponse) {
 		st, resp, _ := postStream(t, client, s.Addr(), StreamRequest{Op: "create", Config: smallStreamConfig()})
@@ -254,8 +254,15 @@ func TestStreamRegistryCapAndEviction(t *testing.T) {
 	if st, _ := mk(); st != http.StatusTooManyRequests {
 		t.Fatalf("create at cap: status %d, want 429", st)
 	}
-	// After the idle timeout, creation evicts and succeeds.
-	time.Sleep(60 * time.Millisecond)
+	// Once the sessions are older than the idle timeout, creation evicts
+	// and succeeds. Aging them by hand keeps the test independent of how
+	// long a create takes (the race detector slows it past any short
+	// timeout).
+	s.streams.mu.Lock()
+	for _, e := range s.streams.sessions {
+		e.lastUsed = e.lastUsed.Add(-2 * time.Hour)
+	}
+	s.streams.mu.Unlock()
 	if st, _ := mk(); st != http.StatusOK {
 		t.Fatalf("create after idle: %d", st)
 	}

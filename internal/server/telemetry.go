@@ -28,11 +28,11 @@ func newRequestID() string {
 }
 
 // reqInfo is the per-request telemetry record: installed by the middleware,
-// filled in by handlers, consumed by the access log once the response is
-// written.
+// filled in by the request path (serve), consumed by the access log once the
+// response is written.
 type reqInfo struct {
 	id       string
-	artifact string // artifact cache key (content hash); run requests only
+	artifact string // artifact cache key (content hash); "stream:<id>" on /v1/stream
 	cache    string // miss | hit | coalesced
 	served   string // circuit | trace | compile; /v1/run only
 	remote   bool   // jobs shipped to remote workers
@@ -41,16 +41,6 @@ type reqInfo struct {
 }
 
 type reqInfoKey struct{}
-
-// infoFrom returns the request's telemetry record. Handlers invoked without
-// the middleware (direct mux use in tests) get a discardable record, so the
-// fill-in sites need no nil checks.
-func infoFrom(ctx context.Context) *reqInfo {
-	if info, ok := ctx.Value(reqInfoKey{}).(*reqInfo); ok {
-		return info
-	}
-	return &reqInfo{}
-}
 
 // statusRecorder captures the response status and body size for the access
 // log and the per-outcome latency histograms.

@@ -98,9 +98,6 @@ func (t *tenantLimiter) seriesID(id string) string {
 // tenant is over quota (the caller answers 429). Anonymous requests
 // (id == "") always succeed.
 func (t *tenantLimiter) acquire(id string) bool {
-	if t == nil {
-		return true
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.mRequests.Inc()
@@ -122,7 +119,7 @@ func (t *tenantLimiter) acquire(id string) bool {
 
 // release returns the tenant's admission slot.
 func (t *tenantLimiter) release(id string) {
-	if t == nil || id == "" {
+	if id == "" {
 		return
 	}
 	t.mu.Lock()

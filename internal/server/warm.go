@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 )
 
@@ -18,83 +17,34 @@ type WarmResponse struct {
 	NetworkNodes int    `json:"network_nodes"`
 }
 
-// handleWarm is POST /v1/warm: resolve the request's artifact into the
+// warmRoute is POST /v1/warm: resolve the request's artifact into the
 // compiled-artifact cache without compiling probabilities. The shard router
 // uses it to migrate cache residency on membership change — when the ring
 // reassigns a key, the new owner is warmed before traffic finds it cold.
 // The body is a RunRequest; only the artifact-identifying fields matter
-// (strategy/ε/deadlines are ignored). Warming takes a worker slot (the
-// front end is real CPU work) but bypasses tenant quotas: it is fleet
-// maintenance, not tenant traffic.
-func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
-	s.mRequests.Inc()
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	if s.draining.Load() {
-		s.mRejDraining.Inc()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	select {
-	case s.queueSlots <- struct{}{}:
-		defer func() { <-s.queueSlots }()
-	default:
-		s.mRejQueue.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "queue full (%d executing + %d waiting)",
-			s.cfg.MaxInflight, s.cfg.QueueDepth)
-		return
-	}
-
-	var req RunRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.mBadRequest.Inc()
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
+// (strategy/ε/deadlines are ignored, so warming runs under the default
+// deadline). Warming takes a worker slot (the front end is real CPU work)
+// but bypasses tenant accounting and quotas: it is fleet maintenance, not
+// tenant traffic.
+func (s *Server) warmRoute(req RunRequest) (*ticket, error) {
 	spec, key, err := BuildSpec(ArtifactRequest(req))
 	if err != nil {
-		s.mBadRequest.Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	info := infoFrom(r.Context())
-	info.artifact = key
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
-	defer cancel()
-	select {
-	case s.workSlots <- struct{}{}:
-		defer func() { <-s.workSlots }()
-	case <-ctx.Done():
-		s.finishCtxErr(w, r, ctx)
-		return
-	}
-
-	art, cache, err := s.artifactFor(ctx, spec, key)
-	info.cache = cache.String()
-	if err != nil {
-		if s.answerPanic(w, info, err) {
-			return
-		}
-		if ctx.Err() != nil {
-			s.finishCtxErr(w, r, ctx)
-			return
-		}
-		s.mErrors.Inc()
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	s.mWarm.Inc()
-	writeJSON(w, http.StatusOK, WarmResponse{
-		Key:          key,
-		Cache:        cache.String(),
-		Variables:    art.Net.Space.Len(),
-		NetworkNodes: art.Net.NumNodes(),
-	})
+	return &ticket{key: key, fleet: true,
+		execute: func(ctx context.Context, info *reqInfo) (func(http.ResponseWriter), error) {
+			art, cache, err := s.artifactFor(ctx, spec, key)
+			info.cache = cache.String()
+			if err != nil {
+				return nil, err
+			}
+			s.mWarm.Inc()
+			return jsonReply(WarmResponse{
+				Key:          key,
+				Cache:        cache.String(),
+				Variables:    art.Net.Space.Len(),
+				NetworkNodes: art.Net.NumNodes(),
+			}), nil
+		},
+	}, nil
 }

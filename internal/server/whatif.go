@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -132,125 +131,39 @@ func (wr WhatifRequest) grid() ([]float64, error) {
 	return g, nil
 }
 
-// handleWhatif is POST /v1/whatif: admission → decode → cached artifact →
-// cached circuit → grid replay. Status contract matches /v1/run, plus 422
-// when the trace was pruned (an incomplete circuit cannot answer at swept
-// probabilities).
-func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
-	s.mRequests.Inc()
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	if s.draining.Load() {
-		s.mRejDraining.Inc()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	select {
-	case s.queueSlots <- struct{}{}:
-		defer func() { <-s.queueSlots }()
-	default:
-		s.mRejQueue.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "queue full (%d executing + %d waiting)",
-			s.cfg.MaxInflight, s.cfg.QueueDepth)
-		return
-	}
-
-	var req WhatifRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.mBadRequest.Inc()
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
+// whatifRoute is POST /v1/whatif's validation: a well-formed grid and an
+// artifact-identifying request BuildSpec accepts. Its execute step replays
+// the grid on the artifact's cached circuit; beyond /v1/run's statuses it
+// answers 422 when the trace was pruned (an incomplete circuit cannot
+// answer at swept probabilities).
+func (s *Server) whatifRoute(req WhatifRequest) (*ticket, error) {
 	grid, err := req.grid()
 	if err != nil {
-		s.mBadRequest.Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.TimeoutMs < 0 {
-		s.mBadRequest.Inc()
-		writeError(w, http.StatusBadRequest, "timeout_ms must be ≥ 0")
-		return
+		return nil, err
 	}
 	rreq := req.RunRequest()
 	spec, key, err := BuildSpec(rreq)
 	if err != nil {
-		s.mBadRequest.Inc()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	info := infoFrom(r.Context())
-	info.artifact = key
-
-	tenant := resolveTenant(req.Tenant, r.Header.Get(tenantHeader))
-	info.tenant = tenant
-	if !s.tenants.acquire(tenant) {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "tenant %q over quota (%d slots)",
-			tenant, s.cfg.TenantQuota)
-		return
-	}
-	defer s.tenants.release(tenant)
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	select {
-	case s.workSlots <- struct{}{}:
-		defer func() { <-s.workSlots }()
-	case <-ctx.Done():
-		s.finishCtxErr(w, r, ctx)
-		return
-	}
-	cur := s.inflight.Add(1)
-	s.gInflight.Set(float64(cur))
-	s.gInflightPeak.SetMax(float64(cur))
-	defer func() { s.gInflight.Set(float64(s.inflight.Add(-1))) }()
-	if testHookInflight != nil {
-		testHookInflight()
-	}
-
-	t0 := time.Now()
-	resp, rows, cache, err := s.executeWhatif(ctx, spec, key, rreq, req, grid)
-	info.cache = cache.String()
-	if err != nil {
-		if s.answerPanic(w, info, err) {
-			return
-		}
-		if ctx.Err() != nil {
-			s.finishCtxErr(w, r, ctx)
-			return
-		}
-		if _, ok := err.(*badRequestError); ok {
-			s.mBadRequest.Inc()
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		s.mErrors.Inc()
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	s.hLatency.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
-	s.mOK.Inc()
-	writeSpliced(w, resp, "points", func(b []byte) []byte { return appendPoints(b, grid, rows) })
+	return &ticket{key: key, tenant: req.Tenant, timeoutMs: req.TimeoutMs,
+		execute: func(ctx context.Context, info *reqInfo) (func(http.ResponseWriter), error) {
+			resp, rows, cache, err := s.executeWhatif(ctx, spec, key, rreq, req, grid)
+			info.cache = cache.String()
+			if err != nil {
+				return nil, err
+			}
+			return func(w http.ResponseWriter) {
+				writeSpliced(w, resp, "points", func(b []byte) []byte { return appendPoints(b, grid, rows) })
+			}, nil
+		},
+	}, nil
 }
 
 // executeWhatif resolves the artifact and its circuit through their caches
 // and replays the grid. The response's Points stay nil: rows holds each grid
-// point's bounds, which handleWhatif encodes in their place (encode.go).
+// point's bounds, which whatifRoute's reply encodes in their place
+// (encode.go).
 func (s *Server) executeWhatif(ctx context.Context, spec core.Spec, key string, rreq RunRequest, req WhatifRequest, grid []float64) (*WhatifResponse, [][]prob.TargetBound, cacheOutcome, error) {
 	art, cache, err := s.artifactFor(ctx, spec, key)
 	if err != nil {
