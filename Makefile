@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: fmt build test test-short test-race vet fuzz-smoke fuzz alloc-guard smoke bench bench-quick ci
+.PHONY: fmt build test test-short test-race vet fuzz-smoke fuzz alloc-guard smoke examples bench bench-quick ci
 
 # fmt fails when any Go file is not gofmt-formatted.
 fmt:
@@ -56,6 +56,15 @@ alloc-guard:
 smoke:
 	$(GO) test ./cmd/enframe -run '^TestSmoke' -count=1 -v
 
+# examples runs the example programs end to end; each exits nonzero on
+# failure. approximation is left out: it compiles a 60-object network
+# exactly twice and takes about a minute.
+examples:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/energygrid
+	$(GO) run ./examples/pctable
+	$(GO) run ./examples/markov
+
 # bench runs the repository's benchmark (BENCHMARK.json, benchmark/): all
 # five workloads with 20 s windows. bench-quick uses 5 s windows and is the
 # end-to-end correctness gate of ci: it exits nonzero on any wrong answer,
@@ -66,4 +75,4 @@ bench:
 bench-quick:
 	$(GO) run ./benchmark -seed 1 -seconds 5
 
-ci: fmt vet build test test-race alloc-guard bench-quick
+ci: fmt vet build test test-race alloc-guard examples bench-quick

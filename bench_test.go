@@ -5,16 +5,18 @@ package enframe
 // in DESIGN.md. cmd/figures regenerates the full series; these benches make
 // `go test -bench .` reproduce the orderings (naïve ≫ exact ≫ hybrid,
 // lazy ≈ hybrid on positive correlations, certain points cheap, …) in
-// minutes.
+// minutes. Every compile bench runs the network /v1/run answers with:
+// Figure 1's program translated over the generated data.
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"enframe/internal/cluster"
 	"enframe/internal/core"
 	"enframe/internal/data"
-	"enframe/internal/encode"
 	"enframe/internal/lang"
 	"enframe/internal/lineage"
 	"enframe/internal/network"
@@ -24,16 +26,17 @@ import (
 	"enframe/internal/vec"
 )
 
-// benchSpec builds the standard k-medoids benchmark task.
-func benchSpec(b *testing.B, n int, cfg lineage.Config) *encode.KMedoidsSpec {
+// benchSpec builds the standard k-medoids benchmark task: k = 2, three
+// iterations, the first two objects as initial medoids, Centre targets.
+func benchSpec(b *testing.B, n int, cfg lineage.Config) core.Spec {
 	b.Helper()
 	objs, space, err := lineage.Attach(data.Points(n, 1), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return &encode.KMedoidsSpec{
-		Objects: objs, Space: space, K: 2, Iter: 3,
-		Targets: encode.TargetsMedoids,
+	return core.Spec{
+		Source: lang.KMedoidsSource, Objects: objs, Space: space,
+		Params: []int{2, 3}, InitIndices: []int{0, 1}, Targets: []string{"Centre["},
 	}
 }
 
@@ -41,13 +44,13 @@ func positiveCfg(v int) lineage.Config {
 	return lineage.Config{Scheme: lineage.Positive, NumVars: v, L: 8, Seed: 1}
 }
 
-func benchNet(b *testing.B, sp *encode.KMedoidsSpec) *network.Net {
+func benchNet(b *testing.B, sp core.Spec) *network.Net {
 	b.Helper()
-	net, err := sp.Network()
+	art, err := core.PrepareContext(context.Background(), sp)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return net
+	return art.Net
 }
 
 func benchCompile(b *testing.B, net *network.Net, opts prob.Options) {
@@ -71,8 +74,8 @@ func BenchmarkFig6LeftNaive(b *testing.B) {
 	sp := benchSpec(b, 60, positiveCfg(12))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sp.Naive(encode.NaiveOptions{}); err != nil {
-			b.Fatal(err)
+		if res := cluster.Naive(context.Background(), sp.Objects, sp.Space, sp.Params[0], sp.Params[1], sp.InitIndices, sp.Metric); res.TimedOut {
+			b.Fatal("naïve baseline timed out")
 		}
 	}
 }
@@ -208,55 +211,42 @@ func BenchmarkAblationRecompute(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationNaivePlain(b *testing.B) {
-	sp := benchSpec(b, 60, positiveCfg(12))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sp.Naive(encode.NaiveOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationNaiveMemoised(b *testing.B) {
-	sp := benchSpec(b, 60, positiveCfg(12))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sp.Naive(encode.NaiveOptions{Memoise: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkAblationTargetsMedoids(b *testing.B) {
-	sp := benchSpec(b, 60, positiveCfg(12))
-	sp.Targets = encode.TargetsMedoids
-	net := benchNet(b, sp)
+	net := benchNet(b, benchSpec(b, 60, positiveCfg(12)))
 	benchCompile(b, net, prob.Options{Strategy: prob.Exact})
 }
 
 func BenchmarkAblationTargetsAssignment(b *testing.B) {
 	sp := benchSpec(b, 60, positiveCfg(12))
-	sp.Targets = encode.TargetsAssignment
-	net := benchNet(b, sp)
-	benchCompile(b, net, prob.Options{Strategy: prob.Exact})
+	sp.Targets = []string{"InCl["}
+	benchCompile(b, benchNet(b, sp), prob.Options{Strategy: prob.Exact})
 }
 
+// BenchmarkAblationTargetsCoOccurrence targets "do objects l and l+1 share
+// a cluster?" for the pairs (0,1), (2,3), …, added as a program suffix.
 func BenchmarkAblationTargetsCoOccurrence(b *testing.B) {
 	sp := benchSpec(b, 60, positiveCfg(12))
-	sp.Targets = encode.TargetsCoOccurrence
-	net := benchNet(b, sp)
-	benchCompile(b, net, prob.Options{Strategy: prob.Exact})
+	var src strings.Builder
+	src.WriteString(sp.Source)
+	sp.Targets = nil
+	for l := 0; l+1 < len(sp.Objects); l += 2 {
+		fmt.Fprintf(&src, "CoOcc%d = reduce_or([InCl[i][%d] for i in range(0,k) if InCl[i][%d]])\n", l, l+1, l)
+		sp.Targets = append(sp.Targets, fmt.Sprintf("CoOcc%d", l))
+	}
+	sp.Source = src.String()
+	benchCompile(b, benchNet(b, sp), prob.Options{Strategy: prob.Exact})
 }
 
 // --- Pipeline micro-benchmarks --------------------------------------------
 
+// BenchmarkNetworkBuildKMedoids prepares (lex → parse → translate+ground)
+// a 100-object k-medoids network.
 func BenchmarkNetworkBuildKMedoids(b *testing.B) {
 	sp := benchSpec(b, 100, positiveCfg(20))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sp.Network(); err != nil {
+		if _, err := core.PrepareContext(context.Background(), sp); err != nil {
 			b.Fatal(err)
 		}
 	}

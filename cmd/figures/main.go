@@ -12,6 +12,11 @@
 //	Fig. 9         — hybrid-d vs #workers for job sizes d ∈ {3, 6, 9}
 //	ablations      — §5 "further findings" plus DESIGN.md design choices
 //
+// Every point runs the network /v1/run answers with: Fig. 1's program
+// (lang.KMedoidsSource) translated over the same generated data, with
+// Centre[i][l] targets. The naïve baseline runs cluster.KMedoids, which
+// follows the same semantics, in every possible world.
+//
 // Sizes and timeouts are scaled down from the paper's 3600-second budget;
 // pass -scale and -timeout to enlarge sweeps. Output is TSV: one row per
 // (figure, series, x) with wall-clock seconds and work counters. hybrid-d
@@ -20,13 +25,17 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
+	"enframe/internal/cluster"
+	"enframe/internal/core"
 	"enframe/internal/data"
-	"enframe/internal/encode"
+	"enframe/internal/lang"
 	"enframe/internal/lineage"
 	"enframe/internal/prob"
 	"enframe/internal/vec"
@@ -92,20 +101,30 @@ func point(fig, series string, x any, seconds float64, status, detail string) {
 	fmt.Printf("%s\t%s\t%v\t%.4f\t%s\t%s\n", fig, series, x, seconds, status, detail)
 }
 
-// spec builds a k-medoids task over synthetic sensor data with the given
-// lineage configuration.
-func spec(n int, cfg lineage.Config) *encode.KMedoidsSpec {
-	pts := data.Points(n, *seedFlag)
+// spec builds a k-medoids task over n synthetic sensor readings with the
+// given lineage configuration.
+func spec(n int, cfg lineage.Config) core.Spec {
+	return kmedoids(data.Points(n, *seedFlag), cfg)
+}
+
+// kmedoids is Fig. 1's program over the points, as /v1/run builds it: the
+// first kClusters objects are the initial medoids.
+func kmedoids(pts []vec.Vec, cfg lineage.Config) core.Spec {
 	objs, space, err := lineage.Attach(pts, cfg)
 	if err != nil {
 		panic(err)
 	}
-	return &encode.KMedoidsSpec{
-		Objects: objs,
-		Space:   space,
-		K:       kClusters,
-		Iter:    iterations,
-		Targets: encode.TargetsMedoids,
+	init := make([]int, kClusters)
+	for i := range init {
+		init[i] = i
+	}
+	return core.Spec{
+		Source:      lang.KMedoidsSource,
+		Objects:     objs,
+		Space:       space,
+		Params:      []int{kClusters, iterations},
+		InitIndices: init,
+		Targets:     []string{"Centre["},
 	}
 }
 
@@ -138,30 +157,27 @@ func algorithms(eps float64, withNaive, withAll bool) []algorithm {
 
 // run executes one algorithm on one task, with per-series timeout skipping
 // handled by the caller.
-func run(sp *encode.KMedoidsSpec, alg algorithm) (seconds float64, status, detail string) {
+func run(sp core.Spec, alg algorithm) (seconds float64, status, detail string) {
 	if alg.name == "naive" {
-		res, err := sp.Naive(encode.NaiveOptions{Timeout: *timeoutFlag})
-		if err != nil {
-			return 0, "error", err.Error()
-		}
+		ctx, cancel := context.WithTimeout(context.Background(), *timeoutFlag)
+		defer cancel()
+		res := cluster.Naive(ctx, sp.Objects, sp.Space, sp.Params[0], sp.Params[1], sp.InitIndices, sp.Metric)
+		status = "ok"
 		if res.TimedOut {
-			return res.Stats.Duration.Seconds(), "timeout", fmt.Sprintf("worlds=%d", res.Stats.Branches)
+			status = "timeout"
 		}
-		return res.Stats.Duration.Seconds(), "ok", fmt.Sprintf("worlds=%d", res.Stats.Branches)
+		return res.Stats.Duration.Seconds(), status, fmt.Sprintf("worlds=%d", res.Stats.Branches)
 	}
-	net, err := sp.Network()
+	sp.Compile = alg.opts
+	sp.Compile.Timeout = *timeoutFlag
+	rep, err := core.Run(sp)
 	if err != nil {
 		return 0, "error", err.Error()
 	}
-	opts := alg.opts
-	opts.Timeout = *timeoutFlag
-	res, err := prob.Compile(net, opts)
-	if err != nil {
-		return 0, "error", err.Error()
-	}
+	res := rep.Result
 	secs := res.Stats.Duration.Seconds()
-	detail = fmt.Sprintf("branches=%d nodes=%d", res.Stats.Branches, net.NumNodes())
-	if opts.SimulateWorkers {
+	detail = fmt.Sprintf("branches=%d nodes=%d", res.Stats.Branches, rep.Net.NumNodes())
+	if sp.Compile.SimulateWorkers {
 		secs = res.Stats.SimulatedMakespan.Seconds()
 		detail += fmt.Sprintf(" jobs=%d", res.Stats.Jobs)
 	}
@@ -173,7 +189,7 @@ func run(sp *encode.KMedoidsSpec, alg algorithm) (seconds float64, status, detai
 
 // sweepSeries runs one algorithm across increasing x values, skipping the
 // rest of a series after its first timeout (larger points only get slower).
-func sweepSeries(fig string, series string, xs []int, mk func(x int) *encode.KMedoidsSpec, alg algorithm) {
+func sweepSeries(fig string, series string, xs []int, mk func(x int) core.Spec, alg algorithm) {
 	for _, x := range xs {
 		sp := mk(x)
 		secs, status, detail := run(sp, alg)
@@ -195,7 +211,7 @@ func fig6Left() {
 	}{{"f=100%", n100}, {"f=50%", n100 / 2}} {
 		for _, alg := range algorithms(*epsFlag, true, true) {
 			series := alg.name + "," + f.label
-			sweepSeries("6l", series, vars, func(v int) *encode.KMedoidsSpec {
+			sweepSeries("6l", series, vars, func(v int) core.Spec {
 				return spec(f.n, lineage.Config{
 					Scheme: lineage.Positive, NumVars: v, L: 8, Seed: *seedFlag,
 				})
@@ -216,7 +232,7 @@ func fig6Right() {
 	for _, v := range []int{10, 20, 30} {
 		for _, alg := range approx {
 			series := fmt.Sprintf("%s,v=%d", alg.name, v)
-			sweepSeries("6r", series, fractions, func(f int) *encode.KMedoidsSpec {
+			sweepSeries("6r", series, fractions, func(f int) core.Spec {
 				return spec(full*f/100, lineage.Config{
 					Scheme: lineage.Positive, NumVars: v, L: 8, Seed: *seedFlag,
 				})
@@ -242,7 +258,7 @@ func fig7(scheme lineage.Scheme) {
 		sizes[i] = scaled(sizes[i])
 	}
 	for _, alg := range algorithms(*epsFlag, true, false) {
-		sweepSeries(fig, alg.name, sizes, func(n int) *encode.KMedoidsSpec {
+		sweepSeries(fig, alg.name, sizes, func(n int) core.Spec {
 			return spec(n, lineage.Config{
 				Scheme: scheme, M: 12, Seed: *seedFlag,
 			})
@@ -270,7 +286,7 @@ func fig8() {
 			for i, s := range c.sizes {
 				sizes[i] = scaled(s)
 			}
-			sweepSeries("8", series, sizes, func(n int) *encode.KMedoidsSpec {
+			sweepSeries("8", series, sizes, func(n int) core.Spec {
 				return spec(n, lineage.Config{
 					Scheme: lineage.Positive, NumVars: 30, L: 8,
 					CertainFraction: c.frac, Seed: *seedFlag,
@@ -283,8 +299,8 @@ func fig8() {
 // fig9: distributed performance as a function of the number of workers.
 func fig9() {
 	n := scaled(80)
-	sp := spec(n, lineage.Config{Scheme: lineage.Positive, NumVars: 24, L: 8, Seed: *seedFlag})
-	net, err := sp.Network()
+	art, err := core.PrepareContext(context.Background(),
+		spec(n, lineage.Config{Scheme: lineage.Positive, NumVars: 24, L: 8, Seed: *seedFlag}))
 	if err != nil {
 		point("9", "setup", n, 0, "error", err.Error())
 		return
@@ -296,7 +312,7 @@ func fig9() {
 				Workers: w, JobDepth: d, SimulateWorkers: true,
 				Timeout: *timeoutFlag * 4,
 			}
-			res, err := prob.Compile(net, opts)
+			res, err := prob.Compile(art.Net, opts)
 			if err != nil {
 				point("9", fmt.Sprintf("d=%d", d), w, 0, "error", err.Error())
 				continue
@@ -320,17 +336,31 @@ func ablations() {
 	// Iterations scale linearly (§5 "further findings").
 	for _, iter := range []int{1, 2, 3, 4, 5} {
 		sp := spec(n, base)
-		sp.Iter = iter
+		sp.Params = []int{kClusters, iter}
 		secs, status, detail := run(sp, algorithm{name: "exact", opts: prob.Options{Strategy: prob.Exact}})
 		point("ablations", "iterations,exact", iter, secs, status, detail)
 	}
 
-	// Target sets have minor influence (§5 "further findings").
-	for _, tgt := range []encode.TargetSet{encode.TargetsMedoids, encode.TargetsAssignment, encode.TargetsCoOccurrence} {
+	// Target sets have minor influence (§5 "further findings"): medoids,
+	// assignments, and "do objects l and l+1 share a cluster?" for the
+	// pairs (0,1), (2,3), … as a program suffix.
+	for _, tgt := range []string{"medoids", "assignment", "cooccurrence"} {
 		sp := spec(n, base)
-		sp.Targets = tgt
+		switch tgt {
+		case "assignment":
+			sp.Targets = []string{"InCl["}
+		case "cooccurrence":
+			var src strings.Builder
+			src.WriteString(sp.Source)
+			sp.Targets = nil
+			for l := 0; l+1 < n; l += 2 {
+				fmt.Fprintf(&src, "CoOcc%d = reduce_or([InCl[i][%d] for i in range(0,k) if InCl[i][%d]])\n", l, l+1, l)
+				sp.Targets = append(sp.Targets, fmt.Sprintf("CoOcc%d", l))
+			}
+			sp.Source = src.String()
+		}
 		secs, status, detail := run(sp, algorithm{name: "exact", opts: prob.Options{Strategy: prob.Exact}})
-		point("ablations", "targets,exact", tgt.String(), secs, status, detail)
+		point("ablations", "targets,exact", tgt, secs, status, detail)
 	}
 
 	// Feature-space dimension has no influence (§5 "further findings"):
@@ -345,12 +375,7 @@ func ablations() {
 			}
 			pts[i] = v
 		}
-		objs, space, err := lineage.Attach(pts, base)
-		if err != nil {
-			panic(err)
-		}
-		sp := &encode.KMedoidsSpec{Objects: objs, Space: space, K: kClusters, Iter: iterations, Targets: encode.TargetsMedoids}
-		secs, status, detail := run(sp, algorithm{name: "exact", opts: prob.Options{Strategy: prob.Exact}})
+		secs, status, detail := run(kmedoids(pts, base), algorithm{name: "exact", opts: prob.Options{Strategy: prob.Exact}})
 		point("ablations", "dimensions,exact", dim, secs, status, detail)
 	}
 
@@ -359,41 +384,20 @@ func ablations() {
 		name string
 		ord  prob.OrderHeuristic
 	}{{"fanout", prob.FanoutOrder}, {"input", prob.InputOrder}} {
-		sp := spec(n, base)
-		secs, status, detail := run(sp, algorithm{name: "exact", opts: prob.Options{Strategy: prob.Exact, Heuristic: h.ord}})
+		secs, status, detail := run(spec(n, base), algorithm{name: "exact", opts: prob.Options{Strategy: prob.Exact, Heuristic: h.ord}})
 		point("ablations", "varorder,"+h.name, "-", secs, status, detail)
 	}
 
 	// Masking compiler vs recompute reference evaluator.
-	{
-		sp := spec(scaled(40), lineage.Config{Scheme: lineage.Positive, NumVars: 12, L: 8, Seed: *seedFlag})
-		net, err := sp.Network()
-		if err == nil {
-			t0 := time.Now()
-			_, err = prob.Compile(net, prob.Options{Strategy: prob.Exact, Timeout: *timeoutFlag})
-			point("ablations", "engine,masking", "-", time.Since(t0).Seconds(), okOr(err), "")
-			t0 = time.Now()
-			_, err = prob.CompileRef(net, prob.Options{Strategy: prob.Exact, Timeout: *timeoutFlag})
-			point("ablations", "engine,recompute", "-", time.Since(t0).Seconds(), okOr(err), "")
-		}
-	}
-
-	// Naïve with and without per-world memoisation.
-	{
-		sp := spec(n, lineage.Config{Scheme: lineage.Positive, NumVars: 14, L: 8, Seed: *seedFlag})
-		for _, memo := range []bool{false, true} {
-			t0 := time.Now()
-			res, err := sp.Naive(encode.NaiveOptions{Memoise: memo, Timeout: *timeoutFlag})
-			name := "naive,plain"
-			if memo {
-				name = "naive,memoised"
-			}
-			status := okOr(err)
-			if err == nil && res.TimedOut {
-				status = "timeout"
-			}
-			point("ablations", name, "-", time.Since(t0).Seconds(), status, "")
-		}
+	art, err := core.PrepareContext(context.Background(),
+		spec(scaled(40), lineage.Config{Scheme: lineage.Positive, NumVars: 12, L: 8, Seed: *seedFlag}))
+	if err == nil {
+		t0 := time.Now()
+		_, err = prob.Compile(art.Net, prob.Options{Strategy: prob.Exact, Timeout: *timeoutFlag})
+		point("ablations", "engine,masking", "-", time.Since(t0).Seconds(), okOr(err), "")
+		t0 = time.Now()
+		_, err = prob.CompileRef(art.Net, prob.Options{Strategy: prob.Exact, Timeout: *timeoutFlag})
+		point("ablations", "engine,recompute", "-", time.Since(t0).Seconds(), okOr(err), "")
 	}
 
 	// Error budget sensitivity (§5: performance is highly sensitive to ε).

@@ -11,12 +11,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
 
+	"enframe/internal/core"
 	"enframe/internal/data"
-	"enframe/internal/encode"
+	"enframe/internal/lang"
 	"enframe/internal/lineage"
 	"enframe/internal/prob"
 )
@@ -33,14 +35,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	spec := &encode.KMedoidsSpec{
-		Objects: objs, Space: space, K: 2, Iter: 3,
-		Targets: encode.TargetsMedoids,
-	}
-	net, err := spec.Network()
+	art, err := core.PrepareContext(context.Background(), core.Spec{
+		Source: lang.KMedoidsSource, Objects: objs, Space: space,
+		Params: []int{2, 3}, InitIndices: []int{0, 1}, Targets: []string{"Centre["},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	net := art.Net
 	fmt.Printf("%d objects, %d variables, %d-node network, %d targets, ε = %g\n\n",
 		n, v, net.NumNodes(), len(net.Targets), eps)
 

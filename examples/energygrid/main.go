@@ -8,17 +8,20 @@
 // correlations (each lineage event is a disjunction of l = 8 literals).
 //
 // The example compares the naïve baseline (cluster in every world) against
-// exact compilation and hybrid ε-approximation, and prints the regimes the
-// elected medoids fall into.
+// exact compilation and hybrid ε-approximation of Figure 1's translated
+// program, and prints the regimes the elected medoids fall into.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
 
+	"enframe/internal/cluster"
+	"enframe/internal/core"
 	"enframe/internal/data"
-	"enframe/internal/encode"
+	"enframe/internal/lang"
 	"enframe/internal/lineage"
 	"enframe/internal/prob"
 )
@@ -41,40 +44,36 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	spec := &encode.KMedoidsSpec{
-		Objects: objs, Space: space, K: k, Iter: iter,
-		Targets: encode.TargetsMedoids,
-	}
+	init := []int{0, 1}
 
 	// Naïve baseline: cluster explicitly in each of the 2^v worlds.
-	t0 := time.Now()
-	naive, err := spec.Naive(encode.NaiveOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	naiveT := time.Since(t0)
+	naive := cluster.Naive(context.Background(), objs, space, k, iter, init, nil)
 
-	// ENFrame: compile the event network once, exactly and approximately.
-	net, err := spec.Network()
+	// ENFrame: translate and ground the program once, then compile the
+	// event network exactly and approximately.
+	art, err := core.PrepareContext(context.Background(), core.Spec{
+		Source: lang.KMedoidsSource, Objects: objs, Space: space,
+		Params: []int{k, iter}, InitIndices: init, Targets: []string{"Centre["},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	t0 = time.Now()
-	exact, err := prob.Compile(net, prob.Options{Strategy: prob.Exact})
+	t0 := time.Now()
+	exact, err := prob.Compile(art.Net, prob.Options{Strategy: prob.Exact})
 	if err != nil {
 		log.Fatal(err)
 	}
 	exactT := time.Since(t0)
 	t0 = time.Now()
-	hybrid, err := prob.Compile(net, prob.Options{Strategy: prob.Hybrid, Epsilon: 0.1})
+	hybrid, err := prob.Compile(art.Net, prob.Options{Strategy: prob.Hybrid, Epsilon: 0.1})
 	if err != nil {
 		log.Fatal(err)
 	}
 	hybridT := time.Since(t0)
 
 	fmt.Printf("%d readings, %d variables (%d worlds), %d-node event network\n",
-		n, v, 1<<v, net.NumNodes())
-	fmt.Printf("naïve per-world clustering: %8v  (%d worlds)\n", naiveT.Round(time.Millisecond), naive.Stats.Branches)
+		n, v, 1<<v, art.Net.NumNodes())
+	fmt.Printf("naïve per-world clustering: %8v  (%d worlds)\n", naive.Stats.Duration.Round(time.Millisecond), naive.Stats.Branches)
 	fmt.Printf("exact compilation:          %8v  (%d branches)\n", exactT.Round(time.Millisecond), exact.Stats.Branches)
 	fmt.Printf("hybrid ε=0.1:               %8v  (%d branches)\n\n", hybridT.Round(time.Millisecond), hybrid.Stats.Branches)
 
@@ -87,8 +86,9 @@ func main() {
 				bestL, bestP = l, tb.Estimate()
 			}
 		}
-		nb := naive.Targets[i*len(objs)+bestL]
-		hb, _ := hybrid.Target(fmt.Sprintf("Centre[%d][%d]", i, bestL))
+		name := fmt.Sprintf("Centre[%d][%d]", i, bestL)
+		nb, _ := naive.Target(name)
+		hb, _ := hybrid.Target(name)
 		fmt.Printf("  cluster %d: reading #%d (regime %q, load=%.0f, pd=%.0f)\n",
 			i, bestL, readings[bestL].Regime, readings[bestL].Load, readings[bestL].PD)
 		fmt.Printf("    exact %.4f   naïve %.4f   hybrid [%.4f, %.4f]\n",

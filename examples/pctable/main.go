@@ -13,8 +13,9 @@ import (
 	"fmt"
 	"log"
 
-	"enframe/internal/encode"
+	"enframe/internal/core"
 	"enframe/internal/event"
+	"enframe/internal/lang"
 	"enframe/internal/pctable"
 	"enframe/internal/prob"
 )
@@ -60,22 +61,18 @@ func main() {
 		fmt.Printf("  %v tuples with probability %.3f\n", o.Val, o.Prob)
 	}
 
-	// The query result becomes ENFrame's input data: cluster (load, pd).
-	objs := q.Objects("load", "pd")
-	spec := &encode.KMedoidsSpec{
-		Objects: objs, Space: space, K: 2, Iter: 3,
-		Targets: encode.TargetsMedoids,
-	}
-	net, err := spec.Network()
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := prob.Compile(net, prob.Options{Strategy: prob.Exact})
+	// The query result becomes ENFrame's input data: cluster (load, pd)
+	// with Figure 1's program.
+	rep, err := core.Run(core.Spec{
+		Source: lang.KMedoidsSource, Objects: q.Objects("load", "pd"), Space: space,
+		Params: []int{2, 3}, InitIndices: []int{0, 1}, Targets: []string{"Centre["},
+		Compile: prob.Options{Strategy: prob.Exact},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nmedoid probabilities over the query result (exact):")
-	for _, tb := range res.Targets {
+	for _, tb := range rep.Result.Targets {
 		if tb.Estimate() > 0.05 {
 			fmt.Printf("  %s = %.4f\n", tb.Name, tb.Estimate())
 		}

@@ -14,25 +14,17 @@ type KMeansResult struct {
 	Centroids []event.Value
 }
 
-// KMeans runs the user program of Figure 2 on the objects marked present.
-// Initial centroids are the positions of the init objects (u when absent).
-// A nil present slice means all objects exist.
-func KMeans(points []vec.Vec, present []bool, k, iter int, init []int, metric vec.Distance) KMeansResult {
+// KMeans runs the user program of Figure 2 on objects that all exist.
+// Initial centroids are the positions of the init objects.
+func KMeans(points []vec.Vec, k, iter int, init []int, metric vec.Distance) KMeansResult {
 	if metric == nil {
 		metric = vec.Euclidean
 	}
 	n := len(points)
-	if present == nil {
-		present = allPresent(n)
-	}
 
 	centroids := make([]event.Value, k)
 	for i := 0; i < k; i++ {
-		if present[init[i]] {
-			centroids[i] = event.Vect(points[init[i]])
-		} else {
-			centroids[i] = event.U
-		}
+		centroids[i] = event.Vect(points[init[i]])
 	}
 
 	inCl := newBoolMatrix(k, n)
@@ -40,10 +32,6 @@ func KMeans(points []vec.Vec, present []bool, k, iter int, init []int, metric ve
 		// Assignment phase.
 		for i := 0; i < k; i++ {
 			for l := 0; l < n; l++ {
-				if !present[l] {
-					inCl[i][l] = false
-					continue
-				}
 				ol := event.Vect(points[l])
 				di := event.DistVal(metric, ol, centroids[i])
 				in := true

@@ -1,10 +1,10 @@
 // Package cluster implements the three clustering algorithms of the paper
 // (§2.1) — k-medoids, k-means, and Markov clustering — as deterministic,
 // per-world procedures that follow the user programs of Figures 1–3 exactly,
-// including the undefined-value semantics of §3.2 (distances to an undefined
-// medoid compare as true, empty reductions are undefined, ties break towards
-// the first index). The naïve possible-worlds baseline iterates these over
-// all valuations.
+// including the undefined-value semantics of §3.2: an absent object is u,
+// distances to u are u, comparisons involving u hold, empty reductions are
+// u, and ties break towards the first index. Naive, the paper's naïve
+// possible-worlds baseline, runs KMedoids in every world.
 package cluster
 
 import (
@@ -14,7 +14,7 @@ import (
 
 // KMedoidsResult holds the final state of one k-medoids run: cluster
 // membership and medoid selection per (cluster, object), indexed by the
-// original object ids. Entries for absent objects are false.
+// original object ids.
 type KMedoidsResult struct {
 	// InCl[i][l] reports that object l is assigned to cluster i.
 	InCl [][]bool
@@ -22,27 +22,28 @@ type KMedoidsResult struct {
 	Centre [][]bool
 }
 
-// KMedoids runs the user program of Figure 1 on the objects marked present,
-// with initial medoids init (object indices; an absent initial medoid makes
-// that cluster's medoid undefined, as Φ(o_π(i)) ⊗ o_π(i) evaluates to u).
-// A nil present slice means all objects exist.
+// KMedoids runs the user program of Figure 1 with initial medoids init
+// (object indices). An object not marked present is the undefined value u,
+// as O_l ≡ Φ(o_l) ⊗ o_l evaluates to u in a world where Φ(o_l) is false:
+// every comparison it takes part in holds, so it joins the first cluster and
+// competes for every medoid. A nil present slice means all objects exist.
 func KMedoids(points []vec.Vec, present []bool, k, iter int, init []int, metric vec.Distance) KMedoidsResult {
 	if metric == nil {
 		metric = vec.Euclidean
 	}
 	n := len(points)
-	if present == nil {
-		present = allPresent(n)
+	obj := make([]event.Value, n)
+	for l, p := range points {
+		obj[l] = event.U
+		if present == nil || present[l] {
+			obj[l] = event.Vect(p)
+		}
 	}
 
 	// Medoids as extended values: a position or u.
 	medoids := make([]event.Value, k)
 	for i := 0; i < k; i++ {
-		if present[init[i]] {
-			medoids[i] = event.Vect(points[init[i]])
-		} else {
-			medoids[i] = event.U
-		}
+		medoids[i] = obj[init[i]]
 	}
 
 	inCl := newBoolMatrix(k, n)
@@ -56,16 +57,10 @@ func KMedoids(points []vec.Vec, present []bool, k, iter int, init []int, metric 
 		// Assignment phase: InCl[i][l] = ⋀_j [dist(O_l, M_i) ≤ dist(O_l, M_j)].
 		for i := 0; i < k; i++ {
 			for l := 0; l < n; l++ {
-				if !present[l] {
-					inCl[i][l] = false
-					continue
-				}
-				ol := event.Vect(points[l])
-				di := event.DistVal(metric, ol, medoids[i])
+				di := event.DistVal(metric, obj[l], medoids[i])
 				in := true
 				for j := 0; j < k; j++ {
-					dj := event.DistVal(metric, ol, medoids[j])
-					if !event.Compare(event.LE, di, dj) {
+					if !event.Compare(event.LE, di, event.DistVal(metric, obj[l], medoids[j])) {
 						in = false
 						break
 					}
@@ -78,32 +73,20 @@ func KMedoids(points []vec.Vec, present []bool, k, iter int, init []int, metric 
 		// Update phase: DistSum[i][l] = Σ_{p: InCl[i][p]} dist(O_l, O_p).
 		for i := 0; i < k; i++ {
 			for l := 0; l < n; l++ {
-				if !present[l] {
-					distSum[i][l] = event.U
-					continue
-				}
 				sum := event.U
 				for p := 0; p < n; p++ {
 					if inCl[i][p] {
-						sum = event.Add(sum, event.DistVal(metric, event.Vect(points[l]), event.Vect(points[p])))
+						sum = event.Add(sum, event.DistVal(metric, obj[l], obj[p]))
 					}
 				}
 				distSum[i][l] = sum
 			}
 		}
-		// Centre[i][l] = ⋀_p [DistSum[i][l] ≤ DistSum[i][p]], over present
-		// objects only (the event encoding guards absent competitors).
+		// Centre[i][l] = ⋀_p [DistSum[i][l] ≤ DistSum[i][p]].
 		for i := 0; i < k; i++ {
 			for l := 0; l < n; l++ {
-				if !present[l] {
-					centre[i][l] = false
-					continue
-				}
 				c := true
 				for p := 0; p < n; p++ {
-					if !present[p] {
-						continue
-					}
 					if !event.Compare(event.LE, distSum[i][l], distSum[i][p]) {
 						c = false
 						break
@@ -120,7 +103,7 @@ func KMedoids(points []vec.Vec, present []bool, k, iter int, init []int, metric 
 			m := event.U
 			for l := 0; l < n; l++ {
 				if centre[i][l] {
-					m = event.Add(m, event.Vect(points[l]))
+					m = event.Add(m, obj[l])
 				}
 			}
 			medoids[i] = m
@@ -170,12 +153,4 @@ func newBoolMatrix(k, n int) [][]bool {
 		m[i] = make([]bool, n)
 	}
 	return m
-}
-
-func allPresent(n int) []bool {
-	p := make([]bool, n)
-	for i := range p {
-		p[i] = true
-	}
-	return p
 }

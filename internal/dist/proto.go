@@ -46,13 +46,11 @@ type helloAckMsg struct {
 // Variable orders are not shipped: order computation is deterministic, so
 // both sides derive the identical order from the heuristic.
 type WireOpts struct {
-	Strategy     string  `json:"strategy"`
-	Epsilon      float64 `json:"epsilon,omitempty"`
-	JobDepth     int     `json:"job_depth"`
-	Heuristic    string  `json:"heuristic"`
-	SkipDisabled bool    `json:"skip_disabled,omitempty"`
-	Slack        float64 `json:"slack,omitempty"`
-	TimeoutNs    int64   `json:"timeout_ns,omitempty"`
+	Strategy  string  `json:"strategy"`
+	Epsilon   float64 `json:"epsilon,omitempty"`
+	JobDepth  int     `json:"job_depth"`
+	Heuristic string  `json:"heuristic"`
+	TimeoutNs int64   `json:"timeout_ns,omitempty"`
 }
 
 // FromOptions projects compile options onto the wire form.
@@ -62,13 +60,11 @@ func FromOptions(o prob.Options) WireOpts {
 		h = "input"
 	}
 	return WireOpts{
-		Strategy:     o.Strategy.String(),
-		Epsilon:      o.Epsilon,
-		JobDepth:     o.JobDepth,
-		Heuristic:    h,
-		SkipDisabled: o.SkipDisabled,
-		Slack:        o.Slack,
-		TimeoutNs:    int64(o.Timeout),
+		Strategy:  o.Strategy.String(),
+		Epsilon:   o.Epsilon,
+		JobDepth:  o.JobDepth,
+		Heuristic: h,
+		TimeoutNs: int64(o.Timeout),
 	}
 }
 
@@ -97,13 +93,11 @@ func (wo WireOpts) Options() (prob.Options, error) {
 		return prob.Options{}, fmt.Errorf("dist: unknown heuristic %q", wo.Heuristic)
 	}
 	return prob.Options{
-		Strategy:     strat,
-		Epsilon:      wo.Epsilon,
-		JobDepth:     wo.JobDepth,
-		Heuristic:    h,
-		SkipDisabled: wo.SkipDisabled,
-		Slack:        wo.Slack,
-		Timeout:      time.Duration(wo.TimeoutNs),
+		Strategy:  strat,
+		Epsilon:   wo.Epsilon,
+		JobDepth:  wo.JobDepth,
+		Heuristic: h,
+		Timeout:   time.Duration(wo.TimeoutNs),
 	}, nil
 }
 
@@ -111,9 +105,8 @@ func (wo WireOpts) Options() (prob.Options, error) {
 // hash plus a fingerprint of the fixed compile options.
 func SessionKey(artifactKey string, wo WireOpts) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00%g\x00%d\x00%s\x00%t\x00%g",
-		artifactKey, wo.Strategy, wo.Epsilon, wo.JobDepth, wo.Heuristic,
-		wo.SkipDisabled, wo.Slack)
+	fmt.Fprintf(h, "%s\x00%s\x00%g\x00%d\x00%s",
+		artifactKey, wo.Strategy, wo.Epsilon, wo.JobDepth, wo.Heuristic)
 	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 

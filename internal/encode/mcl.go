@@ -1,3 +1,9 @@
+// Package encode builds Markov clustering (Figure 3) over an uncertain graph
+// directly as an event network, for graphs whose edges carry their own
+// lineage — an input the user-program front end does not take (its MCL
+// program reads a certain weight matrix). Every clustering program the
+// service answers, k-medoids included, is translated from its source text
+// instead (internal/translate); golden builtin:mcl pins this encoder's bits.
 package encode
 
 import (

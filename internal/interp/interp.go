@@ -2,9 +2,10 @@
 // world, following the deterministic semantics of §2 extended with the
 // undefined value u of §3.2 — the per-world image of the event semantics:
 // distances to undefined operands are undefined, comparisons involving u
-// hold, empty reductions of sums and counts are undefined. The naïve
-// baseline and the differential tests for the generic translation build on
-// this interpreter.
+// hold, empty reductions of sums and counts are undefined. The differential
+// tests for the generic translation, and the tests that hold the naïve
+// baseline (internal/cluster) to the translated semantics, build on this
+// interpreter.
 package interp
 
 import (

@@ -196,7 +196,7 @@ func TestKMeansProgramMatchesDirectImplementation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := cluster.KMeans(pts, nil, k, iter, init, vec.SquaredEuclidean)
+		want := cluster.KMeans(pts, k, iter, init, vec.SquaredEuclidean)
 		for i := 0; i < k; i++ {
 			for l := 0; l < n; l++ {
 				if got[i][l] != want.InCl[i][l] {

@@ -586,6 +586,13 @@ func (s *fstate) deriveGuardF(id network.NodeID) {
 	}
 }
 
+// slack is the safety margin for deciding comparisons from interval bounds:
+// a comparison is decided early only when the intervals are separated by
+// more than slack, which keeps incremental floating-point bookkeeping from
+// ever deciding a near-tie wrongly. Exact values at decision-tree leaves are
+// recomputed freshly, so ties are always resolved exactly.
+const slack = 1e-9
+
 // deriveCmpF decides a comparison atom from its children's abstracts: exact
 // when both sides are decided, true when either side is certainly undefined
 // (§3.2: comparisons involving u hold), and early from interval separation
@@ -606,16 +613,15 @@ func (s *fstate) deriveCmpF(id network.NodeID) int8 {
 	if !lok || !rok {
 		return bUnknown
 	}
-	sl := s.opts.Slack
 	// True when every defined combination satisfies the operator
 	// (undefined combinations are true regardless).
 	switch op {
 	case event.LE, event.LT:
-		if lhi <= rlo-sl {
+		if lhi <= rlo-slack {
 			return bTrue
 		}
 	case event.GE, event.GT:
-		if llo >= rhi+sl {
+		if llo >= rhi+slack {
 			return bTrue
 		}
 	}
@@ -624,15 +630,15 @@ func (s *fstate) deriveCmpF(id network.NodeID) int8 {
 	if !lMayU && !rMayU {
 		switch op {
 		case event.LE, event.LT:
-			if llo >= rhi+sl {
+			if llo >= rhi+slack {
 				return bFalse
 			}
 		case event.GE, event.GT:
-			if lhi <= rlo-sl {
+			if lhi <= rlo-slack {
 				return bFalse
 			}
 		case event.EQ:
-			if llo >= rhi+sl || rlo >= lhi+sl {
+			if llo >= rhi+slack || rlo >= lhi+slack {
 				return bFalse
 			}
 		}
@@ -1034,9 +1040,6 @@ func (s *fstate) nextVar(oi int) (int, event.VarID, bool) {
 		id := s.net.VarNode[x]
 		if s.bval(id) != bUnknown {
 			continue // assigned on this branch
-		}
-		if s.opts.SkipDisabled {
-			return oi, x, true
 		}
 		if s.targetsAt[id] >= 0 {
 			return oi, x, true // the leaf itself is a compilation target

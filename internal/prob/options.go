@@ -98,17 +98,6 @@ type Options struct {
 	Order []event.VarID
 	// Heuristic selects the automatic order when Order is nil.
 	Heuristic OrderHeuristic
-	// DynamicSkip skips variables all of whose direct uses are already
-	// masked (their value cannot influence any event). Enabled by
-	// default via Compile; set SkipDisabled to turn it off.
-	SkipDisabled bool
-	// Slack is the safety margin for deciding comparisons from interval
-	// bounds: a comparison is decided early only when the intervals are
-	// separated by more than Slack, which keeps incremental floating-
-	// point bookkeeping from ever deciding a near-tie wrongly. Exact
-	// values at decision-tree leaves are recomputed freshly, so ties are
-	// always resolved exactly. Zero defaults to 1e-9.
-	Slack float64
 	// Timeout aborts compilation, returning the bounds reached so far
 	// with Result.TimedOut set. Zero means no timeout.
 	Timeout time.Duration
@@ -124,9 +113,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.JobDepth <= 0 {
 		o.JobDepth = 3
-	}
-	if o.Slack == 0 {
-		o.Slack = 1e-9
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1

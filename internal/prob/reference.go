@@ -25,7 +25,6 @@ func CompileRef(net *network.Net, opts Options) (*Result, error) {
 	r := &refRun{
 		net:   net,
 		types: types,
-		slack: opts.Slack,
 		order: computeOrder(net, opts),
 		abs:   make([]refAbs, net.NumNodes()),
 		nu:    make([]int8, net.Space.Len()),
@@ -68,7 +67,6 @@ type refAbs struct {
 type refRun struct {
 	net      *network.Net
 	types    []network.ValueType
-	slack    float64
 	order    []event.VarID
 	abs      []refAbs
 	nu       []int8 // per-variable partial assignment
@@ -320,29 +318,28 @@ func (r *refRun) cmp(op event.CmpOp, kids []network.NodeID) int8 {
 	if !ok1 || !ok2 {
 		return bUnknown
 	}
-	sl := r.slack
 	switch op {
 	case event.LE, event.LT:
-		if lb.hi <= rb.lo-sl {
+		if lb.hi <= rb.lo-slack {
 			return bTrue
 		}
 	case event.GE, event.GT:
-		if lb.lo >= rb.hi+sl {
+		if lb.lo >= rb.hi+slack {
 			return bTrue
 		}
 	}
 	if !l.mayU && !rt.mayU {
 		switch op {
 		case event.LE, event.LT:
-			if lb.lo >= rb.hi+sl {
+			if lb.lo >= rb.hi+slack {
 				return bFalse
 			}
 		case event.GE, event.GT:
-			if lb.hi <= rb.lo-sl {
+			if lb.hi <= rb.lo-slack {
 				return bFalse
 			}
 		case event.EQ:
-			if lb.lo >= rb.hi+sl || rb.lo >= lb.hi+sl {
+			if lb.lo >= rb.hi+slack || rb.lo >= lb.hi+slack {
 				return bFalse
 			}
 		}

@@ -46,7 +46,7 @@ type sessWorker struct {
 }
 
 // NewSession prepares a network for job execution. opts fixes strategy, ε,
-// job depth, heuristic/order, slack, and the per-job timeout for every job
+// job depth, heuristic/order, and the per-job timeout for every job
 // of the session; Workers is ignored (parallelism is the executor's
 // concern). Safe for concurrent ExecJob calls afterwards.
 func NewSession(net *network.Net, opts Options) (*Session, error) {

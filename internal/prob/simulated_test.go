@@ -1,20 +1,23 @@
 package prob_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"enframe/internal/core"
 	"enframe/internal/data"
-	"enframe/internal/encode"
+	"enframe/internal/lang"
 	"enframe/internal/lineage"
 	"enframe/internal/prob"
 )
 
 // TestSimulatedCountersPinned pins the work counters of simulated hybrid-d
-// runs (Fig. 9's mode) on a fixed k-medoids network. The literals were
-// recorded from the single-thread simulator with its own list scheduler that
-// the distributed runner's one-goroutine mode replaced; equal counters mean
-// the replacement explores the same jobs in the same order under the same
+// runs (Fig. 9's mode) on a fixed k-medoids network: Figure 1's program,
+// translated. The branch, job, assignment and prune literals were recorded
+// from the single-thread simulator with its own list scheduler that the
+// distributed runner's one-goroutine mode replaced; equal counters mean the
+// replacement explores the same jobs in the same order under the same
 // backpressure.
 func TestSimulatedCountersPinned(t *testing.T) {
 	objs, space, err := lineage.Attach(data.Points(40, 1),
@@ -22,21 +25,24 @@ func TestSimulatedCountersPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := &encode.KMedoidsSpec{Objects: objs, Space: space, K: 2, Iter: 3, Targets: encode.TargetsMedoids}
-	net, err := sp.Network()
+	art, err := core.PrepareContext(context.Background(), core.Spec{
+		Source: lang.KMedoidsSource, Objects: objs, Space: space,
+		Params: []int{2, 3}, InitIndices: []int{0, 1}, Targets: []string{"Centre["},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	net := art.Net
 	for _, want := range []struct {
 		workers, depth                                         int
 		branches, jobs, assignments, maskUpdates, budgetPrunes int64
 	}{
-		{2, 3, 137, 18, 89, 1328725, 32},
-		{4, 3, 168, 27, 105, 1488743, 40},
-		{16, 3, 168, 27, 105, 1488743, 40},
-		{2, 6, 102, 9, 71, 1100850, 24},
-		{4, 6, 119, 14, 79, 1165581, 29},
-		{16, 6, 119, 14, 79, 1165581, 29},
+		{2, 3, 137, 18, 89, 1105767, 32},
+		{4, 3, 168, 27, 105, 1243100, 40},
+		{16, 3, 168, 27, 105, 1243100, 40},
+		{2, 6, 102, 9, 71, 914375, 24},
+		{4, 6, 119, 14, 79, 970625, 29},
+		{16, 6, 119, 14, 79, 970625, 29},
 	} {
 		t.Run(fmt.Sprintf("W=%d,d=%d", want.workers, want.depth), func(t *testing.T) {
 			res, err := prob.Compile(net, prob.Options{

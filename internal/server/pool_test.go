@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"enframe/internal/core"
 )
 
 // Regression tests for poolFor's locking: the original implementation held
@@ -158,5 +160,34 @@ func TestPoolForWaiterHonoursContext(t *testing.T) {
 	case <-leaderDone:
 	case <-time.After(10 * time.Second):
 		t.Fatal("leader never returned")
+	}
+}
+
+// TestPoolForLeaderPanicReleasesTheKey: a dial that panics answers its
+// caller with a *core.PanicError and unregisters the dial, so the next
+// request for the same worker set dials afresh instead of waiting out its
+// deadline on a call nobody will finish.
+func TestPoolForLeaderPanicReleasesTheKey(t *testing.T) {
+	s := New(Config{})
+	var once sync.Once
+	testHookPoolDial = func(string) { once.Do(func() { panic("dial hook") }) }
+	defer func() { testHookPoolDial = nil }()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	var pe *core.PanicError
+	func() {
+		defer func() { _ = recover() }() // a leader may also re-panic to serve's recover
+		if _, err := s.poolFor(ctx, []string{"127.0.0.1:1"}); !errors.As(err, &pe) {
+			t.Errorf("panicking dial: err = %v, want *core.PanicError", err)
+		}
+	}()
+	t0 := time.Now()
+	_, err := s.poolFor(ctx, []string{"127.0.0.1:1"}) // dead port; a dial error is expected
+	if errors.As(err, &pe) || ctx.Err() != nil {
+		t.Fatalf("second dial: err = %v, ctx %v", err, ctx.Err())
+	}
+	if elapsed := time.Since(t0); elapsed > time.Second {
+		t.Errorf("second dial took %v — blocked on the panicked call", elapsed)
 	}
 }

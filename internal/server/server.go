@@ -636,24 +636,31 @@ func (s *Server) poolFor(ctx context.Context, addrs []string) (*dist.Pool, error
 		call := &poolCall{done: make(chan struct{})}
 		s.poolDials[key] = call
 		s.poolsMu.Unlock()
+		s.dialPool(ctx, key, sorted, call)
+		return call.pool, call.err
+	}
+}
 
-		if testHookPoolDial != nil {
-			testHookPoolDial(key)
+// dialPool is the leader's half of poolFor: it dials, caches a successful
+// pool, unregisters the call and releases the waiters — also when the dial
+// panics, which it reports as a *core.PanicError (answered with 500).
+func (s *Server) dialPool(ctx context.Context, key string, addrs []string, call *poolCall) {
+	defer func() {
+		if r := recover(); r != nil {
+			call.pool, call.err = nil, core.NewPanicError("pool dial", r)
 		}
-		p, err := dist.NewPool(ctx, dist.PoolConfig{
-			Addrs: sorted,
-			Reg:   s.reg,
-		})
 		s.poolsMu.Lock()
 		delete(s.poolDials, key)
-		if err == nil {
-			s.pools[key] = p
+		if call.err == nil {
+			s.pools[key] = call.pool
 		}
 		s.poolsMu.Unlock()
-		call.pool, call.err = p, err
 		close(call.done)
-		return p, err
+	}()
+	if testHookPoolDial != nil {
+		testHookPoolDial(key)
 	}
+	call.pool, call.err = dist.NewPool(ctx, dist.PoolConfig{Addrs: addrs, Reg: s.reg})
 }
 
 func isCtxError(err error) bool {
