@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: fmt build test test-short test-race vet fuzz-smoke fuzz alloc-guard smoke examples bench bench-quick ci
+.PHONY: fmt build test test-short test-race vet fuzz-smoke fuzz-pipeline fuzz alloc-guard smoke examples bench bench-quick ci
 
 # fmt fails when any Go file is not gofmt-formatted.
 fmt:
@@ -35,6 +35,11 @@ fuzz-smoke:
 	$(GO) test ./internal/difftest -run '^$$' -fuzz '^FuzzPipeline$$' -fuzztime 10s
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzRequestBody$$' -fuzztime 10s
+
+# fuzz-pipeline fuzzes the differential pipeline for 10 s; part of ci. Its
+# per-world stage checks every builder fold against the interpreter.
+fuzz-pipeline:
+	$(GO) test ./internal/difftest -run '^$$' -fuzz '^FuzzPipeline$$' -fuzztime 10s
 
 # fuzz runs the differential pipeline fuzzer for FUZZTIME (default 30s).
 fuzz:
@@ -75,4 +80,4 @@ bench:
 bench-quick:
 	$(GO) run ./benchmark -seed 1 -seconds 5
 
-ci: fmt vet build test test-race alloc-guard examples bench-quick
+ci: fmt vet build test test-race alloc-guard fuzz-pipeline examples bench-quick

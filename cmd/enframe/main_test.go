@@ -88,7 +88,8 @@ func TestParseStrategy(t *testing.T) {
 
 // TestDumpEventsPrintsBuiltNetwork runs -dump-events on the built-in
 // k-medoids program at n=12 in-process: one line per node of the built
-// network, in id order, and a binding line for every Centre element.
+// network, in id order with each ⊗ node's c-value, and a binding line for
+// every Centre element.
 // Printing the event program as an expression tree instead expands the
 // shared DAG and runs out of memory at n=3.
 func TestDumpEventsPrintsBuiltNetwork(t *testing.T) {
@@ -117,7 +118,12 @@ func TestDumpEventsPrintsBuiltNetwork(t *testing.T) {
 			bound[sym] = true
 			continue
 		}
-		if want := fmt.Sprintf("n%d ", nodeLines); !strings.HasPrefix(line, want) {
+		want := fmt.Sprintf("n%d ", nodeLines)
+		if nodeLines < net.NumNodes() && net.Kind[nodeLines] == network.KCondVal {
+			// ⊗ nodes share Vals entries; each prints its own c-value.
+			want = fmt.Sprintf("n%d condval %s ", nodeLines, net.Vals[net.Arg[nodeLines]])
+		}
+		if !strings.HasPrefix(line, want) {
 			t.Fatalf("node line %d is %q, want prefix %q", nodeLines, line, want)
 		}
 		nodeLines++

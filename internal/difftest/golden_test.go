@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/big"
 	"os"
 	"path/filepath"
 	"sort"
@@ -34,7 +35,10 @@ import (
 // with the legacy core as the source: a line was written only after the
 // legacy core, the flat core and the traced circuit agreed on it. The same
 // command regenerates the file from the one remaining core (TESTING.md,
-// "Regenerating the golden corpus"); review the diff like code.
+// "Regenerating the golden corpus"); review the diff like code. It was
+// regenerated once since, when the builder began folding dist over two ⊗
+// nodes (which reorders the walk's float sums), and every line it writes
+// must now also pass the rational oracle of rational_test.go.
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_bits.txt instead of checking it")
 
 const goldenPath = "testdata/golden_bits.txt"
@@ -55,6 +59,8 @@ var goldenStrategies = []struct {
 type goldenCase struct {
 	key   string
 	build func(t *testing.T) *network.Net
+	// truth is the case's rational oracle (rational_test.go).
+	truth truthFunc
 }
 
 // goldenCases lists gen seeds 1–300 (the former cross-core sweep), every
@@ -82,16 +88,15 @@ func goldenCases(t *testing.T) []goldenCase {
 		cases = append(cases, goldenCase{
 			key:   fmt.Sprintf("gen:%d", seed),
 			build: func(t *testing.T) *network.Net { return genNet(gen.New(seed)) },
+			truth: servedTruth(server.RunRequest{Data: server.DataSpec{Kind: "gen", Seed: seed}}),
 		})
 	}
+	kmedoids := server.RunRequest{Program: "kmedoids", Data: server.DataSpec{N: 24, Vars: 10}}
+	kmeans := server.RunRequest{Program: "kmeans", Data: server.DataSpec{N: 24, Vars: 10}, Targets: []string{"InCl["}}
 	return append(cases,
-		goldenCase{"builtin:kmedoids", func(t *testing.T) *network.Net {
-			return servedNet(t, server.RunRequest{Program: "kmedoids", Data: server.DataSpec{N: 24, Vars: 10}})
-		}},
-		goldenCase{"builtin:kmeans", func(t *testing.T) *network.Net {
-			return servedNet(t, server.RunRequest{Program: "kmeans", Data: server.DataSpec{N: 24, Vars: 10}, Targets: []string{"InCl["}})
-		}},
-		goldenCase{"builtin:mcl", mclNet},
+		goldenCase{"builtin:kmedoids", func(t *testing.T) *network.Net { return servedNet(t, kmedoids) }, servedTruth(kmedoids)},
+		goldenCase{"builtin:kmeans", func(t *testing.T) *network.Net { return servedNet(t, kmeans) }, servedTruth(kmeans)},
+		goldenCase{"builtin:mcl", mclNet, netTruth(mclNet)},
 	)
 }
 
@@ -131,6 +136,19 @@ func servedNet(t *testing.T, req server.RunRequest) *network.Net {
 		t.Fatal(err)
 	}
 	return art.Net
+}
+
+// servedTruth is the rational oracle of a served request (a gen seed's
+// request is that seed's program and data): its program run over its data
+// in every world.
+func servedTruth(req server.RunRequest) truthFunc {
+	return func(t *testing.T, names []string) []*big.Rat {
+		spec, _, err := server.BuildSpec(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return programTruth(t, spec, names)
+	}
 }
 
 // mclNet is Markov clustering over two 4-cliques joined by uncertain
@@ -191,7 +209,8 @@ func goldenLine(r *prob.Result) string {
 
 // goldenCompile compiles one strategy and renders its line. The exact line
 // must be reproduced by a traced circuit before it counts, so -update never
-// writes a verdict the two remaining roads disagree on.
+// writes a verdict the two remaining roads disagree on; TestGoldenBits also
+// holds every line it writes to the rational oracle (checkTruth).
 func goldenCompile(t *testing.T, key string, net *network.Net, strategy string, opts prob.Options) string {
 	res, err := prob.Compile(net, opts)
 	if err != nil {
@@ -248,6 +267,12 @@ func goldenBounds(t *testing.T, golden map[string]string, key, strategy string) 
 	if !ok {
 		t.Fatalf("%s has no line for %s %s", goldenPath, key, strategy)
 	}
+	return lineBounds(t, key, strategy, line)
+}
+
+// lineBounds parses the target bounds of one corpus line (minus its key and
+// strategy fields) by target name.
+func lineBounds(t *testing.T, key, strategy, line string) map[string][2]uint64 {
 	out := map[string][2]uint64{}
 	for _, f := range strings.Fields(line)[5:] {
 		i := strings.LastIndexByte(f, '=')
@@ -286,10 +311,21 @@ func TestGoldenBits(t *testing.T) {
 						t.Fatalf("%s yields no comparable network but the corpus has results for it", c.key)
 					}
 				} else {
+					var truth []*big.Rat
 					for _, s := range goldenStrategies {
 						line := goldenCompile(t, c.key, net, s.name, s.opts)
 						out = append(out, c.key+" "+s.name+" "+line)
 						if golden == nil {
+							// -update writes no line the rational oracle
+							// rejects.
+							bounds := lineBounds(t, c.key, s.name, line)
+							names := targetNames(line)
+							if truth == nil {
+								truth = c.truth(t, names)
+							}
+							if err := checkTruth(s.name, s.opts.Epsilon, bounds, names, truth); err != nil {
+								t.Fatalf("%s %v; not writing %s", c.key, err, goldenPath)
+							}
 							continue
 						}
 						want, ok := golden[c.key+" "+s.name]

@@ -218,10 +218,13 @@ func TestServedConcurrentColdKeyTracesOnce(t *testing.T) {
 // request the server accepts produces such marginals — lineage draws them
 // from [0.25, 0.85] — so the case cannot be driven over HTTP; the server's
 // other source of incomplete traces, soft_timeout_ms, is tested in
-// internal/server.
+// internal/server. The seeds are ones whose walk still reaches a zero-mass
+// branch before every target is decided: on the others (1, 5, 8 and 13
+// among them) the builder's dist fold decides every target first, so the
+// trace is complete and the premise would not hold.
 func TestIncompleteTraceIsNeverMemoized(t *testing.T) {
 	ctx := context.Background()
-	for _, seed := range []int64{1, 2, 3, 5, 8, 13} {
+	for _, seed := range []int64{2, 3, 6, 9, 11, 15} {
 		spec, _, err := server.BuildSpec(server.RunRequest{Data: server.DataSpec{Kind: "gen", Seed: seed}})
 		if err != nil {
 			t.Fatal(err)

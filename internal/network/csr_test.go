@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -40,6 +41,11 @@ func builtNets() map[string]*Net {
 	b := NewBuilder(sp, nil)
 	b.Not(b.Var(x))
 	b.CondVal(b.Var(x), event.Num(1))
+	// A shared c-value, signed zeros, and a dist fold over two ⊗ nodes.
+	b.CondVal(b.Not(b.Var(x)), event.Num(1))
+	b.CondVal(b.Var(x), event.Num(0))
+	b.CondVal(b.Var(x), event.Num(math.Copysign(0, -1)))
+	b.Dist(b.CondVal(b.Var(x), event.Vect([]float64{0, 0})), b.CondVal(b.Not(b.Var(x)), event.Vect([]float64{0, 1})))
 	return map[string]*Net{
 		"mixed":      buildMixedNet(),
 		"fixture":    buildEqNet(0.5, "t1"),
@@ -82,8 +88,9 @@ func TestBuiltNetCSRInvariants(t *testing.T) {
 }
 
 // TestBuiltNetPayloadInvariants: VarNode and the KVar payloads are inverse
-// maps, every ⊗ node owns its own Vals entry in id order, and every target
-// is a Boolean-kind node.
+// maps, Vals holds each ⊗ node's c-value once — entries pairwise distinct
+// bit for bit, numbered in order of first use by id — and every target is a
+// Boolean-kind node.
 func TestBuiltNetPayloadInvariants(t *testing.T) {
 	for name, n := range builtNets() {
 		if len(n.VarNode) != n.Space.Len() {
@@ -102,14 +109,23 @@ func TestBuiltNetPayloadInvariants(t *testing.T) {
 					t.Errorf("%s: leaf %d of x%d missing from VarNode", name, id, n.Arg[id])
 				}
 			case KCondVal:
-				if n.Arg[id] != int32(vals) {
-					t.Errorf("%s: ⊗ node %d has Vals index %d, want %d", name, id, n.Arg[id], vals)
+				switch vi := n.Arg[id]; {
+				case vi == int32(vals):
+					vals++
+				case vi > int32(vals) || vi < 0:
+					t.Errorf("%s: ⊗ node %d has Vals index %d before index %d is used", name, id, vi, vals)
 				}
-				vals++
 			}
 		}
 		if vals != len(n.Vals) {
-			t.Errorf("%s: %d ⊗ nodes, %d Vals", name, vals, len(n.Vals))
+			t.Errorf("%s: ⊗ nodes use %d Vals entries, %d stored", name, vals, len(n.Vals))
+		}
+		for i := range n.Vals {
+			for j := range i {
+				if sameBits(&n.Vals[i], &n.Vals[j]) {
+					t.Errorf("%s: Vals %d and %d are the same c-value %v", name, j, i, n.Vals[i])
+				}
+			}
 		}
 		for _, tg := range n.Targets {
 			if !n.Kind[tg.Node].IsBool() {

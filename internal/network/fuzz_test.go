@@ -96,7 +96,10 @@ func probeChain() []vertex {
 // FuzzIntern drives the builder's intern with a byte-coded sequence of
 // vertices and checks that it assigns exactly the ids a map keyed by the
 // byte encoding assigns — a hit for every repeat, a fresh dense id for every
-// new vertex — and keeps the hash-cons accounting in step.
+// new vertex — and keeps the hash-cons accounting in step. ⊗ payloads are
+// held to a second map keyed by the value's encoding alone: bit-identical
+// c-values share one vals entry whatever their guards, and distinct ones
+// (−0 and +0, two NaN payloads) never do.
 //
 // Encoding, one vertex per op byte: op ≥ 0xf0 interns 4·(op&0xf)+1
 // vertices of the probe-chain pool, starting at the pool index of the next
@@ -107,7 +110,8 @@ func probeChain() []vertex {
 // from specialFloats, or the Boolean's bit. Other kinds take a child count
 // (mod 5) and one byte per child, read modulo the vertices so far. The
 // committed corpus (testdata/fuzz/FuzzIntern) seeds signed zeros, NaN
-// payloads, vector lengths, Boolean ⊗ values, probe chains and every kind.
+// payloads, vector lengths, Boolean ⊗ values, probe chains, values shared
+// across guards and every kind.
 func FuzzIntern(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
@@ -120,6 +124,7 @@ func FuzzIntern(f *testing.F) {
 		}
 		b := NewBuilder(event.NewSpace(), nil)
 		oracle := map[string]NodeID{}
+		valOracle := map[string]int32{}
 		var key []byte
 		var lookups, hits int64
 		check := func(kind Kind, arg int32, val *event.Value, kids []NodeID) {
@@ -132,8 +137,22 @@ func FuzzIntern(f *testing.F) {
 				hits++
 			}
 			lookups++
-			if got := b.intern(kind, arg, val, kids); got != want {
+			got := b.intern(kind, arg, val, kids)
+			if got != want {
 				t.Fatalf("intern(%s, %d, %v, %v) = %d, oracle %d", kind, arg, val, kids, got, want)
+			}
+			if val == nil {
+				return
+			}
+			// The value's own key: the ⊗ encoding without its child.
+			key = appendInternKey(key[:0], kind, 0, val, nil)
+			wantVal, seen := valOracle[string(key)]
+			if !seen {
+				wantVal = int32(len(valOracle))
+				valOracle[string(key)] = wantVal
+			}
+			if gotVal := b.recs[got].arg; gotVal != wantVal || len(b.vals) != len(valOracle) {
+				t.Fatalf("⊗ %v: vals index %d of %d, oracle %d of %d", val, gotVal, len(b.vals), wantVal, len(valOracle))
 			}
 		}
 		// ⊥ and ⊤ first, so every ⊗ vertex has a child to take.

@@ -23,8 +23,11 @@ type rec struct {
 // payloads, and an open-addressed index over them. An index slot holds a
 // record's id plus one (0 is empty); lookups probe linearly from the slot the
 // record's hash picks and confirm every candidate against the stored record,
-// so a hash collision can never merge two distinct nodes. The Builder interns
-// through it.
+// so a hash collision can never merge two distinct nodes. The ⊗ payload
+// column is itself interned: bit-identical c-values (sameBits) share one
+// vals entry, found through a second index of the same shape, so the many ⊗
+// nodes that carry one distance under different guards store it once. The
+// Builder interns through it.
 type table struct {
 	recs  []rec
 	kids  []NodeID
@@ -33,6 +36,9 @@ type table struct {
 	// shift turns a hash into a slot: hash·φ >> shift, for a
 	// 1<<(64−shift)-slot index.
 	shift uint
+	// valIndex and valShift index vals by bits, as index and shift do recs.
+	valIndex []int32
+	valShift uint
 }
 
 // minIndexBits sizes a fresh index; it doubles whenever it is half full.
@@ -46,9 +52,10 @@ func (t *table) kidsOf(id NodeID) []NodeID {
 
 // intern returns the id of the vertex (kind, arg, kids), creating it on a
 // miss; created reports the miss. A KCondVal vertex is identified by *val
-// instead of arg, and on creation its arg becomes the index of a copy of
-// *val in vals; val is nil for every other kind. kids is only read: it may
-// alias scratch space, and is copied into the arena when the vertex is new.
+// instead of arg, and on creation its arg becomes the index of *val's entry
+// in vals (internVal); val is nil for every other kind. kids is only read: it
+// may alias scratch space, and is copied into the arena when the vertex is
+// new.
 func (t *table) intern(kind Kind, arg int32, val *event.Value, kids []NodeID) (id NodeID, created bool) {
 	if 2*(len(t.recs)+1) > len(t.index) {
 		t.grow()
@@ -61,14 +68,31 @@ func (t *table) intern(kind Kind, arg int32, val *event.Value, kids []NodeID) (i
 		}
 	}
 	if val != nil {
-		arg = int32(len(t.vals))
-		t.vals = append(t.vals, *val)
+		arg = t.internVal(val)
 	}
 	id = NodeID(len(t.recs))
 	t.recs = append(t.recs, rec{kind: kind, arg: arg, off: int32(len(t.kids)), n: int32(len(kids))})
 	t.kids = append(t.kids, kids...)
 	t.index[i] = id + 1
 	return id, true
+}
+
+// internVal returns the index of the vals entry bit-identical to *val,
+// appending a copy of *val on a miss. val may point into vals.
+func (t *table) internVal(val *event.Value) int32 {
+	if 2*(len(t.vals)+1) > len(t.valIndex) {
+		t.growVals()
+	}
+	mask := len(t.valIndex) - 1
+	i := slotOf(hashVal(0, val), t.valShift)
+	for ; t.valIndex[i] != 0; i = (i + 1) & mask {
+		if cand := t.valIndex[i] - 1; sameBits(&t.vals[cand], val) {
+			return cand
+		}
+	}
+	t.vals = append(t.vals, *val)
+	t.valIndex[i] = int32(len(t.vals))
+	return int32(len(t.vals) - 1)
 }
 
 // same reports whether record id is the vertex (kind, arg, val, kids).
@@ -87,17 +111,26 @@ func (t *table) same(id NodeID, kind Kind, arg int32, val *event.Value, kids []N
 	return slices.Equal(t.kids[r.off:r.off+r.n], kids)
 }
 
-// slot maps a hash to its home slot (Fibonacci hashing: the product's top
-// bits depend on every bit of h).
-func (t *table) slot(h uint64) int { return int((h * 0x9e3779b97f4a7c15) >> t.shift) }
+// slot maps a record hash to its home slot in index.
+func (t *table) slot(h uint64) int { return slotOf(h, t.shift) }
+
+// slotOf maps a hash to its home slot in a 1<<(64−shift)-slot index
+// (Fibonacci hashing: the product's top bits depend on every bit of h).
+func slotOf(h uint64, shift uint) int { return int((h * 0x9e3779b97f4a7c15) >> shift) }
+
+// growBits is the size exponent of an index grown from one of the given
+// number of slots under shift: double it, or minIndexBits for the first one.
+func growBits(slots int, shift uint) uint {
+	if slots > 0 {
+		return 64 - shift + 1
+	}
+	return minIndexBits
+}
 
 // grow doubles the index (or allocates the first one) and re-slots every
 // record.
 func (t *table) grow() {
-	bits := uint(minIndexBits)
-	if len(t.index) > 0 {
-		bits = 64 - t.shift + 1
-	}
+	bits := growBits(len(t.index), t.shift)
 	t.index = make([]NodeID, 1<<bits)
 	t.shift = 64 - bits
 	mask := len(t.index) - 1
@@ -115,6 +148,22 @@ func (t *table) grow() {
 	}
 }
 
+// growVals doubles the value index (or allocates the first one) and
+// re-slots every value.
+func (t *table) growVals() {
+	bits := growBits(len(t.valIndex), t.valShift)
+	t.valIndex = make([]int32, 1<<bits)
+	t.valShift = 64 - bits
+	mask := len(t.valIndex) - 1
+	for vi := range t.vals {
+		i := slotOf(hashVal(0, &t.vals[vi]), t.valShift)
+		for t.valIndex[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.valIndex[i] = int32(vi) + 1
+	}
+}
+
 // mix folds one word into a running hash.
 func mix(h, x uint64) uint64 {
 	h = (h ^ x) * 0xff51afd7ed558ccd
@@ -129,18 +178,7 @@ func hashRec(kind Kind, arg int32, val *event.Value, kids []NodeID) uint64 {
 	if val == nil {
 		h = mix(h, uint64(uint32(arg)))
 	} else {
-		h = mix(h, uint64(val.Kind))
-		switch val.Kind {
-		case event.Scalar:
-			h = mix(h, math.Float64bits(val.S))
-		case event.Vector:
-			h = mix(h, uint64(len(val.V)))
-			for _, x := range val.V {
-				h = mix(h, math.Float64bits(x))
-			}
-		case event.Boolean:
-			h = mix(h, uint64(boolArg(val.B)))
-		}
+		h = hashVal(h, val)
 	}
 	i := 0
 	for ; i+1 < len(kids); i += 2 {
@@ -148,6 +186,24 @@ func hashRec(kind Kind, arg int32, val *event.Value, kids []NodeID) uint64 {
 	}
 	if i < len(kids) {
 		h = mix(h, uint64(uint32(kids[i])))
+	}
+	return h
+}
+
+// hashVal folds the bits of a c-value — its kind and the fields the kind
+// uses — into h.
+func hashVal(h uint64, val *event.Value) uint64 {
+	h = mix(h, uint64(val.Kind))
+	switch val.Kind {
+	case event.Scalar:
+		h = mix(h, math.Float64bits(val.S))
+	case event.Vector:
+		h = mix(h, uint64(len(val.V)))
+		for _, x := range val.V {
+			h = mix(h, math.Float64bits(x))
+		}
+	case event.Boolean:
+		h = mix(h, uint64(boolArg(val.B)))
 	}
 	return h
 }

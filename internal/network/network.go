@@ -133,7 +133,10 @@ type Net struct {
 	// the ⊤ or ⊥ of a KConst node, the operator of a KCmp node, the exponent
 	// of a KPow node, and the index into Vals of a KCondVal node's c-value;
 	// 0 elsewhere.
-	Arg  []int32
+	Arg []int32
+	// Vals holds the distinct c-values of the ⊗ nodes, in order of first
+	// use: ⊗ nodes whose c-values are bit-identical (the same distance
+	// under different guards) share one entry.
 	Vals []event.Value
 	// Targets are the compilation targets, in registration order.
 	Targets []Target
@@ -208,6 +211,9 @@ type Builder struct {
 	numMemo  map[event.NumExpr]NodeID
 	targets  []Target
 	noFold   bool
+	// bools caches the ids of ⊥ and ⊤ plus one (0 until first interned):
+	// Not, Bool and the translator's reductions ask for them constantly.
+	bools [2]NodeID
 	// scratch is the reusable n-ary flattening buffer; pair backs
 	// fixed-arity child lists during lookup.
 	scratch []NodeID
@@ -306,8 +312,19 @@ func (b *Builder) Var(x event.VarID) NodeID {
 	return b.intern(KVar, int32(x), nil, nil)
 }
 
-// Bool returns the constant node for ⊤ or ⊥.
-func (b *Builder) Bool(v bool) NodeID { return b.intern(KConst, boolArg(v), nil, nil) }
+// Bool returns the constant node for ⊤ or ⊥. A cached answer counts as an
+// intern hit, so the hash-cons accounting does not depend on the cache.
+func (b *Builder) Bool(v bool) NodeID {
+	c := &b.bools[boolArg(v)]
+	if *c != 0 {
+		b.lookups++
+		b.hits++
+		return *c - 1
+	}
+	id := b.intern(KConst, boolArg(v), nil, nil)
+	*c = id + 1
+	return id
+}
 
 // intern1 and intern2 intern fixed-arity nodes through the builder-held pair
 // buffer, keeping the child list off the heap during lookup.
@@ -527,8 +544,9 @@ func (b *Builder) naryNum(kind Kind, ks []NodeID) NodeID {
 	return b.intern(kind, 0, nil, flat)
 }
 
-// DisableConstFold turns off Σ constant folding; used by the ablation
-// benchmarks and by tests that need bit-identical summation order.
+// DisableConstFold turns off the builder's constant folds — Σ, Π, Inv,
+// Pow, comparisons and dist over ⊗ nodes; used by the ablation benchmarks
+// and by tests that need the unfolded node structure.
 func (b *Builder) DisableConstFold() { b.noFold = true }
 
 // Inv returns k⁻¹, folding constants.
@@ -551,14 +569,20 @@ func (b *Builder) Pow(k NodeID, exp int) NodeID {
 	return b.intern1(KPow, int32(exp), nil, k)
 }
 
-// Dist returns dist(l, r), folded when both endpoints are constant.
+// Dist returns dist(l, r). When both endpoints are ⊗ nodes it folds
+// dist(g₁⊗v₁, g₂⊗v₂) to (g₁∧g₂) ⊗ dist(v₁, v₂): u annihilates dist (§3.2),
+// so the distance is defined exactly when both guards hold, and then it is
+// the constant distance of the two payloads. Constant endpoints (⊤ guards)
+// are the special case that folds to a constant. A distance between two
+// uncertain data objects thus becomes a guarded constant with bounds from
+// the start, and a Σ of them is initialised with constant distances (§5).
 func (b *Builder) Dist(l, r NodeID) NodeID {
-	if !b.noFold {
-		if lv := b.constOf(l); lv != nil {
-			if rv := b.constOf(r); rv != nil {
-				return b.ConstNum(event.DistVal(b.metric, *lv, *rv))
-			}
+	if lr, rr := b.recs[l], b.recs[r]; !b.noFold && lr.kind == KCondVal && rr.kind == KCondVal {
+		d := event.DistVal(b.metric, b.vals[lr.arg], b.vals[rr.arg])
+		if d.IsUndef() {
+			return b.CondVal(b.Bool(false), event.U)
 		}
+		return b.CondVal(b.And(b.kids[lr.off], b.kids[rr.off]), d)
 	}
 	return b.intern2(KDist, 0, l, r)
 }
@@ -649,7 +673,7 @@ func (b *Builder) Target(name string, id NodeID) {
 // by a counting pass in increasing id order — parent order. The builder must
 // not be reused afterwards.
 func (b *Builder) Build() *Net {
-	remap, live, edges, vals := b.liveIDs()
+	remap, valRemap, live, edges, vals := b.liveIDs()
 	net := &Net{
 		Space:   b.space,
 		Metric:  b.metric,
@@ -659,7 +683,7 @@ func (b *Builder) Build() *Net {
 		ParOff:  make([]int32, live+1),
 		Pars:    make([]NodeID, edges),
 		Arg:     make([]int32, live),
-		Vals:    make([]event.Value, 0, vals),
+		Vals:    make([]event.Value, vals),
 		Targets: make([]Target, len(b.targets)),
 		VarNode: make([]NodeID, b.space.Len()),
 	}
@@ -683,8 +707,9 @@ func (b *Builder) Build() *Net {
 		case KVar:
 			net.VarNode[r.arg] = id
 		case KCondVal:
-			net.Arg[id] = int32(len(net.Vals))
-			net.Vals = append(net.Vals, b.vals[r.arg])
+			vi := valRemap[r.arg]
+			net.Arg[id] = vi
+			net.Vals[vi] = b.vals[r.arg]
 		}
 	}
 	net.KidOff[live] = int32(len(net.Kids))
@@ -723,9 +748,11 @@ func (b *Builder) Build() *Net {
 // liveIDs maps every constructed node to its id in the built network —
 // dense and in construction order — or to NoNode when it is unreachable
 // downward from every target (with no targets registered, every node is
-// live). It also counts the live nodes, their child edges, and their ⊗
-// payloads, so Build can size each column exactly.
-func (b *Builder) liveIDs() (remap []NodeID, live, edges, vals int) {
+// live). It likewise maps every c-value a live ⊗ node uses to its Net.Vals
+// index, dense in order of first use, and counts the live nodes, their child
+// edges, and the distinct live c-values, so Build can size each column
+// exactly.
+func (b *Builder) liveIDs() (remap []NodeID, valRemap []int32, live, edges, vals int) {
 	remap = make([]NodeID, len(b.recs)) // 0 marks live until ids are assigned
 	if len(b.targets) > 0 {
 		for i := range remap {
@@ -749,6 +776,10 @@ func (b *Builder) liveIDs() (remap []NodeID, live, edges, vals int) {
 			}
 		}
 	}
+	valRemap = make([]int32, len(b.vals))
+	for i := range valRemap {
+		valRemap[i] = -1
+	}
 	for id, r := range b.recs {
 		if remap[id] == NoNode {
 			continue
@@ -756,9 +787,10 @@ func (b *Builder) liveIDs() (remap []NodeID, live, edges, vals int) {
 		remap[id] = NodeID(live)
 		live++
 		edges += int(r.n)
-		if r.kind == KCondVal {
+		if r.kind == KCondVal && valRemap[r.arg] < 0 {
+			valRemap[r.arg] = int32(vals)
 			vals++
 		}
 	}
-	return remap, live, edges, vals
+	return remap, valRemap, live, edges, vals
 }

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -85,6 +86,111 @@ func TestConstantFolding(t *testing.T) {
 	}
 	if v := b.constOf(b.Pow(c3, 2)); v == nil || v.S != 9 {
 		t.Errorf("3² folded to %v", v)
+	}
+}
+
+// TestDistFoldsGuardedPayloads: dist of two uncertain ⊗ nodes is one ⊗ node
+// guarded by g₁∧g₂ carrying DistVal(v₁, v₂); a u payload or a ⊥ guard still
+// gives u; DisableConstFold keeps the KDist node; and in every world the
+// folded node evaluates to what the unfolded KDist evaluates to.
+func TestDistFoldsGuardedPayloads(t *testing.T) {
+	sp := event.NewSpace()
+	x, y := sp.Add("x", 0.5), sp.Add("y", 0.5)
+	pa, pb := event.Vect(vec.New(0, 0)), event.Vect(vec.New(3, 4))
+	build := func(fold bool) (*Builder, NodeID) {
+		b := NewBuilder(sp, nil)
+		if !fold {
+			b.DisableConstFold()
+		}
+		return b, b.Dist(b.CondVal(b.Var(x), pa), b.CondVal(b.Var(y), pb))
+	}
+
+	b, d := build(true)
+	if rd := b.recs[d]; rd.kind != KCondVal {
+		t.Fatalf("dist(x⊗a, y⊗b) is a %s node, want condval", rd.kind)
+	}
+	if g, want := b.kids[b.recs[d].off], b.And(b.Var(x), b.Var(y)); g != want {
+		t.Errorf("folded guard is node %d, want x∧y = %d", g, want)
+	}
+	if v, want := b.vals[b.recs[d].arg], event.DistVal(vec.Euclidean, pa, pb); !sameBits(&v, &want) {
+		t.Errorf("folded value %v, want %v", v, want)
+	}
+	// Guard merges the fold's guard into one ⊗ node, as the k-medoids Σ
+	// terms InCl ∧ dist(O[l], O[p]) do.
+	z := b.Var(sp.Add("z", 0.5))
+	if gd := b.Guard(z, d); b.recs[gd].kind != KCondVal || b.kids[b.recs[gd].off] != b.And(z, b.Var(x), b.Var(y)) {
+		t.Errorf("z ∧ dist(x⊗a, y⊗b) did not merge into one ⊗ node guarded by z∧x∧y")
+	}
+	for name, u := range map[string]NodeID{
+		"u payload": b.CondVal(b.Var(x), event.U),
+		"⊥ guard":   b.CondVal(b.Bool(false), pa),
+		"certain u": b.ConstNum(event.U),
+	} {
+		if v := b.constOf(b.Dist(u, b.CondVal(b.Var(y), pb))); v == nil || !v.IsUndef() {
+			t.Errorf("dist with a %s folded to %v, want u", name, v)
+		}
+	}
+
+	nb, nd := build(false)
+	if k := nb.recs[nd].kind; k != KDist {
+		t.Errorf("with DisableConstFold dist is a %s node, want dist", k)
+	}
+
+	folded, unfolded := b.Build(), nb.Build()
+	worlds.Enumerate(sp, func(nu event.SliceValuation, _ float64) bool {
+		got, want := folded.Eval(nu).Nums[d], unfolded.Eval(nu).Nums[nd]
+		if !got.Equal(want) {
+			t.Errorf("world %v: folded dist %v, KDist %v", nu, got, want)
+		}
+		return true
+	})
+}
+
+// TestValsShareBitIdenticalPayloads: ⊗ nodes with bit-identical c-values
+// share one Net.Vals entry across guards, while +0 and −0 and distinct NaN
+// payloads stay apart; equal builds stay Equal and a changed payload does
+// not.
+func TestValsShareBitIdenticalPayloads(t *testing.T) {
+	sp := event.NewSpace()
+	x, y := sp.Add("x", 0.5), sp.Add("y", 0.5)
+	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
+	build := func(last float64) (*Net, []NodeID) {
+		b := NewBuilder(sp, nil)
+		vx, vy := b.Var(x), b.Var(y)
+		ids := []NodeID{
+			b.CondVal(vx, event.Num(5)),
+			b.CondVal(vy, event.Num(5)),
+			b.CondVal(vx, event.Num(0)),
+			b.CondVal(vy, event.Num(math.Copysign(0, -1))),
+			b.CondVal(vx, event.Num(nan1)),
+			b.CondVal(vy, event.Num(nan2)),
+			// A folded distance equal to the first payload shares it too.
+			b.Dist(b.CondVal(vx, event.Vect(vec.New(0, 0))), b.CondVal(vy, event.Vect(vec.New(3, 4)))),
+			b.CondVal(b.Not(vx), event.Num(last)),
+		}
+		return b.Build(), ids
+	}
+	net, ids := build(5)
+	arg := func(i int) int32 { return net.Arg[ids[i]] }
+	if arg(0) != arg(1) || arg(0) != arg(6) || arg(0) != arg(7) {
+		t.Errorf("payload 5 under four guards has Vals indices %d %d %d %d, want one", arg(0), arg(1), arg(6), arg(7))
+	}
+	if arg(2) == arg(3) {
+		t.Error("+0 and −0 share a Vals entry")
+	}
+	if arg(4) == arg(5) {
+		t.Error("two NaN payloads share a Vals entry")
+	}
+	// 5, +0, −0, two NaNs and the two vectors.
+	if len(net.Vals) != 7 {
+		t.Errorf("%d Vals entries, want 7: %v", len(net.Vals), net.Vals)
+	}
+	again, _ := build(5)
+	if !Equal(net, again) {
+		t.Error("two identical builds are not Equal")
+	}
+	if other, _ := build(6); Equal(net, other) {
+		t.Error("builds differing in one shared payload are Equal")
 	}
 }
 
