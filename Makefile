@@ -45,11 +45,11 @@ fuzz-pipeline:
 fuzz:
 	$(GO) test ./internal/difftest -run '^$$' -fuzz '^FuzzPipeline$$' -fuzztime $(FUZZTIME)
 
-# alloc-guard pins the obs-disabled front end and the compilation core to
-# their allocation budgets, and a cached artifact to its retained-heap budget
-# (see allocguard_test.go).
+# alloc-guard pins the obs-disabled front end, the compilation core and the
+# distributed runner's fork/join path to their allocation budgets, and a
+# cached artifact to its retained-heap budget (see allocguard_test.go).
 alloc-guard:
-	$(GO) test -run '^Test(FrontEnd|Compile|RetainedArtifact)AllocGuard$$' -count=1 -v .
+	$(GO) test -run '^Test(FrontEnd|Compile|DistributedCompile|RetainedArtifact)AllocGuard$$' -count=1 -v .
 
 # smoke runs the process drills (cmd/enframe/smoke_test.go): real enframe
 # serve, worker and route child processes driven over HTTP, TCP and the CLI

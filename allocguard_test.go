@@ -99,12 +99,14 @@ func TestRetainedArtifactAllocGuard(t *testing.T) {
 
 // compileAllocBudget is the ceiling on allocations per exact compile through
 // the bit-parallel flat core at the same kmedoids n=24 scale. The packed core
-// allocates its planes, abstract records, aux tables, and trail once up
-// front and then runs allocation-free through the ~1.4M parent-edge visits
-// of the expansion; measured ~200 allocs/op. The headroom absorbs slice
-// regrowth nondeterminism — any per-node or per-propagation allocation
-// creeping into the hot loop blows the budget by orders of magnitude.
-const compileAllocBudget = 450
+// builds its per-net tables and its mask block once up front and then runs
+// allocation-free through the parent-edge visits of the expansion, bar the
+// trail and queue growing to their high-water marks; measured 188 allocs/op.
+// A sequential walk takes nothing from the free list of mask blocks (see
+// TestDistributedCompileAllocGuard for the runner that does). The budget is
+// under 1.5× the measured count — any per-node or per-propagation allocation
+// creeping into the hot loop blows it by orders of magnitude.
+const compileAllocBudget = 280
 
 // TestCompileAllocGuard holds the flat compilation core to its packed
 // allocation profile. Run as part of `make ci` (via `make alloc-guard`).
@@ -127,5 +129,66 @@ func TestCompileAllocGuard(t *testing.T) {
 	if allocs > compileAllocBudget {
 		t.Errorf("flat compile allocates %.0f/op, over the %d budget — the packed core hot path regressed",
 			allocs, compileAllocBudget)
+	}
+}
+
+// Budgets per compile-hybrid compile: one Hybrid ε=0.1, W=2, d=3 compile of
+// a prepared kmedoids n=24 artifact whose variable order is already
+// memoized. Measured 169–188 allocs and 0.9–1.4 MB per compile; 576 allocs
+// and 12.1 MB while every worker state rebuilt the per-net tables and every
+// job snapshot, trail and queue was a fresh allocation.
+const (
+	distributedCompileAllocBudget = 300
+	distributedCompileByteBudget  = 3 << 20
+)
+
+// TestDistributedCompileAllocGuard holds the fork/join path of the
+// distributed runner — the job snapshots, the worker states, their trails and
+// queues — to recycled storage: a compile of an artifact the process already
+// compiled allocates little more than its pristine state and its results.
+// Run as part of `make ci` (via `make alloc-guard`).
+func TestDistributedCompileAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc guard is a perf gate, skipped in -short")
+	}
+	spec, _, err := server.BuildSpec(server.RunRequest{
+		Program: "kmedoids",
+		Data:    server.DataSpec{N: 24, Scheme: "positive", Vars: 16, L: 8, M: 12, Group: 4, Seed: 1},
+		Params:  server.ParamSpec{K: 2, Iter: 3},
+		Targets: []string{"Centre["},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	art, err := core.PrepareContext(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := prob.Options{Strategy: prob.Hybrid, Epsilon: 0.1, Workers: 2, JobDepth: 3}
+	compile := func() {
+		if _, err := art.CompileContext(ctx, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compile()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		compile()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("distributed hybrid compile: %d allocs/op (budget %d), %d B/op (budget %d)",
+		allocs, distributedCompileAllocBudget, bytes, distributedCompileByteBudget)
+	if allocs > distributedCompileAllocBudget {
+		t.Errorf("distributed compile allocates %d/op, over the %d budget — job snapshots or worker states are allocated per job again",
+			allocs, distributedCompileAllocBudget)
+	}
+	if bytes > distributedCompileByteBudget {
+		t.Errorf("distributed compile allocates %d B/op, over the %d B budget — job snapshots or worker states are allocated per job again",
+			bytes, distributedCompileByteBudget)
 	}
 }

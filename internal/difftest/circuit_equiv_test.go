@@ -9,7 +9,6 @@ import (
 
 	"enframe/internal/event"
 	"enframe/internal/gen"
-	"enframe/internal/lang"
 	"enframe/internal/network"
 	"enframe/internal/prob"
 )
@@ -45,25 +44,11 @@ func TestCircuitExactEquivalence(t *testing.T) {
 	})
 }
 
-// genNet grounds one generated program as checkProgram does; nil when the
-// seed yields no comparable network.
-func genNet(p *gen.Program) *network.Net {
-	prog, err := lang.Parse(p.Source())
-	if err != nil {
-		return nil
-	}
-	net, err := groundProgram(p, prog)
-	if err != nil {
-		return nil
-	}
-	return net
-}
-
-// buildEquivNet is genNet for per-seed subtests: it skips the seeds genNet
+// buildEquivNet is GenNet for per-seed subtests: it skips the seeds GenNet
 // rejects.
 func buildEquivNet(t *testing.T, p *gen.Program) *network.Net {
 	t.Helper()
-	net := genNet(p)
+	net := GenNet(p)
 	if net == nil {
 		t.Skip("no comparable network")
 	}

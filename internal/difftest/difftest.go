@@ -141,6 +141,21 @@ func groundProgram(p *gen.Program, prog *lang.Program) (*network.Net, error) {
 	return b.Build(), nil
 }
 
+// GenNet grounds one generated program as Check does, with every Boolean
+// checked symbol as a target; nil when the program yields no comparable
+// network.
+func GenNet(p *gen.Program) *network.Net {
+	prog, err := lang.Parse(p.Source())
+	if err != nil {
+		return nil
+	}
+	net, err := groundProgram(p, prog)
+	if err != nil {
+		return nil
+	}
+	return net
+}
+
 // setupStages are failure stages that do not indicate a differential bug in
 // a shrink candidate (dropping a block can orphan a reference, which is the
 // candidate's fault, not the pipeline's).

@@ -87,7 +87,7 @@ func goldenCases(t *testing.T) []goldenCase {
 	for _, seed := range sorted {
 		cases = append(cases, goldenCase{
 			key:   fmt.Sprintf("gen:%d", seed),
-			build: func(t *testing.T) *network.Net { return genNet(gen.New(seed)) },
+			build: func(t *testing.T) *network.Net { return GenNet(gen.New(seed)) },
 			truth: servedTruth(server.RunRequest{Data: server.DataSpec{Kind: "gen", Seed: seed}}),
 		})
 	}

@@ -234,7 +234,7 @@ func TestFlatSnapshotRestoreProperty(t *testing.T) {
 			}
 			opts := Options{Strategy: Exact}.withDefaults()
 			book := newBoundsBook(len(net.Targets), 0)
-			s := newFstate(net, types, opts, book)
+			s := newFstate(net, types, opts, book, false)
 			s.attachRun(computeOrder(net, opts), time.Time{}, nil, nil)
 			s.initAll()
 
@@ -254,10 +254,12 @@ func TestFlatSnapshotRestoreProperty(t *testing.T) {
 			}
 
 			// (b) fork snapshot round-trip: mutate past the snapshot, adopt
-			// it back, and require the snapshotted signature. Adopting the
-			// same snapshot twice must also be a fixpoint.
+			// it back, and require the snapshotted signature. Adoption
+			// consumes a snapshot and frees the replaced block, so a second
+			// fork of the same point, adopted after further mutation into a
+			// recycled block, must restore it as well.
 			assignPrefix(s, rng)
-			snap := s.forkSnap()
+			snap, snap2 := s.forkSnap(), s.forkSnap()
 			want := captureSig(s)
 			assignPrefix(s, rng)
 			s.adoptSnap(snap)
@@ -265,7 +267,8 @@ func TestFlatSnapshotRestoreProperty(t *testing.T) {
 			if d := want.equal(got); d != "" {
 				t.Fatalf("adoptSnap did not restore forked state: %s", d)
 			}
-			s.adoptSnap(snap)
+			assignPrefix(s, rng)
+			s.adoptSnap(snap2)
 			got2 := captureSig(s)
 			if d := want.equal(got2); d != "" {
 				t.Fatalf("second adoptSnap drifted: %s", d)

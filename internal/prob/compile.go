@@ -258,11 +258,12 @@ func (r *runner) leaseBudgetBuf(n int) []float64 {
 // assignment. A non-nil sink records those decisions as the circuit root's.
 // Every mode runs it exactly once: its state is the sequential walk's, the
 // distributed root job's snapshot, or the coordinator's credit of the
-// decisions no job reports.
-func (r *runner) initPass(sink *circuitSink) *fstate {
+// decisions no job reports. Only the distributed runner, which returns its
+// blocks, sets recycle.
+func (r *runner) initPass(sink *circuitSink, recycle bool) *fstate {
 	t0 := time.Now()
 	span := r.span.Start("init")
-	s := r.attach(newFstate(r.net, r.types, r.opts, r.bounds))
+	s := r.attach(newFstate(r.net, r.types, r.opts, r.bounds, recycle))
 	if sink != nil {
 		s.onAdd = sink.observe
 	}
@@ -289,7 +290,7 @@ func (r *runner) rootBudget() []float64 {
 // pass decides fire with the full unit mass and become the root node's
 // decisions.
 func (r *runner) runSequential(sink *circuitSink) Stats {
-	s := r.initPass(sink)
+	s := r.initPass(sink, false)
 	exploreName := "explore"
 	if sink != nil {
 		exploreName = "trace"

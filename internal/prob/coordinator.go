@@ -36,7 +36,7 @@ func CompileExec(ctx context.Context, net *network.Net, opts Options, exec JobEx
 // error; cancellation and timeout end the run with the runner's flags set,
 // for compile's epilogue to report.
 func (r *runner) runExec(ctx context.Context, exec JobExecutor) (Stats, error) {
-	init := r.initPass(nil)
+	init := r.initPass(nil, false)
 	budgeted := r.opts.Strategy.budgeted()
 
 	tExplore := time.Now()

@@ -26,7 +26,7 @@ import (
 // multi-process counterpart.
 
 type job struct {
-	snap *fsnap
+	snap *fblock
 	oi   int
 	p    float64
 	E    []float64
@@ -175,7 +175,7 @@ func (b *budgetPool) withdraw(E []float64) {
 func (r *runner) runDistributed() Stats {
 	// The pristine state provides the root job's masks; its initial pass
 	// records targets decided without any assignment.
-	pristine := r.initPass(nil)
+	pristine := r.initPass(nil, true)
 
 	tExplore := time.Now()
 	dspan := r.span.Start("distribute")
@@ -200,7 +200,7 @@ func (r *runner) runDistributed() Stats {
 		queue.interrupt()
 	}
 	pool := &budgetPool{}
-	queue.push(job{snap: pristine.shareSnap(), p: 1, E: r.rootBudget(), parent: -1})
+	queue.push(job{snap: pristine.takeBlock(), p: 1, E: r.rootBudget(), parent: -1})
 
 	type workerReport struct {
 		id    int
@@ -218,7 +218,8 @@ func (r *runner) runDistributed() Stats {
 			wspan.SetInt("id", int64(wi))
 			defer wspan.End()
 			var busy time.Duration
-			s := r.attach(newFstate(r.net, r.types, r.opts, r.bounds))
+			s := r.attach(pristine.worker(r.bounds))
+			defer s.release()
 			st := &s.stats
 			w := &walker{state: s, run: r, forkDepth: r.opts.JobDepth}
 			cur := -1 // log index of the running job
@@ -253,6 +254,9 @@ func (r *runner) runDistributed() Stats {
 	}
 	wg.Wait()
 	close(statsCh)
+	for _, j := range queue.jobs { // left behind by a stop
+		putBlock(j.snap)
+	}
 	var total Stats
 	total.PerWorker = make([]WorkerStats, goroutines)
 	for rep := range statsCh {
@@ -326,6 +330,7 @@ func (r *runner) runJob(w *walker, pool *budgetPool, j job) {
 		defer pool.deposit(j.E)
 	}
 	if r.stop.Load() || r.bounds.allTight() {
+		putBlock(j.snap)
 		return
 	}
 	if debugHook != nil {

@@ -2,6 +2,7 @@ package prob
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -27,9 +28,11 @@ const (
 )
 
 // fstate is the compilation core: one worker's mask state under the current
-// partial assignment (Algorithm 2), over a shared immutable network. Each
-// mask component lives in a contiguous slice indexed by node id over the
-// network's structure-of-arrays columns:
+// partial assignment (Algorithm 2), over a shared immutable network: the
+// per-net tables (ftables), shared by all states of a compilation, plus the
+// worker's own mask block (fblock). Each mask component lives in a
+// contiguous slice indexed by node id over the network's structure-of-arrays
+// columns:
 //
 //   - the three-valued truth value lives in two uint64 bit planes, decT and
 //     decF (set bit = decided true / decided false, both clear = unknown),
@@ -59,43 +62,36 @@ type fstate struct {
 	stats  Stats
 	order  []event.VarID
 
+	ftables
+	fblock
+
+	// curMass is Pr(ν) of the assignment being propagated.
+	curMass float64
+
+	// deadline/stopFlag/timedFlag are the runner's abort machinery, so even
+	// slow single branches notice timeouts promptly.
+	deadline   time.Time
+	stopFlag   *atomic.Bool
+	timedFlag  *atomic.Bool
+	assignTick uint32
+	// recording gates target-bound accumulation; it is off while a
+	// distributed worker replays a job's assignment prefix (the forking
+	// worker already credited targets masked within the prefix).
+	recording bool
+	// onAdd, when set, observes every recorded bound contribution in
+	// execution order: session executors capture the add stream through it
+	// so the coordinator can replay contributions in sequential DFS order,
+	// and the circuit sink records target decisions. Nil otherwise.
+	onAdd func(ti int, isTrue bool, p float64)
+}
+
+// ftables are the read-only per-net tables of the core. newFstate builds
+// them for the pristine state; worker states of the same compilation and a
+// Session's job workers share them.
+type ftables struct {
 	// targetsAt[id] is -1 or an index into targetLists.
 	targetsAt   []int32
 	targetLists [][]int
-
-	// decT/decF are the packed truth planes; ab the per-node numeric
-	// abstract and propagation scratch (see nabs); sums the dense Σ
-	// aggregates reached via nabs.aux.
-	decT, decF bitset
-	// open has a bit set for every node not yet decided — the propagation
-	// loop tests it to skip parents whose update would early-return, saving
-	// the call. Maintained by the commit/undo paths in lockstep with the
-	// truth planes and vkf kinds.
-	open bitset
-	ab   []nabs
-	sums []sumAgg
-
-	// vecVals holds decided vector values; entries are only read while the
-	// owning node is decided as vkVec, so stale values after undo are
-	// harmless. Nil when the network has no vector-typed nodes.
-	vecVals []vec.Vec
-
-	// The packed trail: one word per touched node plus side stacks popped
-	// in step with the backward id walk during undo — one ntrail entry for
-	// every class that carries a counter or numeric abstract, one sumAgg
-	// for Σ nodes.
-	trailIDs  []uint64
-	trailNums []ntrail
-	trailSums []sumAgg
-
-	// level numbers assignments; nabs.trailedAt deduplicates trail entries
-	// so a node repeatedly tightened within one assignment wave is recorded
-	// once, with its state from the start of the wave.
-	level int32
-	// queue entries carry the node's visible abstract at enqueue time — the
-	// oldC parents diff against — inline, so propagation reads and writes
-	// the queue sequentially instead of scattering over per-node arrays.
-	queue []qent
 
 	// Dense per-kind derivation tables, reached through the record's aux
 	// index, so the hot derives load one small record instead of walking
@@ -117,28 +113,136 @@ type fstate struct {
 	cvUnk    []fnum
 	cvVec    []bool
 
+	// vecAt[id] is a vector-typed node's index into the dense vecVals
+	// column, -1 for every other node.
+	vecAt []int32
+}
+
+// fblock is one mask block: a worker's masks, or a job's snapshot of them
+// (§4.4). Forks copy into recycled blocks, adoption frees the replaced block,
+// a finished distributed compilation frees every block. The trail and queue
+// ride along as capacity only; they are empty whenever a block changes hands.
+type fblock struct {
+	// decT/decF are the packed truth planes; ab the per-node numeric
+	// abstract and propagation scratch (see nabs); sums the dense Σ
+	// aggregates reached via nabs.aux.
+	decT, decF bitset
+	// open has a bit set for every node not yet decided — the propagation
+	// loop tests it to skip parents whose update would early-return, saving
+	// the call. Maintained by the commit/undo paths in lockstep with the
+	// truth planes and vkf kinds.
+	open bitset
+	ab   []nabs
+	sums []sumAgg
+
+	// vecVals holds decided vector values, indexed through vecAt; entries
+	// are only read while the owning node is decided as vkVec, so stale
+	// values after undo are harmless.
+	vecVals []vec.Vec
+
 	// openTargets counts targets not yet masked under the current branch;
 	// tMasked holds the same per target.
 	openTargets int
 	tMasked     []bool
-	// curMass is Pr(ν) of the assignment being propagated.
-	curMass float64
 
-	// deadline/stopFlag/timedFlag are the runner's abort machinery, so even
-	// slow single branches notice timeouts promptly.
-	deadline   time.Time
-	stopFlag   *atomic.Bool
-	timedFlag  *atomic.Bool
-	assignTick uint32
-	// recording gates target-bound accumulation; it is off while a
-	// distributed worker replays a job's assignment prefix (the forking
-	// worker already credited targets masked within the prefix).
-	recording bool
-	// onAdd, when set, observes every recorded bound contribution in
-	// execution order: session executors capture the add stream through it
-	// so the coordinator can replay contributions in sequential DFS order,
-	// and the circuit sink records target decisions. Nil otherwise.
-	onAdd func(ti int, isTrue bool, p float64)
+	// level numbers assignments; nabs.trailedAt deduplicates trail entries
+	// so a node repeatedly tightened within one assignment wave is recorded
+	// once, with its state from the start of the wave. No trailedAt in ab
+	// exceeds level, so a state adopting the block continues from it.
+	level int32
+
+	// The packed trail: one word per touched node plus side stacks popped
+	// in step with the backward id walk during undo — one ntrail entry for
+	// every class that carries a counter or numeric abstract, one sumAgg
+	// for Σ nodes.
+	trailIDs  []uint64
+	trailNums []ntrail
+	trailSums []sumAgg
+
+	// queue entries carry the node's visible abstract at enqueue time — the
+	// oldC parents diff against — inline, so propagation reads and writes
+	// the queue sequentially instead of scattering over per-node arrays.
+	queue []qent
+
+	shape blockShape // the free list the block returns to
+}
+
+// blockShape keys the free list of mask blocks: the node count rounded up to
+// 512, and the Σ, target and vector-node counts.
+type blockShape struct{ nodes, sums, targets, vecs int32 }
+
+// blockPools is the process-wide free list of released blocks, one sync.Pool
+// per shape so the GC bounds what it holds. Past maxBlockShapes shapes the
+// list starts over.
+var blockPools = struct {
+	sync.Mutex
+	m map[blockShape]*sync.Pool
+}{m: map[blockShape]*sync.Pool{}}
+
+const maxBlockShapes = 64
+
+// releaseHook, when set by tests, sees every block entering the free list.
+var releaseHook atomic.Pointer[func(*fblock)]
+
+func shapePool(sh blockShape) *sync.Pool {
+	blockPools.Lock()
+	defer blockPools.Unlock()
+	p := blockPools.m[sh]
+	if p == nil {
+		if len(blockPools.m) >= maxBlockShapes {
+			clear(blockPools.m)
+		}
+		p = new(sync.Pool)
+		blockPools.m[sh] = p
+	}
+	return p
+}
+
+// putBlock returns a block to the free list; an empty block is dropped.
+func putBlock(b *fblock) {
+	if b.ab == nil {
+		return
+	}
+	b.clearTrail()
+	b.queue = b.queue[:0]
+	if h := releaseHook.Load(); h != nil {
+		(*h)(b)
+	}
+	shapePool(b.shape).Put(b)
+}
+
+// size fits the block to nn nodes and shape sh, reallocating only arrays too
+// small for it, to the shape's capacity; contents are left as they are.
+func (b *fblock) size(nn int, sh blockShape) {
+	w, cw := bitsetWords(nn), bitsetWords(int(sh.nodes))
+	b.decT, b.decF, b.open = fit(b.decT, w, cw), fit(b.decF, w, cw), fit(b.open, w, cw)
+	b.ab = fit(b.ab, nn, int(sh.nodes))
+	b.sums = fit(b.sums, int(sh.sums), int(sh.sums))
+	b.tMasked = fit(b.tMasked, int(sh.targets), int(sh.targets))
+	b.vecVals = fit(b.vecVals, int(sh.vecs), int(sh.vecs))
+	b.shape = sh
+}
+
+func fit[S ~[]E, E any](s S, n, c int) S {
+	if cap(s) < n {
+		return make(S, n, c)
+	}
+	return s[:n]
+}
+
+// copyFrom overwrites the block's masks with src's and empties its trail: a
+// fork's snapshot, or a Session job's reset to the pristine masks.
+func (b *fblock) copyFrom(src *fblock) {
+	b.size(len(src.ab), src.shape)
+	copy(b.decT, src.decT)
+	copy(b.decF, src.decF)
+	copy(b.open, src.open)
+	copy(b.ab, src.ab)
+	copy(b.sums, src.sums)
+	copy(b.vecVals, src.vecVals)
+	copy(b.tMasked, src.tMasked)
+	b.openTargets, b.level = src.openTargets, src.level
+	b.clearTrail()
 }
 
 // sumAgg is the Σ-node aggregate block: counters for children that may be
@@ -217,20 +321,41 @@ const (
 	tagTarget uint8 = 1 << 7
 )
 
-func newFstate(net *network.Net, types []network.ValueType, opts Options, bounds *boundsBook) *fstate {
+// newFstate builds a pristine state: the network's tables and a block zeroed
+// for initAll, which writes every open bit itself (a vector entry is written
+// before it is read). With recycle the block comes from the free list; a
+// sequential walk's is left to the GC, so a process that only traces pools
+// nothing.
+func newFstate(net *network.Net, types []network.ValueType, opts Options, bounds *boundsBook, recycle bool) *fstate {
 	nn := net.NumNodes()
-	s := &fstate{
-		net: net, types: types, opts: opts, bounds: bounds,
-		targetsAt: make([]int32, nn),
-		decT:      newBitset(nn),
-		decF:      newBitset(nn),
-		open:      newBitset(nn),
-		ab:        make([]nabs, nn),
-		recording: true,
+	s := &fstate{net: net, types: types, opts: opts, bounds: bounds, recording: true}
+	sh := blockShape{nodes: int32(nn+511) &^ 511, targets: int32(len(net.Targets))}
+	idx := make([]int32, 2*nn)
+	s.targetsAt, s.vecAt = idx[:nn:nn], idx[nn:]
+	for id, k := range net.Kind {
+		s.targetsAt[id], s.vecAt[id] = -1, -1
+		if types[id] == network.TVector {
+			s.vecAt[id] = sh.vecs
+			sh.vecs++
+		}
+		if k == network.KSum {
+			sh.sums++
+		}
 	}
+	if recycle {
+		if b, _ := shapePool(sh).Get().(*fblock); b != nil {
+			s.fblock = *b
+		}
+	}
+	s.size(nn, sh)
+	clear(s.decT)
+	clear(s.decF)
+	clear(s.ab)
+	clear(s.sums)
+	clear(s.tMasked)
+	s.level, s.openTargets = 0, len(net.Targets)
 	nSums := int32(0)
 	for id := 0; id < nn; id++ {
-		s.targetsAt[id] = -1
 		a := &s.ab[id]
 		a.trailedAt = -1
 		a.aux = -1
@@ -263,7 +388,6 @@ func newFstate(net *network.Net, types []network.ValueType, opts Options, bounds
 			a.tag = tagNum
 		}
 	}
-	s.sums = make([]sumAgg, nSums)
 	s.cvTrue = make([]fnum, len(net.Vals))
 	s.cvUnk = make([]fnum, len(net.Vals))
 	s.cvVec = make([]bool, len(net.Vals))
@@ -299,14 +423,6 @@ func newFstate(net *network.Net, types []network.ValueType, opts Options, bounds
 			s.targetLists = append(s.targetLists, []int{i})
 		}
 	}
-	for _, t := range types {
-		if t == network.TVector {
-			s.vecVals = make([]vec.Vec, nn)
-			break
-		}
-	}
-	s.openTargets = len(net.Targets)
-	s.tMasked = make([]bool, len(net.Targets))
 	return s
 }
 
@@ -323,11 +439,11 @@ func (s *fstate) attachRun(order []event.VarID, deadline time.Time, stop, timed 
 // the state at the matching trailMark.
 func (s *fstate) trailMark() int { return len(s.trailIDs) }
 
-// clearTrail drops the trail without undoing (job adoption/replay).
-func (s *fstate) clearTrail() {
-	s.trailIDs = s.trailIDs[:0]
-	s.trailNums = s.trailNums[:0]
-	s.trailSums = s.trailSums[:0]
+// clearTrail drops the trail without undoing (block copies, job replay).
+func (b *fblock) clearTrail() {
+	b.trailIDs = b.trailIDs[:0]
+	b.trailNums = b.trailNums[:0]
+	b.trailSums = b.trailSums[:0]
 }
 
 func (s *fstate) bval(id network.NodeID) int8       { return bval3(s.decT, s.decF, int32(id)) }
@@ -357,7 +473,7 @@ func (s *fstate) setDecidedValueF(id network.NodeID, v event.Value) {
 		s.setScalarF(id, v.S)
 	case event.Vector:
 		s.ab[id].vkf = vkVec | fMayDef<<2
-		s.vecVals[id] = v.V
+		s.vecVals[s.vecAt[id]] = v.V
 	default:
 		panic("prob: boolean value in numeric mask")
 	}
@@ -371,7 +487,7 @@ func (s *fstate) valueF(id network.NodeID) event.Value {
 	case vkScalar:
 		return event.Num(s.ab[id].lo)
 	case vkVec:
-		return event.Vect(s.vecVals[id])
+		return event.Vect(s.vecVals[s.vecAt[id]])
 	}
 	panic("prob: value of undecided node")
 }
@@ -541,7 +657,7 @@ func (s *fstate) deriveCondValF(id network.NodeID) {
 		f := &s.cvTrue[vi]
 		s.ab[id].vkf, s.ab[id].lo, s.ab[id].hi = f.vkf, f.lo, f.hi
 		if s.cvVec[vi] {
-			s.vecVals[id] = s.net.Vals[vi].V
+			s.vecVals[s.vecAt[id]] = s.net.Vals[vi].V
 		}
 	case bFalse:
 		s.setUndefF(id)
@@ -567,7 +683,7 @@ func (s *fstate) deriveGuardF(id network.NodeID) {
 			s.ab[id].vkf = vv
 			s.ab[id].lo, s.ab[id].hi = s.ab[vk].lo, s.ab[vk].hi
 			if vv&3 == vkVec {
-				s.vecVals[id] = s.vecVals[vk]
+				s.vecVals[s.vecAt[id]] = s.vecVals[s.vecAt[vk]]
 			}
 			return
 		}
@@ -1076,83 +1192,39 @@ func (s *fstate) allSettled() bool {
 	return s.bounds.settledWith(s.tMasked)
 }
 
-// snapshotFrom copies the post-init masks and counters of a pristine state;
-// distributed workers reset between jobs with it instead of recomputing the
-// initial pass.
-func (s *fstate) snapshotFrom(p *fstate) {
-	s.decT.copyFrom(p.decT)
-	s.decF.copyFrom(p.decF)
-	s.open.copyFrom(p.open)
-	copy(s.ab, p.ab)
-	copy(s.sums, p.sums)
-	if p.level > s.level {
-		s.level = p.level
-	}
-	copy(s.tMasked, p.tMasked)
-	if s.vecVals != nil {
-		copy(s.vecVals, p.vecVals)
-	}
-	s.openTargets = p.openTargets
-	s.clearTrail()
+// worker returns a state over the pristine state p's network and tables and
+// the given bounds book. It holds no masks until it adopts a job's block
+// (adoptSnap) or copies the pristine masks (copyFrom).
+func (p *fstate) worker(bounds *boundsBook) *fstate {
+	return &fstate{net: p.net, types: p.types, opts: p.opts, bounds: bounds, ftables: p.ftables, recording: true}
 }
 
-// fsnap is the mask snapshot shipped inside an in-process job: the packed
-// planes plus the dense abstract records and target bookkeeping. level is
-// the forking state's
-// assignment level: the snapshotted trailedAt values are at most level, so
-// an adopting state raises its own level to at least it, keeping the
-// trail-dedup comparison sound across workers.
-type fsnap struct {
-	decT, decF  bitset
-	open        bitset
-	ab          []nabs
-	sums        []sumAgg
-	vecVals     []vec.Vec
-	tMasked     []bool
-	openTargets int
-	level       int32
+// forkSnap copies the current masks into a recycled block, shippable as a
+// job's snapshot.
+func (s *fstate) forkSnap() *fblock {
+	b, _ := shapePool(s.shape).Get().(*fblock)
+	if b == nil {
+		b = new(fblock)
+	}
+	b.copyFrom(&s.fblock)
+	return b
 }
 
-// forkSnap deep-copies the current masks as a shippable job snapshot.
-func (s *fstate) forkSnap() *fsnap {
-	sn := &fsnap{
-		decT:        s.decT.clone(),
-		decF:        s.decF.clone(),
-		open:        s.open.clone(),
-		ab:          append([]nabs(nil), s.ab...),
-		sums:        append([]sumAgg(nil), s.sums...),
-		tMasked:     append([]bool(nil), s.tMasked...),
-		openTargets: s.openTargets,
-		level:       s.level,
-	}
-	if s.vecVals != nil {
-		sn.vecVals = append([]vec.Vec(nil), s.vecVals...)
-	}
-	return sn
+// takeBlock hands the state's block to the caller — the root job takes the
+// pristine state's — leaving the state without masks.
+func (s *fstate) takeBlock() *fblock {
+	b := new(fblock)
+	*b, s.fblock = s.fblock, fblock{}
+	return b
 }
 
-// shareSnap hands out the live arrays; only safe for a pristine state that
-// is never touched again, i.e. the root job.
-func (s *fstate) shareSnap() *fsnap {
-	return &fsnap{
-		decT: s.decT, decF: s.decF, open: s.open, ab: s.ab, sums: s.sums,
-		vecVals: s.vecVals, tMasked: s.tMasked, openTargets: s.openTargets,
-		level: s.level,
-	}
-}
+// release returns the state's block to the free list at the end of a
+// compilation.
+func (s *fstate) release() { putBlock(s.takeBlock()) }
 
-// adoptSnap installs a snapshot, replacing the current masks.
-func (s *fstate) adoptSnap(sn *fsnap) {
-	s.decT, s.decF = sn.decT, sn.decF
-	s.open = sn.open
-	s.ab, s.sums = sn.ab, sn.sums
-	s.tMasked = sn.tMasked
-	if sn.level > s.level {
-		s.level = sn.level
-	}
-	if sn.vecVals != nil {
-		s.vecVals = sn.vecVals
-	}
-	s.openTargets = sn.openTargets
-	s.clearTrail()
+// adoptSnap installs a job's block as the state's masks and returns the
+// block it replaces to the free list.
+func (s *fstate) adoptSnap(b *fblock) {
+	s.fblock, *b = *b, s.fblock
+	putBlock(b)
 }

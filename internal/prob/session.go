@@ -64,7 +64,7 @@ func NewSession(net *network.Net, opts Options) (*Session, error) {
 	}
 	order := computeOrder(net, opts)
 	book := newBoundsBook(len(net.Targets), eps2)
-	pr := newFstate(net, types, opts, book)
+	pr := newFstate(net, types, opts, book, false)
 	pr.attachRun(order, time.Time{}, nil, nil)
 	pr.initAll()
 	return &Session{
@@ -86,7 +86,7 @@ func (ss *Session) ExecJob(ctx context.Context, j *WireJob) (*WireResult, error)
 	wkr, _ := ss.pool.Get().(*sessWorker)
 	if wkr == nil {
 		book := newBoundsBook(len(ss.net.Targets), ss.eps2)
-		wkr = &sessWorker{book: book, s: newFstate(ss.net, ss.types, ss.opts, book)}
+		wkr = &sessWorker{book: book, s: ss.pristine.worker(book)}
 	}
 	defer ss.pool.Put(wkr)
 
@@ -101,7 +101,7 @@ func (ss *Session) ExecJob(ctx context.Context, j *WireJob) (*WireResult, error)
 	}
 	s := r.attach(wkr.s)
 	wkr.book.restoreFrom(ss.pristineBook)
-	s.snapshotFrom(ss.pristine)
+	s.copyFrom(&ss.pristine.fblock)
 
 	if ctx.Done() != nil {
 		finished := make(chan struct{})
