@@ -8,19 +8,23 @@
 // the same program is also interpreted deterministically; both agree.
 //
 // A second, probabilistic run makes the single bridge edge (2–3) uncertain
-// and reports the distribution of the flow between the communities.
+// and reports the distribution of the flow between the communities, checked
+// in every world against a plain matrix product.
 package main
 
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	"enframe/internal/cluster"
 	"enframe/internal/event"
 	"enframe/internal/interp"
 	"enframe/internal/lang"
 	"enframe/internal/lineage"
+	"enframe/internal/network"
 	"enframe/internal/vec"
+	"enframe/internal/worlds"
 )
 
 func adjacency(bridge float64) [][]float64 {
@@ -92,36 +96,59 @@ func main() {
 	}
 
 	// Probabilistic variant: the bridge edge exists with probability 0.5.
-	// The flow between the communities becomes a random variable; its
-	// distribution comes straight from the event language.
+	// The flow between the communities becomes a random variable: its
+	// c-value is built into an event network and evaluated in each world.
 	space := event.NewSpace()
-	xe := event.NewVar(space.Add("bridge", 0.5), "bridge")
+	bridge := space.Add("bridge", 0.5)
+	b := network.NewBuilder(space, nil)
+	xe := b.Var(bridge)
 	weights := adjacency(1)
 	n := 6
-	mat := make([][]event.NumExpr, n)
+	mat := make([][]network.NodeID, n)
 	for i := range mat {
-		mat[i] = make([]event.NumExpr, n)
+		mat[i] = make([]network.NodeID, n)
 		for j := range mat[i] {
-			w := event.NewConstNum(event.Num(weights[i][j]))
+			w := b.ConstNum(event.Num(weights[i][j]))
 			if (i == 2 && j == 3) || (i == 3 && j == 2) {
 				// Missing edge means weight 0, not an absent value.
-				w = event.NewSum(
-					event.NewCondVal(xe, event.Num(1)),
-					event.NewCondVal(event.NewNot(xe), event.Num(0)),
-				)
+				w = b.Sum(b.CondVal(xe, event.Num(1)), b.CondVal(b.Not(xe), event.Num(0)))
 			}
 			mat[i][j] = w
 		}
 	}
-	// One expansion + inflation step on events: N[2][3] = Σ_k M[2][k]·M[k][3].
-	terms := make([]event.NumExpr, n)
+	// One expansion step on events: N[2][3] = Σ_k M[2][k]·M[k][3].
+	terms := make([]network.NodeID, n)
 	for k := 0; k < n; k++ {
-		terms[k] = event.NewProd(mat[2][k], mat[k][3])
+		terms[k] = b.Prod(mat[2][k], mat[k][3])
 	}
-	n23 := event.NewSum(terms...)
+	n23 := b.Sum(terms...)
+	net := b.Build() // no targets: node ids are kept
+	dist := worlds.Distribution{}
+	worlds.Enumerate(space, func(nu event.SliceValuation, p float64) bool {
+		got := net.Eval(nu).Nums[n23]
+		// The same entry of the plain matrix product in this world.
+		m := adjacency(0)
+		if nu[bridge] {
+			m = adjacency(1)
+		}
+		want := 0.0
+		for k := 0; k < n; k++ {
+			want += m[2][k] * m[k][3]
+		}
+		if !got.Equal(event.Num(want)) {
+			log.Fatalf("world %v: N[2][3] = %v on events, %g by matrix product", nu, got, want)
+		}
+		dist.Add(got.String(), p)
+		return true
+	})
 	fmt.Println("\ndistribution of the expanded cross-community flow N[2][3]:")
-	for _, o := range event.ExactDistribution(n23, space, nil) {
-		fmt.Printf("  %v with probability %.2f\n", o.Val, o.Prob)
+	vals := make([]string, 0, len(dist))
+	for v := range dist {
+		vals = append(vals, v)
+	}
+	sort.Strings(vals)
+	for _, v := range vals {
+		fmt.Printf("  %s with probability %.2f\n", v, dist[v])
 	}
 }
 

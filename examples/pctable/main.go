@@ -12,12 +12,16 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
+	"sort"
 
 	"enframe/internal/core"
 	"enframe/internal/event"
 	"enframe/internal/lang"
+	"enframe/internal/network"
 	"enframe/internal/pctable"
 	"enframe/internal/prob"
+	"enframe/internal/worlds"
 )
 
 func main() {
@@ -47,18 +51,56 @@ func main() {
 		return get("hour").F <= 3
 	})
 	fmt.Printf("query result: %d tuples\n", len(q.Tuples))
-	probs := q.TupleProb(space)
+	probs, err := q.TupleProb(space)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for i, t := range q.Tuples {
 		fmt.Printf("  %v  Φ = %-28v Pr = %.3f\n", t.Values, t.Lineage, probs[i])
 	}
 
-	// Aggregate c-value: expected number of result tuples per world.
-	fmt.Println("\ndistribution of COUNT(*) over the south station:")
+	// Aggregate c-value: the number of south-station tuples per world,
+	// built into an event network and evaluated in each world.
 	south := q.Select(func(get func(string) pctable.Value) bool {
 		return get("station").Equal(pctable.Str("south"))
 	})
-	for _, o := range event.ExactDistribution(south.AggCount(), space, nil) {
-		fmt.Printf("  %v tuples with probability %.3f\n", o.Val, o.Prob)
+	b := network.NewBuilder(space, nil)
+	count := south.AggCount(b)
+	net := b.Build() // no targets: node ids are kept
+	dist := worlds.Distribution{}
+	var mean float64 // E[COUNT], counting u as 0
+	worlds.Enumerate(space, func(nu event.SliceValuation, p float64) bool {
+		v := net.Eval(nu).Nums[count]
+		dist.Add(v.String(), p)
+		if !v.IsUndef() {
+			mean += p * v.S
+		}
+		return true
+	})
+	fmt.Println("\ndistribution of COUNT(*) over the south station:")
+	vals := make([]string, 0, len(dist))
+	for v := range dist {
+		vals = append(vals, v)
+	}
+	sort.Strings(vals)
+	for _, v := range vals {
+		fmt.Printf("  %s tuples with probability %.3f\n", v, dist[v])
+	}
+	// By linearity of expectation, E[COUNT] is the sum of the south tuples'
+	// marginals.
+	southProbs, err := south.TupleProb(space)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var want float64
+	for _, p := range southProbs {
+		want += p
+	}
+	if m := dist.TotalMass(); math.Abs(m-1) > 1e-12 {
+		log.Fatalf("COUNT distribution has total mass %.17g, want 1", m)
+	}
+	if math.Abs(mean-want) > 1e-12 {
+		log.Fatalf("E[COUNT] = %.17g, but the south tuples' marginals sum to %.17g", mean, want)
 	}
 
 	// The query result becomes ENFrame's input data: cluster (load, pd)

@@ -1,9 +1,5 @@
 package event
 
-import (
-	"enframe/internal/vec"
-)
-
 // Valuation maps random variables to truth values; it is a sample point
 // ν ∈ Ω of the probability space induced by X (§3.3).
 type Valuation interface {
@@ -24,32 +20,21 @@ type SliceValuation []bool
 func (s SliceValuation) Value(x VarID) bool { return s[x] }
 
 // Evaluator evaluates event expressions under one valuation, memoising on
-// shared subexpression pointers so that DAG-shaped programs are evaluated in
+// shared subexpression pointers so that DAG-shaped formulas are evaluated in
 // time linear in the number of distinct subexpressions.
 type Evaluator struct {
-	Metric vec.Distance
-	nu     Valuation
-	memoB  map[Expr]bool
-	memoN  map[NumExpr]Value
+	nu   Valuation
+	memo map[Expr]bool
 }
 
-// NewEvaluator returns an evaluator for the given valuation. A nil metric
-// defaults to Euclidean distance.
-func NewEvaluator(nu Valuation, metric vec.Distance) *Evaluator {
-	if metric == nil {
-		metric = vec.Euclidean
-	}
-	return &Evaluator{
-		Metric: metric,
-		nu:     nu,
-		memoB:  make(map[Expr]bool),
-		memoN:  make(map[NumExpr]Value),
-	}
+// NewEvaluator returns an evaluator for the given valuation.
+func NewEvaluator(nu Valuation) *Evaluator {
+	return &Evaluator{nu: nu, memo: make(map[Expr]bool)}
 }
 
 // EvalExpr computes ν(e) for a Boolean event expression.
 func (ev *Evaluator) EvalExpr(e Expr) bool {
-	if b, ok := ev.memoB[e]; ok {
+	if b, ok := ev.memo[e]; ok {
 		return b
 	}
 	var out bool
@@ -76,132 +61,13 @@ func (ev *Evaluator) EvalExpr(e Expr) bool {
 				break
 			}
 		}
-	case *Atom:
-		out = Compare(t.Op, ev.EvalNum(t.L), ev.EvalNum(t.R))
 	default:
 		panic("event: unknown expression type")
 	}
-	ev.memoB[e] = out
-	return out
-}
-
-// EvalNum computes ν(x) for a c-value expression.
-func (ev *Evaluator) EvalNum(x NumExpr) Value {
-	if v, ok := ev.memoN[x]; ok {
-		return v
-	}
-	var out Value
-	switch t := x.(type) {
-	case *CondVal:
-		if ev.EvalExpr(t.Guard) {
-			out = t.Val
-		} else {
-			out = U
-		}
-	case *GuardNum:
-		if ev.EvalExpr(t.Guard) {
-			out = ev.EvalNum(t.V)
-		} else {
-			out = U
-		}
-	case *Sum:
-		out = U
-		for _, c := range t.Xs {
-			out = Add(out, ev.EvalNum(c))
-		}
-	case *Prod:
-		out = Num(1)
-		for _, c := range t.Xs {
-			out = Mul(out, ev.EvalNum(c))
-		}
-	case *InvOf:
-		out = Inv(ev.EvalNum(t.X))
-	case *PowOf:
-		out = PowVal(ev.EvalNum(t.X), t.Exp)
-	case *DistOf:
-		out = DistVal(ev.Metric, ev.EvalNum(t.L), ev.EvalNum(t.R))
-	default:
-		panic("event: unknown c-value type")
-	}
-	ev.memoN[x] = out
+	ev.memo[e] = out
 	return out
 }
 
 // EvalExpr evaluates a Boolean event under one valuation with a fresh
 // evaluator.
-func EvalExpr(e Expr, nu Valuation) bool { return NewEvaluator(nu, nil).EvalExpr(e) }
-
-// EvalNum evaluates a c-value under one valuation with a fresh evaluator.
-func EvalNum(x NumExpr, nu Valuation, metric vec.Distance) Value {
-	return NewEvaluator(nu, metric).EvalNum(x)
-}
-
-// ExactProb computes the probability that the Boolean event e is true by
-// enumerating the valuations of its support. It is exponential in the size
-// of the support and meant for tests, examples, and tiny instances; the
-// prob package implements the real algorithms.
-func ExactProb(e Expr, space *Space) float64 {
-	sup := Support(e)
-	var total float64
-	enumerate(sup, space, func(nu MapValuation, p float64) {
-		if EvalExpr(e, nu) {
-			total += p
-		}
-	})
-	return total
-}
-
-// Outcome pairs a possible value of a c-value with its probability.
-type Outcome struct {
-	Val  Value
-	Prob float64
-}
-
-// ExactDistribution computes the discrete probability distribution of a
-// c-value expression by enumeration of its support (test-sized inputs only).
-// Outcomes with equal values are merged; ordering is unspecified.
-func ExactDistribution(x NumExpr, space *Space, metric vec.Distance) []Outcome {
-	sup := numSupport(x)
-	var outs []Outcome
-	enumerate(sup, space, func(nu MapValuation, p float64) {
-		v := EvalNum(x, nu, metric)
-		for i := range outs {
-			if outs[i].Val.Equal(v) {
-				outs[i].Prob += p
-				return
-			}
-		}
-		outs = append(outs, Outcome{Val: v, Prob: p})
-	})
-	return outs
-}
-
-func numSupport(x NumExpr) []VarID {
-	// Wrap x in an atom so Support's walker visits it.
-	return Support(NewAtom(LE, x, x))
-}
-
-// enumerate walks all valuations of the given variables, calling fn with
-// each valuation and its probability mass.
-func enumerate(vars []VarID, space *Space, fn func(MapValuation, float64)) {
-	nu := make(MapValuation, len(vars))
-	var rec func(i int, p float64)
-	rec = func(i int, p float64) {
-		if i == len(vars) {
-			fn(nu, p)
-			return
-		}
-		x := vars[i]
-		px := space.Prob(x)
-		if px > 0 {
-			nu[x] = true
-			rec(i+1, p*px)
-		}
-		if px < 1 {
-			nu[x] = false
-			rec(i+1, p*(1-px))
-		}
-		delete(nu, x)
-	}
-	rec(0, 1)
-}
+func EvalExpr(e Expr, nu Valuation) bool { return NewEvaluator(nu).EvalExpr(e) }

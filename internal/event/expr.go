@@ -49,18 +49,12 @@ func (s *Space) SetProb(x VarID, p float64) {
 	s.probs[x] = p
 }
 
-// Expr is a Boolean event expression (EVENT in the grammar of §3.1): a
-// propositional formula over random variables, constants, and comparison
-// atoms between c-values. Expressions are immutable; shared subexpressions
-// are shared Go pointers.
+// Expr is a Boolean lineage formula: a propositional formula over random
+// variables and constants. Expressions are immutable; shared subexpressions
+// are shared Go pointers. The rest of §3.1's grammar — comparison atoms and
+// c-values — exists only as network.Builder nodes.
 type Expr interface {
 	isExpr()
-	String() string
-}
-
-// NumExpr is a conditional value expression (CVAL in the grammar of §3.1).
-type NumExpr interface {
-	isNum()
 	String() string
 }
 
@@ -70,7 +64,7 @@ type Var struct {
 	Name string
 }
 
-// TrueExpr is the constant ⊤; FalseExpr is ⊥.
+// Const is the constant ⊤ (B true) or ⊥.
 type Const struct{ B bool }
 
 // Not is ¬E.
@@ -82,58 +76,11 @@ type And struct{ Es []Expr }
 // Or is the n-ary disjunction of its operands.
 type Or struct{ Es []Expr }
 
-// Atom is the comparison [L op R] between two c-values.
-type Atom struct {
-	Op   CmpOp
-	L, R NumExpr
-}
-
 func (*Var) isExpr()   {}
 func (*Const) isExpr() {}
 func (*Not) isExpr()   {}
 func (*And) isExpr()   {}
 func (*Or) isExpr()    {}
-func (*Atom) isExpr()  {}
-
-// CondVal is the c-value EVENT ⊗ VAL: Val if the guard is true, u otherwise.
-// Val is a constant scalar or vector.
-type CondVal struct {
-	Guard Expr
-	Val   Value
-}
-
-// GuardNum is the c-value EVENT ∧ CVAL: the value of V if the guard is true,
-// u otherwise.
-type GuardNum struct {
-	Guard Expr
-	V     NumExpr
-}
-
-// Sum is the n-ary Σ of c-values.
-type Sum struct{ Xs []NumExpr }
-
-// Prod is the n-ary Π of c-values.
-type Prod struct{ Xs []NumExpr }
-
-// InvOf is CVAL⁻¹.
-type InvOf struct{ X NumExpr }
-
-// PowOf is CVAL^Exp for a constant integer exponent.
-type PowOf struct {
-	X   NumExpr
-	Exp int
-}
-
-// DistOf is dist(L, R); the metric is supplied at evaluation time.
-type DistOf struct{ L, R NumExpr }
-
-func (*CondVal) isNum()  {}
-func (*GuardNum) isNum() {}
-func (*Sum) isNum()      {}
-func (*Prod) isNum()     {}
-func (*InvOf) isNum()    {}
-func (*PowOf) isNum()    {}
-func (*DistOf) isNum()   {}
 
 // True and False are the shared constant events.
 var (
@@ -228,71 +175,6 @@ func NewOr(es ...Expr) Expr {
 	return &Or{Es: flat}
 }
 
-// NewAtom returns the comparison event [l op r].
-func NewAtom(op CmpOp, l, r NumExpr) Expr { return &Atom{Op: op, L: l, R: r} }
-
-// NewCondVal returns guard ⊗ val.
-func NewCondVal(guard Expr, val Value) NumExpr { return &CondVal{Guard: guard, Val: val} }
-
-// NewConstNum returns the always-defined constant c-value ⊤ ⊗ val.
-func NewConstNum(val Value) NumExpr { return &CondVal{Guard: True, Val: val} }
-
-// NewGuard returns guard ∧ v, simplifying constant guards.
-func NewGuard(guard Expr, v NumExpr) NumExpr {
-	if c, ok := guard.(*Const); ok {
-		if c.B {
-			return v
-		}
-		return NewCondVal(False, U)
-	}
-	if cv, ok := v.(*CondVal); ok {
-		// guard ∧ (g ⊗ v) = (guard ∧ g) ⊗ v
-		return NewCondVal(NewAnd(guard, cv.Guard), cv.Val)
-	}
-	return &GuardNum{Guard: guard, V: v}
-}
-
-// NewSum returns Σ xs, flattening nested sums.
-func NewSum(xs ...NumExpr) NumExpr {
-	flat := make([]NumExpr, 0, len(xs))
-	for _, x := range xs {
-		if s, ok := x.(*Sum); ok {
-			flat = append(flat, s.Xs...)
-			continue
-		}
-		flat = append(flat, x)
-	}
-	if len(flat) == 1 {
-		return flat[0]
-	}
-	return &Sum{Xs: flat}
-}
-
-// NewProd returns Π xs, flattening nested products.
-func NewProd(xs ...NumExpr) NumExpr {
-	flat := make([]NumExpr, 0, len(xs))
-	for _, x := range xs {
-		if p, ok := x.(*Prod); ok {
-			flat = append(flat, p.Xs...)
-			continue
-		}
-		flat = append(flat, x)
-	}
-	if len(flat) == 1 {
-		return flat[0]
-	}
-	return &Prod{Xs: flat}
-}
-
-// NewInv returns x⁻¹.
-func NewInv(x NumExpr) NumExpr { return &InvOf{X: x} }
-
-// NewPow returns x^exp.
-func NewPow(x NumExpr, exp int) NumExpr { return &PowOf{X: x, Exp: exp} }
-
-// NewDist returns dist(l, r).
-func NewDist(l, r NumExpr) NumExpr { return &DistOf{L: l, R: r} }
-
 func (v *Var) String() string {
 	if v.Name != "" {
 		return v.Name
@@ -312,27 +194,6 @@ func (n *Not) String() string { return "¬" + parenthesize(n.E) }
 func (a *And) String() string { return joinExprs(a.Es, " ∧ ") }
 func (o *Or) String() string  { return joinExprs(o.Es, " ∨ ") }
 
-func (a *Atom) String() string {
-	return fmt.Sprintf("[%s %s %s]", a.L.String(), a.Op, a.R.String())
-}
-
-func (c *CondVal) String() string {
-	return fmt.Sprintf("%s⊗%s", parenthesize(c.Guard), c.Val)
-}
-
-func (g *GuardNum) String() string {
-	return fmt.Sprintf("%s∧(%s)", parenthesize(g.Guard), g.V)
-}
-
-func (s *Sum) String() string  { return joinNums(s.Xs, " + ") }
-func (p *Prod) String() string { return joinNums(p.Xs, " · ") }
-
-func (i *InvOf) String() string { return fmt.Sprintf("(%s)⁻¹", i.X) }
-
-func (p *PowOf) String() string { return fmt.Sprintf("(%s)^%d", p.X, p.Exp) }
-
-func (d *DistOf) String() string { return fmt.Sprintf("dist(%s, %s)", d.L, d.R) }
-
 func parenthesize(e Expr) string {
 	switch e.(type) {
 	case *And, *Or:
@@ -349,74 +210,33 @@ func joinExprs(es []Expr, sep string) string {
 	return strings.Join(parts, sep)
 }
 
-func joinNums(xs []NumExpr, sep string) string {
-	parts := make([]string, len(xs))
-	for i, x := range xs {
-		parts[i] = x.String()
-	}
-	return strings.Join(parts, sep)
-}
-
 // Support returns the sorted set of random variables the event expression
 // depends on.
 func Support(e Expr) []VarID {
 	set := make(map[VarID]bool)
-	var walkE func(Expr)
-	var walkN func(NumExpr)
-	seenE := make(map[Expr]bool)
-	seenN := make(map[NumExpr]bool)
-	walkE = func(e Expr) {
-		if e == nil || seenE[e] {
+	seen := make(map[Expr]bool)
+	var walk func(Expr)
+	walk = func(e Expr) {
+		if seen[e] {
 			return
 		}
-		seenE[e] = true
+		seen[e] = true
 		switch t := e.(type) {
 		case *Var:
 			set[t.X] = true
 		case *Not:
-			walkE(t.E)
+			walk(t.E)
 		case *And:
 			for _, c := range t.Es {
-				walkE(c)
+				walk(c)
 			}
 		case *Or:
 			for _, c := range t.Es {
-				walkE(c)
+				walk(c)
 			}
-		case *Atom:
-			walkN(t.L)
-			walkN(t.R)
 		}
 	}
-	walkN = func(x NumExpr) {
-		if x == nil || seenN[x] {
-			return
-		}
-		seenN[x] = true
-		switch t := x.(type) {
-		case *CondVal:
-			walkE(t.Guard)
-		case *GuardNum:
-			walkE(t.Guard)
-			walkN(t.V)
-		case *Sum:
-			for _, c := range t.Xs {
-				walkN(c)
-			}
-		case *Prod:
-			for _, c := range t.Xs {
-				walkN(c)
-			}
-		case *InvOf:
-			walkN(t.X)
-		case *PowOf:
-			walkN(t.X)
-		case *DistOf:
-			walkN(t.L)
-			walkN(t.R)
-		}
-	}
-	walkE(e)
+	walk(e)
 	out := make([]VarID, 0, len(set))
 	for x := range set {
 		out = append(out, x)

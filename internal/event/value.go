@@ -1,12 +1,13 @@
-// Package event implements ENFrame's event language (paper §3): conditional
-// values (c-values) over a feature space extended with an undefined element
-// u, Boolean event expressions over random variables, their semantics under
-// valuations, and their probabilistic semantics.
+// Package event implements ENFrame's event language (paper §3): the value
+// domain of c-values — scalars and feature vectors extended with an
+// undefined element u, with the §3.2 operations on them — the space of
+// independent random variables, and Boolean lineage formulas over those
+// variables with their semantics under valuations.
 //
-// The translator does not build these expressions: it interns events
-// straight into a network.Builder. Expressions remain the form in which
-// lineage (internal/lineage, internal/pctable) states input events, and the
-// reference semantics the network evaluator is tested against.
+// Lineage formulas (Expr) are how internal/lineage and internal/pctable
+// state input events. C-values and comparison atoms exist only as
+// network.Builder nodes: the translator interns them straight into the
+// network, and Net.Eval is their one per-world evaluator.
 package event
 
 import (

@@ -16,8 +16,9 @@ type Assignment struct {
 // suffices. It is what the §3 semantics check reads: internal/difftest
 // grounds each generated program with no targets, so every node is kept,
 // and compares every bound symbol's node with the interpreter in every
-// world. TestEvalMatchesEventSemantics ties Eval to the event semantics of
-// internal/event.
+// world. It is the one per-world evaluator of c-values;
+// TestEvalMatchesEventSemantics ties it on lineage formulas to
+// internal/event's Boolean evaluator.
 func (n *Net) Eval(nu event.Valuation) Assignment {
 	a := Assignment{
 		Bools: make([]bool, n.NumNodes()),

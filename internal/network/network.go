@@ -208,7 +208,6 @@ type Builder struct {
 	space    *event.Space
 	metric   vec.Distance
 	exprMemo map[event.Expr]NodeID
-	numMemo  map[event.NumExpr]NodeID
 	targets  []Target
 	noFold   bool
 	// bools caches the ids of ⊥ and ⊤ plus one (0 until first interned):
@@ -237,7 +236,6 @@ func NewBuilder(space *event.Space, metric vec.Distance) *Builder {
 		space:    space,
 		metric:   metric,
 		exprMemo: make(map[event.Expr]NodeID),
-		numMemo:  make(map[event.NumExpr]NodeID),
 	}
 }
 
@@ -587,7 +585,7 @@ func (b *Builder) Dist(l, r NodeID) NodeID {
 	return b.intern2(KDist, 0, l, r)
 }
 
-// AddExpr compiles a Boolean event expression into the network, sharing
+// AddExpr compiles a Boolean lineage formula into the network, sharing
 // previously compiled subexpressions both by pointer and by structure.
 func (b *Builder) AddExpr(e event.Expr) NodeID {
 	if id, ok := b.exprMemo[e]; ok {
@@ -613,48 +611,10 @@ func (b *Builder) AddExpr(e event.Expr) NodeID {
 			ks[i] = b.AddExpr(c)
 		}
 		id = b.Or(ks...)
-	case *event.Atom:
-		id = b.Cmp(t.Op, b.AddNum(t.L), b.AddNum(t.R))
 	default:
 		panic("network: unknown event expression type")
 	}
 	b.exprMemo[e] = id
-	return id
-}
-
-// AddNum compiles a c-value expression into the network.
-func (b *Builder) AddNum(x event.NumExpr) NodeID {
-	if id, ok := b.numMemo[x]; ok {
-		return id
-	}
-	var id NodeID
-	switch t := x.(type) {
-	case *event.CondVal:
-		id = b.CondVal(b.AddExpr(t.Guard), t.Val)
-	case *event.GuardNum:
-		id = b.Guard(b.AddExpr(t.Guard), b.AddNum(t.V))
-	case *event.Sum:
-		ks := make([]NodeID, len(t.Xs))
-		for i, c := range t.Xs {
-			ks[i] = b.AddNum(c)
-		}
-		id = b.Sum(ks...)
-	case *event.Prod:
-		ks := make([]NodeID, len(t.Xs))
-		for i, c := range t.Xs {
-			ks[i] = b.AddNum(c)
-		}
-		id = b.Prod(ks...)
-	case *event.InvOf:
-		id = b.Inv(b.AddNum(t.X))
-	case *event.PowOf:
-		id = b.Pow(b.AddNum(t.X), t.Exp)
-	case *event.DistOf:
-		id = b.Dist(b.AddNum(t.L), b.AddNum(t.R))
-	default:
-		panic("network: unknown c-value expression type")
-	}
-	b.numMemo[x] = id
 	return id
 }
 

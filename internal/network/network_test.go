@@ -211,8 +211,8 @@ func TestSweepRemovesGarbage(t *testing.T) {
 	}
 }
 
-// TestEvalMatchesEventSemantics compiles random event expressions and
-// checks network evaluation against the event evaluator on every world.
+// TestEvalMatchesEventSemantics compiles random lineage formulas and checks
+// network evaluation against the event evaluator on every world.
 func TestEvalMatchesEventSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 40; trial++ {
@@ -222,33 +222,17 @@ func TestEvalMatchesEventSemantics(t *testing.T) {
 			vars = append(vars, event.NewVar(sp.Add(fmt.Sprintf("x%d", i), 0.5), ""))
 		}
 		var mkB func(d int) event.Expr
-		var mkN func(d int) event.NumExpr
 		mkB = func(d int) event.Expr {
 			if d == 0 {
 				return vars[rng.Intn(len(vars))]
 			}
-			switch rng.Intn(4) {
+			switch rng.Intn(3) {
 			case 0:
 				return event.NewAnd(mkB(d-1), mkB(d-1))
 			case 1:
 				return event.NewOr(mkB(d-1), mkB(d-1))
-			case 2:
+			default:
 				return event.NewNot(mkB(d - 1))
-			default:
-				return event.NewAtom(event.LE, mkN(d-1), mkN(d-1))
-			}
-		}
-		mkN = func(d int) event.NumExpr {
-			if d == 0 {
-				return event.NewCondVal(mkB(0), event.Num(float64(rng.Intn(5))))
-			}
-			switch rng.Intn(3) {
-			case 0:
-				return event.NewSum(mkN(d-1), mkN(d-1))
-			case 1:
-				return event.NewGuard(mkB(d-1), mkN(d-1))
-			default:
-				return event.NewInv(mkN(d - 1))
 			}
 		}
 		e := mkB(3)
@@ -267,6 +251,118 @@ func TestEvalMatchesEventSemantics(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// TestExampleTwoKMeansCentroid builds Example 2 of the paper,
+// M0 = Φ(o0)⊗o0 + ¬Φ(o0)⊗o2 with Φ(o0) = x1 ∨ x3, and checks that M0 is o0
+// exactly in the worlds where Φ(o0) holds and o2 in all others.
+func TestExampleTwoKMeansCentroid(t *testing.T) {
+	sp := event.NewSpace()
+	x1, x3 := sp.Add("x1", 0.5), sp.Add("x3", 0.5)
+	o0, o2 := event.Vect(vec.New(0, 0)), event.Vect(vec.New(4, 0))
+	b := NewBuilder(sp, nil)
+	phi := b.Or(b.Var(x1), b.Var(x3))
+	m0 := b.Sum(b.CondVal(phi, o0), b.CondVal(b.Not(phi), o2))
+	net := b.Build() // no targets: node ids are kept
+	worlds.Enumerate(sp, func(nu event.SliceValuation, p float64) bool {
+		want := o2
+		if nu[x1] || nu[x3] {
+			want = o0
+		}
+		if got := net.Eval(nu).Nums[m0]; !got.Equal(want) {
+			t.Errorf("world %v: M0 = %v, want %v", nu, got, want)
+		}
+		return true
+	})
+}
+
+// TestEvalConditionalSum checks x⊗2 + ¬x⊗3 in both worlds of x, and that a
+// sum whose only term is undefined is u.
+func TestEvalConditionalSum(t *testing.T) {
+	sp := event.NewSpace()
+	x := sp.Add("x", 0.5)
+	b := NewBuilder(sp, nil)
+	vx := b.Var(x)
+	n := b.Sum(b.CondVal(vx, event.Num(2)), b.CondVal(b.Not(vx), event.Num(3)))
+	lone := b.Sum(b.CondVal(vx, event.Num(1)))
+	net := b.Build()
+	if got := net.Eval(event.SliceValuation{true}).Nums[n]; !got.Equal(event.Num(2)) {
+		t.Errorf("x true: got %v, want 2", got)
+	}
+	a := net.Eval(event.SliceValuation{false})
+	if got := a.Nums[n]; !got.Equal(event.Num(3)) {
+		t.Errorf("x false: got %v, want 3", got)
+	}
+	if got := a.Nums[lone]; !got.IsUndef() {
+		t.Errorf("x false: x⊗1 = %v, want u", got)
+	}
+}
+
+// TestGuardMergesIntoCondVal checks the builder's guard fold:
+// g ∧ (h ⊗ v) becomes the single node (g ∧ h) ⊗ v, and ⊤ ∧ c is c.
+func TestGuardMergesIntoCondVal(t *testing.T) {
+	sp := event.NewSpace()
+	x, y := sp.Add("x", 0.5), sp.Add("y", 0.5)
+	b := NewBuilder(sp, nil)
+	cv := b.CondVal(b.Var(y), event.Num(3))
+	g := b.Guard(b.Var(x), cv)
+	if b.recs[g].kind != KCondVal {
+		t.Fatalf("guard over ⊗ should merge into ⊗, got %v", b.recs[g].kind)
+	}
+	if guard := b.kids[b.recs[g].off]; b.recs[guard].kind != KAnd {
+		t.Errorf("merged guard should be a conjunction, got %v", b.recs[guard].kind)
+	}
+	if b.Guard(b.Bool(true), cv) != cv {
+		t.Error("⊤ ∧ v must be v")
+	}
+}
+
+// TestCmpWithUndefProbability sums world masses of two comparison atoms.
+// Under §3.2 a comparison involving u is true, so [x⊗1 ≤ y⊗2] always holds
+// and [x⊗2 ≤ y⊗1] fails only when both x and y are true.
+func TestCmpWithUndefProbability(t *testing.T) {
+	sp := event.NewSpace()
+	x, y := sp.Add("x", 0.4), sp.Add("y", 0.6)
+	b := NewBuilder(sp, nil)
+	cv := func(v event.VarID, c float64) NodeID { return b.CondVal(b.Var(v), event.Num(c)) }
+	holds := b.Cmp(event.LE, cv(x, 1), cv(y, 2))
+	fails := b.Cmp(event.LE, cv(x, 2), cv(y, 1))
+	net := b.Build()
+	var pHolds, pFails float64
+	worlds.Enumerate(sp, func(nu event.SliceValuation, p float64) bool {
+		a := net.Eval(nu)
+		if a.Bools[holds] {
+			pHolds += p
+		}
+		if a.Bools[fails] {
+			pFails += p
+		}
+		return true
+	})
+	if math.Abs(pHolds-1) > 1e-12 {
+		t.Errorf("Pr[x⊗1 ≤ y⊗2] = %g, want 1", pHolds)
+	}
+	if want := 1 - 0.4*0.6; math.Abs(pFails-want) > 1e-12 {
+		t.Errorf("Pr[x⊗2 ≤ y⊗1] = %g, want %g", pFails, want)
+	}
+}
+
+// TestDistributionOfConditionalSum accumulates the distribution of
+// x⊗10 + ⊤⊗1 with Pr[x] = 0.25: 11 with 0.25, 1 with 0.75.
+func TestDistributionOfConditionalSum(t *testing.T) {
+	sp := event.NewSpace()
+	x := sp.Add("x", 0.25)
+	b := NewBuilder(sp, nil)
+	n := b.Sum(b.CondVal(b.Var(x), event.Num(10)), b.ConstNum(event.Num(1)))
+	net := b.Build()
+	d := worlds.Distribution{}
+	worlds.Enumerate(sp, func(nu event.SliceValuation, p float64) bool {
+		d.Add(net.Eval(nu).Nums[n].String(), p)
+		return true
+	})
+	if len(d) != 2 || math.Abs(d["11"]-0.25) > 1e-12 || math.Abs(d["1"]-0.75) > 1e-12 {
+		t.Errorf("distribution %v, want {11: 0.25, 1: 0.75}", d)
 	}
 }
 

@@ -4,17 +4,22 @@
 // database (§2 "Input data"; the paper delegates this to the SPROUT engine
 // [14], which this package stands in for). Each tuple carries a lineage
 // event over the shared variable space; operators combine lineage with ∧
-// and ∨ following provenance semantics, and SUM/COUNT aggregates produce
-// the c-values of the event language.
+// and ∨ following provenance semantics. SUM/COUNT aggregates are c-value
+// nodes built into a network.Builder, evaluated per world by Net.Eval like
+// every other c-value, and tuple probabilities are exact compilations of the
+// lineage.
 package pctable
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"enframe/internal/event"
 	"enframe/internal/lineage"
+	"enframe/internal/network"
+	"enframe/internal/prob"
 	"enframe/internal/vec"
 )
 
@@ -187,44 +192,48 @@ func (r *Relation) Union(s *Relation) *Relation {
 	return out
 }
 
-// TupleProb computes the marginal probability of each result tuple by the
-// exact (enumeration-based) event semantics; fine for the data sizes
-// loadData() handles.
-func (r *Relation) TupleProb(space *event.Space) []float64 {
-	out := make([]float64, len(r.Tuples))
+// TupleProb computes the marginal probability of each result tuple: it
+// builds one network with every tuple's lineage as a target and compiles it
+// exactly.
+func (r *Relation) TupleProb(space *event.Space) ([]float64, error) {
+	if len(r.Tuples) == 0 {
+		return nil, nil
+	}
+	b := network.NewBuilder(space, nil)
 	for i, t := range r.Tuples {
-		out[i] = event.ExactProb(t.Lineage, space)
+		b.Target(strconv.Itoa(i), b.AddExpr(t.Lineage))
 	}
-	return out
+	res, err := prob.Compile(b.Build(), prob.Options{Strategy: prob.Exact})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(res.Targets))
+	for i, tb := range res.Targets {
+		out[i] = tb.Estimate()
+	}
+	return out, nil
 }
 
-// AggSum builds the c-value Σ_t Φ(t) ∧ ⊗v(t) over a numeric column — the
-// semimodule-style aggregation of [14] in event-language form: the sum of
-// the column over the tuples present in a world (undefined when no tuple
-// exists).
-func (r *Relation) AggSum(col string) event.NumExpr {
+// AggSum builds the c-value Σ_t Φ(t) ⊗ v(t) over a numeric column into b —
+// the semimodule-style aggregation of [14] as a network node: the sum of
+// the column over the tuples present in a world (u when none is).
+func (r *Relation) AggSum(b *network.Builder, col string) network.NodeID {
 	j := r.col(col)
-	terms := make([]event.NumExpr, 0, len(r.Tuples))
-	for _, t := range r.Tuples {
-		terms = append(terms, event.NewCondVal(t.Lineage, event.Num(t.Values[j].F)))
-	}
-	if len(terms) == 0 {
-		return event.NewCondVal(event.False, event.U)
-	}
-	return event.NewSum(terms...)
+	return r.aggregate(b, func(t Tuple) float64 { return t.Values[j].F })
 }
 
-// AggCount builds the c-value Σ_t Φ(t) ⊗ 1: the number of tuples present
-// in a world (undefined when none is).
-func (r *Relation) AggCount() event.NumExpr {
-	terms := make([]event.NumExpr, 0, len(r.Tuples))
-	for _, t := range r.Tuples {
-		terms = append(terms, event.NewCondVal(t.Lineage, event.Num(1)))
+// AggCount builds the c-value Σ_t Φ(t) ⊗ 1 into b: the number of tuples
+// present in a world (u when none is).
+func (r *Relation) AggCount(b *network.Builder) network.NodeID {
+	return r.aggregate(b, func(Tuple) float64 { return 1 })
+}
+
+func (r *Relation) aggregate(b *network.Builder, val func(Tuple) float64) network.NodeID {
+	terms := make([]network.NodeID, len(r.Tuples))
+	for i, t := range r.Tuples {
+		terms[i] = b.CondVal(b.AddExpr(t.Lineage), event.Num(val(t)))
 	}
-	if len(terms) == 0 {
-		return event.NewCondVal(event.False, event.U)
-	}
-	return event.NewSum(terms...)
+	return b.Sum(terms...)
 }
 
 // GroupBy partitions tuples by the values of the given columns, returning

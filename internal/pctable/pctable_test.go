@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"enframe/internal/event"
+	"enframe/internal/network"
 	"enframe/internal/worlds"
 )
 
@@ -40,7 +41,7 @@ func TestSelectJoinProject(t *testing.T) {
 	}
 	// South reading exists iff sensor 2 online AND reading present:
 	// Pr = 0.6 · 0.5.
-	probs := south.TupleProb(sp)
+	probs := tupleProb(t, south, sp)
 	if !close2(probs[0], 0.3) {
 		t.Errorf("Pr = %g, want 0.3", probs[0])
 	}
@@ -63,7 +64,7 @@ func TestProjectDisjoinsLineage(t *testing.T) {
 		t.Fatalf("got %d tuples, want 1", len(p.Tuples))
 	}
 	// Pr[x ∨ y] = 0.75.
-	if got := p.TupleProb(sp)[0]; !close2(got, 0.75) {
+	if got := tupleProb(t, p, sp)[0]; !close2(got, 0.75) {
 		t.Errorf("Pr = %g, want 0.75", got)
 	}
 }
@@ -78,38 +79,61 @@ func TestUnionMergesDuplicates(t *testing.T) {
 	if len(u.Tuples) != 2 {
 		t.Fatalf("got %d tuples, want 2", len(u.Tuples))
 	}
-	if got := u.TupleProb(sp)[0]; !close2(got, 0.75) {
+	if got := tupleProb(t, u, sp)[0]; !close2(got, 0.75) {
 		t.Errorf("Pr = %g, want 0.75", got)
 	}
 }
 
-// TestAggregatesMatchEnumeration checks the c-value aggregates against
-// per-world evaluation: in each world, the SUM aggregate must equal the sum
-// of the present tuples (u when none).
+// TestAggregatesMatchEnumeration checks the built aggregate nodes against
+// per-world evaluation: in each world, SUM must equal the sum of the present
+// tuples' loads and COUNT their number (u when none is present).
 func TestAggregatesMatchEnumeration(t *testing.T) {
 	sp, sensors, readings, _ := fixture()
 	joined := sensors.Join(readings)
-	sum := joined.AggSum("load")
-	count := joined.AggCount()
+	b := network.NewBuilder(sp, nil)
+	sum := joined.AggSum(b, "load")
+	count := joined.AggCount(b)
+	net := b.Build() // no targets: node ids are kept
 
 	worlds.Enumerate(sp, func(nu event.SliceValuation, p float64) bool {
 		wantSum := event.U
 		wantCount := event.U
-		ev := event.NewEvaluator(nu, nil)
+		ev := event.NewEvaluator(nu)
 		for _, tup := range joined.Tuples {
 			if ev.EvalExpr(tup.Lineage) {
 				wantSum = event.Add(wantSum, event.Num(tup.Values[joined.col("load")].F))
 				wantCount = event.Add(wantCount, event.Num(1))
 			}
 		}
-		if got := ev.EvalNum(sum); !got.Equal(wantSum) {
+		a := net.Eval(nu)
+		if got := a.Nums[sum]; !got.Equal(wantSum) {
 			t.Fatalf("world %v: sum %v, want %v", nu, got, wantSum)
 		}
-		if got := ev.EvalNum(count); !got.Equal(wantCount) {
+		if got := a.Nums[count]; !got.Equal(wantCount) {
 			t.Fatalf("world %v: count %v, want %v", nu, got, wantCount)
 		}
 		return true
 	})
+}
+
+// TestTupleProbOfFormulas checks TupleProb on one tuple per lineage shape:
+// a variable, ∧, ∨, ¬ and both constants.
+func TestTupleProbOfFormulas(t *testing.T) {
+	sp := event.NewSpace()
+	x := event.NewVar(sp.Add("x", 0.3), "x")
+	y := event.NewVar(sp.Add("y", 0.5), "y")
+	r := NewRelation("r", "i")
+	lineages := []event.Expr{x, event.NewAnd(x, y), event.NewOr(x, y), event.NewNot(x), event.True, event.False}
+	want := []float64{0.3, 0.15, 0.3 + 0.5 - 0.15, 0.7, 1, 0}
+	for i, e := range lineages {
+		r.Insert(e, Num(float64(i)))
+	}
+	got := tupleProb(t, r, sp)
+	for i := range want {
+		if !close2(got[i], want[i]) {
+			t.Errorf("Pr[%v] = %g, want %g", lineages[i], got[i], want[i])
+		}
+	}
 }
 
 func TestGroupByAndObjects(t *testing.T) {
@@ -127,20 +151,34 @@ func TestGroupByAndObjects(t *testing.T) {
 	if objs[2].Pos[0] != 70 || objs[2].Pos[1] != 40 {
 		t.Errorf("object 2 position = %v", objs[2].Pos)
 	}
-	if p := event.ExactProb(objs[2].Lineage, sp); !close2(p, 0.3) {
+	if objs[2].Lineage != joined.Tuples[2].Lineage {
+		t.Error("object 2 must carry tuple 2's lineage")
+	}
+	if p := tupleProb(t, joined, sp)[2]; !close2(p, 0.3) {
 		t.Errorf("object 2 existence probability = %g, want 0.3", p)
 	}
 }
 
 func TestEmptyAggregatesAreUndefined(t *testing.T) {
 	r := NewRelation("empty", "v")
-	sum := r.AggSum("v")
-	if got := event.EvalNum(sum, event.MapValuation{}, nil); !got.IsUndef() {
+	b := network.NewBuilder(event.NewSpace(), nil)
+	sum, count := r.AggSum(b, "v"), r.AggCount(b)
+	a := b.Build().Eval(event.SliceValuation{})
+	if got := a.Nums[sum]; !got.IsUndef() {
 		t.Errorf("empty SUM = %v, want u", got)
 	}
-	if got := event.EvalNum(r.AggCount(), event.MapValuation{}, nil); !got.IsUndef() {
+	if got := a.Nums[count]; !got.IsUndef() {
 		t.Errorf("empty COUNT = %v, want u", got)
 	}
+}
+
+func tupleProb(t *testing.T, r *Relation, sp *event.Space) []float64 {
+	t.Helper()
+	probs, err := r.TupleProb(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return probs
 }
 
 func close2(a, b float64) bool { return math.Abs(a-b) < 1e-9 }

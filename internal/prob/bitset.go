@@ -1,18 +1,14 @@
 package prob
 
-import "math/bits"
-
 // bitset is a packed array of single-bit flags in uint64 words. The
 // compilation core keeps the three-valued Boolean masks of the event network
 // in two of these planes (decided-true and decided-false), so a node's truth
-// value costs 2 bits, snapshot and restore at distributed fork markers are
-// word-wide memmoves, and population counts run 64 nodes per instruction.
+// value costs 2 bits and snapshot and restore at distributed fork markers
+// are word-wide memmoves.
 type bitset []uint64
 
 // bitsetWords returns the word count covering n bits.
 func bitsetWords(n int) int { return (n + 63) >> 6 }
-
-func newBitset(n int) bitset { return make(bitset, bitsetWords(n)) }
 
 // get reports bit i.
 func (b bitset) get(i int32) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
@@ -29,28 +25,6 @@ func (b bitset) setTo(i int32, v bool) {
 		b.set(i)
 	} else {
 		b.clear(i)
-	}
-}
-
-// popcount returns the number of set bits, 64 per word-wide instruction.
-func (b bitset) popcount() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// copyFrom overwrites b with src (same length), one memmove.
-func (b bitset) copyFrom(src bitset) { copy(b, src) }
-
-// clone returns an independent copy.
-func (b bitset) clone() bitset { return append(bitset(nil), b...) }
-
-// zero clears every word.
-func (b bitset) zero() {
-	for i := range b {
-		b[i] = 0
 	}
 }
 

@@ -23,7 +23,7 @@ var quickCfg = &quick.Config{MaxCount: 400}
 func TestBitsetQuickModel(t *testing.T) {
 	f := func(nBits uint8, ops []uint16) bool {
 		n := int(nBits)%130 + 1 // 1..130 bits: 1–3 words, crossing boundaries
-		b := newBitset(n)
+		b := make(bitset, bitsetWords(n))
 		ref := make(map[int32]bool)
 		for _, op := range ops {
 			i := int32(int(op>>2) % n)
@@ -55,35 +55,13 @@ func TestBitsetQuickModel(t *testing.T) {
 	}
 }
 
-// TestBitsetQuickPopcount checks the word-parallel popcount against a naive
-// per-bit count.
-func TestBitsetQuickPopcount(t *testing.T) {
-	f := func(nBits uint8, setBits []uint16) bool {
-		n := int(nBits)%200 + 1
-		b := newBitset(n)
-		for _, raw := range setBits {
-			b.set(int32(int(raw) % n))
-		}
-		naive := 0
-		for i := int32(0); i < int32(n); i++ {
-			if b.get(i) {
-				naive++
-			}
-		}
-		return b.popcount() == naive
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestBval3QuickRoundTrip checks the two-plane three-valued encoding: every
 // setBval3 write reads back via bval3, and the planes stay mutually
 // exclusive (a node is never decided both true and false).
 func TestBval3QuickRoundTrip(t *testing.T) {
 	f := func(nBits uint8, writes []uint16) bool {
 		n := int(nBits)%130 + 1
-		decT, decF := newBitset(n), newBitset(n)
+		decT, decF := make(bitset, bitsetWords(n)), make(bitset, bitsetWords(n))
 		ref := make(map[int32]int8)
 		vals := [3]int8{bUnknown, bTrue, bFalse}
 		for _, raw := range writes {
@@ -113,45 +91,6 @@ func TestBval3QuickRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBitsetSnapshotRestoreQuick checks that clone/copyFrom — the primitives
-// under the flat core's fork snapshots — restore a mutated plane exactly and
-// are idempotent (restoring twice equals restoring once).
-func TestBitsetSnapshotRestoreQuick(t *testing.T) {
-	f := func(nBits uint8, initial, mutations []uint16) bool {
-		n := int(nBits)%300 + 1
-		b := newBitset(n)
-		for _, raw := range initial {
-			b.setTo(int32(int(raw>>1)%n), raw&1 != 0)
-		}
-		snap := b.clone()
-		for _, raw := range mutations {
-			b.setTo(int32(int(raw>>1)%n), raw&1 != 0)
-		}
-		b.copyFrom(snap)
-		for w := range b {
-			if b[w] != snap[w] {
-				return false
-			}
-		}
-		b.copyFrom(snap) // idempotent
-		for w := range b {
-			if b[w] != snap[w] {
-				return false
-			}
-		}
-		b.zero()
-		for _, w := range b {
-			if w != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Error(err)
-	}
-}
-
 // flatSig is the semantically visible slice of an fstate: the truth and open
 // planes plus every node's numeric abstract and aggregate. Bookkeeping that
 // is allowed to go stale across undo (trailedAt dedup stamps, queued flags)
@@ -168,9 +107,9 @@ type flatSig struct {
 
 func captureSig(s *fstate) flatSig {
 	sig := flatSig{
-		decT:        s.decT.clone(),
-		decF:        s.decF.clone(),
-		open:        s.open.clone(),
+		decT:        append(bitset(nil), s.decT...),
+		decF:        append(bitset(nil), s.decF...),
+		open:        append(bitset(nil), s.open...),
 		sums:        append([]sumAgg(nil), s.sums...),
 		tMasked:     append([]bool(nil), s.tMasked...),
 		openTargets: s.openTargets,

@@ -56,47 +56,16 @@ func Sensitivity(net *network.Net, opts Options, targetName string) ([]VarInflue
 		}
 		opts.Strategy = Exact
 	}
-	var out []VarInfluence
-	for x, id := range net.VarNode {
-		if id == network.NoNode {
-			continue
-		}
-		xv := event.VarID(x)
-		orig := net.Space.Prob(xv)
-		cond := func(p float64) (float64, error) {
-			net.Space.SetProb(xv, p)
-			res, err := Compile(net, opts)
-			if err != nil {
-				return 0, err
-			}
-			return res.Targets[ti].Estimate(), nil
-		}
-		condTrue, err := cond(1)
+	return influences(net, func(x event.VarID, p float64) (float64, error) {
+		orig := net.Space.Prob(x)
+		net.Space.SetProb(x, p)
+		res, err := Compile(net, opts)
+		net.Space.SetProb(x, orig)
 		if err != nil {
-			net.Space.SetProb(xv, orig)
-			return nil, err
+			return 0, err
 		}
-		condFalse, err := cond(0)
-		net.Space.SetProb(xv, orig)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, VarInfluence{
-			Var:        xv,
-			Name:       net.Space.Name(xv),
-			CondTrue:   condTrue,
-			CondFalse:  condFalse,
-			Derivative: condTrue - condFalse,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		di, dj := abs(out[i].Derivative), abs(out[j].Derivative)
-		if di != dj {
-			return di > dj
-		}
-		return out[i].Var < out[j].Var
+		return res.Targets[ti].Estimate(), nil
 	})
-	return out, nil
 }
 
 // SensitivityCircuit is Sensitivity answered from an already-compiled
@@ -122,11 +91,11 @@ func SensitivityCircuit(c *circuit.Circuit, net *network.Net, targetName string)
 	probs := SpaceProbs(net.Space)
 	lo := make([]float64, len(c.Targets()))
 	hi := make([]float64, len(c.Targets()))
-	cond := func(xv event.VarID, p float64) (float64, error) {
-		orig := probs[xv]
-		probs[xv] = p
+	return influences(net, func(x event.VarID, p float64) (float64, error) {
+		orig := probs[x]
+		probs[x] = p
 		err := c.EvalInto(probs, lo, hi)
-		probs[xv] = orig
+		probs[x] = orig
 		if err != nil {
 			return 0, fmt.Errorf("prob: %w", err)
 		}
@@ -141,7 +110,13 @@ func SensitivityCircuit(c *circuit.Circuit, net *network.Net, targetName string)
 			h = l
 		}
 		return TargetBound{Lower: l, Upper: h}.Estimate(), nil
-	}
+	})
+}
+
+// influences builds the influence of every variable occurring in the
+// network from cond(x, p), the target's probability with x's marginal
+// pinned to p, sorted by decreasing |derivative| and then by variable.
+func influences(net *network.Net, cond func(x event.VarID, p float64) (float64, error)) ([]VarInfluence, error) {
 	var out []VarInfluence
 	for x, id := range net.VarNode {
 		if id == network.NoNode {

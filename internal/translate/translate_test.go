@@ -165,8 +165,15 @@ func TestKMedoidsTranslationMatchesInterpreter(t *testing.T) {
 }
 
 // TestKMeansTranslationMatchesInterpreter checks Figure 2 end to end,
-// including the vector-valued centroid c-values.
+// including the vector-valued centroid c-values. A suffix adds Spread, a
+// pow and an invert over the uncertain cluster sizes (u for an empty
+// cluster): the generator emits no invert() and MCL's certain matrix folds
+// both away, so this is where they meet the interpreter on uncertain data.
 func TestKMeansTranslationMatchesInterpreter(t *testing.T) {
+	src := lang.KMeansSource + `Spread = [None] * k
+for i in range(0,k):
+    Spread[i] = invert(pow(reduce_count([1 for l in range(0,n) if InCl[i][l]]), 2))
+`
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 6; trial++ {
 		objs, space := uncertainObjects(t, rng, 4, lineage.Scheme(trial%4))
@@ -175,13 +182,13 @@ func TestKMeansTranslationMatchesInterpreter(t *testing.T) {
 			Params:      []int{2, 2},
 			InitIndices: []int{0, 1},
 		}
-		syms := []string{"M[0]", "M[1]"}
+		syms := []string{"M[0]", "M[1]", "Spread[0]", "Spread[1]"}
 		for i := 0; i < 2; i++ {
 			for l := 0; l < len(objs); l++ {
 				syms = append(syms, fmt.Sprintf("InCl[%d][%d]", i, l))
 			}
 		}
-		diffProgram(t, lang.KMeansSource, ext, vec.SquaredEuclidean, syms)
+		diffProgram(t, src, ext, vec.SquaredEuclidean, syms)
 	}
 }
 

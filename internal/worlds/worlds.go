@@ -6,11 +6,7 @@
 // probability-computation algorithms live in internal/prob.
 package worlds
 
-import (
-	"math"
-
-	"enframe/internal/event"
-)
+import "enframe/internal/event"
 
 // MaxEnumerableVars bounds full enumeration; 2^30 valuations is already far
 // beyond what the naïve baseline can visit before any sensible timeout.
@@ -50,29 +46,6 @@ func Enumerate(space *event.Space, fn func(nu event.SliceValuation, p float64) b
 	return rec(0, 1)
 }
 
-// Prob returns Pr(ν) for a complete valuation of the space.
-func Prob(space *event.Space, nu event.SliceValuation) float64 {
-	p := 1.0
-	for i := range nu {
-		px := space.Prob(event.VarID(i))
-		if nu[i] {
-			p *= px
-		} else {
-			p *= 1 - px
-		}
-	}
-	return p
-}
-
-// Count returns the number of valuations of the space, saturating at
-// MaxUint64 for absurd sizes.
-func Count(space *event.Space) uint64 {
-	if space.Len() >= 64 {
-		return math.MaxUint64
-	}
-	return 1 << uint(space.Len())
-}
-
 // PresenceKey is a compact bitset identifying which objects of a fixed list
 // exist in a world; it is comparable and therefore usable as a map key for
 // world memoisation.
@@ -101,15 +74,15 @@ func KeyOf(lineage []event.Expr, nu event.Valuation) (key PresenceKey, present [
 // Presence evaluates each object's lineage event under ν.
 func Presence(lineage []event.Expr, nu event.Valuation) []bool {
 	out := make([]bool, len(lineage))
-	ev := event.NewEvaluator(nu, nil)
+	ev := event.NewEvaluator(nu)
 	for i, e := range lineage {
 		out[i] = ev.EvalExpr(e)
 	}
 	return out
 }
 
-// Distribution accumulates a probability per named outcome; it is a small
-// convenience for tests and examples that aggregate per-world results.
+// Distribution accumulates a probability per named outcome, e.g. the
+// distribution of a c-value node from Enumerate plus network.Net.Eval.
 type Distribution map[string]float64
 
 // Add adds mass p to outcome key.

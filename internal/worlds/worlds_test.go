@@ -22,9 +22,6 @@ func TestEnumerateMassSumsToOne(t *testing.T) {
 	Enumerate(sp, func(nu event.SliceValuation, p float64) bool {
 		total += p
 		count++
-		if got := Prob(sp, nu); math.Abs(got-p) > 1e-12 {
-			t.Fatalf("Prob(%v) = %g, enumeration said %g", nu, got, p)
-		}
 		return true
 	})
 	if count != 8 {
@@ -62,12 +59,6 @@ func TestEnumerateEarlyStop(t *testing.T) {
 	})
 	if complete || count != 2 {
 		t.Errorf("complete=%t count=%d", complete, count)
-	}
-}
-
-func TestCount(t *testing.T) {
-	if got := Count(space(0.5, 0.5, 0.5)); got != 8 {
-		t.Errorf("Count = %d", got)
 	}
 }
 
