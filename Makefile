@@ -45,11 +45,13 @@ fuzz-pipeline:
 fuzz:
 	$(GO) test ./internal/difftest -run '^$$' -fuzz '^FuzzPipeline$$' -fuzztime $(FUZZTIME)
 
-# alloc-guard pins the obs-disabled front end, the compilation core and the
-# distributed runner's fork/join path to their allocation budgets, and a
-# cached artifact to its retained-heap budget (see allocguard_test.go).
+# alloc-guard pins the obs-disabled front end, the compilation core, the
+# distributed runner's fork/join path and a warm what-if sweep to their
+# allocation budgets, and a cached artifact to its retained-heap budget (see
+# allocguard_test.go). The pool-dependent budgets are enforced here, without
+# the race detector; test-race skips them.
 alloc-guard:
-	$(GO) test -run '^Test(FrontEnd|Compile|DistributedCompile|RetainedArtifact)AllocGuard$$' -count=1 -v .
+	$(GO) test -run '^Test(FrontEnd|Compile|DistributedCompile|RetainedArtifact|WhatifSweep)AllocGuard$$' -count=1 -v .
 
 # smoke runs the process drills (cmd/enframe/smoke_test.go): real enframe
 # serve, worker and route child processes driven over HTTP, TCP and the CLI

@@ -183,6 +183,9 @@ func TestDistributedCompileAllocGuard(t *testing.T) {
 	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
 	t.Logf("distributed hybrid compile: %d allocs/op (budget %d), %d B/op (budget %d)",
 		allocs, distributedCompileAllocBudget, bytes, distributedCompileByteBudget)
+	if raceEnabled {
+		t.Skip("budgets not enforced under -race: the race detector's sync.Pool drops recycled mask blocks at random; make alloc-guard enforces them")
+	}
 	if allocs > distributedCompileAllocBudget {
 		t.Errorf("distributed compile allocates %d/op, over the %d budget — job snapshots or worker states are allocated per job again",
 			allocs, distributedCompileAllocBudget)
@@ -190,5 +193,37 @@ func TestDistributedCompileAllocGuard(t *testing.T) {
 	if bytes > distributedCompileByteBudget {
 		t.Errorf("distributed compile allocates %d B/op, over the %d B budget — job snapshots or worker states are allocated per job again",
 			bytes, distributedCompileByteBudget)
+	}
+}
+
+// whatifSweepAllocBudget is the ceiling on allocations per warm /v1/whatif
+// sweep through the server's handler (BenchmarkWhatifSweep's request: 32
+// points over a kmedoids n=24 vars=10 iter=3 artifact). Measured 64
+// allocs/op — request decoding, the envelope, the recorder — with the
+// replay's lane matrices, its scratch and the reply's bytes and float memo
+// taken from a pool; 286 while every point allocated its own bounds and
+// every request generated its data before the cache lookup. The budget is
+// 1.5× the measured count.
+const whatifSweepAllocBudget = 96
+
+// TestWhatifSweepAllocGuard holds a warm what-if sweep to pooled storage.
+// Run as part of `make ci` (via `make alloc-guard`).
+func TestWhatifSweepAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc guard is a perf gate, skipped in -short")
+	}
+	if raceEnabled {
+		t.Skip("not enforced under -race: the race detector's sync.Pool drops pooled reply buffers at random; make alloc-guard enforces it")
+	}
+	h, bodies := warmWhatif(t)
+	i := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		serveWhatif(t, h, bodies[i%len(bodies)])
+		i++
+	})
+	t.Logf("warm what-if sweep: %.0f allocs/op (budget %d)", allocs, whatifSweepAllocBudget)
+	if allocs > whatifSweepAllocBudget {
+		t.Errorf("a warm what-if sweep allocates %.0f/op, over the %d budget — its bounds, scratch or data are allocated per request again",
+			allocs, whatifSweepAllocBudget)
 	}
 }

@@ -9,8 +9,12 @@ package enframe
 // Figure 1's program translated over the generated data.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -22,6 +26,7 @@ import (
 	"enframe/internal/network"
 	"enframe/internal/obs"
 	"enframe/internal/prob"
+	"enframe/internal/server"
 	"enframe/internal/translate"
 	"enframe/internal/vec"
 )
@@ -349,5 +354,55 @@ func BenchmarkFrontEndFused(b *testing.B) {
 		if _, err := core.PrepareContext(context.Background(), spec); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// --- Serving paths ----------------------------------------------------------
+
+// warmWhatif starts an in-process server and returns its handler and the
+// request bodies of whatif-sweep's warm sweeps: 32-point grids over each
+// variable of a benchmark-shaped kmedoids artifact (n=24, vars=10, iter=3),
+// whose circuit the first sweep has already traced.
+func warmWhatif(tb testing.TB) (http.Handler, [][]byte) {
+	tb.Helper()
+	h := server.New(server.Config{}).Handler()
+	req := server.WhatifRequest{
+		Program: "kmedoids",
+		Data:    server.DataSpec{N: 24, Vars: 10, Seed: 1},
+		Params:  server.ParamSpec{K: 2, Iter: 3},
+		Targets: []string{"Centre["},
+		Steps:   32,
+	}
+	var bodies [][]byte
+	for v := 0; v < 10; v++ {
+		req.Var = fmt.Sprintf("x%d", v)
+		body, err := json.Marshal(req)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	serveWhatif(tb, h, bodies[0])
+	return h, bodies
+}
+
+// serveWhatif answers one /v1/whatif body through h and fails on a non-200.
+func serveWhatif(tb testing.TB, h http.Handler, body []byte) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/whatif", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		tb.Fatalf("/v1/whatif: status %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// BenchmarkWhatifSweep is one warm /v1/whatif sweep through the server's
+// handler: decode, validation and key, an artifact-cache and circuit-memo
+// hit, the 32-point replay and the reply's encoding.
+func BenchmarkWhatifSweep(b *testing.B) {
+	h, bodies := warmWhatif(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serveWhatif(b, h, bodies[i%len(bodies)])
 	}
 }

@@ -15,6 +15,9 @@ type Builder struct {
 	// noCons disables sharing (every Node call stores a fresh node); the
 	// equivalence tests use it to prove consing never changes evaluation.
 	noCons bool
+	// depths[i] is the number of nodes on the longest path down from node
+	// i; Finish keeps only the root's, which sizes EvalSweep's scratch.
+	depths []int32
 }
 
 // NewBuilder starts an empty circuit over a variable space of numVars
@@ -56,14 +59,17 @@ func (b *Builder) Node(v event.VarID, hi, lo NodeID, evs []Decision) NodeID {
 	c.lo = append(c.lo, lo)
 	c.evs = append(c.evs, evs...)
 	c.evOff = append(c.evOff, int32(len(c.evs)))
-	visits := int64(1)
+	visits, depth := int64(1), int32(0)
 	if hi != None {
 		visits += c.visits[hi]
+		depth = b.depths[hi]
 	}
 	if lo != None {
 		visits += c.visits[lo]
+		depth = max(depth, b.depths[lo])
 	}
 	c.visits = append(c.visits, visits)
+	b.depths = append(b.depths, depth+1)
 	b.buckets[h] = append(b.buckets[h], id)
 	return id
 }
@@ -92,8 +98,12 @@ func (b *Builder) Finish(root NodeID, complete bool) *Circuit {
 	c := b.c
 	c.root = root
 	c.complete = complete
+	if root != None {
+		c.depth = int(b.depths[root])
+	}
 	b.c = nil
 	b.buckets = nil
+	b.depths = nil
 	return c
 }
 

@@ -59,7 +59,9 @@ func (d Decision) Target() int { return int(d >> 1) }
 func (d Decision) True() bool { return d&1 != 0 }
 
 // Circuit is an immutable compiled decision circuit. Build one with a
-// Builder; evaluate with Eval or EvalInto. Safe for concurrent evaluation.
+// Builder; evaluate with Eval or EvalInto at one probability assignment, or
+// with EvalSweep at many that differ in one variable. Safe for concurrent
+// evaluation.
 type Circuit struct {
 	// Structure-of-arrays node storage: branch variable (< 0 for a leaf),
 	// true/false children, and a CSR event list per node (evOff[i] ..
@@ -72,7 +74,10 @@ type Circuit struct {
 	// performs — the subtree's size as a tree, before hash-cons sharing.
 	visits []int64
 
-	root     NodeID
+	root NodeID
+	// depth is the number of nodes on the longest root-to-leaf path: the
+	// mass levels a sweep keeps live at once.
+	depth    int
 	targets  []string
 	numVars  int
 	complete bool
@@ -133,19 +138,14 @@ func (c *Circuit) Eval(probs []float64) (lo, hi []float64, err error) {
 	return lo, hi, nil
 }
 
-// EvalInto is Eval writing into caller-provided slices, so repeated sweeps
-// (the serving layer's /v1/whatif grid) evaluate allocation-free.
+// EvalInto is Eval writing into caller-provided slices, so repeated
+// evaluations (sensitivity pins one variable at a time) run allocation-free.
 func (c *Circuit) EvalInto(probs, lo, hi []float64) error {
-	if len(probs) != c.numVars {
-		return fmt.Errorf("circuit: %d probabilities for %d variables", len(probs), c.numVars)
+	if err := c.checkProbs(probs); err != nil {
+		return err
 	}
 	if len(lo) != len(c.targets) || len(hi) != len(c.targets) {
 		return fmt.Errorf("circuit: bound slices sized %d/%d for %d targets", len(lo), len(hi), len(c.targets))
-	}
-	for i, p := range probs {
-		if !(p >= 0 && p <= 1) {
-			return fmt.Errorf("circuit: probability %g for variable %d outside [0, 1]", p, i)
-		}
 	}
 	for i := range lo {
 		lo[i] = 0
@@ -153,6 +153,19 @@ func (c *Circuit) EvalInto(probs, lo, hi []float64) error {
 	}
 	if c.root != None {
 		c.replay(c.root, 1, probs, lo, hi)
+	}
+	return nil
+}
+
+// checkProbs validates a probability vector over the circuit's variables.
+func (c *Circuit) checkProbs(probs []float64) error {
+	if len(probs) != c.numVars {
+		return fmt.Errorf("circuit: %d probabilities for %d variables", len(probs), c.numVars)
+	}
+	for i, p := range probs {
+		if !(p >= 0 && p <= 1) {
+			return fmt.Errorf("circuit: probability %g for variable %d outside [0, 1]", p, i)
+		}
 	}
 	return nil
 }
@@ -187,6 +200,129 @@ func (c *Circuit) replay(id NodeID, p float64, probs, lo, hi []float64) {
 			c.replay(l, pF, probs, lo, hi)
 		}
 	}
+}
+
+// SweepScratch is the length of the scratch slice EvalSweep needs for a
+// sweep of the given number of lanes.
+func (c *Circuit) SweepScratch(lanes int) int { return c.depth * lanes }
+
+// EvalSweep evaluates the circuit at len(grid) probability assignments in
+// one walk: lane j is probs with probs[v] replaced by grid[j]. lo and hi are
+// target-major lane matrices of len(Targets())·len(grid) entries — target
+// t's raw bounds at lane j land in lo[t·len(grid)+j] and hi[t·len(grid)+j] —
+// and scratch holds at least SweepScratch(len(grid)) entries. probs[v]
+// itself is validated but not read.
+//
+// Lane j performs exactly the floating-point operations EvalInto performs
+// at its assignment, so every lane is bit-identical to a scalar
+// evaluation. The scalar replay skips a child whose mass is zero; the
+// sweep skips a child only when every lane's mass is zero, and otherwise
+// carries the dead lanes along at mass +0 (masses are products of
+// probabilities, never −0). A dead lane therefore adds +0 to lower bounds,
+// which start at +0 and only gain non-negative masses, and subtracts +0
+// from upper bounds; both leave the accumulator's bits unchanged.
+func (c *Circuit) EvalSweep(probs []float64, v event.VarID, grid, lo, hi, scratch []float64) error {
+	if err := c.checkProbs(probs); err != nil {
+		return err
+	}
+	if v < 0 || int(v) >= c.numVars {
+		return fmt.Errorf("circuit: swept variable %d outside the %d-variable space", v, c.numVars)
+	}
+	for _, p := range grid {
+		if !(p >= 0 && p <= 1) {
+			return fmt.Errorf("circuit: grid probability %g outside [0, 1]", p)
+		}
+	}
+	lanes := len(grid)
+	if n := len(c.targets) * lanes; len(lo) != n || len(hi) != n {
+		return fmt.Errorf("circuit: lane matrices sized %d/%d for %d targets × %d lanes", len(lo), len(hi), len(c.targets), lanes)
+	}
+	if len(scratch) < c.SweepScratch(lanes) {
+		return fmt.Errorf("circuit: sweep scratch of %d for %d needed", len(scratch), c.SweepScratch(lanes))
+	}
+	for i := range lo {
+		lo[i] = 0
+		hi[i] = 1
+	}
+	if c.root != None && lanes > 0 {
+		mass := scratch[:lanes]
+		for j := range mass {
+			mass[j] = 1
+		}
+		s := sweep{c: c, probs: probs, v: int32(v), grid: grid, lo: lo, hi: hi}
+		s.replay(c.root, mass, scratch[lanes:])
+	}
+	return nil
+}
+
+// sweep is the state of one EvalSweep walk.
+type sweep struct {
+	c      *Circuit
+	probs  []float64
+	v      int32
+	grid   []float64
+	lo, hi []float64
+}
+
+// replay is Circuit.replay with a mass per lane: mass is this node's lane
+// masses, and free the scratch below it, whose first len(mass) entries
+// take each child's masses in turn.
+func (s *sweep) replay(id NodeID, mass, free []float64) {
+	c, n := s.c, len(mass)
+	for _, d := range c.evs[c.evOff[id]:c.evOff[id+1]] {
+		t := int(d>>1) * n
+		if d&1 != 0 {
+			row := s.lo[t : t+n]
+			for j, p := range mass {
+				row[j] += p
+			}
+		} else {
+			row := s.hi[t : t+n]
+			for j, p := range mass {
+				row[j] -= p
+			}
+		}
+	}
+	w := c.vars[id]
+	if w < 0 {
+		return
+	}
+	child, rest := free[:n], free[n:]
+	if h := c.hi[id]; h != None && s.split(child, mass, w, true) {
+		s.replay(h, child, rest)
+	}
+	if l := c.lo[id]; l != None && s.split(child, mass, w, false) {
+		s.replay(l, child, rest)
+	}
+}
+
+// split writes the lane masses of node variable w's true (or false) child
+// — p·P(w) or p·(1−P(w)) per lane, as the scalar replay computes them — and
+// reports whether any lane's mass is nonzero.
+func (s *sweep) split(child, mass []float64, w int32, isTrue bool) bool {
+	live := false
+	child = child[:len(mass)]
+	if w == s.v {
+		grid := s.grid[:len(mass)]
+		for j, p := range mass {
+			pv := grid[j]
+			if !isTrue {
+				pv = 1 - pv
+			}
+			child[j] = p * pv
+			live = live || child[j] != 0
+		}
+		return live
+	}
+	pv := s.probs[w]
+	if !isTrue {
+		pv = 1 - pv
+	}
+	for j, p := range mass {
+		child[j] = p * pv
+		live = live || child[j] != 0
+	}
+	return live
 }
 
 // Var returns the branch variable of a node, or -1 for a leaf. Exposed for

@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -205,5 +206,105 @@ func TestNoneChildSkipped(t *testing.T) {
 	}
 	if lo[0] != 0.25 || hi[0] != 1 {
 		t.Errorf("bounds [%g, %g], want [0.25, 1]", lo[0], hi[0])
+	}
+}
+
+// sweepGrids are the lane sets the sweep tests replay: uniform grids of 2,
+// 32 and 256 points, an explicit grid with repeats and both extremes (whole
+// lanes go to zero mass at 0 and 1), and one-point grids.
+func sweepGrids() [][]float64 {
+	uniform := func(steps int) []float64 {
+		g := make([]float64, steps)
+		for i := range g {
+			g[i] = float64(i) / float64(steps-1)
+		}
+		return g
+	}
+	return [][]float64{
+		uniform(2), uniform(32), uniform(256),
+		{0.3, 0.3, 0, 1, 0.3, 1, 0, 0.7, 0.7},
+		{0.5}, {0}, {1},
+	}
+}
+
+// TestEvalSweepMatchesEval: every lane of a sweep is bit-identical to a
+// scalar evaluation at its assignment, for random circuits complete and
+// pruned, every swept variable and every grid of sweepGrids.
+func TestEvalSweepMatchesEval(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+		nVars, nTargets := 1+rng.Intn(6), 1+rng.Intn(4)
+		c := buildRandom(seed, nVars, nTargets, true, false)
+		if seed%4 == 0 {
+			// A pruned circuit: the root's false child is missing.
+			b := NewBuilder(nVars, c.targets)
+			root := b.Node(0, genTree(rng, b, 1, nVars, []int{0}, false), None, nil)
+			c = b.Finish(root, false)
+		}
+		probs := make([]float64, nVars)
+		for i := range probs {
+			probs[i] = rng.Float64()
+		}
+		for v := range probs {
+			for _, grid := range sweepGrids() {
+				if err := checkSweep(c, probs, event.VarID(v), grid); err != "" {
+					t.Fatalf("seed %d, var %d, %d-point grid: %s", seed, v, len(grid), err)
+				}
+			}
+		}
+	}
+}
+
+// checkSweep compares c.EvalSweep with c.Eval at every lane's assignment
+// and describes the first difference.
+func checkSweep(c *Circuit, probs []float64, v event.VarID, grid []float64) string {
+	n := len(c.Targets()) * len(grid)
+	lo, hi := make([]float64, n), make([]float64, n)
+	if err := c.EvalSweep(probs, v, grid, lo, hi, make([]float64, c.SweepScratch(len(grid)))); err != nil {
+		return err.Error()
+	}
+	at := append([]float64(nil), probs...)
+	for j, p := range grid {
+		at[v] = p
+		wantLo, wantHi, err := c.Eval(at)
+		if err != nil {
+			return err.Error()
+		}
+		for ti := range wantLo {
+			gotLo, gotHi := lo[ti*len(grid)+j], hi[ti*len(grid)+j]
+			if math.Float64bits(gotLo) != math.Float64bits(wantLo[ti]) ||
+				math.Float64bits(gotHi) != math.Float64bits(wantHi[ti]) {
+				return fmt.Sprintf("lane %d (p=%g), target %d: sweep [%v, %v], scalar [%v, %v]",
+					j, p, ti, gotLo, gotHi, wantLo[ti], wantHi[ti])
+			}
+		}
+	}
+	return ""
+}
+
+func TestEvalSweepValidation(t *testing.T) {
+	b := NewBuilder(2, []string{"t"})
+	leaf := b.Node(-1, None, None, []Decision{NewDecision(0, true)})
+	c := b.Finish(b.Node(0, leaf, None, nil), true)
+	grid := []float64{0, 1}
+	ok := func() (lo, hi, scratch []float64) {
+		return make([]float64, 2), make([]float64, 2), make([]float64, c.SweepScratch(2))
+	}
+	lo, hi, scratch := ok()
+	if err := c.EvalSweep([]float64{0.5, 0.5}, 0, grid, lo, hi, scratch); err != nil {
+		t.Fatalf("well-formed sweep rejected: %v", err)
+	}
+	for name, call := range map[string]func() error{
+		"short probability vector": func() error { return c.EvalSweep([]float64{0.5}, 0, grid, lo, hi, scratch) },
+		"variable out of range":    func() error { return c.EvalSweep([]float64{0.5, 0.5}, 2, grid, lo, hi, scratch) },
+		"grid point outside [0,1]": func() error {
+			return c.EvalSweep([]float64{0.5, 0.5}, 0, []float64{0, math.NaN()}, lo, hi, scratch)
+		},
+		"mis-sized lane matrix": func() error { return c.EvalSweep([]float64{0.5, 0.5}, 0, grid, lo[:1], hi, scratch) },
+		"short scratch":         func() error { return c.EvalSweep([]float64{0.5, 0.5}, 0, grid, lo, hi, scratch[:1]) },
+	} {
+		if call() == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

@@ -6,13 +6,6 @@ type Valuation interface {
 	Value(x VarID) bool
 }
 
-// MapValuation is a Valuation backed by a map; variables not present are
-// false.
-type MapValuation map[VarID]bool
-
-// Value implements Valuation.
-func (m MapValuation) Value(x VarID) bool { return m[x] }
-
 // SliceValuation is a Valuation backed by a dense slice indexed by VarID.
 type SliceValuation []bool
 

@@ -2,7 +2,6 @@ package event
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -208,39 +207,4 @@ func joinExprs(es []Expr, sep string) string {
 		parts[i] = parenthesize(e)
 	}
 	return strings.Join(parts, sep)
-}
-
-// Support returns the sorted set of random variables the event expression
-// depends on.
-func Support(e Expr) []VarID {
-	set := make(map[VarID]bool)
-	seen := make(map[Expr]bool)
-	var walk func(Expr)
-	walk = func(e Expr) {
-		if seen[e] {
-			return
-		}
-		seen[e] = true
-		switch t := e.(type) {
-		case *Var:
-			set[t.X] = true
-		case *Not:
-			walk(t.E)
-		case *And:
-			for _, c := range t.Es {
-				walk(c)
-			}
-		case *Or:
-			for _, c := range t.Es {
-				walk(c)
-			}
-		}
-	}
-	walk(e)
-	out := make([]VarID, 0, len(set))
-	for x := range set {
-		out = append(out, x)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -56,22 +56,11 @@ func TestEvalExprBasic(t *testing.T) {
 		{false, true, true}, {true, true, false},
 	}
 	for _, c := range cases {
-		nu := MapValuation{xid: c.vx, yid: c.vy}
+		nu := make(SliceValuation, sp.Len())
+		nu[xid], nu[yid] = c.vx, c.vy
 		if got := EvalExpr(e, nu); got != c.want {
 			t.Errorf("xor(%t,%t) = %t, want %t", c.vx, c.vy, got, c.want)
 		}
-	}
-}
-
-func TestSupport(t *testing.T) {
-	sp := NewSpace()
-	xid, yid, zid := sp.Add("x", 0.5), sp.Add("y", 0.5), sp.Add("z", 0.5)
-	x, y := NewVar(xid, "x"), NewVar(yid, "y")
-	_ = zid
-	e := NewAnd(x, NewOr(NewNot(y), y), x)
-	sup := Support(e)
-	if len(sup) != 2 || sup[0] != xid || sup[1] != yid {
-		t.Errorf("Support = %v, want [%d %d]", sup, xid, yid)
 	}
 }
 
@@ -105,9 +94,9 @@ func TestRandomExprDeMorgan(t *testing.T) {
 		a, b := randExpr(3), randExpr(3)
 		lhs := NewNot(NewAnd(a, b))
 		rhs := NewOr(NewNot(a), NewNot(b))
-		nu := make(MapValuation)
-		for i := 0; i < sp.Len(); i++ {
-			nu[VarID(i)] = rng.Intn(2) == 0
+		nu := make(SliceValuation, sp.Len())
+		for i := range nu {
+			nu[i] = rng.Intn(2) == 0
 		}
 		if EvalExpr(lhs, nu) != EvalExpr(rhs, nu) {
 			t.Fatalf("De Morgan violated for %v vs %v under %v", lhs, rhs, nu)

@@ -55,7 +55,7 @@ func TestPositiveScheme(t *testing.T) {
 	// Positive events are monotone: setting more variables true never
 	// destroys an object.
 	for _, o := range objs {
-		allFalse := event.EvalExpr(o.Lineage, event.MapValuation{})
+		allFalse := event.EvalExpr(o.Lineage, constantValuation(space, false))
 		allTrue := event.EvalExpr(o.Lineage, constantValuation(space, true))
 		if allFalse {
 			t.Error("positive event true under the all-false valuation")
@@ -104,8 +104,8 @@ func TestConditionalSchemeIsAMarkovChain(t *testing.T) {
 	// Each Φ_{i+1} depends on Φ_i: the support of consecutive events
 	// overlaps through the chain.
 	for i := 0; i+1 < len(objs); i++ {
-		s1 := event.Support(objs[i].Lineage)
-		s2 := event.Support(objs[i+1].Lineage)
+		s1 := support(objs[i].Lineage)
+		s2 := support(objs[i+1].Lineage)
 		if len(s2) <= len(s1) {
 			t.Errorf("chain support must grow: |S%d| = %d, |S%d| = %d", i, len(s1), i+1, len(s2))
 		}
@@ -175,10 +175,34 @@ func TestSeedReproducibility(t *testing.T) {
 	}
 }
 
-func constantValuation(space *event.Space, v bool) event.MapValuation {
-	nu := event.MapValuation{}
-	for i := 0; i < space.Len(); i++ {
-		nu[event.VarID(i)] = v
+func constantValuation(space *event.Space, v bool) event.SliceValuation {
+	nu := make(event.SliceValuation, space.Len())
+	for i := range nu {
+		nu[i] = v
 	}
 	return nu
+}
+
+// support returns the set of variables a lineage formula mentions.
+func support(e event.Expr) map[event.VarID]bool {
+	set := map[event.VarID]bool{}
+	var walk func(event.Expr)
+	walk = func(e event.Expr) {
+		switch t := e.(type) {
+		case *event.Var:
+			set[t.X] = true
+		case *event.Not:
+			walk(t.E)
+		case *event.And:
+			for _, c := range t.Es {
+				walk(c)
+			}
+		case *event.Or:
+			for _, c := range t.Es {
+				walk(c)
+			}
+		}
+	}
+	walk(e)
+	return set
 }

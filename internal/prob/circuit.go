@@ -109,6 +109,22 @@ func EvalCircuit(c *circuit.Circuit, probs []float64) (*Result, error) {
 	return res, nil
 }
 
+// EvalSweep replays the circuit once for a whole one-variable sweep
+// (circuit.Circuit.EvalSweep: lane j sets probs[v] = grid[j]) and clamps
+// every lane's bounds in place as EvalCircuit clamps them, so lo[t·len(grid)+j]
+// and hi[t·len(grid)+j] are bit for bit the Lower and Upper EvalCircuit
+// reports for target t at lane j's assignment. scratch holds at least
+// c.SweepScratch(len(grid)) entries.
+func EvalSweep(c *circuit.Circuit, probs []float64, v event.VarID, grid, lo, hi, scratch []float64) error {
+	if err := c.EvalSweep(probs, v, grid, lo, hi, scratch); err != nil {
+		return fmt.Errorf("prob: %w", err)
+	}
+	for i := range lo {
+		lo[i], hi[i] = clamp(lo[i], hi[i])
+	}
+	return nil
+}
+
 // SpaceProbs snapshots the space's marginals indexed by VarID — the
 // probability-vector shape circuit evaluation takes. Mutating the returned
 // slice (what-if sweeps, sensitivity pinning) leaves the space untouched.

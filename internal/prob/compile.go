@@ -202,6 +202,12 @@ func compile(ctx context.Context, net *network.Net, opts Options, trace bool, ex
 // [0, 1] borders. The bounds book and a circuit replay both report through
 // it — the last step of their bit-identity contract.
 func clampBound(name string, lo, hi float64) TargetBound {
+	lo, hi = clamp(lo, hi)
+	return TargetBound{Name: name, Lower: lo, Upper: hi}
+}
+
+// clamp is clampBound's arithmetic.
+func clamp(lo, hi float64) (float64, float64) {
 	if lo < 0 {
 		lo = 0
 	}
@@ -211,7 +217,7 @@ func clampBound(name string, lo, hi float64) TargetBound {
 	if hi < lo {
 		hi = lo
 	}
-	return TargetBound{Name: name, Lower: lo, Upper: hi}
+	return lo, hi
 }
 
 // budgetTimelineCap bounds the per-target budget-spend timeline recorded

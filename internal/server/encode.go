@@ -25,6 +25,12 @@ import (
 // two-digit negative exponent trimmed to one (1e-07 → 1e-7). f must be
 // finite, as every probability is.
 func appendFloat(b []byte, f float64) []byte {
+	switch math.Float64bits(f) {
+	case 0:
+		return append(b, '0')
+	case oneBits:
+		return append(b, '1')
+	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -36,6 +42,9 @@ func appendFloat(b []byte, f float64) []byte {
 	}
 	return b
 }
+
+// oneBits is math.Float64bits(1).
+const oneBits = 0x3ff0000000000000
 
 // plainASCII marks the bytes encoding/json copies into a string unescaped:
 // printable ASCII except the quote, the backslash and the HTML-sensitive
@@ -66,8 +75,7 @@ func appendString(b []byte, s string) []byte {
 }
 
 // appendTargets appends ts as the array encoding/json produces for the
-// []RunTarget they denote (name, lower, upper, estimate). A point interval —
-// most targets of an exact reply — formats its float once and copies it.
+// []RunTarget they denote (name, lower, upper, estimate).
 func appendTargets(b []byte, ts []prob.TargetBound) []byte {
 	b = append(b, '[')
 	for i, t := range ts {
@@ -77,53 +85,153 @@ func appendTargets(b []byte, ts []prob.TargetBound) []byte {
 		b = append(b, `{"name":`...)
 		b = appendString(b, t.Name)
 		b = append(b, `,"lower":`...)
-		from := len(b)
-		b = appendFloat(b, t.Lower)
-		to := len(b)
-		est := t.Estimate()
-		if math.Float64bits(t.Lower) == math.Float64bits(t.Upper) &&
-			math.Float64bits(t.Lower) == math.Float64bits(est) {
-			b = append(b, `,"upper":`...)
-			b = append(b, b[from:to]...)
-			b = append(b, `,"estimate":`...)
-			b = append(b, b[from:to]...)
-		} else {
-			b = append(b, `,"upper":`...)
-			b = appendFloat(b, t.Upper)
-			b = append(b, `,"estimate":`...)
-			b = appendFloat(b, est)
-		}
-		b = append(b, '}')
+		b = appendBound(b, nil, t.Lower, t.Upper)
 	}
 	return append(b, ']')
+}
+
+// appendBound appends a target's lower bound, then its upper and estimate
+// members, and closes the target's object; m, when not nil, memoizes the
+// formatting. A point interval — most targets of an exact reply — formats
+// its float once and copies it.
+func appendBound(b []byte, m *floatMemo, lo, hi float64) []byte {
+	est := prob.TargetBound{Lower: lo, Upper: hi}.Estimate()
+	from := len(b)
+	b = m.append(b, lo)
+	to := len(b)
+	if math.Float64bits(lo) == math.Float64bits(hi) && math.Float64bits(lo) == math.Float64bits(est) {
+		b = append(b, `,"upper":`...)
+		b = append(b, b[from:to]...)
+		b = append(b, `,"estimate":`...)
+		b = append(b, b[from:to]...)
+	} else {
+		b = append(b, `,"upper":`...)
+		b = m.append(b, hi)
+		b = append(b, `,"estimate":`...)
+		b = m.append(b, est)
+	}
+	return append(b, '}')
+}
+
+// floatMemo remembers where in the reply recently formatted floats' bytes
+// are, so that a value written again is copied, not formatted again: most
+// bounds of a sweep reply repeat a value written at an earlier point, though
+// rarely the same target's at the previous point. It is direct-mapped by
+// the value's bits — a value evicts the one sharing its slot — and holds
+// offsets into the reply being assembled, so it is reset per reply.
+type floatMemo [memoSlots]memoEntry
+
+// memoBits sizes the memo: a benchmark-shaped 32-point reply writes 500–800
+// distinct values other than 0 and 1, which 4,096 slots hold with few
+// evictions.
+const (
+	memoBits  = 12
+	memoSlots = 1 << memoBits
+)
+
+type memoEntry struct {
+	bits uint64
+	off  uint32
+	n    uint32 // zero marks an empty slot
+}
+
+// append appends f as appendFloat does, copying the bytes from b when the
+// memo holds f. A nil memo formats every value.
+func (m *floatMemo) append(b []byte, f float64) []byte {
+	bits := math.Float64bits(f)
+	if m == nil || bits == 0 || bits == oneBits {
+		return appendFloat(b, f)
+	}
+	e := &m[(bits*0x9e3779b97f4a7c15)>>(64-memoBits)]
+	if e.n != 0 && e.bits == bits {
+		return append(b, b[e.off:e.off+e.n]...)
+	}
+	off := len(b)
+	b = appendFloat(b, f)
+	*e = memoEntry{bits: bits, off: uint32(off), n: uint32(len(b) - off)}
+	return b
+}
+
+// sweepBuf is the pooled storage of one what-if reply besides its bytes:
+// the replayed lanes' bound matrices and scratch, and the encoder's memo.
+type sweepBuf struct {
+	// lanes are the grid points, then the influence extremes 1 and 0 when
+	// the request asked for them; lo and hi are prob.EvalSweep's clamped
+	// target-major lane matrices over lanes.
+	lanes, lo, hi, scratch []float64
+	memo                   floatMemo
+	// prefix[t] locates target t's `{"name":…,"lower":` in the reply, as
+	// written at the first point and copied at every later one.
+	prefix []span
+}
+
+type span struct{ off, n uint32 }
+
+func growFloats(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // appendPoints appends the array encoding/json produces for the
-// []WhatifPoint pairing grid[i] with rows[i].
-func appendPoints(b []byte, grid []float64, rows [][]prob.TargetBound) []byte {
+// []WhatifPoint of the sweep's first points lanes: each pairs its grid
+// probability with every target's bounds (name, lower, upper, estimate),
+// read from the lane matrices.
+func (sw *sweepBuf) appendPoints(b []byte, points int, names []string) []byte {
+	clear(sw.memo[:])
+	sw.prefix = sw.prefix[:0]
+	stride := len(sw.lanes)
 	b = append(b, '[')
-	for i, row := range rows {
-		if i > 0 {
+	for j := 0; j < points; j++ {
+		if j > 0 {
 			b = append(b, ',')
 		}
 		b = append(b, `{"p":`...)
-		b = appendFloat(b, grid[i])
-		b = append(b, `,"targets":`...)
-		b = appendTargets(b, row)
-		b = append(b, '}')
+		b = sw.memo.append(b, sw.lanes[j])
+		b = append(b, `,"targets":[`...)
+		for t, name := range names {
+			if t > 0 {
+				b = append(b, ',')
+			}
+			if j == 0 {
+				off := len(b)
+				b = append(b, `{"name":`...)
+				b = appendString(b, name)
+				b = append(b, `,"lower":`...)
+				sw.prefix = append(sw.prefix, span{uint32(off), uint32(len(b) - off)})
+			} else {
+				p := sw.prefix[t]
+				b = append(b, b[p.off:p.off+p.n]...)
+			}
+			lo, hi := sw.lo[t*stride+j], sw.hi[t*stride+j]
+			b = appendBound(b, &sw.memo, lo, hi)
+		}
+		b = append(b, "]}"...)
 	}
 	return append(b, ']')
 }
 
-// replyBufs pools the buffers spliced replies are assembled in; a 32 × 48
-// what-if reply is ≈150 KB.
-var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+// replyBuf is the pooled storage of one spliced reply: its bytes, and the
+// sweep state a what-if reply is computed and encoded from — allocated by
+// the first what-if reply the buffer serves, so /v1/run's buffers do not
+// carry the memo.
+type replyBuf struct {
+	b     []byte
+	sweep *sweepBuf
+}
+
+// replyBufs pools reply storage; a 32 × 48 what-if reply is ≈150 KB.
+var replyBufs = sync.Pool{New: func() any { return new(replyBuf) }}
+
+func getReplyBuf() *replyBuf { return replyBufs.Get().(*replyBuf) }
 
 // writeSpliced answers 200 with envelope as writeJSON would encode it,
 // except that the member named member — which the caller left nil and which
 // is not tagged omitempty, so the envelope says null — carries what fill
-// appends.
-func writeSpliced(w http.ResponseWriter, envelope any, member string, fill func([]byte) []byte) {
+// appends. The reply is assembled in rb, which returns to the pool.
+func writeSpliced(w http.ResponseWriter, rb *replyBuf, envelope any, member string, fill func([]byte) []byte) {
+	defer replyBufs.Put(rb)
 	env, err := json.Marshal(envelope)
 	null := []byte(`"` + member + `":null`)
 	at := bytes.Index(env, null)
@@ -131,14 +239,12 @@ func writeSpliced(w http.ResponseWriter, envelope any, member string, fill func(
 		writeError(w, http.StatusInternalServerError, "encode response: %v", err)
 		return
 	}
-	bp := replyBufs.Get().(*[]byte)
-	b := append((*bp)[:0], env[:at+len(null)-len("null")]...)
+	b := append(rb.b[:0], env[:at+len(null)-len("null")]...)
 	b = fill(b)
 	b = append(b, env[at+len(null):]...)
 	b = append(b, '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b) // a failed write is the client's disconnect
-	*bp = b
-	replyBufs.Put(bp)
+	rb.b = b
 }

@@ -43,11 +43,6 @@ func TestAppendEncoderMatchesEncodingJSON(t *testing.T) {
 		}
 		return out
 	}
-	var (
-		grid   []float64
-		rows   [][]prob.TargetBound
-		points []WhatifPoint
-	)
 	for i, f := range floats {
 		g := floats[(i*7+3)%len(floats)]
 		ts := []prob.TargetBound{
@@ -62,19 +57,81 @@ func TestAppendEncoderMatchesEncodingJSON(t *testing.T) {
 		if got := appendTargets(nil, ts); !bytes.Equal(got, want) {
 			t.Fatalf("targets differ:\n got %s\nwant %s", got, want)
 		}
-		if i < 64 {
-			grid, rows = append(grid, f), append(rows, ts)
-			points = append(points, WhatifPoint{P: f, Targets: runTargets(ts)})
+	}
+}
+
+// TestAppendPointsMatchesEncodingJSON holds the memoized sweep encoder to
+// encoding/json on adversarial rows: the exponent-rule edges, exact 0 and 1,
+// long runs of one repeated value, values repeated across targets and
+// points, more distinct values than the memo has slots (so slots are
+// evicted and reused), names needing escapes, and lanes past the points
+// (the influence extremes) that must not be listed. The same buffer encodes
+// every case, so a memo entry left from an earlier reply would show.
+func TestAppendPointsMatchesEncodingJSON(t *testing.T) {
+	edges := []float64{0, 1, 1e-7, 9.99e-7, 1e-6, 1e21, 9.999999999999999e20, 0.5, 1.0 / 3, 5e-324}
+	rng := rand.New(rand.NewSource(2))
+	random := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return edges[rng.Intn(len(edges))]
+		case 1:
+			return math.Ldexp(rng.Float64(), -rng.Intn(40))
 		}
+		return rng.Float64()
 	}
-	grid, rows = append(grid, 1), append(rows, []prob.TargetBound{})
-	points = append(points, WhatifPoint{P: 1, Targets: []RunTarget{}})
-	want, err := json.Marshal(points)
-	if err != nil {
-		t.Fatal(err)
+	cases := map[string]func(points, targets int) (lo, hi []float64){
+		"edges": func(points, targets int) (lo, hi []float64) {
+			for i := 0; i < points*targets; i++ {
+				lo = append(lo, edges[i%len(edges)])
+				hi = append(hi, edges[(i*3+1)%len(edges)])
+			}
+			return lo, hi
+		},
+		"repeat runs": func(points, targets int) (lo, hi []float64) {
+			v := random()
+			for i := 0; i < points*targets; i++ {
+				if rng.Intn(40) == 0 {
+					v = random()
+				}
+				lo, hi = append(lo, v), append(hi, v)
+			}
+			return lo, hi
+		},
+		"distinct": func(points, targets int) (lo, hi []float64) {
+			for i := 0; i < points*targets; i++ {
+				lo, hi = append(lo, random()), append(hi, random())
+			}
+			return lo, hi
+		},
 	}
-	if got := appendPoints(nil, grid, rows); !bytes.Equal(got, want) {
-		t.Fatalf("points differ:\n got %s\nwant %s", got, want)
+	names := []string{"Centre[0][2]", `quo"te`, "<b>&", "π≈3", "", "Centre[1][0]"}
+	sw := new(sweepBuf)
+	for _, name := range []string{"edges", "repeat runs", "distinct", "edges"} {
+		for _, shape := range [][3]int{{1, 1, 0}, {32, 6, 0}, {256, 6, 2}, {300, 5, 0}} {
+			points, nt, extra := shape[0], shape[1], shape[2]
+			lanes := points + extra
+			lo, hi := cases[name](lanes, nt)
+			sw.lanes, sw.lo, sw.hi = sw.lanes[:0], lo, hi
+			for j := 0; j < lanes; j++ {
+				sw.lanes = append(sw.lanes, edges[j%len(edges)])
+			}
+			var want []WhatifPoint
+			for j := 0; j < points; j++ {
+				pt := WhatifPoint{P: sw.lanes[j], Targets: []RunTarget{}}
+				for ti := 0; ti < nt; ti++ {
+					tb := prob.TargetBound{Lower: lo[ti*lanes+j], Upper: hi[ti*lanes+j]}
+					pt.Targets = append(pt.Targets, RunTarget{Name: names[ti], Lower: tb.Lower, Upper: tb.Upper, Estimate: tb.Estimate()})
+				}
+				want = append(want, pt)
+			}
+			wantB, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sw.appendPoints(nil, points, names[:nt]); !bytes.Equal(got, wantB) {
+				t.Fatalf("%s, %d points × %d targets: points differ:\n got %s\nwant %s", name, points, nt, got, wantB)
+			}
+		}
 	}
 }
 
@@ -87,7 +144,7 @@ func TestWriteSplicedMatchesWriteJSON(t *testing.T) {
 	whatif := WhatifResponse{Var: "x1", Cache: "miss", Influence: []TargetInfluence{{Target: "a<b", CondTrue: 1}}}
 
 	got := httptest.NewRecorder()
-	writeSpliced(got, run, "targets", func(b []byte) []byte { return appendTargets(b, bounds) })
+	writeSpliced(got, getReplyBuf(), run, "targets", func(b []byte) []byte { return appendTargets(b, bounds) })
 	want := httptest.NewRecorder()
 	run.Targets = ts
 	writeJSON(want, 200, run)
@@ -96,8 +153,12 @@ func TestWriteSplicedMatchesWriteJSON(t *testing.T) {
 	}
 
 	got = httptest.NewRecorder()
-	writeSpliced(got, whatif, "points", func(b []byte) []byte {
-		return appendPoints(b, []float64{0, 1}, [][]prob.TargetBound{bounds, bounds})
+	rb := &replyBuf{sweep: new(sweepBuf)}
+	rb.sweep.lanes = []float64{0, 1}
+	rb.sweep.lo = []float64{0.25, 0.25, 0, 0}
+	rb.sweep.hi = []float64{0.25, 0.25, 1e-9, 1e-9}
+	writeSpliced(got, rb, whatif, "points", func(b []byte) []byte {
+		return rb.sweep.appendPoints(b, 2, []string{"Centre[0][1]", "a<b"})
 	})
 	want = httptest.NewRecorder()
 	whatif.Points = []WhatifPoint{{P: 0, Targets: ts}, {P: 1, Targets: ts}}

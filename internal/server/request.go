@@ -200,87 +200,139 @@ func badRequest(format string, args ...any) error {
 // the data-generation spec, and the targets. Two requests with equal keys
 // ground byte-identical event networks.
 func BuildSpec(req RunRequest) (core.Spec, string, error) {
-	req = req.withDefaults()
-	strategy, err := parseStrategy(req.Strategy)
+	p, err := planSpec(req)
 	if err != nil {
 		return core.Spec{}, "", err
 	}
-	if strategy != prob.Exact && strategy != prob.Circuit && req.Epsilon <= 0 {
-		return core.Spec{}, "", badRequest("epsilon must be > 0 with strategy %q", req.Strategy)
-	}
-	if strategy == prob.Circuit && req.Workers > 1 {
-		return core.Spec{}, "", badRequest("strategy circuit compiles sequentially (workers must be 1, got %d)", req.Workers)
-	}
-	if strategy == prob.Circuit && len(req.RemoteWorkers) > 0 {
-		return core.Spec{}, "", badRequest("strategy circuit does not support remote_workers")
-	}
-	if req.Workers < 1 || req.Workers > maxWorkersPerRequest {
-		return core.Spec{}, "", badRequest("workers must be in [1, %d] (got %d)", maxWorkersPerRequest, req.Workers)
-	}
-	if req.JobDepth < 1 {
-		return core.Spec{}, "", badRequest("job_depth must be ≥ 1 (got %d)", req.JobDepth)
-	}
-	if _, err := parseOrder(req.Order); err != nil {
+	spec, err := p.spec()
+	if err != nil {
 		return core.Spec{}, "", err
 	}
+	return spec, p.key, nil
+}
+
+// ArtifactKey is BuildSpec's validation and key without the data: the
+// artifact cache key of a request BuildSpec accepts, or its 400 error. A
+// request whose generated data turns out invalid (see specPlan.spec) gets a
+// key here and fails only when its data is built.
+func ArtifactKey(req RunRequest) (string, error) {
+	p, err := planSpec(req)
+	return p.key, err
+}
+
+// specPlan is a validated request and its artifact key: BuildSpec's first
+// step, which generates no data. Its spec method is the second.
+type specPlan struct {
+	req    RunRequest // defaulted
+	key    string
+	source string // resolved program text (sensor data)
+	isMCL  bool
+	scheme lineage.Scheme
+}
+
+// planSpec validates the defaulted request and computes its artifact key.
+func planSpec(req RunRequest) (specPlan, error) {
+	req = req.withDefaults()
+	strategy, err := parseStrategy(req.Strategy)
+	if err != nil {
+		return specPlan{}, err
+	}
+	if strategy != prob.Exact && strategy != prob.Circuit && req.Epsilon <= 0 {
+		return specPlan{}, badRequest("epsilon must be > 0 with strategy %q", req.Strategy)
+	}
+	if strategy == prob.Circuit && req.Workers > 1 {
+		return specPlan{}, badRequest("strategy circuit compiles sequentially (workers must be 1, got %d)", req.Workers)
+	}
+	if strategy == prob.Circuit && len(req.RemoteWorkers) > 0 {
+		return specPlan{}, badRequest("strategy circuit does not support remote_workers")
+	}
+	if req.Workers < 1 || req.Workers > maxWorkersPerRequest {
+		return specPlan{}, badRequest("workers must be in [1, %d] (got %d)", maxWorkersPerRequest, req.Workers)
+	}
+	if req.JobDepth < 1 {
+		return specPlan{}, badRequest("job_depth must be ≥ 1 (got %d)", req.JobDepth)
+	}
+	if _, err := parseOrder(req.Order); err != nil {
+		return specPlan{}, err
+	}
 	if req.TimeoutMs < 0 || req.SoftTimeoutMs < 0 {
-		return core.Spec{}, "", badRequest("timeouts must be ≥ 0")
+		return specPlan{}, badRequest("timeouts must be ≥ 0")
 	}
 	if len(req.RemoteWorkers) > maxWorkersPerRequest {
-		return core.Spec{}, "", badRequest("remote_workers must list at most %d addresses (got %d)",
+		return specPlan{}, badRequest("remote_workers must list at most %d addresses (got %d)",
 			maxWorkersPerRequest, len(req.RemoteWorkers))
 	}
 	for _, addr := range req.RemoteWorkers {
 		if strings.TrimSpace(addr) == "" {
-			return core.Spec{}, "", badRequest("remote_workers entries must be host:port addresses")
+			return specPlan{}, badRequest("remote_workers entries must be host:port addresses")
 		}
 	}
 	if req.RemoteFallback && len(req.RemoteWorkers) == 0 {
-		return core.Spec{}, "", badRequest("remote_fallback requires remote_workers")
+		return specPlan{}, badRequest("remote_fallback requires remote_workers")
 	}
 
 	switch req.Data.Kind {
 	case "gen":
-		return buildGenSpec(req)
+		h := sha256.New()
+		fmt.Fprintf(h, "v1\x00gen\x00seed=%d", req.Data.Seed)
+		return specPlan{req: req, key: hex.EncodeToString(h.Sum(nil))}, nil
 	case "sensor":
-		return buildSensorSpec(req)
+		return planSensor(req)
 	default:
-		return core.Spec{}, "", badRequest("unknown data kind %q (want sensor or gen)", req.Data.Kind)
+		return specPlan{}, badRequest("unknown data kind %q (want sensor or gen)", req.Data.Kind)
 	}
 }
 
-// buildSensorSpec assembles the synthetic energy-network workload, the
-// served twin of the CLI's default path.
-func buildSensorSpec(req RunRequest) (core.Spec, string, error) {
+// planSensor validates the synthetic energy-network workload, the served
+// twin of the CLI's default path, and keys it.
+func planSensor(req RunRequest) (specPlan, error) {
 	if req.Data.N < 1 {
-		return core.Spec{}, "", badRequest("data.n must be ≥ 1 (got %d)", req.Data.N)
+		return specPlan{}, badRequest("data.n must be ≥ 1 (got %d)", req.Data.N)
 	}
 	if req.Data.N > 64 {
-		return core.Spec{}, "", badRequest("data.n must be ≤ 64 (got %d)", req.Data.N)
+		return specPlan{}, badRequest("data.n must be ≤ 64 (got %d)", req.Data.N)
 	}
 	if req.Params.K < 1 || req.Params.Iter < 1 || req.Params.R < 1 {
-		return core.Spec{}, "", badRequest("params must be ≥ 1")
+		return specPlan{}, badRequest("params must be ≥ 1")
 	}
 	if req.Params.Iter > maxParamIter {
-		return core.Spec{}, "", badRequest("params.iter must be ≤ %d (got %d)", maxParamIter, req.Params.Iter)
+		return specPlan{}, badRequest("params.iter must be ≤ %d (got %d)", maxParamIter, req.Params.Iter)
 	}
 	if req.Data.Vars > maxDataVars {
-		return core.Spec{}, "", badRequest("data.vars must be ≤ %d (got %d)", maxDataVars, req.Data.Vars)
+		return specPlan{}, badRequest("data.vars must be ≤ %d (got %d)", maxDataVars, req.Data.Vars)
 	}
 	source, isMCL, err := resolveProgram(req)
 	if err != nil {
-		return core.Spec{}, "", err
+		return specPlan{}, err
 	}
 	if maxK := min(req.Data.N, maxParamK); !isMCL && req.Params.K > maxK {
-		return core.Spec{}, "", badRequest("params.k must be ≤ min(data.n, %d) = %d (got %d)", maxParamK, maxK, req.Params.K)
+		return specPlan{}, badRequest("params.k must be ≤ min(data.n, %d) = %d (got %d)", maxParamK, maxK, req.Params.K)
 	}
 	scheme, err := parseScheme(req.Data.Scheme)
 	if err != nil {
-		return core.Spec{}, "", err
+		return specPlan{}, err
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "v1\x00source\x00%s\x00", source)
+	fmt.Fprintf(h, "data\x00sensor;n=%d;scheme=%s;vars=%d;l=%d;m=%d;certain=%g;group=%d;seed=%d\x00",
+		req.Data.N, req.Data.Scheme, req.Data.Vars, req.Data.L, req.Data.M,
+		req.Data.Certain, req.Data.Group, req.Data.Seed)
+	fmt.Fprintf(h, "params\x00k=%d;iter=%d;r=%d;mcl=%t\x00", req.Params.K, req.Params.Iter, req.Params.R, isMCL)
+	fmt.Fprintf(h, "targets\x00%s", strings.Join(req.Targets, "\x01"))
+	return specPlan{req: req, key: hex.EncodeToString(h.Sum(nil)), source: source, isMCL: isMCL, scheme: scheme}, nil
+}
+
+// spec generates the plan's data and assembles the core.Spec. Its errors
+// are the data's own (a lineage configuration the generator rejects, a gen
+// seed without Boolean targets) and answer 400.
+func (p specPlan) spec() (core.Spec, error) {
+	req := p.req
+	if req.Data.Kind == "gen" {
+		return genSpec(req.Data.Seed)
 	}
 	pts := data.Points(req.Data.N, req.Data.Seed)
 	objs, space, err := lineage.Attach(pts, lineage.Config{
-		Scheme:          scheme,
+		Scheme:          p.scheme,
 		GroupSize:       req.Data.Group,
 		NumVars:         req.Data.Vars,
 		L:               req.Data.L,
@@ -289,15 +341,15 @@ func buildSensorSpec(req RunRequest) (core.Spec, string, error) {
 		Seed:            req.Data.Seed,
 	})
 	if err != nil {
-		return core.Spec{}, "", badRequest("data: %v", err)
+		return core.Spec{}, badRequest("data: %v", err)
 	}
 	spec := core.Spec{
-		Source:  source,
+		Source:  p.source,
 		Objects: objs,
 		Space:   space,
 		Targets: req.Targets,
 	}
-	if isMCL {
+	if p.isMCL {
 		spec.Params = []int{req.Params.R, req.Params.Iter}
 		spec.Matrix = similarityMatrix(objs)
 	} else {
@@ -308,23 +360,15 @@ func buildSensorSpec(req RunRequest) (core.Spec, string, error) {
 		}
 		spec.InitIndices = init
 	}
-
-	h := sha256.New()
-	fmt.Fprintf(h, "v1\x00source\x00%s\x00", source)
-	fmt.Fprintf(h, "data\x00sensor;n=%d;scheme=%s;vars=%d;l=%d;m=%d;certain=%g;group=%d;seed=%d\x00",
-		req.Data.N, req.Data.Scheme, req.Data.Vars, req.Data.L, req.Data.M,
-		req.Data.Certain, req.Data.Group, req.Data.Seed)
-	fmt.Fprintf(h, "params\x00k=%d;iter=%d;r=%d;mcl=%t\x00", req.Params.K, req.Params.Iter, req.Params.R, isMCL)
-	fmt.Fprintf(h, "targets\x00%s", strings.Join(req.Targets, "\x01"))
-	return spec, hex.EncodeToString(h.Sum(nil)), nil
+	return spec, nil
 }
 
-// buildGenSpec replays the differential harness's seeded generator: program
-// text, input data, and Boolean targets all derive from data.seed, making a
+// genSpec replays the differential harness's seeded generator: program
+// text, input data, and Boolean targets all derive from the seed, making a
 // served run directly comparable to the in-process pipeline on the same
 // seed (internal/difftest exploits this).
-func buildGenSpec(req RunRequest) (core.Spec, string, error) {
-	p := gen.New(req.Data.Seed)
+func genSpec(seed int64) (core.Spec, error) {
+	p := gen.New(seed)
 	var targets []string
 	for _, s := range p.Syms() {
 		if s.IsBool {
@@ -332,9 +376,9 @@ func buildGenSpec(req RunRequest) (core.Spec, string, error) {
 		}
 	}
 	if len(targets) == 0 {
-		return core.Spec{}, "", badRequest("gen seed %d has no Boolean targets", req.Data.Seed)
+		return core.Spec{}, badRequest("gen seed %d has no Boolean targets", seed)
 	}
-	spec := core.Spec{
+	return core.Spec{
 		Source:      p.Source(),
 		Objects:     p.Input.Objects,
 		Space:       p.Input.Space,
@@ -342,10 +386,7 @@ func buildGenSpec(req RunRequest) (core.Spec, string, error) {
 		InitIndices: p.Input.InitIndices,
 		Metric:      p.Input.Metric,
 		Targets:     targets,
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "v1\x00gen\x00seed=%d", req.Data.Seed)
-	return spec, hex.EncodeToString(h.Sum(nil)), nil
+	}, nil
 }
 
 // resolveProgram maps the request to program text. Unlike the CLI, inline

@@ -389,18 +389,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.WriteMetricsHTTP(s.reg, w, r)
 }
 
-// runRoute is POST /v1/run's validation: the defaulted request must denote
-// a core.Spec. The tenant never reaches BuildSpec — it must not perturb the
-// artifact key.
+// runRoute is POST /v1/run's validation: the defaulted request must pass
+// BuildSpec's checks. The tenant never reaches them — it must not perturb
+// the artifact key.
 func (s *Server) runRoute(req RunRequest) (*ticket, error) {
 	req = req.withDefaults()
-	spec, key, err := BuildSpec(req)
+	plan, err := planSpec(req)
 	if err != nil {
 		return nil, err
 	}
-	return &ticket{key: key, tenant: req.Tenant, timeoutMs: req.TimeoutMs,
+	return &ticket{key: plan.key, tenant: req.Tenant, timeoutMs: req.TimeoutMs,
 		execute: func(ctx context.Context, info *reqInfo) (func(http.ResponseWriter), error) {
-			return s.run(ctx, info, spec, key, req)
+			return s.run(ctx, info, plan, req)
 		},
 	}, nil
 }
@@ -409,13 +409,13 @@ func (s *Server) runRoute(req RunRequest) (*ticket, error) {
 // JSON result. Per-request tracing is opt-in: the whole pipeline runs under
 // one trace whose span tree (including spliced remote worker subtrees)
 // returns inline in the response.
-func (s *Server) run(ctx context.Context, info *reqInfo, spec core.Spec, key string, req RunRequest) (func(http.ResponseWriter), error) {
+func (s *Server) run(ctx context.Context, info *reqInfo, plan specPlan, req RunRequest) (func(http.ResponseWriter), error) {
 	var tr *obs.Trace
 	if req.Trace {
 		tr = obs.New("run")
 		tr.Root().SetStr("request_id", info.id)
 	}
-	rep, cache, served, remote, err := s.execute(ctx, spec, key, req, tr)
+	rep, cache, served, remote, err := s.execute(ctx, plan, req, tr)
 	info.cache = cache.String()
 	info.served = served
 	info.remote = remote.used
@@ -430,7 +430,7 @@ func (s *Server) run(ctx context.Context, info *reqInfo, spec core.Spec, key str
 		resp.Trace = &ex
 	}
 	return func(w http.ResponseWriter) {
-		writeSpliced(w, resp, "targets", func(b []byte) []byte { return appendTargets(b, rep.Result.Targets) })
+		writeSpliced(w, getReplyBuf(), resp, "targets", func(b []byte) []byte { return appendTargets(b, rep.Result.Targets) })
 	}, nil
 }
 
@@ -457,22 +457,28 @@ const (
 )
 
 // testHookPrepare, when set by tests, runs on the preparing (leader) path of
-// artifactFor just before core.PrepareContext.
+// artifactFor, before the data is generated and core.PrepareContext runs.
 var testHookPrepare func()
 
-// artifactFor resolves key through the artifact cache, preparing spec on a
-// miss. A coalesced preparation that failed only because the leading
-// request's context expired is retried once under our own context.
-func (s *Server) artifactFor(ctx context.Context, spec core.Spec, key string) (*core.Artifact, cacheOutcome, error) {
+// artifactFor resolves the plan's key through the artifact cache. Only a
+// miss generates the plan's data and prepares its spec, so a hit builds no
+// data at all; a data error answers 400 and leaves nothing in the cache. A
+// coalesced preparation that failed only because the leading request's
+// context expired is retried once under our own context.
+func (s *Server) artifactFor(ctx context.Context, plan specPlan) (*core.Artifact, cacheOutcome, error) {
 	prepare := func() (*core.Artifact, error) {
 		if testHookPrepare != nil {
 			testHookPrepare()
 		}
+		spec, err := plan.spec()
+		if err != nil {
+			return nil, err
+		}
 		return core.PrepareContext(ctx, spec)
 	}
-	art, cache, err := s.cache.getOrPrepare(ctx, key, prepare)
+	art, cache, err := s.cache.getOrPrepare(ctx, plan.key, prepare)
 	if err != nil && isCtxError(err) && ctx.Err() == nil {
-		art, cache, err = s.cache.getOrPrepare(ctx, key, prepare)
+		art, cache, err = s.cache.getOrPrepare(ctx, plan.key, prepare)
 	}
 	return art, cache, err
 }
@@ -500,8 +506,8 @@ func (s *Server) circuitFor(ctx context.Context, art *core.Artifact, opts prob.O
 // circuit: the first request on an artifact traces it, every later one is a
 // memo lookup. Approximate strategies compile in-process; requests naming
 // remote_workers ship the compilation to the worker plane.
-func (s *Server) execute(ctx context.Context, spec core.Spec, key string, req RunRequest, tr *obs.Trace) (*core.Report, cacheOutcome, string, remoteStatus, error) {
-	art, cache, err := s.artifactFor(ctx, spec, key)
+func (s *Server) execute(ctx context.Context, plan specPlan, req RunRequest, tr *obs.Trace) (*core.Report, cacheOutcome, string, remoteStatus, error) {
+	art, cache, err := s.artifactFor(ctx, plan)
 	if err != nil {
 		return nil, cache, "", remoteStatus{}, err
 	}
@@ -519,7 +525,7 @@ func (s *Server) execute(ctx context.Context, spec core.Spec, key string, req Ru
 	}
 
 	if len(req.RemoteWorkers) > 0 {
-		rep, remote, rerr := s.executeRemote(ctx, art, key, req, opts)
+		rep, remote, rerr := s.executeRemote(ctx, art, plan.key, req, opts)
 		if rerr == nil {
 			return rep, cache, servedCompile, remote, nil
 		}

@@ -27,20 +27,20 @@ type WarmResponse struct {
 // but bypasses tenant accounting and quotas: it is fleet maintenance, not
 // tenant traffic.
 func (s *Server) warmRoute(req RunRequest) (*ticket, error) {
-	spec, key, err := BuildSpec(ArtifactRequest(req))
+	plan, err := planSpec(ArtifactRequest(req))
 	if err != nil {
 		return nil, err
 	}
-	return &ticket{key: key, fleet: true,
+	return &ticket{key: plan.key, fleet: true,
 		execute: func(ctx context.Context, info *reqInfo) (func(http.ResponseWriter), error) {
-			art, cache, err := s.artifactFor(ctx, spec, key)
+			art, cache, err := s.artifactFor(ctx, plan)
 			info.cache = cache.String()
 			if err != nil {
 				return nil, err
 			}
 			s.mWarm.Inc()
 			return jsonReply(WarmResponse{
-				Key:          key,
+				Key:          plan.key,
 				Cache:        cache.String(),
 				Variables:    art.Net.Space.Len(),
 				NetworkNodes: art.Net.NumNodes(),

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"time"
 
-	"enframe/internal/core"
 	"enframe/internal/event"
 	"enframe/internal/prob"
 )
@@ -141,35 +140,40 @@ func (s *Server) whatifRoute(req WhatifRequest) (*ticket, error) {
 	if err != nil {
 		return nil, err
 	}
-	rreq := req.RunRequest()
-	spec, key, err := BuildSpec(rreq)
+	plan, err := planSpec(req.RunRequest())
 	if err != nil {
 		return nil, err
 	}
-	return &ticket{key: key, tenant: req.Tenant, timeoutMs: req.TimeoutMs,
+	return &ticket{key: plan.key, tenant: req.Tenant, timeoutMs: req.TimeoutMs,
 		execute: func(ctx context.Context, info *reqInfo) (func(http.ResponseWriter), error) {
-			resp, rows, cache, err := s.executeWhatif(ctx, spec, key, rreq, req, grid)
+			rb := getReplyBuf()
+			if rb.sweep == nil {
+				rb.sweep = new(sweepBuf)
+			}
+			resp, names, cache, err := s.executeWhatif(ctx, rb.sweep, plan, req, grid)
 			info.cache = cache.String()
 			if err != nil {
+				replyBufs.Put(rb)
 				return nil, err
 			}
 			return func(w http.ResponseWriter) {
-				writeSpliced(w, resp, "points", func(b []byte) []byte { return appendPoints(b, grid, rows) })
+				writeSpliced(w, rb, resp, "points", func(b []byte) []byte { return rb.sweep.appendPoints(b, len(grid), names) })
 			}, nil
 		},
 	}, nil
 }
 
 // executeWhatif resolves the artifact and its circuit through their caches
-// and replays the grid. The response's Points stay nil: rows holds each grid
-// point's bounds, which whatifRoute's reply encodes in their place
-// (encode.go).
-func (s *Server) executeWhatif(ctx context.Context, spec core.Spec, key string, rreq RunRequest, req WhatifRequest, grid []float64) (*WhatifResponse, [][]prob.TargetBound, cacheOutcome, error) {
-	art, cache, err := s.artifactFor(ctx, spec, key)
+// and replays the grid — and, for influence, the swept variable's extremes
+// — in one pass into sw's lane matrices. The response's Points stay nil:
+// whatifRoute's reply encodes them from sw in their place (encode.go). The
+// returned names are the circuit's targets.
+func (s *Server) executeWhatif(ctx context.Context, sw *sweepBuf, plan specPlan, req WhatifRequest, grid []float64) (*WhatifResponse, []string, cacheOutcome, error) {
+	art, cache, err := s.artifactFor(ctx, plan)
 	if err != nil {
 		return nil, nil, cache, err
 	}
-	heuristic, _ := parseOrder(rreq.Order) // validated by BuildSpec
+	heuristic, _ := parseOrder(plan.req.Order) // validated by planSpec
 
 	tTrace := time.Now()
 	c, _, circuitCached, err := s.circuitFor(ctx, art, prob.Options{Heuristic: heuristic})
@@ -204,10 +208,9 @@ func (s *Server) executeWhatif(ctx context.Context, spec core.Spec, key string, 
 	}
 
 	probs := prob.SpaceProbs(sp)
-	base := probs[xv]
 	resp := &WhatifResponse{
 		Var:      sp.Name(xv),
-		BaseProb: base,
+		BaseProb: probs[xv],
 		Cache:    cache.String(),
 		Circuit: CircuitInfo{
 			Nodes:    c.Nodes(),
@@ -216,46 +219,42 @@ func (s *Server) executeWhatif(ctx context.Context, spec core.Spec, key string, 
 			Complete: c.Complete(),
 		},
 	}
-	rows := make([][]prob.TargetBound, 0, len(grid))
 	if !circuitCached {
 		resp.Circuit.TraceMs = ms(traceDur)
 	}
 
-	evalAt := func(p float64) (*prob.Result, error) {
-		probs[xv] = p
-		tEval := time.Now()
-		res, err := prob.EvalCircuit(c, probs)
-		d := ms(time.Since(tEval))
-		s.hCircuitEval.Observe(d)
-		resp.Circuit.EvalMs += d
-		return res, err
-	}
-	for _, p := range grid {
-		res, err := evalAt(p)
-		if err != nil {
-			return nil, nil, cache, err
-		}
-		rows = append(rows, res.Targets)
-	}
+	sw.lanes = append(sw.lanes[:0], grid...)
 	if req.Influence {
-		condTrue, err := evalAt(1)
-		if err != nil {
-			return nil, nil, cache, err
-		}
-		condFalse, err := evalAt(0)
-		if err != nil {
-			return nil, nil, cache, err
-		}
-		for i, tt := range condTrue.Targets {
-			tf := condFalse.Targets[i]
+		sw.lanes = append(sw.lanes, 1, 0) // the conditionals on the swept variable
+	}
+	lanes, names := len(sw.lanes), c.Targets()
+	sw.lo = growFloats(sw.lo, len(names)*lanes)
+	sw.hi = growFloats(sw.hi, len(names)*lanes)
+	sw.scratch = growFloats(sw.scratch, c.SweepScratch(lanes))
+	tEval := time.Now()
+	err = prob.EvalSweep(c, probs, xv, sw.lanes, sw.lo, sw.hi, sw.scratch)
+	d := ms(time.Since(tEval))
+	if err != nil {
+		return nil, nil, cache, err
+	}
+	// circuit.eval_ms is per grid point: the sweep's time, spread evenly.
+	for range lanes {
+		s.hCircuitEval.Observe(d / float64(lanes))
+	}
+	resp.Circuit.EvalMs = d
+	if req.Influence {
+		for t, name := range names {
+			estimate := func(j int) float64 {
+				return prob.TargetBound{Lower: sw.lo[t*lanes+j], Upper: sw.hi[t*lanes+j]}.Estimate()
+			}
+			condTrue, condFalse := estimate(lanes-2), estimate(lanes-1)
 			resp.Influence = append(resp.Influence, TargetInfluence{
-				Target:     tt.Name,
-				CondTrue:   tt.Estimate(),
-				CondFalse:  tf.Estimate(),
-				Derivative: tt.Estimate() - tf.Estimate(),
+				Target:     name,
+				CondTrue:   condTrue,
+				CondFalse:  condFalse,
+				Derivative: condTrue - condFalse,
 			})
 		}
 	}
-	probs[xv] = base
-	return resp, rows, cache, nil
+	return resp, names, cache, nil
 }

@@ -2,10 +2,15 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
 	"testing"
+
+	"enframe/internal/core"
+	"enframe/internal/event"
+	"enframe/internal/prob"
 )
 
 // postWhatif POSTs a what-if request and decodes the response.
@@ -221,5 +226,134 @@ func TestWhatifValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestWhatifReplyMatchesPointwiseReplay holds the one-pass sweep reply to
+// what a point-by-point replay encodes: for uniform and explicit grids
+// (repeats, the extremes, one point), with and without influence, and for
+// every variable of a benchmark-shaped artifact, the reply's "points"
+// member is byte for byte encoding/json's rendering of prob.EvalCircuit at
+// each grid point, and the influence block carries the same bits as
+// replays at 1 and 0.
+func TestWhatifReplyMatchesPointwiseReplay(t *testing.T) {
+	s := New(Config{})
+	base := WhatifRequest{
+		Program: "kmedoids",
+		Data:    DataSpec{N: 24, Vars: 10, Seed: 3},
+		Params:  ParamSpec{K: 2, Iter: 3},
+	}
+	spec, _, err := BuildSpec(base.RunRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := core.PrepareContext(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _, _, err := art.Circuit(context.Background(), prob.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	estimates := func(probs []float64) []float64 {
+		res, err := prob.EvalCircuit(c, probs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]float64, len(res.Targets))
+		for i, tb := range res.Targets {
+			out[i] = tb.Estimate()
+		}
+		return out
+	}
+	for _, shape := range []struct {
+		steps     int
+		grid      []float64
+		influence bool
+	}{
+		{steps: 32}, {steps: 2, influence: true}, {steps: 256},
+		{grid: []float64{0.3, 0.3, 0, 1, 0.3, 1, 0}, influence: true}, {grid: []float64{1}},
+	} {
+		for v := 0; v < spec.Space.Len(); v++ {
+			req := base
+			req.Var, req.Steps, req.Grid, req.Influence = spec.Space.Name(event.VarID(v)), shape.steps, shape.grid, shape.influence
+			rec := serveReq(s, http.MethodPost, "/v1/whatif", mustJSON(req), "")
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%+v: status %d\n%s", shape, rec.Code, rec.Body)
+			}
+			grid, err := req.grid()
+			if err != nil {
+				t.Fatal(err)
+			}
+			probs := prob.SpaceProbs(spec.Space)
+			var points []WhatifPoint
+			for _, p := range grid {
+				probs[v] = p
+				res, err := prob.EvalCircuit(c, probs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pt := WhatifPoint{P: p}
+				for _, tb := range res.Targets {
+					pt.Targets = append(pt.Targets, RunTarget{Name: tb.Name, Lower: tb.Lower, Upper: tb.Upper, Estimate: tb.Estimate()})
+				}
+				points = append(points, pt)
+			}
+			var got struct {
+				Points    json.RawMessage   `json:"points"`
+				Influence []TargetInfluence `json:"influence"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+				t.Fatal(err)
+			}
+			if want := mustJSON(points); !bytes.Equal(got.Points, want) {
+				t.Fatalf("var %d, %+v: points differ from the pointwise replay:\n got %s\nwant %s", v, shape, got.Points, want)
+			}
+			if !shape.influence {
+				if got.Influence != nil {
+					t.Fatalf("influence reported unasked")
+				}
+				continue
+			}
+			probs[v] = 1
+			condTrue := estimates(probs)
+			probs[v] = 0
+			condFalse := estimates(probs)
+			for i, inf := range got.Influence {
+				if math.Float64bits(inf.CondTrue) != math.Float64bits(condTrue[i]) ||
+					math.Float64bits(inf.CondFalse) != math.Float64bits(condFalse[i]) ||
+					math.Float64bits(inf.Derivative) != math.Float64bits(condTrue[i]-condFalse[i]) {
+					t.Fatalf("var %d, %s: influence %+v, pointwise %v / %v", v, inf.Target, inf, condTrue[i], condFalse[i])
+				}
+			}
+		}
+	}
+}
+
+// TestDataErrorAnswers400AndIsNotCached: the served routes validate and key
+// a request before generating its data, so invalid generated data surfaces
+// only on the artifact cache's miss path. It must still answer 400, on every
+// route that prepares an artifact, and leave nothing in the cache.
+func TestDataErrorAnswers400AndIsNotCached(t *testing.T) {
+	s := New(Config{})
+	run := smallRequest(1, 6)
+	run.Data.Certain = 2 // lineage rejects a certain fraction outside [0, 1]
+	whatif := smallWhatif(1, 6)
+	whatif.Data.Certain = 2
+	for _, tc := range []struct {
+		path string
+		body []byte
+	}{
+		{"/v1/run", mustJSON(run)}, {"/v1/whatif", mustJSON(whatif)}, {"/v1/warm", mustJSON(run)}, {"/v1/run", mustJSON(run)},
+	} {
+		if rec := serveReq(s, http.MethodPost, tc.path, tc.body, ""); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400\n%s", tc.path, rec.Code, rec.Body)
+		}
+	}
+	if n := s.cache.len(); n != 0 {
+		t.Errorf("%d artifacts cached after data errors, want 0", n)
+	}
+	if misses := counterValue(s, "server.cache.misses"); misses != 4 {
+		t.Errorf("server.cache.misses = %d, want 4: every data error is a fresh miss", misses)
 	}
 }

@@ -48,7 +48,7 @@ type RouterConfig struct {
 }
 
 // Router fronts a fleet of enframe serve shards: it computes each request's
-// artifact content hash (the shard cache key) with the same BuildSpec the
+// artifact content hash (the shard cache key) with the same key step the
 // shards use, routes the request to the key's primary shard on a
 // consistent-hash ring — so all traffic for one artifact lands where it is
 // hot and concurrent requests batch into one compilation — fails over to
@@ -64,9 +64,9 @@ type Router struct {
 	ring     *Ring
 	inflight map[string]int // shard → forwarded requests in flight
 	total    int
-	// keys remembers every artifact routed so far: key → the
-	// artifact-identifying request JSON, replayed against /v1/warm when the
-	// ring reassigns the key.
+	// keys remembers every artifact a shard has answered 200 for: key →
+	// the artifact-identifying request JSON, replayed against /v1/warm when
+	// the ring reassigns the key.
 	keys map[string][]byte
 	// hot tracks which shards actually hold each key warm (answered a
 	// routed request or a warm for it). Ownership alone doesn't imply
@@ -173,8 +173,10 @@ func writeRouteError(w http.ResponseWriter, status int, format string, args ...a
 }
 
 // routeKey derives the artifact content hash for a request body, per route.
-// The router runs the same BuildSpec as the shards, so key computation — and
-// request validation — cannot drift between the two layers.
+// The router runs the same validation and key step as the shards
+// (server.ArtifactKey, BuildSpec's first half), so neither can drift between
+// the two layers; it generates no data, so a request whose generated data
+// is invalid is refused by the shard.
 func routeKey(path string, body []byte) (key string, artJSON []byte, err error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
@@ -190,7 +192,7 @@ func routeKey(path string, body []byte) (key string, artJSON []byte, err error) 
 			return "", nil, err
 		}
 	}
-	_, key, err = server.BuildSpec(rreq)
+	key, err = server.ArtifactKey(rreq)
 	if err != nil {
 		return "", nil, err
 	}
@@ -270,13 +272,6 @@ func (rt *Router) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	rt.mu.Lock()
-	if _, ok := rt.keys[key]; !ok {
-		rt.keys[key] = artJSON
-		rt.gKeys.Set(float64(len(rt.keys)))
-	}
-	rt.mu.Unlock()
-
 	addr, owners, spilled, release := rt.pick(key)
 	if addr == "" {
 		rt.mNoShard.Inc()
@@ -300,6 +295,7 @@ func (rt *Router) handleRoute(w http.ResponseWriter, r *http.Request) {
 		}
 		rt.mForwards.Inc()
 		if resp.StatusCode == http.StatusOK {
+			rt.track(key, artJSON)
 			rt.markHot(key, candidate)
 		}
 		release()
@@ -518,6 +514,19 @@ func (rt *Router) Leave(addr string) (moved, warmed int, err error) {
 		return 0, 0, fmt.Errorf("cannot remove the last shard")
 	}
 	return rt.rebuild(next)
+}
+
+// track records a key a shard answered 200 for, with its artifact request,
+// for warming on membership change. Keys whose requests failed are not
+// tracked: a request with invalid data passes the router's key step but
+// would fail every warm.
+func (rt *Router) track(key string, artJSON []byte) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if _, ok := rt.keys[key]; !ok {
+		rt.keys[key] = artJSON
+		rt.gKeys.Set(float64(len(rt.keys)))
+	}
 }
 
 // markHot records that a shard holds key warm (it answered a routed request

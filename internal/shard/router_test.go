@@ -201,8 +201,8 @@ func TestRouterFailover(t *testing.T) {
 	}
 }
 
-// TestRouterValidatesBeforeForwarding: a request the shards would 400 is
-// rejected at the router without consuming shard capacity.
+// TestRouterValidatesBeforeForwarding: a request the shards would 400 at
+// validation is rejected at the router without consuming shard capacity.
 func TestRouterValidatesBeforeForwarding(t *testing.T) {
 	s1 := startShard(t)
 	rt, router := startRouter(t, []string{s1.Addr()}, RouterConfig{})
@@ -220,6 +220,17 @@ func TestRouterValidatesBeforeForwarding(t *testing.T) {
 	}
 	if got := rt.Registry().Counter("shard.route.bad_request").Value(); got != 2 {
 		t.Errorf("bad_request counter = %d, want 2", got)
+	}
+
+	// The router keys a request without generating its data, so a request
+	// whose data is invalid reaches its shard, which answers 400; its key
+	// is not tracked for warming.
+	status, _, raw := post(t, router.URL+"/v1/run", []byte(`{"data":{"certain":2}}`))
+	if status != http.StatusBadRequest {
+		t.Fatalf("invalid data: status %d, want 400\n%s", status, raw)
+	}
+	if got := rt.Registry().Gauge("shard.keys.tracked").Value(); got != 0 {
+		t.Errorf("shard.keys.tracked = %g after a refused request, want 0", got)
 	}
 }
 
