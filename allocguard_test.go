@@ -2,12 +2,14 @@ package enframe
 
 import (
 	"context"
+	"math/rand"
 	"runtime"
 	"testing"
 
 	"enframe/internal/core"
 	"enframe/internal/prob"
 	"enframe/internal/server"
+	"enframe/internal/stream"
 )
 
 // frontEndAllocBudget is the ceiling on allocations per obs-disabled fused
@@ -225,5 +227,91 @@ func TestWhatifSweepAllocGuard(t *testing.T) {
 	if allocs > whatifSweepAllocBudget {
 		t.Errorf("a warm what-if sweep allocates %.0f/op, over the %d budget — its bounds, scratch or data are allocated per request again",
 			allocs, whatifSweepAllocBudget)
+	}
+}
+
+// streamSessionRetainedBudget is the ceiling on the growth of the heap a
+// live stream session retains between its 1,000th and 5,000th
+// probability-only push. A session holds its live segments and a sequence
+// number, nothing per push; while it kept every pushed delta in a log it
+// grew by ≈ 486 B a push, ≈ 1.9 MB over this span.
+const streamSessionRetainedBudget = 64 << 10
+
+// TestStreamSessionRetainedHeapAllocGuard holds a stream session's memory
+// to its live windows: pushes that change only probabilities must not make
+// it grow. Run as part of `make ci` (via `make alloc-guard`).
+func TestStreamSessionRetainedHeapAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc guard is a perf gate, skipped in -short")
+	}
+	ctx := context.Background()
+	sess, err := stream.NewSession(ctx, streamBenchConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wins := sess.Windows()
+	vars := make([][]string, len(wins))
+	for i, w := range wins {
+		if vars[i], err = sess.VarNames(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	push := func(n int) {
+		for ; n > 0; n-- {
+			deltas := make([]stream.Delta, 4)
+			for k := range deltas {
+				i := rng.Intn(len(wins))
+				deltas[k] = probDelta(wins[i], vars[i][rng.Intn(len(vars[i]))], 0.05+0.9*rng.Float64())
+			}
+			if _, err := sess.Apply(ctx, sess.Seq(), deltas); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	heap := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second cycle also empties the pools' victim caches
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	push(1000)
+	before := heap()
+	push(4000)
+	grown := heap() - before
+	runtime.KeepAlive(sess)
+	t.Logf("stream session: retained heap grew %d B over 4,000 pushes (budget %d)", grown, streamSessionRetainedBudget)
+	if grown > streamSessionRetainedBudget {
+		t.Errorf("a stream session's retained heap grew %d B over 4,000 probability pushes, over the %d budget — the session keeps something per push",
+			grown, streamSessionRetainedBudget)
+	}
+}
+
+// streamPushAllocBudget is the ceiling on allocations per warm
+// probability-only /v1/stream push through the server's handler
+// (BenchmarkStreamProbPush's session and batches). Measured 92 allocs/op —
+// request decoding, the recorder, each replayed segment's probability
+// vector and bounds, and the update — with the reply append-encoded into a
+// pooled buffer; 124 while the reply was reflect-encoded and every batch
+// copied its windows' tuple ids and variable names into validation maps.
+// The budget is 1.5× the measured count.
+const streamPushAllocBudget = 138
+
+// TestStreamPushAllocGuard holds a warm probability push to its allocation
+// profile. Run as part of `make ci` (via `make alloc-guard`).
+func TestStreamPushAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc guard is a perf gate, skipped in -short")
+	}
+	if raceEnabled {
+		t.Skip("not enforced under -race: the race detector's sync.Pool drops pooled reply buffers at random; make alloc-guard enforces it")
+	}
+	p := newStreamPusher(t)
+	allocs := testing.AllocsPerRun(50, func() { p.push(t) })
+	t.Logf("warm stream probability push: %.0f allocs/op (budget %d)", allocs, streamPushAllocBudget)
+	if allocs > streamPushAllocBudget {
+		t.Errorf("a warm stream probability push allocates %.0f/op, over the %d budget — its validation, replay or reply allocates per delta or per marginal again",
+			allocs, streamPushAllocBudget)
 	}
 }

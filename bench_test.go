@@ -13,8 +13,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -27,6 +29,7 @@ import (
 	"enframe/internal/obs"
 	"enframe/internal/prob"
 	"enframe/internal/server"
+	"enframe/internal/stream"
 	"enframe/internal/translate"
 	"enframe/internal/vec"
 )
@@ -404,5 +407,93 @@ func BenchmarkWhatifSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serveWhatif(b, h, bodies[i%len(bodies)])
+	}
+}
+
+// streamPusher drives one stream-push-mixed-shaped session (8 segments of 12
+// tuples, lineage groups of 2) through the server's handler with
+// probability-only pushes: four prob deltas each, at random windows and
+// variables, the batches pre-encoded so the request body costs no
+// allocation.
+type streamPusher struct {
+	h       http.Handler
+	seq     uint64
+	batches [][]byte
+	i       int
+	body    []byte
+}
+
+// newStreamPusher starts an in-process server, creates the session and
+// takes one push, so the pooled reply storage is warm.
+func newStreamPusher(tb testing.TB) *streamPusher {
+	tb.Helper()
+	p := &streamPusher{h: server.New(server.Config{}).Handler()}
+	cfg := streamBenchConfig()
+	body, err := json.Marshal(server.StreamRequest{Op: "create", SessionID: "bench", Config: &cfg})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	p.h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/stream", bytes.NewReader(body)))
+	var created server.StreamResponse
+	if rec.Code != http.StatusOK {
+		tb.Fatalf("/v1/stream create: status %d: %s", rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &created); err != nil {
+		tb.Fatal(err)
+	}
+	p.seq = created.Seq
+	rng := rand.New(rand.NewSource(1))
+	for j := 0; j < 64; j++ {
+		var ds []stream.Delta
+		for k := 0; k < 4; k++ {
+			w := created.Windows[rng.Intn(len(created.Windows))]
+			ds = append(ds, probDelta(w.Window, w.Vars[rng.Intn(len(w.Vars))], 0.05+0.9*rng.Float64()))
+		}
+		b, err := json.Marshal(ds)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		p.batches = append(p.batches, b)
+	}
+	p.push(tb)
+	return p
+}
+
+// streamBenchConfig is the session shape of stream-push-mixed.
+func streamBenchConfig() stream.Config {
+	return stream.Config{Program: "kmedoids", K: 2, Iter: 2, Segments: 8, SegmentN: 12, Group: 2, Seed: 1}
+}
+
+func probDelta(w int64, name string, p float64) stream.Delta {
+	return stream.Delta{Op: stream.OpProb, Window: &w, Var: name, P: &p}
+}
+
+// push sends the next batch and fails on a non-200.
+func (p *streamPusher) push(tb testing.TB) {
+	batch := p.batches[p.i%len(p.batches)]
+	p.body = append(p.body[:0], `{"op":"push","session_id":"bench","base_seq":`...)
+	p.body = strconv.AppendUint(p.body, p.seq, 10)
+	p.body = append(p.body, `,"deltas":`...)
+	p.body = append(p.body, batch...)
+	p.body = append(p.body, '}')
+	rec := httptest.NewRecorder()
+	p.h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/stream", bytes.NewReader(p.body)))
+	if rec.Code != http.StatusOK {
+		tb.Fatalf("/v1/stream push: status %d: %s", rec.Code, rec.Body)
+	}
+	p.seq += 4
+	p.i++
+}
+
+// BenchmarkStreamProbPush is one warm probability-only /v1/stream push
+// through the server's handler: decode, batch validation, the replay of
+// every touched segment's circuit and the reply's encoding.
+func BenchmarkStreamProbPush(b *testing.B) {
+	p := newStreamPusher(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.push(b)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"enframe/internal/prob"
+	"enframe/internal/stream"
 )
 
 // The hot replies are dominated by one member — /v1/run's "targets", and
@@ -16,9 +17,10 @@ import (
 // encoding/json spends most of the handler on. These replies are therefore
 // encoded in two parts: the envelope by encoding/json with that member left
 // nil, and the member by the append encoder below, spliced in where the
-// envelope says null. The bytes are those encoding/json would have produced
-// (encode_test.go holds the encoder to that), so clients and the benchmark's
-// byte-for-byte checks cannot tell the difference.
+// envelope says null. A /v1/stream reply is small besides its marginals, so
+// the append encoder writes all of it. The bytes are those encoding/json
+// would have produced (encode_test.go holds the encoder to that), so clients
+// and the benchmark's byte-for-byte checks cannot tell the difference.
 
 // appendFloat appends f the way encoding/json encodes a float64: shortest
 // round-trip digits, exponent form only below 1e-6 and from 1e21, and a
@@ -231,20 +233,156 @@ func getReplyBuf() *replyBuf { return replyBufs.Get().(*replyBuf) }
 // is not tagged omitempty, so the envelope says null — carries what fill
 // appends. The reply is assembled in rb, which returns to the pool.
 func writeSpliced(w http.ResponseWriter, rb *replyBuf, envelope any, member string, fill func([]byte) []byte) {
-	defer replyBufs.Put(rb)
 	env, err := json.Marshal(envelope)
 	null := []byte(`"` + member + `":null`)
 	at := bytes.Index(env, null)
 	if err != nil || at < 0 {
+		replyBufs.Put(rb)
 		writeError(w, http.StatusInternalServerError, "encode response: %v", err)
 		return
 	}
 	b := append(rb.b[:0], env[:at+len(null)-len("null")]...)
 	b = fill(b)
 	b = append(b, env[at+len(null):]...)
+	writeReply(w, rb, b)
+}
+
+// writeStream answers 200 with r as writeJSON would encode it, assembled by
+// the append encoder in a pooled buffer.
+func writeStream(w http.ResponseWriter, r *StreamResponse) {
+	rb := getReplyBuf()
+	writeReply(w, rb, appendStreamResponse(rb.b[:0], r))
+}
+
+// writeReply answers 200 with the JSON value b, which was assembled in rb's
+// bytes, followed by the newline writeJSON ends with; rb returns to the
+// pool.
+func writeReply(w http.ResponseWriter, rb *replyBuf, b []byte) {
+	defer replyBufs.Put(rb)
 	b = append(b, '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b) // a failed write is the client's disconnect
 	rb.b = b
+}
+
+// appendStreamResponse appends r as encoding/json encodes it, members in
+// StreamResponse's field order, empty ones omitted as its tags say.
+func appendStreamResponse(b []byte, r *StreamResponse) []byte {
+	b = append(b, `{"session_id":`...)
+	b = appendString(b, r.SessionID)
+	b = append(b, `,"seq":`...)
+	b = strconv.AppendUint(b, r.Seq, 10)
+	if len(r.Marginals) > 0 {
+		b = append(b, `,"marginals":`...)
+		b = appendMarginals(b, r.Marginals)
+	}
+	if r.Stats != nil {
+		b = append(b, `,"stats":`...)
+		b = appendStreamStats(b, r.Stats)
+	}
+	if len(r.Windows) > 0 {
+		b = append(b, `,"windows":[`...)
+		for i, w := range r.Windows {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"window":`...)
+			b = strconv.AppendInt(b, w.Window, 10)
+			b = append(b, `,"vars":`...)
+			b = appendStrings(b, w.Vars)
+			b = append(b, `,"tuples":`...)
+			b = appendInts(b, w.Tuples)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	if r.Closed {
+		b = append(b, `,"closed":true`...)
+	}
+	return append(b, '}')
+}
+
+// appendMarginals appends ms as the array encoding/json produces for them.
+// A point interval formats its float once and copies it.
+func appendMarginals(b []byte, ms []stream.Marginal) []byte {
+	b = append(b, '[')
+	for i, m := range ms {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"window":`...)
+		b = strconv.AppendInt(b, m.Window, 10)
+		b = append(b, `,"name":`...)
+		b = appendString(b, m.Name)
+		b = append(b, `,"lower":`...)
+		from := len(b)
+		b = appendFloat(b, m.Lower)
+		to := len(b)
+		b = append(b, `,"upper":`...)
+		if math.Float64bits(m.Lower) == math.Float64bits(m.Upper) {
+			b = append(b, b[from:to]...)
+		} else {
+			b = appendFloat(b, m.Upper)
+		}
+		b = append(b, '}')
+	}
+	return append(b, ']')
+}
+
+// appendStreamStats appends st as encoding/json encodes a stream.Stats.
+func appendStreamStats(b []byte, st *stream.Stats) []byte {
+	b = append(b, `{"applied":`...)
+	b = strconv.AppendInt(b, int64(st.Applied), 10)
+	b = append(b, `,"replayed":`...)
+	b = strconv.AppendInt(b, int64(st.Replayed), 10)
+	b = append(b, `,"reground":`...)
+	b = strconv.AppendInt(b, int64(st.Reground), 10)
+	b = append(b, `,"retraced":`...)
+	b = strconv.AppendInt(b, int64(st.Retraced), 10)
+	b = append(b, `,"reused_circuits":`...)
+	b = strconv.AppendInt(b, int64(st.ReusedCircuits), 10)
+	b = append(b, `,"full":`...)
+	b = strconv.AppendBool(b, st.Full)
+	b = append(b, `,"dirty_fraction":`...)
+	b = appendFloat(b, st.DirtyFraction)
+	b = append(b, `,"ground_ms":`...)
+	b = appendFloat(b, st.GroundMs)
+	b = append(b, `,"trace_ms":`...)
+	b = appendFloat(b, st.TraceMs)
+	b = append(b, `,"replay_ms":`...)
+	b = appendFloat(b, st.ReplayMs)
+	b = append(b, `,"apply_ms":`...)
+	b = appendFloat(b, st.ApplyMs)
+	return append(b, '}')
+}
+
+// appendStrings appends ss as a JSON array of strings; nil is null.
+func appendStrings(b []byte, ss []string) []byte {
+	if ss == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, s := range ss {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendString(b, s)
+	}
+	return append(b, ']')
+}
+
+// appendInts appends xs as a JSON array of numbers; nil is null.
+func appendInts(b []byte, xs []int) []byte {
+	if xs == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return append(b, ']')
 }

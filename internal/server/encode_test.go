@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"enframe/internal/prob"
+	"enframe/internal/stream"
 )
 
 // TestAppendEncoderMatchesEncodingJSON is the append encoder's contract: for
@@ -168,5 +169,58 @@ func TestWriteSplicedMatchesWriteJSON(t *testing.T) {
 	}
 	if ct := got.Header().Get("Content-Type"); ct != "application/json" {
 		t.Errorf("Content-Type = %q", ct)
+	}
+}
+
+// TestStreamReplyMatchesWriteJSON is the stream encoder's contract: every
+// /v1/stream reply shape — push, query and create with windows, close —
+// written by writeStream equals writeJSON's bytes, trailing newline
+// included. It covers intervals with lower ≠ upper, the exponent-rule
+// edges, exact 0 and 1, stats with fractional milliseconds, empty and nil
+// members, and client-chosen session ids that need encoding/json's
+// escaping.
+func TestStreamReplyMatchesWriteJSON(t *testing.T) {
+	edges := []float64{0, 1, 0.5, 1.0 / 3, 1e-7, 9.99e-7, 1e-6, 1e21, 9.999999999999999e20, 5e-324, 0.1 + 0.2}
+	var marg []stream.Marginal
+	for i, lo := range edges {
+		marg = append(marg,
+			stream.Marginal{Window: int64(i), Name: "Centre[0][1]", Lower: lo, Upper: lo},
+			stream.Marginal{Window: int64(i) + 40, Name: "Centre[1][0]", Lower: lo, Upper: edges[(i*3+1)%len(edges)]})
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 500; i++ {
+		lo := math.Ldexp(rng.Float64(), -rng.Intn(40))
+		hi := lo
+		if rng.Intn(2) == 0 {
+			hi = math.Min(1, lo+math.Ldexp(rng.Float64(), -rng.Intn(60)))
+		}
+		marg = append(marg, stream.Marginal{Window: int64(i % 9), Name: "Centre[1][2]", Lower: lo, Upper: hi})
+	}
+	stats := &stream.Stats{Applied: 4, Replayed: 3, Reground: 1, Retraced: 1, ReusedCircuits: 2, Full: true,
+		DirtyFraction: 0.125, GroundMs: 2.4871, TraceMs: 21.80034, ReplayMs: 0.0371, ApplyMs: 1e-7}
+	windows := []StreamWindow{
+		{Window: 0, Vars: []string{"x0", "x1", "+v12", `q"v`, "<&>"}, Tuples: []int{0, 1, 2, 12}},
+		{Window: 1, Vars: []string{}, Tuples: []int{}},
+		{Window: 2},
+	}
+	var replies []StreamResponse
+	for _, id := range []string{"5f3a0c2e9b7d41e6", "bench", "", "a<b", "x&y", `q"t`, "π≈3", "bad\xffutf8", "nl\n"} {
+		replies = append(replies,
+			StreamResponse{SessionID: id, Seq: 1 << 40, Marginals: marg, Stats: stats},                           // push
+			StreamResponse{SessionID: id, Seq: 7, Marginals: marg[:3], Stats: &stream.Stats{}, Windows: windows}, // query, create
+			StreamResponse{SessionID: id, Seq: 0, Marginals: []stream.Marginal{}, Windows: []StreamWindow{}},
+			StreamResponse{SessionID: id, Closed: true}, // close
+		)
+	}
+	for i := range replies {
+		got, want := httptest.NewRecorder(), httptest.NewRecorder()
+		writeStream(got, &replies[i])
+		writeJSON(want, 200, &replies[i])
+		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) || got.Code != want.Code {
+			t.Fatalf("reply %d differs (status %d):\n got %s\nwant %s", i, got.Code, got.Body, want.Body)
+		}
+		if ct := got.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("reply %d: Content-Type = %q", i, ct)
+		}
 	}
 }

@@ -171,7 +171,7 @@ func (s *Server) streamRoute(req StreamRequest) (*ticket, error) {
 			if err != nil {
 				return nil, err
 			}
-			return jsonReply(resp), nil
+			return func(w http.ResponseWriter) { writeStream(w, resp) }, nil
 		},
 	}, nil
 }

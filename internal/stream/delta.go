@@ -8,13 +8,17 @@ import (
 	"enframe/internal/vec"
 )
 
-// Delta is one entry of a session's append-only delta log. Ops:
+// Delta is one change a client pushes to a session, in a batch that Apply
+// validates and applies whole. The session does not keep it: the client's
+// log of the batches it pushed is the replay record. Ops:
 //
 //   - "prob":    set Pr[Var = true] = *P in segment Window. Never structural:
 //     the segment's consed circuit replays at the new probabilities.
 //   - "insert":  append a tuple at Pos to segment Window, backed by a fresh
 //     independent random variable with Pr = *P. Structural.
-//   - "delete":  remove tuple ID from segment Window. Structural.
+//   - "delete":  remove tuple ID from segment Window. Structural. The
+//     tuple's variable stays in the segment's space, addressable by prob
+//     deltas, until the window retires.
 //   - "advance": slide the window by N segments — retire the N oldest, admit
 //     N fresh segments from the deterministic feed. Structural for the
 //     admitted segments only.
@@ -86,26 +90,30 @@ func newSimSeg(seg *segment) *simSeg {
 }
 
 // validate simulates the batch against the current session state. It never
-// mutates the session. Deltas may not reference a window admitted by an
-// advance earlier in the same batch (its feed-generated variable names are
-// not materialised yet); push a second batch instead.
+// mutates the session. Only segments a structural delta touches are copied
+// into a simSeg; a prob delta on any other segment looks its variable up in
+// the segment itself, so a probability-only batch copies nothing. Deltas may
+// not reference a window admitted by an advance earlier in the same batch
+// (its feed-generated variable names are not materialised yet); push a
+// second batch instead.
 func (s *Session) validate(deltas []Delta) error {
 	if len(deltas) == 0 {
 		return fmt.Errorf("stream: empty delta batch")
 	}
 	wins := make([]int64, len(s.segs))
-	segByWin := make(map[int64]*segment, len(s.segs))
 	for i, seg := range s.segs {
 		wins[i] = seg.window
-		segByWin[seg.window] = seg
 	}
-	sims := map[int64]*simSeg{}
-	simFor := func(w int64) *simSeg {
-		if ss, ok := sims[w]; ok {
+	var sims map[int64]*simSeg
+	simFor := func(seg *segment) *simSeg {
+		if ss, ok := sims[seg.window]; ok {
 			return ss
 		}
-		ss := newSimSeg(segByWin[w])
-		sims[w] = ss
+		if sims == nil {
+			sims = map[int64]*simSeg{}
+		}
+		ss := newSimSeg(seg)
+		sims[seg.window] = ss
 		return ss
 	}
 	isLive := func(w int64) bool {
@@ -118,26 +126,24 @@ func (s *Session) validate(deltas []Delta) error {
 	}
 	advanced := 0
 	for i, d := range deltas {
-		resolveWin := func() (int64, error) {
-			if d.Window == nil {
-				w := wins[len(wins)-1]
-				if _, pending := segByWin[w]; !pending {
-					return 0, fmt.Errorf("stream: delta %d: cannot target window %d admitted earlier in this batch; push it in a following batch", i, w)
+		// resolveSeg returns the live, materialised segment d addresses.
+		resolveSeg := func() (*segment, error) {
+			w := wins[len(wins)-1]
+			if d.Window != nil {
+				w = *d.Window
+				if !isLive(w) {
+					return nil, fmt.Errorf("stream: delta %d: window %d is not live (live: %v)", i, w, wins)
 				}
-				return w, nil
 			}
-			w := *d.Window
-			if !isLive(w) {
-				return 0, fmt.Errorf("stream: delta %d: window %d is not live (live: %v)", i, w, wins)
+			seg := s.liveSeg(w)
+			if seg == nil {
+				return nil, fmt.Errorf("stream: delta %d: cannot target window %d admitted earlier in this batch; push it in a following batch", i, w)
 			}
-			if _, materialised := segByWin[w]; !materialised {
-				return 0, fmt.Errorf("stream: delta %d: cannot target window %d admitted earlier in this batch; push it in a following batch", i, w)
-			}
-			return w, nil
+			return seg, nil
 		}
 		switch d.Op {
 		case OpProb:
-			w, err := resolveWin()
+			seg, err := resolveSeg()
 			if err != nil {
 				return err
 			}
@@ -147,11 +153,15 @@ func (s *Session) validate(deltas []Delta) error {
 			if d.P == nil || *d.P < 0 || *d.P > 1 {
 				return fmt.Errorf("stream: delta %d: prob needs p in [0, 1]", i)
 			}
-			if !simFor(w).vars[d.Var] {
-				return fmt.Errorf("stream: delta %d: window %d has no variable %q", i, w, d.Var)
+			_, has := seg.varIdx[d.Var]
+			if ss := sims[seg.window]; ss != nil {
+				has = ss.vars[d.Var]
+			}
+			if !has {
+				return fmt.Errorf("stream: delta %d: window %d has no variable %q", i, seg.window, d.Var)
 			}
 		case OpInsert:
-			w, err := resolveWin()
+			seg, err := resolveSeg()
 			if err != nil {
 				return err
 			}
@@ -161,24 +171,24 @@ func (s *Session) validate(deltas []Delta) error {
 			if d.P == nil || *d.P < 0 || *d.P > 1 {
 				return fmt.Errorf("stream: delta %d: insert needs p in [0, 1]", i)
 			}
-			ss := simFor(w)
+			ss := simFor(seg)
 			if len(ss.live) >= s.cfg.MaxSegmentTuples {
-				return fmt.Errorf("stream: delta %d: window %d is full (%d tuples)", i, w, len(ss.live))
+				return fmt.Errorf("stream: delta %d: window %d is full (%d tuples)", i, seg.window, len(ss.live))
 			}
 			ss.live[ss.nextID] = true
 			ss.vars[insertVarName(ss.nextID)] = true
 			ss.nextID++
 		case OpDelete:
-			w, err := resolveWin()
+			seg, err := resolveSeg()
 			if err != nil {
 				return err
 			}
-			ss := simFor(w)
+			ss := simFor(seg)
 			if !ss.live[d.ID] {
-				return fmt.Errorf("stream: delta %d: window %d has no tuple %d", i, w, d.ID)
+				return fmt.Errorf("stream: delta %d: window %d has no tuple %d", i, seg.window, d.ID)
 			}
 			if len(ss.live)-1 < s.cfg.K {
-				return fmt.Errorf("stream: delta %d: window %d cannot drop below k=%d tuples", i, w, s.cfg.K)
+				return fmt.Errorf("stream: delta %d: window %d cannot drop below k=%d tuples", i, seg.window, s.cfg.K)
 			}
 			delete(ss.live, d.ID)
 		case OpAdvance:
@@ -257,10 +267,8 @@ func (s *Session) segFor(w *int64) *segment {
 	if w == nil {
 		return s.segs[len(s.segs)-1]
 	}
-	for _, seg := range s.segs {
-		if seg.window == *w {
-			return seg
-		}
+	if seg := s.liveSeg(*w); seg != nil {
+		return seg
 	}
 	panic(fmt.Sprintf("stream: window %d vanished after validation", *w))
 }

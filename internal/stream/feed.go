@@ -14,8 +14,8 @@ const feedDim = 2
 // segment is a pure function of (Config, window): positions come from
 // data.Points and lineage from lineage.Attach, both seeded by a mix of the
 // session seed and the window. This is what makes replay deterministic —
-// any replica that applies the same delta-log prefix regenerates bit-equal
-// windows.
+// any replica that applies the same prefix of the client's pushed batches
+// regenerates bit-equal windows, though no session keeps those batches.
 func (s *Session) newSegment(w int64) (*segment, error) {
 	seed := s.cfg.Seed + w*1000003 // decorrelate windows, keep determinism
 	pts := data.Points(s.cfg.SegmentN, seed)

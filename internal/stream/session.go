@@ -1,22 +1,22 @@
 // Package stream is the incremental data plane: long-lived sessions that
-// hold a compiled artifact per window segment plus an append-only,
-// monotonically sequenced delta log. Probability-only deltas replay each
-// affected segment's memoized decision circuit at the new marginals with
-// zero recompilation — byte-identical to compiling from scratch, because
-// the exact compiler's tree shape is probability-independent for complete
-// circuits and replay skips zero-mass subtrees exactly like a fresh trace
-// does. Structural deltas (tuple insert/delete, window advance) re-ground
-// only the dirty segments through the fused emitter, and an exact
-// structural comparison of the re-grounded network with the previous one
-// decides whether the old circuit is still valid or a re-trace is due. When
-// the dirty fraction crosses a threshold the session falls back to
-// rebuilding every live segment.
+// hold a compiled artifact per live window segment and a monotonic sequence
+// number. A session keeps nothing per push: its memory is its live segments,
+// and the client's own log of the batches it pushed is the replay record.
+// Probability-only deltas replay each affected segment's memoized decision
+// circuit at the new marginals with zero recompilation — byte-identical to
+// compiling from scratch, because the exact compiler's tree shape is
+// probability-independent for complete circuits and replay skips zero-mass
+// subtrees exactly like a fresh trace does. Structural deltas (tuple
+// insert/delete, window advance) re-ground only the dirty segments through
+// the fused emitter, and an exact structural comparison of the re-grounded
+// network with the previous one decides whether the old circuit is still
+// valid or a re-trace is due. When the dirty fraction crosses a threshold
+// the session falls back to rebuilding every live segment.
 package stream
 
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"enframe/internal/core"
@@ -176,9 +176,8 @@ type Session struct {
 	mu         chan struct{} // capacity-1 semaphore: ctx-aware mutex
 	segs       []*segment    // oldest → newest
 	nextWindow int64
-	seq        uint64
-	log        []Delta
-	broken     error // sticky compile failure; nil while healthy
+	seq        uint64 // deltas applied so far; a push must name it as its base
+	broken     error  // sticky compile failure; nil while healthy
 }
 
 // Marginal is one reported target bound, namespaced by window.
@@ -295,15 +294,6 @@ func (s *Session) Seq() uint64 {
 	return s.seq
 }
 
-// Log returns a copy of the delta log.
-func (s *Session) Log() []Delta {
-	s.mu <- struct{}{}
-	defer s.unlock()
-	out := make([]Delta, len(s.log))
-	copy(out, s.log)
-	return out
-}
-
 // Windows returns the live window indices, oldest first.
 func (s *Session) Windows() []int64 {
 	s.mu <- struct{}{}
@@ -315,11 +305,13 @@ func (s *Session) Windows() []int64 {
 	return out
 }
 
-// Apply validates a delta batch against the session sequence, appends it to
-// the log, mutates segment state, and brings every dirty segment back to a
-// compiled, evaluated state. Same (config, delta-log prefix) always yields
-// byte-identical marginals: the feed is deterministic, grounding is
-// deterministic, and circuit replay is byte-identical to a fresh trace.
+// Apply validates a delta batch against the session sequence, mutates
+// segment state, advances the sequence by the batch's length, and brings
+// every dirty segment back to a compiled, evaluated state. The session keeps
+// no record of the batch. Same config and same prefix of pushed batches —
+// the client's log — always yield byte-identical marginals: the feed is
+// deterministic, grounding is deterministic, and circuit replay is
+// byte-identical to a fresh trace.
 func (s *Session) Apply(ctx context.Context, baseSeq uint64, deltas []Delta) (*Update, error) {
 	if err := s.lock(ctx); err != nil {
 		return nil, err
@@ -336,7 +328,6 @@ func (s *Session) Apply(ctx context.Context, baseSeq uint64, deltas []Delta) (*U
 	}
 	start := time.Now()
 	s.apply(deltas)
-	s.log = append(s.log, deltas...)
 	s.seq += uint64(len(deltas))
 	st := Stats{Applied: len(deltas)}
 	if err := s.recompute(ctx, &st); err != nil {
@@ -373,8 +364,14 @@ func (s *Session) Query(ctx context.Context) (*Update, error) {
 	return &Update{Seq: s.seq, Marginals: s.marginals(), Stats: st}, nil
 }
 
+// marginals copies every live target's bounds into a fresh slice, so the
+// caller may read it after the session moves on.
 func (s *Session) marginals() []Marginal {
-	var out []Marginal
+	n := 0
+	for _, seg := range s.segs {
+		n += len(seg.marg)
+	}
+	out := make([]Marginal, 0, n)
 	for _, seg := range s.segs {
 		for _, t := range seg.marg {
 			out = append(out, Marginal{Window: seg.window, Name: t.Name, Lower: t.Lower, Upper: t.Upper})
@@ -408,16 +405,13 @@ func (s *Session) specFor(seg *segment) core.Spec {
 func (s *Session) SegmentSpec(w int64) (core.Spec, error) {
 	s.mu <- struct{}{}
 	defer s.unlock()
-	for _, seg := range s.segs {
-		if seg.window == w {
-			spec := s.specFor(seg)
-			objs := make([]lineage.Object, len(seg.objs))
-			copy(objs, seg.objs)
-			spec.Objects = objs
-			return spec, nil
-		}
+	seg := s.liveSeg(w)
+	if seg == nil {
+		return core.Spec{}, fmt.Errorf("stream: window %d is not live", w)
 	}
-	return core.Spec{}, fmt.Errorf("stream: window %d is not live", w)
+	spec := s.specFor(seg)
+	spec.Objects = append([]lineage.Object(nil), seg.objs...)
+	return spec, nil
 }
 
 // Heuristic returns the session's variable-order heuristic (for oracle
@@ -531,41 +525,38 @@ func (s *Session) replay(ctx context.Context, seg *segment, st *Stats) error {
 func (s *Session) VarNames(w int64) ([]string, error) {
 	s.mu <- struct{}{}
 	defer s.unlock()
-	for _, seg := range s.segs {
-		if seg.window == w {
-			out := make([]string, seg.space.Len())
-			for i := range out {
-				out[i] = seg.space.Name(event.VarID(i))
-			}
-			return out, nil
-		}
+	seg := s.liveSeg(w)
+	if seg == nil {
+		return nil, fmt.Errorf("stream: window %d is not live", w)
 	}
-	return nil, fmt.Errorf("stream: window %d is not live", w)
+	out := make([]string, seg.space.Len())
+	for i := range out {
+		out[i] = seg.space.Name(event.VarID(i))
+	}
+	return out, nil
 }
 
 // TupleIDs returns the live tuple ids of a window.
 func (s *Session) TupleIDs(w int64) ([]int, error) {
 	s.mu <- struct{}{}
 	defer s.unlock()
-	for _, seg := range s.segs {
-		if seg.window == w {
-			out := make([]int, len(seg.objs))
-			for i, o := range seg.objs {
-				out[i] = o.ID
-			}
-			return out, nil
-		}
+	seg := s.liveSeg(w)
+	if seg == nil {
+		return nil, fmt.Errorf("stream: window %d is not live", w)
 	}
-	return nil, fmt.Errorf("stream: window %d is not live", w)
+	out := make([]int, len(seg.objs))
+	for i, o := range seg.objs {
+		out[i] = o.ID
+	}
+	return out, nil
 }
 
-// Describe summarises the session for status endpoints.
-func (s *Session) Describe() string {
-	s.mu <- struct{}{}
-	defer s.unlock()
-	wins := make([]string, len(s.segs))
-	for i, seg := range s.segs {
-		wins[i] = fmt.Sprintf("%d(%dt/%dv)", seg.window, len(seg.objs), seg.space.Len())
+// liveSeg returns the live segment of window w, or nil.
+func (s *Session) liveSeg(w int64) *segment {
+	for _, seg := range s.segs {
+		if seg.window == w {
+			return seg
+		}
 	}
-	return fmt.Sprintf("seq=%d windows=[%s]", s.seq, strings.Join(wins, " "))
+	return nil
 }

@@ -229,6 +229,75 @@ func TestBatchCannotTouchWindowAdmittedInSameBatch(t *testing.T) {
 	}
 }
 
+// TestBatchValidationVerdicts pins batch validation's verdict on the paths a
+// batch can take — probability-only, prob after an insert or a delete of the
+// same window, across an advance — and the exact error text of every
+// rejection, which clients see in the 400 body.
+func TestBatchValidationVerdicts(t *testing.T) {
+	s := mustSession(t, testConfig())
+	vars, _ := s.VarNames(1)
+	ids, _ := s.TupleIDs(1)
+	fresh := "+v5" // the variable an insert into a 5-tuple window creates
+	cases := []struct {
+		name  string
+		batch []stream.Delta
+		want  string // "" accepts
+	}{
+		{"prob only", []stream.Delta{
+			{Op: stream.OpProb, Window: i64(1), Var: vars[0], P: fp(0.3)},
+			{Op: stream.OpProb, Var: vars[0], P: fp(0.6)},
+		}, ""},
+		{"unknown var", []stream.Delta{
+			{Op: stream.OpProb, Window: i64(1), Var: vars[0], P: fp(0.3)},
+			{Op: stream.OpProb, Window: i64(1), Var: "nope", P: fp(0.3)},
+		}, `stream: delta 1: window 1 has no variable "nope"`},
+		{"var before its insert", []stream.Delta{
+			{Op: stream.OpProb, Window: i64(1), Var: fresh, P: fp(0.3)},
+			{Op: stream.OpInsert, Window: i64(1), Pos: []float64{0.1, 0.2}, P: fp(0.5)},
+		}, `stream: delta 0: window 1 has no variable "+v5"`},
+		{"var after its insert", []stream.Delta{
+			{Op: stream.OpInsert, Window: i64(1), Pos: []float64{0.1, 0.2}, P: fp(0.5)},
+			{Op: stream.OpProb, Window: i64(1), Var: fresh, P: fp(0.3)},
+		}, ""},
+		{"inserted var in another window", []stream.Delta{
+			{Op: stream.OpInsert, Window: i64(1), Pos: []float64{0.1, 0.2}, P: fp(0.5)},
+			{Op: stream.OpProb, Window: i64(0), Var: fresh, P: fp(0.3)},
+		}, `stream: delta 1: window 0 has no variable "+v5"`},
+		{"var after a delete", []stream.Delta{
+			{Op: stream.OpDelete, Window: i64(1), ID: ids[0]},
+			{Op: stream.OpProb, Window: i64(1), Var: vars[0], P: fp(0.3)},
+		}, ""},
+		{"missing var", []stream.Delta{{Op: stream.OpProb, Window: i64(1), P: fp(0.3)}},
+			`stream: delta 0: prob needs var`},
+		{"p out of range", []stream.Delta{{Op: stream.OpProb, Window: i64(1), Var: vars[0], P: fp(1.5)}},
+			`stream: delta 0: prob needs p in [0, 1]`},
+		{"window not live", []stream.Delta{{Op: stream.OpProb, Window: i64(7), Var: vars[0], P: fp(0.3)}},
+			`stream: delta 0: window 7 is not live (live: [0 1 2])`},
+		{"window retired by advance", []stream.Delta{
+			{Op: stream.OpAdvance},
+			{Op: stream.OpProb, Window: i64(0), Var: vars[0], P: fp(0.3)},
+		}, `stream: delta 1: window 0 is not live (live: [1 2 3])`},
+		{"window admitted by advance", []stream.Delta{
+			{Op: stream.OpAdvance},
+			{Op: stream.OpProb, Var: vars[0], P: fp(0.3)},
+		}, `stream: delta 1: cannot target window 3 admitted earlier in this batch; push it in a following batch`},
+		{"unknown op", []stream.Delta{{Op: "merge"}},
+			`stream: delta 0: unknown op "merge" (want prob, insert, delete, or advance)`},
+	}
+	for _, c := range cases {
+		// Each accepted batch changes the session, so each case gets its own.
+		_, err := mustSession(t, testConfig()).Apply(context.Background(), 0, c.batch)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.want != "" && err == nil:
+			t.Errorf("%s: accepted, want %q", c.name, c.want)
+		case c.want != "" && err.Error() != c.want:
+			t.Errorf("%s: error %q, want %q", c.name, err, c.want)
+		}
+	}
+}
+
 func TestDeleteCannotDropBelowK(t *testing.T) {
 	cfg := testConfig()
 	cfg.SegmentN = 2 // already at k
