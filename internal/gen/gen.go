@@ -458,8 +458,19 @@ func (g *gens) numExpr(depth int, cap float64) nx {
 }
 
 // reduceNum produces a reduce_sum, reduce_count, or reduce_mult over a list
-// comprehension; empty ranges (undefined sums) are generated on purpose.
+// comprehension; empty ranges (undefined sums) are generated on purpose. A
+// comprehension whose bound would exceed cap is replaced by an atom, drawn
+// once the comprehension's variable is out of scope again.
 func (g *gens) reduceNum(depth int, cap float64) nx {
+	if e, ok := g.comprNum(depth, cap); ok {
+		return e
+	}
+	return g.numAtom(cap)
+}
+
+// comprNum draws reduceNum's comprehension, or reports false if its bound
+// would exceed cap.
+func (g *gens) comprNum(depth int, cap float64) (nx, bool) {
 	t := g.comprRange()
 	q := g.fresh("q")
 	g.loops = append(g.loops, loopInfo{name: q, n: t})
@@ -472,12 +483,12 @@ func (g *gens) reduceNum(depth int, cap float64) nx {
 	switch g.rng.Intn(3) {
 	case 0:
 		if float64(t) > cap {
-			return g.numAtom(cap)
+			return nx{}, false
 		}
 		return nx{
 			src:   fmt.Sprintf("reduce_count([1 for %s in range(0, %s)%s])", q, rangeS, cond),
 			bound: float64(t),
-		}
+		}, true
 	case 1:
 		elemCap := cap
 		if t > 0 {
@@ -487,7 +498,7 @@ func (g *gens) reduceNum(depth int, cap float64) nx {
 		return nx{
 			src:   fmt.Sprintf("reduce_sum([%s for %s in range(0, %s)%s])", el.src, q, rangeS, cond),
 			bound: float64(t) * el.bound,
-		}
+		}, true
 	default:
 		el := g.numAtom(30)
 		bound := 1.0
@@ -498,12 +509,12 @@ func (g *gens) reduceNum(depth int, cap float64) nx {
 			}
 		}
 		if bound > cap {
-			return g.numAtom(cap)
+			return nx{}, false
 		}
 		return nx{
 			src:   fmt.Sprintf("reduce_mult([%s for %s in range(0, %s)%s])", el.src, q, rangeS, cond),
 			bound: bound,
-		}
+		}, true
 	}
 }
 

@@ -2,6 +2,8 @@ package stream
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"enframe/internal/event"
 	"enframe/internal/lineage"
@@ -66,33 +68,42 @@ func (e *ValidationError) Unwrap() error { return e.Err }
 const maxAdvancePerBatch = 64
 
 // simSeg tracks the simulated mutable state of one segment during batch
-// validation: enough to decide id/var existence and size bounds without
-// touching the real segment.
+// validation: enough to decide id existence and size bounds without touching
+// the real segment. Variable names are not copied: a name exists if the
+// segment has it or an earlier insert of the batch creates it (inserted).
 type simSeg struct {
-	live   map[int]bool    // current tuple ids
-	vars   map[string]bool // current variable names
+	live   map[int]bool // current tuple ids
 	nextID int
 }
 
 func newSimSeg(seg *segment) *simSeg {
-	ss := &simSeg{
-		live:   make(map[int]bool, len(seg.objs)),
-		vars:   make(map[string]bool, len(seg.varIdx)),
-		nextID: seg.nextID,
-	}
+	ss := &simSeg{live: make(map[int]bool, len(seg.objs)), nextID: seg.nextID}
 	for _, o := range seg.objs {
 		ss.live[o.ID] = true
-	}
-	for name := range seg.varIdx {
-		ss.vars[name] = true
 	}
 	return ss
 }
 
+// inserted reports whether name is the variable of a tuple that an insert
+// earlier in the batch adds to seg: insertVarName(id) for an id in
+// [seg.nextID, ss.nextID). A nil ss (no structural delta touched seg yet)
+// has inserted nothing.
+func (ss *simSeg) inserted(seg *segment, name string) bool {
+	if ss == nil {
+		return false
+	}
+	rest, ok := strings.CutPrefix(name, "+v")
+	if !ok {
+		return false
+	}
+	id, err := strconv.Atoi(rest)
+	return err == nil && id >= seg.nextID && id < ss.nextID && insertVarName(id) == name
+}
+
 // validate simulates the batch against the current session state. It never
-// mutates the session. Only segments a structural delta touches are copied
-// into a simSeg; a prob delta on any other segment looks its variable up in
-// the segment itself, so a probability-only batch copies nothing. Deltas may
+// mutates the session. Only the tuple ids of segments an insert or delete
+// touches are copied into a simSeg; a prob delta looks its variable up in the
+// segment itself, so a probability-only batch copies nothing. Deltas may
 // not reference a window admitted by an advance earlier in the same batch
 // (its feed-generated variable names are not materialised yet); push a
 // second batch instead.
@@ -153,11 +164,7 @@ func (s *Session) validate(deltas []Delta) error {
 			if d.P == nil || *d.P < 0 || *d.P > 1 {
 				return fmt.Errorf("stream: delta %d: prob needs p in [0, 1]", i)
 			}
-			_, has := seg.varIdx[d.Var]
-			if ss := sims[seg.window]; ss != nil {
-				has = ss.vars[d.Var]
-			}
-			if !has {
+			if _, has := seg.varIdx[d.Var]; !has && !sims[seg.window].inserted(seg, d.Var) {
 				return fmt.Errorf("stream: delta %d: window %d has no variable %q", i, seg.window, d.Var)
 			}
 		case OpInsert:
@@ -176,7 +183,6 @@ func (s *Session) validate(deltas []Delta) error {
 				return fmt.Errorf("stream: delta %d: window %d is full (%d tuples)", i, seg.window, len(ss.live))
 			}
 			ss.live[ss.nextID] = true
-			ss.vars[insertVarName(ss.nextID)] = true
 			ss.nextID++
 		case OpDelete:
 			seg, err := resolveSeg()

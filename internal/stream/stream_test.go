@@ -259,6 +259,19 @@ func TestBatchValidationVerdicts(t *testing.T) {
 			{Op: stream.OpInsert, Window: i64(1), Pos: []float64{0.1, 0.2}, P: fp(0.5)},
 			{Op: stream.OpProb, Window: i64(1), Var: fresh, P: fp(0.3)},
 		}, ""},
+		{"second insert's var", []stream.Delta{
+			{Op: stream.OpInsert, Window: i64(1), Pos: []float64{0.1, 0.2}, P: fp(0.5)},
+			{Op: stream.OpInsert, Window: i64(1), Pos: []float64{0.3, 0.4}, P: fp(0.5)},
+			{Op: stream.OpProb, Window: i64(1), Var: "+v6", P: fp(0.3)},
+		}, ""},
+		{"var past the batch's inserts", []stream.Delta{
+			{Op: stream.OpInsert, Window: i64(1), Pos: []float64{0.1, 0.2}, P: fp(0.5)},
+			{Op: stream.OpProb, Window: i64(1), Var: "+v6", P: fp(0.3)},
+		}, `stream: delta 1: window 1 has no variable "+v6"`},
+		{"non-canonical inserted name", []stream.Delta{
+			{Op: stream.OpInsert, Window: i64(1), Pos: []float64{0.1, 0.2}, P: fp(0.5)},
+			{Op: stream.OpProb, Window: i64(1), Var: "+v05", P: fp(0.3)},
+		}, `stream: delta 1: window 1 has no variable "+v05"`},
 		{"inserted var in another window", []stream.Delta{
 			{Op: stream.OpInsert, Window: i64(1), Pos: []float64{0.1, 0.2}, P: fp(0.5)},
 			{Op: stream.OpProb, Window: i64(0), Var: fresh, P: fp(0.3)},
