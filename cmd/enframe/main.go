@@ -52,11 +52,10 @@ import (
 	"time"
 
 	"enframe/internal/core"
-	"enframe/internal/data"
 	"enframe/internal/lang"
-	"enframe/internal/lineage"
 	"enframe/internal/obs"
 	"enframe/internal/prob"
+	"enframe/internal/server"
 )
 
 // runFlags is the flag set of the (default) run subcommand.
@@ -74,7 +73,7 @@ var (
 	kFlag       = runFlags.Int("k", 2, "number of clusters")
 	iterFlag    = runFlags.Int("iter", 3, "number of iterations")
 	rFlag       = runFlags.Int("r", 2, "Hadamard power (mcl)")
-	targetsFlag = runFlags.String("targets", "Centre[", "comma-separated target symbols or prefixes ending in [")
+	targetsFlag = runFlags.String("targets", "", "comma-separated target symbols or prefixes ending in [ (default: the program's result, e.g. Centre[ for kmedoids)")
 	stratFlag   = runFlags.String("strategy", "exact", "exact, eager, lazy, hybrid, or circuit")
 	epsFlag     = runFlags.Float64("eps", 0.1, "absolute approximation error ε")
 	workersFlag = runFlags.Int("workers", 1, "distributed workers (>1 enables distribution)")
@@ -220,17 +219,23 @@ func run() error {
 		tr = obs.New("enframe")
 	}
 
-	spec, err := specFromFlags(strategy, tr)
+	req, err := runRequest()
 	if err != nil {
 		return err
 	}
+	spec, key, err := server.BuildSpec(req)
+	if err != nil {
+		return err
+	}
+	spec.Compile = req.CompileOptions()
+	spec.Compile.Obs = tr
 	if *dumpFlag {
 		return dumpEvents(os.Stdout, spec)
 	}
 
 	var rep *core.Report
 	if *remoteFlag != "" {
-		rep, err = runRemote(spec.Source, strategy, tr)
+		rep, err = runRemote(spec, key, req)
 	} else {
 		rep, err = core.Run(spec)
 	}
@@ -300,89 +305,46 @@ func run() error {
 	return nil
 }
 
-// specFromFlags loads the program and synthesises the input data the run
-// flags describe.
-func specFromFlags(strategy prob.Strategy, tr *obs.Trace) (core.Spec, error) {
-	source, isMCL, err := loadProgram(*programFlag)
-	if err != nil {
-		return core.Spec{}, err
-	}
-
-	scheme, err := parseScheme(*schemeFlag)
-	if err != nil {
-		return core.Spec{}, err
-	}
-	pts := data.Points(*nFlag, *seedFlag)
-	objs, space, err := lineage.Attach(pts, lineage.Config{
-		Scheme:          scheme,
-		GroupSize:       *groupFlag,
-		NumVars:         *varsFlag,
-		L:               *lFlag,
-		M:               *mFlag,
-		CertainFraction: *certainFlag,
-		Seed:            *seedFlag,
-	})
-	if err != nil {
-		return core.Spec{}, err
-	}
-
-	spec := core.Spec{
-		Source:  source,
-		Objects: objs,
-		Space:   space,
-		Targets: splitTargets(*targetsFlag),
-		Compile: prob.Options{
-			Strategy: strategy,
-			Epsilon:  *epsFlag,
-			Workers:  *workersFlag,
-			JobDepth: *jobFlag,
-			Timeout:  *timeoutFlag,
-			Obs:      tr,
+// runRequest projects the run flags onto the served request shape, so the
+// run builds its spec through server.BuildSpec exactly as /v1/run does. A
+// builtin program goes by name; any other -program names a file, whose text
+// is sent as inline source.
+func runRequest() (server.RunRequest, error) {
+	req := server.RunRequest{
+		Program: *programFlag,
+		Data: server.DataSpec{
+			Kind:    "sensor",
+			N:       *nFlag,
+			Scheme:  *schemeFlag,
+			Vars:    *varsFlag,
+			L:       *lFlag,
+			M:       *mFlag,
+			Certain: *certainFlag,
+			Group:   *groupFlag,
+			Seed:    *seedFlag,
 		},
+		Params:         server.ParamSpec{K: *kFlag, Iter: *iterFlag, R: *rFlag},
+		Targets:        splitTargets(*targetsFlag),
+		Strategy:       *stratFlag,
+		Epsilon:        *epsFlag,
+		Workers:        *workersFlag,
+		JobDepth:       *jobFlag,
+		SoftTimeoutMs:  int((*timeoutFlag + time.Millisecond - 1) / time.Millisecond),
+		RemoteWorkers:  splitTargets(*remoteFlag),
+		RemoteFallback: *remoteFallbackFlag,
 	}
-	if isMCL {
-		spec.Params = []int{*rFlag, *iterFlag}
-		spec.Matrix = similarityMatrix(objs)
-	} else {
-		spec.Params = []int{*kFlag, *iterFlag}
-		init := make([]int, *kFlag)
-		for i := range init {
-			init[i] = i
-		}
-		spec.InitIndices = init
+	if _, ok := lang.Builtins[req.Program]; ok {
+		return req, nil
 	}
-
-	return spec, nil
-}
-
-func loadProgram(name string) (source string, isMCL bool, err error) {
-	switch name {
-	case "kmedoids":
-		return lang.KMedoidsSource, false, nil
-	case "kmeans":
-		return lang.KMeansSource, false, nil
-	case "mcl":
-		return lang.MCLSource, true, nil
-	}
-	b, err := os.ReadFile(name)
+	b, err := os.ReadFile(req.Program)
 	if err != nil {
-		return "", false, fmt.Errorf("program %q is not builtin and not readable: %w", name, err)
+		return server.RunRequest{}, fmt.Errorf("program %q is not builtin and not readable: %w", req.Program, err)
 	}
-	return string(b), strings.Contains(string(b), "(O, n, M)"), nil
-}
-
-func parseScheme(s string) (lineage.Scheme, error) {
-	switch s {
-	case "independent":
-		return lineage.Independent, nil
-	case "positive":
-		return lineage.Positive, nil
-	case "mutex":
-		return lineage.Mutex, nil
-	case "conditional":
-		return lineage.Conditional, nil
+	if len(b) == 0 {
+		return server.RunRequest{}, fmt.Errorf("program file %q is empty", req.Program)
 	}
-	return 0, fmt.Errorf("unknown correlation scheme %q", s)
+	req.Program, req.Source = "", string(b)
+	return req, nil
 }
 
 func parseStrategy(s string) (prob.Strategy, error) {
@@ -409,23 +371,4 @@ func splitTargets(s string) []string {
 		}
 	}
 	return out
-}
-
-// similarityMatrix derives MCL edge weights from pairwise distances of the
-// data points (closer points flow more strongly).
-func similarityMatrix(objs []lineage.Object) [][]float64 {
-	n := len(objs)
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = make([]float64, n)
-		for j := range m[i] {
-			if i == j {
-				m[i][j] = 1
-				continue
-			}
-			d := objs[i].Pos.Sub(objs[j].Pos).Norm()
-			m[i][j] = 1 / (1 + d)
-		}
-	}
-	return m
 }

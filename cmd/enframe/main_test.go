@@ -2,24 +2,33 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"flag"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
+	"enframe/internal/core"
 	"enframe/internal/lang"
 	"enframe/internal/network"
 	"enframe/internal/prob"
+	"enframe/internal/server"
 	"enframe/internal/translate"
 )
 
-// setFlags applies overrides on top of defaults and restores them afterwards.
+// setFlags applies overrides on top of the current flag values and restores
+// every run flag afterwards.
 func setFlags(t *testing.T, f func()) {
 	t.Helper()
-	saveW, saveJ, saveE, saveT, saveN, saveK, saveI := *workersFlag, *jobFlag, *epsFlag, *topFlag, *nFlag, *kFlag, *iterFlag
-	saveS, saveR := *stratFlag, *remoteFlag
+	saved := map[string]string{}
+	runFlags.VisitAll(func(fl *flag.Flag) { saved[fl.Name] = fl.Value.String() })
 	t.Cleanup(func() {
-		*workersFlag, *jobFlag, *epsFlag, *topFlag, *nFlag, *kFlag, *iterFlag = saveW, saveJ, saveE, saveT, saveN, saveK, saveI
-		*stratFlag, *remoteFlag = saveS, saveR
+		for name, v := range saved {
+			runFlags.Set(name, v)
+		}
 	})
 	f()
 }
@@ -94,7 +103,11 @@ func TestParseStrategy(t *testing.T) {
 // shared DAG and runs out of memory at n=3.
 func TestDumpEventsPrintsBuiltNetwork(t *testing.T) {
 	setFlags(t, func() { *nFlag = 12 })
-	spec, err := specFromFlags(prob.Exact, nil)
+	req, err := runRequest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, _, err := server.BuildSpec(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,4 +153,97 @@ func TestDumpEventsPrintsBuiltNetwork(t *testing.T) {
 			t.Errorf("no binding line for %s", sym)
 		}
 	}
+}
+
+// TestBuiltinsAnswerWithDefaultTargets runs every builtin program with its
+// default targets on the default data, through the run flags' request and
+// through POST /v1/run: both must answer, with the same bounds, and some
+// marginal must be uncertain.
+func TestBuiltinsAnswerWithDefaultTargets(t *testing.T) {
+	srv := server.New(server.Config{})
+	for name := range lang.Builtins {
+		t.Run(name, func(t *testing.T) {
+			setFlags(t, func() { *programFlag = name })
+			req, err := runRequest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, _, err := server.BuildSpec(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Compile = req.CompileOptions()
+			rep, err := core.Run(spec)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+
+			body, _ := json.Marshal(server.RunRequest{Program: name})
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("/v1/run: status %d: %s", rec.Code, rec.Body)
+			}
+			var resp server.RunResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+
+			if len(resp.Targets) != len(rep.Result.Targets) {
+				t.Fatalf("/v1/run answers %d targets, the CLI's request %d", len(resp.Targets), len(rep.Result.Targets))
+			}
+			uncertain := false
+			for i, tb := range rep.Result.Targets {
+				if got := resp.Targets[i]; got.Name != tb.Name || got.Lower != tb.Lower || got.Upper != tb.Upper {
+					t.Fatalf("/v1/run %s = [%v, %v], CLI %s = [%v, %v]", got.Name, got.Lower, got.Upper, tb.Name, tb.Lower, tb.Upper)
+				}
+				uncertain = uncertain || (tb.Lower > 0 && tb.Upper < 1)
+			}
+			if !uncertain {
+				t.Errorf("no marginal strictly between 0 and 1 among %d targets", len(rep.Result.Targets))
+			}
+		})
+	}
+}
+
+// TestRunFlagsReachRequest sets each run flag to a non-default value and
+// requires the run's request to change, so no flag that /v1/run has a
+// field for is silently dropped; the listed flags only shape local output.
+func TestRunFlagsReachRequest(t *testing.T) {
+	values := map[string]string{
+		"program": "kmeans", "n": "7", "scheme": "mutex", "vars": "9", "l": "5",
+		"m": "6", "certain": "0.5", "group": "3", "k": "3", "iter": "2", "r": "3",
+		"targets": "InCl[", "strategy": "hybrid", "eps": "0.2", "workers": "2",
+		"job": "4", "timeout": "2s", "seed": "9", "remote": "127.0.0.1:1",
+		"remote-fallback": "true",
+	}
+	localOnly := map[string]bool{
+		"dump-events": true, "top": true, "trace": true, "trace-out": true,
+		"metrics": true, "json": true, "pprof": true,
+	}
+	base, err := runRequest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runFlags.VisitAll(func(f *flag.Flag) {
+		if localOnly[f.Name] {
+			return
+		}
+		v, ok := values[f.Name]
+		if !ok {
+			t.Errorf("flag -%s is neither mapped onto the request nor listed as local-only", f.Name)
+			return
+		}
+		if err := runFlags.Set(f.Name, v); err != nil {
+			t.Fatal(err)
+		}
+		req, err := runRequest()
+		runFlags.Set(f.Name, f.DefValue)
+		if err != nil {
+			t.Fatalf("-%s %s: %v", f.Name, v, err)
+		}
+		if reflect.DeepEqual(req, base) {
+			t.Errorf("flag -%s %s does not reach the request", f.Name, v)
+		}
+	})
 }

@@ -113,75 +113,35 @@ func resolveWireSpec(specJSON []byte) (core.Spec, string, error) {
 	return server.BuildSpec(req)
 }
 
-// remoteRequest projects the run flags onto the served request shape. The
-// program always ships as inline source (workers never read local files);
-// the artifact key hashes resolved source text, so inline and builtin forms
-// of the same program share a key.
-func remoteRequest(source string) server.RunRequest {
-	return server.RunRequest{
-		Source: source,
-		Data: server.DataSpec{
-			Kind:    "sensor",
-			N:       *nFlag,
-			Scheme:  *schemeFlag,
-			Vars:    *varsFlag,
-			L:       *lFlag,
-			M:       *mFlag,
-			Certain: *certainFlag,
-			Group:   *groupFlag,
-			Seed:    *seedFlag,
-		},
-		Params:   server.ParamSpec{K: *kFlag, Iter: *iterFlag, R: *rFlag},
-		Targets:  splitTargets(*targetsFlag),
-		Strategy: *stratFlag,
-		Epsilon:  *epsFlag,
-		JobDepth: *jobFlag,
-	}
-}
-
 // runRemote is the run subcommand's -remote path: prepare the artifact
 // locally, dial the worker pool, and compile by shipping jobs. With
 // -remote-fallback, transport-level failure reruns in process — the same
 // policy the serving layer applies to remote_fallback requests.
-func runRemote(source string, strategy prob.Strategy, tr *obs.Trace) (*core.Report, error) {
+func runRemote(spec core.Spec, key string, req server.RunRequest) (*core.Report, error) {
 	ctx := context.Background()
-	req := remoteRequest(source)
-	spec, key, err := server.BuildSpec(req)
-	if err != nil {
-		return nil, err
-	}
-	spec.Compile.Obs = tr
 	art, err := core.PrepareContext(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	opts := prob.Options{
-		Strategy: strategy,
-		Epsilon:  *epsFlag,
-		Workers:  *workersFlag,
-		JobDepth: *jobFlag,
-		Timeout:  *timeoutFlag,
-		Obs:      tr,
-	}
-	rep, err := compileRemote(ctx, art, key, req, opts, tr)
+	rep, err := compileRemote(ctx, art, key, req, spec.Compile)
 	if err == nil {
 		return rep, nil
 	}
-	if *remoteFallbackFlag && isRemoteErr(err) {
+	if req.RemoteFallback && isRemoteErr(err) {
 		fmt.Fprintf(os.Stderr, "enframe: remote plane unavailable (%v); falling back to local compilation\n", err)
-		return art.CompileContext(ctx, opts)
+		return art.CompileContext(ctx, spec.Compile)
 	}
 	return nil, err
 }
 
 // compileRemote runs one compilation over a freshly dialed pool.
-func compileRemote(ctx context.Context, art *core.Artifact, key string, req server.RunRequest, opts prob.Options, tr *obs.Trace) (*core.Report, error) {
+func compileRemote(ctx context.Context, art *core.Artifact, key string, req server.RunRequest, opts prob.Options) (*core.Report, error) {
 	var reg *obs.Registry
-	if tr != nil {
-		reg = tr.Metrics()
+	if opts.Obs != nil {
+		reg = opts.Obs.Metrics()
 	}
 	pool, err := dist.NewPool(ctx, dist.PoolConfig{
-		Addrs: splitTargets(*remoteFlag),
+		Addrs: req.RemoteWorkers,
 		Reg:   reg,
 	})
 	if err != nil {

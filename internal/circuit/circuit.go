@@ -59,7 +59,7 @@ func (d Decision) Target() int { return int(d >> 1) }
 func (d Decision) True() bool { return d&1 != 0 }
 
 // Circuit is an immutable compiled decision circuit. Build one with a
-// Builder; evaluate with Eval or EvalInto at one probability assignment, or
+// Builder; evaluate with Eval at one probability assignment, or
 // with EvalSweep at many that differ in one variable. Safe for concurrent
 // evaluation.
 type Circuit struct {
@@ -122,7 +122,7 @@ func (c *Circuit) Targets() []string { return c.targets }
 // whose targets' bounds already converged; a circuit containing such cuts
 // still replays bit-identically at the traced probability assignment (the
 // skipped mass is zero there), but would be wrong at other assignments, so
-// incomplete circuits must not serve what-if or sensitivity queries.
+// incomplete circuits must not serve what-if queries.
 func (c *Circuit) Complete() bool { return c.complete }
 
 // Eval computes every target's [lower, upper] probability bounds under the
@@ -130,31 +130,18 @@ func (c *Circuit) Complete() bool { return c.complete }
 // raw replayed sums; callers wanting the compiler's exact output clamp them
 // to [0, 1] the same way prob.CompileCtx does.
 func (c *Circuit) Eval(probs []float64) (lo, hi []float64, err error) {
-	lo = make([]float64, len(c.targets))
-	hi = make([]float64, len(c.targets))
-	if err := c.EvalInto(probs, lo, hi); err != nil {
+	if err := c.checkProbs(probs); err != nil {
 		return nil, nil, err
 	}
-	return lo, hi, nil
-}
-
-// EvalInto is Eval writing into caller-provided slices, so repeated
-// evaluations (sensitivity pins one variable at a time) run allocation-free.
-func (c *Circuit) EvalInto(probs, lo, hi []float64) error {
-	if err := c.checkProbs(probs); err != nil {
-		return err
-	}
-	if len(lo) != len(c.targets) || len(hi) != len(c.targets) {
-		return fmt.Errorf("circuit: bound slices sized %d/%d for %d targets", len(lo), len(hi), len(c.targets))
-	}
-	for i := range lo {
-		lo[i] = 0
+	lo = make([]float64, len(c.targets))
+	hi = make([]float64, len(c.targets))
+	for i := range hi {
 		hi[i] = 1
 	}
 	if c.root != None {
 		c.replay(c.root, 1, probs, lo, hi)
 	}
-	return nil
+	return lo, hi, nil
 }
 
 // checkProbs validates a probability vector over the circuit's variables.
@@ -213,7 +200,7 @@ func (c *Circuit) SweepScratch(lanes int) int { return c.depth * lanes }
 // and scratch holds at least SweepScratch(len(grid)) entries. probs[v]
 // itself is validated but not read.
 //
-// Lane j performs exactly the floating-point operations EvalInto performs
+// Lane j performs exactly the floating-point operations Eval performs
 // at its assignment, so every lane is bit-identical to a scalar
 // evaluation. The scalar replay skips a child whose mass is zero; the
 // sweep skips a child only when every lane's mass is zero, and otherwise

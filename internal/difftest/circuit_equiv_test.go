@@ -116,51 +116,3 @@ func checkCircuitExact(t *testing.T, seed int64) bool {
 	}
 	return true
 }
-
-// TestCircuitSensitivityAgreement checks that sensitivity analysis routed
-// through a cached circuit (one trace + two replays per variable) agrees
-// with the recompile-per-conditional exact path across a sweep of seeds.
-func TestCircuitSensitivityAgreement(t *testing.T) {
-	seeds := []int64{1, 3, 7, 11, 19, 42, 97, 128}
-	if testing.Short() {
-		seeds = seeds[:3]
-	}
-	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			p := gen.New(seed)
-			net := buildEquivNet(t, p)
-			target := net.Targets[0].Name
-			viaExact, err := prob.Sensitivity(net, prob.Options{Strategy: prob.Exact}, target)
-			if err != nil {
-				t.Fatalf("exact sensitivity: %v", err)
-			}
-			viaCircuit, err := prob.Sensitivity(net, prob.Options{Strategy: prob.Circuit}, target)
-			if err != nil {
-				t.Fatalf("circuit sensitivity: %v", err)
-			}
-			if len(viaExact) != len(viaCircuit) {
-				t.Fatalf("seed %d: %d vs %d influences", seed, len(viaExact), len(viaCircuit))
-			}
-			// The sort is by |derivative|; near-ties may order differently
-			// across the two paths, so match influences by variable.
-			want := map[event.VarID]prob.VarInfluence{}
-			for _, vi := range viaExact {
-				want[vi.Var] = vi
-			}
-			for _, got := range viaCircuit {
-				w, ok := want[got.Var]
-				if !ok {
-					t.Fatalf("seed %d: circuit reported unknown variable %d", seed, got.Var)
-				}
-				if math.Abs(got.CondTrue-w.CondTrue) > tol ||
-					math.Abs(got.CondFalse-w.CondFalse) > tol ||
-					math.Abs(got.Derivative-w.Derivative) > tol {
-					t.Fatalf("seed %d: var %d: circuit {%g %g %g} vs exact {%g %g %g}",
-						seed, got.Var, got.CondTrue, got.CondFalse, got.Derivative,
-						w.CondTrue, w.CondFalse, w.Derivative)
-				}
-			}
-		})
-	}
-}

@@ -16,8 +16,6 @@ import (
 	"testing"
 
 	"enframe/internal/core"
-	"enframe/internal/encode"
-	"enframe/internal/event"
 	"enframe/internal/gen"
 	"enframe/internal/network"
 	"enframe/internal/prob"
@@ -93,10 +91,11 @@ func goldenCases(t *testing.T) []goldenCase {
 	}
 	kmedoids := server.RunRequest{Program: "kmedoids", Data: server.DataSpec{N: 24, Vars: 10}}
 	kmeans := server.RunRequest{Program: "kmeans", Data: server.DataSpec{N: 24, Vars: 10}, Targets: []string{"InCl["}}
+	mcl := server.RunRequest{Program: "mcl", Data: server.DataSpec{N: 8, Vars: 10}}
 	return append(cases,
 		goldenCase{"builtin:kmedoids", func(t *testing.T) *network.Net { return servedNet(t, kmedoids) }, servedTruth(kmedoids)},
 		goldenCase{"builtin:kmeans", func(t *testing.T) *network.Net { return servedNet(t, kmeans) }, servedTruth(kmeans)},
-		goldenCase{"builtin:mcl", mclNet, netTruth(mclNet)},
+		goldenCase{"builtin:mcl", func(t *testing.T) *network.Net { return servedNet(t, mcl) }, servedTruth(mcl)},
 	)
 }
 
@@ -149,49 +148,6 @@ func servedTruth(req server.RunRequest) truthFunc {
 		}
 		return programTruth(t, spec, names)
 	}
-}
-
-// mclNet is Markov clustering over two 4-cliques joined by uncertain
-// bridges, with uncertain edges inside the cliques as well: eight variables,
-// co-clustering targets within and across the communities.
-func mclNet(t *testing.T) *network.Net {
-	const n = 8
-	w := make([][]float64, n)
-	lin := make([][]event.Expr, n)
-	for i := range w {
-		w[i] = make([]float64, n)
-		lin[i] = make([]event.Expr, n)
-		w[i][i] = 1
-	}
-	for c := 0; c < n; c += 4 {
-		for i := c; i < c+4; i++ {
-			for j := c; j < c+4; j++ {
-				w[i][j] = 1
-			}
-		}
-	}
-	space := event.NewSpace()
-	for i, e := range []struct {
-		a, b int
-		p    float64
-	}{
-		{3, 4, 0.5}, {0, 7, 0.4}, {1, 6, 0.3}, {2, 5, 0.6},
-		{0, 1, 0.9}, {2, 3, 0.8}, {4, 5, 0.7}, {6, 7, 0.85},
-	} {
-		name := fmt.Sprintf("e%d", i)
-		x := event.NewVar(space.Add(name, e.p), name)
-		w[e.a][e.b], w[e.b][e.a] = 1, 1
-		lin[e.a][e.b], lin[e.b][e.a] = x, x
-	}
-	net, err := (&encode.MCLSpec{
-		Weights: w, EdgeLineage: lin, Space: space,
-		R: 2, Iter: 3, Threshold: 0.3,
-		Pairs: [][2]int{{0, 1}, {2, 3}, {3, 4}, {0, 7}, {1, 6}, {5, 6}},
-	}).Network()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return net
 }
 
 // goldenLine renders one result as its corpus line, minus the key and

@@ -13,7 +13,6 @@ import (
 	"enframe/internal/interp"
 	"enframe/internal/lang"
 	"enframe/internal/lineage"
-	"enframe/internal/network"
 	"enframe/internal/worlds"
 )
 
@@ -114,36 +113,6 @@ func programTruth(t *testing.T, spec core.Spec, names []string) []*big.Rat {
 	})
 }
 
-// netTruth is the oracle of a case that has no program (builtin:mcl is
-// encoded straight into a network): each world's verdict is the built
-// network evaluated in that world. It shares the builder with the bits it
-// checks, so it is the weaker oracle, kept for the one case that needs it.
-func netTruth(build func(t *testing.T) *network.Net) truthFunc {
-	return func(t *testing.T, names []string) []*big.Rat {
-		net := build(t)
-		nodes := make([]network.NodeID, len(names))
-		for i, name := range names {
-			nodes[i] = network.NoNode
-			for _, tg := range net.Targets {
-				if tg.Name == name {
-					nodes[i] = tg.Node
-				}
-			}
-			if nodes[i] == network.NoNode {
-				t.Fatalf("no target %s in the network", name)
-			}
-		}
-		return rationalSum(t, net.Space, len(names), func(nu event.SliceValuation) ([]bool, error) {
-			a := net.Eval(nu)
-			out := make([]bool, len(nodes))
-			for i, id := range nodes {
-				out[i] = a.Bools[id]
-			}
-			return out, nil
-		})
-	}
-}
-
 // boundError is max(|lower − truth|, |upper − truth|).
 func boundError(lo, hi float64, truth *big.Rat) *big.Rat {
 	var d, e big.Rat
@@ -213,8 +182,7 @@ func targetNames(line string) []string {
 func TestGoldenBitsAgainstRationalTruth(t *testing.T) {
 	golden := readGolden(t)
 	var mu sync.Mutex
-	// progMax excludes builtin:mcl, whose oracle is the weaker netTruth.
-	maxErr, progMax, sumErr := new(big.Rat), new(big.Rat), new(big.Rat)
+	maxErr, sumErr := new(big.Rat), new(big.Rat)
 	maxKey := ""
 	t.Run("cases", func(t *testing.T) {
 		for _, c := range goldenCases(t) {
@@ -244,17 +212,13 @@ func TestGoldenBitsAgainstRationalTruth(t *testing.T) {
 					if e.Cmp(maxErr) > 0 {
 						maxErr, maxKey = e, c.key+" "+name
 					}
-					if c.key != "builtin:mcl" && e.Cmp(progMax) > 0 {
-						progMax = e
-					}
 				}
 			})
 		}
 	})
 	mx, _ := maxErr.Float64()
-	pm, _ := progMax.Float64()
 	sm, _ := sumErr.Float64()
-	t.Logf("exact lines against the rational marginals: max error %.4g (%s), %.4g without builtin:mcl, summed error %.4g", mx, maxKey, pm, sm)
+	t.Logf("exact lines against the rational marginals: max error %.4g (%s), summed error %.4g", mx, maxKey, sm)
 	if sm > maxSummedError {
 		t.Errorf("summed error %.4g exceeds the corpus ceiling %.4g", sm, maxSummedError)
 	}

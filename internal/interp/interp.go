@@ -27,7 +27,9 @@ type External struct {
 	// Present marks which objects exist in this world; nil means all.
 	Present []bool
 	// Matrix backs a third loadData() binding, e.g. `(O, n, M) =
-	// loadData()` for Markov clustering.
+	// loadData()` for Markov clustering: an n × n matrix of edge weights,
+	// n = len(Objects). Cell (i, j ≠ i) is its weight when objects i and j
+	// are both present and 0 otherwise; the diagonal is certain.
 	Matrix [][]float64
 	// Params backs loadParams() in binding order, e.g. `(k, iter)`.
 	Params []int
@@ -180,13 +182,18 @@ func (in *interp) tupleAssign(t *lang.TupleAssign) error {
 		in.vars[t.Names[0]] = Value{Arr: objs}
 		in.vars[t.Names[1]] = scalarVal(event.Num(float64(len(objs))))
 		if len(t.Names) == 3 {
-			if in.ext.Matrix == nil {
-				return errAt(t.Pos, "loadData() has no matrix binding configured")
+			if err := checkMatrix(t.Pos, in.ext.Matrix, len(objs)); err != nil {
+				return err
 			}
 			rows := make([]Value, len(in.ext.Matrix))
 			for i, r := range in.ext.Matrix {
 				cells := make([]Value, len(r))
 				for j, x := range r {
+					// An edge exists when both of its objects do; the
+					// diagonal is certain.
+					if i != j && !(in.present(i) && in.present(j)) {
+						x = 0
+					}
 					cells[j] = scalarVal(event.Num(x))
 				}
 				rows[i] = Value{Arr: cells}
@@ -581,6 +588,19 @@ func (in *interp) reduce(t *lang.Call) (Value, error) {
 		return scalarVal(accM), nil
 	}
 	return Value{}, errAt(t.Pos, "unknown reduction %q", t.Fn)
+}
+
+// checkMatrix requires the matrix binding of loadData() to be n × n, one
+// row and one column per object.
+func checkMatrix(pos lang.Pos, m [][]float64, n int) error {
+	ok := m != nil && len(m) == n
+	for _, r := range m {
+		ok = ok && len(r) == n
+	}
+	if !ok {
+		return errAt(pos, "loadData() needs a %d × %d matrix binding", n, n)
+	}
+	return nil
 }
 
 func errAt(pos lang.Pos, format string, args ...any) error {

@@ -1,7 +1,36 @@
 package lang
 
 // Canonical user programs from the paper's Figures 1–3. They parse with
-// this package and drive the interpreter, the translator, and the CLI.
+// this package and drive the interpreter, the translator, the CLI and the
+// server.
+
+// Builtin is a program the CLI's -program flag and a request's "program"
+// field name.
+type Builtin struct {
+	Source string
+	// Targets are the default target patterns: the program's Boolean
+	// result.
+	Targets []string
+	// Matrix reports that loadData() binds (O, n, M): the program reads a
+	// weight matrix and loadParams() binds (r, iter), not (k, iter).
+	Matrix bool
+}
+
+// Builtins is the one table of builtin programs, by name.
+var Builtins = map[string]Builtin{
+	"kmedoids": {Source: KMedoidsSource, Targets: []string{"Centre["}},
+	"kmeans":   {Source: KMeansSource, Targets: []string{"InCl["}},
+	"mcl":      {Source: MCLSource, Targets: []string{"CoCl["}, Matrix: true},
+}
+
+// DefaultTargets returns the target patterns of a run that names none: the
+// builtin's result, or "Centre[" for inline source.
+func DefaultTargets(program, source string) []string {
+	if b, ok := Builtins[program]; ok && source == "" {
+		return append([]string(nil), b.Targets...)
+	}
+	return []string{"Centre["}
+}
 
 // KMedoidsSource is the k-medoids user program of Figure 1.
 const KMedoidsSource = `
@@ -48,9 +77,13 @@ for it in range(0,iter):      # clustering iterations
         M[i] = scalar_mult(invert(reduce_count([1 for l in range(0,n) if InCl[i][l]])), reduce_sum([O[l] for l in range(0,n) if InCl[i][l]]))
 `
 
-// MCLSource is the Markov clustering user program of Figure 3.
+// MCLSource is the Markov clustering user program of Figure 3, with
+// co-clustering as a suffix: CoCl[i][j] holds when some node c attracts
+// both i and j, i.e. M[i][c] > θ and M[j][c] > θ with θ = 0.3. An edge
+// between two objects exists when both objects do (DESIGN.md, "MCL
+// semantics").
 const MCLSource = `
-(O, n, M) = loadData()        # M is a stochastic n*n matrix of edge weights
+(O, n, M) = loadData()        # M is an n*n matrix of edge weights
 (r, iter) = loadParams()      # Hadamard power, number of iterations
 for it in range(0,iter):
     N = [None] * n            # expansion phase
@@ -63,6 +96,11 @@ for it in range(0,iter):
         M[i] = [None] * n
         for j in range(0,n):
             M[i][j] = pow(N[i][j],r)*invert(reduce_sum([pow(N[i][k],r) for k in range(0,n)]))
+CoCl = [None] * n             # co-clustering: i and j share an attractor
+for i in range(0,n):
+    CoCl[i] = [None] * n
+    for j in range(0,n):
+        CoCl[i][j] = reduce_or([M[j][c] > 0.3 for c in range(0,n) if M[i][c] > 0.3])
 `
 
 // Example3Source is the label-machinery example of §3.5 (Example 3).

@@ -32,11 +32,6 @@ type AttrExport struct {
 	S   *string  `json:"s,omitempty"`
 }
 
-// DurMs returns the exported span's wall time in milliseconds.
-func (e SpanExport) DurMs() float64 {
-	return float64(e.EndNs-e.StartNs) / float64(time.Millisecond)
-}
-
 // Export snapshots the span and its descendants. Open spans export as
 // running up to the export instant. A nil span exports as the zero value.
 func (s *Span) Export() SpanExport {

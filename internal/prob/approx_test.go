@@ -27,7 +27,7 @@ func approxCases() []approxCase {
 			build: func() *network.Net {
 				sp := event.NewSpace()
 				x := sp.Add("x", 0.3)
-				b := newTestBuilder(sp)
+				b := network.NewBuilder(sp, nil)
 				b.Target("t", b.Var(x))
 				return b.Build()
 			},
@@ -38,7 +38,7 @@ func approxCases() []approxCase {
 			build: func() *network.Net {
 				sp := event.NewSpace()
 				x, y, z := sp.Add("x", 0.3), sp.Add("y", 0.5), sp.Add("z", 0.6)
-				b := newTestBuilder(sp)
+				b := network.NewBuilder(sp, nil)
 				b.Target("t", b.Or(b.Var(x), b.Var(y), b.Var(z)))
 				return b.Build()
 			},
@@ -49,7 +49,7 @@ func approxCases() []approxCase {
 			build: func() *network.Net {
 				sp := event.NewSpace()
 				x, y := sp.Add("x", 0.4), sp.Add("y", 0.5)
-				b := newTestBuilder(sp)
+				b := network.NewBuilder(sp, nil)
 				b.Target("t", b.And(b.Var(x), b.Var(y)))
 				return b.Build()
 			},
@@ -60,7 +60,7 @@ func approxCases() []approxCase {
 			build: func() *network.Net {
 				sp := event.NewSpace()
 				x := sp.Add("x", 0.3)
-				b := newTestBuilder(sp)
+				b := network.NewBuilder(sp, nil)
 				b.Target("t", b.Not(b.Var(x)))
 				return b.Build()
 			},
@@ -71,7 +71,7 @@ func approxCases() []approxCase {
 			build: func() *network.Net {
 				sp := event.NewSpace()
 				x, y := sp.Add("x", 0.3), sp.Add("y", 0.4)
-				b := newTestBuilder(sp)
+				b := network.NewBuilder(sp, nil)
 				vx, vy := b.Var(x), b.Var(y)
 				b.Target("t", b.Or(b.And(vx, b.Not(vy)), b.And(b.Not(vx), vy)))
 				return b.Build()
@@ -87,7 +87,7 @@ func approxCases() []approxCase {
 			build: func() *network.Net {
 				sp := event.NewSpace()
 				x, y := sp.Add("x", 0.3), sp.Add("y", 0.4)
-				b := newTestBuilder(sp)
+				b := network.NewBuilder(sp, nil)
 				cnt := b.Sum(b.CondVal(b.Var(x), event.Num(1)), b.CondVal(b.Var(y), event.Num(1)))
 				b.Target("t", b.Cmp(event.GE, cnt, b.ConstNum(event.Num(2))))
 				return b.Build()
@@ -100,7 +100,7 @@ func approxCases() []approxCase {
 			build: func() *network.Net {
 				sp := event.NewSpace()
 				x, y := sp.Add("x", 0.3), sp.Add("y", 0.4)
-				b := newTestBuilder(sp)
+				b := network.NewBuilder(sp, nil)
 				cnt := b.Sum(b.ConstNum(event.Num(0)),
 					b.CondVal(b.Var(x), event.Num(1)), b.CondVal(b.Var(y), event.Num(1)))
 				b.Target("t", b.Cmp(event.GE, cnt, b.ConstNum(event.Num(1))))
@@ -158,7 +158,7 @@ func TestApproximationGuaranteeTable(t *testing.T) {
 // error budget (it stops expanding instead).
 func TestBudgetedStrategiesPrune(t *testing.T) {
 	sp := event.NewSpace()
-	b := newTestBuilder(sp)
+	b := network.NewBuilder(sp, nil)
 	var kids []network.NodeID
 	for _, p := range []float64{0.3, 0.4, 0.5, 0.6, 0.7, 0.45} {
 		kids = append(kids, b.Var(sp.Add("v", p)))

@@ -127,7 +127,7 @@ func EvalSweep(c *circuit.Circuit, probs []float64, v event.VarID, grid, lo, hi,
 
 // SpaceProbs snapshots the space's marginals indexed by VarID — the
 // probability-vector shape circuit evaluation takes. Mutating the returned
-// slice (what-if sweeps, sensitivity pinning) leaves the space untouched.
+// slice (what-if sweeps) leaves the space untouched.
 func SpaceProbs(sp *event.Space) []float64 {
 	out := make([]float64, sp.Len())
 	for i := range out {

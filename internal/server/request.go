@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strings"
+	"time"
 
 	"enframe/internal/core"
 	"enframe/internal/data"
@@ -29,8 +30,8 @@ type RunRequest struct {
 	// Params backs loadParams(): K/Iter for the clustering programs, R/Iter
 	// for Markov clustering.
 	Params ParamSpec `json:"params"`
-	// Targets are symbol patterns as in the CLI -targets flag; default
-	// "Centre[".
+	// Targets are symbol patterns as in the CLI -targets flag; the default
+	// is the builtin's result (lang.Builtins), "Centre[" for inline source.
 	Targets []string `json:"targets,omitempty"`
 	// Strategy is exact (default), eager, lazy, or hybrid; Epsilon is the
 	// absolute error budget for the approximation strategies.
@@ -133,7 +134,7 @@ func (r RunRequest) withDefaults() RunRequest {
 		r.Params.R = 2
 	}
 	if len(r.Targets) == 0 {
-		r.Targets = []string{"Centre["}
+		r.Targets = lang.DefaultTargets(r.Program, r.Source)
 	}
 	if r.Strategy == "" {
 		r.Strategy = "exact"
@@ -151,6 +152,24 @@ func (r RunRequest) withDefaults() RunRequest {
 		r.Order = "fanout"
 	}
 	return r
+}
+
+// CompileOptions are the request's per-request compilation parameters —
+// strategy, ε, workers, job depth, order heuristic and soft timeout — after
+// defaulting. BuildSpec validates them; an invalid strategy or order reads
+// as its zero value here.
+func (r RunRequest) CompileOptions() prob.Options {
+	r = r.withDefaults()
+	strategy, _ := parseStrategy(r.Strategy)
+	heuristic, _ := parseOrder(r.Order)
+	return prob.Options{
+		Strategy:  strategy,
+		Epsilon:   r.Epsilon,
+		Workers:   r.Workers,
+		JobDepth:  r.JobDepth,
+		Heuristic: heuristic,
+		Timeout:   time.Duration(r.SoftTimeoutMs) * time.Millisecond,
+	}
 }
 
 // maxWorkersPerRequest caps the goroutine fan-out a single request may ask
@@ -389,20 +408,16 @@ func genSpec(seed int64) (core.Spec, error) {
 	}, nil
 }
 
-// resolveProgram maps the request to program text. Unlike the CLI, inline
-// source is the only non-builtin path — a server must not read local files
-// on client demand.
+// resolveProgram maps the request to program text, and reports whether its
+// loadData() binds a weight matrix. Unlike the CLI, inline source is the
+// only non-builtin path — a server must not read local files on client
+// demand; the CLI sends a file's text as inline source.
 func resolveProgram(req RunRequest) (source string, isMCL bool, err error) {
 	if req.Source != "" {
 		return req.Source, strings.Contains(req.Source, "(O, n, M)"), nil
 	}
-	switch req.Program {
-	case "kmedoids":
-		return lang.KMedoidsSource, false, nil
-	case "kmeans":
-		return lang.KMeansSource, false, nil
-	case "mcl":
-		return lang.MCLSource, true, nil
+	if b, ok := lang.Builtins[req.Program]; ok {
+		return b.Source, b.Matrix, nil
 	}
 	return "", false, badRequest("unknown builtin program %q (want kmedoids, kmeans, or mcl; send inline text via source)", req.Program)
 }
@@ -447,8 +462,8 @@ func parseOrder(s string) (prob.OrderHeuristic, error) {
 	return 0, badRequest("unknown order heuristic %q (want fanout or input)", s)
 }
 
-// similarityMatrix derives MCL edge weights from pairwise distances, as the
-// CLI does.
+// similarityMatrix derives MCL edge weights from pairwise distances of the
+// data points (closer points flow more strongly).
 func similarityMatrix(objs []lineage.Object) [][]float64 {
 	n := len(objs)
 	m := make([][]float64, n)

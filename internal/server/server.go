@@ -512,17 +512,8 @@ func (s *Server) execute(ctx context.Context, plan specPlan, req RunRequest, tr 
 		return nil, cache, "", remoteStatus{}, err
 	}
 
-	strategy, _ := parseStrategy(req.Strategy) // validated by BuildSpec
-	heuristic, _ := parseOrder(req.Order)
-	opts := prob.Options{
-		Strategy:  strategy,
-		Epsilon:   req.Epsilon,
-		Workers:   req.Workers,
-		JobDepth:  req.JobDepth,
-		Heuristic: heuristic,
-		Timeout:   time.Duration(req.SoftTimeoutMs) * time.Millisecond,
-		Obs:       tr,
-	}
+	opts := req.CompileOptions() // validated by BuildSpec
+	opts.Obs = tr
 
 	if len(req.RemoteWorkers) > 0 {
 		rep, remote, rerr := s.executeRemote(ctx, art, plan.key, req, opts)
@@ -538,7 +529,7 @@ func (s *Server) execute(ctx context.Context, plan specPlan, req RunRequest, tr 
 	}
 	remote := remoteStatus{fellBack: len(req.RemoteWorkers) > 0}
 
-	if strategy == prob.Exact || strategy == prob.Circuit {
+	if opts.Strategy == prob.Exact || opts.Strategy == prob.Circuit {
 		t0 := time.Now()
 		c, res, cached, err := s.circuitFor(ctx, art, opts)
 		if err != nil {

@@ -34,11 +34,7 @@ type StreamRequest struct {
 
 // StreamWindow describes one live window of a session: what a client may
 // address with deltas.
-type StreamWindow struct {
-	Window int64    `json:"window"`
-	Vars   []string `json:"vars"`
-	Tuples []int    `json:"tuples"`
-}
+type StreamWindow = stream.Window
 
 // StreamResponse is the body of a successful POST /v1/stream.
 type StreamResponse struct {
@@ -218,7 +214,7 @@ func (s *Server) streamCreate(ctx context.Context, req StreamRequest) (*StreamRe
 		Seq:       u.Seq,
 		Marginals: u.Marginals,
 		Stats:     &u.Stats,
-		Windows:   streamWindows(sess),
+		Windows:   u.Windows,
 	}, nil
 }
 
@@ -264,7 +260,7 @@ func (s *Server) streamQuery(ctx context.Context, req StreamRequest) (*StreamRes
 		Seq:       u.Seq,
 		Marginals: u.Marginals,
 		Stats:     &u.Stats,
-		Windows:   streamWindows(e.s),
+		Windows:   u.Windows,
 	}, nil
 }
 
@@ -275,14 +271,4 @@ func (s *Server) streamClose(_ context.Context, req StreamRequest) (*StreamRespo
 	s.mStreamClosed.Inc()
 	s.gStreamActive.Set(float64(s.streams.len()))
 	return &StreamResponse{SessionID: req.SessionID, Closed: true}, nil
-}
-
-func streamWindows(sess *stream.Session) []StreamWindow {
-	var out []StreamWindow
-	for _, w := range sess.Windows() {
-		vars, _ := sess.VarNames(w)
-		ids, _ := sess.TupleIDs(w)
-		out = append(out, StreamWindow{Window: w, Vars: vars, Tuples: ids})
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -268,5 +269,64 @@ func TestStreamRegistryCapAndEviction(t *testing.T) {
 	}
 	if s.reg.Counter("stream.sessions.evicted").Value() == 0 {
 		t.Fatal("no evictions recorded")
+	}
+}
+
+// TestStreamQueryWindowsMatchItsSeq runs 300 advancing pushes against a
+// loop of queries: every query reply must list the windows its marginals
+// belong to, each with its variables and tuples, as one snapshot of the
+// session.
+func TestStreamQueryWindowsMatchItsSeq(t *testing.T) {
+	s := New(Config{})
+	ctx := context.Background()
+	created, err := s.streamCreate(ctx, StreamRequest{Op: "create", Config: smallStreamConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := created.SessionID
+	done := make(chan error, 1)
+	go func() {
+		for seq := uint64(0); seq < 300; seq++ {
+			if _, err := s.streamPush(ctx, StreamRequest{
+				Op: "push", SessionID: id, BaseSeq: seq,
+				Deltas: []stream.Delta{{Op: stream.OpAdvance, N: 1}},
+			}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for reads := 0; ; reads++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d consistent query replies", reads)
+			return
+		default:
+		}
+		q, err := s.streamQuery(ctx, StreamRequest{Op: "query", SessionID: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		listed := map[int64]bool{}
+		for _, w := range q.Windows {
+			if w.Vars == nil || w.Tuples == nil {
+				t.Fatalf("seq %d: window %d listed without vars or tuples", q.Seq, w.Window)
+			}
+			listed[w.Window] = true
+		}
+		seen := map[int64]bool{}
+		for _, m := range q.Marginals {
+			if !listed[m.Window] {
+				t.Fatalf("seq %d: marginal %s of window %d, windows listed %v", q.Seq, m.Name, m.Window, listed)
+			}
+			seen[m.Window] = true
+		}
+		if len(seen) != len(listed) {
+			t.Fatalf("seq %d: windows %v listed, marginals cover %v", q.Seq, listed, seen)
+		}
 	}
 }

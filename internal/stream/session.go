@@ -43,7 +43,8 @@ type Config struct {
 	K    int `json:"k,omitempty"`
 	Iter int `json:"iter,omitempty"`
 
-	// Targets are result-name prefixes to report; default ["Centre["].
+	// Targets are result-name prefixes to report; the default is the
+	// builtin's result (lang.Builtins), ["Centre["] for inline source.
 	Targets []string `json:"targets,omitempty"`
 
 	// Segments is the number of live window segments; SegmentN the number
@@ -91,7 +92,7 @@ func (c *Config) withDefaults() Config {
 		out.Iter = 2
 	}
 	if len(out.Targets) == 0 {
-		out.Targets = []string{"Centre["}
+		out.Targets = lang.DefaultTargets(out.Program, out.Source)
 	}
 	if out.Segments == 0 {
 		out.Segments = 4
@@ -136,15 +137,14 @@ func (c *Config) source() (string, error) {
 	if c.Source != "" {
 		return c.Source, nil
 	}
-	switch c.Program {
-	case "kmedoids":
-		return lang.KMedoidsSource, nil
-	case "kmeans":
-		return lang.KMeansSource, nil
-	case "mcl":
-		return "", fmt.Errorf("stream: mcl is not streamable (matrix-shaped input); use kmedoids or kmeans")
+	b, ok := lang.Builtins[c.Program]
+	if !ok {
+		return "", fmt.Errorf("stream: unknown program %q", c.Program)
 	}
-	return "", fmt.Errorf("stream: unknown program %q", c.Program)
+	if b.Matrix {
+		return "", fmt.Errorf("stream: %s is not streamable (matrix-shaped input); use kmedoids or kmeans", c.Program)
+	}
+	return b.Source, nil
 }
 
 // segment is one live window: its tuples, variable space, prepared
@@ -204,11 +204,20 @@ type Stats struct {
 }
 
 // Update is the result of a successful Apply (or Query): the session's new
-// sequence number and the marginals of every live target.
+// sequence number and the marginals of every live target. A Query's update
+// also lists the live windows, read in the same lock hold.
 type Update struct {
 	Seq       uint64     `json:"seq"`
 	Marginals []Marginal `json:"marginals"`
 	Stats     Stats      `json:"stats"`
+	Windows   []Window   `json:"windows,omitempty"`
+}
+
+// Window describes one live window: what a client may address with deltas.
+type Window struct {
+	Window int64    `json:"window"`
+	Vars   []string `json:"vars"`
+	Tuples []int    `json:"tuples"`
 }
 
 // NewSession builds a session, materialises the initial window segments
@@ -344,8 +353,9 @@ func (s *Session) Apply(ctx context.Context, baseSeq uint64, deltas []Delta) (*U
 	return &Update{Seq: s.seq, Marginals: s.marginals(), Stats: st}, nil
 }
 
-// Query returns the current marginals without applying deltas. If an
-// earlier Apply was cancelled mid-recompute, Query finishes the rebuild.
+// Query returns the current marginals and live windows without applying
+// deltas. If an earlier Apply was cancelled mid-recompute, Query finishes
+// the rebuild.
 func (s *Session) Query(ctx context.Context) (*Update, error) {
 	if err := s.lock(ctx); err != nil {
 		return nil, err
@@ -361,7 +371,11 @@ func (s *Session) Query(ctx context.Context) (*Update, error) {
 		}
 		return nil, err
 	}
-	return &Update{Seq: s.seq, Marginals: s.marginals(), Stats: st}, nil
+	wins := make([]Window, len(s.segs))
+	for i, seg := range s.segs {
+		wins[i] = Window{Window: seg.window, Vars: seg.varNames(), Tuples: seg.tupleIDs()}
+	}
+	return &Update{Seq: s.seq, Marginals: s.marginals(), Stats: st, Windows: wins}, nil
 }
 
 // marginals copies every live target's bounds into a fresh slice, so the
@@ -529,11 +543,15 @@ func (s *Session) VarNames(w int64) ([]string, error) {
 	if seg == nil {
 		return nil, fmt.Errorf("stream: window %d is not live", w)
 	}
+	return seg.varNames(), nil
+}
+
+func (seg *segment) varNames() []string {
 	out := make([]string, seg.space.Len())
 	for i := range out {
 		out[i] = seg.space.Name(event.VarID(i))
 	}
-	return out, nil
+	return out
 }
 
 // TupleIDs returns the live tuple ids of a window.
@@ -544,11 +562,15 @@ func (s *Session) TupleIDs(w int64) ([]int, error) {
 	if seg == nil {
 		return nil, fmt.Errorf("stream: window %d is not live", w)
 	}
+	return seg.tupleIDs(), nil
+}
+
+func (seg *segment) tupleIDs() []int {
 	out := make([]int, len(seg.objs))
 	for i, o := range seg.objs {
 		out[i] = o.ID
 	}
-	return out, nil
+	return out
 }
 
 // liveSeg returns the live segment of window w, or nil.

@@ -51,22 +51,39 @@ func (tr *translator) tupleAssign(t *lang.TupleAssign) error {
 		if len(t.Names) < 2 || len(t.Names) > 3 {
 			return errAt(t.Pos, "loadData() binds (O, n) or (O, n, M)")
 		}
-		objs := make([]tval, len(tr.ext.Objects))
+		n := len(tr.ext.Objects)
+		objs := make([]tval, n)
+		phi := make([]network.NodeID, n)
 		for l, o := range tr.ext.Objects {
 			// O_l ≡ Φ(o_l) ⊗ o_l (Figures 1–3).
-			objs[l] = numTV(tr.b.CondVal(tr.b.AddExpr(o.Lineage), event.Vect(o.Pos)))
+			phi[l] = tr.b.AddExpr(o.Lineage)
+			objs[l] = numTV(tr.b.CondVal(phi[l], event.Vect(o.Pos)))
 		}
 		tr.vars[t.Slots[0]] = arrTV(objs)
-		tr.vars[t.Slots[1]] = scalarTV(float64(len(objs)))
+		tr.vars[t.Slots[1]] = scalarTV(float64(n))
 		if len(t.Names) == 3 {
-			if tr.ext.Matrix == nil {
-				return errAt(t.Pos, "loadData() has no matrix binding configured")
+			if err := checkMatrix(t.Pos, tr.ext.Matrix, n); err != nil {
+				return err
 			}
-			rows := make([]tval, len(tr.ext.Matrix))
+			top := tr.b.Bool(true)
+			rows := make([]tval, n)
 			for i, r := range tr.ext.Matrix {
-				cells := make([]tval, len(r))
-				for j, x := range r {
-					cells[j] = scalarTV(x)
+				cells := make([]tval, n)
+				for j, w := range r {
+					// M_ij ≡ (Φ(o_i) ∧ Φ(o_j)) ⊗ w_ij, and 0 when the edge
+					// is absent; the diagonal is certain.
+					g := top
+					if i != j {
+						g = tr.b.And(phi[i], phi[j])
+					}
+					if g == top {
+						cells[j] = scalarTV(w)
+						continue
+					}
+					cells[j] = numTV(tr.b.Sum(
+						tr.b.CondVal(g, event.Num(w)),
+						tr.b.CondVal(tr.b.Not(g), event.Num(0)),
+					))
 				}
 				rows[i] = arrTV(cells)
 			}
@@ -504,6 +521,19 @@ func (tr *translator) reduce(t *lang.Call) (tval, error) {
 		return numTV(tr.b.Prod(nums...)), nil
 	}
 	return tval{}, errAt(t.Pos, "unknown reduction %q", t.Fn)
+}
+
+// checkMatrix requires the matrix binding of loadData() to be n × n, one
+// row and one column per object.
+func checkMatrix(pos lang.Pos, m [][]float64, n int) error {
+	ok := m != nil && len(m) == n
+	for _, r := range m {
+		ok = ok && len(r) == n
+	}
+	if !ok {
+		return errAt(pos, "loadData() needs a %d × %d matrix binding", n, n)
+	}
+	return nil
 }
 
 func errAt(pos lang.Pos, format string, args ...any) error {

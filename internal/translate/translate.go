@@ -34,7 +34,9 @@ type External struct {
 	// Space is the variable space of the objects' lineage. Translation does
 	// not read it: events are interned into the caller's builder, which
 	// carries its own space.
-	Space       *event.Space
+	Space *event.Space
+	// Matrix backs a third loadData() binding: n × n edge weights, guarded
+	// by both objects' lineage (DESIGN.md, "MCL semantics").
 	Matrix      [][]float64
 	Params      []int
 	InitIndices []int

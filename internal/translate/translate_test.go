@@ -227,6 +227,49 @@ func TestMCLTranslationMatchesInterpreter(t *testing.T) {
 	diffProgram(t, lang.MCLSource, ext, nil, syms)
 }
 
+// TestMCLUncertainTranslationMatchesInterpreter checks Figure 3 and its
+// co-clustering suffix over uncertain objects: a cell of the matrix binding
+// is its weight when both objects exist and 0 otherwise, in the network and
+// in every world the interpreter runs.
+func TestMCLUncertainTranslationMatchesInterpreter(t *testing.T) {
+	const n = 5
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 4; trial++ {
+		objs, space := uncertainObjects(t, rng, n, lineage.Scheme(trial))
+		m := make([][]float64, n)
+		for i := range m {
+			m[i] = make([]float64, n)
+			for j := range m[i] {
+				m[i][j] = 1 / (1 + objs[i].Pos.Sub(objs[j].Pos).Norm())
+			}
+		}
+		ext := External{Objects: objs, Space: space, Matrix: m, Params: []int{2, 2}}
+		var syms []string
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				syms = append(syms, fmt.Sprintf("M[%d][%d]", i, j), fmt.Sprintf("CoCl[%d][%d]", i, j))
+			}
+		}
+		diffProgram(t, lang.MCLSource, ext, nil, syms)
+	}
+}
+
+// TestMatrixBindingShape checks that both front ends reject a matrix
+// binding that is not one row and one column per object.
+func TestMatrixBindingShape(t *testing.T) {
+	prog := lang.MustParse(lang.MCLSource)
+	objs := lineage.Certain([]vec.Vec{vec.New(0), vec.New(1)})
+	for _, m := range [][][]float64{nil, {{1, 0}}, {{1, 0}, {0}}, {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}} {
+		b := network.NewBuilder(event.NewSpace(), nil)
+		if _, err := TranslateInto(prog, External{Objects: objs, Matrix: m, Params: []int{2, 1}}, b); err == nil {
+			t.Errorf("translate accepted matrix %v for 2 objects", m)
+		}
+		if _, err := interp.Run(prog, interp.External{Objects: objs, Matrix: m, Params: []int{2, 1}}); err == nil {
+			t.Errorf("interp accepted matrix %v for 2 objects", m)
+		}
+	}
+}
+
 // TestTranslateIntoSharedProgram translates one parsed program from eight
 // goroutines at once: slots are resolved at parse time and the AST is never
 // written, so every goroutine must ground a network equal to a sequential
