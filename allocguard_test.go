@@ -42,11 +42,14 @@ func TestFrontEndAllocGuard(t *testing.T) {
 
 // retainedArtifactBudget is the ceiling on live heap per prepared and traced
 // artifact of the serve-run-mixed shape (kmedoids n=16 vars=8 iter=2): what
-// one entry of the serving layer's artifact cache keeps alive, of which the
-// 2,865-node network's columns are ≈ 112 KB. Measured ≈ 131 KB (≈ 643 KB
-// when a pointer DAG and a flat view of the network were both kept); a
-// second copy of the network blows through it.
-const retainedArtifactBudget = 200 << 10
+// one entry of the serving layer's artifact cache keeps alive. Measured
+// ≈ 69 KB since the network stores child spans only and the compiler derives
+// its parent index per compile (≈ 113 KB while every network also kept its
+// parent spans; ≈ 643 KB when a pointer DAG and a flat view of the network
+// were both kept). The budget is under 1.5× the measured count, so an
+// artifact that again keeps a parent index, or a second copy of the
+// network, blows through it.
+const retainedArtifactBudget = 100 << 10
 
 // TestRetainedArtifactAllocGuard holds a cached artifact to one copy of its
 // network, and Artifact.Bytes — what the server.cache.bytes gauge sums — to
@@ -290,13 +293,15 @@ func TestStreamSessionRetainedHeapAllocGuard(t *testing.T) {
 
 // streamPushAllocBudget is the ceiling on allocations per warm
 // probability-only /v1/stream push through the server's handler
-// (BenchmarkStreamProbPush's session and batches). Measured 92 allocs/op —
-// request decoding, the recorder, each replayed segment's probability
-// vector and bounds, and the update — with the reply append-encoded into a
-// pooled buffer; 124 while the reply was reflect-encoded and every batch
-// copied its windows' tuple ids and variable names into validation maps.
-// The budget is 1.5× the measured count.
-const streamPushAllocBudget = 138
+// (BenchmarkStreamProbPush's session and batches). Measured 75 allocs/op —
+// request decoding, the recorder and the update — with every replayed
+// segment writing into its own marginals, probability vector and bound
+// scratch and the reply append-encoded into a pooled buffer; 92 while each
+// replay allocated a probability vector, two bound slices and a Result; 124
+// while the reply was reflect-encoded and every batch copied its windows'
+// tuple ids and variable names into validation maps. The budget is 1.5× the
+// measured count.
+const streamPushAllocBudget = 112
 
 // TestStreamPushAllocGuard holds a warm probability push to its allocation
 // profile. Run as part of `make ci` (via `make alloc-guard`).

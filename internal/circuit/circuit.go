@@ -126,22 +126,24 @@ func (c *Circuit) Targets() []string { return c.targets }
 func (c *Circuit) Complete() bool { return c.complete }
 
 // Eval computes every target's [lower, upper] probability bounds under the
-// given per-variable marginals (indexed by event.VarID). The bounds are the
-// raw replayed sums; callers wanting the compiler's exact output clamp them
-// to [0, 1] the same way prob.CompileCtx does.
-func (c *Circuit) Eval(probs []float64) (lo, hi []float64, err error) {
+// given per-variable marginals (indexed by event.VarID) into lo and hi, which
+// hold one entry per target and are overwritten; Eval allocates nothing. The
+// bounds are the raw replayed sums; callers wanting the compiler's exact
+// output clamp them to [0, 1] the same way prob.CompileCtx does.
+func (c *Circuit) Eval(probs, lo, hi []float64) error {
 	if err := c.checkProbs(probs); err != nil {
-		return nil, nil, err
+		return err
 	}
-	lo = make([]float64, len(c.targets))
-	hi = make([]float64, len(c.targets))
-	for i := range hi {
-		hi[i] = 1
+	if len(lo) != len(c.targets) || len(hi) != len(c.targets) {
+		return fmt.Errorf("circuit: %d/%d bound slots for %d targets", len(lo), len(hi), len(c.targets))
+	}
+	for i := range lo {
+		lo[i], hi[i] = 0, 1
 	}
 	if c.root != None {
 		c.replay(c.root, 1, probs, lo, hi)
 	}
-	return lo, hi, nil
+	return nil
 }
 
 // checkProbs validates a probability vector over the circuit's variables.

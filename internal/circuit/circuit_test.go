@@ -33,6 +33,12 @@ func genTree(rng *rand.Rand, b *Builder, v, nVars int, undecided []int, flip boo
 	return b.Node(event.VarID(v), hi, lo, here)
 }
 
+// eval is Eval into fresh bound slices.
+func eval(c *Circuit, probs []float64) (lo, hi []float64, err error) {
+	lo, hi = make([]float64, len(c.Targets())), make([]float64, len(c.Targets()))
+	return lo, hi, c.Eval(probs, lo, hi)
+}
+
 func buildRandom(seed int64, nVars, nTargets int, cons, flip bool) *Circuit {
 	names := make([]string, nTargets)
 	undecided := make([]int, nTargets)
@@ -72,19 +78,19 @@ func TestQuickEvaluatorProperties(t *testing.T) {
 		for i := range probs {
 			probs[i] = rng.Float64()
 		}
-		lo1, hi1, err := c.Eval(probs)
+		lo1, hi1, err := eval(c, probs)
 		if err != nil {
 			t.Fatalf("seed %d: eval: %v", seed, err)
 		}
-		lo2, hi2, err := c.Eval(probs)
+		lo2, hi2, err := eval(c, probs)
 		if err != nil {
 			t.Fatalf("seed %d: re-eval: %v", seed, err)
 		}
-		loF, hiF, err := flat.Eval(probs)
+		loF, hiF, err := eval(flat, probs)
 		if err != nil {
 			t.Fatalf("seed %d: unconsed eval: %v", seed, err)
 		}
-		loC, hiC, err := comp.Eval(probs)
+		loC, hiC, err := eval(comp, probs)
 		if err != nil {
 			t.Fatalf("seed %d: complement eval: %v", seed, err)
 		}
@@ -175,14 +181,40 @@ func TestEvalValidation(t *testing.T) {
 	b := NewBuilder(2, []string{"t"})
 	root := b.Node(-1, None, None, []Decision{NewDecision(0, true)})
 	c := b.Finish(root, true)
-	if _, _, err := c.Eval([]float64{0.5}); err == nil {
+	if _, _, err := eval(c, []float64{0.5}); err == nil {
 		t.Error("short probability vector accepted")
 	}
-	if _, _, err := c.Eval([]float64{0.5, 1.5}); err == nil {
+	if _, _, err := eval(c, []float64{0.5, 1.5}); err == nil {
 		t.Error("probability outside [0, 1] accepted")
 	}
-	if _, _, err := c.Eval([]float64{0.5, math.NaN()}); err == nil {
+	if _, _, err := eval(c, []float64{0.5, math.NaN()}); err == nil {
 		t.Error("NaN probability accepted")
+	}
+	if err := c.Eval([]float64{0.5, 0.5}, make([]float64, 1), make([]float64, 2)); err == nil {
+		t.Error("bound slots for two targets accepted by a one-target circuit")
+	}
+}
+
+// TestEvalOverwritesDestination: Eval fully rewrites the bound slices it is
+// handed, so a caller replaying into the same slices at every push reads
+// the same bits as a fresh evaluation.
+func TestEvalOverwritesDestination(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		c := buildRandom(seed, 4, 3, true, false)
+		probs := []float64{0.1, 0.7, 0.3, 0.9}
+		want, wantHi, err := eval(c, probs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := []float64{math.NaN(), 7, -1}, []float64{math.Inf(1), 0.5, math.NaN()}
+		if err := c.Eval(probs, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+		for i := range lo {
+			if math.Float64bits(lo[i]) != math.Float64bits(want[i]) || math.Float64bits(hi[i]) != math.Float64bits(wantHi[i]) {
+				t.Fatalf("seed %d target %d: reused slots [%v, %v], fresh [%v, %v]", seed, i, lo[i], hi[i], want[i], wantHi[i])
+			}
+		}
 	}
 }
 
@@ -197,7 +229,7 @@ func TestNoneChildSkipped(t *testing.T) {
 	if c.Complete() {
 		t.Fatal("pruned circuit reports complete")
 	}
-	lo, hi, err := c.Eval([]float64{0.25})
+	lo, hi, err := eval(c, []float64{0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +295,7 @@ func checkSweep(c *Circuit, probs []float64, v event.VarID, grid []float64) stri
 	at := append([]float64(nil), probs...)
 	for j, p := range grid {
 		at[v] = p
-		wantLo, wantHi, err := c.Eval(at)
+		wantLo, wantHi, err := eval(c, at)
 		if err != nil {
 			return err.Error()
 		}

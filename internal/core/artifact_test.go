@@ -7,7 +7,6 @@ import (
 	"enframe/internal/data"
 	"enframe/internal/lang"
 	"enframe/internal/lineage"
-	"enframe/internal/prob"
 )
 
 func smallSpec(t *testing.T, parsed *lang.Program) Spec {
@@ -57,50 +56,5 @@ func TestPrepareParsedSkipsLexParse(t *testing.T) {
 	}
 	if got, want := len(art.Net.Targets), len(base.Net.Targets); got != want {
 		t.Fatalf("target count drifted: %d vs %d", got, want)
-	}
-}
-
-// TestInvalidateCircuits is the circuit-cache invalidation regression: after
-// InvalidateCircuits, the next Circuit call must re-trace instead of serving
-// the stale memo (the streaming plane relies on this when a structural delta
-// replaces a segment's network behind a stable handle).
-func TestInvalidateCircuits(t *testing.T) {
-	ctx := context.Background()
-	art, err := PrepareContext(ctx, smallSpec(t, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1, _, cached, err := art.Circuit(ctx, prob.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached {
-		t.Fatalf("first Circuit call reported cached")
-	}
-	c2, _, cached, err := art.Circuit(ctx, prob.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cached || c2 != c1 {
-		t.Fatalf("second Circuit call did not hit the memo (cached=%v, same=%v)", cached, c2 == c1)
-	}
-
-	art.InvalidateCircuits()
-
-	c3, _, cached, err := art.Circuit(ctx, prob.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached {
-		t.Fatalf("Circuit call after InvalidateCircuits served the stale memo")
-	}
-	if c3 == c1 {
-		t.Fatalf("Circuit call after InvalidateCircuits returned the old circuit pointer")
-	}
-	// The re-trace is over the same (unchanged) artifact, so the fresh
-	// circuit must still be equivalent — same node count and targets.
-	if c3.Nodes() != c1.Nodes() || len(c3.Targets()) != len(c1.Targets()) {
-		t.Fatalf("re-traced circuit differs structurally: %d/%d nodes, %d/%d targets",
-			c3.Nodes(), c1.Nodes(), len(c3.Targets()), len(c1.Targets()))
 	}
 }

@@ -188,8 +188,11 @@ func TestArtifactBytesCountsCircuits(t *testing.T) {
 	if got, want := art.Bytes(), bare+c.Bytes()+int64(len(res.Targets))*targetBoundBytes; got != want {
 		t.Fatalf("Bytes() = %d with a memoized circuit, want %d", got, want)
 	}
-	art.InvalidateCircuits()
-	if got := art.Bytes(); got != bare {
-		t.Fatalf("Bytes() = %d after InvalidateCircuits, want %d", got, bare)
+	fresh, err := PrepareContext(ctx, smallSpec(t, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.Bytes(); got != bare {
+		t.Fatalf("Bytes() = %d for a fresh artifact of the same spec, want %d", got, bare)
 	}
 }

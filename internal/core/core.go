@@ -333,11 +333,10 @@ func (a *Artifact) trace(ctx context.Context, opts prob.Options, call *circuitCa
 			call.c, call.res, call.err = nil, nil, NewPanicError("circuit trace", r)
 		}
 		if call.err != nil || !call.c.Complete() {
+			// No other call registers under this heuristic until this one
+			// is deleted: waiters retry only after done closes below.
 			a.circuitsMu.Lock()
-			// InvalidateCircuits may have let a newer leader register.
-			if a.circuits[opts.Heuristic] == call {
-				delete(a.circuits, opts.Heuristic)
-			}
+			delete(a.circuits, opts.Heuristic)
 			a.circuitsMu.Unlock()
 		}
 		close(call.done)
@@ -370,23 +369,6 @@ func (a *Artifact) Bytes() int64 {
 }
 
 const targetBoundBytes = int64(unsafe.Sizeof(prob.TargetBound{}))
-
-// InvalidateCircuits drops every memoized circuit and variable order from
-// the artifact. An Artifact itself is immutable, so ordinary callers never
-// need this; it exists for owners that REPLACE an artifact behind a stable
-// handle (a streaming session rebuilding a window segment's network after a
-// structural delta) and must guarantee that no stale memoized circuit —
-// traced over the pre-delta network — can ever serve a replay query again.
-// In-flight Circuit calls complete against the old memo entries they hold;
-// calls arriving after InvalidateCircuits returns re-trace.
-func (a *Artifact) InvalidateCircuits() {
-	a.ordersMu.Lock()
-	a.orders = nil
-	a.ordersMu.Unlock()
-	a.circuitsMu.Lock()
-	a.circuits = nil
-	a.circuitsMu.Unlock()
-}
 
 // CompileContext computes probabilities on the prepared network with fresh
 // compilation options. Repeated calls — concurrent ones included — share the

@@ -3,15 +3,14 @@ package network
 import (
 	"fmt"
 	"math"
-	"slices"
 	"testing"
 
 	"enframe/internal/event"
 )
 
 // buildMixedNet constructs a network covering every node kind, with shared
-// subexpressions so fan-out (parent spans) exceeds one, and a comparison
-// whose two operands are the same node (one parent listed twice).
+// subexpressions so fan-out exceeds one, and a comparison whose two operands
+// are the same node (one kid listed twice).
 func buildMixedNet() *Net {
 	sp := event.NewSpace()
 	for i := 0; i < 4; i++ {
@@ -53,35 +52,26 @@ func builtNets() map[string]*Net {
 	}
 }
 
-// TestBuiltNetCSRInvariants: node ids are topological, offsets tile the
-// shared edge slices, and Pars is exactly the transpose of Kids — each
-// parent listed once per edge, in increasing id order.
+// TestBuiltNetCSRInvariants: node ids are topological and the child offsets
+// tile the shared edge slice. The network stores no parent spans; the
+// compiler's parent index is checked against Kids in internal/prob.
 func TestBuiltNetCSRInvariants(t *testing.T) {
 	for name, n := range builtNets() {
 		nn := n.NumNodes()
-		if len(n.KidOff) != nn+1 || len(n.ParOff) != nn+1 || len(n.Arg) != nn {
-			t.Fatalf("%s: column lengths kid %d par %d arg %d for %d nodes",
-				name, len(n.KidOff), len(n.ParOff), len(n.Arg), nn)
+		if len(n.KidOff) != nn+1 || len(n.Arg) != nn {
+			t.Fatalf("%s: column lengths kid %d arg %d for %d nodes", name, len(n.KidOff), len(n.Arg), nn)
 		}
-		if n.KidOff[0] != 0 || n.ParOff[0] != 0 ||
-			int(n.KidOff[nn]) != len(n.Kids) || int(n.ParOff[nn]) != len(n.Pars) {
-			t.Fatalf("%s: offsets do not tile the edge slices", name)
+		if n.KidOff[0] != 0 || int(n.KidOff[nn]) != len(n.Kids) {
+			t.Fatalf("%s: offsets do not tile the edge slice", name)
 		}
-		want := make([][]NodeID, nn)
 		for id := range nn {
-			if n.KidOff[id] > n.KidOff[id+1] || n.ParOff[id] > n.ParOff[id+1] {
+			if n.KidOff[id] > n.KidOff[id+1] {
 				t.Fatalf("%s: node %d: offsets not monotone", name, id)
 			}
 			for _, k := range n.KidsOf(NodeID(id)) {
 				if k >= NodeID(id) {
 					t.Errorf("%s: node %d has kid %d, not lower", name, id, k)
 				}
-				want[k] = append(want[k], NodeID(id))
-			}
-		}
-		for id := range nn {
-			if got := n.ParsOf(NodeID(id)); !slices.Equal(got, want[id]) {
-				t.Errorf("%s: node %d parents %v, transpose of Kids gives %v", name, id, got, want[id])
 			}
 		}
 	}

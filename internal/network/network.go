@@ -110,11 +110,13 @@ type Target struct {
 }
 
 // Net is a finalised, immutable event network in structure-of-arrays form:
-// node kinds, CSR child and parent spans into single shared slices, and one
-// dense payload column, all indexed by NodeID. The probability compiler's
-// packed core walks these contiguous slices directly — one cache line of Kind
-// covers 64 nodes, and a node's children are KidOff[id]..KidOff[id+1] in one
-// shared slice — and they are the only copy of the network there is.
+// node kinds, CSR child spans into one shared slice, and one dense payload
+// column, all indexed by NodeID. The probability compiler's packed core walks
+// these contiguous slices directly — one cache line of Kind covers 64 nodes,
+// and a node's children are KidOff[id]..KidOff[id+1] in one shared slice —
+// and they are the only copy of the network there is. The network stores no
+// parent index: only compilation walks it upward, so internal/prob derives
+// the transpose per compilation and a cached network keeps just its children.
 type Net struct {
 	Space  *event.Space
 	Metric vec.Distance
@@ -124,11 +126,6 @@ type Net struct {
 	// Kids[KidOff[id]:KidOff[id+1]] in construction order.
 	KidOff []int32
 	Kids   []NodeID
-	// ParOff/Pars are the transposed spans: node id's parents are
-	// Pars[ParOff[id]:ParOff[id+1]] in increasing id order, a parent listed
-	// once per edge (the compiler's propagation order).
-	ParOff []int32
-	Pars   []NodeID
 	// Arg is the per-node payload: the variable of a KVar node, 1 or 0 for
 	// the ⊤ or ⊥ of a KConst node, the operator of a KCmp node, the exponent
 	// of a KPow node, and the index into Vals of a KCondVal node's c-value;
@@ -152,9 +149,6 @@ func (n *Net) NumNodes() int { return len(n.Kind) }
 // KidsOf returns the child span of a node.
 func (n *Net) KidsOf(id NodeID) []NodeID { return n.Kids[n.KidOff[id]:n.KidOff[id+1]] }
 
-// ParsOf returns the parent span of a node.
-func (n *Net) ParsOf(id NodeID) []NodeID { return n.Pars[n.ParOff[id]:n.ParOff[id+1]] }
-
 // Bytes reports the memory the network holds: the capacity of every column,
 // the vector payloads of ⊗ constants, and the target names. The variable
 // space and metric are shared with the caller and not counted.
@@ -166,7 +160,7 @@ func (n *Net) Bytes() int64 {
 		f64    = int64(unsafe.Sizeof(float64(0)))
 	)
 	b := int64(cap(n.Kind))*int64(unsafe.Sizeof(Kind(0))) +
-		i32*int64(cap(n.KidOff)+cap(n.Kids)+cap(n.ParOff)+cap(n.Pars)+cap(n.Arg)+cap(n.VarNode)) +
+		i32*int64(cap(n.KidOff)+cap(n.Kids)+cap(n.Arg)+cap(n.VarNode)) +
 		valSz*int64(cap(n.Vals)) + targSz*int64(cap(n.Targets))
 	for _, v := range n.Vals {
 		b += f64 * int64(cap(v.V))
@@ -629,9 +623,8 @@ func (b *Builder) Target(name string, id NodeID) {
 // Build finalises the network: when targets are registered, nodes
 // unreachable from any target (construction garbage left behind by constant
 // folding) are swept away, and the live nodes are written straight into the
-// Net's columns, keeping their relative id order, child order, and — filled
-// by a counting pass in increasing id order — parent order. The builder must
-// not be reused afterwards.
+// Net's columns, keeping their relative id order and child order. The
+// builder must not be reused afterwards.
 func (b *Builder) Build() *Net {
 	remap, valRemap, live, edges, vals := b.liveIDs()
 	net := &Net{
@@ -640,8 +633,6 @@ func (b *Builder) Build() *Net {
 		Kind:    make([]Kind, live),
 		KidOff:  make([]int32, live+1),
 		Kids:    make([]NodeID, 0, edges),
-		ParOff:  make([]int32, live+1),
-		Pars:    make([]NodeID, edges),
 		Arg:     make([]int32, live),
 		Vals:    make([]event.Value, vals),
 		Targets: make([]Target, len(b.targets)),
@@ -660,7 +651,6 @@ func (b *Builder) Build() *Net {
 		net.KidOff[id] = int32(len(net.Kids))
 		for _, k := range b.kidsOf(NodeID(old)) {
 			net.Kids = append(net.Kids, remap[k])
-			net.ParOff[remap[k]+1]++ // counted at k+1: prefix sums give starts
 		}
 		net.Arg[id] = r.arg
 		switch r.kind {
@@ -673,20 +663,6 @@ func (b *Builder) Build() *Net {
 		}
 	}
 	net.KidOff[live] = int32(len(net.Kids))
-	for id := 1; id <= live; id++ {
-		net.ParOff[id] += net.ParOff[id-1]
-	}
-	// Scatter every edge with ParOff[k] as k's cursor, parents in increasing
-	// id order; that leaves ParOff[k] at k's end, so shifting the column
-	// right by one restores the starts.
-	for id := range live {
-		for _, k := range net.KidsOf(NodeID(id)) {
-			net.Pars[net.ParOff[k]] = NodeID(id)
-			net.ParOff[k]++
-		}
-	}
-	copy(net.ParOff[1:], net.ParOff[:live])
-	net.ParOff[0] = 0
 	for i, t := range b.targets {
 		net.Targets[i] = Target{Name: t.Name, Node: remap[t.Node]}
 	}

@@ -98,15 +98,31 @@ func (k *circuitSink) finish() (*circuit.Circuit, error) {
 // book (clampBound). The returned Result carries no Stats; callers compiling
 // fresh attach the trace stats.
 func EvalCircuit(c *circuit.Circuit, probs []float64) (*Result, error) {
-	lo, hi, err := c.Eval(probs)
-	if err != nil {
-		return nil, fmt.Errorf("prob: %w", err)
-	}
-	res := &Result{Targets: make([]TargetBound, len(lo))}
-	for i, name := range c.Targets() {
-		res.Targets[i] = clampBound(name, lo[i], hi[i])
+	n := len(c.Targets())
+	b := make([]float64, 2*n)
+	res := &Result{Targets: make([]TargetBound, n)}
+	if err := EvalCircuitInto(c, probs, b[:n], b[n:], res.Targets); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// EvalCircuitInto is EvalCircuit into caller-owned storage: out receives
+// one clamped bound per target, bit for bit what EvalCircuit reports, and lo
+// and hi are replay scratch of one entry per target. It allocates nothing,
+// so a caller replaying the same circuit at every probability change (a
+// stream segment) reuses its slices.
+func EvalCircuitInto(c *circuit.Circuit, probs, lo, hi []float64, out []TargetBound) error {
+	if len(out) != len(c.Targets()) {
+		return fmt.Errorf("prob: %d result slots for %d targets", len(out), len(c.Targets()))
+	}
+	if err := c.Eval(probs, lo, hi); err != nil {
+		return fmt.Errorf("prob: %w", err)
+	}
+	for i, name := range c.Targets() {
+		out[i] = clampBound(name, lo[i], hi[i])
+	}
+	return nil
 }
 
 // EvalSweep replays the circuit once for a whole one-variable sweep

@@ -61,7 +61,16 @@ func blockShapeOf(net *network.Net) blockShape {
 	if err != nil {
 		panic(err)
 	}
-	s := newFstate(net, types, Options{}, newBoundsBook(len(net.Targets), 0), false)
+	s := newFstate(net, types, new(parentIndex), Options{}, newBoundsBook(len(net.Targets), 0), false)
 	defer s.release()
 	return s.shape
+}
+
+// ParentIndex runs the parent-index pass a compilation makes once (newFstate
+// or the FanoutOrder stage) and returns the index: node id's parents are
+// ids[off[id]:off[id+1]].
+func ParentIndex(net *network.Net) (off []int32, ids []network.NodeID) {
+	var p parentIndex
+	p.ensure(net)
+	return p.off, p.ids
 }

@@ -89,6 +89,10 @@ type fstate struct {
 // them for the pristine state; worker states of the same compilation and a
 // Session's job workers share them.
 type ftables struct {
+	// pars is the compilation's parent index (parents.go): propagation and
+	// nextVar walk it upward.
+	pars parentIndex
+
 	// targetsAt[id] is -1 or an index into targetLists.
 	targetsAt   []int32
 	targetLists [][]int
@@ -321,14 +325,17 @@ const (
 	tagTarget uint8 = 1 << 7
 )
 
-// newFstate builds a pristine state: the network's tables and a block zeroed
-// for initAll, which writes every open bit itself (a vector entry is written
+// newFstate builds a pristine state: the network's tables — the parent index
+// pars, built here unless the order stage built it — and a block zeroed for
+// initAll, which writes every open bit itself (a vector entry is written
 // before it is read). With recycle the block comes from the free list; a
 // sequential walk's is left to the GC, so a process that only traces pools
 // nothing.
-func newFstate(net *network.Net, types []network.ValueType, opts Options, bounds *boundsBook, recycle bool) *fstate {
+func newFstate(net *network.Net, types []network.ValueType, pars *parentIndex, opts Options, bounds *boundsBook, recycle bool) *fstate {
 	nn := net.NumNodes()
+	pars.ensure(net)
 	s := &fstate{net: net, types: types, opts: opts, bounds: bounds, recording: true}
+	s.pars = *pars
 	sh := blockShape{nodes: int32(nn+511) &^ 511, targets: int32(len(net.Targets))}
 	idx := make([]int32, 2*nn)
 	s.targetsAt, s.vecAt = idx[:nn:nn], idx[nn:]
@@ -1003,7 +1010,7 @@ func (s *fstate) propagate() {
 		} else {
 			cvkf, clo, chi = s.ab[e.id].vkf, s.ab[e.id].lo, s.ab[e.id].hi
 		}
-		for _, pid := range s.net.ParsOf(e.id) {
+		for _, pid := range s.pars.of(e.id) {
 			if !s.open.get(int32(pid)) {
 				continue // already decided; the trail restores consistently
 			}
@@ -1160,7 +1167,7 @@ func (s *fstate) nextVar(oi int) (int, event.VarID, bool) {
 		if s.targetsAt[id] >= 0 {
 			return oi, x, true // the leaf itself is a compilation target
 		}
-		for _, pid := range s.net.ParsOf(id) {
+		for _, pid := range s.pars.of(id) {
 			if s.net.Kind[pid].IsBool() {
 				if s.bval(pid) == bUnknown {
 					return oi, x, true

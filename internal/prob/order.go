@@ -9,8 +9,10 @@ import (
 
 // computeOrder returns the Shannon-expansion variable order. Variables that
 // do not occur in the network are excluded: their assignments cannot change
-// any mask and their probability mass marginalises out.
-func computeOrder(net *network.Net, opts Options) []event.VarID {
+// any mask and their probability mass marginalises out. Only the FanoutOrder
+// heuristic walks the network upward; it builds pars if it is not built yet,
+// so the compile that goes on to propagate reuses it.
+func computeOrder(net *network.Net, opts Options, pars *parentIndex) []event.VarID {
 	if opts.Order != nil {
 		var order []event.VarID
 		for _, x := range opts.Order {
@@ -32,6 +34,7 @@ func computeOrder(net *network.Net, opts Options) []event.VarID {
 	// FanoutOrder: the paper picks the next variable to "influence as many
 	// events as possible"; we order statically by the number of network
 	// nodes transitively reachable upward from the variable's leaf.
+	pars.ensure(net)
 	influence := make(map[event.VarID]int, len(vars))
 	visited := make([]int32, net.NumNodes())
 	epoch := int32(0)
@@ -45,7 +48,7 @@ func computeOrder(net *network.Net, opts Options) []event.VarID {
 			id := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			count++
-			for _, p := range net.ParsOf(id) {
+			for _, p := range pars.of(id) {
 				if visited[p] != epoch {
 					visited[p] = epoch
 					stack = append(stack, p)

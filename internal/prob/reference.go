@@ -25,7 +25,7 @@ func CompileRef(net *network.Net, opts Options) (*Result, error) {
 	r := &refRun{
 		net:   net,
 		types: types,
-		order: computeOrder(net, opts),
+		order: computeOrder(net, opts, new(parentIndex)),
 		abs:   make([]refAbs, net.NumNodes()),
 		nu:    make([]int8, net.Space.Len()),
 		lo:    make([]float64, len(net.Targets)),

@@ -62,9 +62,10 @@ func NewSession(net *network.Net, opts Options) (*Session, error) {
 	if opts.Strategy != Exact {
 		eps2 = 2 * opts.Epsilon
 	}
-	order := computeOrder(net, opts)
+	var pars parentIndex
+	order := computeOrder(net, opts, &pars)
 	book := newBoundsBook(len(net.Targets), eps2)
-	pr := newFstate(net, types, opts, book, false)
+	pr := newFstate(net, types, &pars, opts, book, false)
 	pr.attachRun(order, time.Time{}, nil, nil)
 	pr.initAll()
 	return &Session{

@@ -328,15 +328,18 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // Shutdown drains gracefully: new work is rejected with 503, the listener
 // closes, in-flight requests run to completion (or until ctx expires, at
 // which point remaining connections are cut), and every remote worker pool
-// is torn down.
+// is torn down. A handler-only server (one Start never ran) has no serve
+// loop to wait for.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	if s.stopRuntime != nil {
 		s.stopRuntime()
 	}
 	err := s.httpSrv.Shutdown(ctx)
-	if serr, ok := <-s.serveErr; ok && err == nil {
-		err = serr
+	if s.listener != nil {
+		if serr, ok := <-s.serveErr; ok && err == nil {
+			err = serr
+		}
 	}
 	s.poolsMu.Lock()
 	for key, p := range s.pools {

@@ -322,6 +322,32 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestShutdownWithoutStart: a handler-only server (New without Start, as
+// httptest embeddings use it) shuts down promptly instead of waiting on a
+// serve loop that never ran.
+func TestShutdownWithoutStart(t *testing.T) {
+	s := New(Config{})
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("healthz: status %d, want 200", rec.Code)
+	}
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		done <- s.Shutdown(ctx)
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown of a server that never started is still blocked 5 s in, past its 1 s deadline")
+	}
+}
+
 func TestDeadlineExceededReturns504WithoutLeaking(t *testing.T) {
 	s := startTestServer(t, Config{MaxInflight: 8})
 	client := &http.Client{}

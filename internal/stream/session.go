@@ -17,6 +17,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"enframe/internal/core"
@@ -158,7 +159,12 @@ type segment struct {
 
 	art  *core.Artifact
 	circ *circuit.Circuit // nil until built, or while incomplete
-	marg []prob.TargetBound
+	// marg is the segment's own copy of its target bounds, which a replay
+	// rewrites in place; probs and bounds are the replay's probability
+	// vector and lower/upper scratch, reused from push to push.
+	marg   []prob.TargetBound
+	probs  []float64
+	bounds []float64
 
 	dirty      bool // structure changed: re-ground and maybe re-trace
 	probsDirty bool // only marginals changed: replay the circuit
@@ -495,7 +501,8 @@ func (s *Session) rebuild(ctx context.Context, seg *segment, st *Stats) error {
 }
 
 // retrace compiles the segment's circuit from its prepared artifact and
-// records the resulting marginals.
+// copies the resulting marginals: the artifact's Result is its shared,
+// read-only memo, and replay writes into seg.marg.
 func (s *Session) retrace(ctx context.Context, seg *segment, st *Stats) error {
 	t0 := time.Now()
 	c, res, _, err := seg.art.Circuit(ctx, prob.Options{Heuristic: s.heur})
@@ -512,25 +519,32 @@ func (s *Session) retrace(ctx context.Context, seg *segment, st *Stats) error {
 		// re-trace on the next change. Marginals remain exact either way.
 		seg.circ = nil
 	}
-	seg.marg = res.Targets
+	seg.marg = append(seg.marg[:0], res.Targets...)
 	return nil
 }
 
 // replay re-evaluates the segment's memoized circuit at the space's current
-// marginals — the zero-recompilation fast path. Incomplete segments (no
-// stored circuit) fall back to a fresh trace, which is just as exact.
+// marginals — the zero-recompilation fast path — into the segment's own
+// marginals, probability vector and bound scratch, allocating nothing once
+// they are sized. Incomplete segments (no stored circuit) fall back to a
+// fresh trace, which is just as exact.
 func (s *Session) replay(ctx context.Context, seg *segment, st *Stats) error {
 	if seg.circ == nil {
 		return s.retrace(ctx, seg, st)
 	}
 	t0 := time.Now()
-	res, err := prob.EvalCircuit(seg.circ, prob.SpaceProbs(seg.space))
+	nv, nt := seg.space.Len(), len(seg.marg)
+	seg.probs = slices.Grow(seg.probs[:0], nv)[:nv]
+	for i := range seg.probs {
+		seg.probs[i] = seg.space.Prob(event.VarID(i))
+	}
+	seg.bounds = slices.Grow(seg.bounds[:0], 2*nt)[:2*nt]
+	err := prob.EvalCircuitInto(seg.circ, seg.probs, seg.bounds[:nt], seg.bounds[nt:], seg.marg)
 	st.ReplayMs += float64(time.Since(t0)) / float64(time.Millisecond)
 	if err != nil {
 		return fmt.Errorf("stream: window %d: replay: %w", seg.window, err)
 	}
 	st.Replayed++
-	seg.marg = res.Targets
 	return nil
 }
 
