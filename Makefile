@@ -46,13 +46,14 @@ fuzz:
 	$(GO) test ./internal/difftest -run '^$$' -fuzz '^FuzzPipeline$$' -fuzztime $(FUZZTIME)
 
 # alloc-guard pins the obs-disabled front end, the compilation core, the
-# distributed runner's fork/join path, a warm what-if sweep and a warm stream
-# probability push to their allocation budgets, a cached artifact to its
+# distributed runner's fork/join path, a cold served run, a warm what-if sweep
+# and a warm stream probability push to their allocation budgets, a cached
+# artifact to its
 # retained-heap budget, and a stream session's retained heap to its live
 # windows (see allocguard_test.go). The pool-dependent budgets are enforced
 # here, without the race detector; test-race skips them.
 alloc-guard:
-	$(GO) test -run '^Test(FrontEnd|Compile|DistributedCompile|RetainedArtifact|WhatifSweep|StreamSessionRetainedHeap|StreamPush)AllocGuard$$' -count=1 -v .
+	$(GO) test -run '^Test(FrontEnd|Compile|DistributedCompile|ColdRun|RetainedArtifact|WhatifSweep|StreamSessionRetainedHeap|StreamPush)AllocGuard$$' -count=1 -v .
 
 # smoke runs the process drills (cmd/enframe/smoke_test.go): real enframe
 # serve, worker and route child processes driven over HTTP, TCP and the CLI

@@ -14,12 +14,14 @@ import (
 
 // frontEndAllocBudget is the ceiling on allocations per obs-disabled fused
 // front-end run (lex → parse → fused translate+ground) at the kmedoids n=24
-// benchmark scale. Measured 2,255 since the translator calls the builder
-// directly instead of through an emitter interface (2,262 before; 11,847
-// while the builder interned through a string-keyed map; ~32.5k while Build
-// allocated a child and a parent slice per node). The budget is under 1.5×
-// the measured count, so a 1.5× regression fails it.
-const frontEndAllocBudget = 3300
+// benchmark scale. The spec carries inline source, so the run still lexes
+// and parses. Measured 2,193 since the builder interns into a hash-cons table
+// recycled from the previous build (2,255 while every build regrew its own;
+// 2,262 while the translator called the builder through an emitter
+// interface; 11,847 while the builder interned through a string-keyed map;
+// ~32.5k while Build allocated a child and a parent slice per node). The
+// budget is under 1.5× the measured count, so a 1.5× regression fails it.
+const frontEndAllocBudget = 3250
 
 // TestFrontEndAllocGuard holds the fused front end to its post-fusion
 // allocation profile. Run as part of `make ci` (via `make alloc-guard`).
@@ -63,6 +65,9 @@ func TestRetainedArtifactAllocGuard(t *testing.T) {
 	ctx := context.Background()
 	arts := make([]*core.Artifact, n)
 	var before, after runtime.MemStats
+	// Two cycles at each reading empty the pools' victim caches, so a
+	// recycled hash-cons table counts on neither side.
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := range arts {
@@ -85,6 +90,7 @@ func TestRetainedArtifactAllocGuard(t *testing.T) {
 		arts[i] = art
 	}
 	runtime.GC()
+	runtime.GC()
 	runtime.ReadMemStats(&after)
 	retained := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
 	var accounted int64
@@ -104,14 +110,16 @@ func TestRetainedArtifactAllocGuard(t *testing.T) {
 
 // compileAllocBudget is the ceiling on allocations per exact compile through
 // the bit-parallel flat core at the same kmedoids n=24 scale. The packed core
-// builds its per-net tables and its mask block once up front and then runs
-// allocation-free through the parent-edge visits of the expansion, bar the
-// trail and queue growing to their high-water marks; measured 188 allocs/op.
-// A sequential walk takes nothing from the free list of mask blocks (see
-// TestDistributedCompileAllocGuard for the runner that does). The budget is
-// under 1.5× the measured count — any per-node or per-propagation allocation
-// creeping into the hot loop blows it by orders of magnitude.
-const compileAllocBudget = 280
+// builds its per-net tables, its mask block, and its trail and queue sized
+// from the node count once up front, and then runs allocation-free through
+// the parent-edge visits of the expansion; measured 94–95 allocs/op (188
+// while the trail and queue grew from empty to their high-water marks, the
+// order stage built its own parent index and the per-kind tables grew by
+// append). A sequential walk takes nothing from the free list of mask blocks
+// (see TestDistributedCompileAllocGuard for the runner that does). The budget
+// is under 1.5× the measured count — any per-node or per-propagation
+// allocation creeping into the hot loop blows it by orders of magnitude.
+const compileAllocBudget = 140
 
 // TestCompileAllocGuard holds the flat compilation core to its packed
 // allocation profile. Run as part of `make ci` (via `make alloc-guard`).
@@ -139,9 +147,10 @@ func TestCompileAllocGuard(t *testing.T) {
 
 // Budgets per compile-hybrid compile: one Hybrid ε=0.1, W=2, d=3 compile of
 // a prepared kmedoids n=24 artifact whose variable order is already
-// memoized. Measured 169–188 allocs and 0.9–1.4 MB per compile; 576 allocs
-// and 12.1 MB while every worker state rebuilt the per-net tables and every
-// job snapshot, trail and queue was a fresh allocation.
+// memoized. Measured 138–160 allocs and 0.75–1.36 MB per compile (169–188
+// allocs before the compile set-up sized its tables up front); 576 allocs and
+// 12.1 MB while every worker state rebuilt the per-net tables and every job
+// snapshot, trail and queue was a fresh allocation.
 const (
 	distributedCompileAllocBudget = 300
 	distributedCompileByteBudget  = 3 << 20
@@ -318,5 +327,71 @@ func TestStreamPushAllocGuard(t *testing.T) {
 	if allocs > streamPushAllocBudget {
 		t.Errorf("a warm stream probability push allocates %.0f/op, over the %d budget — its validation, replay or reply allocates per delta or per marginal again",
 			allocs, streamPushAllocBudget)
+	}
+}
+
+// Budgets per cold served run at the serve-run-mixed shape (kmedoids n=16
+// vars=8 iter=2, a data seed never seen before): server.BuildSpec, then
+// core.PrepareContext, then Artifact.Circuit — the work of one artifact-cache
+// miss, HTTP aside. Of what it allocates the cached artifact keeps ≈ 70 KB
+// (TestRetainedArtifactAllocGuard). Measured 1,063–1,068 allocs and
+// 531–562 KB per run; 1,388 allocs and 1,339 KB while every build regrew its
+// hash-cons table from empty, the order stage and the compile each built a
+// parent index, every request lexed and parsed its builtin program, and the
+// walk regrew its trail and queue. The budgets are under 1.5× the measured
+// values.
+const (
+	coldRunByteBudget  = 768 << 10
+	coldRunAllocBudget = 1550
+)
+
+// TestColdRunAllocGuard holds a cold request to what it keeps plus the
+// front end's and the trace's working storage. Run as part of `make ci` (via
+// `make alloc-guard`).
+func TestColdRunAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc guard is a perf gate, skipped in -short")
+	}
+	ctx := context.Background()
+	run := func(seed int64) {
+		spec, _, err := server.BuildSpec(server.RunRequest{
+			Program: "kmedoids",
+			Data:    server.DataSpec{N: 16, Scheme: "positive", Vars: 8, L: 8, M: 12, Group: 4, Seed: seed},
+			Params:  server.ParamSpec{K: 2, Iter: 2},
+			Targets: []string{"Centre["},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := core.PrepareContext(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := art.Circuit(ctx, spec.Compile); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(1)
+	const runs = 40
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range runs {
+		run(int64(i + 2))
+	}
+	runtime.ReadMemStats(&after)
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("cold run: %d allocs/op (budget %d), %d B/op (budget %d)",
+		allocs, coldRunAllocBudget, bytes, coldRunByteBudget)
+	if raceEnabled {
+		t.Skip("budgets not enforced under -race: the race detector's sync.Pool drops recycled hash-cons tables at random; make alloc-guard enforces them")
+	}
+	if allocs > coldRunAllocBudget {
+		t.Errorf("a cold run allocates %d/op, over the %d budget — the front end or the trace set-up allocates per node again",
+			allocs, coldRunAllocBudget)
+	}
+	if bytes > coldRunByteBudget {
+		t.Errorf("a cold run allocates %d B/op, over the %d B budget — the hash-cons table, the order stage or the walk's trail and queue are regrown per request again",
+			bytes, coldRunByteBudget)
 	}
 }

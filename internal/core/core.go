@@ -33,10 +33,11 @@ type Spec struct {
 	// Source is the user program text.
 	Source string
 	// Parsed, when non-nil, is the already parsed form of Source; the
-	// pipeline then skips lexing and parsing entirely. Long-lived callers
-	// that re-ground the same program against mutating data — the streaming
-	// data plane re-grounds a window segment on every structural delta —
-	// parse once and reuse the AST (it is immutable after parsing).
+	// pipeline then skips lexing and parsing entirely, and Source serves
+	// only error text and cache keys. The program is shared — a builtin's
+	// one AST (lang.Builtin.Parsed) goes to every server.BuildSpec spec and
+	// every stream session of the process — so nothing may mutate it; the
+	// pipeline only reads it.
 	Parsed *lang.Program
 	// Objects are the uncertain input data points backing loadData();
 	// Space is the variable space their lineage ranges over.

@@ -4,6 +4,8 @@ package lang
 // this package and drive the interpreter, the translator, the CLI and the
 // server.
 
+import "sync"
+
 // Builtin is a program the CLI's -program flag and a request's "program"
 // field name.
 type Builtin struct {
@@ -14,13 +16,27 @@ type Builtin struct {
 	// Matrix reports that loadData() binds (O, n, M): the program reads a
 	// weight matrix and loadParams() binds (r, iter), not (k, iter).
 	Matrix bool
+	// parsed parses Source on its first call and returns that AST on every
+	// later one.
+	parsed func() *Program
+}
+
+// Parsed returns the parsed Source. It is parsed once per process and the
+// one AST is shared by every caller, so it must not be mutated (the AST is
+// never modified after parsing; see Program).
+func (b Builtin) Parsed() *Program { return b.parsed() }
+
+// builtin returns the Builtins entry of a program's text.
+func builtin(src string, targets []string, matrix bool) Builtin {
+	return Builtin{Source: src, Targets: targets, Matrix: matrix,
+		parsed: sync.OnceValue(func() *Program { return MustParse(src) })}
 }
 
 // Builtins is the one table of builtin programs, by name.
 var Builtins = map[string]Builtin{
-	"kmedoids": {Source: KMedoidsSource, Targets: []string{"Centre["}},
-	"kmeans":   {Source: KMeansSource, Targets: []string{"InCl["}},
-	"mcl":      {Source: MCLSource, Targets: []string{"CoCl["}, Matrix: true},
+	"kmedoids": builtin(KMedoidsSource, []string{"Centre["}, false),
+	"kmeans":   builtin(KMeansSource, []string{"InCl["}, false),
+	"mcl":      builtin(MCLSource, []string{"CoCl["}, true),
 }
 
 // DefaultTargets returns the target patterns of a run that names none: the

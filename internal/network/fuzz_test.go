@@ -3,6 +3,7 @@ package network
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -112,103 +113,126 @@ func probeChain() []vertex {
 // committed corpus (testdata/fuzz/FuzzIntern) seeds signed zeros, NaN
 // payloads, vector lengths, Boolean ⊗ values, probe chains, values shared
 // across guards and every kind.
+//
+// Every sequence is interned twice: into a fresh table, and into a table
+// recycled (emptied as Build empties it) after interning the reversed
+// sequence, whose index may have grown to another size and whose columns hold
+// stale records past their length. Both must meet the oracle.
 func FuzzIntern(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		next := func() byte {
-			if len(data) == 0 {
-				return 0
-			}
-			c := data[0]
-			data = data[1:]
-			return c
-		}
-		b := NewBuilder(event.NewSpace(), nil)
-		oracle := map[string]NodeID{}
-		valOracle := map[string]int32{}
-		var key []byte
-		var lookups, hits int64
-		check := func(kind Kind, arg int32, val *event.Value, kids []NodeID) {
-			key = appendInternKey(key[:0], kind, arg, val, kids)
-			want, seen := oracle[string(key)]
-			if !seen {
-				want = NodeID(len(oracle))
-				oracle[string(key)] = want
-			} else {
-				hits++
-			}
-			lookups++
-			got := b.intern(kind, arg, val, kids)
-			if got != want {
-				t.Fatalf("intern(%s, %d, %v, %v) = %d, oracle %d", kind, arg, val, kids, got, want)
-			}
-			if val == nil {
-				return
-			}
-			// The value's own key: the ⊗ encoding without its child.
-			key = appendInternKey(key[:0], kind, 0, val, nil)
-			wantVal, seen := valOracle[string(key)]
-			if !seen {
-				wantVal = int32(len(valOracle))
-				valOracle[string(key)] = wantVal
-			}
-			if gotVal := b.recs[got].arg; gotVal != wantVal || len(b.vals) != len(valOracle) {
-				t.Fatalf("⊗ %v: vals index %d of %d, oracle %d of %d", val, gotVal, len(b.vals), wantVal, len(valOracle))
-			}
-		}
-		// ⊥ and ⊤ first, so every ⊗ vertex has a child to take.
-		check(KConst, 0, nil, nil)
-		check(KConst, 1, nil, nil)
-		float := func() float64 { return math.Float64frombits(specialFloats[next()%16]) }
-		var kids []NodeID
-		for len(data) > 0 {
-			op := next()
-			if op >= 0xf0 {
-				pool := probeChain()
-				start := int(next())
-				for j := range 4*int(op&0xf) + 1 {
-					v := pool[(start+j)%len(pool)]
-					check(v.kind, v.arg, v.val, v.kids)
-				}
-				continue
-			}
-			kind := Kind(int(op) % numKinds)
-			kid := func() NodeID { return NodeID(int(next()) % len(oracle)) }
-			kids = kids[:0]
-			switch kind {
-			case KVar, KConst, KCmp, KPow:
-				arg := int32(int8(next()))
-				for range next() % 5 {
-					kids = append(kids, kid())
-				}
-				check(kind, arg, nil, kids)
-			case KCondVal:
-				kids = append(kids, kid())
-				var v event.Value
-				switch next() % 4 {
-				case 1:
-					v = event.Num(float())
-				case 2:
-					comps := make([]float64, next()%4)
-					for i := range comps {
-						comps[i] = float()
-					}
-					v = event.Value{Kind: event.Vector, V: comps}
-				case 3:
-					v = event.Bool(next()&1 == 1)
-				}
-				check(kind, 0, &v, kids)
-			default:
-				for range next() % 5 {
-					kids = append(kids, kid())
-				}
-				check(kind, 0, nil, kids)
-			}
-		}
-		if st := b.Stats(); st.Lookups != lookups || st.Hits != hits || st.Created != int64(len(oracle)) {
-			t.Fatalf("stats %d lookups %d hits %d created, oracle %d %d %d",
-				st.Lookups, st.Hits, st.Created, lookups, hits, len(oracle))
+		fresh := newBuilder(event.NewSpace(), nil, new(table))
+		internSeq(t, fresh, data)
+
+		reversed := slices.Clone(data)
+		slices.Reverse(reversed)
+		prior := newBuilder(event.NewSpace(), nil, new(table))
+		internSeq(t, prior, reversed)
+		prior.reset()
+		recycled := newBuilder(event.NewSpace(), nil, prior.table)
+		internSeq(t, recycled, data)
+		if fs, rs := fresh.Stats(), recycled.Stats(); fs.Lookups != rs.Lookups || fs.Hits != rs.Hits {
+			t.Fatalf("recycled table: %d lookups %d hits, fresh table %d %d", rs.Lookups, rs.Hits, fs.Lookups, fs.Hits)
 		}
 	})
+}
+
+// internSeq interns FuzzIntern's byte-coded vertex sequence into b and holds
+// every id, ⊗ value index and the hash-cons accounting to the oracle maps.
+func internSeq(t *testing.T, b *Builder, data []byte) {
+	t.Helper()
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		c := data[0]
+		data = data[1:]
+		return c
+	}
+	oracle := map[string]NodeID{}
+	valOracle := map[string]int32{}
+	var key []byte
+	var lookups, hits int64
+	check := func(kind Kind, arg int32, val *event.Value, kids []NodeID) {
+		key = appendInternKey(key[:0], kind, arg, val, kids)
+		want, seen := oracle[string(key)]
+		if !seen {
+			want = NodeID(len(oracle))
+			oracle[string(key)] = want
+		} else {
+			hits++
+		}
+		lookups++
+		got := b.intern(kind, arg, val, kids)
+		if got != want {
+			t.Fatalf("intern(%s, %d, %v, %v) = %d, oracle %d", kind, arg, val, kids, got, want)
+		}
+		if val == nil {
+			return
+		}
+		// The value's own key: the ⊗ encoding without its child.
+		key = appendInternKey(key[:0], kind, 0, val, nil)
+		wantVal, seen := valOracle[string(key)]
+		if !seen {
+			wantVal = int32(len(valOracle))
+			valOracle[string(key)] = wantVal
+		}
+		if gotVal := b.recs[got].arg; gotVal != wantVal || len(b.vals) != len(valOracle) {
+			t.Fatalf("⊗ %v: vals index %d of %d, oracle %d of %d", val, gotVal, len(b.vals), wantVal, len(valOracle))
+		}
+	}
+	// ⊥ and ⊤ first, so every ⊗ vertex has a child to take.
+	check(KConst, 0, nil, nil)
+	check(KConst, 1, nil, nil)
+	float := func() float64 { return math.Float64frombits(specialFloats[next()%16]) }
+	var kids []NodeID
+	for len(data) > 0 {
+		op := next()
+		if op >= 0xf0 {
+			pool := probeChain()
+			start := int(next())
+			for j := range 4*int(op&0xf) + 1 {
+				v := pool[(start+j)%len(pool)]
+				check(v.kind, v.arg, v.val, v.kids)
+			}
+			continue
+		}
+		kind := Kind(int(op) % numKinds)
+		kid := func() NodeID { return NodeID(int(next()) % len(oracle)) }
+		kids = kids[:0]
+		switch kind {
+		case KVar, KConst, KCmp, KPow:
+			arg := int32(int8(next()))
+			for range next() % 5 {
+				kids = append(kids, kid())
+			}
+			check(kind, arg, nil, kids)
+		case KCondVal:
+			kids = append(kids, kid())
+			var v event.Value
+			switch next() % 4 {
+			case 1:
+				v = event.Num(float())
+			case 2:
+				comps := make([]float64, next()%4)
+				for i := range comps {
+					comps[i] = float()
+				}
+				v = event.Value{Kind: event.Vector, V: comps}
+			case 3:
+				v = event.Bool(next()&1 == 1)
+			}
+			check(kind, 0, &v, kids)
+		default:
+			for range next() % 5 {
+				kids = append(kids, kid())
+			}
+			check(kind, 0, nil, kids)
+		}
+	}
+	if st := b.Stats(); st.Lookups != lookups || st.Hits != hits || st.Created != int64(len(oracle)) {
+		t.Fatalf("stats %d lookups %d hits %d created, oracle %d %d %d",
+			st.Lookups, st.Hits, st.Created, lookups, hits, len(oracle))
+	}
 }
 
 // TestInternProbeChains interns a pool of records that all share the last

@@ -3,6 +3,7 @@ package network
 import (
 	"math"
 	"slices"
+	"sync"
 
 	"enframe/internal/event"
 )
@@ -28,6 +29,13 @@ type rec struct {
 // vals entry, found through a second index of the same shape, so the many ⊗
 // nodes that carry one distance under different guards store it once. The
 // Builder interns through it.
+//
+// A table outlives its builder: Build empties it and returns it to
+// tablePool, and the next NewBuilder takes it from there, so a process that
+// builds network after network interns into storage already grown to the
+// size its networks need instead of regrowing and rehashing it from empty
+// each time. Ids depend only on the order of creation, never on the index
+// size, so a recycled table yields the ids and hit counts a fresh one does.
 type table struct {
 	recs  []rec
 	kids  []NodeID
@@ -39,10 +47,45 @@ type table struct {
 	// valIndex and valShift index vals by bits, as index and shift do recs.
 	valIndex []int32
 	valShift uint
+	// remap, valRemap and stack are Build's scratch (liveIDs).
+	remap    []NodeID
+	valRemap []int32
+	stack    []NodeID
 }
 
 // minIndexBits sizes a fresh index; it doubles whenever it is half full.
 const minIndexBits = 10
+
+// tablePool holds emptied tables between builds. A sync.Pool rather than a
+// pinned spare, so the garbage collector reclaims the tables once a process
+// stops building networks.
+var tablePool sync.Pool
+
+// getTable returns an empty table, recycled when the pool has one.
+func getTable() *table {
+	if t, _ := tablePool.Get().(*table); t != nil {
+		return t
+	}
+	return new(table)
+}
+
+// putTable empties t and returns it to the pool.
+func putTable(t *table) {
+	t.reset()
+	tablePool.Put(t)
+}
+
+// reset empties the table, keeping every column's capacity and each index's
+// size. The c-values are zeroed so an emptied table keeps no built network's
+// vectors alive.
+func (t *table) reset() {
+	t.recs = t.recs[:0]
+	t.kids = t.kids[:0]
+	clear(t.vals)
+	t.vals = t.vals[:0]
+	clear(t.index)
+	clear(t.valIndex)
+}
 
 // kidsOf returns a record's child span.
 func (t *table) kidsOf(id NodeID) []NodeID {

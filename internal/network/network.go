@@ -196,9 +196,11 @@ func (n *Net) KindCounts() map[string]int64 {
 // against the stored record, so a lookup allocates nothing. Commutative ∧/∨
 // children are canonically sorted before lookup so argument order cannot
 // defeat sharing. Build then sweeps the live records straight into the Net's
-// columns; the records, arena and index die with the builder.
+// columns and hands the emptied table — records, arena, c-values and both
+// indexes — to the next builder (tablePool). A builder is single-use:
+// interning into it after Build, or building it twice, panics.
 type Builder struct {
-	table
+	*table
 	space    *event.Space
 	metric   vec.Distance
 	exprMemo map[event.Expr]NodeID
@@ -223,10 +225,16 @@ type Builder struct {
 // NewBuilder returns a builder over the given variable space. A nil metric
 // defaults to Euclidean distance.
 func NewBuilder(space *event.Space, metric vec.Distance) *Builder {
+	return newBuilder(space, metric, getTable())
+}
+
+// newBuilder is NewBuilder interning into the given empty table.
+func newBuilder(space *event.Space, metric vec.Distance, t *table) *Builder {
 	if metric == nil {
 		metric = vec.Euclidean
 	}
 	return &Builder{
+		table:    t,
 		space:    space,
 		metric:   metric,
 		exprMemo: make(map[event.Expr]NodeID),
@@ -624,8 +632,12 @@ func (b *Builder) Target(name string, id NodeID) {
 // unreachable from any target (construction garbage left behind by constant
 // folding) are swept away, and the live nodes are written straight into the
 // Net's columns, keeping their relative id order and child order. The
-// builder must not be reused afterwards.
+// builder's table then goes back to the pool: using the builder afterwards
+// panics, and so does a second Build.
 func (b *Builder) Build() *Net {
+	if b.table == nil {
+		panic("network: Builder used after Build")
+	}
 	remap, valRemap, live, edges, vals := b.liveIDs()
 	net := &Net{
 		Space:   b.space,
@@ -666,6 +678,9 @@ func (b *Builder) Build() *Net {
 	for i, t := range b.targets {
 		net.Targets[i] = Target{Name: t.Name, Node: remap[t.Node]}
 	}
+	putTable(b.table)
+	b.table = nil
+	b.exprMemo = nil
 	if b.reg != nil {
 		st := b.Stats()
 		b.reg.Counter("network.hashcons.lookups").Add(st.Lookups)
@@ -689,12 +704,14 @@ func (b *Builder) Build() *Net {
 // edges, and the distinct live c-values, so Build can size each column
 // exactly.
 func (b *Builder) liveIDs() (remap []NodeID, valRemap []int32, live, edges, vals int) {
-	remap = make([]NodeID, len(b.recs)) // 0 marks live until ids are assigned
+	remap = fitLen(b.remap, len(b.recs))
+	b.remap = remap
+	clear(remap) // 0 marks live until ids are assigned
 	if len(b.targets) > 0 {
 		for i := range remap {
 			remap[i] = NoNode
 		}
-		stack := make([]NodeID, 0, len(b.targets))
+		stack := b.stack[:0]
 		mark := func(id NodeID) {
 			if remap[id] == NoNode {
 				remap[id] = 0
@@ -711,8 +728,10 @@ func (b *Builder) liveIDs() (remap []NodeID, valRemap []int32, live, edges, vals
 				mark(k)
 			}
 		}
+		b.stack = stack
 	}
-	valRemap = make([]int32, len(b.vals))
+	valRemap = fitLen(b.valRemap, len(b.vals))
+	b.valRemap = valRemap
 	for i := range valRemap {
 		valRemap[i] = -1
 	}
@@ -729,4 +748,13 @@ func (b *Builder) liveIDs() (remap []NodeID, valRemap []int32, live, edges, vals
 		}
 	}
 	return remap, valRemap, live, edges, vals
+}
+
+// fitLen returns s resized to n, reallocating only when its capacity is too
+// small; the contents are left as they are.
+func fitLen[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	return s[:n]
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"enframe/internal/event"
@@ -401,5 +402,108 @@ func TestTypesVectorPropagation(t *testing.T) {
 	}
 	if counts[TVector] < 3 {
 		t.Errorf("expected vector-typed nodes, got %v", counts)
+	}
+}
+
+// buildRandom grows a seeded random network through every builder operation
+// — ⊗ scalars and vectors, folds, sums, products, comparisons, distances —
+// big enough that the index regrows past its first size, and builds it with
+// a few targets.
+func buildRandom(b *Builder, seed int64) *Net {
+	rng := rand.New(rand.NewSource(seed))
+	boolNodes := []NodeID{b.Bool(true)}
+	numNodes := []NodeID{b.ConstNum(event.Num(1))}
+	vecNodes := []NodeID{b.ConstNum(event.Vect(vec.New(1, 1)))}
+	for x := range b.space.Len() {
+		boolNodes = append(boolNodes, b.Var(event.VarID(x)))
+	}
+	pick := func(ns []NodeID) NodeID { return ns[rng.Intn(len(ns))] }
+	for range 1500 {
+		switch rng.Intn(9) {
+		case 0:
+			boolNodes = append(boolNodes, b.Not(pick(boolNodes)))
+		case 1:
+			boolNodes = append(boolNodes, b.And(pick(boolNodes), pick(boolNodes), pick(boolNodes)))
+		case 2:
+			boolNodes = append(boolNodes, b.Or(pick(boolNodes), pick(boolNodes)))
+		case 3:
+			numNodes = append(numNodes, b.CondVal(pick(boolNodes), event.Num(float64(rng.Intn(20)))))
+		case 4:
+			vecNodes = append(vecNodes, b.CondVal(pick(boolNodes), event.Vect(vec.New(float64(rng.Intn(5)), float64(rng.Intn(5))))))
+		case 5:
+			numNodes = append(numNodes, b.Sum(pick(numNodes), pick(numNodes)))
+		case 6:
+			numNodes = append(numNodes, b.Guard(pick(boolNodes), pick(numNodes)))
+		case 7:
+			boolNodes = append(boolNodes, b.Cmp(event.LE, pick(numNodes), pick(numNodes)))
+		case 8:
+			numNodes = append(numNodes, b.Dist(pick(vecNodes), pick(vecNodes)))
+		}
+	}
+	for i := range 8 {
+		b.Target(fmt.Sprintf("t%d", i), boolNodes[len(boolNodes)-1-i])
+	}
+	return b.Build()
+}
+
+// TestRecycledTableBuildsConcurrently builds two networks at once, one into
+// a table the pool recycled from an earlier build and one into a fresh
+// table; each must be Equal to its sequential build from a fresh table.
+// `make test-race` runs it under the race detector.
+func TestRecycledTableBuildsConcurrently(t *testing.T) {
+	sp := event.NewSpace()
+	for i := range 10 {
+		sp.Add(fmt.Sprintf("x%d", i), 0.5)
+	}
+	want := [2]*Net{buildRandom(newBuilder(sp, nil, new(table)), 1), buildRandom(newBuilder(sp, nil, new(table)), 2)}
+	recycled := 0
+	for round := range 8 {
+		buildRandom(NewBuilder(sp, nil), int64(100+round)) // leaves its table in the pool
+		var got [2]*Net
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			b := NewBuilder(sp, nil)
+			if cap(b.recs) > 0 {
+				recycled++
+			}
+			got[0] = buildRandom(b, 1)
+		}()
+		go func() {
+			defer wg.Done()
+			got[1] = buildRandom(newBuilder(sp, nil, new(table)), 2)
+		}()
+		wg.Wait()
+		for i := range got {
+			if !Equal(got[i], want[i]) {
+				t.Fatalf("round %d: concurrent build %d differs from its sequential build", round, i)
+			}
+		}
+	}
+	t.Logf("%d of 8 pooled builds drew a recycled table", recycled)
+}
+
+// TestBuilderSingleUse: a builder's table goes back to the pool at Build, so
+// interning into the builder afterwards, or building it again, panics.
+func TestBuilderSingleUse(t *testing.T) {
+	sp := event.NewSpace()
+	x := sp.Add("x", 0.5)
+	for name, use := range map[string]func(b *Builder){
+		"intern": func(b *Builder) { b.Var(x) },
+		"build":  func(b *Builder) { b.Build() },
+		"and":    func(b *Builder) { b.And(0, 0) },
+	} {
+		b := NewBuilder(sp, nil)
+		b.Target("x", b.Var(x))
+		b.Build()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after Build did not panic", name)
+				}
+			}()
+			use(b)
+		}()
 	}
 }

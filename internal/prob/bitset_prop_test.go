@@ -173,9 +173,8 @@ func TestFlatSnapshotRestoreProperty(t *testing.T) {
 			}
 			opts := Options{Strategy: Exact}.withDefaults()
 			book := newBoundsBook(len(net.Targets), 0)
-			var pars parentIndex
-			s := newFstate(net, types, &pars, opts, book, false)
-			s.attachRun(computeOrder(net, opts, &pars), time.Time{}, nil, nil)
+			s := newFstate(net, types, opts, book, false)
+			s.attachRun(computeOrder(net, opts), time.Time{}, nil, nil)
 			s.initAll()
 
 			base := captureSig(s)

@@ -27,10 +27,9 @@ func Compile(net *network.Net, opts Options) (*Result, error) {
 // Order returns the Shannon-expansion variable order the given heuristic
 // produces for the network. Callers that compile the same network repeatedly
 // (e.g. the serving layer's artifact cache) can compute the order once and
-// replay it through Options.Order, skipping the per-compile order stage. The
-// parent index FanoutOrder walks is built for the call and dropped with it.
+// replay it through Options.Order, skipping the per-compile order stage.
 func Order(net *network.Net, h OrderHeuristic) []event.VarID {
-	return computeOrder(net, Options{Heuristic: h}, new(parentIndex))
+	return computeOrder(net, Options{Heuristic: h})
 }
 
 // CompileCtx is Compile with cooperative cancellation: when ctx is cancelled
@@ -89,12 +88,9 @@ func compile(ctx context.Context, net *network.Net, opts Options, trace bool, ex
 	span.SetInt("targets", int64(len(net.Targets)))
 	span.SetInt("nodes", int64(net.NumNodes()))
 
-	// The parent index is built here when the compile computes its own
-	// FanoutOrder, and otherwise by the init stage.
-	var pars parentIndex
 	tOrder := time.Now()
 	orderSpan := span.Start("order")
-	order := computeOrder(net, opts, &pars)
+	order := computeOrder(net, opts)
 	orderSpan.SetInt("vars", int64(len(order)))
 	orderSpan.End()
 	orderDur := time.Since(tOrder)
@@ -104,7 +100,6 @@ func compile(ctx context.Context, net *network.Net, opts Options, trace bool, ex
 		types:  types,
 		opts:   opts,
 		order:  order,
-		pars:   pars,
 		span:   span,
 		bounds: newBoundsBook(len(net.Targets), eps2),
 	}
@@ -235,7 +230,6 @@ type runner struct {
 	types    []network.ValueType
 	opts     Options
 	order    []event.VarID
-	pars     parentIndex // the compile's parent index; built by order or init
 	bounds   *boundsBook
 	span     *obs.Span     // compile span (nil when tracing is off)
 	timeline *obs.Timeline // budget-spend timeline (nil unless traced+budgeted)
@@ -275,7 +269,7 @@ func (r *runner) leaseBudgetBuf(n int) []float64 {
 func (r *runner) initPass(sink *circuitSink, recycle bool) *fstate {
 	t0 := time.Now()
 	span := r.span.Start("init")
-	s := r.attach(newFstate(r.net, r.types, &r.pars, r.opts, r.bounds, recycle))
+	s := r.attach(newFstate(r.net, r.types, r.opts, r.bounds, recycle))
 	if sink != nil {
 		s.onAdd = sink.observe
 	}
@@ -311,6 +305,7 @@ func (r *runner) runSequential(sink *circuitSink) Stats {
 
 	tExplore := time.Now()
 	exploreSpan := r.span.Start(exploreName)
+	s.sizeWalk()
 	w := &walker{state: s, run: r, sink: sink}
 	root := w.dfs(0, 0, -1, false, 1, r.rootBudget())
 	if sink != nil {

@@ -2,8 +2,10 @@ package prob
 
 import (
 	"math"
+	"sort"
 	"sync/atomic"
 
+	"enframe/internal/event"
 	"enframe/internal/network"
 	"enframe/internal/vec"
 )
@@ -61,16 +63,65 @@ func blockShapeOf(net *network.Net) blockShape {
 	if err != nil {
 		panic(err)
 	}
-	s := newFstate(net, types, new(parentIndex), Options{}, newBoundsBook(len(net.Targets), 0), false)
+	s := newFstate(net, types, Options{}, newBoundsBook(len(net.Targets), 0), false)
 	defer s.release()
 	return s.shape
 }
 
-// ParentIndex runs the parent-index pass a compilation makes once (newFstate
-// or the FanoutOrder stage) and returns the index: node id's parents are
+// ParentIndex runs the parent-index pass a compilation makes once, in
+// newFstate, and returns the index: node id's parents are
 // ids[off[id]:off[id+1]].
 func ParentIndex(net *network.Net) (off []int32, ids []network.NodeID) {
-	var p parentIndex
-	p.ensure(net)
+	p := newParentIndex(net)
 	return p.off, p.ids
+}
+
+// FanoutCounts returns the influence counts FanoutOrder sorts by, indexed by
+// variable id (0 for a variable the network does not reference).
+func FanoutCounts(net *network.Net) []int {
+	var vars []event.VarID
+	for x, id := range net.VarNode {
+		if id != network.NoNode {
+			vars = append(vars, event.VarID(x))
+		}
+	}
+	return fanout(net, vars)
+}
+
+// FanoutRef is the reference FanoutOrder: one upward depth-first search per
+// referenced variable over the compilation's parent index, counting the
+// nodes reachable from its leaf, the leaf included, with epoch-stamped
+// visits; then the order by count, most first, ties by variable id. It
+// returns the order and the counts, indexed by variable id.
+func FanoutRef(net *network.Net) ([]event.VarID, []int) {
+	pars := newParentIndex(net)
+	influence := make([]int, len(net.VarNode))
+	var vars []event.VarID
+	visited := make([]int32, net.NumNodes())
+	epoch := int32(0)
+	var stack []network.NodeID
+	for x, leaf := range net.VarNode {
+		if leaf == network.NoNode {
+			continue
+		}
+		vars = append(vars, event.VarID(x))
+		epoch++
+		stack = append(stack[:0], leaf)
+		visited[leaf] = epoch
+		for len(stack) > 0 {
+			id := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			influence[x]++
+			for _, p := range pars.of(id) {
+				if visited[p] != epoch {
+					visited[p] = epoch
+					stack = append(stack, p)
+				}
+			}
+		}
+	}
+	sort.SliceStable(vars, func(i, j int) bool {
+		return influence[vars[i]] > influence[vars[j]]
+	})
+	return vars, influence
 }

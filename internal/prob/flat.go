@@ -325,30 +325,40 @@ const (
 	tagTarget uint8 = 1 << 7
 )
 
-// newFstate builds a pristine state: the network's tables — the parent index
-// pars, built here unless the order stage built it — and a block zeroed for
+// newFstate builds a pristine state: the network's tables — the
+// compilation's one parent index among them — and a block zeroed for
 // initAll, which writes every open bit itself (a vector entry is written
 // before it is read). With recycle the block comes from the free list; a
 // sequential walk's is left to the GC, so a process that only traces pools
 // nothing.
-func newFstate(net *network.Net, types []network.ValueType, pars *parentIndex, opts Options, bounds *boundsBook, recycle bool) *fstate {
+func newFstate(net *network.Net, types []network.ValueType, opts Options, bounds *boundsBook, recycle bool) *fstate {
 	nn := net.NumNodes()
-	pars.ensure(net)
 	s := &fstate{net: net, types: types, opts: opts, bounds: bounds, recording: true}
-	s.pars = *pars
+	s.pars = newParentIndex(net)
 	sh := blockShape{nodes: int32(nn+511) &^ 511, targets: int32(len(net.Targets))}
 	idx := make([]int32, 2*nn)
 	s.targetsAt, s.vecAt = idx[:nn:nn], idx[nn:]
+	var nCmp, nGuard, nCond int
 	for id, k := range net.Kind {
 		s.targetsAt[id], s.vecAt[id] = -1, -1
 		if types[id] == network.TVector {
 			s.vecAt[id] = sh.vecs
 			sh.vecs++
 		}
-		if k == network.KSum {
+		switch k {
+		case network.KCmp:
+			nCmp++
+		case network.KSum:
 			sh.sums++
+		case network.KGuard:
+			nGuard++
+		case network.KCondVal:
+			nCond++
 		}
 	}
+	s.cmpAux = make([]cmpRec, 0, nCmp)
+	s.guardAux = make([][2]network.NodeID, 0, nGuard)
+	s.condAux = make([]condRec, 0, nCond)
 	if recycle {
 		if b, _ := shapePool(sh).Get().(*fblock); b != nil {
 			s.fblock = *b
@@ -431,6 +441,28 @@ func newFstate(net *network.Net, types []network.ValueType, pars *parentIndex, o
 		}
 	}
 	return s
+}
+
+// sizeWalk sizes the trail and queue of a state about to walk the whole
+// decision tree sequentially — a trail word and a queue entry per node, a
+// counter record per node that carries a counter, an aggregate per Σ, plus
+// headroom — so the walk does not regrow them from empty: measured on the
+// serve-run-mixed and batch-exact nets, a walk's trail peaks at 1.0–1.2
+// entries per node and its queue at 1.0–1.01 (revisits are ≈ 1 % of
+// dequeues). Distributed and Session states are left to grow theirs as
+// needed: their blocks return to the free list or serve as templates, and
+// would carry a whole walk's trail and queue as capacity.
+func (s *fstate) sizeWalk() {
+	nn, counted := len(s.ab), 0
+	for i := range s.ab {
+		if s.ab[i].tag&tagClass != tagBool {
+			counted++
+		}
+	}
+	s.trailIDs = make([]uint64, 0, nn+nn/4)
+	s.trailNums = make([]ntrail, 0, counted+counted/4)
+	s.trailSums = make([]sumAgg, 0, int(s.shape.sums+s.shape.sums/4))
+	s.queue = make([]qent, 0, nn+nn/16)
 }
 
 // attachRun wires the variable order and the runner's abort machinery into

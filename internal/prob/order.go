@@ -1,7 +1,8 @@
 package prob
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"enframe/internal/event"
 	"enframe/internal/network"
@@ -9,10 +10,8 @@ import (
 
 // computeOrder returns the Shannon-expansion variable order. Variables that
 // do not occur in the network are excluded: their assignments cannot change
-// any mask and their probability mass marginalises out. Only the FanoutOrder
-// heuristic walks the network upward; it builds pars if it is not built yet,
-// so the compile that goes on to propagate reuses it.
-func computeOrder(net *network.Net, opts Options, pars *parentIndex) []event.VarID {
+// any mask and their probability mass marginalises out.
+func computeOrder(net *network.Net, opts Options) []event.VarID {
 	if opts.Order != nil {
 		var order []event.VarID
 		for _, x := range opts.Order {
@@ -33,35 +32,45 @@ func computeOrder(net *network.Net, opts Options, pars *parentIndex) []event.Var
 	}
 	// FanoutOrder: the paper picks the next variable to "influence as many
 	// events as possible"; we order statically by the number of network
-	// nodes transitively reachable upward from the variable's leaf.
-	pars.ensure(net)
-	influence := make(map[event.VarID]int, len(vars))
-	visited := make([]int32, net.NumNodes())
-	epoch := int32(0)
-	stack := make([]network.NodeID, 0, 128)
-	for _, x := range vars {
-		epoch++
-		count := 0
-		stack = append(stack[:0], net.VarNode[x])
-		visited[net.VarNode[x]] = epoch
-		for len(stack) > 0 {
-			id := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			count++
-			for _, p := range pars.of(id) {
-				if visited[p] != epoch {
-					visited[p] = epoch
-					stack = append(stack, p)
-				}
-			}
+	// nodes transitively reachable upward from the variable's leaf, most
+	// first, ties by variable id.
+	influence := fanout(net, vars)
+	slices.SortFunc(vars, func(x, y event.VarID) int {
+		if ix, iy := influence[x], influence[y]; ix != iy {
+			return iy - ix
 		}
-		influence[x] = count
-	}
-	sort.SliceStable(vars, func(i, j int) bool {
-		if influence[vars[i]] != influence[vars[j]] {
-			return influence[vars[i]] > influence[vars[j]]
-		}
-		return vars[i] < vars[j]
+		return int(x) - int(y)
 	})
 	return vars
+}
+
+// fanout counts, for every variable of vars (which occur in the network),
+// the nodes whose value depends on it: the nodes reachable upward from its
+// leaf, the leaf included. Node ids are topologically ordered, so one
+// forward pass over the child spans gives each node the set of variables
+// beneath it — a row of ⌈|vars|/64⌉ words, the OR of its children's rows,
+// seeded with its own bit at a variable's leaf — and a variable's count is
+// the number of rows that hold its bit. The pass needs no parent index.
+// The result is indexed by variable id.
+func fanout(net *network.Net, vars []event.VarID) []int {
+	influence := make([]int, len(net.VarNode))
+	w := (len(vars) + 63) / 64
+	sets := make([]uint64, net.NumNodes()*w)
+	for i, x := range vars {
+		sets[int(net.VarNode[x])*w+i>>6] |= 1 << (i & 63)
+	}
+	for id := range net.NumNodes() {
+		row := sets[id*w : id*w+w]
+		for _, k := range net.KidsOf(network.NodeID(id)) {
+			for j, kw := range sets[int(k)*w : int(k)*w+w] {
+				row[j] |= kw
+			}
+		}
+		for j, word := range row {
+			for ; word != 0; word &= word - 1 {
+				influence[vars[j<<6+bits.TrailingZeros64(word)]]++
+			}
+		}
+	}
+	return influence
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"math/rand"
 	"os"
 	"slices"
 	"strconv"
@@ -163,5 +164,87 @@ func BenchmarkParentIndex(b *testing.B) {
 				prob.ParentIndex(art.Net)
 			}
 		})
+	}
+}
+
+// wideNet builds, directly with network.Builder, a network over 100
+// referenced variables (of a 130-variable space), so FanoutOrder's variable
+// sets span two words: a seeded random DAG of ∧, ∨ and ¬ over the leaves,
+// whose fan-out differs from variable to variable and ties between some.
+func wideNet() *network.Net {
+	sp := event.NewSpace()
+	for i := range 130 {
+		sp.Add(fmt.Sprintf("x%d", i), 0.5)
+	}
+	b := network.NewBuilder(sp, nil)
+	rng := rand.New(rand.NewSource(7))
+	var nodes []network.NodeID
+	for i := range 100 {
+		nodes = append(nodes, b.Var(event.VarID(i*7%130)))
+	}
+	pick := func() network.NodeID {
+		// Favour recent nodes, so the DAG grows deep as well as wide.
+		return nodes[len(nodes)-1-rng.Intn(min(len(nodes), 60))]
+	}
+	for range 600 {
+		switch rng.Intn(3) {
+		case 0:
+			nodes = append(nodes, b.And(pick(), pick()))
+		case 1:
+			nodes = append(nodes, b.Or(pick(), pick(), pick()))
+		case 2:
+			nodes = append(nodes, b.Not(pick()))
+		}
+	}
+	return b.Build() // no targets: every node is kept
+}
+
+// TestFanoutOrderMatchesReference holds FanoutOrder's one forward pass to the
+// reference — one upward search per variable over the parent index — count
+// for count and in the resulting order: on every network of the golden
+// corpus, on the three builtins at the benchmark's shapes, and on a network
+// whose variable sets span two words.
+func TestFanoutOrderMatchesReference(t *testing.T) {
+	nets := goldenNets(t)
+	nets["mixed"] = mixedNet()
+	wide := wideNet()
+	refs := 0
+	for _, id := range wide.VarNode {
+		if id != network.NoNode {
+			refs++
+		}
+	}
+	if refs <= 64 {
+		t.Fatalf("wide net references %d variables, want > 64", refs)
+	}
+	nets["wide"] = wide
+	for _, req := range []server.RunRequest{
+		{Program: "kmedoids", Data: server.DataSpec{N: 24, Scheme: "positive", Vars: 10, L: 8, M: 12, Group: 4, Seed: 3}, Params: server.ParamSpec{K: 2, Iter: 3}},
+		{Program: "kmedoids", Data: server.DataSpec{N: 24, Scheme: "mutex", Vars: 16, L: 8, M: 12, Group: 4, Seed: 3}, Params: server.ParamSpec{K: 2, Iter: 3}},
+		{Program: "kmedoids", Data: server.DataSpec{N: 16, Scheme: "positive", Vars: 8, L: 8, M: 12, Group: 4, Seed: 3}, Params: server.ParamSpec{K: 2, Iter: 2}},
+		{Program: "kmeans", Data: server.DataSpec{N: 24, Scheme: "positive", Vars: 10, L: 8, M: 12, Group: 4, Seed: 3}, Params: server.ParamSpec{K: 2, Iter: 3}, Targets: []string{"InCl["}},
+		{Program: "mcl", Data: server.DataSpec{N: 8, Vars: 10, Seed: 3}},
+	} {
+		spec, _, err := server.BuildSpec(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := core.PrepareContext(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets[fmt.Sprintf("%s/%s/n=%d/vars=%d", req.Program, req.Data.Scheme, req.Data.N, req.Data.Vars)] = art.Net
+	}
+	for name, n := range nets {
+		if n == nil {
+			continue
+		}
+		wantOrder, wantCounts := prob.FanoutRef(n)
+		if got := prob.FanoutCounts(n); !slices.Equal(got, wantCounts) {
+			t.Errorf("%s: influence counts %v, reference %v", name, got, wantCounts)
+		}
+		if got := prob.Order(n, prob.FanoutOrder); !slices.Equal(got, wantOrder) {
+			t.Errorf("%s: FanoutOrder %v, reference %v", name, got, wantOrder)
+		}
 	}
 }

@@ -62,10 +62,9 @@ func NewSession(net *network.Net, opts Options) (*Session, error) {
 	if opts.Strategy != Exact {
 		eps2 = 2 * opts.Epsilon
 	}
-	var pars parentIndex
-	order := computeOrder(net, opts, &pars)
+	order := computeOrder(net, opts)
 	book := newBoundsBook(len(net.Targets), eps2)
-	pr := newFstate(net, types, &pars, opts, book, false)
+	pr := newFstate(net, types, opts, book, false)
 	pr.attachRun(order, time.Time{}, nil, nil)
 	pr.initAll()
 	return &Session{

@@ -244,7 +244,8 @@ func ArtifactKey(req RunRequest) (string, error) {
 type specPlan struct {
 	req    RunRequest // defaulted
 	key    string
-	source string // resolved program text (sensor data)
+	source string        // resolved program text (sensor data)
+	parsed *lang.Program // a builtin's shared AST; nil for inline source
 	isMCL  bool
 	scheme lineage.Scheme
 }
@@ -320,7 +321,7 @@ func planSensor(req RunRequest) (specPlan, error) {
 	if req.Data.Vars > maxDataVars {
 		return specPlan{}, badRequest("data.vars must be ≤ %d (got %d)", maxDataVars, req.Data.Vars)
 	}
-	source, isMCL, err := resolveProgram(req)
+	source, parsed, isMCL, err := resolveProgram(req)
 	if err != nil {
 		return specPlan{}, err
 	}
@@ -338,7 +339,7 @@ func planSensor(req RunRequest) (specPlan, error) {
 		req.Data.Certain, req.Data.Group, req.Data.Seed)
 	fmt.Fprintf(h, "params\x00k=%d;iter=%d;r=%d;mcl=%t\x00", req.Params.K, req.Params.Iter, req.Params.R, isMCL)
 	fmt.Fprintf(h, "targets\x00%s", strings.Join(req.Targets, "\x01"))
-	return specPlan{req: req, key: hex.EncodeToString(h.Sum(nil)), source: source, isMCL: isMCL, scheme: scheme}, nil
+	return specPlan{req: req, key: hex.EncodeToString(h.Sum(nil)), source: source, parsed: parsed, isMCL: isMCL, scheme: scheme}, nil
 }
 
 // spec generates the plan's data and assembles the core.Spec. Its errors
@@ -364,6 +365,7 @@ func (p specPlan) spec() (core.Spec, error) {
 	}
 	spec := core.Spec{
 		Source:  p.source,
+		Parsed:  p.parsed,
 		Objects: objs,
 		Space:   space,
 		Targets: req.Targets,
@@ -408,18 +410,20 @@ func genSpec(seed int64) (core.Spec, error) {
 	}, nil
 }
 
-// resolveProgram maps the request to program text, and reports whether its
-// loadData() binds a weight matrix. Unlike the CLI, inline source is the
-// only non-builtin path — a server must not read local files on client
-// demand; the CLI sends a file's text as inline source.
-func resolveProgram(req RunRequest) (source string, isMCL bool, err error) {
+// resolveProgram maps the request to program text — and, for a builtin, to
+// the AST the process parsed once (lang.Builtin.Parsed) — and reports
+// whether its loadData() binds a weight matrix. Inline source is parsed per
+// request, by core. Unlike the CLI, inline source is the only non-builtin
+// path — a server must not read local files on client demand; the CLI sends
+// a file's text as inline source.
+func resolveProgram(req RunRequest) (source string, parsed *lang.Program, isMCL bool, err error) {
 	if req.Source != "" {
-		return req.Source, strings.Contains(req.Source, "(O, n, M)"), nil
+		return req.Source, nil, strings.Contains(req.Source, "(O, n, M)"), nil
 	}
 	if b, ok := lang.Builtins[req.Program]; ok {
-		return b.Source, b.Matrix, nil
+		return b.Source, b.Parsed(), b.Matrix, nil
 	}
-	return "", false, badRequest("unknown builtin program %q (want kmedoids, kmeans, or mcl; send inline text via source)", req.Program)
+	return "", nil, false, badRequest("unknown builtin program %q (want kmedoids, kmeans, or mcl; send inline text via source)", req.Program)
 }
 
 func parseScheme(s string) (lineage.Scheme, error) {

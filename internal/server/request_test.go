@@ -1,9 +1,15 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
+
+	"enframe/internal/core"
+	"enframe/internal/lang"
+	"enframe/internal/network"
 )
 
 // TestBuildSpecBoundsRequestShape: requests whose shape would make the
@@ -37,6 +43,56 @@ func TestBuildSpecBoundsRequestShape(t *testing.T) {
 	} {
 		if _, _, err := BuildSpec(req); err != nil {
 			t.Errorf("%+v at the caps: %v", req.Params, err)
+		}
+	}
+}
+
+// TestBuiltinASTSharedReadOnly prepares one builtin's shared parsed program
+// from 4 goroutines at once: BuildSpec hands every request the AST the
+// process parsed once, and each network must be Equal to a sequential build
+// that parses the program's text afresh. `make test-race` runs it under the
+// race detector, which reports any write to the shared AST.
+func TestBuiltinASTSharedReadOnly(t *testing.T) {
+	for _, program := range []string{"kmedoids", "kmeans", "mcl"} {
+		shared := lang.Builtins[program].Parsed()
+		specs := make([]core.Spec, 4)
+		want := make([]*network.Net, len(specs))
+		for i := range specs {
+			spec, _, err := BuildSpec(RunRequest{Program: program, Data: DataSpec{N: 8, Vars: 6, Seed: int64(i + 1)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if spec.Parsed != shared {
+				t.Fatalf("%s: BuildSpec did not hand out the builtin's shared AST", program)
+			}
+			specs[i] = spec
+			fresh := spec
+			fresh.Parsed = nil
+			art, err := core.PrepareContext(context.Background(), fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = art.Net
+		}
+		got := make([]*network.Net, len(specs))
+		var wg sync.WaitGroup
+		for i := range specs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				art, err := core.PrepareContext(context.Background(), specs[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[i] = art.Net
+			}()
+		}
+		wg.Wait()
+		for i := range got {
+			if got[i] == nil || !network.Equal(got[i], want[i]) {
+				t.Errorf("%s seed %d: the net prepared from the shared AST differs from a fresh parse's", program, i+1)
+			}
 		}
 	}
 }

@@ -134,18 +134,28 @@ func (c *Config) lineageScheme() (lineage.Scheme, error) {
 	return 0, fmt.Errorf("stream: unknown scheme %q", c.Scheme)
 }
 
-func (c *Config) source() (string, error) {
+// program returns the session's parsed program: inline source parsed for
+// this session, or a builtin's AST, parsed once per process and shared.
+func (c *Config) program() (*lang.Program, error) {
 	if c.Source != "" {
-		return c.Source, nil
+		toks, err := lang.Tokens(c.Source)
+		if err != nil {
+			return nil, fmt.Errorf("stream: %w", err)
+		}
+		prog, err := lang.ParseTokens(toks)
+		if err != nil {
+			return nil, fmt.Errorf("stream: %w", err)
+		}
+		return prog, nil
 	}
 	b, ok := lang.Builtins[c.Program]
 	if !ok {
-		return "", fmt.Errorf("stream: unknown program %q", c.Program)
+		return nil, fmt.Errorf("stream: unknown program %q", c.Program)
 	}
 	if b.Matrix {
-		return "", fmt.Errorf("stream: %s is not streamable (matrix-shaped input); use kmedoids or kmeans", c.Program)
+		return nil, fmt.Errorf("stream: %s is not streamable (matrix-shaped input); use kmedoids or kmeans", c.Program)
 	}
-	return b.Source, nil
+	return b.Parsed(), nil
 }
 
 // segment is one live window: its tuples, variable space, prepared
@@ -245,7 +255,7 @@ func NewSession(ctx context.Context, cfg Config) (*Session, error) {
 	if cfg.MaxSegmentTuples < cfg.SegmentN {
 		return nil, fmt.Errorf("stream: max_segment_tuples (%d) must be >= segment_n (%d)", cfg.MaxSegmentTuples, cfg.SegmentN)
 	}
-	src, err := cfg.source()
+	parsed, err := cfg.program()
 	if err != nil {
 		return nil, err
 	}
@@ -256,14 +266,6 @@ func NewSession(ctx context.Context, cfg Config) (*Session, error) {
 	heur, err := cfg.heuristic()
 	if err != nil {
 		return nil, err
-	}
-	toks, err := lang.Tokens(src)
-	if err != nil {
-		return nil, fmt.Errorf("stream: %w", err)
-	}
-	parsed, err := lang.ParseTokens(toks)
-	if err != nil {
-		return nil, fmt.Errorf("stream: %w", err)
 	}
 	s := &Session{
 		cfg:    cfg,
