@@ -347,20 +347,13 @@ func runRequest() (server.RunRequest, error) {
 	return req, nil
 }
 
+// parseStrategy parses the -strategy flag.
 func parseStrategy(s string) (prob.Strategy, error) {
-	switch s {
-	case "exact":
-		return prob.Exact, nil
-	case "eager":
-		return prob.Eager, nil
-	case "lazy":
-		return prob.Lazy, nil
-	case "hybrid":
-		return prob.Hybrid, nil
-	case "circuit":
-		return prob.Circuit, nil
+	strategy, err := prob.ParseStrategy(s)
+	if err != nil {
+		return 0, fmt.Errorf("flag -strategy: %w", err)
 	}
-	return 0, fmt.Errorf("flag -strategy: unknown strategy %q (want exact, eager, lazy, hybrid, or circuit)", s)
+	return strategy, nil
 }
 
 func splitTargets(s string) []string {

@@ -512,7 +512,7 @@ func TestSmokeShard(t *testing.T) {
 	}
 
 	// Failover drill: SIGKILL the primary of seed 1; a replica must answer.
-	primary := ring.Owner(artifactKey(t, smokeRequest(1)))
+	primary := ring.Owners(artifactKey(t, smokeRequest(1)), 1)[0]
 	var survivors []*child
 	for _, s := range shards {
 		if s.addr == primary {
@@ -546,14 +546,12 @@ type streamSession struct {
 	nextIns int
 }
 
-// streamWorkload is the drill's session shape. threshold -1 never falls back
-// to a full rebuild (pure incremental); a tiny positive threshold rebuilds
-// every segment on any structural dirt (the scratch-recompile oracle).
-func streamWorkload(threshold float64) *stream.Config {
+// streamWorkload is the drill's session shape.
+func streamWorkload() *stream.Config {
 	return &stream.Config{
 		Program: "kmedoids", K: 2, Iter: 2,
 		Segments: 3, SegmentN: 5, Group: 2,
-		Seed: 5, DirtyThreshold: threshold,
+		Seed: 5,
 	}
 }
 
@@ -607,29 +605,29 @@ func (s *streamSession) churnBatch(p float64) []stream.Delta {
 	}
 }
 
-// twinPush pushes one batch to both sessions and requires the incremental
-// session's marginals to equal the always-full oracle's bit for bit.
-func twinPush(t *testing.T, incr, full *streamSession, deltas []stream.Delta, label string) (incrResp, fullResp server.StreamResponse) {
+// twinPush pushes one batch to both sessions and requires their marginals to
+// agree bit for bit: same config and same log, same answer.
+func twinPush(t *testing.T, a, b *streamSession, deltas []stream.Delta, label string) (aResp, bResp server.StreamResponse) {
 	t.Helper()
-	incrResp = incr.push(t, deltas)
-	fullResp = full.push(t, deltas)
-	a, b := incrResp.Marginals, fullResp.Marginals
-	same := len(a) == len(b)
-	for i := 0; same && i < len(a); i++ {
-		same = a[i].Window == b[i].Window && a[i].Name == b[i].Name &&
-			math.Float64bits(a[i].Lower) == math.Float64bits(b[i].Lower) &&
-			math.Float64bits(a[i].Upper) == math.Float64bits(b[i].Upper)
+	aResp = a.push(t, deltas)
+	bResp = b.push(t, deltas)
+	am, bm := aResp.Marginals, bResp.Marginals
+	same := len(am) == len(bm)
+	for i := 0; same && i < len(am); i++ {
+		same = am[i].Window == bm[i].Window && am[i].Name == bm[i].Name &&
+			math.Float64bits(am[i].Lower) == math.Float64bits(bm[i].Lower) &&
+			math.Float64bits(am[i].Upper) == math.Float64bits(bm[i].Upper)
 	}
 	if !same {
-		t.Fatalf("%s: incremental marginals diverge from the full-recompile oracle", label)
+		t.Fatalf("%s: replica sessions' marginals diverge", label)
 	}
-	return incrResp, fullResp
+	return aResp, bResp
 }
 
 // TestSmokeStream drives the /v1/stream data plane on a real server: twin
-// sessions — incremental and always-full-recompile — fed identical
-// probability, structural and window-advance batches must stay bitwise
-// identical after every push; a duplicate push must be rejected with 409
+// sessions fed identical probability, structural and window-advance batches
+// must stay bitwise identical after every push, each structural push
+// re-grounding only its dirty segment; a duplicate push must be rejected with 409
 // carrying the session sequence; and after both sessions close the server
 // must be back at its baseline goroutine count before it drains.
 func TestSmokeStream(t *testing.T) {
@@ -644,8 +642,8 @@ func TestSmokeStream(t *testing.T) {
 		t.Fatalf("process.goroutines = %g", baseGoroutines)
 	}
 
-	incr, created := openStream(t, addr, streamWorkload(-1))
-	full, _ := openStream(t, addr, streamWorkload(1e-9))
+	incr, created := openStream(t, addr, streamWorkload())
+	replica, _ := openStream(t, addr, streamWorkload())
 	if len(created.Windows) != 3 || len(created.Windows[0].Vars) == 0 {
 		t.Fatalf("create returned %d windows", len(created.Windows))
 	}
@@ -656,31 +654,27 @@ func TestSmokeStream(t *testing.T) {
 
 	// Probability-only delta: replay the memoized circuit, re-ground nothing.
 	p := 0.35
-	iResp, _ := twinPush(t, incr, full, []stream.Delta{{Op: stream.OpProb, Var: v, P: &p}}, "prob push")
-	if st := iResp.Stats; st == nil || st.Replayed < 1 || st.Reground != 0 || st.Full {
+	iResp, _ := twinPush(t, incr, replica, []stream.Delta{{Op: stream.OpProb, Var: v, P: &p}}, "prob push")
+	if st := iResp.Stats; st == nil || st.Replayed < 1 || st.Reground != 0 {
 		t.Fatalf("prob push did not take the replay fast path: %+v", st)
 	}
 
-	// Structural delta: the oracle recompiles everything from scratch, the
-	// incremental session exactly one segment.
+	// Structural delta: one dirty segment, re-ground alone.
 	batch := incr.churnBatch(0.6)
-	full.nextIns = incr.nextIns
-	iResp, fResp := twinPush(t, incr, full, batch, "structural push")
-	if fResp.Stats == nil || !fResp.Stats.Full {
-		t.Fatalf("oracle session did not fall back to a full recompile: %+v", fResp.Stats)
-	}
-	if st := iResp.Stats; st == nil || st.Full || st.Reground != 1 {
-		t.Fatalf("incremental session did not re-ground exactly 1 segment (not full): %+v", st)
+	replica.nextIns = incr.nextIns
+	iResp, _ = twinPush(t, incr, replica, batch, "structural push")
+	if st := iResp.Stats; st == nil || st.Reground != 1 {
+		t.Fatalf("structural push did not re-ground exactly 1 segment: %+v", st)
 	}
 
 	// Window advance plus activity against the freshly admitted segment.
-	twinPush(t, incr, full, []stream.Delta{{Op: stream.OpAdvance, N: 1}}, "advance")
-	incr.nextIns, full.nextIns = 5, 5 // the newest window is fresh: ids restart at segment_n
+	twinPush(t, incr, replica, []stream.Delta{{Op: stream.OpAdvance, N: 1}}, "advance")
+	incr.nextIns, replica.nextIns = 5, 5 // the newest window is fresh: ids restart at segment_n
 	p2 := 0.8
-	twinPush(t, incr, full, []stream.Delta{{Op: stream.OpProb, Var: v, P: &p2}}, "post-advance prob")
+	twinPush(t, incr, replica, []stream.Delta{{Op: stream.OpProb, Var: v, P: &p2}}, "post-advance prob")
 	batch = incr.churnBatch(0.4)
-	full.nextIns = incr.nextIns
-	twinPush(t, incr, full, batch, "post-advance structural")
+	replica.nextIns = incr.nextIns
+	twinPush(t, incr, replica, batch, "post-advance structural")
 
 	// Duplicate delivery: the last push again at its stale base sequence.
 	status, _, raw := post(t, incr.url, server.StreamRequest{
@@ -700,7 +694,7 @@ func TestSmokeStream(t *testing.T) {
 	}
 
 	incr.close(t)
-	full.close(t)
+	replica.close(t)
 	if active := metric(t, addr, "stream.sessions.active"); active != 0 {
 		t.Errorf("stream.sessions.active = %g after closing both sessions", active)
 	}

@@ -35,8 +35,9 @@ func NewBuilder(numVars int, targets []string) *Builder {
 	}
 }
 
-// DisableConsing makes every Node call store a fresh node (test hook: the
-// unconsed circuit is the traced tree verbatim).
+// DisableConsing makes every Node call store a fresh node, so the circuit is
+// the traced tree verbatim. It is the reference for consing invariance in
+// TestQuickEvaluatorProperties.
 func (b *Builder) DisableConsing() { b.noCons = true }
 
 // Node adds (or shares) a node branching on v with true child hi and false
@@ -47,7 +48,6 @@ func (b *Builder) Node(v event.VarID, hi, lo NodeID, evs []Decision) NodeID {
 	if !b.noCons {
 		for _, id := range b.buckets[h] {
 			if b.sameNode(id, v, hi, lo, evs) {
-				b.c.merged++
 				return id
 			}
 		}

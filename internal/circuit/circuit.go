@@ -51,13 +51,6 @@ func NewDecision(target int, isTrue bool) Decision {
 	return d
 }
 
-// Target returns the decided target's index.
-func (d Decision) Target() int { return int(d >> 1) }
-
-// True reports whether the target decided true (mass joins the lower bound)
-// rather than false (mass leaves the upper bound).
-func (d Decision) True() bool { return d&1 != 0 }
-
 // Circuit is an immutable compiled decision circuit. Build one with a
 // Builder; evaluate with Eval at one probability assignment, or
 // with EvalSweep at many that differ in one variable. Safe for concurrent
@@ -81,7 +74,6 @@ type Circuit struct {
 	targets  []string
 	numVars  int
 	complete bool
-	merged   int64
 }
 
 // Nodes returns the number of stored (hash-consed) nodes.
@@ -96,10 +88,6 @@ func (c *Circuit) Bytes() int64 {
 	return int64(len(c.vars))*24 + int64(len(c.evs))*4
 }
 
-// Merged counts hash-cons hits during construction: tree nodes that were
-// shared with an existing isomorphic subcircuit instead of stored again.
-func (c *Circuit) Merged() int64 { return c.merged }
-
 // TreeBranches is the number of node visits one replay performs — the size
 // of the traced decision tree, which hash-consing compresses to Nodes().
 func (c *Circuit) TreeBranches() int64 {
@@ -108,10 +96,6 @@ func (c *Circuit) TreeBranches() int64 {
 	}
 	return c.visits[c.root]
 }
-
-// NumVars is the length of the probability vector Eval expects (the
-// variable space size of the traced network).
-func (c *Circuit) NumVars() int { return c.numVars }
 
 // Targets returns the compilation targets in bound-index order. The slice
 // is shared with the circuit; callers must not modify it.
@@ -313,7 +297,3 @@ func (s *sweep) split(child, mass []float64, w int32, isTrue bool) bool {
 	}
 	return live
 }
-
-// Var returns the branch variable of a node, or -1 for a leaf. Exposed for
-// tests and diagnostics.
-func (c *Circuit) Var(id NodeID) event.VarID { return event.VarID(c.vars[id]) }

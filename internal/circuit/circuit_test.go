@@ -138,9 +138,9 @@ func TestDecisionPacking(t *testing.T) {
 		isTrue bool
 	}{{0, true}, {0, false}, {7, true}, {1 << 20, false}} {
 		d := NewDecision(tc.target, tc.isTrue)
-		if d.Target() != tc.target || d.True() != tc.isTrue {
+		if target, isTrue := int(d>>1), d&1 != 0; target != tc.target || isTrue != tc.isTrue {
 			t.Errorf("NewDecision(%d, %t) round-tripped to (%d, %t)",
-				tc.target, tc.isTrue, d.Target(), d.True())
+				tc.target, tc.isTrue, target, isTrue)
 		}
 	}
 }
@@ -166,10 +166,7 @@ func TestConsingMergesIsomorphic(t *testing.T) {
 	root := b.Node(1, n1, n2, nil)
 	c := b.Finish(root, true)
 	if c.Nodes() != 4 {
-		t.Errorf("stored %d nodes, want 4 (two leaves, one interior, root)", c.Nodes())
-	}
-	if c.Merged() != 2 {
-		t.Errorf("merged %d nodes, want 2", c.Merged())
+		t.Errorf("stored %d nodes, want 4 (two leaves, one interior, root): 2 of 6 Node calls merged", c.Nodes())
 	}
 	// The consed diamond still replays as the full 7-node tree.
 	if c.TreeBranches() != 7 {

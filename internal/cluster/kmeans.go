@@ -15,7 +15,9 @@ type KMeansResult struct {
 }
 
 // KMeans runs the user program of Figure 2 on objects that all exist.
-// Initial centroids are the positions of the init objects.
+// Initial centroids are the positions of the init objects. It is the
+// direct-implementation oracle of the interpreted kmeans program in
+// TestKMeansProgramMatchesDirectImplementation.
 func KMeans(points []vec.Vec, k, iter int, init []int, metric vec.Distance) KMeansResult {
 	if metric == nil {
 		metric = vec.Euclidean

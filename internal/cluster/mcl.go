@@ -66,28 +66,3 @@ func MCLFromWeights(w [][]float64) [][]event.Value {
 	}
 	return m
 }
-
-// Attractor returns the node that dominates node i's flow (the argmax of
-// row i), or -1 when the row is entirely undefined. After convergence the
-// attractor identifies i's cluster.
-func (r MCLResult) Attractor(i int) int {
-	best, bestFlow := -1, 0.0
-	for j := range r.M[i] {
-		if f := r.M[i][j]; f.Kind == event.Scalar && f.S > bestFlow {
-			best, bestFlow = j, f.S
-		}
-	}
-	return best
-}
-
-// SameCluster reports whether nodes i and j share an attractor whose flow
-// exceeds the threshold in both rows.
-func (r MCLResult) SameCluster(i, j int, threshold float64) bool {
-	ai := r.Attractor(i)
-	if ai < 0 || ai != r.Attractor(j) {
-		return false
-	}
-	fi, fj := r.M[i][ai], r.M[j][ai]
-	return fi.Kind == event.Scalar && fj.Kind == event.Scalar &&
-		fi.S > threshold && fj.S > threshold
-}

@@ -60,6 +60,17 @@ type Spec struct {
 	Compile prob.Options
 }
 
+// The request-shape caps bound what a served request — a /v1/run or a
+// /v1/stream session — may make the front end allocate: lineage and
+// grounding run before any deadline applies, and the network grows with the
+// cluster count, the variable pool and the unrolled iterations.
+// server.BuildSpec and stream.NewSession enforce them.
+const (
+	MaxK    = 16
+	MaxVars = 64
+	MaxIter = 10
+)
+
 // Report is the outcome of a run.
 type Report struct {
 	// Result holds per-target probability bounds and compilation stats.

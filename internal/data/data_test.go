@@ -18,7 +18,7 @@ func TestGenerateShape(t *testing.T) {
 			t.Fatalf("negative reading %+v", r)
 		}
 		regimes[r.Regime]++
-		if p := r.Point(); p.Dim() != 2 || p[0] != r.Load || p[1] != r.PD {
+		if p := r.Point(); len(p) != 2 || p[0] != r.Load || p[1] != r.PD {
 			t.Fatalf("Point() mismatch: %v vs %+v", p, r)
 		}
 	}

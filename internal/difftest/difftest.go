@@ -143,7 +143,10 @@ func groundProgram(p *gen.Program, prog *lang.Program) (*network.Net, error) {
 
 // GenNet grounds one generated program as Check does, with every Boolean
 // checked symbol as a target; nil when the program yields no comparable
-// network.
+// network. It builds the generated half of the golden corpus for
+// TestGoldenBits and TestCircuitExactEquivalence, and the prob package's
+// TestRecycledBlocksNeverReadStale, TestParentIndexTransposesKids and
+// TestFanoutOrderMatchesReference replay it.
 func GenNet(p *gen.Program) *network.Net {
 	prog, err := lang.Parse(p.Source())
 	if err != nil {

@@ -55,42 +55,29 @@ type WireOpts struct {
 
 // FromOptions projects compile options onto the wire form.
 func FromOptions(o prob.Options) WireOpts {
-	h := "fanout"
-	if o.Heuristic == prob.InputOrder {
-		h = "input"
-	}
 	return WireOpts{
 		Strategy:  o.Strategy.String(),
 		Epsilon:   o.Epsilon,
 		JobDepth:  o.JobDepth,
-		Heuristic: h,
+		Heuristic: o.Heuristic.String(),
 		TimeoutNs: int64(o.Timeout),
 	}
 }
 
 // Options reconstitutes compile options worker-side.
 func (wo WireOpts) Options() (prob.Options, error) {
-	var strat prob.Strategy
-	switch wo.Strategy {
-	case "exact":
-		strat = prob.Exact
-	case "eager":
-		strat = prob.Eager
-	case "lazy":
-		strat = prob.Lazy
-	case "hybrid":
-		strat = prob.Hybrid
-	default:
-		return prob.Options{}, fmt.Errorf("dist: unknown strategy %q", wo.Strategy)
+	strat, err := prob.ParseStrategy(wo.Strategy)
+	if err != nil {
+		return prob.Options{}, fmt.Errorf("dist: %w", err)
 	}
-	var h prob.OrderHeuristic
-	switch wo.Heuristic {
-	case "fanout", "":
-		h = prob.FanoutOrder
-	case "input":
-		h = prob.InputOrder
-	default:
-		return prob.Options{}, fmt.Errorf("dist: unknown heuristic %q", wo.Heuristic)
+	if strat == prob.Circuit {
+		return prob.Options{}, fmt.Errorf("dist: strategy circuit does not run on workers")
+	}
+	h := prob.FanoutOrder // an empty heuristic reads as fanout
+	if wo.Heuristic != "" {
+		if h, err = prob.ParseOrder(wo.Heuristic); err != nil {
+			return prob.Options{}, fmt.Errorf("dist: %w", err)
+		}
 	}
 	return prob.Options{
 		Strategy:  strat,

@@ -60,7 +60,3 @@ func (ev *Evaluator) EvalExpr(e Expr) bool {
 	ev.memo[e] = out
 	return out
 }
-
-// EvalExpr evaluates a Boolean event under one valuation with a fresh
-// evaluator.
-func EvalExpr(e Expr, nu Valuation) bool { return NewEvaluator(nu).EvalExpr(e) }

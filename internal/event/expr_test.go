@@ -58,7 +58,7 @@ func TestEvalExprBasic(t *testing.T) {
 	for _, c := range cases {
 		nu := make(SliceValuation, sp.Len())
 		nu[xid], nu[yid] = c.vx, c.vy
-		if got := EvalExpr(e, nu); got != c.want {
+		if got := NewEvaluator(nu).EvalExpr(e); got != c.want {
 			t.Errorf("xor(%t,%t) = %t, want %t", c.vx, c.vy, got, c.want)
 		}
 	}
@@ -98,7 +98,7 @@ func TestRandomExprDeMorgan(t *testing.T) {
 		for i := range nu {
 			nu[i] = rng.Intn(2) == 0
 		}
-		if EvalExpr(lhs, nu) != EvalExpr(rhs, nu) {
+		if NewEvaluator(nu).EvalExpr(lhs) != NewEvaluator(nu).EvalExpr(rhs) {
 			t.Fatalf("De Morgan violated for %v vs %v under %v", lhs, rhs, nu)
 		}
 	}

@@ -241,22 +241,6 @@ func (op CmpOp) Holds(a, b float64) bool {
 	panic("event: unknown comparison operator")
 }
 
-// Flip returns the operator with swapped operands (a op b ⇔ b op.Flip() a).
-func (op CmpOp) Flip() CmpOp {
-	switch op {
-	case LE:
-		return GE
-	case GE:
-		return LE
-	case LT:
-		return GT
-	case GT:
-		return LT
-	default:
-		return op
-	}
-}
-
 // Compare evaluates [a op b] under §3.2: the comparison is false only when
 // both sides are defined scalars and op does not hold; any comparison
 // involving u is true.

@@ -91,10 +91,13 @@ func TestCompareWithUndef(t *testing.T) {
 	}
 }
 
+// TestCmpOpFlip checks Holds against the operator with swapped operands:
+// a op b ⇔ b flip(op) a.
 func TestCmpOpFlip(t *testing.T) {
+	flip := map[CmpOp]CmpOp{LE: GE, GE: LE, EQ: EQ, LT: GT, GT: LT}
 	err := quick.Check(func(a, b float64) bool {
-		for _, op := range []CmpOp{LE, GE, EQ, LT, GT} {
-			if op.Holds(a, b) != op.Flip().Holds(b, a) {
+		for op, flipped := range flip {
+			if op.Holds(a, b) != flipped.Holds(b, a) {
 				return false
 			}
 		}

@@ -119,7 +119,9 @@ for i in range(0,n):
         CoCl[i][j] = reduce_or([M[j][c] > 0.3 for c in range(0,n) if M[i][c] > 0.3])
 `
 
-// Example3Source is the label-machinery example of §3.5 (Example 3).
+// Example3Source is the label-machinery example of §3.5 (Example 3), kept as
+// a fixture: TestExampleThreeLabels translates it, TestArithmeticAndLoops
+// interprets it, and FuzzParser seeds its corpus with it.
 const Example3Source = `
 M = 7
 M = M+2

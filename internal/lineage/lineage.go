@@ -58,6 +58,16 @@ func (s Scheme) String() string {
 	return fmt.Sprintf("Scheme(%d)", uint8(s))
 }
 
+// ParseScheme is String's inverse on the four scheme names.
+func ParseScheme(s string) (Scheme, error) {
+	for _, sc := range []Scheme{Independent, Positive, Mutex, Conditional} {
+		if s == sc.String() {
+			return sc, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown correlation scheme %q (want independent, positive, mutex, or conditional)", s)
+}
+
 // Config parameterises lineage generation.
 type Config struct {
 	Scheme Scheme

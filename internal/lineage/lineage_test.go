@@ -55,8 +55,8 @@ func TestPositiveScheme(t *testing.T) {
 	// Positive events are monotone: setting more variables true never
 	// destroys an object.
 	for _, o := range objs {
-		allFalse := event.EvalExpr(o.Lineage, constantValuation(space, false))
-		allTrue := event.EvalExpr(o.Lineage, constantValuation(space, true))
+		allFalse := event.NewEvaluator(constantValuation(space, false)).EvalExpr(o.Lineage)
+		allTrue := event.NewEvaluator(constantValuation(space, true)).EvalExpr(o.Lineage)
 		if allFalse {
 			t.Error("positive event true under the all-false valuation")
 		}
@@ -78,7 +78,7 @@ func TestMutexScheme(t *testing.T) {
 		for set := 0; set < 3; set++ {
 			alive := 0
 			for j := 0; j < 3; j++ {
-				if event.EvalExpr(objs[set*3+j].Lineage, nu) {
+				if event.NewEvaluator(nu).EvalExpr(objs[set*3+j].Lineage) {
 					alive++
 				}
 			}

@@ -545,8 +545,9 @@ func (b *Builder) naryNum(kind Kind, ks []NodeID) NodeID {
 }
 
 // DisableConstFold turns off the builder's constant folds — Σ, Π, Inv,
-// Pow, comparisons and dist over ⊗ nodes; used by the ablation benchmarks
-// and by tests that need the unfolded node structure.
+// Pow, comparisons and dist over ⊗ nodes. The unfolded network is the
+// reference the folds are checked against in TestDistFoldsGuardedPayloads,
+// TestEvalMatchesEventSemantics and TestTypesVectorPropagation.
 func (b *Builder) DisableConstFold() { b.noFold = true }
 
 // Inv returns k⁻¹, folding constants.

@@ -245,7 +245,7 @@ func TestEvalMatchesEventSemantics(t *testing.T) {
 		net := b.Build()
 		worlds.Enumerate(sp, func(nu event.SliceValuation, p float64) bool {
 			got := net.Eval(nu).Bools[net.Targets[0].Node]
-			want := event.EvalExpr(e, nu)
+			want := event.NewEvaluator(nu).EvalExpr(e)
 			if got != want {
 				t.Fatalf("trial %d: network %t vs event %t under %v (expr %v)",
 					trial, got, want, nu, e)

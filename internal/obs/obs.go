@@ -72,19 +72,6 @@ func newTraceID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// ID returns the trace's random hex identifier ("" when disabled). It is the
-// cross-process correlation key: job frames carry it to workers, whose
-// shipped span subtrees are spliced back under the same trace.
-func (t *Trace) ID() string {
-	if t == nil {
-		return ""
-	}
-	return t.id
-}
-
-// Enabled reports whether the trace records anything.
-func (t *Trace) Enabled() bool { return t != nil }
-
 // Root returns the root span (nil for a disabled trace).
 func (t *Trace) Root() *Span {
 	if t == nil {
@@ -274,17 +261,8 @@ func (s *Span) SetDuration(key string, d time.Duration) {
 	s.SetFloat(key, float64(d)/float64(time.Millisecond))
 }
 
-// Dur returns the span's wall time; for a still-open span, the time since
-// its start.
-func (s *Span) Dur() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.t.mu.Lock()
-	defer s.t.mu.Unlock()
-	return s.durLocked()
-}
-
+// durLocked returns the span's wall time; for a still-open span, the time
+// since its start.
 func (s *Span) durLocked() time.Duration {
 	end := s.end
 	if end.IsZero() {

@@ -52,12 +52,13 @@ func TestSpanTreeStructure(t *testing.T) {
 			t.Errorf("tree missing %q:\n%s", want, tree)
 		}
 	}
-	if parse.Dur() != time.Millisecond {
-		t.Errorf("parse span duration = %v, want 1ms", parse.Dur())
+	// The trace is finished and single-goroutine: read durations unlocked.
+	if d := parse.durLocked(); d != time.Millisecond {
+		t.Errorf("parse span duration = %v, want 1ms", d)
 	}
 	// Stage times nest: compile contains explore.
-	if compile.Dur() < explore.Dur() {
-		t.Errorf("compile (%v) shorter than child explore (%v)", compile.Dur(), explore.Dur())
+	if compile.durLocked() < explore.durLocked() {
+		t.Errorf("compile (%v) shorter than child explore (%v)", compile.durLocked(), explore.durLocked())
 	}
 }
 

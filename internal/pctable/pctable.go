@@ -1,20 +1,17 @@
 // Package pctable implements probabilistic-conditioned tables (pc-tables)
-// and a positive relational algebra with aggregates over them — the
+// with selection, natural join and a COUNT aggregate over them — the
 // substrate ENFrame's loadData() uses to pull uncertain objects from a
 // database (§2 "Input data"; the paper delegates this to the SPROUT engine
 // [14], which this package stands in for). Each tuple carries a lineage
-// event over the shared variable space; operators combine lineage with ∧
-// and ∨ following provenance semantics. SUM/COUNT aggregates are c-value
-// nodes built into a network.Builder, evaluated per world by Net.Eval like
-// every other c-value, and tuple probabilities are exact compilations of the
-// lineage.
+// event over the shared variable space; a join conjoins its inputs'
+// lineage. COUNT is a c-value node built into a network.Builder, evaluated
+// per world by Net.Eval like every other c-value, and tuple probabilities
+// are exact compilations of the lineage.
 package pctable
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
-	"strings"
 
 	"enframe/internal/event"
 	"enframe/internal/lineage"
@@ -100,31 +97,6 @@ func (r *Relation) Select(pred Pred) *Relation {
 	return out
 }
 
-// Project keeps the named columns, merging duplicate result tuples by
-// disjoining their lineage (possible-worlds projection semantics).
-func (r *Relation) Project(cols ...string) *Relation {
-	out := NewRelation(r.Name+"_proj", cols...)
-	idx := make([]int, len(cols))
-	for i, c := range cols {
-		idx[i] = r.col(c)
-	}
-	seen := map[string]int{}
-	for _, t := range r.Tuples {
-		vals := make([]Value, len(cols))
-		for i, j := range idx {
-			vals[i] = t.Values[j]
-		}
-		key := tupleKey(vals)
-		if at, dup := seen[key]; dup {
-			out.Tuples[at].Lineage = event.NewOr(out.Tuples[at].Lineage, t.Lineage)
-			continue
-		}
-		seen[key] = len(out.Tuples)
-		out.Tuples = append(out.Tuples, Tuple{Values: vals, Lineage: t.Lineage})
-	}
-	return out
-}
-
 // Join computes the natural join; joined tuples carry the conjunction of
 // their inputs' lineage.
 func (r *Relation) Join(s *Relation) *Relation {
@@ -168,30 +140,6 @@ func (r *Relation) Join(s *Relation) *Relation {
 	return out
 }
 
-// Union appends s to r (schemas must match), merging identical tuples by
-// disjunction.
-func (r *Relation) Union(s *Relation) *Relation {
-	if len(r.Schema) != len(s.Schema) {
-		panic("pctable: union over mismatched schemas")
-	}
-	out := NewRelation(r.Name+"_u_"+s.Name, r.Schema...)
-	out.Tuples = append(out.Tuples, r.Tuples...)
-	seen := map[string]int{}
-	for i, t := range out.Tuples {
-		seen[tupleKey(t.Values)] = i
-	}
-	for _, t := range s.Tuples {
-		key := tupleKey(t.Values)
-		if at, dup := seen[key]; dup {
-			out.Tuples[at].Lineage = event.NewOr(out.Tuples[at].Lineage, t.Lineage)
-			continue
-		}
-		seen[key] = len(out.Tuples)
-		out.Tuples = append(out.Tuples, t)
-	}
-	return out
-}
-
 // TupleProb computes the marginal probability of each result tuple: it
 // builds one network with every tuple's lineage as a target and compiles it
 // exactly.
@@ -214,74 +162,15 @@ func (r *Relation) TupleProb(space *event.Space) ([]float64, error) {
 	return out, nil
 }
 
-// AggSum builds the c-value Σ_t Φ(t) ⊗ v(t) over a numeric column into b —
-// the semimodule-style aggregation of [14] as a network node: the sum of
-// the column over the tuples present in a world (u when none is).
-func (r *Relation) AggSum(b *network.Builder, col string) network.NodeID {
-	j := r.col(col)
-	return r.aggregate(b, func(t Tuple) float64 { return t.Values[j].F })
-}
-
-// AggCount builds the c-value Σ_t Φ(t) ⊗ 1 into b: the number of tuples
-// present in a world (u when none is).
+// AggCount builds the c-value Σ_t Φ(t) ⊗ 1 into b — the semimodule-style
+// aggregation of [14] as a network node: the number of tuples present in a
+// world (u when none is).
 func (r *Relation) AggCount(b *network.Builder) network.NodeID {
-	return r.aggregate(b, func(Tuple) float64 { return 1 })
-}
-
-func (r *Relation) aggregate(b *network.Builder, val func(Tuple) float64) network.NodeID {
 	terms := make([]network.NodeID, len(r.Tuples))
 	for i, t := range r.Tuples {
-		terms[i] = b.CondVal(b.AddExpr(t.Lineage), event.Num(val(t)))
+		terms[i] = b.CondVal(b.AddExpr(t.Lineage), event.Num(1))
 	}
 	return b.Sum(terms...)
-}
-
-// GroupBy partitions tuples by the values of the given columns, returning
-// one relation per group, keyed by the rendered group values.
-func (r *Relation) GroupBy(cols ...string) map[string]*Relation {
-	idx := make([]int, len(cols))
-	for i, c := range cols {
-		idx[i] = r.col(c)
-	}
-	out := map[string]*Relation{}
-	for _, t := range r.Tuples {
-		var parts []string
-		for _, j := range idx {
-			parts = append(parts, t.Values[j].String())
-		}
-		key := strings.Join(parts, "|")
-		g, ok := out[key]
-		if !ok {
-			g = NewRelation(r.Name+"@"+key, r.Schema...)
-			out[key] = g
-		}
-		g.Tuples = append(g.Tuples, t)
-	}
-	return out
-}
-
-// GroupKeys returns the sorted group keys of a GroupBy result.
-func GroupKeys(groups map[string]*Relation) []string {
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func tupleKey(vals []Value) string {
-	var b strings.Builder
-	for _, v := range vals {
-		if v.IsStr {
-			b.WriteByte('s')
-			b.WriteString(v.S)
-		} else {
-			fmt.Fprintf(&b, "n%g", v.F)
-		}
-		b.WriteByte(0)
-	}
-	return b.String()
 }
 
 func contains(xs []string, x string) bool {

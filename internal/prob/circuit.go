@@ -2,18 +2,12 @@ package prob
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"enframe/internal/circuit"
 	"enframe/internal/event"
 	"enframe/internal/network"
 )
-
-// ErrIncompleteCircuit is returned when a query needs a complete circuit but
-// the trace contained lossy cuts (zero-mass branches or bounds-converged
-// subtrees); callers fall back to recompilation.
-var ErrIncompleteCircuit = errors.New("prob: circuit is incomplete (pruned subtrees); recompilation required")
 
 // CompileCircuit runs one exact sequential compilation while recording the
 // decision tree into a hash-consed arithmetic circuit (internal/circuit),

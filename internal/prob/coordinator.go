@@ -10,10 +10,10 @@ import (
 )
 
 // CompileExec compiles the network by shipping depth-d decision-tree jobs to
-// a JobExecutor — a local Session (NewLocalExecutor) or a remote worker pool
-// (internal/dist). It is compile's executor mode: order, init pass, deadline,
-// cancellation and the epilogue are the in-process runs'; runExec below is
-// only the dispatch and ordered-merge loop.
+// a JobExecutor, in production internal/dist's remote worker pool. It is
+// compile's executor mode: order, init pass, deadline, cancellation and the
+// epilogue are the in-process runs'; runExec below is only the dispatch and
+// ordered-merge loop.
 //
 // Determinism and idempotence: each job returns an ordered stream of bound
 // contributions with fork markers; the coordinator splices child streams at

@@ -97,9 +97,9 @@ type WireResult struct {
 	Stats    JobStats
 }
 
-// JobExecutor executes decision-tree jobs. The in-process Session-backed
-// LocalExecutor is one implementation; internal/dist's remote worker pool is
-// the other. Implementations must be safe for concurrent ExecuteJob calls.
+// JobExecutor executes decision-tree jobs. internal/dist's remote worker pool
+// is the production implementation; the tests run jobs in-process against a
+// Session. Implementations must be safe for concurrent ExecuteJob calls.
 type JobExecutor interface {
 	// ExecuteJob runs one job to completion. Transport-level failures
 	// (worker death, broken pipe, no capacity) are reported as errors
@@ -110,24 +110,3 @@ type JobExecutor interface {
 	// workers join or die; 0 means the executor cannot take work.
 	Slots() int
 }
-
-// LocalExecutor runs jobs in-process against a Session.
-type LocalExecutor struct {
-	sess  *Session
-	slots int
-}
-
-// NewLocalExecutor wraps a session as a JobExecutor with the given
-// concurrency (minimum 1).
-func NewLocalExecutor(sess *Session, slots int) *LocalExecutor {
-	if slots < 1 {
-		slots = 1
-	}
-	return &LocalExecutor{sess: sess, slots: slots}
-}
-
-func (l *LocalExecutor) ExecuteJob(ctx context.Context, j *WireJob) (*WireResult, error) {
-	return l.sess.ExecJob(ctx, j)
-}
-
-func (l *LocalExecutor) Slots() int { return l.slots }

@@ -1,6 +1,7 @@
 package prob
 
 import (
+	"context"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -125,3 +126,25 @@ func FanoutRef(net *network.Net) ([]event.VarID, []int) {
 	})
 	return vars, influence
 }
+
+// LocalExecutor runs jobs in-process against a Session: the JobExecutor the
+// executor tests compare CompileExec against in-process compilation with.
+type LocalExecutor struct {
+	sess  *Session
+	slots int
+}
+
+// NewLocalExecutor wraps a session as a JobExecutor with the given
+// concurrency (minimum 1).
+func NewLocalExecutor(sess *Session, slots int) *LocalExecutor {
+	if slots < 1 {
+		slots = 1
+	}
+	return &LocalExecutor{sess: sess, slots: slots}
+}
+
+func (l *LocalExecutor) ExecuteJob(ctx context.Context, j *WireJob) (*WireResult, error) {
+	return l.sess.ExecJob(ctx, j)
+}
+
+func (l *LocalExecutor) Slots() int { return l.slots }

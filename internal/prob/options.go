@@ -54,6 +54,16 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("Strategy(%d)", uint8(s))
 }
 
+// ParseStrategy is String's inverse on the five strategy names.
+func ParseStrategy(s string) (Strategy, error) {
+	for _, st := range []Strategy{Exact, Eager, Lazy, Hybrid, Circuit} {
+		if s == st.String() {
+			return st, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown strategy %q (want exact, eager, lazy, hybrid, or circuit)", s)
+}
+
 // OrderHeuristic selects the variable order of the Shannon expansion.
 type OrderHeuristic uint8
 
@@ -66,6 +76,26 @@ const (
 	// by the variable-order ablation.
 	InputOrder
 )
+
+func (h OrderHeuristic) String() string {
+	switch h {
+	case FanoutOrder:
+		return "fanout"
+	case InputOrder:
+		return "input"
+	}
+	return fmt.Sprintf("OrderHeuristic(%d)", uint8(h))
+}
+
+// ParseOrder is String's inverse on the two heuristic names.
+func ParseOrder(s string) (OrderHeuristic, error) {
+	for _, h := range []OrderHeuristic{FanoutOrder, InputOrder} {
+		if s == h.String() {
+			return h, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown order heuristic %q (want fanout or input)", s)
+}
 
 // Options configures a compilation.
 type Options struct {

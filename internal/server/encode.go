@@ -342,10 +342,6 @@ func appendStreamStats(b []byte, st *stream.Stats) []byte {
 	b = strconv.AppendInt(b, int64(st.Retraced), 10)
 	b = append(b, `,"reused_circuits":`...)
 	b = strconv.AppendInt(b, int64(st.ReusedCircuits), 10)
-	b = append(b, `,"full":`...)
-	b = strconv.AppendBool(b, st.Full)
-	b = append(b, `,"dirty_fraction":`...)
-	b = appendFloat(b, st.DirtyFraction)
 	b = append(b, `,"ground_ms":`...)
 	b = appendFloat(b, st.GroundMs)
 	b = append(b, `,"trace_ms":`...)

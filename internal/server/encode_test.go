@@ -196,8 +196,8 @@ func TestStreamReplyMatchesWriteJSON(t *testing.T) {
 		}
 		marg = append(marg, stream.Marginal{Window: int64(i % 9), Name: "Centre[1][2]", Lower: lo, Upper: hi})
 	}
-	stats := &stream.Stats{Applied: 4, Replayed: 3, Reground: 1, Retraced: 1, ReusedCircuits: 2, Full: true,
-		DirtyFraction: 0.125, GroundMs: 2.4871, TraceMs: 21.80034, ReplayMs: 0.0371, ApplyMs: 1e-7}
+	stats := &stream.Stats{Applied: 4, Replayed: 3, Reground: 1, Retraced: 1, ReusedCircuits: 2,
+		GroundMs: 2.4871, TraceMs: 21.80034, ReplayMs: 0.0371, ApplyMs: 1e-7}
 	windows := []StreamWindow{
 		{Window: 0, Vars: []string{"x0", "x1", "+v12", `q"v`, "<&>"}, Tuples: []int{0, 1, 2, 12}},
 		{Window: 1, Vars: []string{}, Tuples: []int{}},

@@ -75,7 +75,12 @@ type RunRequest struct {
 // DataSpec mirrors the CLI data-generation flags. Kind "sensor" (default)
 // is the synthetic energy-network feed with a correlation scheme attached;
 // kind "gen" replays the differential harness's seeded generator
-// (internal/gen), deriving program, data, and targets from Seed alone.
+// (internal/gen), deriving program, data, and targets from Seed alone. No
+// production client sends "gen": it is served so that a remote run over TCP
+// can be held to the golden corpus, the remote == golden check of
+// TestDistributedOracleOverTCP (internal/difftest), and so that
+// TestServedRunMatchesDirectRun can compare served and direct runs of
+// generated programs.
 type DataSpec struct {
 	Kind    string  `json:"kind,omitempty"` // "sensor" (default) or "gen"
 	N       int     `json:"n,omitempty"`
@@ -160,8 +165,8 @@ func (r RunRequest) withDefaults() RunRequest {
 // as its zero value here.
 func (r RunRequest) CompileOptions() prob.Options {
 	r = r.withDefaults()
-	strategy, _ := parseStrategy(r.Strategy)
-	heuristic, _ := parseOrder(r.Order)
+	strategy, _ := prob.ParseStrategy(r.Strategy)
+	heuristic, _ := prob.ParseOrder(r.Order)
 	return prob.Options{
 		Strategy:  strategy,
 		Epsilon:   r.Epsilon,
@@ -176,16 +181,6 @@ func (r RunRequest) CompileOptions() prob.Options {
 // for; overall compile concurrency is bounded separately by admission
 // control. The same cap bounds remote_workers addresses.
 const maxWorkersPerRequest = 16
-
-// The request-shape caps bound what a sensor request may make the front end
-// allocate: lineage and grounding run before any deadline does, and the
-// network grows with the variable pool, the cluster count and the unrolled
-// iterations. A cluster count is further capped by data.n.
-const (
-	maxParamK    = 16
-	maxDataVars  = 64
-	maxParamIter = 10
-)
 
 // ArtifactRequest strips a request down to the fields that determine its
 // compiled artifact (program, data, params, targets) — the exact inputs of
@@ -253,9 +248,9 @@ type specPlan struct {
 // planSpec validates the defaulted request and computes its artifact key.
 func planSpec(req RunRequest) (specPlan, error) {
 	req = req.withDefaults()
-	strategy, err := parseStrategy(req.Strategy)
+	strategy, err := prob.ParseStrategy(req.Strategy)
 	if err != nil {
-		return specPlan{}, err
+		return specPlan{}, badRequest("%v", err)
 	}
 	if strategy != prob.Exact && strategy != prob.Circuit && req.Epsilon <= 0 {
 		return specPlan{}, badRequest("epsilon must be > 0 with strategy %q", req.Strategy)
@@ -272,8 +267,8 @@ func planSpec(req RunRequest) (specPlan, error) {
 	if req.JobDepth < 1 {
 		return specPlan{}, badRequest("job_depth must be ≥ 1 (got %d)", req.JobDepth)
 	}
-	if _, err := parseOrder(req.Order); err != nil {
-		return specPlan{}, err
+	if _, err := prob.ParseOrder(req.Order); err != nil {
+		return specPlan{}, badRequest("%v", err)
 	}
 	if req.TimeoutMs < 0 || req.SoftTimeoutMs < 0 {
 		return specPlan{}, badRequest("timeouts must be ≥ 0")
@@ -315,22 +310,23 @@ func planSensor(req RunRequest) (specPlan, error) {
 	if req.Params.K < 1 || req.Params.Iter < 1 || req.Params.R < 1 {
 		return specPlan{}, badRequest("params must be ≥ 1")
 	}
-	if req.Params.Iter > maxParamIter {
-		return specPlan{}, badRequest("params.iter must be ≤ %d (got %d)", maxParamIter, req.Params.Iter)
+	if req.Params.Iter > core.MaxIter {
+		return specPlan{}, badRequest("params.iter must be ≤ %d (got %d)", core.MaxIter, req.Params.Iter)
 	}
-	if req.Data.Vars > maxDataVars {
-		return specPlan{}, badRequest("data.vars must be ≤ %d (got %d)", maxDataVars, req.Data.Vars)
+	if req.Data.Vars > core.MaxVars {
+		return specPlan{}, badRequest("data.vars must be ≤ %d (got %d)", core.MaxVars, req.Data.Vars)
 	}
 	source, parsed, isMCL, err := resolveProgram(req)
 	if err != nil {
 		return specPlan{}, err
 	}
-	if maxK := min(req.Data.N, maxParamK); !isMCL && req.Params.K > maxK {
-		return specPlan{}, badRequest("params.k must be ≤ min(data.n, %d) = %d (got %d)", maxParamK, maxK, req.Params.K)
+	// A cluster count is further capped by data.n.
+	if maxK := min(req.Data.N, core.MaxK); !isMCL && req.Params.K > maxK {
+		return specPlan{}, badRequest("params.k must be ≤ min(data.n, %d) = %d (got %d)", core.MaxK, maxK, req.Params.K)
 	}
-	scheme, err := parseScheme(req.Data.Scheme)
+	scheme, err := lineage.ParseScheme(req.Data.Scheme)
 	if err != nil {
-		return specPlan{}, err
+		return specPlan{}, badRequest("%v", err)
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "v1\x00source\x00%s\x00", source)
@@ -424,46 +420,6 @@ func resolveProgram(req RunRequest) (source string, parsed *lang.Program, isMCL 
 		return b.Source, b.Parsed(), b.Matrix, nil
 	}
 	return "", nil, false, badRequest("unknown builtin program %q (want kmedoids, kmeans, or mcl; send inline text via source)", req.Program)
-}
-
-func parseScheme(s string) (lineage.Scheme, error) {
-	switch s {
-	case "independent":
-		return lineage.Independent, nil
-	case "positive":
-		return lineage.Positive, nil
-	case "mutex":
-		return lineage.Mutex, nil
-	case "conditional":
-		return lineage.Conditional, nil
-	}
-	return 0, badRequest("unknown correlation scheme %q", s)
-}
-
-func parseStrategy(s string) (prob.Strategy, error) {
-	switch s {
-	case "exact":
-		return prob.Exact, nil
-	case "eager":
-		return prob.Eager, nil
-	case "lazy":
-		return prob.Lazy, nil
-	case "hybrid":
-		return prob.Hybrid, nil
-	case "circuit":
-		return prob.Circuit, nil
-	}
-	return 0, badRequest("unknown strategy %q (want exact, eager, lazy, hybrid, or circuit)", s)
-}
-
-func parseOrder(s string) (prob.OrderHeuristic, error) {
-	switch s {
-	case "fanout":
-		return prob.FanoutOrder, nil
-	case "input":
-		return prob.InputOrder, nil
-	}
-	return 0, badRequest("unknown order heuristic %q (want fanout or input)", s)
 }
 
 // similarityMatrix derives MCL edge weights from pairwise distances of the

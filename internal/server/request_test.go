@@ -22,7 +22,7 @@ func TestBuildSpecBoundsRequestShape(t *testing.T) {
 		field string
 	}{
 		{"k above n", RunRequest{Data: DataSpec{N: 4}, Params: ParamSpec{K: 5}}, "params.k"},
-		{"k above cap", RunRequest{Data: DataSpec{N: 64}, Params: ParamSpec{K: maxParamK + 1}}, "params.k"},
+		{"k above cap", RunRequest{Data: DataSpec{N: 64}, Params: ParamSpec{K: core.MaxK + 1}}, "params.k"},
 		{"huge k", RunRequest{Params: ParamSpec{K: 1 << 50}}, "params.k"},
 		{"vars 65", RunRequest{Data: DataSpec{Vars: 65}}, "data.vars"},
 		{"iter 11", RunRequest{Params: ParamSpec{Iter: 11}}, "params.iter"},
@@ -37,7 +37,7 @@ func TestBuildSpecBoundsRequestShape(t *testing.T) {
 	}
 
 	for _, req := range []RunRequest{
-		{Data: DataSpec{N: 64, Vars: maxDataVars}, Params: ParamSpec{K: maxParamK, Iter: maxParamIter}},
+		{Data: DataSpec{N: 64, Vars: core.MaxVars}, Params: ParamSpec{K: core.MaxK, Iter: core.MaxIter}},
 		{Data: DataSpec{N: 3}, Params: ParamSpec{K: 3}},
 		{Program: "mcl", Data: DataSpec{N: 1}},
 	} {

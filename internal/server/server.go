@@ -193,7 +193,6 @@ type Server struct {
 	mStreamReplays     *obs.Counter
 	mStreamRetraces    *obs.Counter
 	mStreamRegrounds   *obs.Counter
-	mStreamFull        *obs.Counter
 	gStreamActive      *obs.Gauge
 	hStreamPush        *obs.Histogram
 }
@@ -263,7 +262,6 @@ func New(cfg Config) *Server {
 		mStreamReplays:     cfg.Registry.Counter("stream.segment.replays"),
 		mStreamRetraces:    cfg.Registry.Counter("stream.segment.retraces"),
 		mStreamRegrounds:   cfg.Registry.Counter("stream.segment.regrounds"),
-		mStreamFull:        cfg.Registry.Counter("stream.full_recompiles"),
 		gStreamActive:      cfg.Registry.Gauge("stream.sessions.active"),
 		hStreamPush:        cfg.Registry.Histogram("stream.push_ms", latencyBucketsMs),
 	}
@@ -321,9 +319,6 @@ func (s *Server) Addr() string {
 	}
 	return s.listener.Addr().String()
 }
-
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Shutdown drains gracefully: new work is rejected with 503, the listener
 // closes, in-flight requests run to completion (or until ctx expires, at

@@ -282,7 +282,7 @@ func TestGracefulShutdown(t *testing.T) {
 		defer cancel()
 		shutdownDone <- s.Shutdown(ctx)
 	}()
-	for !s.Draining() {
+	for !s.draining.Load() {
 		time.Sleep(time.Millisecond)
 	}
 

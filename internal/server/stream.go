@@ -234,9 +234,6 @@ func (s *Server) streamPush(ctx context.Context, req StreamRequest) (*StreamResp
 	s.mStreamReplays.Add(int64(u.Stats.Replayed))
 	s.mStreamRetraces.Add(int64(u.Stats.Retraced))
 	s.mStreamRegrounds.Add(int64(u.Stats.Reground))
-	if u.Stats.Full {
-		s.mStreamFull.Inc()
-	}
 	s.hStreamPush.Observe(ms(time.Since(t0)))
 	return &StreamResponse{
 		SessionID: req.SessionID,

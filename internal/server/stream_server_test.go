@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
+	"enframe/internal/core"
 	"enframe/internal/stream"
 )
 
@@ -235,6 +238,42 @@ func TestStreamValidationAndRouting(t *testing.T) {
 	status, q, _ := postStream(t, client, s.Addr(), StreamRequest{Op: "query", SessionID: created.SessionID})
 	if status != http.StatusOK || q.Seq != 0 {
 		t.Fatalf("session state moved after rejected batch: status %d seq %d", status, q.Seq)
+	}
+}
+
+// TestStreamCreateBoundsConfigShape: a create over /v1/run's request-shape
+// caps is a 400 naming the field, rejected before any segment is grounded,
+// and the removed dirty_threshold option is an unknown field.
+func TestStreamCreateBoundsConfigShape(t *testing.T) {
+	s := startTestServer(t, Config{})
+	client := &http.Client{}
+	for _, tc := range []struct {
+		field string
+		cfg   func(*stream.Config)
+	}{
+		{"iter", func(c *stream.Config) { c.Iter = core.MaxIter + 1 }},
+		{"vars", func(c *stream.Config) { c.Vars = core.MaxVars + 1 }},
+		{"k", func(c *stream.Config) { c.K = core.MaxK + 1 }},
+	} {
+		cfg := smallStreamConfig()
+		tc.cfg(cfg)
+		status, _, raw := postStream(t, client, s.Addr(), StreamRequest{Op: "create", Config: cfg})
+		if status != http.StatusBadRequest || !strings.Contains(string(raw), "stream: "+tc.field+" must be") {
+			t.Errorf("%s over its cap: status %d: %s, want 400 naming %s", tc.field, status, raw, tc.field)
+		}
+	}
+	resp, err := client.Post("http://"+s.Addr()+"/v1/stream", "application/json",
+		strings.NewReader(`{"op":"create","config":{"dirty_threshold":0.5}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "dirty_threshold") {
+		t.Errorf("create with dirty_threshold: status %d: %s, want 400 naming the field", resp.StatusCode, raw)
+	}
+	if n := s.cfg.Registry.Counter("stream.sessions.created").Value(); n != 0 {
+		t.Errorf("stream.sessions.created = %d after rejected creates", n)
 	}
 }
 

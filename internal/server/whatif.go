@@ -173,7 +173,7 @@ func (s *Server) executeWhatif(ctx context.Context, sw *sweepBuf, plan specPlan,
 	if err != nil {
 		return nil, nil, cache, err
 	}
-	heuristic, _ := parseOrder(plan.req.Order) // validated by planSpec
+	heuristic, _ := prob.ParseOrder(plan.req.Order) // validated by planSpec
 
 	tTrace := time.Now()
 	c, _, circuitCached, err := s.circuitFor(ctx, art, prob.Options{Heuristic: heuristic})

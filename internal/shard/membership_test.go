@@ -186,7 +186,7 @@ func TestMembershipChangeMidTraffic(t *testing.T) {
 	if movedJoin+movedLeave == 0 {
 		t.Error("join+leave moved no keys")
 	}
-	if got := rt.Registry().Counter("shard.ring.moves").Value(); got != int64(movedJoin+movedLeave) {
+	if got := rt.reg.Counter("shard.ring.moves").Value(); got != int64(movedJoin+movedLeave) {
 		t.Errorf("shard.ring.moves = %d, want %d", got, movedJoin+movedLeave)
 	}
 	if warmedJoin == 0 {

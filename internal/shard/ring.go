@@ -134,12 +134,3 @@ func (r *Ring) Owners(key string, max int) []string {
 	}
 	return out
 }
-
-// Owner returns the key's primary shard ("" on an empty ring).
-func (r *Ring) Owner(key string) string {
-	o := r.Owners(key, 1)
-	if len(o) == 0 {
-		return ""
-	}
-	return o[0]
-}

@@ -18,17 +18,14 @@ func TestRingEmptyAndSingle(t *testing.T) {
 	if empty.Len() != 0 {
 		t.Fatalf("empty ring Len = %d", empty.Len())
 	}
-	if o := empty.Owner("k"); o != "" {
-		t.Fatalf("empty ring Owner = %q", o)
-	}
 	if o := empty.Owners("k", 3); o != nil {
 		t.Fatalf("empty ring Owners = %v", o)
 	}
 
 	one := NewRing([]string{"a:1"}, 0)
 	for _, k := range keysN(10) {
-		if o := one.Owner(k); o != "a:1" {
-			t.Fatalf("single-shard ring Owner(%q) = %q", k, o)
+		if o := one.Owners(k, 1)[0]; o != "a:1" {
+			t.Fatalf("single-shard ring Owners(%q, 1) = %q", k, o)
 		}
 	}
 }
@@ -73,7 +70,7 @@ func TestRingBalance(t *testing.T) {
 	counts := map[string]int{}
 	const n = 4000
 	for _, k := range keysN(n) {
-		counts[r.Owner(k)]++
+		counts[r.Owners(k, 1)[0]]++
 	}
 	mean := float64(n) / float64(len(shards))
 	for _, s := range shards {
@@ -94,7 +91,7 @@ func TestRingStability(t *testing.T) {
 	const n = 4000
 	moved := 0
 	for _, k := range keysN(n) {
-		if before.Owner(k) != after.Owner(k) {
+		if before.Owners(k, 1)[0] != after.Owners(k, 1)[0] {
 			moved++
 		}
 	}

@@ -134,9 +134,6 @@ func NewRouter(cfg RouterConfig) *Router {
 	return rt
 }
 
-// Registry exposes the router's metrics registry.
-func (rt *Router) Registry() *obs.Registry { return rt.reg }
-
 // Shards returns the current fleet, sorted.
 func (rt *Router) Shards() []string {
 	rt.mu.Lock()

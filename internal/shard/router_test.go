@@ -196,7 +196,7 @@ func TestRouterFailover(t *testing.T) {
 	if !bytes.Equal(targetsOf(t, raw), targetsOf(t, direct)) {
 		t.Errorf("failover marginals differ from single-node")
 	}
-	if rt.Registry().Counter("shard.route.failovers").Value() == 0 {
+	if rt.reg.Counter("shard.route.failovers").Value() == 0 {
 		t.Error("failover counter not incremented")
 	}
 }
@@ -215,10 +215,10 @@ func TestRouterValidatesBeforeForwarding(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Fatalf("malformed JSON: status %d, want 400", status)
 	}
-	if got := rt.Registry().Counter("shard.route.forwards").Value(); got != 0 {
+	if got := rt.reg.Counter("shard.route.forwards").Value(); got != 0 {
 		t.Errorf("invalid requests were forwarded (%d)", got)
 	}
-	if got := rt.Registry().Counter("shard.route.bad_request").Value(); got != 2 {
+	if got := rt.reg.Counter("shard.route.bad_request").Value(); got != 2 {
 		t.Errorf("bad_request counter = %d, want 2", got)
 	}
 
@@ -229,7 +229,7 @@ func TestRouterValidatesBeforeForwarding(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Fatalf("invalid data: status %d, want 400\n%s", status, raw)
 	}
-	if got := rt.Registry().Gauge("shard.keys.tracked").Value(); got != 0 {
+	if got := rt.reg.Gauge("shard.keys.tracked").Value(); got != 0 {
 		t.Errorf("shard.keys.tracked = %g after a refused request, want 0", got)
 	}
 }

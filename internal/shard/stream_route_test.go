@@ -109,7 +109,7 @@ func TestRouterStreamSpreadsSessions(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("create %d: status %d", i, status)
 		}
-		if owner := ring.Owner("stream:" + created.SessionID); shard != owner {
+		if owner := ring.Owners("stream:"+created.SessionID, 1)[0]; shard != owner {
 			t.Fatalf("create %d: session %q landed on %s, its ring owner is %s",
 				i, created.SessionID, shard, owner)
 		}
@@ -120,7 +120,7 @@ func TestRouterStreamSpreadsSessions(t *testing.T) {
 	}
 	for _, s := range shards {
 		for j := 0; ; j++ {
-			if id := fmt.Sprintf("spread-%d", j); ring.Owner("stream:"+id) == s {
+			if id := fmt.Sprintf("spread-%d", j); ring.Owners("stream:"+id, 1)[0] == s {
 				create(12+j, id)
 				break
 			}

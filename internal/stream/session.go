@@ -10,8 +10,7 @@
 // insert/delete, window advance) re-ground only the dirty segments through
 // the fused emitter, and an exact structural comparison of the re-grounded
 // network with the previous one decides whether the old circuit is still
-// valid or a re-trace is due. When the dirty fraction crosses a threshold
-// the session falls back to rebuilding every live segment.
+// valid or a re-trace is due.
 package stream
 
 import (
@@ -73,12 +72,6 @@ type Config struct {
 	// Order selects the variable-order heuristic: "fanout" (default) or
 	// "input".
 	Order string `json:"order,omitempty"`
-
-	// DirtyThreshold is the dirty-segment fraction at which recompute
-	// abandons incrementality and rebuilds every live segment. 0 means
-	// the default 0.5; negative disables the fallback entirely; a tiny
-	// positive value forces full recompilation on any structural delta.
-	DirtyThreshold float64 `json:"dirty_threshold,omitempty"`
 }
 
 func (c *Config) withDefaults() Config {
@@ -104,34 +97,13 @@ func (c *Config) withDefaults() Config {
 	if out.MaxSegmentTuples == 0 {
 		out.MaxSegmentTuples = 64
 	}
-	if out.DirtyThreshold == 0 {
-		out.DirtyThreshold = 0.5
+	if out.Scheme == "" {
+		out.Scheme = "independent"
+	}
+	if out.Order == "" {
+		out.Order = "fanout"
 	}
 	return out
-}
-
-func (c *Config) heuristic() (prob.OrderHeuristic, error) {
-	switch c.Order {
-	case "", "fanout":
-		return prob.FanoutOrder, nil
-	case "input":
-		return prob.InputOrder, nil
-	}
-	return 0, fmt.Errorf("stream: unknown order %q (want fanout or input)", c.Order)
-}
-
-func (c *Config) lineageScheme() (lineage.Scheme, error) {
-	switch c.Scheme {
-	case "", "independent":
-		return lineage.Independent, nil
-	case "positive":
-		return lineage.Positive, nil
-	case "mutex":
-		return lineage.Mutex, nil
-	case "conditional":
-		return lineage.Conditional, nil
-	}
-	return 0, fmt.Errorf("stream: unknown scheme %q", c.Scheme)
 }
 
 // program returns the session's parsed program: inline source parsed for
@@ -211,8 +183,6 @@ type Stats struct {
 	Reground       int     `json:"reground"`        // segments re-grounded through the emitter
 	Retraced       int     `json:"retraced"`        // segments whose circuit was re-traced
 	ReusedCircuits int     `json:"reused_circuits"` // re-grounds that kept the old circuit (equal network)
-	Full           bool    `json:"full"`            // threshold fallback rebuilt everything
-	DirtyFraction  float64 `json:"dirty_fraction"`
 	GroundMs       float64 `json:"ground_ms"`
 	TraceMs        float64 `json:"trace_ms"`
 	ReplayMs       float64 `json:"replay_ms"`
@@ -243,6 +213,15 @@ func NewSession(ctx context.Context, cfg Config) (*Session, error) {
 	if cfg.K < 1 || cfg.Iter < 1 {
 		return nil, fmt.Errorf("stream: k and iter must be >= 1")
 	}
+	if cfg.K > core.MaxK {
+		return nil, fmt.Errorf("stream: k must be <= %d (got %d)", core.MaxK, cfg.K)
+	}
+	if cfg.Iter > core.MaxIter {
+		return nil, fmt.Errorf("stream: iter must be <= %d (got %d)", core.MaxIter, cfg.Iter)
+	}
+	if cfg.Vars > core.MaxVars {
+		return nil, fmt.Errorf("stream: vars must be <= %d (got %d)", core.MaxVars, cfg.Vars)
+	}
 	if cfg.Segments < 1 || cfg.Segments > 32 {
 		return nil, fmt.Errorf("stream: segments must be in [1, 32]")
 	}
@@ -259,13 +238,13 @@ func NewSession(ctx context.Context, cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	scheme, err := cfg.lineageScheme()
+	scheme, err := lineage.ParseScheme(cfg.Scheme)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("stream: %w", err)
 	}
-	heur, err := cfg.heuristic()
+	heur, err := prob.ParseOrder(cfg.Order)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("stream: %w", err)
 	}
 	s := &Session{
 		cfg:    cfg,
@@ -420,50 +399,14 @@ func (s *Session) specFor(seg *segment) core.Spec {
 	}
 }
 
-// SegmentSpec returns a from-scratch compilation spec for a live window —
-// the oracle the difftest and benchmarks compile independently to check
-// byte-identity. The object slice is copied; the space is shared (the
-// standard pipeline never mutates it).
-func (s *Session) SegmentSpec(w int64) (core.Spec, error) {
-	s.mu <- struct{}{}
-	defer s.unlock()
-	seg := s.liveSeg(w)
-	if seg == nil {
-		return core.Spec{}, fmt.Errorf("stream: window %d is not live", w)
-	}
-	spec := s.specFor(seg)
-	spec.Objects = append([]lineage.Object(nil), seg.objs...)
-	return spec, nil
-}
-
-// Heuristic returns the session's variable-order heuristic (for oracle
-// compilations that must match the session's circuits bit for bit).
-func (s *Session) Heuristic() prob.OrderHeuristic { return s.heur }
-
 // recompute brings every segment back to evaluated state:
 //
 //   - dirty segments re-ground through the fused emitter; if the new
 //     network equals the old one the consed circuit is kept, otherwise
 //     the stale circuit memo is dropped and the segment re-traces;
 //   - segments with only probability changes replay their circuit;
-//   - when the dirty fraction reaches the threshold, all segments are
-//     rebuilt (the incremental bookkeeping is no longer worth it).
+//   - clean segments are left as they are.
 func (s *Session) recompute(ctx context.Context, st *Stats) error {
-	dirty := 0
-	for _, seg := range s.segs {
-		if seg.dirty {
-			dirty++
-		}
-	}
-	if len(s.segs) > 0 {
-		st.DirtyFraction = float64(dirty) / float64(len(s.segs))
-	}
-	if dirty > 0 && s.cfg.DirtyThreshold >= 0 && st.DirtyFraction >= s.cfg.DirtyThreshold {
-		st.Full = true
-		for _, seg := range s.segs {
-			seg.dirty = true
-		}
-	}
 	for _, seg := range s.segs {
 		switch {
 		case seg.dirty:

@@ -112,14 +112,11 @@ func TestProbDeltaReplaysWithoutRecompilation(t *testing.T) {
 
 func TestStructuralDeltaRegroundsOnlyDirtySegment(t *testing.T) {
 	cfg := testConfig()
-	cfg.Segments = 4 // 1 dirty of 4 = 0.25 < default threshold 0.5
+	cfg.Segments = 4
 	s := mustSession(t, cfg)
 	u := mustApply(t, s, 0, []stream.Delta{
 		{Op: stream.OpInsert, Window: i64(2), Pos: []float64{0.4, 0.6}, P: fp(0.5)},
 	})
-	if u.Stats.Full {
-		t.Fatalf("single-segment insert triggered full recompilation: %+v", u.Stats)
-	}
 	if u.Stats.Reground != 1 || u.Stats.Retraced != 1 {
 		t.Fatalf("insert should re-ground and re-trace exactly one segment: %+v", u.Stats)
 	}
@@ -133,28 +130,21 @@ func TestStructuralDeltaRegroundsOnlyDirtySegment(t *testing.T) {
 	u = mustApply(t, s, u.Seq, []stream.Delta{
 		{Op: stream.OpDelete, Window: i64(2), ID: ids[len(ids)-1]},
 	})
-	if u.Stats.Reground != 1 || u.Stats.Full {
+	if u.Stats.Reground != 1 {
 		t.Fatalf("delete stats: %+v", u.Stats)
 	}
 	sameMarginals(t, u.Marginals, oracleMarginals(t, s), "delete vs scratch")
-}
 
-func TestDirtyThresholdFallsBackToFullRecompile(t *testing.T) {
-	cfg := testConfig()
-	cfg.Segments = 3
-	s := mustSession(t, cfg)
-	// Two dirty of three = 0.67 >= 0.5 → full rebuild.
-	u := mustApply(t, s, 0, []stream.Delta{
+	// Three of four segments dirty: still only those re-ground.
+	u = mustApply(t, s, u.Seq, []stream.Delta{
 		{Op: stream.OpInsert, Window: i64(0), Pos: []float64{0.2, 0.8}, P: fp(0.4)},
 		{Op: stream.OpInsert, Window: i64(1), Pos: []float64{0.7, 0.1}, P: fp(0.6)},
+		{Op: stream.OpInsert, Window: i64(3), Pos: []float64{0.5, 0.5}, P: fp(0.3)},
 	})
-	if !u.Stats.Full {
-		t.Fatalf("dirty fraction %.2f did not trigger full recompilation: %+v", u.Stats.DirtyFraction, u.Stats)
-	}
 	if u.Stats.Reground != 3 {
-		t.Fatalf("full recompilation should re-ground all 3 segments: %+v", u.Stats)
+		t.Fatalf("three-segment batch should re-ground exactly 3 segments: %+v", u.Stats)
 	}
-	sameMarginals(t, u.Marginals, oracleMarginals(t, s), "full fallback vs scratch")
+	sameMarginals(t, u.Marginals, oracleMarginals(t, s), "multi-segment batch vs scratch")
 }
 
 func TestWindowAdvance(t *testing.T) {
@@ -352,32 +342,6 @@ func TestDeterministicReplay(t *testing.T) {
 		ua := mustApply(t, a, seq, batch)
 		ub := mustApply(t, b, seq, batch)
 		sameMarginals(t, ua.Marginals, ub.Marginals, "replica divergence")
-		seq = ua.Seq
-	}
-}
-
-// TestThresholdDoesNotChangeResults runs the same log through an always-full
-// session and a never-full session: incrementality is an optimisation, not
-// a semantics.
-func TestThresholdDoesNotChangeResults(t *testing.T) {
-	full := testConfig()
-	full.DirtyThreshold = 1e-9 // any dirt → rebuild everything
-	incr := testConfig()
-	incr.DirtyThreshold = -1 // never fall back
-	a := mustSession(t, full)
-	b := mustSession(t, incr)
-	vars, _ := a.VarNames(0)
-	batches := [][]stream.Delta{
-		{{Op: stream.OpInsert, Window: i64(0), Pos: []float64{0.9, 0.9}, P: fp(0.5)}},
-		{{Op: stream.OpProb, Window: i64(0), Var: vars[0], P: fp(1)}},
-		{{Op: stream.OpDelete, Window: i64(1), ID: 0}},
-		{{Op: stream.OpProb, Window: i64(0), Var: vars[0], P: fp(0.42)}},
-	}
-	seq := uint64(0)
-	for _, batch := range batches {
-		ua := mustApply(t, a, seq, batch)
-		ub := mustApply(t, b, seq, batch)
-		sameMarginals(t, ua.Marginals, ub.Marginals, "threshold divergence")
 		seq = ua.Seq
 	}
 }

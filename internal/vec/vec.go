@@ -15,19 +15,6 @@ type Vec []float64
 // New returns a vector with the given components.
 func New(xs ...float64) Vec { return Vec(xs) }
 
-// Zero returns the origin of a dim-dimensional feature space.
-func Zero(dim int) Vec { return make(Vec, dim) }
-
-// Clone returns a copy of v that shares no storage with it.
-func (v Vec) Clone() Vec {
-	w := make(Vec, len(v))
-	copy(w, v)
-	return w
-}
-
-// Dim reports the dimension of v.
-func (v Vec) Dim() int { return len(v) }
-
 // Add returns v + w. Both vectors must have equal dimension.
 func (v Vec) Add(w Vec) Vec {
 	mustMatch(v, w, "Add")
@@ -141,42 +128,4 @@ func SquaredEuclidean(a, b Vec) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// Manhattan is the L1 distance.
-func Manhattan(a, b Vec) float64 {
-	mustMatch(a, b, "Manhattan")
-	var s float64
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s
-}
-
-// Chebyshev is the L∞ distance.
-func Chebyshev(a, b Vec) float64 {
-	mustMatch(a, b, "Chebyshev")
-	var s float64
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > s {
-			s = d
-		}
-	}
-	return s
-}
-
-// Mean returns the component-wise mean of the given vectors. It panics when
-// vs is empty; callers in the clustering code guard for empty clusters with
-// the undefined value of the event domain instead.
-func Mean(vs []Vec) Vec {
-	if len(vs) == 0 {
-		panic("vec: Mean of no vectors")
-	}
-	acc := Zero(vs[0].Dim())
-	for _, v := range vs {
-		for i := range acc {
-			acc[i] += v[i]
-		}
-	}
-	return acc.Scale(1 / float64(len(vs)))
 }
