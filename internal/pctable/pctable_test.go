@@ -27,9 +27,8 @@ func fixture() (*event.Space, *Relation, *Relation, []event.Expr) {
 	return sp, sensors, readings, []event.Expr{x1, x2, x3}
 }
 
-// TestSelectJoinProject runs the query path of examples/pctable: a join, a
-// selection, and the projection of the result onto feature columns as
-// clustering objects (Objects).
+// TestSelectJoinProject runs the query path of examples/pctable: a join and
+// a selection, with the selected tuple's probability.
 func TestSelectJoinProject(t *testing.T) {
 	sp, sensors, readings, _ := fixture()
 	joined := sensors.Join(readings)
@@ -48,7 +47,26 @@ func TestSelectJoinProject(t *testing.T) {
 	if !close2(probs[0], 0.3) {
 		t.Errorf("Pr = %g, want 0.3", probs[0])
 	}
+}
 
+// TestGroupByAndObjects groups the joined readings by station with one
+// selection per station value, and converts the result into clustering
+// objects: feature columns become the position, lineage carries over, and
+// each object's existence probability is its tuple's.
+func TestGroupByAndObjects(t *testing.T) {
+	sp, sensors, readings, _ := fixture()
+	joined := sensors.Join(readings)
+	for _, g := range []struct {
+		station string
+		n       int
+	}{{"north", 2}, {"south", 1}} {
+		group := joined.Select(func(get func(string) Value) bool {
+			return get("station").Equal(Str(g.station))
+		})
+		if len(group.Tuples) != g.n {
+			t.Errorf("group %s has %d tuples, want %d", g.station, len(group.Tuples), g.n)
+		}
+	}
 	objs := joined.Objects("load", "pd")
 	if len(objs) != 3 {
 		t.Fatalf("got %d objects, want 3", len(objs))
