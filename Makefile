@@ -53,7 +53,7 @@ fuzz:
 # windows (see allocguard_test.go). The pool-dependent budgets are enforced
 # here, without the race detector; test-race skips them.
 alloc-guard:
-	$(GO) test -run '^Test(FrontEnd|Compile|DistributedCompile|ColdRun|RetainedArtifact|WhatifSweep|StreamSessionRetainedHeap|StreamPush)AllocGuard$$' -count=1 -v .
+	$(GO) test -run '^Test(FrontEnd|Compile|DistributedCompile|ColdRun|WarmRun|RetainedArtifact|WhatifSweep|StreamSessionRetainedHeap|StreamPush)AllocGuard$$' -count=1 -v .
 
 # smoke runs the process drills (cmd/enframe/smoke_test.go): real enframe
 # serve, worker and route child processes driven over HTTP, TCP and the CLI

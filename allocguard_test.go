@@ -1,8 +1,12 @@
 package enframe
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 
@@ -239,6 +243,49 @@ func TestWhatifSweepAllocGuard(t *testing.T) {
 	if allocs > whatifSweepAllocBudget {
 		t.Errorf("a warm what-if sweep allocates %.0f/op, over the %d budget — its bounds, scratch or data are allocated per request again",
 			allocs, whatifSweepAllocBudget)
+	}
+}
+
+// warmRunAllocBudget is the ceiling on allocations per warm /v1/run through
+// the server's handler at the serve-run-mixed shape (kmedoids n=16 vars=8
+// k=2 iter=2, one data seed): request decoding, an artifact-cache hit, a
+// circuit-memo hit and the reply — the path serve-run-mixed's p50 times.
+// Measured 63 allocs/op. The budget is 1.5× the measured count.
+const warmRunAllocBudget = 94
+
+// TestWarmRunAllocGuard holds a warm run to its allocation profile: a hit
+// on the artifact cache and on the circuit memo allocates nothing of its
+// own. Run as part of `make ci` (via `make alloc-guard`).
+func TestWarmRunAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc guard is a perf gate, skipped in -short")
+	}
+	if raceEnabled {
+		t.Skip("not enforced under -race: the race detector's sync.Pool drops pooled reply buffers at random; make alloc-guard enforces it")
+	}
+	h := server.New(server.Config{}).Handler()
+	body, err := json.Marshal(server.RunRequest{
+		Program: "kmedoids",
+		Data:    server.DataSpec{N: 16, Vars: 8, Seed: 2},
+		Params:  server.ParamSpec{K: 2, Iter: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/v1/run: status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	run() // miss: prepares and traces
+	run() // hit: warms the pooled reply storage
+	allocs := testing.AllocsPerRun(50, run)
+	t.Logf("warm run: %.0f allocs/op (budget %d)", allocs, warmRunAllocBudget)
+	if allocs > warmRunAllocBudget {
+		t.Errorf("a warm run allocates %.0f/op, over the %d budget — the artifact-cache or circuit-memo hit allocates again",
+			allocs, warmRunAllocBudget)
 	}
 }
 
