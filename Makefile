@@ -46,8 +46,9 @@ fuzz:
 	$(GO) test ./internal/difftest -run '^$$' -fuzz '^FuzzPipeline$$' -fuzztime $(FUZZTIME)
 
 # alloc-guard pins the obs-disabled front end, the compilation core, the
-# distributed runner's fork/join path, a cold served run, a warm what-if sweep
-# and a warm stream probability push to their allocation budgets, a cached
+# distributed runner's fork/join path, a cold and a warm served run, a warm
+# what-if sweep and a warm stream probability push to their allocation
+# budgets, a cached
 # artifact to its
 # retained-heap budget, and a stream session's retained heap to its live
 # windows (see allocguard_test.go). The pool-dependent budgets are enforced

@@ -20,7 +20,7 @@ func runServe(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 	inflight := fs.Int("inflight", 0, "max concurrently executing runs (0 = 4×GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "max runs waiting for a worker slot (0 = 4×inflight)")
-	cacheEntries := fs.Int("cache", 64, "compiled-artifact LRU capacity (entries)")
+	cacheEntries := fs.Int("cache", server.DefaultCacheEntries, "compiled-artifact LRU capacity (entries)")
 	defTimeout := fs.Duration("timeout", 30*time.Second, "default per-request deadline")
 	maxTimeout := fs.Duration("max-timeout", 2*time.Minute, "upper clamp on requested deadlines")
 	maxBody := fs.Int64("max-body", 1<<20, "request body size limit in bytes")

@@ -21,18 +21,15 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"enframe/internal/core"
 	"enframe/internal/dist"
 	"enframe/internal/obs"
-	"enframe/internal/prob"
 	"enframe/internal/server"
 )
 
@@ -123,52 +120,22 @@ func runRemote(spec core.Spec, key string, req server.RunRequest) (*core.Report,
 	if err != nil {
 		return nil, err
 	}
-	rep, err := compileRemote(ctx, art, key, req, spec.Compile)
-	if err == nil {
-		return rep, nil
+	var reg *obs.Registry
+	if spec.Compile.Obs != nil {
+		reg = spec.Compile.Obs.Metrics()
 	}
-	if req.RemoteFallback && isRemoteErr(err) {
+	pool, err := dist.NewPool(ctx, dist.PoolConfig{Addrs: req.RemoteWorkers, Reg: reg})
+	if err == nil {
+		defer pool.Close()
+		var rep *core.Report
+		if rep, err = server.CompileRemote(ctx, pool, art, key, req, spec.Compile); err == nil {
+			fmt.Fprintf(os.Stderr, "enframe: remote: compiled over %d live worker(s)\n", pool.AliveWorkers())
+			return rep, nil
+		}
+	}
+	if req.RemoteFallback && server.IsRemoteError(err) {
 		fmt.Fprintf(os.Stderr, "enframe: remote plane unavailable (%v); falling back to local compilation\n", err)
 		return art.CompileContext(ctx, spec.Compile)
 	}
 	return nil, err
-}
-
-// compileRemote runs one compilation over a freshly dialed pool.
-func compileRemote(ctx context.Context, art *core.Artifact, key string, req server.RunRequest, opts prob.Options) (*core.Report, error) {
-	var reg *obs.Registry
-	if opts.Obs != nil {
-		reg = opts.Obs.Metrics()
-	}
-	pool, err := dist.NewPool(ctx, dist.PoolConfig{
-		Addrs: req.RemoteWorkers,
-		Reg:   reg,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer pool.Close()
-
-	specJSON, err := json.Marshal(server.ArtifactRequest(req))
-	if err != nil {
-		return nil, fmt.Errorf("encode wire spec: %w", err)
-	}
-	opts.Order = art.Order(opts.Heuristic)
-	exec := pool.Session(key, specJSON, dist.FromOptions(opts))
-
-	tCompile := time.Now()
-	pr, err := prob.CompileExec(ctx, art.Net, opts, exec)
-	if err != nil {
-		return nil, err
-	}
-	compile := time.Since(tCompile)
-	fmt.Fprintf(os.Stderr, "enframe: remote: compiled over %d live worker(s)\n", pool.AliveWorkers())
-	return art.ReportFor(pr, compile), nil
-}
-
-// isRemoteErr classifies transport-plane failures (protocol violations, lost
-// or unreachable workers) that -remote-fallback may absorb; artifact and
-// compilation errors stay fatal either way.
-func isRemoteErr(err error) bool {
-	return dist.IsProtocolError(err) || errors.Is(err, prob.ErrExecutorUnavailable)
 }

@@ -9,9 +9,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -117,43 +115,43 @@ type Artifact struct {
 	ordersMu sync.Mutex
 	orders   map[prob.OrderHeuristic][]event.VarID
 
-	// circuits memoizes the traced arithmetic circuit per heuristic, with
-	// the same single-flight coalescing as the serving layer's artifact
-	// cache: concurrent first callers share one trace. Only complete
-	// circuits are cached (a timed-out partial trace must not serve
-	// replay-at-other-probabilities queries forever after).
+	// circuits memoizes the traced arithmetic circuit per heuristic behind
+	// traces, a single-flight: concurrent first callers share one trace.
 	circuitsMu sync.Mutex
-	circuits   map[prob.OrderHeuristic]*circuitCall
+	circuits   circuitMemo
+	traces     Flight[prob.OrderHeuristic, traced]
 
 	// netBytes is Net's byte count, taken once at preparation.
 	netBytes int64
 }
 
-// circuitCall is one in-flight or completed circuit trace.
-type circuitCall struct {
-	done chan struct{}
-	c    *circuit.Circuit
-	res  *prob.Result
-	err  error
+// traced is one circuit trace: the circuit and the Result of replaying it
+// at the space's probabilities.
+type traced struct {
+	c   *circuit.Circuit
+	res *prob.Result
 }
 
-// PanicError is what a single-flight leader records when the work it led
-// panicked: the leader recovers, unregisters its call and releases its
-// waiters with this error instead of leaving them blocked forever on a key
-// nobody is computing. The serving layer answers it with 500.
-type PanicError struct {
-	// Op names the work that panicked ("prepare", "circuit trace").
-	Op    string
-	Value any
-	Stack []byte
+// circuitMemo keeps complete circuits only. An incomplete one (boundary
+// probabilities) answers the callers already waiting on it, and the next
+// call traces again.
+type circuitMemo struct {
+	m map[prob.OrderHeuristic]traced
 }
 
-func (e *PanicError) Error() string { return fmt.Sprintf("core: panic during %s: %v", e.Op, e.Value) }
+func (m *circuitMemo) Get(h prob.OrderHeuristic) (traced, bool) {
+	t, ok := m.m[h]
+	return t, ok
+}
 
-// NewPanicError wraps a recovered panic value with the current stack; call
-// it from the deferred function that recovered.
-func NewPanicError(op string, recovered any) *PanicError {
-	return &PanicError{Op: op, Value: recovered, Stack: debug.Stack()}
+func (m *circuitMemo) Keep(h prob.OrderHeuristic, t traced) {
+	if !t.c.Complete() {
+		return
+	}
+	if m.m == nil {
+		m.m = map[prob.OrderHeuristic]traced{}
+	}
+	m.m[h] = t
 }
 
 // testHookTrace, when set by tests, runs on the tracing (leader) path of
@@ -261,7 +259,9 @@ func PrepareContext(ctx context.Context, spec Spec) (*Artifact, error) {
 	tm.Ground = time.Since(tGround)
 	tm.Total = tm.Lex + tm.Parse + tm.Translate + tm.Ground
 
-	return &Artifact{Net: net, Ground: ground, PrepTimings: tm, netBytes: net.Bytes()}, nil
+	a := &Artifact{Net: net, Ground: ground, PrepTimings: tm, netBytes: net.Bytes()}
+	a.traces = NewFlight[prob.OrderHeuristic, traced]("circuit trace", &a.circuitsMu, &a.circuits)
+	return a, nil
 }
 
 // Order returns the artifact's memoized variable order for the heuristic,
@@ -290,76 +290,45 @@ func (a *Artifact) Order(h prob.OrderHeuristic) []event.VarID {
 // The returned Circuit and Result are SHARED with every other caller and
 // must be treated as read-only; copy Result.Targets before changing it.
 //
-// Only complete circuits are memoized. An incomplete trace (boundary
-// probabilities, soft timeout) is handed to the callers already waiting on
-// it — unless it timed out, which is the leader's own budget and nobody
-// else's answer — and the next call traces again. A leader whose context
-// dies hands leadership to the next waiter instead of caching its failure; a
-// leader that panics releases its waiters with a *PanicError. When
-// opts.Order overrides the variable order the memo is bypassed entirely.
+// The trace uses the memoized order of opts.Heuristic; opts.Order is
+// ignored. Only complete circuits are memoized; concurrent callers share one
+// trace under the contract of Flight. An incomplete trace (boundary
+// probabilities) is handed to the callers already waiting on it, unless a
+// soft timeout cut it short: that is the leader's own budget and nobody
+// else's answer, so its waiters trace again.
 func (a *Artifact) Circuit(ctx context.Context, opts prob.Options) (*circuit.Circuit, *prob.Result, bool, error) {
 	opts.Strategy = prob.Circuit
-	if opts.Order != nil {
+	opts.Order = a.Order(opts.Heuristic)
+	lead, cancel := ctx, context.CancelFunc(func() {})
+	if opts.Timeout > 0 {
+		lead, cancel = context.WithCancel(ctx)
+		defer cancel()
+	}
+	var partial traced
+	t, out, err := a.traces.Do(lead, opts.Heuristic, func() (traced, error) {
+		if testHookTrace != nil {
+			testHookTrace()
+		}
 		c, res, err := prob.CompileCircuit(ctx, a.Net, opts)
 		if err != nil {
-			return nil, nil, false, fmt.Errorf("core: compile: %w", err)
+			return traced{}, fmt.Errorf("core: compile: %w", err)
 		}
-		return c, res, false, nil
+		if res.TimedOut {
+			// Ending the leader's context sends its waiters to trace
+			// for themselves.
+			partial = traced{c, res}
+			cancel()
+			return traced{}, context.Canceled
+		}
+		return traced{c, res}, nil
+	})
+	if partial.c != nil {
+		return partial.c, partial.res, false, nil
 	}
-	opts.Order = a.Order(opts.Heuristic)
-	for {
-		a.circuitsMu.Lock()
-		call, ok := a.circuits[opts.Heuristic]
-		if !ok {
-			call = &circuitCall{done: make(chan struct{})}
-			if a.circuits == nil {
-				a.circuits = map[prob.OrderHeuristic]*circuitCall{}
-			}
-			a.circuits[opts.Heuristic] = call
-			a.circuitsMu.Unlock()
-			a.trace(ctx, opts, call)
-			return call.c, call.res, false, call.err
-		}
-		a.circuitsMu.Unlock()
-		select {
-		case <-call.done:
-		case <-ctx.Done():
-			return nil, nil, false, fmt.Errorf("core: %w", ctx.Err())
-		}
-		if call.err == nil && !call.res.TimedOut {
-			return call.c, call.res, true, nil
-		}
-		if call.err == nil || errors.Is(call.err, context.Canceled) || errors.Is(call.err, context.DeadlineExceeded) {
-			continue // the leader's deadline, not ours: retry, possibly as the new leader
-		}
-		return nil, nil, false, call.err
+	if err != nil {
+		return nil, nil, false, err
 	}
-}
-
-// trace is the leader's half of Circuit: it fills call, keeps it registered
-// only when the circuit is complete, and releases the waiters — also when
-// the trace panics.
-func (a *Artifact) trace(ctx context.Context, opts prob.Options, call *circuitCall) {
-	defer func() {
-		if r := recover(); r != nil {
-			call.c, call.res, call.err = nil, nil, NewPanicError("circuit trace", r)
-		}
-		if call.err != nil || !call.c.Complete() {
-			// No other call registers under this heuristic until this one
-			// is deleted: waiters retry only after done closes below.
-			a.circuitsMu.Lock()
-			delete(a.circuits, opts.Heuristic)
-			a.circuitsMu.Unlock()
-		}
-		close(call.done)
-	}()
-	if testHookTrace != nil {
-		testHookTrace()
-	}
-	call.c, call.res, call.err = prob.CompileCircuit(ctx, a.Net, opts)
-	if call.err != nil {
-		call.err = fmt.Errorf("core: compile: %w", call.err)
-	}
+	return t.c, t.res, out != Miss, nil
 }
 
 // Bytes reports the memory the artifact holds: its network's columns (see
@@ -370,12 +339,8 @@ func (a *Artifact) Bytes() int64 {
 	n := a.netBytes
 	a.circuitsMu.Lock()
 	defer a.circuitsMu.Unlock()
-	for _, call := range a.circuits {
-		select {
-		case <-call.done:
-			n += call.c.Bytes() + int64(len(call.res.Targets))*targetBoundBytes
-		default: // still tracing
-		}
+	for _, t := range a.circuits.m {
+		n += t.c.Bytes() + int64(len(t.res.Targets))*targetBoundBytes
 	}
 	return n
 }

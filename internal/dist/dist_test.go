@@ -9,6 +9,7 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -465,6 +466,46 @@ func TestLoadFailurePermanent(t *testing.T) {
 	}
 	if errors.Is(err, prob.ErrExecutorUnavailable) {
 		t.Fatalf("load failure classified as retryable transport error: %v", err)
+	}
+}
+
+// TestWorkerSurvivesPanickingLoad: a resolver that panics answers the load
+// with a permanent error instead of killing the worker, which then serves
+// other sessions — and the failed one, which it did not keep.
+func TestWorkerSurvivesPanickingLoad(t *testing.T) {
+	var panics atomic.Bool
+	panics.Store(true)
+	w := startWorkerCfg(t, dist.WorkerConfig{Resolver: func(specJSON []byte) (core.Spec, string, error) {
+		if panics.Load() {
+			panic("resolver boom")
+		}
+		return testResolver(specJSON)
+	}})
+	wo := dist.WireOpts{Strategy: "exact", JobDepth: 2, Heuristic: "fanout"}
+	req := genRequest(1)
+	specJSON, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, key, err := server.BuildSpec(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newPool(t, dist.PoolConfig{Addrs: []string{w.Addr()}, MaxRetries: 2})
+	_, err = p.Session(key, specJSON, wo).ExecuteJob(context.Background(), &prob.WireJob{ID: 1, P: 1})
+	if err == nil || !strings.Contains(err.Error(), "resolver boom") {
+		t.Fatalf("panicking load: err = %v, want the panic as the load error", err)
+	}
+	if errors.Is(err, prob.ErrExecutorUnavailable) {
+		t.Fatalf("panicking load classified as retryable transport error: %v", err)
+	}
+
+	panics.Store(false)
+	// A pool keeps each worker's load outcome, so a fresh one asks again.
+	p2 := newPool(t, dist.PoolConfig{Addrs: []string{w.Addr()}})
+	for _, req := range []server.RunRequest{genRequest(2), req} {
+		got, seq := runOverPool(t, p2, req, wo)
+		assertBitIdentical(t, got, seq)
 	}
 }
 

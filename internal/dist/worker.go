@@ -55,9 +55,11 @@ type Worker struct {
 
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{}
-	sessions map[string]*workerSession
-	sessAge  []string // insertion order for eviction
-	closed   atomic.Bool
+	sessions sessionMemo
+	// loads is the single-flight in front of sessions: concurrent loads of
+	// one session share one preparation, and a failed one is not kept.
+	loads  core.Flight[string, *prob.Session]
+	closed atomic.Bool
 
 	wg sync.WaitGroup
 
@@ -67,10 +69,26 @@ type Worker struct {
 	mBytesOut *obs.Counter
 }
 
-type workerSession struct {
-	once sync.Once
-	sess *prob.Session
-	err  error
+// sessionMemo is the worker's session cache: loaded sessions by key, the
+// oldest evicted beyond max.
+type sessionMemo struct {
+	max   int
+	byKey map[string]*prob.Session
+	age   []string // insertion order for eviction
+}
+
+func (m *sessionMemo) Get(key string) (*prob.Session, bool) {
+	sess, ok := m.byKey[key]
+	return sess, ok
+}
+
+func (m *sessionMemo) Keep(key string, sess *prob.Session) {
+	m.byKey[key] = sess
+	m.age = append(m.age, key)
+	for len(m.age) > m.max {
+		delete(m.byKey, m.age[0])
+		m.age = m.age[1:]
+	}
 }
 
 // NewWorker builds a worker; Listen binds it.
@@ -90,8 +108,9 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	w := &Worker{
 		cfg:      cfg,
 		conns:    map[net.Conn]struct{}{},
-		sessions: map[string]*workerSession{},
+		sessions: sessionMemo{max: cfg.MaxSessions, byKey: map[string]*prob.Session{}},
 	}
+	w.loads = core.NewFlight[string, *prob.Session]("session load", &w.mu, &w.sessions)
 	if cfg.Reg != nil {
 		w.mJobs = cfg.Reg.Counter("dist.worker.jobs")
 		w.mSessions = cfg.Reg.Counter("dist.worker.sessions")
@@ -308,7 +327,7 @@ func (w *Worker) serveConn(conn net.Conn) {
 			jobs.Add(1)
 			go func() {
 				defer jobs.Done()
-				ack := w.loadSession(lm)
+				ack := w.loadSession(ctx, lm)
 				_ = cw.send(MsgLoadAck, encode(ack))
 			}()
 		case MsgJob:
@@ -351,56 +370,39 @@ func (w *Worker) serveConn(conn net.Conn) {
 }
 
 // loadSession resolves (or reuses) the session named by the load message.
-func (w *Worker) loadSession(lm loadMsg) loadAckMsg {
-	w.mu.Lock()
-	ws, ok := w.sessions[lm.SessionKey]
-	if !ok {
-		ws = &workerSession{}
-		w.sessions[lm.SessionKey] = ws
-		w.sessAge = append(w.sessAge, lm.SessionKey)
-		for len(w.sessAge) > w.cfg.MaxSessions {
-			evict := w.sessAge[0]
-			w.sessAge = w.sessAge[1:]
-			delete(w.sessions, evict)
+// ctx is the connection's: a load whose coordinator went away is abandoned,
+// and a load waiting on it takes over. A resolver or preparation that panics
+// answers a permanent load error; the worker serves on.
+func (w *Worker) loadSession(ctx context.Context, lm loadMsg) loadAckMsg {
+	sess, _, err := w.loads.Do(ctx, lm.SessionKey, func() (*prob.Session, error) {
+		spec, key, err := w.cfg.Resolver(lm.Spec)
+		if err != nil {
+			return nil, fmt.Errorf("resolve spec: %w", err)
 		}
-	}
-	w.mu.Unlock()
-
-	ws.once.Do(func() {
-		ws.err = func() error {
-			spec, key, err := w.cfg.Resolver(lm.Spec)
-			if err != nil {
-				return fmt.Errorf("resolve spec: %w", err)
-			}
-			if key != lm.ArtifactKey {
-				return fmt.Errorf("artifact key mismatch: resolved %s, coordinator sent %s", key, lm.ArtifactKey)
-			}
-			opts, err := lm.Opts.Options()
-			if err != nil {
-				return err
-			}
-			art, err := core.PrepareContext(context.Background(), spec)
-			if err != nil {
-				return fmt.Errorf("prepare: %w", err)
-			}
-			opts.Order = art.Order(opts.Heuristic)
-			sess, err := prob.NewSession(art.Net, opts)
-			if err != nil {
-				return fmt.Errorf("session: %w", err)
-			}
-			ws.sess = sess
-			w.mSessions.Add(1)
-			w.logf("session %s loaded (artifact %.12s, %d targets)", lm.SessionKey, lm.ArtifactKey, sess.Targets())
-			return nil
-		}()
+		if key != lm.ArtifactKey {
+			return nil, fmt.Errorf("artifact key mismatch: resolved %s, coordinator sent %s", key, lm.ArtifactKey)
+		}
+		opts, err := lm.Opts.Options()
+		if err != nil {
+			return nil, err
+		}
+		art, err := core.PrepareContext(ctx, spec)
+		if err != nil {
+			return nil, fmt.Errorf("prepare: %w", err)
+		}
+		opts.Order = art.Order(opts.Heuristic)
+		sess, err := prob.NewSession(art.Net, opts)
+		if err != nil {
+			return nil, fmt.Errorf("session: %w", err)
+		}
+		w.mSessions.Add(1)
+		w.logf("session %s loaded (artifact %.12s, %d targets)", lm.SessionKey, lm.ArtifactKey, sess.Targets())
+		return sess, nil
 	})
-	ack := loadAckMsg{SessionKey: lm.SessionKey}
-	if ws.err != nil {
-		ack.Err = ws.err.Error()
-		return ack
+	if err != nil {
+		return loadAckMsg{SessionKey: lm.SessionKey, Err: err.Error()}
 	}
-	ack.Targets = ws.sess.Targets()
-	return ack
+	return loadAckMsg{SessionKey: lm.SessionKey, Targets: sess.Targets()}
 }
 
 // runJob executes one job and sends its result, applying the fault plan.
@@ -408,14 +410,14 @@ func (w *Worker) loadSession(lm loadMsg) loadAckMsg {
 // result frame.
 func (w *Worker) runJob(ctx context.Context, cw *connWriter, jm jobMsg, tr *obs.Trace) {
 	w.mu.Lock()
-	ws := w.sessions[jm.SessionKey]
+	sess := w.sessions.byKey[jm.SessionKey]
 	w.mu.Unlock()
 	var rm resultMsg
 	exec := tr.Root().Start("exec")
-	if ws == nil || ws.sess == nil {
+	if sess == nil {
 		rm = resultMsg{ID: jm.ID, Err: fmt.Sprintf("unknown session %s", jm.SessionKey)}
 	} else {
-		res, err := ws.sess.ExecJob(ctx, jm.job())
+		res, err := sess.ExecJob(ctx, jm.job())
 		if err != nil {
 			if ctx.Err() != nil {
 				return // connection is going away; no one is listening

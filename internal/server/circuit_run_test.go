@@ -329,10 +329,13 @@ func TestGetOrPrepareLeaderPanicReleasesWaiters(t *testing.T) {
 		}
 	}
 	s.cache.mu.Lock()
-	inflight, cached := len(s.cache.inflight), s.cache.ll.Len()
+	cached := s.cache.ll.Len()
 	s.cache.mu.Unlock()
-	if inflight != 0 || cached != 0 {
-		t.Errorf("after the panic: %d in flight, %d cached; want none", inflight, cached)
+	// Nothing in flight: the next caller leads at once.
+	probe := errors.New("probe")
+	_, out, err := s.cache.getOrPrepare(context.Background(), "k", func() (*core.Artifact, error) { return nil, probe })
+	if inflight := out != core.Miss || err != probe; inflight || cached != 0 {
+		t.Errorf("after the panic: in flight %v (%v, %v), %d cached; want none", inflight, out, err, cached)
 	}
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
 		if time.Now().After(deadline) {

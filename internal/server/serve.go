@@ -204,7 +204,7 @@ func (s *Server) fail(w http.ResponseWriter, info *reqInfo, ctxErr, err error) {
 			w.Header().Set("Retry-After", "1")
 		}
 		writeError(w, ste.status, "%s", ste.msg)
-	case isRemoteError(err):
+	case IsRemoteError(err):
 		// A broken worker plane — unreachable workers, mid-run total loss,
 		// protocol version skew, truncated frames — is an upstream failure.
 		s.mBadGateway.Inc()

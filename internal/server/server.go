@@ -77,6 +77,11 @@ type Config struct {
 	AccessLog *slog.Logger
 }
 
+// DefaultCacheEntries is the artifact-cache capacity of a server whose
+// Config leaves CacheEntries unset, and of `enframe serve` without -cache.
+// The shard router tracks at most this many keys per shard for warming.
+const DefaultCacheEntries = 64
+
 func (c Config) withDefaults() Config {
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 4 * runtime.GOMAXPROCS(0)
@@ -85,7 +90,7 @@ func (c Config) withDefaults() Config {
 		c.QueueDepth = 4 * c.MaxInflight
 	}
 	if c.CacheEntries <= 0 {
-		c.CacheEntries = 64
+		c.CacheEntries = DefaultCacheEntries
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
@@ -142,13 +147,12 @@ type Server struct {
 
 	// pools caches worker pools by their sorted address list, so repeated
 	// requests naming the same worker set reuse live connections and
-	// worker-side session caches. Dials run outside poolsMu: concurrent
-	// requests for the same address set single-flight on a poolCall
-	// (poolDials), and requests for different sets never wait on each
-	// other's TCP dials.
-	poolsMu   sync.Mutex
-	pools     map[string]*dist.Pool
-	poolDials map[string]*poolCall
+	// worker-side session caches. It is poolFlight's memo: requests for one
+	// set share one dial, run outside poolsMu, so different sets never wait
+	// on each other's TCP dials.
+	poolsMu    sync.Mutex
+	pools      poolMemo
+	poolFlight core.Flight[string, *dist.Pool]
 
 	// tenants is the fairness-aware half of admission control (tenant.go).
 	tenants *tenantLimiter
@@ -162,7 +166,7 @@ type Server struct {
 	mDeadline       *obs.Counter // 504: per-request deadline exceeded
 	mCanceled       *obs.Counter // 499: client disconnected
 	mBadGateway     *obs.Counter // 502: remote worker plane failed
-	mPanics         *obs.Counter // 500: a single-flight leader panicked
+	mPanics         *obs.Counter // 500: a panic on the request path, in a flight leader or a stream session
 	mRemoteRuns     *obs.Counter
 	mRemoteFallback *obs.Counter
 	gInflight       *obs.Gauge
@@ -224,8 +228,7 @@ func New(cfg Config) *Server {
 		workSlots:  make(chan struct{}, cfg.MaxInflight),
 		queueSlots: make(chan struct{}, cfg.MaxInflight+cfg.QueueDepth),
 		serveErr:   make(chan error, 1),
-		pools:      map[string]*dist.Pool{},
-		poolDials:  map[string]*poolCall{},
+		pools:      poolMemo{},
 		tenants:    newTenantLimiter(cfg.TenantQuota, cfg.Registry),
 		accessLog:  cfg.AccessLog,
 
@@ -265,6 +268,7 @@ func New(cfg Config) *Server {
 		gStreamActive:      cfg.Registry.Gauge("stream.sessions.active"),
 		hStreamPush:        cfg.Registry.Histogram("stream.push_ms", latencyBucketsMs),
 	}
+	s.poolFlight = core.NewFlight[string, *dist.Pool]("pool dial", &s.poolsMu, s.pools)
 	s.httpSrv = &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
@@ -421,7 +425,7 @@ func (s *Server) run(ctx context.Context, info *reqInfo, plan specPlan, req RunR
 	if err != nil {
 		return nil, err
 	}
-	resp := buildResponse(req, rep, cache.reused(), served, remote)
+	resp := buildResponse(req, rep, cache != core.Miss, served, remote)
 	if tr != nil {
 		tr.Finish()
 		ex := tr.Root().Export()
@@ -432,10 +436,11 @@ func (s *Server) run(ctx context.Context, info *reqInfo, plan specPlan, req RunR
 	}, nil
 }
 
-// isRemoteError classifies distributed-plane failures for the 502 contract:
-// typed wire-protocol errors and transport-level executor loss, as opposed
-// to compilation errors (422) and context errors (499/504).
-func isRemoteError(err error) bool {
+// IsRemoteError classifies distributed-plane failures for the 502 contract
+// and for remote_fallback (the CLI's -remote-fallback): typed wire-protocol
+// errors and transport-level executor loss, as opposed to compilation errors
+// (422) and context errors (499/504).
+func IsRemoteError(err error) bool {
 	return dist.IsProtocolError(err) || errors.Is(err, prob.ErrExecutorUnavailable)
 }
 
@@ -460,11 +465,9 @@ var testHookPrepare func()
 
 // artifactFor resolves the plan's key through the artifact cache. Only a
 // miss generates the plan's data and prepares its spec, so a hit builds no
-// data at all; a data error answers 400 and leaves nothing in the cache. A
-// coalesced preparation that failed only because the leading request's
-// context expired is retried once under our own context.
-func (s *Server) artifactFor(ctx context.Context, plan specPlan) (*core.Artifact, cacheOutcome, error) {
-	prepare := func() (*core.Artifact, error) {
+// data at all; a data error answers 400 and leaves nothing in the cache.
+func (s *Server) artifactFor(ctx context.Context, plan specPlan) (*core.Artifact, core.Outcome, error) {
+	return s.cache.getOrPrepare(ctx, plan.key, func() (*core.Artifact, error) {
 		if testHookPrepare != nil {
 			testHookPrepare()
 		}
@@ -473,12 +476,7 @@ func (s *Server) artifactFor(ctx context.Context, plan specPlan) (*core.Artifact
 			return nil, err
 		}
 		return core.PrepareContext(ctx, spec)
-	}
-	art, cache, err := s.cache.getOrPrepare(ctx, plan.key, prepare)
-	if err != nil && isCtxError(err) && ctx.Err() == nil {
-		art, cache, err = s.cache.getOrPrepare(ctx, plan.key, prepare)
-	}
-	return art, cache, err
+	})
 }
 
 // circuitFor resolves the artifact's circuit through its memo and accounts
@@ -504,7 +502,7 @@ func (s *Server) circuitFor(ctx context.Context, art *core.Artifact, opts prob.O
 // circuit: the first request on an artifact traces it, every later one is a
 // memo lookup. Approximate strategies compile in-process; requests naming
 // remote_workers ship the compilation to the worker plane.
-func (s *Server) execute(ctx context.Context, plan specPlan, req RunRequest, tr *obs.Trace) (*core.Report, cacheOutcome, string, remoteStatus, error) {
+func (s *Server) execute(ctx context.Context, plan specPlan, req RunRequest, tr *obs.Trace) (*core.Report, core.Outcome, string, remoteStatus, error) {
 	art, cache, err := s.artifactFor(ctx, plan)
 	if err != nil {
 		return nil, cache, "", remoteStatus{}, err
@@ -518,7 +516,7 @@ func (s *Server) execute(ctx context.Context, plan specPlan, req RunRequest, tr 
 		if rerr == nil {
 			return rep, cache, servedCompile, remote, nil
 		}
-		if !req.RemoteFallback || ctx.Err() != nil || !isRemoteError(rerr) {
+		if !req.RemoteFallback || ctx.Err() != nil || !IsRemoteError(rerr) {
 			return nil, cache, "", remote, rerr
 		}
 		// The plane is down and the request opted into degraded mode: run
@@ -556,108 +554,62 @@ func (s *Server) execute(ctx context.Context, plan specPlan, req RunRequest, tr 
 }
 
 // executeRemote ships the compilation to the request's worker set via a
-// cached pool. The artifact-identifying request travels as the session spec;
-// workers re-derive the artifact and verify its content hash equals key.
+// cached pool.
 func (s *Server) executeRemote(ctx context.Context, art *core.Artifact, key string, req RunRequest, opts prob.Options) (*core.Report, remoteStatus, error) {
 	pool, err := s.poolFor(ctx, req.RemoteWorkers)
 	if err != nil {
 		return nil, remoteStatus{}, err
 	}
+	s.mRemoteRuns.Inc()
+	rep, err := CompileRemote(ctx, pool, art, key, req, opts)
+	return rep, remoteStatus{used: true, workers: pool.AliveWorkers()}, err
+}
+
+// CompileRemote compiles art by shipping jobs to pool's workers. The
+// artifact-identifying request travels as the session spec; workers
+// re-derive the artifact and verify its content hash equals key.
+func CompileRemote(ctx context.Context, pool *dist.Pool, art *core.Artifact, key string, req RunRequest, opts prob.Options) (*core.Report, error) {
 	specJSON, err := json.Marshal(ArtifactRequest(req))
 	if err != nil {
-		return nil, remoteStatus{}, fmt.Errorf("server: encode wire spec: %w", err)
+		return nil, fmt.Errorf("server: encode wire spec: %w", err)
 	}
 	opts.Order = art.Order(opts.Heuristic)
 	exec := pool.Session(key, specJSON, dist.FromOptions(opts))
-	s.mRemoteRuns.Inc()
-
 	tCompile := time.Now()
 	pr, err := prob.CompileExec(ctx, art.Net, opts, exec)
-	remote := remoteStatus{used: true, workers: pool.AliveWorkers()}
 	if err != nil {
-		return nil, remote, err
+		return nil, err
 	}
-	return art.ReportFor(pr, time.Since(tCompile)), remote, nil
+	return art.ReportFor(pr, time.Since(tCompile)), nil
 }
 
-// poolCall is one in-flight pool dial; concurrent poolFor calls for the
-// same address set wait on done instead of dialing twice.
-type poolCall struct {
-	done chan struct{}
-	pool *dist.Pool
-	err  error
+// poolMemo keeps worker pools by their sorted address list. A pool with no
+// live worker left is closed and dropped, so the next request redials.
+type poolMemo map[string]*dist.Pool
+
+func (m poolMemo) Get(key string) (*dist.Pool, bool) {
+	p, ok := m[key]
+	if ok && p.AliveWorkers() == 0 {
+		_ = p.Close()
+		delete(m, key)
+		return nil, false
+	}
+	return p, ok
 }
 
-// poolFor returns the cached pool for a worker set (keyed by the sorted
-// address list), dialing it on first use and re-dialing when every worker in
-// the cached pool has died. Dials are single-flighted per address set and
-// run OUTSIDE poolsMu — a slow or hung dial to one worker set must block
-// neither requests naming other sets nor the map itself (the same pattern
-// the artifact cache uses for slow preparations). Waiters honour their own
-// context: a caller whose deadline expires while the leader is still
-// dialing unblocks immediately.
+func (m poolMemo) Keep(key string, p *dist.Pool) { m[key] = p }
+
+// poolFor returns the cached pool for a worker set, dialing it under
+// poolFlight on first use and after every worker of the cached pool died.
 func (s *Server) poolFor(ctx context.Context, addrs []string) (*dist.Pool, error) {
 	sorted := append([]string(nil), addrs...)
 	sort.Strings(sorted)
 	key := strings.Join(sorted, ",")
-	for {
-		s.poolsMu.Lock()
-		if p, ok := s.pools[key]; ok {
-			if p.AliveWorkers() > 0 {
-				s.poolsMu.Unlock()
-				return p, nil
-			}
-			_ = p.Close()
-			delete(s.pools, key)
+	p, _, err := s.poolFlight.Do(ctx, key, func() (*dist.Pool, error) {
+		if testHookPoolDial != nil {
+			testHookPoolDial(key)
 		}
-		if call, ok := s.poolDials[key]; ok {
-			s.poolsMu.Unlock()
-			select {
-			case <-call.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if call.err != nil {
-				// The leader's dial failed (possibly under its own, shorter
-				// deadline). Loop to retry under ours rather than inheriting
-				// a failure we might not have had.
-				if ctx.Err() != nil {
-					return nil, call.err
-				}
-				continue
-			}
-			return call.pool, nil
-		}
-		call := &poolCall{done: make(chan struct{})}
-		s.poolDials[key] = call
-		s.poolsMu.Unlock()
-		s.dialPool(ctx, key, sorted, call)
-		return call.pool, call.err
-	}
-}
-
-// dialPool is the leader's half of poolFor: it dials, caches a successful
-// pool, unregisters the call and releases the waiters — also when the dial
-// panics, which it reports as a *core.PanicError (answered with 500).
-func (s *Server) dialPool(ctx context.Context, key string, addrs []string, call *poolCall) {
-	defer func() {
-		if r := recover(); r != nil {
-			call.pool, call.err = nil, core.NewPanicError("pool dial", r)
-		}
-		s.poolsMu.Lock()
-		delete(s.poolDials, key)
-		if call.err == nil {
-			s.pools[key] = call.pool
-		}
-		s.poolsMu.Unlock()
-		close(call.done)
-	}()
-	if testHookPoolDial != nil {
-		testHookPoolDial(key)
-	}
-	call.pool, call.err = dist.NewPool(ctx, dist.PoolConfig{Addrs: addrs, Reg: s.reg})
-}
-
-func isCtxError(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+		return dist.NewPool(ctx, dist.PoolConfig{Addrs: sorted, Reg: s.reg})
+	})
+	return p, err
 }

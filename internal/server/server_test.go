@@ -223,8 +223,8 @@ func TestConcurrentMixedKeysHammerCache(t *testing.T) {
 		t.Error(e)
 	}
 
-	if got := s.cache.len(); got > 3 {
-		t.Errorf("cache grew past its bound: %d entries", got)
+	if got := gaugeValue(s, "server.cache.size"); got > 3 {
+		t.Errorf("cache grew past its bound: %g entries", got)
 	}
 	total := int64(goroutines * perG)
 	hits := counterValue(s, "server.cache.hits")

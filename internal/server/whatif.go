@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"time"
 
+	"enframe/internal/core"
 	"enframe/internal/event"
 	"enframe/internal/prob"
 )
@@ -168,7 +169,7 @@ func (s *Server) whatifRoute(req WhatifRequest) (*ticket, error) {
 // — in one pass into sw's lane matrices. The response's Points stay nil:
 // whatifRoute's reply encodes them from sw in their place (encode.go). The
 // returned names are the circuit's targets.
-func (s *Server) executeWhatif(ctx context.Context, sw *sweepBuf, plan specPlan, req WhatifRequest, grid []float64) (*WhatifResponse, []string, cacheOutcome, error) {
+func (s *Server) executeWhatif(ctx context.Context, sw *sweepBuf, plan specPlan, req WhatifRequest, grid []float64) (*WhatifResponse, []string, core.Outcome, error) {
 	art, cache, err := s.artifactFor(ctx, plan)
 	if err != nil {
 		return nil, nil, cache, err

@@ -350,8 +350,8 @@ func TestDataErrorAnswers400AndIsNotCached(t *testing.T) {
 			t.Errorf("%s: status %d, want 400\n%s", tc.path, rec.Code, rec.Body)
 		}
 	}
-	if n := s.cache.len(); n != 0 {
-		t.Errorf("%d artifacts cached after data errors, want 0", n)
+	if n := gaugeValue(s, "server.cache.size"); n != 0 {
+		t.Errorf("%g artifacts cached after data errors, want 0", n)
 	}
 	if misses := counterValue(s, "server.cache.misses"); misses != 4 {
 		t.Errorf("server.cache.misses = %d, want 4: every data error is a fresh miss", misses)

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"container/list"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -64,15 +65,11 @@ type Router struct {
 	ring     *Ring
 	inflight map[string]int // shard → forwarded requests in flight
 	total    int
-	// keys remembers every artifact a shard has answered 200 for: key →
-	// the artifact-identifying request JSON, replayed against /v1/warm when
-	// the ring reassigns the key.
-	keys map[string][]byte
-	// hot tracks which shards actually hold each key warm (answered a
-	// routed request or a warm for it). Ownership alone doesn't imply
-	// residency — a replica that never served the key is cold — so rebuild
-	// warms against this set, not against the old owner list.
-	hot map[string]map[string]bool
+	// keys remembers the artifacts shards answered 200 for, no more than the
+	// fleet can cache (ring.Len() × server.DefaultCacheEntries), the most
+	// recently answered at the front of lru, whose Values are *trackedKey.
+	keys map[string]*list.Element
+	lru  *list.List
 
 	mRequests   *obs.Counter
 	mForwards   *obs.Counter
@@ -114,8 +111,8 @@ func NewRouter(cfg RouterConfig) *Router {
 		client:   cfg.Client,
 		ring:     NewRing(cfg.Shards, cfg.VirtualNodes),
 		inflight: map[string]int{},
-		keys:     map[string][]byte{},
-		hot:      map[string]map[string]bool{},
+		keys:     map[string]*list.Element{},
+		lru:      list.New(),
 
 		mRequests:   cfg.Registry.Counter("shard.route.requests"),
 		mForwards:   cfg.Registry.Counter("shard.route.forwards"),
@@ -292,8 +289,7 @@ func (rt *Router) handleRoute(w http.ResponseWriter, r *http.Request) {
 		}
 		rt.mForwards.Inc()
 		if resp.StatusCode == http.StatusOK {
-			rt.track(key, artJSON)
-			rt.markHot(key, candidate)
+			rt.track(key, artJSON, candidate)
 		}
 		release()
 		copyResponse(w, resp, candidate)
@@ -430,7 +426,7 @@ func (rt *Router) handleShards(w http.ResponseWriter, r *http.Request) {
 	for _, s := range shards {
 		inflight[s] = rt.inflight[s]
 	}
-	keys := len(rt.keys)
+	keys := rt.lru.Len()
 	rt.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{
@@ -513,30 +509,40 @@ func (rt *Router) Leave(addr string) (moved, warmed int, err error) {
 	return rt.rebuild(next)
 }
 
-// track records a key a shard answered 200 for, with its artifact request,
-// for warming on membership change. Keys whose requests failed are not
-// tracked: a request with invalid data passes the router's key step but
-// would fail every warm.
-func (rt *Router) track(key string, artJSON []byte) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if _, ok := rt.keys[key]; !ok {
-		rt.keys[key] = artJSON
-		rt.gKeys.Set(float64(len(rt.keys)))
-	}
+// trackedKey is a key shards answered 200 for: its artifact-identifying
+// request JSON, replayed against /v1/warm when the ring reassigns the key,
+// and the shards that answered. Only those hold it warm — an owner that never
+// served the key is cold — so rebuild warms against hot, not the owner list.
+type trackedKey struct {
+	key string
+	art []byte
+	hot map[string]bool
 }
 
-// markHot records that a shard holds key warm (it answered a routed request
-// or a warm for it).
-func (rt *Router) markHot(key, addr string) {
+// track records that addr answered 200 for key — a routed request or a
+// warm — with its artifact request, for warming on membership change. Keys
+// whose requests failed are not tracked: a request with invalid data passes
+// the router's key step but would fail every warm.
+func (rt *Router) track(key string, artJSON []byte, addr string) {
 	rt.mu.Lock()
-	set := rt.hot[key]
-	if set == nil {
-		set = map[string]bool{}
-		rt.hot[key] = set
+	defer rt.mu.Unlock()
+	el, ok := rt.keys[key]
+	if !ok {
+		el = rt.lru.PushFront(&trackedKey{key: key, art: artJSON, hot: map[string]bool{}})
+		rt.keys[key] = el
+		rt.trimLocked()
 	}
-	set[addr] = true
-	rt.mu.Unlock()
+	rt.lru.MoveToFront(el)
+	el.Value.(*trackedKey).hot[addr] = true
+}
+
+// trimLocked forgets the least recently answered keys, with their
+// residency, beyond what the fleet can cache. Call it under rt.mu.
+func (rt *Router) trimLocked() {
+	for max := rt.ring.Len() * server.DefaultCacheEntries; rt.lru.Len() > max; {
+		delete(rt.keys, rt.lru.Remove(rt.lru.Back()).(*trackedKey).key)
+	}
+	rt.gKeys.Set(float64(rt.lru.Len()))
 }
 
 // rebuild swaps in a new ring and migrates cache residency: every tracked
@@ -561,25 +567,26 @@ func (rt *Router) rebuild(shards []string) (moved, warmed int, err error) {
 	for _, s := range next.Shards() {
 		fleet[s] = true
 	}
-	// A shard off the ring may be retired at any moment; forget its
-	// residency so a future rejoin re-warms instead of trusting stale state.
-	for _, set := range rt.hot {
-		for addr := range set {
+	rt.trimLocked()
+	replicas := rt.cfg.Replicas
+	for el := rt.lru.Front(); el != nil; el = el.Next() {
+		tk := el.Value.(*trackedKey)
+		// A shard off the ring may be retired at any moment; forget its
+		// residency so a future rejoin re-warms instead of trusting stale
+		// state.
+		for addr := range tk.hot {
 			if !fleet[addr] {
-				delete(set, addr)
+				delete(tk.hot, addr)
 			}
 		}
-	}
-	replicas := rt.cfg.Replicas
-	for key, art := range rt.keys {
-		oldOwners := old.Owners(key, replicas)
-		newOwners := next.Owners(key, replicas)
+		oldOwners := old.Owners(tk.key, replicas)
+		newOwners := next.Owners(tk.key, replicas)
 		if len(newOwners) > 0 && (len(oldOwners) == 0 || oldOwners[0] != newOwners[0]) {
 			moved++
 		}
 		for _, o := range newOwners {
-			if !rt.hot[key][o] {
-				warms = append(warms, warmTarget{key: key, addr: o, body: art})
+			if !tk.hot[o] {
+				warms = append(warms, warmTarget{key: tk.key, addr: o, body: tk.art})
 			}
 		}
 	}
@@ -598,7 +605,7 @@ func (rt *Router) rebuild(shards []string) (moved, warmed int, err error) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			if rt.warmOne(wt.addr, wt.body) {
-				rt.markHot(wt.key, wt.addr)
+				rt.track(wt.key, wt.body, wt.addr)
 				okMu.Lock()
 				okCount++
 				okMu.Unlock()

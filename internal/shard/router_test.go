@@ -286,3 +286,46 @@ func TestRouterTenantHeaderPropagates(t *testing.T) {
 		t.Errorf("shard-side tenant counter = %d, want 1 (header not propagated?)", got)
 	}
 }
+
+// TestRouterTrackedKeysBounded: the router tracks no more keys than the
+// fleet can cache — shards × server.DefaultCacheEntries — forgetting the
+// least recently answered one, and a join still warms every key it kept.
+func TestRouterTrackedKeysBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("routes DefaultCacheEntries+1 cold runs")
+	}
+	s1, s2 := startShard(t), startShard(t)
+	rt, router := startRouter(t, []string{s1.Addr()}, RouterConfig{})
+	const n = 5
+	limit := int64(server.DefaultCacheEntries) // one shard
+	for seed := int64(1); seed <= limit+1; seed++ {
+		if status, _, raw := post(t, router.URL+"/v1/run", runBody(t, seed, n)); status != http.StatusOK {
+			t.Fatalf("seed %d: status %d: %s", seed, status, raw)
+		}
+	}
+	if got := rt.reg.Gauge("shard.keys.tracked").Value(); got != float64(limit) {
+		t.Fatalf("shard.keys.tracked = %g after %d keys on one shard, want the cap %d", got, limit+1, limit)
+	}
+
+	// Two replicas on two shards: the joined shard owns every key, so each
+	// retained key is warmed onto it and the forgotten oldest one is not.
+	_, warmed, err := rt.Join(s2.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warmed != int(limit) {
+		t.Errorf("join warmed %d keys, want the %d retained", warmed, limit)
+	}
+	for seed, want := range map[int64]string{1: "miss", 2: "hit", limit + 1: "hit"} {
+		status, _, raw := post(t, "http://"+s2.Addr()+"/v1/run", runBody(t, seed, n))
+		var resp struct {
+			Cache string `json:"cache"`
+		}
+		if err := json.Unmarshal(raw, &resp); status != http.StatusOK || err != nil {
+			t.Fatalf("seed %d on the joined shard: status %d: %s", seed, status, raw)
+		}
+		if resp.Cache != want {
+			t.Errorf("seed %d on the joined shard: cache = %q, want %q", seed, resp.Cache, want)
+		}
+	}
+}

@@ -308,11 +308,12 @@ func (s *Session) Windows() []int64 {
 // the client's log — always yield byte-identical marginals: the feed is
 // deterministic, grounding is deterministic, and circuit replay is
 // byte-identical to a fresh trace.
-func (s *Session) Apply(ctx context.Context, baseSeq uint64, deltas []Delta) (*Update, error) {
+func (s *Session) Apply(ctx context.Context, baseSeq uint64, deltas []Delta) (_ *Update, err error) {
 	if err := s.lock(ctx); err != nil {
 		return nil, err
 	}
 	defer s.unlock()
+	defer s.breakOnPanic("stream apply", &err)
 	if s.broken != nil {
 		return nil, fmt.Errorf("stream: session failed permanently: %w", s.broken)
 	}
@@ -343,11 +344,12 @@ func (s *Session) Apply(ctx context.Context, baseSeq uint64, deltas []Delta) (*U
 // Query returns the current marginals and live windows without applying
 // deltas. If an earlier Apply was cancelled mid-recompute, Query finishes
 // the rebuild.
-func (s *Session) Query(ctx context.Context) (*Update, error) {
+func (s *Session) Query(ctx context.Context) (_ *Update, err error) {
 	if err := s.lock(ctx); err != nil {
 		return nil, err
 	}
 	defer s.unlock()
+	defer s.breakOnPanic("stream query", &err)
 	if s.broken != nil {
 		return nil, fmt.Errorf("stream: session failed permanently: %w", s.broken)
 	}
@@ -363,6 +365,17 @@ func (s *Session) Query(ctx context.Context) (*Update, error) {
 		wins[i] = Window{Window: seg.window, Vars: seg.varNames(), Tuples: seg.tupleIDs()}
 	}
 	return &Update{Seq: s.seq, Marginals: s.marginals(), Stats: st, Windows: wins}, nil
+}
+
+// breakOnPanic, deferred under the session lock, turns a panic in Apply or
+// Query into the session's sticky failure: the panic may have left the
+// sequence and the segments half-updated, so every later use is refused.
+// The call answers the *core.PanicError.
+func (s *Session) breakOnPanic(op string, err *error) {
+	if r := recover(); r != nil {
+		pe := core.NewPanicError(op, r)
+		s.broken, *err = pe, pe
+	}
 }
 
 // marginals copies every live target's bounds into a fresh slice, so the
