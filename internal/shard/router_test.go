@@ -316,7 +316,13 @@ func TestRouterTrackedKeysBounded(t *testing.T) {
 	if warmed != int(limit) {
 		t.Errorf("join warmed %d keys, want the %d retained", warmed, limit)
 	}
-	for seed, want := range map[int64]string{1: "miss", 2: "hit", limit + 1: "hit"} {
+	// The miss comes last: preparing it evicts from the joined shard's full
+	// cache.
+	for _, c := range []struct {
+		seed int64
+		want string
+	}{{limit + 1, "hit"}, {2, "hit"}, {1, "miss"}} {
+		seed, want := c.seed, c.want
 		status, _, raw := post(t, "http://"+s2.Addr()+"/v1/run", runBody(t, seed, n))
 		var resp struct {
 			Cache string `json:"cache"`
