@@ -42,8 +42,8 @@ type flightHarness struct {
 	f    Flight[string, int]
 }
 
-func newFlightHarness(t *testing.T, keep func(int) bool) *flightHarness {
-	h := &flightHarness{t: t, memo: &testMemo{m: map[string]int{}, keep: keep}}
+func newFlightHarness(t *testing.T) *flightHarness {
+	h := &flightHarness{t: t, memo: &testMemo{m: map[string]int{}}}
 	h.f = NewFlight[string, int]("test work", &h.mu, h.memo)
 	return h
 }
@@ -251,13 +251,13 @@ func TestFlightContract(t *testing.T) {
 			}
 		}},
 	} {
-		t.Run(tc.name, func(t *testing.T) { tc.run(t, newFlightHarness(t, nil)) })
+		t.Run(tc.name, func(t *testing.T) { tc.run(t, newFlightHarness(t)) })
 	}
 }
 
 // TestFlightHitAllocatesNothing: a memo hit is a lock and a lookup.
 func TestFlightHitAllocatesNothing(t *testing.T) {
-	h := newFlightHarness(t, nil)
+	h := newFlightHarness(t)
 	ctx := context.Background()
 	h.do(ctx, "a", 1, nil)
 	work := func() (int, error) { return -1, nil }
