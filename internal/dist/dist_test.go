@@ -471,7 +471,8 @@ func TestLoadFailurePermanent(t *testing.T) {
 
 // TestWorkerSurvivesPanickingLoad: a resolver that panics answers the load
 // with a permanent error instead of killing the worker, which then serves
-// other sessions — and the failed one, which it did not keep.
+// other sessions — and, over the same pool, the failed one, which neither
+// side kept.
 func TestWorkerSurvivesPanickingLoad(t *testing.T) {
 	var panics atomic.Bool
 	panics.Store(true)
@@ -501,11 +502,27 @@ func TestWorkerSurvivesPanickingLoad(t *testing.T) {
 	}
 
 	panics.Store(false)
-	// A pool keeps each worker's load outcome, so a fresh one asks again.
-	p2 := newPool(t, dist.PoolConfig{Addrs: []string{w.Addr()}})
 	for _, req := range []server.RunRequest{genRequest(2), req} {
-		got, seq := runOverPool(t, p2, req, wo)
+		got, seq := runOverPool(t, p, req, wo)
 		assertBitIdentical(t, got, seq)
+	}
+}
+
+// TestEvictedSessionReloads: a worker that holds one session at a time runs
+// sessions A, B, A over one pool. Each run finds its session evicted (or
+// never loaded), is answered "no session", and reloads it; every run is
+// bit-identical to the sequential compile, and the worker loaded 3 times.
+func TestEvictedSessionReloads(t *testing.T) {
+	reg := newTestRegistry(t)
+	w := startWorkerCfg(t, dist.WorkerConfig{MaxSessions: 1, Reg: reg})
+	p := newPool(t, dist.PoolConfig{Addrs: []string{w.Addr()}})
+	wo := dist.WireOpts{Strategy: "exact", JobDepth: 2, Heuristic: "fanout"}
+	for _, seed := range []int64{1, 2, 1} {
+		got, seq := runOverPool(t, p, genRequest(seed), wo)
+		assertBitIdentical(t, got, seq)
+	}
+	if got := reg.Counter("dist.worker.sessions").Value(); got != 3 {
+		t.Fatalf("dist.worker.sessions = %d, want 3 (A, B, A reloaded)", got)
 	}
 }
 

@@ -20,10 +20,10 @@ import (
 // other fails with a VersionError, and a hello naming another revision is
 // answered with a version MsgError, so a mismatched peer fails typed in both
 // directions instead of hanging. The handshake carries both sides' clock
-// readings (for the per-connection clock-offset estimate), job frames may
-// carry a trace context, and result frames may piggyback the worker-side
-// span subtree and metric deltas.
-const ProtocolVersion = 2
+// readings (for the per-connection clock-offset estimate), job frames name
+// their session and may carry its load and a trace context, and result
+// frames may piggyback the worker-side span subtree and metric deltas.
+const ProtocolVersion = 3
 
 // MaxFrameSize bounds one frame's payload; larger lengths are rejected with
 // ErrTooLarge before any allocation of that size.
@@ -43,10 +43,6 @@ const (
 	// MsgHello/MsgHelloAck is the handshake; the coordinator speaks first.
 	MsgHello MsgType = iota + 1
 	MsgHelloAck
-	// MsgLoad asks the worker to materialise a compilation session
-	// (artifact + fixed compile options); MsgLoadAck confirms or fails it.
-	MsgLoad
-	MsgLoadAck
 	// MsgJob ships one decision-tree job; MsgResult returns its stream.
 	MsgJob
 	MsgResult
@@ -64,10 +60,6 @@ func (t MsgType) String() string {
 		return "hello"
 	case MsgHelloAck:
 		return "hello_ack"
-	case MsgLoad:
-		return "load"
-	case MsgLoadAck:
-		return "load_ack"
 	case MsgJob:
 		return "job"
 	case MsgResult:

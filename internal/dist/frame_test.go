@@ -5,11 +5,14 @@ import (
 	"errors"
 	"io"
 	"testing"
+	"time"
+
+	"enframe/internal/prob"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{nil, {}, []byte("{}"), []byte(`{"version":1,"slots":4}`), bytes.Repeat([]byte("x"), 3<<20)}
-	for _, mt := range []MsgType{MsgHello, MsgHelloAck, MsgLoad, MsgLoadAck, MsgJob, MsgResult, MsgPing, MsgPong, MsgError} {
+	for _, mt := range []MsgType{MsgHello, MsgHelloAck, MsgJob, MsgResult, MsgPing, MsgPong, MsgError} {
 		for _, p := range payloads {
 			var buf bytes.Buffer
 			if err := WriteFrame(&buf, mt, p); err != nil {
@@ -137,5 +140,35 @@ func TestSessionKeyStability(t *testing.T) {
 	eps.Epsilon = 0.1
 	if k == SessionKey("abc", eps) {
 		t.Fatal("epsilon not hashed")
+	}
+}
+
+// TestWireNames pins the protocol-3 JSON of a job frame carrying a load and
+// of a result frame: prob's job types are the wire form, so renaming one of
+// their fields would change the protocol.
+func TestWireNames(t *testing.T) {
+	jm := jobMsg{
+		SessionKey: "s",
+		WireJob: prob.WireJob{ID: 7, Path: []prob.Assign{{Var: 3, Val: true}}, OI: 2, P: 0.5,
+			E: []float64{0.25}, Timeout: time.Second},
+		Load: &loadMsg{ArtifactKey: "a", Spec: []byte(`{}`), Opts: WireOpts{Strategy: "exact", JobDepth: 2, Heuristic: "fanout"}},
+	}
+	const wantJob = `{"session_key":"s","id":7,"path":[{"v":3,"b":true}],"oi":2,"p":0.5,"e":[0.25],"timeout_ns":1000000000,` +
+		`"load":{"artifact_key":"a","spec":{},"opts":{"strategy":"exact","job_depth":2,"heuristic":"fanout"}}}`
+	if got := string(encode(jm)); got != wantJob {
+		t.Errorf("job frame\n got %s\nwant %s", got, wantJob)
+	}
+	rm := resultMsg{OK: true, WireResult: prob.WireResult{ID: 7, TimedOut: true, Residual: []float64{0},
+		Items: []prob.WireItem{{Kind: prob.ItemAdd, Target: 1, IsTrue: true, Mass: 0.25}, {Kind: prob.ItemFork}},
+		Forks: []prob.WireFork{{OI: 4, P: 0.5, E: []float64{0}}},
+		Stats: prob.JobStats{Branches: 3, Assignments: 4, MaskUpdates: 5, BudgetPrunes: 6, MaxDepth: 2}}}
+	const wantResult = `{"id":7,"items":[{"k":0,"t":1,"b":true,"m":0.25},{"k":1}],"forks":[{"oi":4,"p":0.5,"e":[0]}],` +
+		`"residual":[0],"timed_out":true,"stats":{"branches":3,"assignments":4,"mask_updates":5,"budget_prunes":6,"max_depth":2},"ok":true}`
+	if got := string(encode(rm)); got != wantResult {
+		t.Errorf("result frame\n got %s\nwant %s", got, wantResult)
+	}
+	var back resultMsg
+	if err := decode([]byte(wantResult), &back); err != nil || back.ID != 7 || len(back.Items) != 2 || back.Stats.MaxDepth != 2 {
+		t.Errorf("result frame decode: %+v, %v", back, err)
 	}
 }

@@ -13,13 +13,17 @@ import (
 func FuzzFrame(f *testing.F) {
 	// Seed corpus: every message type with representative payloads, plus
 	// adversarial headers (checked into testdata/fuzz/FuzzFrame as well,
-	// among them v1-hello: a protocol-v1 coordinator's first frame, which
-	// must fail as a *VersionError).
+	// among them v1-hello and v2-hello: an older coordinator's first frame,
+	// which must fail as a *VersionError).
 	var seed bytes.Buffer
-	_ = WriteFrame(&seed, MsgHello, []byte(`{"version":2,"name":"coordinator"}`))
+	_ = WriteFrame(&seed, MsgHello, []byte(`{"version":3,"name":"coordinator"}`))
 	f.Add(seed.Bytes())
 	seed.Reset()
 	_ = WriteFrame(&seed, MsgJob, []byte(`{"session_key":"s","id":7,"path":[{"v":3,"b":true}],"p":0.5}`))
+	f.Add(seed.Bytes())
+	seed.Reset()
+	_ = WriteFrame(&seed, MsgJob, []byte(`{"session_key":"s","id":8,"p":1,"e":[0,0],`+
+		`"load":{"artifact_key":"a","spec":{"data":{"kind":"gen","seed":1}},"opts":{"strategy":"exact","job_depth":2,"heuristic":"fanout"}}}`))
 	f.Add(seed.Bytes())
 	seed.Reset()
 	_ = WriteFrame(&seed, MsgResult, []byte(`{"id":7,"ok":true,"items":[{"k":0,"t":1,"m":0.25}]}`))

@@ -86,9 +86,8 @@ type poolWorker struct {
 	nextID   atomic.Uint64 // per-connection wire job IDs
 	pingN    atomic.Uint64
 
-	mu       sync.Mutex // guards writes, waiters, sessions
-	waiters  map[uint64]chan poolReply
-	sessions map[string]*loadState
+	mu      sync.Mutex // guards writes, waiters
+	waiters map[uint64]chan poolReply
 
 	gAlive    *obs.Gauge
 	gInflight *obs.Gauge
@@ -100,21 +99,6 @@ type poolWorker struct {
 type poolReply struct {
 	msg *resultMsg
 	err error
-}
-
-// loadState is the per-worker singleflight for loading one session.
-type loadState struct {
-	once sync.Once
-	done chan struct{}
-	err  error
-}
-
-// finish resolves the singleflight exactly once.
-func (ls *loadState) finish(err error) {
-	ls.once.Do(func() {
-		ls.err = err
-		close(ls.done)
-	})
 }
 
 // NewPool dials every address and performs the protocol handshake. It fails
@@ -233,7 +217,6 @@ func (p *Pool) dial(ctx context.Context, index int, addr string) (*poolWorker, e
 		pool: p, index: index, addr: addr, conn: conn, slots: ack.Slots,
 		remotePID: ack.PID,
 		waiters:   map[uint64]chan poolReply{},
-		sessions:  map[string]*loadState{},
 		done:      make(chan struct{}),
 	}
 	if ack.ClockNs != 0 {
@@ -327,13 +310,6 @@ func (w *poolWorker) readLoop() {
 			}
 			w.applyRemoteMetrics(rm.Metrics)
 			w.deliver(rm.ID, poolReply{msg: &rm})
-		case MsgLoadAck:
-			var am loadAckMsg
-			if err := decode(payload, &am); err != nil {
-				w.markDead(err)
-				return
-			}
-			w.finishLoad(am)
 		case MsgError:
 			var em errorMsg
 			_ = json.Unmarshal(payload, &em)
@@ -409,8 +385,7 @@ func (w *poolWorker) heartbeat() {
 }
 
 // markDead transitions the worker to dead exactly once: the connection
-// closes, every waiter fails with a retryable transport error, and pending
-// session loads fail so future sessions re-resolve elsewhere.
+// closes and every waiter fails with a retryable transport error.
 func (w *poolWorker) markDead(cause error) {
 	if !w.alive.CompareAndSwap(true, false) {
 		return
@@ -427,14 +402,9 @@ func (w *poolWorker) markDead(cause error) {
 	w.mu.Lock()
 	waiters := w.waiters
 	w.waiters = map[uint64]chan poolReply{}
-	sessions := w.sessions
-	w.sessions = map[string]*loadState{}
 	w.mu.Unlock()
 	for _, ch := range waiters {
 		ch <- poolReply{err: err}
-	}
-	for _, ls := range sessions {
-		ls.finish(err)
 	}
 }
 
@@ -442,19 +412,14 @@ var errClosedPool = errors.New("pool closed")
 
 // Session binds a compilation session across the pool and returns the
 // executor that ships its jobs. specJSON must resolve (via each worker's
-// ResolveFunc) to the artifact named by artifactKey. Sessions load lazily
-// per worker on first dispatch, so workers that join a session late (after
-// a reassignment) still resolve it.
+// ResolveFunc) to the artifact named by artifactKey. The pool keeps no record
+// of which worker holds the session: a worker that does not (it never loaded
+// it, or evicted it since) says so, and the job goes again with the load.
 func (p *Pool) Session(artifactKey string, specJSON []byte, wo WireOpts) *PoolExecutor {
 	return &PoolExecutor{
 		pool:       p,
 		sessionKey: SessionKey(artifactKey, wo),
-		load: loadMsg{
-			SessionKey:  SessionKey(artifactKey, wo),
-			ArtifactKey: artifactKey,
-			Spec:        specJSON,
-			Opts:        wo,
-		},
+		load:       loadMsg{ArtifactKey: artifactKey, Spec: specJSON, Opts: wo},
 	}
 }
 
@@ -537,12 +502,29 @@ func (e *PoolExecutor) ExecuteJob(ctx context.Context, j *prob.WireJob) (*prob.W
 	return nil, fmt.Errorf("dist: job %d failed after %d attempts: %w", j.ID, e.pool.cfg.MaxRetries+1, lastErr)
 }
 
-// runOn executes one attempt on one worker.
+// runOn executes one attempt on one worker. The job goes out naming its
+// session; a worker that does not hold the session answers NoSession, and
+// the job goes once more with the session's load attached.
 func (e *PoolExecutor) runOn(ctx context.Context, w *poolWorker, j *prob.WireJob) (*prob.WireResult, error) {
-	if err := e.ensureLoaded(ctx, w); err != nil {
+	jm := jobMsg{SessionKey: e.sessionKey, WireJob: *j}
+	rm, err := e.ship(ctx, w, jm)
+	if err == nil && rm.NoSession {
+		jm.Load = &e.load
+		rm, err = e.ship(ctx, w, jm)
+	}
+	if err != nil {
 		return nil, err
 	}
+	if !rm.OK {
+		return nil, fmt.Errorf("dist: worker %s: job failed: %s", w.addr, rm.Err)
+	}
+	res := &rm.WireResult
+	res.ID = j.ID
+	return res, nil
+}
 
+// ship sends one job frame and waits for its answer.
+func (e *PoolExecutor) ship(ctx context.Context, w *poolWorker, jm jobMsg) (*resultMsg, error) {
 	wireID := w.nextID.Add(1)
 	ch := make(chan poolReply, 1)
 	w.mu.Lock()
@@ -559,26 +541,23 @@ func (e *PoolExecutor) runOn(ctx context.Context, w *poolWorker, j *prob.WireJob
 		w.gInflight.Set(float64(w.inflight.Load()))
 	}()
 
-	// Wire IDs are per-connection; the worker echoes ours back, and the
-	// result is restored to the coordinator's job ID on receipt.
-	jm := toJobMsg(e.sessionKey, j)
-	jm.ID = wireID
-
 	// When the caller is tracing, open a local "ship" span covering the
-	// attempt's wire round trip and propagate its trace context on the job
+	// frame's wire round trip and propagate its trace context on the job
 	// frame; the worker ships its span subtree back on the result, which
 	// splices under this span on the worker's lane.
 	var ship *obs.Span
 	if parent := obs.SpanFromContext(ctx); parent != nil {
 		ship = parent.Start("ship")
-		ship.SetInt("job", int64(j.ID))
+		ship.SetInt("job", int64(jm.ID))
 		ship.SetInt("wire_id", int64(wireID))
 		ship.SetInt("worker", int64(w.index))
 		ship.SetStr("addr", w.addr)
 		jm.Trace = &wireTrace{ID: ship.TraceID(), Span: ship.SpanID()}
 		defer ship.End()
 	}
-
+	// Wire IDs are per-connection; the worker echoes ours back, and runOn
+	// restores the coordinator's job ID on the result.
+	jm.ID = wireID
 	if err := w.send(MsgJob, encode(jm)); err != nil {
 		w.forget(wireID)
 		return nil, err
@@ -602,15 +581,7 @@ func (e *PoolExecutor) runOn(ctx context.Context, w *poolWorker, j *prob.WireJob
 			// subtree on this worker's dedicated process lane.
 			ship.Splice(*r.msg.Span, -w.clockOffNs, w.lanePID(), w.laneLabel())
 		}
-		if !r.msg.OK {
-			return nil, fmt.Errorf("dist: worker %s: job failed: %s", w.addr, r.msg.Err)
-		}
-		res, err := r.msg.result()
-		if err != nil {
-			return nil, err
-		}
-		res.ID = j.ID
-		return res, nil
+		return r.msg, nil
 	case <-timeoutCh:
 		w.forget(wireID)
 		return nil, fmt.Errorf("dist: worker %s: job deadline exceeded: %w", w.addr, prob.ErrExecutorUnavailable)
@@ -625,50 +596,4 @@ func (w *poolWorker) forget(id uint64) {
 	w.mu.Lock()
 	delete(w.waiters, id)
 	w.mu.Unlock()
-}
-
-// ensureLoaded makes sure the worker holds this session, singleflighting the
-// load per (worker, session).
-func (e *PoolExecutor) ensureLoaded(ctx context.Context, w *poolWorker) error {
-	w.mu.Lock()
-	ls, ok := w.sessions[e.sessionKey]
-	if !ok {
-		ls = &loadState{done: make(chan struct{})}
-		w.sessions[e.sessionKey] = ls
-	}
-	w.mu.Unlock()
-	if !ok {
-		if err := w.send(MsgLoad, encode(e.load)); err != nil {
-			w.mu.Lock()
-			delete(w.sessions, e.sessionKey)
-			w.mu.Unlock()
-			ls.finish(err)
-			return err
-		}
-	}
-	select {
-	case <-ls.done:
-		return ls.err
-	case <-w.done:
-		return fmt.Errorf("dist: worker %s died during load: %w", w.addr, prob.ErrExecutorUnavailable)
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// finishLoad resolves the singleflight for one load ack.
-func (w *poolWorker) finishLoad(am loadAckMsg) {
-	w.mu.Lock()
-	ls := w.sessions[am.SessionKey]
-	w.mu.Unlock()
-	if ls == nil {
-		return
-	}
-	if am.Err != "" {
-		// A load failure is permanent for this session: the spec does not
-		// resolve. Do not wrap as retryable.
-		ls.finish(fmt.Errorf("dist: worker %s: load session: %s", w.addr, am.Err))
-		return
-	}
-	ls.finish(nil)
 }

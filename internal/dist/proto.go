@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"time"
 
-	"enframe/internal/event"
 	"enframe/internal/obs"
 	"enframe/internal/prob"
 )
@@ -97,8 +96,9 @@ func SessionKey(artifactKey string, wo WireOpts) string {
 	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 
+// loadMsg rides on a job frame the worker answered with NoSession: the
+// worker loads the session from it before it runs the job.
 type loadMsg struct {
-	SessionKey  string `json:"session_key"`
 	ArtifactKey string `json:"artifact_key"`
 	// Spec is the artifact-identifying request (the server.RunRequest JSON
 	// shape with per-request fields stripped); the worker resolves it
@@ -106,17 +106,6 @@ type loadMsg struct {
 	// ArtifactKey.
 	Spec json.RawMessage `json:"spec"`
 	Opts WireOpts        `json:"opts"`
-}
-
-type loadAckMsg struct {
-	SessionKey string `json:"session_key"`
-	Targets    int    `json:"targets,omitempty"`
-	Err        string `json:"err,omitempty"`
-}
-
-type wireAssign struct {
-	V uint32 `json:"v"`
-	B bool   `json:"b,omitempty"`
 }
 
 // wireTrace is the trace context a job frame carries: enough for the
@@ -130,41 +119,18 @@ type wireTrace struct {
 	Span uint64 `json:"span"`
 }
 
+// jobMsg ships one job under its per-connection wire ID (the embedded ID);
+// the coordinator restores its own job ID on the result.
 type jobMsg struct {
-	SessionKey string       `json:"session_key"`
-	ID         uint64       `json:"id"`
-	Path       []wireAssign `json:"path,omitempty"`
-	OI         int          `json:"oi,omitempty"`
-	P          float64      `json:"p"`
-	E          []float64    `json:"e,omitempty"`
-	TimeoutNs  int64        `json:"timeout_ns,omitempty"`
+	SessionKey string `json:"session_key"`
+	prob.WireJob
+	// Load, when present, is the session the job runs on: a worker that
+	// does not hold SessionKey loads it from here first.
+	Load *loadMsg `json:"load,omitempty"`
 	// Trace, when present (the coordinator is tracing), asks the
 	// worker to run the job under a local tracer and ship the span subtree
 	// back on the result frame.
 	Trace *wireTrace `json:"trace,omitempty"`
-}
-
-type wireItem struct {
-	K uint8   `json:"k"` // 0 add, 1 fork
-	T int32   `json:"t,omitempty"`
-	B bool    `json:"b,omitempty"`
-	F int32   `json:"f,omitempty"`
-	M float64 `json:"m,omitempty"`
-}
-
-type wireFork struct {
-	Path []wireAssign `json:"path,omitempty"`
-	OI   int          `json:"oi,omitempty"`
-	P    float64      `json:"p"`
-	E    []float64    `json:"e,omitempty"`
-}
-
-type wireStats struct {
-	Branches     int64 `json:"branches,omitempty"`
-	Assignments  int64 `json:"assignments,omitempty"`
-	MaskUpdates  int64 `json:"mask_updates,omitempty"`
-	BudgetPrunes int64 `json:"budget_prunes,omitempty"`
-	MaxDepth     int64 `json:"max_depth,omitempty"`
 }
 
 // wireMetric is one piggybacked worker-process metric on a result frame:
@@ -178,14 +144,13 @@ type wireMetric struct {
 }
 
 type resultMsg struct {
-	ID       uint64     `json:"id"`
-	OK       bool       `json:"ok"`
-	Err      string     `json:"err,omitempty"`
-	TimedOut bool       `json:"timed_out,omitempty"`
-	Items    []wireItem `json:"items,omitempty"`
-	Forks    []wireFork `json:"forks,omitempty"`
-	Residual []float64  `json:"residual,omitempty"`
-	Stats    wireStats  `json:"stats"`
+	prob.WireResult
+	OK  bool   `json:"ok"`
+	Err string `json:"err,omitempty"`
+	// NoSession answers a job without a load whose session the worker does
+	// not hold (never loaded, or evicted since); the coordinator re-sends
+	// the job with the load attached.
+	NoSession bool `json:"no_session,omitempty"`
 	// Span is the worker-side span subtree for this job (only when the job
 	// frame carried a trace context), in the worker's clock.
 	Span *obs.SpanExport `json:"span,omitempty"`
@@ -203,109 +168,6 @@ type errorMsg struct {
 	Code    string `json:"code"`
 	Msg     string `json:"msg,omitempty"`
 	Version int    `json:"version,omitempty"`
-}
-
-func toWireAssigns(path []prob.Assign) []wireAssign {
-	if len(path) == 0 {
-		return nil
-	}
-	out := make([]wireAssign, len(path))
-	for i, a := range path {
-		out[i] = wireAssign{V: uint32(a.Var), B: a.Val}
-	}
-	return out
-}
-
-func fromWireAssigns(path []wireAssign) []prob.Assign {
-	if len(path) == 0 {
-		return nil
-	}
-	out := make([]prob.Assign, len(path))
-	for i, a := range path {
-		out[i] = prob.Assign{Var: event.VarID(a.V), Val: a.B}
-	}
-	return out
-}
-
-func toJobMsg(sessionKey string, j *prob.WireJob) jobMsg {
-	return jobMsg{
-		SessionKey: sessionKey,
-		ID:         j.ID,
-		Path:       toWireAssigns(j.Path),
-		OI:         j.OI,
-		P:          j.P,
-		E:          j.E,
-		TimeoutNs:  int64(j.Timeout),
-	}
-}
-
-func (m jobMsg) job() *prob.WireJob {
-	return &prob.WireJob{
-		ID:      m.ID,
-		Path:    fromWireAssigns(m.Path),
-		OI:      m.OI,
-		P:       m.P,
-		E:       m.E,
-		Timeout: time.Duration(m.TimeoutNs),
-	}
-}
-
-func toResultMsg(res *prob.WireResult) resultMsg {
-	m := resultMsg{
-		ID: res.ID, OK: true, TimedOut: res.TimedOut, Residual: res.Residual,
-		Stats: wireStats{
-			Branches:     res.Stats.Branches,
-			Assignments:  res.Stats.Assignments,
-			MaskUpdates:  res.Stats.MaskUpdates,
-			BudgetPrunes: res.Stats.BudgetPrunes,
-			MaxDepth:     res.Stats.MaxDepth,
-		},
-	}
-	if len(res.Items) > 0 {
-		m.Items = make([]wireItem, len(res.Items))
-		for i, it := range res.Items {
-			m.Items[i] = wireItem{K: uint8(it.Kind), T: it.Target, B: it.IsTrue, F: it.Fork, M: it.Mass}
-		}
-	}
-	if len(res.Forks) > 0 {
-		m.Forks = make([]wireFork, len(res.Forks))
-		for i, f := range res.Forks {
-			m.Forks[i] = wireFork{Path: toWireAssigns(f.Path), OI: f.OI, P: f.P, E: f.E}
-		}
-	}
-	return m
-}
-
-func (m *resultMsg) result() (*prob.WireResult, error) {
-	res := &prob.WireResult{
-		ID: m.ID, TimedOut: m.TimedOut, Residual: m.Residual,
-		Stats: prob.JobStats{
-			Branches:     m.Stats.Branches,
-			Assignments:  m.Stats.Assignments,
-			MaskUpdates:  m.Stats.MaskUpdates,
-			BudgetPrunes: m.Stats.BudgetPrunes,
-			MaxDepth:     m.Stats.MaxDepth,
-		},
-	}
-	if len(m.Items) > 0 {
-		res.Items = make([]prob.WireItem, len(m.Items))
-		for i, it := range m.Items {
-			if it.K > uint8(prob.ItemFork) {
-				return nil, fmt.Errorf("dist: result %d: unknown item kind %d", m.ID, it.K)
-			}
-			if it.K == uint8(prob.ItemFork) && (it.F < 0 || int(it.F) >= len(m.Forks)) {
-				return nil, fmt.Errorf("dist: result %d: fork index %d out of range", m.ID, it.F)
-			}
-			res.Items[i] = prob.WireItem{Kind: prob.ItemKind(it.K), Target: it.T, IsTrue: it.B, Fork: it.F, Mass: it.M}
-		}
-	}
-	if len(m.Forks) > 0 {
-		res.Forks = make([]prob.WireFork, len(m.Forks))
-		for i, f := range m.Forks {
-			res.Forks[i] = prob.WireFork{Path: fromWireAssigns(f.Path), OI: f.OI, P: f.P, E: f.E}
-		}
-	}
-	return res, nil
 }
 
 // encode marshals a payload; marshal failures are programming errors.

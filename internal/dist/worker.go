@@ -17,7 +17,7 @@ import (
 	"enframe/internal/prob"
 )
 
-// ResolveFunc turns a load message's spec payload into the core.Spec it
+// ResolveFunc turns a job frame's load spec into the core.Spec it
 // denotes plus its artifact content hash. cmd/enframe injects the server's
 // request resolver here, keeping dist free of a server dependency.
 type ResolveFunc func(specJSON []byte) (core.Spec, string, error)
@@ -31,7 +31,7 @@ type WorkerConfig struct {
 	// handshake. Default GOMAXPROCS.
 	Slots int
 	// MaxSessions bounds the session cache; the oldest session is evicted
-	// beyond it. Default 8.
+	// beyond it, and its next job reloads it. Default 8.
 	MaxSessions int
 	// Reg, when non-nil, receives dist.worker.* metrics. Its counters are
 	// also piggybacked as deltas on result frames, so the coordinator's
@@ -247,8 +247,7 @@ func (cw *connWriter) metricDeltasLocked() []wireMetric {
 }
 
 // serveConn runs one coordinator connection: handshake, then a read loop
-// that answers pings inline and executes load/job requests on bounded
-// goroutines.
+// that answers pings inline and executes jobs on bounded goroutines.
 func (w *Worker) serveConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -318,18 +317,6 @@ func (w *Worker) serveConn(conn net.Conn) {
 			if err := cw.send(MsgPong, payload); err != nil {
 				return
 			}
-		case MsgLoad:
-			var lm loadMsg
-			if err := decode(payload, &lm); err != nil {
-				w.logf("load: %v", err)
-				return
-			}
-			jobs.Add(1)
-			go func() {
-				defer jobs.Done()
-				ack := w.loadSession(ctx, lm)
-				_ = cw.send(MsgLoadAck, encode(ack))
-			}()
 		case MsgJob:
 			var jm jobMsg
 			if err := decode(payload, &jm); err != nil {
@@ -341,8 +328,9 @@ func (w *Worker) serveConn(conn net.Conn) {
 				defer jobs.Done()
 				// When the coordinator is tracing, this job runs under a
 				// local tracer whose subtree ships back on the result
-				// frame. The root opens before the slot wait so queueing
-				// shows up as its own child span (nil without a trace).
+				// frame. The root opens before the session load and the
+				// slot wait so both show up as child spans (nil without a
+				// trace).
 				var tr *obs.Trace
 				if jm.Trace != nil {
 					tr = obs.NewWithClock("job", w.cfg.Now)
@@ -352,6 +340,17 @@ func (w *Worker) serveConn(conn net.Conn) {
 					root.SetInt("parent_span", int64(jm.Trace.Span))
 					root.SetInt("wire_id", int64(jm.ID))
 				}
+				sess, err := w.sessionFor(ctx, &jm, tr)
+				if sess == nil {
+					if ctx.Err() == nil {
+						rm := resultMsg{WireResult: prob.WireResult{ID: jm.ID}, NoSession: err == nil}
+						if err != nil {
+							rm.Err = "load session: " + err.Error()
+						}
+						_ = cw.sendResult(rm)
+					}
+					return
+				}
 				q := tr.Root().Start("queued")
 				select {
 				case jobSlots <- struct{}{}:
@@ -360,7 +359,7 @@ func (w *Worker) serveConn(conn net.Conn) {
 				case <-ctx.Done():
 					return
 				}
-				w.runJob(ctx, cw, jm, tr)
+				w.runJob(ctx, cw, jm, sess, tr)
 			}()
 		default:
 			w.logf("unexpected frame %v", t)
@@ -369,12 +368,27 @@ func (w *Worker) serveConn(conn net.Conn) {
 	}
 }
 
-// loadSession resolves (or reuses) the session named by the load message.
-// ctx is the connection's: a load whose coordinator went away is abandoned,
-// and a load waiting on it takes over. A resolver or preparation that panics
-// answers a permanent load error; the worker serves on.
-func (w *Worker) loadSession(ctx context.Context, lm loadMsg) loadAckMsg {
-	sess, _, err := w.loads.Do(ctx, lm.SessionKey, func() (*prob.Session, error) {
+// sessionFor returns the session a job runs on: the one the worker holds,
+// or, when the job carries a load, the one loaded (or reused) from it. The
+// job keeps that session even if it is evicted before the job ends. Nil with
+// a nil error means the worker does not hold the session and the job carries
+// no load. ctx is the connection's: a load whose coordinator went away is
+// abandoned, and a load waiting on it takes over. A resolver or preparation
+// that panics fails the load; the worker serves on.
+func (w *Worker) sessionFor(ctx context.Context, jm *jobMsg, tr *obs.Trace) (*prob.Session, error) {
+	lm := jm.Load
+	if lm == nil {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		sess, _ := w.sessions.Get(jm.SessionKey)
+		return sess, nil
+	}
+	sp := tr.Root().Start("load")
+	defer sp.End()
+	sess, _, err := w.loads.Do(ctx, jm.SessionKey, func() (*prob.Session, error) {
+		if key := SessionKey(lm.ArtifactKey, lm.Opts); key != jm.SessionKey {
+			return nil, fmt.Errorf("session key mismatch: load derives %s, job names %s", key, jm.SessionKey)
+		}
 		spec, key, err := w.cfg.Resolver(lm.Spec)
 		if err != nil {
 			return nil, fmt.Errorf("resolve spec: %w", err)
@@ -396,39 +410,29 @@ func (w *Worker) loadSession(ctx context.Context, lm loadMsg) loadAckMsg {
 			return nil, fmt.Errorf("session: %w", err)
 		}
 		w.mSessions.Add(1)
-		w.logf("session %s loaded (artifact %.12s, %d targets)", lm.SessionKey, lm.ArtifactKey, sess.Targets())
+		w.logf("session %s loaded (artifact %.12s, %d targets)", jm.SessionKey, lm.ArtifactKey, sess.Targets())
 		return sess, nil
 	})
-	if err != nil {
-		return loadAckMsg{SessionKey: lm.SessionKey, Err: err.Error()}
-	}
-	return loadAckMsg{SessionKey: lm.SessionKey, Targets: sess.Targets()}
+	return sess, err
 }
 
 // runJob executes one job and sends its result, applying the fault plan.
 // tr, when non-nil, is the job's local tracer; its span subtree ships on the
 // result frame.
-func (w *Worker) runJob(ctx context.Context, cw *connWriter, jm jobMsg, tr *obs.Trace) {
-	w.mu.Lock()
-	sess := w.sessions.byKey[jm.SessionKey]
-	w.mu.Unlock()
+func (w *Worker) runJob(ctx context.Context, cw *connWriter, jm jobMsg, sess *prob.Session, tr *obs.Trace) {
 	var rm resultMsg
 	exec := tr.Root().Start("exec")
-	if sess == nil {
-		rm = resultMsg{ID: jm.ID, Err: fmt.Sprintf("unknown session %s", jm.SessionKey)}
-	} else {
-		res, err := sess.ExecJob(ctx, jm.job())
-		if err != nil {
-			if ctx.Err() != nil {
-				return // connection is going away; no one is listening
-			}
-			rm = resultMsg{ID: jm.ID, Err: err.Error()}
-		} else {
-			rm = toResultMsg(res)
-			exec.SetInt("branches", res.Stats.Branches)
-			exec.SetInt("items", int64(len(res.Items)))
-			exec.SetInt("forks", int64(len(res.Forks)))
+	res, err := sess.ExecJob(ctx, &jm.WireJob)
+	if err != nil {
+		if ctx.Err() != nil {
+			return // connection is going away; no one is listening
 		}
+		rm = resultMsg{WireResult: prob.WireResult{ID: jm.ID}, Err: err.Error()}
+	} else {
+		rm = resultMsg{WireResult: *res, OK: true}
+		exec.SetInt("branches", res.Stats.Branches)
+		exec.SetInt("items", int64(len(res.Items)))
+		exec.SetInt("forks", int64(len(res.Forks)))
 	}
 	exec.End()
 	w.mJobs.Add(1)

@@ -199,6 +199,9 @@ func (r *runner) runExec(ctx context.Context, exec JobExecutor) (Stats, error) {
 		case d := <-resCh:
 			inflight--
 			cj := jobs[d.id]
+			if d.err == nil {
+				d.err = checkResult(d.id, d.res, len(r.net.Targets))
+			}
 			if d.err != nil {
 				if firstErr == nil && !r.stop.Load() && ctx.Err() == nil {
 					firstErr = fmt.Errorf("prob: compile: %w", d.err)
@@ -261,4 +264,33 @@ func (r *runner) runExec(ctx context.Context, exec JobExecutor) (Stats, error) {
 	total.Timings.Explore = time.Since(tExplore)
 	dspan.SetInt("jobs", total.Jobs)
 	return total, nil
+}
+
+// checkResult refuses a result that does not fit the network before any of
+// it merges: an executor is another process, and an item or budget vector
+// shaped for another network would index past the bounds book. The refusal
+// is an executor failure, so the serving layer answers it as a broken plane.
+func checkResult(id uint64, res *WireResult, targets int) error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("job %d: malformed result: %s: %w", id, fmt.Sprintf(format, args...), ErrExecutorUnavailable)
+	}
+	if len(res.Residual) != targets {
+		return bad("%d residuals for %d targets", len(res.Residual), targets)
+	}
+	for k, f := range res.Forks {
+		if len(f.E) != targets {
+			return bad("fork %d carries %d budgets for %d targets", k, len(f.E), targets)
+		}
+	}
+	for i, it := range res.Items {
+		switch {
+		case it.Kind > ItemFork:
+			return bad("item %d has unknown kind %d", i, it.Kind)
+		case it.Kind == ItemFork && (it.Fork < 0 || int(it.Fork) >= len(res.Forks)):
+			return bad("item %d names fork %d of %d", i, it.Fork, len(res.Forks))
+		case it.Kind == ItemAdd && (it.Target < 0 || int(it.Target) >= targets):
+			return bad("item %d names target %d of %d", i, it.Target, targets)
+		}
+	}
+	return nil
 }

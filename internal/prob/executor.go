@@ -9,7 +9,8 @@ import (
 )
 
 // ErrExecutorUnavailable marks transport-level executor failures: the worker
-// process died, the connection broke, or no executor has free capacity left.
+// process died, the connection broke, no executor has free capacity left, or
+// an executor answered with a result that does not fit the network.
 // Executors retry it on another worker (the serving layer and the CLI fall
 // back to a local compile when it escapes); execution errors (a job that
 // genuinely failed) are not wrapped in it and fail the compilation.
@@ -21,8 +22,8 @@ var ErrExecutorUnavailable = errors.New("prob: job executor unavailable")
 // forking worker's masks bit-exactly (propagation is deterministic), which
 // is why jobs ship paths instead of mask snapshots.
 type Assign struct {
-	Var event.VarID
-	Val bool
+	Var event.VarID `json:"v"`
+	Val bool        `json:"b,omitempty"`
 }
 
 // WireJob is one depth-d decision-tree fragment shipped to an executor
@@ -30,14 +31,15 @@ type Assign struct {
 // branch probability at the fork point, and E the per-target error budgets
 // the job carries (all zero for exact compilation). Timeout, when positive,
 // bounds the job's execution from its start; the result then returns
-// partial with TimedOut set.
+// partial with TimedOut set. The JSON names are the worker plane's wire
+// form, as are those of WireResult and the types it holds.
 type WireJob struct {
-	ID      uint64
-	Path    []Assign
-	OI      int
-	P       float64
-	E       []float64
-	Timeout time.Duration
+	ID      uint64        `json:"id"`
+	Path    []Assign      `json:"path,omitempty"`
+	OI      int           `json:"oi,omitempty"`
+	P       float64       `json:"p"`
+	E       []float64     `json:"e,omitempty"`
+	Timeout time.Duration `json:"timeout_ns,omitempty"`
 }
 
 // ItemKind discriminates WireItem entries.
@@ -57,30 +59,30 @@ const (
 // the exact order the sequential run would produce them; the item stream,
 // with fork markers spliced recursively, is that order.
 type WireItem struct {
-	Kind   ItemKind
-	Target int32
-	IsTrue bool
-	Fork   int32
-	Mass   float64
+	Kind   ItemKind `json:"k"`
+	Target int32    `json:"t,omitempty"`
+	IsTrue bool     `json:"b,omitempty"`
+	Fork   int32    `json:"f,omitempty"`
+	Mass   float64  `json:"m,omitempty"`
 }
 
 // WireFork describes a continuation job forked while executing a job: the
 // full root-relative assignment path, resume position, branch probability,
 // and the budget shipped with it.
 type WireFork struct {
-	Path []Assign
-	OI   int
-	P    float64
-	E    []float64
+	Path []Assign  `json:"path,omitempty"`
+	OI   int       `json:"oi,omitempty"`
+	P    float64   `json:"p"`
+	E    []float64 `json:"e,omitempty"`
 }
 
 // JobStats counts the work one job performed (worker-side).
 type JobStats struct {
-	Branches     int64
-	Assignments  int64
-	MaskUpdates  int64
-	BudgetPrunes int64
-	MaxDepth     int64
+	Branches     int64 `json:"branches,omitempty"`
+	Assignments  int64 `json:"assignments,omitempty"`
+	MaskUpdates  int64 `json:"mask_updates,omitempty"`
+	BudgetPrunes int64 `json:"budget_prunes,omitempty"`
+	MaxDepth     int64 `json:"max_depth,omitempty"`
 }
 
 // WireResult is a completed job: the ordered item stream, the fork specs the
@@ -89,12 +91,12 @@ type JobStats struct {
 // executing the same job after a worker loss reproduces the same stream, so
 // merging a duplicate completion is idempotent by construction.
 type WireResult struct {
-	ID       uint64
-	Items    []WireItem
-	Forks    []WireFork
-	Residual []float64
-	TimedOut bool
-	Stats    JobStats
+	ID       uint64     `json:"id"`
+	Items    []WireItem `json:"items,omitempty"`
+	Forks    []WireFork `json:"forks,omitempty"`
+	Residual []float64  `json:"residual,omitempty"`
+	TimedOut bool       `json:"timed_out,omitempty"`
+	Stats    JobStats   `json:"stats"`
 }
 
 // JobExecutor executes decision-tree jobs. internal/dist's remote worker pool

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -90,6 +91,75 @@ func TestCompileExecCancel(t *testing.T) {
 	_, err = CompileExec(ctx, net, Options{Strategy: Exact}, NewLocalExecutor(sess, 1))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+}
+
+// editedExecutor answers each job with a real session's result, changed by
+// edit: an executor on another process may answer anything.
+type editedExecutor struct {
+	*LocalExecutor
+	edit func(*WireResult)
+}
+
+func (e editedExecutor) ExecuteJob(ctx context.Context, j *WireJob) (*WireResult, error) {
+	res, err := e.LocalExecutor.ExecuteJob(ctx, j)
+	if err == nil {
+		e.edit(res)
+	}
+	return res, err
+}
+
+// TestCompileExecRefusesMalformedResults: a result whose items or budget
+// vectors do not fit the network fails the compile with an executor error
+// before any of it merges, instead of indexing past the bounds book.
+func TestCompileExecRefusesMalformedResults(t *testing.T) {
+	net := randomNet(rand.New(rand.NewSource(175)), 8, 2)
+	opts := Options{Strategy: Exact, JobDepth: 1}
+	sess, err := NewSession(net, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, edit := range map[string]func(*WireResult){
+		"target": func(r *WireResult) {
+			r.Items = append(r.Items, WireItem{Kind: ItemAdd, Target: 1 << 20, Mass: 0.5})
+		},
+		"negative target": func(r *WireResult) { r.Items = append(r.Items, WireItem{Kind: ItemAdd, Target: -1}) },
+		"fork index":      func(r *WireResult) { r.Items = append(r.Items, WireItem{Kind: ItemFork, Fork: int32(len(r.Forks))}) },
+		"item kind":       func(r *WireResult) { r.Items = append(r.Items, WireItem{Kind: ItemFork + 1}) },
+		"residual":        func(r *WireResult) { r.Residual = append(r.Residual, 0) },
+		"fork budget":     func(r *WireResult) { r.Forks = append(r.Forks, WireFork{P: 0.5}) },
+	} {
+		_, err := CompileExec(context.Background(), net, opts, editedExecutor{NewLocalExecutor(sess, 1), edit})
+		if !errors.Is(err, ErrExecutorUnavailable) || !strings.Contains(err.Error(), "malformed result") {
+			t.Errorf("%s: err = %v, want a malformed-result executor error", name, err)
+		}
+	}
+}
+
+// TestExecJobRefusesForeignJobs: a job whose path, order position or budget
+// vector does not fit the session fails with an error instead of replaying
+// past the session's arrays; the session serves well-formed jobs after.
+func TestExecJobRefusesForeignJobs(t *testing.T) {
+	net := randomNet(rand.New(rand.NewSource(176)), 4, 2)
+	sess, err := NewSession(net, Options{Strategy: Exact, JobDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	E := make([]float64, sess.Targets())
+	for name, j := range map[string]*WireJob{
+		"path variable":     {P: 1, E: E, Path: []Assign{{Var: 1 << 20, Val: true}}},
+		"negative variable": {P: 1, E: E, Path: []Assign{{Var: -1}}},
+		"order position":    {P: 1, E: E, OI: 1 << 20},
+		"negative position": {P: 1, E: E, OI: -1},
+		"budgets":           {P: 1, E: make([]float64, sess.Targets()+1)},
+		"no budgets":        {P: 1},
+	} {
+		if _, err := sess.ExecJob(context.Background(), j); err == nil {
+			t.Errorf("%s: foreign job ran", name)
+		}
+	}
+	if _, err := sess.ExecJob(context.Background(), &WireJob{P: 1, E: E}); err != nil {
+		t.Fatalf("well-formed job after refusals: %v", err)
 	}
 }
 

@@ -82,6 +82,9 @@ func (ss *Session) Targets() int { return len(ss.net.Targets) }
 // Cancelling ctx aborts at branch granularity and returns ctx's error; a
 // job or session timeout instead returns the partial result with TimedOut.
 func (ss *Session) ExecJob(ctx context.Context, j *WireJob) (*WireResult, error) {
+	if err := ss.checkJob(j); err != nil {
+		return nil, err
+	}
 	t0 := time.Now()
 	wkr, _ := ss.pool.Get().(*sessWorker)
 	if wkr == nil {
@@ -168,4 +171,22 @@ func (ss *Session) ExecJob(ctx context.Context, j *WireJob) (*WireResult, error)
 		MaxDepth:     st.MaxDepth,
 	}
 	return res, nil
+}
+
+// checkJob refuses a job that does not fit the session's network: a job
+// arrives from another process, and replaying one shaped for another network
+// would index past the session's variables, order or targets.
+func (ss *Session) checkJob(j *WireJob) error {
+	if len(j.E) != len(ss.net.Targets) {
+		return fmt.Errorf("prob: job %d: %d budgets for %d targets", j.ID, len(j.E), len(ss.net.Targets))
+	}
+	if j.OI < 0 || j.OI > len(ss.order) {
+		return fmt.Errorf("prob: job %d: order position %d outside [0, %d]", j.ID, j.OI, len(ss.order))
+	}
+	for _, a := range j.Path {
+		if a.Var < 0 || int(a.Var) >= len(ss.net.VarNode) {
+			return fmt.Errorf("prob: job %d: path variable x%d outside the network's %d", j.ID, a.Var, len(ss.net.VarNode))
+		}
+	}
+	return nil
 }

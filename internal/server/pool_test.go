@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"enframe/internal/core"
+	"enframe/internal/dist"
 )
 
 // Regression tests for poolFor's locking: the original implementation held
@@ -111,7 +112,7 @@ func TestPoolForSingleFlight(t *testing.T) {
 		t.Errorf("%d dials total, want 1", got)
 	}
 	s.poolsMu.Lock()
-	p := s.pools[worker]
+	p := s.pools.byKey[worker]
 	s.poolsMu.Unlock()
 	if p == nil {
 		t.Fatal("pool not cached after single-flight dial")
@@ -189,5 +190,56 @@ func TestPoolForLeaderPanicReleasesTheKey(t *testing.T) {
 	}
 	if elapsed := time.Since(t0); elapsed > time.Second {
 		t.Errorf("second dial took %v — blocked on the panicked call", elapsed)
+	}
+}
+
+// TestShutdownClosesLateDialedPool: a dial that finishes after Shutdown
+// closed the server's pools does not leave its pool cached and open; the
+// memo closes it on arrival.
+func TestShutdownClosesLateDialedPool(t *testing.T) {
+	worker := startDistWorker(t)
+	s := New(Config{})
+
+	release := make(chan struct{})
+	entered := make(chan struct{})
+	testHookPoolDial = func(string) {
+		close(entered)
+		<-release
+	}
+	defer func() { testHookPoolDial = nil }()
+
+	type dialed struct {
+		p   *dist.Pool
+		err error
+	}
+	done := make(chan dialed, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		p, err := s.poolFor(ctx, []string{worker})
+		done <- dialed{p, err}
+	}()
+	<-entered
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	close(release)
+	var d dialed
+	select {
+	case d = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("late dial never returned")
+	}
+	if d.err != nil {
+		t.Fatalf("late dial: %v", d.err)
+	}
+	s.poolsMu.Lock()
+	cached := len(s.pools.byKey)
+	s.poolsMu.Unlock()
+	if cached != 0 {
+		t.Errorf("%d pools cached after Shutdown, want 0", cached)
+	}
+	if n := d.p.AliveWorkers(); n != 0 {
+		t.Errorf("late-dialed pool has %d live workers after Shutdown, want 0 (closed)", n)
 	}
 }

@@ -228,7 +228,7 @@ func New(cfg Config) *Server {
 		workSlots:  make(chan struct{}, cfg.MaxInflight),
 		queueSlots: make(chan struct{}, cfg.MaxInflight+cfg.QueueDepth),
 		serveErr:   make(chan error, 1),
-		pools:      poolMemo{},
+		pools:      poolMemo{byKey: map[string]*dist.Pool{}},
 		tenants:    newTenantLimiter(cfg.TenantQuota, cfg.Registry),
 		accessLog:  cfg.AccessLog,
 
@@ -268,7 +268,7 @@ func New(cfg Config) *Server {
 		gStreamActive:      cfg.Registry.Gauge("stream.sessions.active"),
 		hStreamPush:        cfg.Registry.Histogram("stream.push_ms", latencyBucketsMs),
 	}
-	s.poolFlight = core.NewFlight[string, *dist.Pool]("pool dial", &s.poolsMu, s.pools)
+	s.poolFlight = core.NewFlight[string, *dist.Pool]("pool dial", &s.poolsMu, &s.pools)
 	s.httpSrv = &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
@@ -341,10 +341,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 	s.poolsMu.Lock()
-	for key, p := range s.pools {
-		_ = p.Close()
-		delete(s.pools, key)
-	}
+	s.pools.close()
 	s.poolsMu.Unlock()
 	// Streaming sessions are plain state (no goroutines); dropping the
 	// registry releases them.
@@ -584,20 +581,40 @@ func CompileRemote(ctx context.Context, pool *dist.Pool, art *core.Artifact, key
 }
 
 // poolMemo keeps worker pools by their sorted address list. A pool with no
-// live worker left is closed and dropped, so the next request redials.
-type poolMemo map[string]*dist.Pool
+// live worker left is closed and dropped, so the next request redials. A
+// closed memo keeps nothing: a dial that finishes after Shutdown closes its
+// pool instead of leaving it open in a memo nobody will close again.
+type poolMemo struct {
+	byKey  map[string]*dist.Pool
+	closed bool
+}
 
-func (m poolMemo) Get(key string) (*dist.Pool, bool) {
-	p, ok := m[key]
+func (m *poolMemo) Get(key string) (*dist.Pool, bool) {
+	p, ok := m.byKey[key]
 	if ok && p.AliveWorkers() == 0 {
 		_ = p.Close()
-		delete(m, key)
+		delete(m.byKey, key)
 		return nil, false
 	}
 	return p, ok
 }
 
-func (m poolMemo) Keep(key string, p *dist.Pool) { m[key] = p }
+func (m *poolMemo) Keep(key string, p *dist.Pool) {
+	if m.closed {
+		_ = p.Close()
+		return
+	}
+	m.byKey[key] = p
+}
+
+// close closes every kept pool and every pool offered later.
+func (m *poolMemo) close() {
+	m.closed = true
+	for key, p := range m.byKey {
+		_ = p.Close()
+		delete(m.byKey, key)
+	}
+}
 
 // poolFor returns the cached pool for a worker set, dialing it under
 // poolFlight on first use and after every worker of the cached pool died.
