@@ -74,7 +74,7 @@ var (
 	iterFlag    = runFlags.Int("iter", 3, "number of iterations")
 	rFlag       = runFlags.Int("r", 2, "Hadamard power (mcl)")
 	targetsFlag = runFlags.String("targets", "", "comma-separated target symbols or prefixes ending in [ (default: the program's result, e.g. Centre[ for kmedoids)")
-	stratFlag   = runFlags.String("strategy", "exact", "exact, eager, lazy, hybrid, or circuit")
+	stratFlag   = new(prob.Strategy) // -strategy: a TextVar, registered by init
 	epsFlag     = runFlags.Float64("eps", 0.1, "absolute approximation error ε")
 	workersFlag = runFlags.Int("workers", 1, "distributed workers (>1 enables distribution)")
 	jobFlag     = runFlags.Int("job", 3, "distributed job size d")
@@ -92,6 +92,10 @@ var (
 	remoteFlag         = runFlags.String("remote", "", "comma-separated enframe worker addresses; ships compilation jobs to them (see 'enframe worker')")
 	remoteFallbackFlag = runFlags.Bool("remote-fallback", false, "with -remote: fall back to in-process execution if the worker plane fails")
 )
+
+func init() {
+	runFlags.TextVar(stratFlag, "strategy", prob.Exact, "exact, eager, lazy, or hybrid")
+}
 
 func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage: enframe [run] [flags]   compile a program over probabilistic data (default)
@@ -157,21 +161,15 @@ func runCmd(args []string) error {
 // offending flag named, instead of letting them misbehave downstream
 // (e.g. -workers 0 silently running sequentially, or -eps 0 with an
 // approximation strategy never converging).
-func validateFlags(strategy prob.Strategy) error {
+func validateFlags() error {
 	if *workersFlag < 1 {
 		return fmt.Errorf("flag -workers: must be ≥ 1 (got %d)", *workersFlag)
 	}
 	if *jobFlag < 1 {
 		return fmt.Errorf("flag -job: must be ≥ 1 (got %d)", *jobFlag)
 	}
-	if strategy != prob.Exact && strategy != prob.Circuit && *epsFlag <= 0 {
+	if *stratFlag != prob.Exact && *epsFlag <= 0 {
 		return fmt.Errorf("flag -eps: must be > 0 with strategy %q (got %g)", *stratFlag, *epsFlag)
-	}
-	if strategy == prob.Circuit && *workersFlag > 1 {
-		return fmt.Errorf("flag -workers: strategy circuit compiles sequentially (got %d)", *workersFlag)
-	}
-	if strategy == prob.Circuit && *remoteFlag != "" {
-		return fmt.Errorf("flag -remote: incompatible with strategy circuit")
 	}
 	if *topFlag < 0 {
 		return fmt.Errorf("flag -top: must be ≥ 0 (got %d)", *topFlag)
@@ -198,11 +196,7 @@ func validateFlags(strategy prob.Strategy) error {
 }
 
 func run() error {
-	strategy, err := parseStrategy(*stratFlag)
-	if err != nil {
-		return err
-	}
-	if err := validateFlags(strategy); err != nil {
+	if err := validateFlags(); err != nil {
 		return err
 	}
 	if *pprofFlag != "" {
@@ -345,15 +339,6 @@ func runRequest() (server.RunRequest, error) {
 	}
 	req.Program, req.Source = "", string(b)
 	return req, nil
-}
-
-// parseStrategy parses the -strategy flag.
-func parseStrategy(s string) (prob.Strategy, error) {
-	strategy, err := prob.ParseStrategy(s)
-	if err != nil {
-		return 0, fmt.Errorf("flag -strategy: %w", err)
-	}
-	return strategy, nil
 }
 
 func splitTargets(s string) []string {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -46,9 +47,6 @@ func TestValidateFlags(t *testing.T) {
 		{"job-zero", prob.Exact, func() { *jobFlag = 0 }, "-job"},
 		{"eps-zero-hybrid", prob.Hybrid, func() { *epsFlag = 0 }, "-eps"},
 		{"eps-zero-exact-ok", prob.Exact, func() { *epsFlag = 0 }, ""},
-		{"eps-zero-circuit-ok", prob.Circuit, func() { *epsFlag = 0 }, ""},
-		{"circuit-workers", prob.Circuit, func() { *workersFlag = 4 }, "-workers"},
-		{"circuit-remote", prob.Circuit, func() { *remoteFlag = "127.0.0.1:9000" }, "-remote"},
 		{"top-negative", prob.Exact, func() { *topFlag = -1 }, "-top"},
 		{"n-zero", prob.Exact, func() { *nFlag = 0 }, "-n"},
 		{"k-zero", prob.Exact, func() { *kFlag = 0 }, "-k"},
@@ -56,8 +54,8 @@ func TestValidateFlags(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			setFlags(t, tc.set)
-			err := validateFlags(tc.strategy)
+			setFlags(t, func() { *stratFlag = tc.strategy; tc.set() })
+			err := validateFlags()
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -74,24 +72,29 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
+// TestParseStrategy parses -strategy through the run flag set: every
+// strategy's name sets it, and an unknown name fails flag parsing with an
+// error naming the flag (the command exits 2 on it).
 func TestParseStrategy(t *testing.T) {
-	for s, want := range map[string]prob.Strategy{
-		"exact": prob.Exact, "eager": prob.Eager, "lazy": prob.Lazy,
-		"hybrid": prob.Hybrid, "circuit": prob.Circuit,
-	} {
-		got, err := parseStrategy(s)
-		if err != nil || got != want {
-			t.Errorf("parseStrategy(%q) = %v, %v; want %v, nil", s, got, err, want)
-		}
-		// Round-trip: the flag value a strategy prints parses back to it.
-		if rt, err := parseStrategy(want.String()); err != nil || rt != want {
-			t.Errorf("parseStrategy(%v.String()) = %v, %v; want %v, nil", want, rt, err, want)
+	setFlags(t, func() {})
+	runFlags.Init("run", flag.ContinueOnError)
+	runFlags.SetOutput(io.Discard)
+	t.Cleanup(func() {
+		runFlags.Init("run", flag.ExitOnError)
+		runFlags.SetOutput(nil)
+	})
+	for _, want := range []prob.Strategy{prob.Exact, prob.Eager, prob.Lazy, prob.Hybrid} {
+		if err := runFlags.Parse([]string{"-strategy", want.String()}); err != nil || *stratFlag != want {
+			t.Errorf("-strategy %v: got %v, %v; want %v, nil", want, *stratFlag, err, want)
 		}
 	}
-	if _, err := parseStrategy("banana"); err == nil {
-		t.Error("parseStrategy accepted an unknown strategy")
-	} else if !strings.Contains(err.Error(), "-strategy") {
-		t.Errorf("unknown-strategy error %q does not name the flag", err)
+	for _, bad := range []string{"banana", "circuit"} {
+		err := runFlags.Parse([]string{"-strategy", bad})
+		if err == nil {
+			t.Errorf("-strategy %s parsed", bad)
+		} else if !strings.Contains(err.Error(), "-strategy") || !strings.Contains(err.Error(), "unknown strategy") {
+			t.Errorf("-strategy %s: error %q does not name the flag and the strategy", bad, err)
+		}
 	}
 }
 

@@ -76,7 +76,7 @@ type jsonRun struct {
 	Program      string             `json:"program"`
 	N            int                `json:"n"`
 	Scheme       string             `json:"scheme"`
-	Strategy     string             `json:"strategy"`
+	Strategy     prob.Strategy      `json:"strategy"`
 	Epsilon      float64            `json:"epsilon,omitempty"`
 	Workers      int                `json:"workers"`
 	Seed         int64              `json:"seed"`
@@ -168,7 +168,7 @@ func writeJSON(w io.Writer, rep *core.Report, targets []prob.TargetBound, tr *ob
 			Total:          ms(rep.Timings.Total),
 		},
 	}
-	if *stratFlag != "exact" {
+	if *stratFlag != prob.Exact {
 		out.Epsilon = *epsFlag
 	}
 	for _, tb := range targets {

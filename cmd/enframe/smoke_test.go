@@ -290,7 +290,7 @@ func TestSmokeWorker(t *testing.T) {
 		Program:  "kmedoids",
 		Data:     server.DataSpec{N: 12, Scheme: "positive", Vars: 10, L: 8, Seed: 1},
 		Params:   server.ParamSpec{K: 2, Iter: 2},
-		Strategy: "exact",
+		Strategy: prob.Exact,
 		JobDepth: 1,
 	}
 	spec, key, err := server.BuildSpec(req)
@@ -318,7 +318,7 @@ func TestSmokeWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := prob.CompileExec(ctx, art.Net, opts, pool.Session(key, specJSON, dist.FromOptions(opts)))
+	remote, err := prob.CompileExec(ctx, art.Net, opts, pool.Session(key, specJSON, opts))
 	pool.Close()
 	if err != nil {
 		t.Fatalf("remote compile: %v", err)
@@ -335,7 +335,7 @@ func TestSmokeWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err = prob.CompileExec(ctx, art.Net, opts, pool.Session(key, specJSON, dist.FromOptions(opts)))
+	remote, err = prob.CompileExec(ctx, art.Net, opts, pool.Session(key, specJSON, opts))
 	alive := pool.AliveWorkers()
 	pool.Close()
 	if err != nil {

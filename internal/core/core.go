@@ -297,7 +297,6 @@ func (a *Artifact) Order(h prob.OrderHeuristic) []event.VarID {
 // soft timeout cut it short: that is the leader's own budget and nobody
 // else's answer, so its waiters trace again.
 func (a *Artifact) Circuit(ctx context.Context, opts prob.Options) (*circuit.Circuit, *prob.Result, bool, error) {
-	opts.Strategy = prob.Circuit
 	opts.Order = a.Order(opts.Heuristic)
 	lead, cancel := ctx, context.CancelFunc(func() {})
 	if opts.Timeout > 0 {

@@ -14,7 +14,7 @@ import (
 )
 
 // TestCircuitExactEquivalence is the oracle check for the circuit backend:
-// for a batch of generated programs, compiling with Strategy Circuit (trace
+// for a batch of generated programs, tracing with prob.CompileCircuit (trace
 // the exact walk into an arithmetic circuit, replay it) must be
 // bit-identical to a plain exact compile — marginals and work counters —
 // and a second trace must reproduce the first byte for byte. On top of the

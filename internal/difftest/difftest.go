@@ -13,10 +13,10 @@
 //     (translate.TranslateInto into a network.Builder, as core does) and
 //     compile marginal probabilities exactly (internal/prob);
 //  3. the reference recompute evaluator (prob.CompileRef);
-//  4. the knowledge-compilation circuit backend (prob.Circuit) — an exact
-//     trace recorded into an arithmetic circuit and replayed, required to be
-//     bit-identical to path 2 including work counters, not merely within
-//     tolerance.
+//  4. the knowledge-compilation circuit backend (prob.CompileCircuit) — an
+//     exact trace recorded into an arithmetic circuit and replayed, required
+//     to be bit-identical to path 2 including work counters, not merely
+//     within tolerance.
 //
 // The bits themselves are pinned separately, by the golden corpus
 // (golden_test.go).
@@ -32,6 +32,7 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime/debug"
@@ -314,7 +315,7 @@ func checkProgram(p *gen.Program, opt Options) (f *Failure) {
 	// Path 4: the knowledge-compilation circuit backend. Tracing the exact
 	// walk into a circuit and replaying it must reproduce the exact
 	// compiler's float-op sequence — bounds and work counters bit-identical.
-	circ, err := prob.Compile(net, prob.Options{Strategy: prob.Circuit})
+	_, circ, err := prob.CompileCircuit(context.Background(), net, prob.Options{})
 	if err != nil {
 		return &Failure{Stage: "circuit", Detail: err.Error()}
 	}

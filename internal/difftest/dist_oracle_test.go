@@ -87,7 +87,7 @@ func TestDistributedOracleOverTCP(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d depth %d: local: %v", seed, depth, err)
 			}
-			exec := pool.Session(key, specJSON, dist.FromOptions(opts))
+			exec := pool.Session(key, specJSON, opts)
 			got, err := prob.CompileExec(ctx, art.Net, opts, exec)
 			if err != nil {
 				t.Fatalf("seed %d depth %d: remote: %v", seed, depth, err)
@@ -129,7 +129,7 @@ func TestDistributedOracleOverTCP(t *testing.T) {
 		const eps = 0.05
 		opts := prob.Options{Strategy: prob.Hybrid, Epsilon: eps, JobDepth: 2}
 		opts.Order = art.Order(opts.Heuristic)
-		exec := pool.Session(key, specJSON, dist.FromOptions(opts))
+		exec := pool.Session(key, specJSON, opts)
 		got, err := prob.CompileExec(ctx, art.Net, opts, exec)
 		if err != nil {
 			t.Fatalf("seed %d hybrid: remote: %v", seed, err)

@@ -41,14 +41,26 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_bits.txt 
 
 const goldenPath = "testdata/golden_bits.txt"
 
-// goldenStrategies are the compiled configurations, in file order.
+// goldenStrategies are the compiled configurations, in file order. The
+// circuit line is an exact compilation traced into a circuit and replayed
+// (prob.CompileCircuit).
 var goldenStrategies = []struct {
-	name string
-	opts prob.Options
+	name   string
+	opts   prob.Options
+	traced bool
 }{
-	{"exact", prob.Options{Strategy: prob.Exact}},
-	{"hybrid", prob.Options{Strategy: prob.Hybrid, Epsilon: 0.05}},
-	{"circuit", prob.Options{Strategy: prob.Circuit}},
+	{"exact", prob.Options{Strategy: prob.Exact}, false},
+	{"hybrid", prob.Options{Strategy: prob.Hybrid, Epsilon: 0.05}, false},
+	{"circuit", prob.Options{}, true},
+}
+
+// compileGolden compiles net, through a circuit trace when traced is set.
+func compileGolden(net *network.Net, opts prob.Options, traced bool) (*prob.Result, error) {
+	if traced {
+		_, res, err := prob.CompileCircuit(context.Background(), net, opts)
+		return res, err
+	}
+	return prob.Compile(net, opts)
 }
 
 // goldenCase is one network of the corpus. build returns nil for generator
@@ -167,14 +179,14 @@ func goldenLine(r *prob.Result) string {
 // must be reproduced by a traced circuit before it counts, so -update never
 // writes a verdict the two remaining roads disagree on; TestGoldenBits also
 // holds every line it writes to the rational oracle (checkTruth).
-func goldenCompile(t *testing.T, key string, net *network.Net, strategy string, opts prob.Options) string {
-	res, err := prob.Compile(net, opts)
+func goldenCompile(t *testing.T, key string, net *network.Net, strategy string, opts prob.Options, traced bool) string {
+	res, err := compileGolden(net, opts, traced)
 	if err != nil {
 		t.Fatalf("%s %s: %v", key, strategy, err)
 	}
 	line := goldenLine(res)
-	if opts.Strategy == prob.Exact {
-		traced, err := prob.Compile(net, prob.Options{Strategy: prob.Circuit})
+	if opts.Strategy == prob.Exact && !traced {
+		traced, err := compileGolden(net, prob.Options{}, true)
 		if err != nil {
 			t.Fatalf("%s: traced: %v", key, err)
 		}
@@ -269,7 +281,7 @@ func TestGoldenBits(t *testing.T) {
 				} else {
 					var truth []*big.Rat
 					for _, s := range goldenStrategies {
-						line := goldenCompile(t, c.key, net, s.name, s.opts)
+						line := goldenCompile(t, c.key, net, s.name, s.opts, s.traced)
 						out = append(out, c.key+" "+s.name+" "+line)
 						if golden == nil {
 							// -update writes no line the rational oracle

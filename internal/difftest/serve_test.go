@@ -112,7 +112,7 @@ func TestServedRunMatchesDirectRun(t *testing.T) {
 	for _, seed := range seeds {
 		req := server.RunRequest{
 			Data:     server.DataSpec{Kind: "gen", Seed: seed},
-			Strategy: "exact",
+			Strategy: prob.Exact,
 		}
 		wantJSON := directTargets(t, req)
 		for pass, want := range []struct{ cache, served string }{
@@ -139,7 +139,7 @@ func TestServedRunMatchesDirectRun(t *testing.T) {
 		// An approximate request on the artifact that now holds a circuit
 		// still compiles, and within its ε of the exact marginals.
 		hybrid := req
-		hybrid.Trace, hybrid.Strategy, hybrid.Epsilon = false, "hybrid", 0.05
+		hybrid.Trace, hybrid.Strategy, hybrid.Epsilon = false, prob.Hybrid, 0.05
 		got, err := postRun(client, srv.Addr(), hybrid)
 		if err != nil {
 			t.Fatalf("seed %d hybrid: %v", seed, err)
@@ -173,7 +173,7 @@ func TestServedRunMatchesDirectRun(t *testing.T) {
 // direct run's bytes. Run it under -race.
 func TestServedConcurrentColdKeyTracesOnce(t *testing.T) {
 	srv := startServer(t)
-	req := server.RunRequest{Data: server.DataSpec{Kind: "gen", Seed: 21}, Strategy: "exact"}
+	req := server.RunRequest{Data: server.DataSpec{Kind: "gen", Seed: 21}, Strategy: prob.Exact}
 	wantJSON := directTargets(t, req)
 
 	const callers = 16

@@ -36,7 +36,7 @@ func testResolver(specJSON []byte) (core.Spec, string, error) {
 func genRequest(seed int64) server.RunRequest {
 	return server.RunRequest{
 		Data:     server.DataSpec{Kind: "gen", Seed: seed},
-		Strategy: "exact",
+		Strategy: prob.Exact,
 	}
 }
 
@@ -88,7 +88,7 @@ func newPool(t *testing.T, cfg dist.PoolConfig) *dist.Pool {
 
 // runOverPool compiles one workload through the pool and returns the
 // result plus the sequential reference computed in-process.
-func runOverPool(t *testing.T, p *dist.Pool, req server.RunRequest, wo dist.WireOpts) (*prob.Result, *prob.Result) {
+func runOverPool(t *testing.T, p *dist.Pool, req server.RunRequest, opts prob.Options) (*prob.Result, *prob.Result) {
 	t.Helper()
 	specJSON, err := json.Marshal(req)
 	if err != nil {
@@ -102,16 +102,12 @@ func runOverPool(t *testing.T, p *dist.Pool, req server.RunRequest, wo dist.Wire
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := wo.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts.Order = art.Order(opts.Heuristic)
 	seq, err := prob.Compile(art.Net, opts)
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	exec := p.Session(key, specJSON, wo)
+	exec := p.Session(key, specJSON, opts)
 	got, err := prob.CompileExec(context.Background(), art.Net, opts, exec)
 	if err != nil {
 		t.Fatalf("CompileExec over pool: %v", err)
@@ -122,7 +118,7 @@ func runOverPool(t *testing.T, p *dist.Pool, req server.RunRequest, wo dist.Wire
 // runOverPoolObs is runOverPool with tracing wired through the compile, so
 // trace tests see the distribute/job/ship span hierarchy plus any spliced
 // remote subtrees.
-func runOverPoolObs(t *testing.T, p *dist.Pool, req server.RunRequest, wo dist.WireOpts, tr *obs.Trace) *prob.Result {
+func runOverPoolObs(t *testing.T, p *dist.Pool, req server.RunRequest, opts prob.Options, tr *obs.Trace) *prob.Result {
 	t.Helper()
 	specJSON, err := json.Marshal(req)
 	if err != nil {
@@ -136,13 +132,9 @@ func runOverPoolObs(t *testing.T, p *dist.Pool, req server.RunRequest, wo dist.W
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := wo.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts.Order = art.Order(opts.Heuristic)
 	opts.Obs = tr
-	exec := p.Session(key, specJSON, wo)
+	exec := p.Session(key, specJSON, opts)
 	got, err := prob.CompileExec(context.Background(), art.Net, opts, exec)
 	if err != nil {
 		t.Fatalf("CompileExec over pool: %v", err)
@@ -173,14 +165,14 @@ func assertBitIdentical(t *testing.T, got, want *prob.Result) {
 func TestEndToEndByteIdentity(t *testing.T) {
 	w1, w2 := startWorker(t, nil), startWorker(t, nil)
 	p := newPool(t, dist.PoolConfig{Addrs: []string{w1.Addr(), w2.Addr()}})
-	wo := dist.WireOpts{Strategy: "exact", JobDepth: 2, Heuristic: "fanout"}
+	opts := prob.Options{Strategy: prob.Exact, JobDepth: 2, Heuristic: prob.FanoutOrder}
 	for _, seed := range []int64{1, 2, 3, 5} {
-		got, seq := runOverPool(t, p, genRequest(seed), wo)
+		got, seq := runOverPool(t, p, genRequest(seed), opts)
 		assertBitIdentical(t, got, seq)
 	}
 	// The sensor pipeline exercises a real clustering network (many jobs).
-	wo.JobDepth = 1
-	got, seq := runOverPool(t, p, sensorRequest(12), wo)
+	opts.JobDepth = 1
+	got, seq := runOverPool(t, p, sensorRequest(12), opts)
 	assertBitIdentical(t, got, seq)
 }
 
@@ -197,8 +189,8 @@ func TestWorkerKillMidRun(t *testing.T) {
 		MaxRetries: 6,
 		Reg:        reg,
 	})
-	wo := dist.WireOpts{Strategy: "exact", JobDepth: 1, Heuristic: "fanout"}
-	got, seq := runOverPool(t, p, sensorRequest(12), wo)
+	opts := prob.Options{Strategy: prob.Exact, JobDepth: 1, Heuristic: prob.FanoutOrder}
+	got, seq := runOverPool(t, p, sensorRequest(12), opts)
 	assertBitIdentical(t, got, seq)
 	select {
 	case <-killed:
@@ -222,7 +214,7 @@ func TestWorkerKillBudgetReclaimed(t *testing.T) {
 	w2 := startWorker(t, nil)
 	p := newPool(t, dist.PoolConfig{Addrs: []string{w1.Addr(), w2.Addr()}, MaxRetries: 6})
 	const eps = 0.05
-	wo := dist.WireOpts{Strategy: "hybrid", Epsilon: eps, JobDepth: 1, Heuristic: "fanout"}
+	opts := prob.Options{Strategy: prob.Hybrid, Epsilon: eps, JobDepth: 1, Heuristic: prob.FanoutOrder}
 	req := sensorRequest(12)
 	specJSON, _ := json.Marshal(req)
 	spec, key, err := server.BuildSpec(req)
@@ -233,12 +225,8 @@ func TestWorkerKillBudgetReclaimed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := wo.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts.Order = art.Order(opts.Heuristic)
-	res, err := prob.CompileExec(context.Background(), art.Net, opts, p.Session(key, specJSON, wo))
+	res, err := prob.CompileExec(context.Background(), art.Net, opts, p.Session(key, specJSON, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,8 +252,8 @@ func TestDroppedResultRecovery(t *testing.T) {
 		MaxRetries: 8,
 		Reg:        reg,
 	})
-	wo := dist.WireOpts{Strategy: "exact", JobDepth: 1, Heuristic: "fanout"}
-	got, seq := runOverPool(t, p, sensorRequest(12), wo)
+	opts := prob.Options{Strategy: prob.Exact, JobDepth: 1, Heuristic: prob.FanoutOrder}
+	got, seq := runOverPool(t, p, sensorRequest(12), opts)
 	assertBitIdentical(t, got, seq)
 	if reg.Counter("dist.jobs.retries").Value() == 0 {
 		t.Fatal("no retries recorded despite dropped results")
@@ -277,7 +265,7 @@ func TestDroppedResultRecovery(t *testing.T) {
 func TestAllWorkersDead(t *testing.T) {
 	w := startWorker(t, &dist.FaultPlan{KillAfterJobs: 1})
 	p := newPool(t, dist.PoolConfig{Addrs: []string{w.Addr()}, MaxRetries: 2})
-	wo := dist.WireOpts{Strategy: "exact", JobDepth: 1, Heuristic: "fanout"}
+	opts := prob.Options{Strategy: prob.Exact, JobDepth: 1, Heuristic: prob.FanoutOrder}
 	req := sensorRequest(12)
 	specJSON, _ := json.Marshal(req)
 	spec, key, err := server.BuildSpec(req)
@@ -288,11 +276,10 @@ func TestAllWorkersDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, _ := wo.Options()
 	opts.Order = art.Order(opts.Heuristic)
 	done := make(chan error, 1)
 	go func() {
-		_, err := prob.CompileExec(context.Background(), art.Net, opts, p.Session(key, specJSON, wo))
+		_, err := prob.CompileExec(context.Background(), art.Net, opts, p.Session(key, specJSON, opts))
 		done <- err
 	}()
 	select {
@@ -400,6 +387,41 @@ func TestTruncatedFrameWorkerSide(t *testing.T) {
 	}
 }
 
+// TestBadLoadOptionsCloseConnection sends a real worker a job whose load
+// names the removed circuit strategy: the frame fails to decode, the worker
+// closes the connection without loading a session, and keeps serving.
+func TestBadLoadOptionsCloseConnection(t *testing.T) {
+	reg := newTestRegistry(t)
+	w := startWorkerCfg(t, dist.WorkerConfig{Reg: reg})
+	c, err := net.DialTimeout("tcp", w.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+	hello, _ := json.Marshal(map[string]int{"version": dist.ProtocolVersion})
+	job := []byte(`{"session_key":"s","id":1,"p":1,"load":{"artifact_key":"a",` +
+		`"spec":{"data":{"kind":"gen","seed":1}},"opts":{"strategy":"circuit","job_depth":2,"heuristic":"fanout"}}}`)
+	if err := dist.WriteFrame(c, dist.MsgHello, hello); err != nil {
+		t.Fatal(err)
+	}
+	if mt, _, err := dist.ReadFrame(c); err != nil || mt != dist.MsgHelloAck {
+		t.Fatalf("handshake: %v, %v", mt, err)
+	}
+	if err := dist.WriteFrame(c, dist.MsgJob, job); err != nil {
+		t.Fatal(err)
+	}
+	if mt, _, err := dist.ReadFrame(c); err == nil {
+		t.Fatalf("worker answered a %v frame to an undecodable job; want the connection closed", mt)
+	}
+	if got := reg.Counter("dist.worker.sessions").Value(); got != 0 {
+		t.Fatalf("dist.worker.sessions = %d, want 0", got)
+	}
+	p := newPool(t, dist.PoolConfig{Addrs: []string{w.Addr()}})
+	got, seq := runOverPool(t, p, genRequest(1), prob.Options{Strategy: prob.Exact, JobDepth: 2})
+	assertBitIdentical(t, got, seq)
+}
+
 // TestGoroutineCleanup runs a full distributed compile, tears everything
 // down, and asserts the goroutine count returns to baseline — no leaked
 // readers, heartbeats, or job handlers.
@@ -408,8 +430,8 @@ func TestGoroutineCleanup(t *testing.T) {
 	func() {
 		w1, w2 := startWorker(t, nil), startWorker(t, nil)
 		p := newPool(t, dist.PoolConfig{Addrs: []string{w1.Addr(), w2.Addr()}})
-		wo := dist.WireOpts{Strategy: "exact", JobDepth: 2, Heuristic: "fanout"}
-		got, seq := runOverPool(t, p, genRequest(1), wo)
+		opts := prob.Options{Strategy: prob.Exact, JobDepth: 2, Heuristic: prob.FanoutOrder}
+		got, seq := runOverPool(t, p, genRequest(1), opts)
 		assertBitIdentical(t, got, seq)
 		_ = p.Close()
 		_ = w1.Close()
@@ -439,7 +461,7 @@ func truncateStack(s string) string {
 func TestSlotsAggregation(t *testing.T) {
 	w1, w2 := startWorker(t, nil), startWorker(t, nil)
 	p := newPool(t, dist.PoolConfig{Addrs: []string{w1.Addr(), w2.Addr()}})
-	exec := p.Session("k", []byte(`{}`), dist.WireOpts{Strategy: "exact", JobDepth: 2, Heuristic: "fanout"})
+	exec := p.Session("k", []byte(`{}`), prob.Options{Strategy: prob.Exact, JobDepth: 2, Heuristic: prob.FanoutOrder})
 	if got := exec.Slots(); got != 4 {
 		t.Fatalf("Slots = %d, want 4 (2 workers × 2 slots)", got)
 	}
@@ -459,7 +481,7 @@ func TestSlotsAggregation(t *testing.T) {
 func TestLoadFailurePermanent(t *testing.T) {
 	w := startWorker(t, nil)
 	p := newPool(t, dist.PoolConfig{Addrs: []string{w.Addr()}, MaxRetries: 2})
-	exec := p.Session("bogus", []byte(`{"data":{"kind":"nope"}}`), dist.WireOpts{Strategy: "exact", JobDepth: 2, Heuristic: "fanout"})
+	exec := p.Session("bogus", []byte(`{"data":{"kind":"nope"}}`), prob.Options{Strategy: prob.Exact, JobDepth: 2, Heuristic: prob.FanoutOrder})
 	_, err := exec.ExecuteJob(context.Background(), &prob.WireJob{ID: 1, P: 1})
 	if err == nil {
 		t.Fatal("want load failure")
@@ -482,7 +504,7 @@ func TestWorkerSurvivesPanickingLoad(t *testing.T) {
 		}
 		return testResolver(specJSON)
 	}})
-	wo := dist.WireOpts{Strategy: "exact", JobDepth: 2, Heuristic: "fanout"}
+	opts := prob.Options{Strategy: prob.Exact, JobDepth: 2, Heuristic: prob.FanoutOrder}
 	req := genRequest(1)
 	specJSON, err := json.Marshal(req)
 	if err != nil {
@@ -493,7 +515,7 @@ func TestWorkerSurvivesPanickingLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := newPool(t, dist.PoolConfig{Addrs: []string{w.Addr()}, MaxRetries: 2})
-	_, err = p.Session(key, specJSON, wo).ExecuteJob(context.Background(), &prob.WireJob{ID: 1, P: 1})
+	_, err = p.Session(key, specJSON, opts).ExecuteJob(context.Background(), &prob.WireJob{ID: 1, P: 1})
 	if err == nil || !strings.Contains(err.Error(), "resolver boom") {
 		t.Fatalf("panicking load: err = %v, want the panic as the load error", err)
 	}
@@ -503,7 +525,7 @@ func TestWorkerSurvivesPanickingLoad(t *testing.T) {
 
 	panics.Store(false)
 	for _, req := range []server.RunRequest{genRequest(2), req} {
-		got, seq := runOverPool(t, p, req, wo)
+		got, seq := runOverPool(t, p, req, opts)
 		assertBitIdentical(t, got, seq)
 	}
 }
@@ -516,9 +538,9 @@ func TestEvictedSessionReloads(t *testing.T) {
 	reg := newTestRegistry(t)
 	w := startWorkerCfg(t, dist.WorkerConfig{MaxSessions: 1, Reg: reg})
 	p := newPool(t, dist.PoolConfig{Addrs: []string{w.Addr()}})
-	wo := dist.WireOpts{Strategy: "exact", JobDepth: 2, Heuristic: "fanout"}
+	opts := prob.Options{Strategy: prob.Exact, JobDepth: 2, Heuristic: prob.FanoutOrder}
 	for _, seed := range []int64{1, 2, 1} {
-		got, seq := runOverPool(t, p, genRequest(seed), wo)
+		got, seq := runOverPool(t, p, genRequest(seed), opts)
 		assertBitIdentical(t, got, seq)
 	}
 	if got := reg.Counter("dist.worker.sessions").Value(); got != 3 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 	"time"
 
@@ -128,7 +129,7 @@ func TestIsProtocolErrorNegative(t *testing.T) {
 // TestSessionKeyStability pins the session key to its inputs: same inputs
 // agree, any differing input disagrees.
 func TestSessionKeyStability(t *testing.T) {
-	base := WireOpts{Strategy: "exact", JobDepth: 3, Heuristic: "fanout"}
+	base := prob.Options{Strategy: prob.Exact, JobDepth: 3, Heuristic: prob.FanoutOrder}
 	k := SessionKey("abc", base)
 	if k != SessionKey("abc", base) {
 		t.Fatal("session key not deterministic")
@@ -143,6 +144,78 @@ func TestSessionKeyStability(t *testing.T) {
 	}
 }
 
+// TestSessionWirePinned holds a session's wire form to protocol 3's
+// literals: the session keys of two fixed (artifact key, options) pairs, one
+// exact and one hybrid with ε, and the encoded load member of a job frame.
+// A worker caches sessions by that key and decodes that load, so changing
+// either needs a ProtocolVersion bump. Options a session does not fix
+// (workers, simulation) change neither.
+func TestSessionWirePinned(t *testing.T) {
+	const art = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
+	exact := prob.Options{Strategy: prob.Exact, JobDepth: 3, Heuristic: prob.FanoutOrder}
+	hybrid := prob.Options{Strategy: prob.Hybrid, Epsilon: 0.05, JobDepth: 2, Heuristic: prob.InputOrder,
+		Timeout: 1500 * time.Millisecond, Workers: 4, SimulateWorkers: true}
+	for _, c := range []struct {
+		opts prob.Options
+		want string
+	}{
+		{exact, "f2c812eea0e66de1c5535e294d8cbebe"},
+		{hybrid, "614e45138c1dd57ac023932ffed91c86"},
+	} {
+		if got := SessionKey(art, c.opts); got != c.want {
+			t.Errorf("SessionKey(%v) = %s, want %s", c.opts.Strategy, got, c.want)
+		}
+	}
+
+	jm := jobMsg{SessionKey: SessionKey(art, hybrid), WireJob: prob.WireJob{ID: 9, P: 1, E: []float64{0.1, 0.1}},
+		Load: &loadMsg{ArtifactKey: art, Spec: []byte(`{"data":{"kind":"gen","seed":1}}`), Opts: hybrid}}
+	const wantJob = `{"session_key":"614e45138c1dd57ac023932ffed91c86","id":9,"p":1,"e":[0.1,0.1],` +
+		`"load":{"artifact_key":"` + art + `","spec":{"data":{"kind":"gen","seed":1}},` +
+		`"opts":{"strategy":"hybrid","epsilon":0.05,"job_depth":2,"heuristic":"input","timeout_ns":1500000000}}}`
+	if got := string(encode(jm)); got != wantJob {
+		t.Errorf("job frame\n got %s\nwant %s", got, wantJob)
+	}
+	var back jobMsg
+	if err := decode([]byte(wantJob), &back); err != nil {
+		t.Fatal(err)
+	}
+	want := hybrid
+	want.Workers, want.SimulateWorkers = 0, false
+	if back.Load == nil || !reflect.DeepEqual(back.Load.Opts, want) {
+		t.Errorf("decoded load options %+v, want %+v", back.Load, want)
+	}
+	if SessionKey(art, back.Load.Opts) != jm.SessionKey {
+		t.Error("the decoded load derives another session key")
+	}
+}
+
+// TestBadLoadOptionsFailDecode: a load naming a strategy or heuristic the
+// options types do not know fails the job frame's decode with a
+// *FrameError, which closes the connection like any malformed frame.
+func TestBadLoadOptionsFailDecode(t *testing.T) {
+	for _, opts := range badLoadOptions {
+		var jm jobMsg
+		err := decode(badLoadJob(opts), &jm)
+		var fe *FrameError
+		if !errors.As(err, &fe) {
+			t.Errorf("opts %s: decode error %v, want a *FrameError", opts, err)
+		}
+	}
+}
+
+// badLoadOptions are load options protocol 3 refuses: the removed circuit
+// strategy and an unknown heuristic.
+var badLoadOptions = []string{
+	`{"strategy":"circuit","job_depth":2,"heuristic":"fanout"}`,
+	`{"strategy":"exact","job_depth":2,"heuristic":"random"}`,
+}
+
+// badLoadJob is a job frame's payload whose load carries opts.
+func badLoadJob(opts string) []byte {
+	return []byte(`{"session_key":"s","id":8,"p":1,"e":[0,0],` +
+		`"load":{"artifact_key":"a","spec":{"data":{"kind":"gen","seed":1}},"opts":` + opts + `}}`)
+}
+
 // TestWireNames pins the protocol-3 JSON of a job frame carrying a load and
 // of a result frame: prob's job types are the wire form, so renaming one of
 // their fields would change the protocol.
@@ -151,7 +224,7 @@ func TestWireNames(t *testing.T) {
 		SessionKey: "s",
 		WireJob: prob.WireJob{ID: 7, Path: []prob.Assign{{Var: 3, Val: true}}, OI: 2, P: 0.5,
 			E: []float64{0.25}, Timeout: time.Second},
-		Load: &loadMsg{ArtifactKey: "a", Spec: []byte(`{}`), Opts: WireOpts{Strategy: "exact", JobDepth: 2, Heuristic: "fanout"}},
+		Load: &loadMsg{ArtifactKey: "a", Spec: []byte(`{}`), Opts: prob.Options{Strategy: prob.Exact, JobDepth: 2, Heuristic: prob.FanoutOrder}},
 	}
 	const wantJob = `{"session_key":"s","id":7,"path":[{"v":3,"b":true}],"oi":2,"p":0.5,"e":[0.25],"timeout_ns":1000000000,` +
 		`"load":{"artifact_key":"a","spec":{},"opts":{"strategy":"exact","job_depth":2,"heuristic":"fanout"}}}`

@@ -26,6 +26,11 @@ func FuzzFrame(f *testing.F) {
 		`"load":{"artifact_key":"a","spec":{"data":{"kind":"gen","seed":1}},"opts":{"strategy":"exact","job_depth":2,"heuristic":"fanout"}}}`))
 	f.Add(seed.Bytes())
 	seed.Reset()
+	for _, opts := range badLoadOptions {
+		_ = WriteFrame(&seed, MsgJob, badLoadJob(opts))
+		f.Add(seed.Bytes())
+		seed.Reset()
+	}
 	_ = WriteFrame(&seed, MsgResult, []byte(`{"id":7,"ok":true,"items":[{"k":0,"t":1,"m":0.25}]}`))
 	f.Add(seed.Bytes())
 	f.Add([]byte{})
@@ -56,6 +61,15 @@ func FuzzFrame(f *testing.F) {
 		}
 		if len(payload) > MaxFrameSize {
 			t.Fatalf("decoded payload of %d bytes exceeds cap", len(payload))
+		}
+		if mt == MsgJob {
+			// A job the worker cannot decode closes the connection before
+			// any session loads; the failure must be typed.
+			var jm jobMsg
+			var fe *FrameError
+			if err := decode(payload, &jm); err != nil && !errors.As(err, &fe) {
+				t.Fatalf("untyped job decode error: %v", err)
+			}
 		}
 		var buf bytes.Buffer
 		if werr := WriteFrame(&buf, mt, payload); werr != nil {

@@ -415,11 +415,11 @@ var errClosedPool = errors.New("pool closed")
 // ResolveFunc) to the artifact named by artifactKey. The pool keeps no record
 // of which worker holds the session: a worker that does not (it never loaded
 // it, or evicted it since) says so, and the job goes again with the load.
-func (p *Pool) Session(artifactKey string, specJSON []byte, wo WireOpts) *PoolExecutor {
+func (p *Pool) Session(artifactKey string, specJSON []byte, opts prob.Options) *PoolExecutor {
 	return &PoolExecutor{
 		pool:       p,
-		sessionKey: SessionKey(artifactKey, wo),
-		load:       loadMsg{ArtifactKey: artifactKey, Spec: specJSON, Opts: wo},
+		sessionKey: SessionKey(artifactKey, opts),
+		load:       loadMsg{ArtifactKey: artifactKey, Spec: specJSON, Opts: opts},
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"enframe/internal/obs"
 	"enframe/internal/prob"
@@ -41,58 +40,12 @@ type helloAckMsg struct {
 	ClockNs int64 `json:"clock_ns,omitempty"`
 }
 
-// WireOpts is the subset of prob.Options a session fixes on the worker.
-// Variable orders are not shipped: order computation is deterministic, so
-// both sides derive the identical order from the heuristic.
-type WireOpts struct {
-	Strategy  string  `json:"strategy"`
-	Epsilon   float64 `json:"epsilon,omitempty"`
-	JobDepth  int     `json:"job_depth"`
-	Heuristic string  `json:"heuristic"`
-	TimeoutNs int64   `json:"timeout_ns,omitempty"`
-}
-
-// FromOptions projects compile options onto the wire form.
-func FromOptions(o prob.Options) WireOpts {
-	return WireOpts{
-		Strategy:  o.Strategy.String(),
-		Epsilon:   o.Epsilon,
-		JobDepth:  o.JobDepth,
-		Heuristic: o.Heuristic.String(),
-		TimeoutNs: int64(o.Timeout),
-	}
-}
-
-// Options reconstitutes compile options worker-side.
-func (wo WireOpts) Options() (prob.Options, error) {
-	strat, err := prob.ParseStrategy(wo.Strategy)
-	if err != nil {
-		return prob.Options{}, fmt.Errorf("dist: %w", err)
-	}
-	if strat == prob.Circuit {
-		return prob.Options{}, fmt.Errorf("dist: strategy circuit does not run on workers")
-	}
-	h := prob.FanoutOrder // an empty heuristic reads as fanout
-	if wo.Heuristic != "" {
-		if h, err = prob.ParseOrder(wo.Heuristic); err != nil {
-			return prob.Options{}, fmt.Errorf("dist: %w", err)
-		}
-	}
-	return prob.Options{
-		Strategy:  strat,
-		Epsilon:   wo.Epsilon,
-		JobDepth:  wo.JobDepth,
-		Heuristic: h,
-		Timeout:   time.Duration(wo.TimeoutNs),
-	}, nil
-}
-
 // SessionKey derives the worker-side session cache key: the artifact content
-// hash plus a fingerprint of the fixed compile options.
-func SessionKey(artifactKey string, wo WireOpts) string {
+// hash plus a fingerprint of the options a session fixes.
+func SessionKey(artifactKey string, o prob.Options) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\x00%s\x00%g\x00%d\x00%s",
-		artifactKey, wo.Strategy, wo.Epsilon, wo.JobDepth, wo.Heuristic)
+		artifactKey, o.Strategy, o.Epsilon, o.JobDepth, o.Heuristic)
 	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 
@@ -105,7 +58,8 @@ type loadMsg struct {
 	// through its injected resolver and verifies the content hash matches
 	// ArtifactKey.
 	Spec json.RawMessage `json:"spec"`
-	Opts WireOpts        `json:"opts"`
+	// Opts travel as prob.Options' JSON: only the fields a session fixes.
+	Opts prob.Options `json:"opts"`
 }
 
 // wireTrace is the trace context a job frame carries: enough for the

@@ -7,6 +7,7 @@ import (
 
 	"enframe/internal/dist"
 	"enframe/internal/obs"
+	"enframe/internal/prob"
 )
 
 // startWorkerCfg is startWorker with full config control (e.g. an injected
@@ -44,8 +45,8 @@ func tracedRun(t *testing.T, p *dist.Pool, seed int64) *obs.Trace {
 	t.Helper()
 	tr := obs.New("coordinator")
 	req := genRequest(seed)
-	wo := dist.WireOpts{Strategy: "exact", JobDepth: 2, Heuristic: "fanout"}
-	runOverPoolObs(t, p, req, wo, tr)
+	opts := prob.Options{Strategy: prob.Exact, JobDepth: 2, Heuristic: prob.FanoutOrder}
+	runOverPoolObs(t, p, req, opts, tr)
 	tr.Finish()
 	return tr
 }

@@ -396,14 +396,11 @@ func (w *Worker) sessionFor(ctx context.Context, jm *jobMsg, tr *obs.Trace) (*pr
 		if key != lm.ArtifactKey {
 			return nil, fmt.Errorf("artifact key mismatch: resolved %s, coordinator sent %s", key, lm.ArtifactKey)
 		}
-		opts, err := lm.Opts.Options()
-		if err != nil {
-			return nil, err
-		}
 		art, err := core.PrepareContext(ctx, spec)
 		if err != nil {
 			return nil, fmt.Errorf("prepare: %w", err)
 		}
+		opts := lm.Opts
 		opts.Order = art.Order(opts.Heuristic)
 		sess, err := prob.NewSession(art.Net, opts)
 		if err != nil {

@@ -1,13 +1,9 @@
 package obs
 
-import (
-	"runtime/metrics"
-	"sync"
-	"time"
-)
+import "runtime/metrics"
 
-// Process runtime gauges, sampled from runtime/metrics by a background
-// collector so /metrics answers scrape questions ("is the server leaking
+// Process runtime gauges, sampled from runtime/metrics when /metrics is
+// scraped, so it answers scrape questions ("is the server leaking
 // goroutines? how big is the heap? how much time has GC stolen?") without
 // any per-request cost.
 
@@ -25,9 +21,9 @@ var runtimeSamples = []struct {
 }
 
 // SampleRuntime takes one immediate sample of the process runtime gauges.
-// Scrape handlers call it so /metrics answers with the live process state
-// rather than the last background tick — a leak check that scrapes twice in
-// quick succession must see real movement, not a stale sample.
+// Scrape handlers call it so /metrics answers with the live process state —
+// a leak check that scrapes twice in quick succession must see real
+// movement.
 func (r *Registry) SampleRuntime() {
 	if r == nil {
 		return
@@ -45,35 +41,4 @@ func (r *Registry) SampleRuntime() {
 			r.Gauge(runtimeSamples[i].gauge).Set(samples[i].Value.Float64())
 		}
 	}
-}
-
-// StartRuntimeCollector samples process runtime gauges (goroutine count,
-// heap bytes, GC cycle and pause totals) into the registry every interval,
-// plus once immediately. It returns a stop function (idempotent). A nil
-// registry returns a no-op stop.
-func (r *Registry) StartRuntimeCollector(interval time.Duration) (stop func()) {
-	if r == nil {
-		return func() {}
-	}
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	collect := r.SampleRuntime
-	collect()
-
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				collect()
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
 }

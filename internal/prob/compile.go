@@ -38,10 +38,7 @@ func Order(net *network.Net, h OrderHeuristic) []event.VarID {
 // distinct from Options.Timeout, which returns the partial bounds reached so
 // far with Result.TimedOut set.
 func CompileCtx(ctx context.Context, net *network.Net, opts Options) (*Result, error) {
-	// The circuit backend answers from a replay of the circuit it traces
-	// (see circuit.go); callers needing the circuit itself use
-	// CompileCircuit.
-	_, res, err := compile(ctx, net, opts, opts.Strategy == Circuit, nil)
+	_, res, err := compile(ctx, net, opts, false, nil)
 	return res, err
 }
 
@@ -62,8 +59,7 @@ func compile(ctx context.Context, net *network.Net, opts Options, trace bool, ex
 		return nil, nil, err
 	}
 	if trace {
-		// Epsilon and worker fan-out do not apply to a trace, and the core
-		// never consults the Circuit strategy value.
+		// Epsilon and worker fan-out do not apply to a trace.
 		opts.Strategy, opts.Epsilon, opts.Workers, opts.SimulateWorkers = Exact, 0, 1, false
 	}
 	eps2 := 0.0
@@ -74,7 +70,7 @@ func compile(ctx context.Context, net *network.Net, opts Options, trace bool, ex
 	defer span.End()
 	switch {
 	case trace:
-		span.SetStr("strategy", Circuit.String())
+		span.SetStr("strategy", "circuit")
 	case exec != nil:
 		span.SetStr("strategy", opts.Strategy.String())
 		span.SetStr("mode", "executor")

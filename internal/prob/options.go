@@ -15,7 +15,7 @@ import (
 )
 
 // Strategy selects between exact compilation and the three approximation
-// schemes of §4.3.
+// schemes of §4.3. Its text form is its name; an empty text reads as Exact.
 type Strategy uint8
 
 const (
@@ -31,40 +31,26 @@ const (
 	// Hybrid halves the budget at every split and carries residual budget
 	// from the left branch into the right branch.
 	Hybrid
-	// Circuit traces one exact sequential compilation into a reusable
-	// arithmetic circuit (internal/circuit) and answers from a replay
-	// evaluation of it — the compile-once/evaluate-many backend. Marginals
-	// are bit-identical to Exact; Epsilon and Workers are ignored.
-	Circuit
 )
 
-func (s Strategy) String() string {
-	switch s {
-	case Exact:
-		return "exact"
-	case Eager:
-		return "eager"
-	case Lazy:
-		return "lazy"
-	case Hybrid:
-		return "hybrid"
-	case Circuit:
-		return "circuit"
+var strategyNames = newNames("strategy", "exact, eager, lazy, or hybrid", "exact", "eager", "lazy", "hybrid")
+
+func (s Strategy) String() string { return strategyNames.name("Strategy", uint8(s)) }
+
+// MarshalText returns the strategy's name.
+func (s Strategy) MarshalText() ([]byte, error) { return strategyNames.marshal(uint8(s)) }
+
+// UnmarshalText reads a strategy name; the empty text reads as Exact.
+func (s *Strategy) UnmarshalText(text []byte) error {
+	v, err := strategyNames.parse(text)
+	if err == nil {
+		*s = Strategy(v)
 	}
-	return fmt.Sprintf("Strategy(%d)", uint8(s))
+	return err
 }
 
-// ParseStrategy is String's inverse on the five strategy names.
-func ParseStrategy(s string) (Strategy, error) {
-	for _, st := range []Strategy{Exact, Eager, Lazy, Hybrid, Circuit} {
-		if s == st.String() {
-			return st, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown strategy %q (want exact, eager, lazy, hybrid, or circuit)", s)
-}
-
-// OrderHeuristic selects the variable order of the Shannon expansion.
+// OrderHeuristic selects the variable order of the Shannon expansion. Its
+// text form is its name; an empty text reads as FanoutOrder.
 type OrderHeuristic uint8
 
 const (
@@ -77,41 +63,85 @@ const (
 	InputOrder
 )
 
-func (h OrderHeuristic) String() string {
-	switch h {
-	case FanoutOrder:
-		return "fanout"
-	case InputOrder:
-		return "input"
+var orderNames = newNames("order heuristic", "fanout or input", "fanout", "input")
+
+func (h OrderHeuristic) String() string { return orderNames.name("OrderHeuristic", uint8(h)) }
+
+// MarshalText returns the heuristic's name.
+func (h OrderHeuristic) MarshalText() ([]byte, error) { return orderNames.marshal(uint8(h)) }
+
+// UnmarshalText reads a heuristic name; the empty text reads as FanoutOrder.
+func (h *OrderHeuristic) UnmarshalText(text []byte) error {
+	v, err := orderNames.parse(text)
+	if err == nil {
+		*h = OrderHeuristic(v)
 	}
-	return fmt.Sprintf("OrderHeuristic(%d)", uint8(h))
+	return err
 }
 
-// ParseOrder is String's inverse on the two heuristic names.
-func ParseOrder(s string) (OrderHeuristic, error) {
-	for _, h := range []OrderHeuristic{FanoutOrder, InputOrder} {
-		if s == h.String() {
-			return h, nil
+// names is the text form of a small enumeration, indexed by value. text
+// holds the names as bytes, so MarshalText allocates nothing; callers must
+// not modify what it returns.
+type names struct {
+	what, want string
+	str        []string
+	text       [][]byte
+}
+
+func newNames(what, want string, str ...string) names {
+	n := names{what: what, want: want, str: str}
+	for _, s := range str {
+		n.text = append(n.text, []byte(s))
+	}
+	return n
+}
+
+func (n names) name(typ string, v uint8) string {
+	if int(v) < len(n.str) {
+		return n.str[v]
+	}
+	return fmt.Sprintf("%s(%d)", typ, v)
+}
+
+func (n names) marshal(v uint8) ([]byte, error) {
+	if int(v) < len(n.text) {
+		return n.text[v], nil
+	}
+	return nil, fmt.Errorf("invalid %s %d", n.what, v)
+}
+
+func (n names) parse(text []byte) (uint8, error) {
+	if len(text) == 0 {
+		return 0, nil
+	}
+	for i, s := range n.str {
+		if string(text) == s {
+			return uint8(i), nil
 		}
 	}
-	return 0, fmt.Errorf("unknown order heuristic %q (want fanout or input)", s)
+	return 0, fmt.Errorf("unknown %s %q (want %s)", n.what, text, n.want)
 }
 
 // Options configures a compilation.
+//
+// Its JSON is a worker session's options on the distributed plane
+// (internal/dist): the fields a session fixes travel under the tags below,
+// the rest stay local. Variable orders do not travel: order computation is
+// deterministic, so both sides derive the identical order from Heuristic.
 type Options struct {
 	// Strategy defaults to Exact.
-	Strategy Strategy
+	Strategy Strategy `json:"strategy"`
 	// Epsilon is the absolute approximation error; each target ti gets an
 	// error budget of 2ε and the computed bounds satisfy Ui − Li ≤ 2ε.
 	// Ignored for Exact.
-	Epsilon float64
+	Epsilon float64 `json:"epsilon,omitempty"`
 	// Workers > 1 enables distributed compilation with that many
 	// concurrent workers.
-	Workers int
+	Workers int `json:"-"`
 	// JobDepth is the size d of a distributed job: the depth of the
 	// decision-tree fragment a worker explores before forking
 	// continuations. Zero defaults to 3 (the paper's best setting).
-	JobDepth int
+	JobDepth int `json:"job_depth"`
 	// SimulateWorkers runs the distributed runner on one goroutine, with
 	// the job split and backpressure of Workers workers, and reports the
 	// virtual makespan of a Workers-worker cluster in
@@ -121,23 +151,23 @@ type Options struct {
 	// sum of the job durations. The paper's hybrid-d timings were likewise
 	// "obtained by simulating distributed computation on a single machine"
 	// (§5); Fig. 9 is regenerated the same way.
-	SimulateWorkers bool
+	SimulateWorkers bool `json:"-"`
 	// Order overrides the variable order. Variables absent from the
 	// order are never branched on (only safe when they do not occur in
 	// the network).
-	Order []event.VarID
+	Order []event.VarID `json:"-"`
 	// Heuristic selects the automatic order when Order is nil.
-	Heuristic OrderHeuristic
+	Heuristic OrderHeuristic `json:"heuristic"`
 	// Timeout aborts compilation, returning the bounds reached so far
 	// with Result.TimedOut set. Zero means no timeout.
-	Timeout time.Duration
+	Timeout time.Duration `json:"timeout_ns,omitempty"`
 	// Obs, when non-nil, receives spans for every compilation stage
 	// (order → init → explore/distribute, plus one span per distributed
 	// worker), work counters in its metrics registry, and — for budgeted
 	// strategies — a bounded "budget.spend" timeline of per-target error
 	// budget consumption. A nil Trace disables all of it at the cost of a
 	// nil check (no allocation; see internal/obs).
-	Obs *obs.Trace
+	Obs *obs.Trace `json:"-"`
 }
 
 func (o Options) withDefaults() Options {

@@ -57,14 +57,21 @@ func TestRecycledBlocksNeverReadStale(t *testing.T) {
 				continue
 			}
 			for _, s := range []struct {
-				name string
-				opts prob.Options
+				name   string
+				opts   prob.Options
+				traced bool
 			}{
-				{"exact", prob.Options{Strategy: prob.Exact}},
-				{"hybrid", prob.Options{Strategy: prob.Hybrid, Epsilon: 0.05}},
-				{"circuit", prob.Options{Strategy: prob.Circuit}},
+				{"exact", prob.Options{Strategy: prob.Exact}, false},
+				{"hybrid", prob.Options{Strategy: prob.Hybrid, Epsilon: 0.05}, false},
+				{"circuit", prob.Options{}, true},
 			} {
-				res, err := prob.Compile(net, s.opts)
+				var res *prob.Result
+				var err error
+				if s.traced {
+					_, res, err = prob.CompileCircuit(context.Background(), net, s.opts)
+				} else {
+					res, err = prob.Compile(net, s.opts)
+				}
 				if err != nil {
 					t.Fatalf("%s %s: %v", key, s.name, err)
 				}

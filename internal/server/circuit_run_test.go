@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"enframe/internal/core"
+	"enframe/internal/prob"
 )
 
 func gaugeValue(s *Server, name string) float64 { return s.reg.Gauge(name).Value() }
@@ -43,9 +44,6 @@ func TestExactRunsAnswerFromCircuitMemo(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		for k := 0; k < keys; k++ {
 			req := smallRequest(int64(10+k), 8)
-			if round%2 == 1 {
-				req.Strategy = "circuit" // the same execution as exact
-			}
 			status, rr, raw := postRun(t, client, s.Addr(), req)
 			if status != http.StatusOK {
 				t.Fatalf("round %d key %d: status %d: %s", round, k, status, raw)
@@ -89,7 +87,7 @@ func TestExactRunsAnswerFromCircuitMemo(t *testing.T) {
 	// the exact marginals is internal/difftest's to check).
 	bytesBefore := gaugeValue(s, "server.cache.bytes")
 	req := smallRequest(10, 8)
-	req.Strategy, req.Epsilon = "hybrid", 0.05
+	req.Strategy, req.Epsilon = prob.Hybrid, 0.05
 	status, rr, raw := postRun(t, client, s.Addr(), req)
 	if status != http.StatusOK || rr.Cache != "hit" || rr.ServedFrom != servedCompile {
 		t.Fatalf("hybrid on a traced artifact: status=%d cache=%q served_from=%q: %s", status, rr.Cache, rr.ServedFrom, raw)

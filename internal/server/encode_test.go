@@ -141,7 +141,7 @@ func TestAppendPointsMatchesEncodingJSON(t *testing.T) {
 func TestWriteSplicedMatchesWriteJSON(t *testing.T) {
 	bounds := []prob.TargetBound{{Name: "Centre[0][1]", Lower: 0.25, Upper: 0.25}, {Name: "a<b", Lower: 0, Upper: 1e-9}}
 	ts := []RunTarget{{Name: "Centre[0][1]", Lower: 0.25, Upper: 0.25, Estimate: 0.25}, {Name: "a<b", Lower: 0, Upper: 1e-9, Estimate: 5e-10}}
-	run := RunResponse{Cache: "hit", ServedFrom: servedCircuit, Strategy: "exact", Workers: 1, Stats: RunStats{Branches: 7}}
+	run := RunResponse{Cache: "hit", ServedFrom: servedCircuit, Strategy: prob.Exact, Workers: 1, Stats: RunStats{Branches: 7}}
 	whatif := WhatifResponse{Var: "x1", Cache: "miss", Influence: []TargetInfluence{{Target: "a<b", CondTrue: 1}}}
 
 	got := httptest.NewRecorder()

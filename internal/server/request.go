@@ -35,15 +35,15 @@ type RunRequest struct {
 	Targets []string `json:"targets,omitempty"`
 	// Strategy is exact (default), eager, lazy, or hybrid; Epsilon is the
 	// absolute error budget for the approximation strategies.
-	Strategy string  `json:"strategy,omitempty"`
-	Epsilon  float64 `json:"epsilon,omitempty"`
+	Strategy prob.Strategy `json:"strategy,omitempty"`
+	Epsilon  float64       `json:"epsilon,omitempty"`
 	// Workers > 1 compiles with the distributed runner; JobDepth is the
 	// fragment depth d.
 	Workers  int `json:"workers,omitempty"`
 	JobDepth int `json:"job_depth,omitempty"`
 	// Order selects the variable-order heuristic: "fanout" (default) or
 	// "input".
-	Order string `json:"order,omitempty"`
+	Order prob.OrderHeuristic `json:"order,omitempty"`
 	// TimeoutMs is the hard per-request deadline: exceeding it aborts the
 	// pipeline and answers 504. Zero means the server default; values are
 	// clamped to the server maximum.
@@ -141,10 +141,7 @@ func (r RunRequest) withDefaults() RunRequest {
 	if len(r.Targets) == 0 {
 		r.Targets = lang.DefaultTargets(r.Program, r.Source)
 	}
-	if r.Strategy == "" {
-		r.Strategy = "exact"
-	}
-	if r.Strategy != "exact" && r.Strategy != "circuit" && r.Epsilon == 0 {
+	if r.Strategy != prob.Exact && r.Epsilon == 0 {
 		r.Epsilon = 0.1
 	}
 	if r.Workers == 0 {
@@ -153,26 +150,20 @@ func (r RunRequest) withDefaults() RunRequest {
 	if r.JobDepth == 0 {
 		r.JobDepth = 3
 	}
-	if r.Order == "" {
-		r.Order = "fanout"
-	}
 	return r
 }
 
 // CompileOptions are the request's per-request compilation parameters —
 // strategy, ε, workers, job depth, order heuristic and soft timeout — after
-// defaulting. BuildSpec validates them; an invalid strategy or order reads
-// as its zero value here.
+// defaulting. BuildSpec validates them.
 func (r RunRequest) CompileOptions() prob.Options {
 	r = r.withDefaults()
-	strategy, _ := prob.ParseStrategy(r.Strategy)
-	heuristic, _ := prob.ParseOrder(r.Order)
 	return prob.Options{
-		Strategy:  strategy,
+		Strategy:  r.Strategy,
 		Epsilon:   r.Epsilon,
 		Workers:   r.Workers,
 		JobDepth:  r.JobDepth,
-		Heuristic: heuristic,
+		Heuristic: r.Order,
 		Timeout:   time.Duration(r.SoftTimeoutMs) * time.Millisecond,
 	}
 }
@@ -248,27 +239,14 @@ type specPlan struct {
 // planSpec validates the defaulted request and computes its artifact key.
 func planSpec(req RunRequest) (specPlan, error) {
 	req = req.withDefaults()
-	strategy, err := prob.ParseStrategy(req.Strategy)
-	if err != nil {
-		return specPlan{}, badRequest("%v", err)
-	}
-	if strategy != prob.Exact && strategy != prob.Circuit && req.Epsilon <= 0 {
+	if req.Strategy != prob.Exact && req.Epsilon <= 0 {
 		return specPlan{}, badRequest("epsilon must be > 0 with strategy %q", req.Strategy)
-	}
-	if strategy == prob.Circuit && req.Workers > 1 {
-		return specPlan{}, badRequest("strategy circuit compiles sequentially (workers must be 1, got %d)", req.Workers)
-	}
-	if strategy == prob.Circuit && len(req.RemoteWorkers) > 0 {
-		return specPlan{}, badRequest("strategy circuit does not support remote_workers")
 	}
 	if req.Workers < 1 || req.Workers > maxWorkersPerRequest {
 		return specPlan{}, badRequest("workers must be in [1, %d] (got %d)", maxWorkersPerRequest, req.Workers)
 	}
 	if req.JobDepth < 1 {
 		return specPlan{}, badRequest("job_depth must be ≥ 1 (got %d)", req.JobDepth)
-	}
-	if _, err := prob.ParseOrder(req.Order); err != nil {
-		return specPlan{}, badRequest("%v", err)
 	}
 	if req.TimeoutMs < 0 || req.SoftTimeoutMs < 0 {
 		return specPlan{}, badRequest("timeouts must be ≥ 0")

@@ -5,6 +5,7 @@ import (
 
 	"enframe/internal/core"
 	"enframe/internal/obs"
+	"enframe/internal/prob"
 )
 
 // RunResponse is the body of a successful POST /v1/run.
@@ -18,11 +19,10 @@ type RunResponse struct {
 	// an artifact, or one whose trace is incomplete and therefore never
 	// memoized); "compile" — an approximate strategy or remote workers.
 	ServedFrom string `json:"served_from"`
-	// Strategy echoes the request; on the server exact and circuit are the
-	// same execution.
-	Strategy string  `json:"strategy"`
-	Epsilon  float64 `json:"epsilon,omitempty"`
-	Workers  int     `json:"workers"`
+	// Strategy echoes the request.
+	Strategy prob.Strategy `json:"strategy"`
+	Epsilon  float64       `json:"epsilon,omitempty"`
+	Workers  int           `json:"workers"`
 	// TimedOut reports the soft (anytime) timeout: bounds are partial.
 	TimedOut     bool        `json:"timed_out,omitempty"`
 	Variables    int         `json:"variables"`
@@ -120,7 +120,7 @@ func buildResponse(req RunRequest, rep *core.Report, hit bool, served string, re
 	if remote.used || remote.fellBack {
 		out.Remote = &RemoteResponse{Workers: remote.workers, Fallback: remote.fellBack}
 	}
-	if req.Strategy == "exact" {
+	if req.Strategy == prob.Exact {
 		out.Epsilon = 0
 	}
 	return out

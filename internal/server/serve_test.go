@@ -208,6 +208,23 @@ func TestStreamPushMsRecordsAcceptedPushesOnly(t *testing.T) {
 	}
 }
 
+// TestUnknownNamesAnswer400: strategy and order names are decoded by their
+// types, so the strict decoder refuses an unknown one, the removed circuit
+// strategy included, with a 400 listing the valid names.
+func TestUnknownNamesAnswer400(t *testing.T) {
+	s := New(Config{})
+	for _, c := range []struct{ path, body, want string }{
+		{"/v1/run", `{"strategy":"circuit"}`, `unknown strategy \"circuit\" (want exact, eager, lazy, or hybrid)`},
+		{"/v1/whatif", `{"order":"bogus"}`, `unknown order heuristic \"bogus\" (want fanout or input)`},
+		{"/v1/stream", `{"op":"create","config":{"order":"bogus"}}`, `unknown order heuristic \"bogus\" (want fanout or input)`},
+	} {
+		rec := serveReq(s, http.MethodPost, c.path, []byte(c.body), "")
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), c.want) {
+			t.Errorf("%s %s: status %d: %s, want 400 saying %s", c.path, c.body, rec.Code, rec.Body.Bytes(), c.want)
+		}
+	}
+}
+
 // FuzzRequestBody feeds arbitrary bytes to each route's decode-and-validate
 // step, executing nothing: it must not panic, and must either accept the
 // body or refuse it with a *badRequestError (a 400).
@@ -233,6 +250,7 @@ func FuzzRequestBody(f *testing.F) {
 		f.Add(uint8(i), []byte(`{"data":{"vars":200000000}}`))
 		f.Add(uint8(i), []byte(`{"data":{"n":8,"vars":4},"params":{"iter":100000}}`))
 		f.Add(uint8(i), []byte(`{"data":{"kind":"gen","seed":7}}`))
+		f.Add(uint8(i), []byte(`{"strategy":"circuit"}`))
 	}
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
 		rt := routes[paths[int(which)%len(paths)]]

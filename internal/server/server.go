@@ -142,9 +142,6 @@ type Server struct {
 	serveErr  chan error
 	accessLog *slog.Logger
 
-	// stopRuntime halts the process-gauge collector started by Start.
-	stopRuntime func()
-
 	// pools caches worker pools by their sorted address list, so repeated
 	// requests naming the same worker set reuse live connections and
 	// worker-side session caches. It is poolFlight's memo: requests for one
@@ -303,9 +300,6 @@ func (s *Server) Start() error {
 		return fmt.Errorf("server: listen %s: %w", s.cfg.Addr, err)
 	}
 	s.listener = ln
-	// Process runtime gauges (goroutines, heap, GC) refresh for as long as
-	// the server serves; handler-only embeddings (httptest) skip them.
-	s.stopRuntime = s.reg.StartRuntimeCollector(0)
 	go func() {
 		err := s.httpSrv.Serve(ln)
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -331,9 +325,6 @@ func (s *Server) Addr() string {
 // loop to wait for.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	if s.stopRuntime != nil {
-		s.stopRuntime()
-	}
 	err := s.httpSrv.Shutdown(ctx)
 	if s.listener != nil {
 		if serr, ok := <-s.serveErr; ok && err == nil {
@@ -494,11 +485,10 @@ func (s *Server) circuitFor(ctx context.Context, art *core.Artifact, opts prob.O
 }
 
 // execute resolves the artifact through the cache and computes the request's
-// probabilities on it. Exact requests (strategy exact or circuit — one
-// execution on the server) are answered from the artifact's memoized
-// circuit: the first request on an artifact traces it, every later one is a
-// memo lookup. Approximate strategies compile in-process; requests naming
-// remote_workers ship the compilation to the worker plane.
+// probabilities on it. Exact requests are answered from the artifact's
+// memoized circuit: the first request on an artifact traces it, every later
+// one is a memo lookup. Approximate strategies compile in-process; requests
+// naming remote_workers ship the compilation to the worker plane.
 func (s *Server) execute(ctx context.Context, plan specPlan, req RunRequest, tr *obs.Trace) (*core.Report, core.Outcome, string, remoteStatus, error) {
 	art, cache, err := s.artifactFor(ctx, plan)
 	if err != nil {
@@ -522,7 +512,7 @@ func (s *Server) execute(ctx context.Context, plan specPlan, req RunRequest, tr 
 	}
 	remote := remoteStatus{fellBack: len(req.RemoteWorkers) > 0}
 
-	if opts.Strategy == prob.Exact || opts.Strategy == prob.Circuit {
+	if opts.Strategy == prob.Exact {
 		t0 := time.Now()
 		c, res, cached, err := s.circuitFor(ctx, art, opts)
 		if err != nil {
@@ -571,7 +561,7 @@ func CompileRemote(ctx context.Context, pool *dist.Pool, art *core.Artifact, key
 		return nil, fmt.Errorf("server: encode wire spec: %w", err)
 	}
 	opts.Order = art.Order(opts.Heuristic)
-	exec := pool.Session(key, specJSON, dist.FromOptions(opts))
+	exec := pool.Session(key, specJSON, opts)
 	tCompile := time.Now()
 	pr, err := prob.CompileExec(ctx, art.Net, opts, exec)
 	if err != nil {

@@ -5,12 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"enframe/internal/prob"
 )
 
 // startTestServer boots a server on an ephemeral port and tears it down
@@ -116,7 +120,7 @@ func TestRunMissThenHit(t *testing.T) {
 	// A different strategy on the same (program, data, targets) still hits:
 	// compile parameters are not part of the artifact key.
 	req := smallRequest(1, 8)
-	req.Strategy = "hybrid"
+	req.Strategy = prob.Hybrid
 	req.Epsilon = 0.1
 	status, third, _ := postRun(t, client, s.Addr(), req)
 	if status != http.StatusOK || third.Cache != "hit" {
@@ -447,19 +451,26 @@ func TestBadRequests(t *testing.T) {
 
 	cases := []struct {
 		name string
-		req  RunRequest
+		body string
 		want string // substring of the error
 	}{
-		{"unknown program", RunRequest{Program: "exfiltrate.py"}, "unknown builtin program"},
-		{"unknown strategy", RunRequest{Strategy: "banana"}, "unknown strategy"},
-		{"bad scheme", RunRequest{Data: DataSpec{Scheme: "spooky"}}, "unknown correlation scheme"},
-		{"workers cap", RunRequest{Workers: 1000}, "workers"},
-		{"bad order", RunRequest{Order: "random"}, "order"},
-		{"bad target", RunRequest{Targets: []string{"NoSuchVar["}}, "target"},
+		{"unknown program", `{"program":"exfiltrate.py"}`, "unknown builtin program"},
+		{"unknown strategy", `{"strategy":"banana"}`, "unknown strategy"},
+		{"circuit strategy", `{"strategy":"circuit"}`, `unknown strategy \"circuit\" (want exact, eager, lazy, or hybrid)`},
+		{"bad scheme", `{"data":{"scheme":"spooky"}}`, "unknown correlation scheme"},
+		{"workers cap", `{"workers":1000}`, "workers"},
+		{"bad order", `{"order":"random"}`, "order"},
+		{"bad target", `{"targets":["NoSuchVar["]}`, "target"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			status, _, raw := postRun(t, client, s.Addr(), tc.req)
+			resp, err := client.Post("http://"+s.Addr()+"/v1/run", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			status := resp.StatusCode
 			if status != http.StatusBadRequest && status != http.StatusUnprocessableEntity {
 				t.Fatalf("status %d, want 400/422: %s", status, raw)
 			}

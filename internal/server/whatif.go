@@ -39,8 +39,8 @@ type WhatifRequest struct {
 	// targets from two extra evaluations.
 	Influence bool `json:"influence,omitempty"`
 	// Order selects the variable-order heuristic, as in /v1/run.
-	Order     string `json:"order,omitempty"`
-	TimeoutMs int    `json:"timeout_ms,omitempty"`
+	Order     prob.OrderHeuristic `json:"order,omitempty"`
+	TimeoutMs int                 `json:"timeout_ms,omitempty"`
 	// Tenant identifies the caller for quota enforcement, as in /v1/run.
 	Tenant string `json:"tenant,omitempty"`
 }
@@ -174,10 +174,9 @@ func (s *Server) executeWhatif(ctx context.Context, sw *sweepBuf, plan specPlan,
 	if err != nil {
 		return nil, nil, cache, err
 	}
-	heuristic, _ := prob.ParseOrder(plan.req.Order) // validated by planSpec
 
 	tTrace := time.Now()
-	c, _, circuitCached, err := s.circuitFor(ctx, art, prob.Options{Heuristic: heuristic})
+	c, _, circuitCached, err := s.circuitFor(ctx, art, prob.Options{Heuristic: plan.req.Order})
 	traceDur := time.Since(tTrace)
 	if err != nil {
 		return nil, nil, cache, err
@@ -191,7 +190,7 @@ func (s *Server) executeWhatif(ctx context.Context, sw *sweepBuf, plan specPlan,
 	sp := art.Net.Space
 	xv := event.VarID(-1)
 	if req.Var == "" {
-		order := art.Order(heuristic)
+		order := art.Order(plan.req.Order)
 		if len(order) == 0 {
 			return nil, nil, cache, badRequest("network has no variables to sweep")
 		}

@@ -215,11 +215,22 @@ func TestRouterValidatesBeforeForwarding(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Fatalf("malformed JSON: status %d, want 400", status)
 	}
+	// Names the option types do not know, the removed circuit strategy
+	// among them, fail the router's strict decode as they fail the shard's.
+	for _, c := range []struct{ path, body string }{
+		{"/v1/run", `{"strategy":"circuit"}`},
+		{"/v1/whatif", `{"order":"bogus"}`},
+	} {
+		status, _, raw := post(t, router.URL+c.path, []byte(c.body))
+		if status != http.StatusBadRequest || !bytes.Contains(raw, []byte("unknown")) {
+			t.Fatalf("%s %s: status %d: %s, want 400", c.path, c.body, status, raw)
+		}
+	}
 	if got := rt.reg.Counter("shard.route.forwards").Value(); got != 0 {
 		t.Errorf("invalid requests were forwarded (%d)", got)
 	}
-	if got := rt.reg.Counter("shard.route.bad_request").Value(); got != 2 {
-		t.Errorf("bad_request counter = %d, want 2", got)
+	if got := rt.reg.Counter("shard.route.bad_request").Value(); got != 4 {
+		t.Errorf("bad_request counter = %d, want 4", got)
 	}
 
 	// The router keys a request without generating its data, so a request

@@ -26,4 +26,4 @@ func (s *Session) SegmentSpec(w int64) (core.Spec, error) {
 
 // Heuristic returns the session's variable-order heuristic (for oracle
 // compilations that must match the session's circuits bit for bit).
-func (s *Session) Heuristic() prob.OrderHeuristic { return s.heur }
+func (s *Session) Heuristic() prob.OrderHeuristic { return s.cfg.Order }

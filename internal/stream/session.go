@@ -71,7 +71,7 @@ type Config struct {
 
 	// Order selects the variable-order heuristic: "fanout" (default) or
 	// "input".
-	Order string `json:"order,omitempty"`
+	Order prob.OrderHeuristic `json:"order,omitempty"`
 }
 
 func (c *Config) withDefaults() Config {
@@ -99,9 +99,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.Scheme == "" {
 		out.Scheme = "independent"
-	}
-	if out.Order == "" {
-		out.Order = "fanout"
 	}
 	return out
 }
@@ -158,7 +155,6 @@ type segment struct {
 type Session struct {
 	cfg    Config
 	scheme lineage.Scheme
-	heur   prob.OrderHeuristic
 	parsed *lang.Program
 
 	mu         chan struct{} // capacity-1 semaphore: ctx-aware mutex
@@ -242,14 +238,9 @@ func NewSession(ctx context.Context, cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
-	heur, err := prob.ParseOrder(cfg.Order)
-	if err != nil {
-		return nil, fmt.Errorf("stream: %w", err)
-	}
 	s := &Session{
 		cfg:    cfg,
 		scheme: scheme,
-		heur:   heur,
 		parsed: parsed,
 		mu:     make(chan struct{}, 1),
 	}
@@ -463,7 +454,7 @@ func (s *Session) rebuild(ctx context.Context, seg *segment, st *Stats) error {
 // read-only memo, and replay writes into seg.marg.
 func (s *Session) retrace(ctx context.Context, seg *segment, st *Stats) error {
 	t0 := time.Now()
-	c, res, _, err := seg.art.Circuit(ctx, prob.Options{Heuristic: s.heur})
+	c, res, _, err := seg.art.Circuit(ctx, prob.Options{Heuristic: s.cfg.Order})
 	st.TraceMs += float64(time.Since(t0)) / float64(time.Millisecond)
 	if err != nil {
 		return fmt.Errorf("stream: window %d: trace: %w", seg.window, err)

@@ -20,7 +20,7 @@ func TestReplayLeavesArtifactMemoUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := s.segs[0]
-	_, memo, cached, err := seg.art.Circuit(ctx, prob.Options{Heuristic: s.heur})
+	_, memo, cached, err := seg.art.Circuit(ctx, prob.Options{Heuristic: s.cfg.Order})
 	if err != nil || !cached {
 		t.Fatalf("segment circuit: cached=%v err=%v, want the memo", cached, err)
 	}
